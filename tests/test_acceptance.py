@@ -2,7 +2,8 @@
 
 Each criterion is one test; the ``pytest -v`` line for it is the
 per-criterion pass/fail record, and each test prints its measured
-numbers so a failure shows exactly what was observed.
+numbers so a failure shows exactly what was observed.  The last test
+pins the CLI reports of every shipped scenario against ``tests/golden/``.
 
 The golden token vectors live in ``test_jose.GOLDEN_VECTORS``: expected
 strings produced by the standalone stdlib reference encoder and frozen
@@ -311,3 +312,54 @@ def test_criterion_8_ldap_only_ce_is_dark_on_condor_10(shipped):
         f" condor 9 control: {len(submitted)} pilots submitted over LDAP"
     )
     assert submitted
+
+
+# --- golden pins: reports and CLI output of every shipped scenario ---------
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+
+def test_golden_reports_byte_identical(shipped, monkeypatch, capsys):
+    """The CLI output of every shipped scenario at its shipped seed is pinned
+    byte for byte: ``tokenpool report`` (JSON, digest included) as
+    ``<stem>.json``, ``tokenpool sim run`` (text) as ``<stem>.txt``, and
+    ``tokenpool sim drill`` as ``<stem>.drill.txt`` for drill scenarios.
+    The CLI runs on the fixture's results, so no scenario runs again.
+
+    Regenerate, from the repository root, only for an announced behaviour
+    change::
+
+        for f in scenarios/*.yaml; do s=$(basename $f .yaml)
+          PYTHONPATH=src python -m tokenpool.cli report $f > tests/golden/$s.json
+          PYTHONPATH=src python -m tokenpool.cli sim run $f > tests/golden/$s.txt
+        done
+        PYTHONPATH=src python -m tokenpool.cli sim drill \\
+          scenarios/drill-keysplit.yaml > tests/golden/drill-keysplit.drill.txt
+    """
+    from tokenpool import cli
+
+    def cli_output(run, *argv):
+        def replay(scenario, seed=None):
+            assert scenario == run.scenario and seed is None
+            return run.result
+
+        monkeypatch.setattr(cli, "run_scenario", replay)
+        rc = cli.main([*argv, str(run.path)])
+        out = capsys.readouterr().out
+        assert rc == 0, argv
+        return out
+
+    pinned = 0
+    for name, run in shipped.items():
+        for suffix, argv in (
+            (".json", ["report"]),
+            (".txt", ["sim", "run"]),
+            (".drill.txt", ["sim", "drill"]),
+        ):
+            golden = GOLDEN_DIR / f"{name}{suffix}"
+            if suffix == ".drill.txt" and not golden.exists():
+                continue
+            assert cli_output(run, *argv) == golden.read_text(), f"{name}{suffix}"
+            pinned += 1
+    print(f"[golden] {pinned} CLI outputs byte-identical to tests/golden/")
+    assert pinned == 2 * len(shipped) + 1
