@@ -166,23 +166,8 @@ def cmd_sim_drill(args: argparse.Namespace) -> int:
     if report is None:
         print("no key-compromise exercise in this run", file=sys.stderr)
         return 1
-    recovery = (
-        f"recovered_at={report.recovered_at} recovery_time={report.recovery_time}s"
-        if report.recovered_at is not None
-        else "not recovered"
-    )
-    print(
-        f"drill: kid={report.kid} at={report.compromised_at}"
-        f" evicted={report.evicted}/{report.pool_before} {recovery}"
-        f" bound={report.bound}s within_bound={report.within_bound}"
-    )
+    print(report.line())
     return 0 if report.within_bound else 1
-
-
-def cmd_report(args: argparse.Namespace) -> int:
-    result = _load(args)
-    print(render_report(result, args.format), end="")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -233,11 +218,12 @@ def build_parser() -> argparse.ArgumentParser:
     drill.add_argument("--seed", type=int, help=f"override the scenario seed (or set {SEED_ENV})")
     drill.set_defaults(func=cmd_sim_drill)
 
+    # `report` is `sim run` with JSON as its default format and no --trace-out.
     report = sub.add_parser("report", help="run a scenario and emit its report")
     report.add_argument("scenario", help="scenario YAML file")
     report.add_argument("--seed", type=int, help=f"override the scenario seed (or set {SEED_ENV})")
     report.add_argument("--format", choices=("text", "json"), default="json")
-    report.set_defaults(func=cmd_report)
+    report.set_defaults(func=cmd_sim_run, trace_out=None)
 
     return parser
 

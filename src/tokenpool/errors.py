@@ -108,10 +108,6 @@ class MismatchedCredential(SubmissionError):
     """No credential kind held by the factory is accepted by the CE."""
 
 
-class CEUnreachable(SubmissionError):
-    """Submission routed to a CE that is not part of the fleet."""
-
-
 class CapacityExceeded(SubmissionError):
     """CE has no free pilot slots."""
 

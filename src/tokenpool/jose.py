@@ -27,7 +27,6 @@ from .errors import AlgKeyMismatch, InvalidClaims, MalformedToken
 
 IDTOKEN_ALG = "HS256"
 SCITOKEN_ALG = "EdDSA"
-SUPPORTED_ALGS = (IDTOKEN_ALG, SCITOKEN_ALG)
 
 
 def b64url_encode(data: bytes) -> str:

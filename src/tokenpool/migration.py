@@ -4,7 +4,8 @@ A RunResult bundles the scenario, the finished World, and the audit
 trace.  Everything reported here — pool fill, auth mix, legacy
 dependency, drill recovery, phase soundness — is recomputed from the
 trace records, never from live actor state, so reports hold for
-serialized traces too.
+serialized traces too.  A report reads the records in one pass
+(``_Pass``), and the public fact functions read their answers from it.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import statistics
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -32,6 +34,15 @@ from .simnet import (
 )
 
 LEGACY_METHOD_VALUES = (AuthMethod.GSI_PROXY.value, AuthMethod.LOCAL_FS.value)
+
+#: ``capacity_fraction`` averages the pool size over this final share of the horizon.
+TAIL_FRACTION = 0.2
+
+_AUTH_CHANNELS = frozenset(AUTH_CHANNEL_LABELS)
+_METHOD_VALUES = frozenset(m.value for m in AuthMethod)
+_PERMITTED = {
+    phase: frozenset(m.value for m in methods) for phase, methods in PHASE_PERMITS.items()
+}
 
 
 @dataclass(frozen=True)
@@ -66,6 +77,8 @@ def parse_detail(detail: str) -> dict[str, str]:
 
 @dataclass(frozen=True)
 class PoolMetrics:
+    """Pool and auth totals of a run; every count mapping is sorted by key."""
+
     total_capacity: int
     peak_pool: int
     final_pool: int
@@ -79,73 +92,6 @@ class PoolMetrics:
     job_counts: Mapping[str, int]
 
 
-def compute_metrics(result: RunResult, tail_fraction: float = 0.2) -> PoolMetrics:
-    """Summarize a run.  ``capacity_fraction`` is the mean pool size over
-    the final ``tail_fraction`` of the horizon divided by total slots."""
-    trace = result.trace
-    horizon = result.scenario.horizon
-    capacity = result.scenario.total_capacity
-
-    sizes: list[tuple[int, int]] = []
-    for rec in trace.select(TRACE_POOL, outcome="SAMPLE"):
-        kv = parse_detail(str(rec["detail"]))
-        sizes.append((int(rec["t"]), int(kv["size"])))
-    tail_start = horizon * (1.0 - tail_fraction)
-    tail = [size for t, size in sizes if t >= tail_start]
-    fraction = statistics.fmean(tail) / capacity if tail and capacity else 0.0
-
-    auth_success: dict[str, int] = {}
-    auth_failures: dict[str, int] = {}
-    legacy: dict[str, int] = {}
-    denied = 0
-    dropped = 0
-    for rec in trace.records:
-        channel = str(rec["channel"])
-        if channel not in AUTH_CHANNEL_LABELS:
-            continue
-        outcome = str(rec["outcome"])
-        method = str(rec["method"])
-        if outcome == OUTCOME_SUCCESS:
-            auth_success[method] = auth_success.get(method, 0) + 1
-            if method in LEGACY_METHOD_VALUES:
-                legacy[channel] = legacy.get(channel, 0) + 1
-        elif outcome.startswith("FAIL:"):
-            reason = outcome[len("FAIL:"):]
-            auth_failures[reason] = auth_failures.get(reason, 0) + 1
-        elif outcome == OUTCOME_DENIED:
-            denied += 1
-        elif outcome == OUTCOME_DROP:
-            dropped += 1
-
-    pilot_counts: dict[str, int] = {}
-    for rec in trace.select(TRACE_PILOT):
-        outcome = str(rec["outcome"])
-        pilot_counts[outcome] = pilot_counts.get(outcome, 0) + 1
-
-    job_counts: dict[str, int] = {}
-    for rec in trace.select(TRACE_JOB):
-        outcome = str(rec["outcome"])
-        if outcome == "QUEUED":
-            kv = parse_detail(str(rec["detail"]))
-            job_counts[outcome] = job_counts.get(outcome, 0) + int(kv.get("count", "0"))
-        else:
-            job_counts[outcome] = job_counts.get(outcome, 0) + 1
-
-    return PoolMetrics(
-        total_capacity=capacity,
-        peak_pool=max((s for _, s in sizes), default=0),
-        final_pool=sizes[-1][1] if sizes else 0,
-        capacity_fraction=fraction,
-        auth_success=auth_success,
-        auth_failures=auth_failures,
-        denied=denied,
-        dropped=dropped,
-        legacy_dependency=legacy,
-        pilot_counts=pilot_counts,
-        job_counts=job_counts,
-    )
-
-
 @dataclass(frozen=True)
 class DrillReport:
     kid: str
@@ -157,6 +103,163 @@ class DrillReport:
     bound: int
     within_bound: bool
 
+    def line(self) -> str:
+        """The verdict line shared by the text report and ``tokenpool sim drill``."""
+        recovery = (
+            f"recovered_at={self.recovered_at} recovery_time={self.recovery_time}s"
+            if self.recovered_at is not None
+            else "not recovered"
+        )
+        return (
+            f"drill: kid={self.kid} at={self.compromised_at}"
+            f" evicted={self.evicted}/{self.pool_before} {recovery}"
+            f" bound={self.bound}s within_bound={self.within_bound}"
+        )
+
+
+class _Pass:
+    """One walk over a trace's records, keeping what every report fact needs.
+
+    Phase soundness and the drill are settled only after the walk: a PHASE
+    record at t governs every auth record at t, and the drill counts every
+    eviction and join at the compromise instant, whichever of them was
+    written first.  A pass must not outlive the report that made it, so
+    its buffers are gone before the digest sets the report's peak memory.
+    """
+
+    def __init__(self, trace: Trace) -> None:
+        self.timeline: list[tuple[int, MigrationPhase]] = []
+        self.samples: list[tuple[int, int]] = []  # (t, pool size)
+        self.joins: list[int] = []
+        self.evictions: list[tuple[int, str | None]] = []  # (t, kid)
+        self.compromise: tuple[int, str] | None = None  # first KEY_COMPROMISE: (t, kid)
+        self.auth_success: Counter[str] = Counter()
+        self.auth_failures: Counter[str] = Counter()
+        self.legacy: Counter[str] = Counter()
+        self.pilot_counts: Counter[str] = Counter()
+        self.job_counts: Counter[str] = Counter()
+        self.denied = self.dropped = 0
+        attempts = []  # auth records that name a concrete method
+        for rec in trace.records:
+            channel, outcome = rec["channel"], rec["outcome"]
+            if channel in _AUTH_CHANNELS:
+                method = rec["method"]
+                if method in _METHOD_VALUES:
+                    attempts.append(rec)
+                if outcome == OUTCOME_SUCCESS:
+                    self.auth_success[method] += 1
+                    if method in LEGACY_METHOD_VALUES:
+                        self.legacy[channel] += 1
+                elif outcome.startswith("FAIL:"):
+                    self.auth_failures[outcome[len("FAIL:"):]] += 1
+                elif outcome == OUTCOME_DENIED:
+                    self.denied += 1
+                elif outcome == OUTCOME_DROP:
+                    self.dropped += 1
+            elif channel == TRACE_POOL:
+                if outcome == "SAMPLE":
+                    size = int(parse_detail(rec["detail"])["size"])
+                    self.samples.append((int(rec["t"]), size))
+            elif channel == TRACE_PILOT:
+                self.pilot_counts[outcome] += 1
+                if outcome == "JOINED":
+                    self.joins.append(int(rec["t"]))
+                elif outcome == "EVICT":
+                    kid = parse_detail(rec["detail"]).get("kid")
+                    self.evictions.append((int(rec["t"]), kid))
+            elif channel == TRACE_JOB:
+                if outcome == "QUEUED":
+                    self.job_counts[outcome] += int(parse_detail(rec["detail"]).get("count", "0"))
+                else:
+                    self.job_counts[outcome] += 1
+            elif channel == TRACE_PLAN:
+                if outcome == "PHASE":
+                    phase = MigrationPhase(parse_detail(rec["detail"])["phase"])
+                    self.timeline.append((int(rec["t"]), phase))
+            elif channel == TRACE_FAULT and outcome == "ACTIVATE" and self.compromise is None:
+                kv = parse_detail(rec["detail"])
+                if kv.get("kind") == "KEY_COMPROMISE":
+                    self.compromise = (int(rec["t"]), kv["target"])
+        self.violations: list[str] = []
+        if not self.timeline:
+            self.violations.append("no phase records in trace")
+            attempts.clear()
+        for rec in attempts:
+            phase = phase_at(self.timeline, int(rec["t"]))
+            if rec["method"] not in _PERMITTED[phase]:
+                self.violations.append(
+                    f"t={rec['t']} {rec['channel']} used {rec['method']} under {phase.value}"
+                    f" (outcome={rec['outcome']})"
+                )
+
+    def metrics(self, scenario: Scenario) -> PoolMetrics:
+        capacity = scenario.total_capacity
+        tail_start = scenario.horizon * (1.0 - TAIL_FRACTION)
+        tail = [size for t, size in self.samples if t >= tail_start]
+        return PoolMetrics(
+            total_capacity=capacity,
+            peak_pool=max((size for _, size in self.samples), default=0),
+            final_pool=self.samples[-1][1] if self.samples else 0,
+            capacity_fraction=statistics.fmean(tail) / capacity if tail and capacity else 0.0,
+            auth_success=_sorted(self.auth_success),
+            auth_failures=_sorted(self.auth_failures),
+            denied=self.denied,
+            dropped=self.dropped,
+            legacy_dependency=_sorted(self.legacy),
+            pilot_counts=_sorted(self.pilot_counts),
+            job_counts=_sorted(self.job_counts),
+        )
+
+    def drill(self, scenario: Scenario) -> DrillReport | None:
+        if self.compromise is None:
+            return None
+        compromised_at, kid = self.compromise
+        evicted = sum(1 for t, k in self.evictions if k == kid and t >= compromised_at)
+        pool_before = 0
+        for t, size in self.samples:
+            if t >= compromised_at:
+                break
+            pool_before = size
+        joins_after = [t for t in self.joins if t >= compromised_at]
+        recovered_at: int | None = None
+        if evicted and len(joins_after) >= evicted:
+            recovered_at = joins_after[evicted - 1]
+        recovery_time = None if recovered_at is None else recovered_at - compromised_at
+        bound = scenario.drill.reprovision_delay + scenario.pilots.startup
+        return DrillReport(
+            kid=kid,
+            compromised_at=compromised_at,
+            pool_before=pool_before,
+            evicted=evicted,
+            recovered_at=recovered_at,
+            recovery_time=recovery_time,
+            bound=bound,
+            within_bound=recovery_time is not None and recovery_time <= bound,
+        )
+
+
+def _sorted(counts: Mapping[str, int]) -> dict[str, int]:
+    return dict(sorted(counts.items()))
+
+
+def _facts(
+    result: RunResult,
+) -> tuple[PoolMetrics, DrillReport | None, list[tuple[int, MigrationPhase]], list[str]]:
+    """Every fact a report states, from one pass whose buffers die here."""
+    walk = _Pass(result.trace)
+    return (
+        walk.metrics(result.scenario),
+        walk.drill(result.scenario),
+        walk.timeline,
+        walk.violations,
+    )
+
+
+def compute_metrics(result: RunResult) -> PoolMetrics:
+    """Summarize a run.  ``capacity_fraction`` is the mean pool size over
+    the final ``TAIL_FRACTION`` of the horizon divided by total slots."""
+    return _Pass(result.trace).metrics(result.scenario)
+
 
 def drill_report(result: RunResult) -> DrillReport | None:
     """Reconstruct the key-compromise exercise from the trace, if one ran.
@@ -164,59 +267,11 @@ def drill_report(result: RunResult) -> DrillReport | None:
     Recovery is the instant the pool regains as many members as it lost:
     the t of the n-th join after the compromise, n = pilots evicted.
     """
-    trace = result.trace
-    activations = [
-        rec
-        for rec in trace.select(TRACE_FAULT, outcome="ACTIVATE")
-        if parse_detail(str(rec["detail"])).get("kind") == "KEY_COMPROMISE"
-    ]
-    if not activations:
-        return None
-    first = activations[0]
-    compromised_at = int(first["t"])
-    kid = parse_detail(str(first["detail"]))["target"]
-
-    evictions = [
-        rec
-        for rec in trace.select(TRACE_PILOT, outcome="EVICT")
-        if parse_detail(str(rec["detail"])).get("kid") == kid
-        and int(rec["t"]) >= compromised_at
-    ]
-    evicted = len(evictions)
-
-    pool_before = 0
-    for rec in trace.select(TRACE_POOL, outcome="SAMPLE"):
-        if int(rec["t"]) >= compromised_at:
-            break
-        pool_before = int(parse_detail(str(rec["detail"]))["size"])
-
-    joins_after = [
-        int(rec["t"])
-        for rec in trace.select(TRACE_PILOT, outcome="JOINED")
-        if int(rec["t"]) >= compromised_at
-    ]
-    recovered_at: int | None = None
-    if evicted and len(joins_after) >= evicted:
-        recovered_at = joins_after[evicted - 1]
-    recovery_time = None if recovered_at is None else recovered_at - compromised_at
-    bound = result.scenario.drill.reprovision_delay + result.scenario.pilots.startup
-    return DrillReport(
-        kid=kid,
-        compromised_at=compromised_at,
-        pool_before=pool_before,
-        evicted=evicted,
-        recovered_at=recovered_at,
-        recovery_time=recovery_time,
-        bound=bound,
-        within_bound=recovery_time is not None and recovery_time <= bound,
-    )
+    return _Pass(result.trace).drill(result.scenario)
 
 
 def phase_timeline(trace: Trace) -> list[tuple[int, MigrationPhase]]:
-    return [
-        (int(rec["t"]), MigrationPhase(parse_detail(str(rec["detail"]))["phase"]))
-        for rec in trace.select(TRACE_PLAN, outcome="PHASE")
-    ]
+    return _Pass(trace).timeline
 
 
 def phase_at(timeline: list[tuple[int, MigrationPhase]], t: int) -> MigrationPhase:
@@ -232,38 +287,17 @@ def phase_at(timeline: list[tuple[int, MigrationPhase]], t: int) -> MigrationPha
 def check_phase_soundness(result: RunResult) -> list[str]:
     """Every auth attempt carrying a concrete method must use a method
     the phase in force at that instant permits.  Returns violations."""
-    timeline = phase_timeline(result.trace)
-    if not timeline:
-        return ["no phase records in trace"]
-    method_values = {m.value for m in AuthMethod}
-    violations = []
-    for rec in result.trace.records:
-        if str(rec["channel"]) not in AUTH_CHANNEL_LABELS:
-            continue
-        method = str(rec["method"])
-        if method not in method_values:
-            continue
-        phase = phase_at(timeline, int(rec["t"]))
-        if AuthMethod(method) not in PHASE_PERMITS[phase]:
-            violations.append(
-                f"t={rec['t']} {rec['channel']} used {method} under {phase.value}"
-                f" (outcome={rec['outcome']})"
-            )
-    return violations
+    return _Pass(result.trace).violations
 
 
 def report_dict(result: RunResult) -> dict:
-    metrics = compute_metrics(result)
-    drill = drill_report(result)
-    violations = check_phase_soundness(result)
+    metrics, drill, timeline, violations = _facts(result)
     out = {
         "scenario": result.scenario.name,
         "seed": result.scenario.seed,
         "horizon": result.scenario.horizon,
         "digest": result.digest,
-        "phase_timeline": [
-            {"t": t, "phase": phase.value} for t, phase in phase_timeline(result.trace)
-        ],
+        "phase_timeline": [{"t": t, "phase": phase.value} for t, phase in timeline],
         "pool": {
             "capacity": metrics.total_capacity,
             "peak": metrics.peak_pool,
@@ -271,43 +305,30 @@ def report_dict(result: RunResult) -> dict:
             "tail_fraction": round(metrics.capacity_fraction, 4),
         },
         "auth": {
-            "success_by_method": dict(sorted(metrics.auth_success.items())),
-            "failures_by_reason": dict(sorted(metrics.auth_failures.items())),
+            "success_by_method": metrics.auth_success,
+            "failures_by_reason": metrics.auth_failures,
             "denied": metrics.denied,
             "dropped": metrics.dropped,
-            "legacy_dependency": dict(sorted(metrics.legacy_dependency.items())),
+            "legacy_dependency": metrics.legacy_dependency,
         },
-        "pilots": dict(sorted(metrics.pilot_counts.items())),
-        "jobs": dict(sorted(metrics.job_counts.items())),
+        "pilots": metrics.pilot_counts,
+        "jobs": metrics.job_counts,
         "phase_soundness": {"ok": not violations, "violations": violations},
     }
     if drill is not None:
-        out["drill"] = {
-            "kid": drill.kid,
-            "compromised_at": drill.compromised_at,
-            "pool_before": drill.pool_before,
-            "evicted": drill.evicted,
-            "recovered_at": drill.recovered_at,
-            "recovery_time": drill.recovery_time,
-            "bound": drill.bound,
-            "within_bound": drill.within_bound,
-        }
+        out["drill"] = dataclasses.asdict(drill)
     return out
 
 
 def render_report(result: RunResult, fmt: str = "text") -> str:
     if fmt == "json":
         return json.dumps(report_dict(result), indent=2, sort_keys=True)
-    metrics = compute_metrics(result)
-    drill = drill_report(result)
-    violations = check_phase_soundness(result)
+    metrics, drill, timeline, violations = _facts(result)
+    scenario = result.scenario
     lines = [
-        f"run: {result.scenario.name}  seed={result.scenario.seed}  horizon={result.scenario.horizon}",
+        f"run: {scenario.name}  seed={scenario.seed}  horizon={scenario.horizon}",
         f"digest: {result.digest}",
-        "phase timeline: "
-        + "  ->  ".join(
-            f"{t}s {phase.value}" for t, phase in phase_timeline(result.trace)
-        ),
+        "phase timeline: " + "  ->  ".join(f"{t}s {phase.value}" for t, phase in timeline),
         (
             f"pool: capacity={metrics.total_capacity} peak={metrics.peak_pool}"
             f" final={metrics.final_pool} tail_fill={metrics.capacity_fraction:.3f}"
@@ -325,20 +346,9 @@ def render_report(result: RunResult, fmt: str = "text") -> str:
     else:
         lines.append("phase soundness: ok")
     if drill is not None:
-        recovery = (
-            f"recovered_at={drill.recovered_at} recovery_time={drill.recovery_time}s"
-            if drill.recovered_at is not None
-            else "not recovered"
-        )
-        lines.append(
-            f"drill: kid={drill.kid} at={drill.compromised_at}"
-            f" evicted={drill.evicted}/{drill.pool_before} {recovery}"
-            f" bound={drill.bound}s within_bound={drill.within_bound}"
-        )
+        lines.append(drill.line())
     return "\n".join(lines) + "\n"
 
 
 def _fmt_counts(counts: Mapping[str, int]) -> str:
-    if not counts:
-        return "none"
-    return " ".join(f"{k}={v}" for k, v in sorted(counts.items()))
+    return " ".join(f"{k}={v}" for k, v in counts.items()) or "none"

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import (
-    AuthorizationDenied,
     InvalidClaims,
     InvalidPolicy,
     NoCommonMethod,
@@ -83,14 +82,6 @@ def dominates(held: AuthzLevel, required: AuthzLevel) -> bool:
     return required in _DOMINATES[held]
 
 
-def expand_levels(levels: Iterable[AuthzLevel]) -> frozenset[AuthzLevel]:
-    """All levels satisfied by holding every level in ``levels``."""
-    out: set[AuthzLevel] = set()
-    for lvl in levels:
-        out |= _DOMINATES[lvl]
-    return frozenset(out)
-
-
 class MigrationPhase(enum.Enum):
     GSI_ONLY = "GSI_ONLY"
     TOKEN_WITH_GSI_FALLBACK = "TOKEN_WITH_GSI_FALLBACK"
@@ -109,7 +100,6 @@ class Role(enum.Enum):
     WMCLIENT = "WMCLIENT"
     SCHEDD = "SCHEDD"
     COLLECTOR = "COLLECTOR"
-    NEGOTIATOR = "NEGOTIATOR"
     FRONTEND = "FRONTEND"
     FACTORY = "FACTORY"
     CE = "CE"
@@ -379,12 +369,6 @@ def authorize(peer: AuthenticatedPeer, pol: ChannelPolicy) -> Decision:
     if missing:
         return Decision(False, missing)
     return Decision(True)
-
-
-def require_authorized(peer: AuthenticatedPeer, pol: ChannelPolicy) -> None:
-    decision = authorize(peer, pol)
-    if not decision.allowed:
-        raise AuthorizationDenied(f"missing {', '.join(decision.missing)}")
 
 
 # ---------------------------------------------------------------------------

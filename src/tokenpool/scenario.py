@@ -9,6 +9,7 @@ naming the offending field.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -144,12 +145,6 @@ class Scenario:
     def total_capacity(self) -> int:
         return sum(ce.capacity for ce in self.ces)
 
-    def ce_by_id(self, ce_id: str) -> CESpec:
-        for ce in self.ces:
-            if ce.id == ce_id:
-                return ce
-        raise ScenarioError(f"no gateway {ce_id!r}")
-
 
 def _need(data: Mapping[str, Any], key: str, where: str) -> Any:
     if key not in data:
@@ -165,6 +160,34 @@ def _as_int(value: Any, where: str, minimum: int | None = None) -> int:
     return value
 
 
+def _as_bool(value: Any, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise ScenarioError(f"{where}: expected true or false, got {value!r}")
+    return value
+
+
+def _fields_of(cls: type, data: Any, where: str, *, skip: str = "") -> Mapping[str, Any]:
+    """Return ``data`` if it is a mapping whose keys all name fields of ``cls``."""
+    if not isinstance(data, Mapping):
+        raise ScenarioError(f"{where}: expected a mapping, got {data!r}")
+    known = {f.name for f in dataclasses.fields(cls)} - {skip}
+    unknown = sorted(str(k) for k in data if k not in known)
+    if unknown:
+        raise ScenarioError(f"unknown {where} fields: {unknown}")
+    return data
+
+
+def _int_spec(cls: type, data: Any, where: str, minima: Mapping[str, int]) -> Any:
+    """Build an all-integer spec; a field left out keeps its dataclass default."""
+    data = _fields_of(cls, data, where)
+    return cls(
+        **{
+            name: _as_int(data.get(name, getattr(cls, name)), f"{where}.{name}", low)
+            for name, low in minima.items()
+        }
+    )
+
+
 def _as_enum(cls: type, value: Any, where: str) -> Any:
     try:
         return cls(value)
@@ -174,6 +197,7 @@ def _as_enum(cls: type, value: Any, where: str) -> Any:
 
 
 def _parse_ce(data: Mapping[str, Any], site: str) -> CESpec:
+    data = _fields_of(CESpec, data, f"site {site} gateway", skip="site")
     ce_id = str(_need(data, "id", f"site {site} gateway"))
     where = f"gateway {ce_id}"
     flavor = _as_enum(CEFlavor, _need(data, "flavor", where), where)
@@ -191,20 +215,21 @@ def _parse_ce(data: Mapping[str, Any], site: str) -> CESpec:
         flavor=flavor,
         interface=interface,
         capacity=_as_int(_need(data, "capacity", where), f"{where}.capacity", 1),
-        accepts_tokens=bool(data.get("accepts_tokens", False)),
+        accepts_tokens=_as_bool(data.get("accepts_tokens", False), f"{where}.accepts_tokens"),
     )
 
 
 def _parse_fault(data: Mapping[str, Any], index: int) -> Fault:
     where = f"fault[{index}]"
+    data = _fields_of(Fault, data, where)
     kind = _as_enum(FaultKind, _need(data, "kind", where), where)
-    start = _as_int(data.get("start", 0), f"{where}.start", 0)
+    start = _as_int(data.get("start", Fault.start), f"{where}.start", 0)
     end = data.get("end")
     if end is not None:
         end = _as_int(end, f"{where}.end", 0)
         if end <= start:
             raise ScenarioError(f"{where}: end {end} not after start {start}")
-    rate = data.get("rate", 1.0)
+    rate = data.get("rate", Fault.rate)
     if not isinstance(rate, (int, float)) or isinstance(rate, bool):
         raise ScenarioError(f"{where}: rate must be a number")
     if not 0.0 <= float(rate) <= 1.0:
@@ -243,17 +268,18 @@ def _parse_plan_step(data: Mapping[str, Any], index: int) -> PlanStep:
 def parse_scenario(data: Mapping[str, Any]) -> Scenario:
     if not isinstance(data, Mapping):
         raise ScenarioError("scenario document must be a mapping")
+    _fields_of(Scenario, data, "top-level")
     name = str(_need(data, "name", "scenario"))
     seed = _as_int(_need(data, "seed", "scenario"), "seed")
     horizon = _as_int(_need(data, "horizon", "scenario"), "horizon", 1)
     phase = _as_enum(MigrationPhase, _need(data, "phase", "scenario"), "phase")
 
-    issuer_raw = _need(data, "issuer", "scenario")
+    issuer_raw = _fields_of(IssuerSpec, _need(data, "issuer", "scenario"), "issuer")
     issuer = IssuerSpec(
         url=str(_need(issuer_raw, "url", "issuer")),
         kid=str(_need(issuer_raw, "kid", "issuer")),
         scitoken_lifetime=_as_int(
-            issuer_raw.get("scitoken_lifetime", DEFAULT_SCITOKEN_LIFETIME),
+            issuer_raw.get("scitoken_lifetime", IssuerSpec.scitoken_lifetime),
             "issuer.scitoken_lifetime",
             1,
         ),
@@ -264,6 +290,7 @@ def parse_scenario(data: Mapping[str, Any]) -> Scenario:
         raise ScenarioError("keys: need at least one symmetric key")
     keys = []
     for entry in keys_raw:
+        entry = _fields_of(KeySpec, entry, "keys")
         kid = str(_need(entry, "kid", "keys"))
         purpose = str(_need(entry, "purpose", f"key {kid}"))
         if purpose not in ("daemon", "startd"):
@@ -277,26 +304,24 @@ def parse_scenario(data: Mapping[str, Any]) -> Scenario:
     if not any(k.purpose == "startd" for k in keys):
         raise ScenarioError("keys: need a startd-purpose key")
 
-    fe_raw = data.get("frontend", {})
-    frontend = FrontendSpec(
-        cycle=_as_int(fe_raw.get("cycle", 60), "frontend.cycle", 1),
-        per_entry_cap=_as_int(fe_raw.get("per_entry_cap", 10), "frontend.per_entry_cap", 1),
-        match_interval=_as_int(fe_raw.get("match_interval", 60), "frontend.match_interval", 1),
-        pilot_max_idle=_as_int(fe_raw.get("pilot_max_idle", 600), "frontend.pilot_max_idle", 1),
+    frontend = _int_spec(
+        FrontendSpec,
+        data.get("frontend", {}),
+        "frontend",
+        {"cycle": 1, "per_entry_cap": 1, "match_interval": 1, "pilot_max_idle": 1},
     )
-
-    pt_raw = data.get("pilots", {})
-    pilots = PilotTimings(
-        startup=_as_int(pt_raw.get("startup", 30), "pilots.startup", 1),
-        join_latency=_as_int(pt_raw.get("join_latency", 5), "pilots.join_latency", 0),
-        keepalive=_as_int(pt_raw.get("keepalive", 300), "pilots.keepalive", 1),
-        token_lifetime=_as_int(pt_raw.get("token_lifetime", 86400), "pilots.token_lifetime", 1),
+    pilots = _int_spec(
+        PilotTimings,
+        data.get("pilots", {}),
+        "pilots",
+        {"startup": 1, "join_latency": 0, "keepalive": 1, "token_lifetime": 1},
     )
     if pilots.join_latency > pilots.startup:
         raise ScenarioError("pilots.join_latency cannot exceed pilots.startup")
 
     sites = []
     for site_raw in _need(data, "sites", "scenario"):
+        site_raw = _fields_of(SiteSpec, site_raw, "sites")
         site_name = str(_need(site_raw, "name", "sites"))
         ces = tuple(_parse_ce(ce_raw, site_name) for ce_raw in _need(site_raw, "ces", f"site {site_name}"))
         if not ces:
@@ -313,6 +338,7 @@ def parse_scenario(data: Mapping[str, Any]) -> Scenario:
 
     factories = []
     for f_raw in _need(data, "factories", "scenario"):
+        f_raw = _fields_of(FactorySpec, f_raw, "factories")
         f_id = str(_need(f_raw, "id", "factories"))
         entries = tuple(str(e) for e in f_raw.get("entries", ()))
         for entry in entries:
@@ -322,8 +348,8 @@ def parse_scenario(data: Mapping[str, Any]) -> Scenario:
             FactorySpec(
                 id=f_id,
                 condor_major=_as_int(_need(f_raw, "condor_major", f"factory {f_id}"), f"factory {f_id}.condor_major", 1),
-                rest_adopted=bool(f_raw.get("rest_adopted", False)),
-                token_capable=bool(f_raw.get("token_capable", True)),
+                rest_adopted=_as_bool(f_raw.get("rest_adopted", False), f"factory {f_id}.rest_adopted"),
+                token_capable=_as_bool(f_raw.get("token_capable", True), f"factory {f_id}.token_capable"),
                 entries=entries,
             )
         )
@@ -335,6 +361,7 @@ def parse_scenario(data: Mapping[str, Any]) -> Scenario:
 
     clients = []
     for c_raw in _need(data, "clients", "scenario"):
+        c_raw = _fields_of(ClientSpec, c_raw, "clients")
         c_id = str(_need(c_raw, "id", "clients"))
         methods_raw = _need(c_raw, "methods", f"client {c_id}")
         if not methods_raw:
@@ -346,8 +373,8 @@ def parse_scenario(data: Mapping[str, Any]) -> Scenario:
                 methods=methods,
                 jobs=_as_int(_need(c_raw, "jobs", f"client {c_id}"), f"client {c_id}.jobs", 0),
                 duration=_as_int(_need(c_raw, "duration", f"client {c_id}"), f"client {c_id}.duration", 1),
-                submit_at=_as_int(c_raw.get("submit_at", 0), f"client {c_id}.submit_at", 0),
-                retry_interval=_as_int(c_raw.get("retry_interval", 300), f"client {c_id}.retry_interval", 1),
+                submit_at=_as_int(c_raw.get("submit_at", ClientSpec.submit_at), f"client {c_id}.submit_at", 0),
+                retry_interval=_as_int(c_raw.get("retry_interval", ClientSpec.retry_interval), f"client {c_id}.retry_interval", 1),
             )
         )
     client_ids = [c.id for c in clients]
@@ -365,18 +392,7 @@ def parse_scenario(data: Mapping[str, Any]) -> Scenario:
 
     faults = tuple(_parse_fault(f, i) for i, f in enumerate(data.get("faults", ())))
 
-    drill_raw = data.get("drill", {})
-    drill = DrillSpec(
-        reprovision_delay=_as_int(drill_raw.get("reprovision_delay", 60), "drill.reprovision_delay", 1)
-    )
-
-    known_top = {
-        "name", "seed", "horizon", "phase", "issuer", "keys", "frontend",
-        "pilots", "sites", "factories", "clients", "plan", "faults", "drill",
-    }
-    unknown = set(data) - known_top
-    if unknown:
-        raise ScenarioError(f"unknown top-level fields: {sorted(unknown)}")
+    drill = _int_spec(DrillSpec, data.get("drill", {}), "drill", {"reprovision_delay": 1})
 
     return Scenario(
         name=name,

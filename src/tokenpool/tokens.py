@@ -34,8 +34,6 @@ from .errors import (
 from .jose import IDTOKEN_ALG, SCITOKEN_ALG, TokenClaims, TokenHeader
 
 DEFAULT_SKEW = 60
-DEFAULT_IDTOKEN_LIFETIME = 3600
-DEFAULT_SCITOKEN_LIFETIME = 1200
 
 
 class KeyStatus(enum.Enum):

@@ -200,12 +200,24 @@ def test_phase_soundness_detects_forged_legacy_use(small_result):
     forged = Trace()
     forged.records = list(staged.trace.records)
     forged.record(400, "FACTORY->CE", "SUCCESS", method="GSI_PROXY", identity="cms-pilot")
+    # The phase change at t=300 governs every record at t=300, including
+    # one written before the PHASE record itself.
+    boundary = next(
+        i
+        for i, r in enumerate(forged.records)
+        if r["channel"] == "PLAN" and r["outcome"] == "PHASE" and r["t"] == 300
+    )
+    forged.record(300, "FACTORY->CE", "SUCCESS", method="GSI_PROXY", identity="cms-pilot")
+    forged.records.insert(boundary, forged.records.pop())
     tampered = dataclasses.replace(staged, trace=forged)
     violations = check_phase_soundness(tampered)
-    assert len(violations) == 1
-    assert "FACTORY->CE" in violations[0]
-    assert "GSI_PROXY" in violations[0]
-    assert "TOKEN_ONLY" in violations[0]
+    assert len(violations) == 2
+    assert [v.split()[0] for v in violations] == ["t=300", "t=400"]
+    for violation in violations:
+        assert "FACTORY->CE" in violation
+        assert "GSI_PROXY" in violation
+        assert "TOKEN_ONLY" in violation
+    assert report_dict(tampered)["phase_soundness"]["violations"] == violations
 
 
 def test_report_dict_shape(drill_result):

@@ -5,7 +5,6 @@ import itertools
 import pytest
 
 from tokenpool.errors import (
-    AuthorizationDenied,
     InvalidClaims,
     InvalidPolicy,
     NoCommonMethod,
@@ -31,9 +30,7 @@ from tokenpool.policy import (
     authorize,
     default_table,
     dominates,
-    expand_levels,
     negotiate_method,
-    require_authorized,
     validate_table,
 )
 from tokenpool.tokens import (
@@ -69,17 +66,6 @@ def test_dominance_matches_pairwise_table():
     for held, required in itertools.product(AuthzLevel, AuthzLevel):
         assert dominates(held, required) == ((held, required) in ALLOWED_PAIRS)
     assert len(ALLOWED_PAIRS) == 10  # 10 allowed, 15 denied of the 25 pairs
-
-
-def test_expand_levels():
-    assert expand_levels({AuthzLevel.DAEMON}) == frozenset(
-        {AuthzLevel.DAEMON, AuthzLevel.ADVERTISE}
-    )
-    assert expand_levels({AuthzLevel.READ, AuthzLevel.WRITE}) == frozenset(
-        {AuthzLevel.READ, AuthzLevel.WRITE}
-    )
-    assert expand_levels({AuthzLevel.ADMIN}) == frozenset(AuthzLevel)
-    assert expand_levels(()) == frozenset()
 
 
 def test_phase_permits_shape():
@@ -357,13 +343,6 @@ def test_authorize_scope_requirements_and_admin_bypass():
     assert denied.missing == ("b",)
     # Legacy peers hold ADMIN, which bypasses capability gates.
     assert authorize(peer_with(levels={AuthzLevel.ADMIN}), pol).allowed
-
-
-def test_require_authorized_raises():
-    pol = ChannelPolicy((AuthMethod.IDTOKEN,), AuthzLevel.WRITE)
-    require_authorized(peer_with({AuthzLevel.WRITE}), pol)
-    with pytest.raises(AuthorizationDenied):
-        require_authorized(peer_with({AuthzLevel.READ}), pol)
 
 
 # -- phase projection -------------------------------------------------------

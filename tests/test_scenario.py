@@ -9,6 +9,10 @@ from tokenpool.policy import AuthMethod, MigrationPhase
 from tokenpool.scenario import (
     CEFlavor,
     CEInterface,
+    ClientSpec,
+    DrillSpec,
+    FrontendSpec,
+    PilotTimings,
     load_scenario,
     parse_scenario,
 )
@@ -69,13 +73,52 @@ def test_parse_minimal_scenario_and_defaults():
     assert sc.factories[0].entries == ()  # empty means: serves every gateway
     assert sc.clients[0].methods == (AuthMethod.IDTOKEN,)
     assert sc.clients[0].retry_interval == 300
+    # Omitted optional fields take the defaults declared on the specs.
+    assert sc.frontend == FrontendSpec()
+    assert sc.pilots == PilotTimings()
+    assert sc.drill == DrillSpec()
+    assert sc.clients[0].submit_at == ClientSpec.submit_at
 
 
-def test_ce_by_id_lookup():
-    sc = parse_scenario(base_doc())
-    assert sc.ce_by_id("ce-a1").capacity == 10
-    with pytest.raises(ScenarioError):
-        sc.ce_by_id("ce-zz")
+def _with_ce(**extra):
+    doc = base_doc()
+    doc["sites"][0]["ces"][0].update(extra)
+    return doc
+
+
+#: One misspelled key at each nesting level below the top.
+NESTED_TYPOS = {
+    "frontend": variant(frontend={"cylce": 5}),
+    "pilots": variant(pilots={"startp": 5}),
+    "drill": variant(drill={"reprovision_dealy": 5}),
+    "issuer": variant(issuer={"url": "https://i.test", "kid": "op-1", "lifetime": 5}),
+    "keys": variant(keys=[{"kid": "d", "purpose": "daemon", "porpose": "x"}]),
+    "sites": variant(sites=[{**base_doc()["sites"][0], "region": "eu"}]),
+    "gateway": _with_ce(capacty=3),
+    "factories": variant(factories=[{"id": "f", "condor_major": 10, "rest_adoptd": True}]),
+    "clients": variant(clients=[{"id": "c", "methods": ["IDTOKEN"], "jobs": 1, "duration": 9, "jbos": 2}]),
+    "fault": variant(faults=[{"kind": "MESSAGE_DROP", "target": "*", "rat": 0.5}]),
+}
+
+
+@pytest.mark.parametrize("level", sorted(NESTED_TYPOS))
+def test_unknown_nested_field_rejected(level):
+    with pytest.raises(ScenarioError, match=f"unknown .*{level}.* fields"):
+        parse_scenario(NESTED_TYPOS[level])
+
+
+def test_nested_section_must_be_a_mapping():
+    with pytest.raises(ScenarioError, match="frontend: expected a mapping"):
+        parse_scenario(variant(frontend=None))
+
+
+def test_flags_must_be_real_booleans():
+    with pytest.raises(ScenarioError, match="accepts_tokens"):
+        parse_scenario(_with_ce(accepts_tokens="no"))
+    for flag in ("rest_adopted", "token_capable"):
+        factory = {"id": "f", "condor_major": 10, flag: 1}
+        with pytest.raises(ScenarioError, match=flag):
+            parse_scenario(variant(factories=[factory]))
 
 
 @pytest.mark.parametrize("key", ["name", "seed", "horizon", "phase", "issuer", "keys", "sites", "factories", "clients"])
