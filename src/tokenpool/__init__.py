@@ -12,7 +12,7 @@ from .errors import (
     TokenError,
     TokenPoolError,
 )
-from .jose import TokenClaims, TokenHeader, decode_token, encode_token
+from .jose import Token, TokenClaims, TokenHeader, decode_token, encode_token
 from .migration import (
     DrillReport,
     PoolMetrics,
@@ -70,6 +70,7 @@ __all__ = [
     "SimulationError",
     "SubmissionError",
     "SymmetricKeyring",
+    "Token",
     "TokenClaims",
     "TokenError",
     "TokenHeader",

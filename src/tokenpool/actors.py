@@ -14,10 +14,16 @@ from dataclasses import dataclass
 
 from . import jose
 from .errors import (
+    AUTH_REJECTED,
+    CAPACITY_EXCEEDED,
+    DEPRECATED_INTERFACE,
+    IDLE,
+    KEY_COMPROMISE,
     AuthorizationDenied,
     MismatchedCredential,
     TokenPoolError,
     UnauthorizedRequestor,
+    UntrustedIssuer,
 )
 from .policy import (
     JOB_SUBMIT_SCOPE,
@@ -33,6 +39,7 @@ from .policy import (
     authorize,
     default_table,
     negotiate_method,
+    token_method,
 )
 from .errors import NoCommonMethod
 from .scenario import CEFlavor, CEInterface, CESpec, ClientSpec, FactorySpec, Scenario
@@ -150,12 +157,9 @@ def _method_name(credential: object) -> str:
         return AuthMethod.LOCAL_FS.value
     if isinstance(credential, str):
         try:
-            header, _, _ = jose.decode_token(credential)
+            return token_method(jose.decode_token(credential)).value
         except TokenPoolError:
             return "-"
-        if header.alg == jose.SCITOKEN_ALG:
-            return AuthMethod.SCITOKEN.value
-        return AuthMethod.IDTOKEN.value
     return "-"
 
 
@@ -421,7 +425,7 @@ class TokenIssuer:
             w.trace.record(
                 w.engine.now,
                 CH_TOKEN_FETCH.label,
-                fail_outcome("UnauthorizedRequestor"),
+                fail_outcome(UnauthorizedRequestor.__name__),
                 method=peer.method.value,
                 identity=peer.canonical_identity,
                 detail=f"aud={ce_id}",
@@ -624,7 +628,7 @@ class Collector:
     def evict_by_kid(self, kid: str) -> list[Pilot]:
         hit = [p for p in self.members.values() if p.kid == kid]
         for pilot in hit:
-            self.evict(pilot, "KeyCompromise")
+            self.evict(pilot, KEY_COMPROMISE)
         return hit
 
     def idle_check(self, pilot: Pilot) -> None:
@@ -633,7 +637,7 @@ class Collector:
         w = self.world
         self.members.pop(pilot.id, None)
         w.release_slot(pilot)
-        w.pilot_event(pilot, PilotState.RETIRED, "reason=idle")
+        w.pilot_event(pilot, PilotState.RETIRED, f"reason={IDLE}")
 
     def match_tick(self) -> None:
         w = self.world
@@ -848,10 +852,10 @@ class Factory:
             w.trace.record(
                 now,
                 CH_CE_SUBMIT.label,
-                fail_outcome("DeprecatedInterface"),
+                fail_outcome(DEPRECATED_INTERFACE),
                 detail=f"factory={self.id} ce={ce.id} pilot={pilot.id}",
             )
-            w.fail_pilot(pilot, "DeprecatedInterface")
+            w.fail_pilot(pilot, DEPRECATED_INTERFACE)
             return pilot
         try:
             credential, method = self.select_credential(ce)
@@ -859,10 +863,10 @@ class Factory:
             w.trace.record(
                 now,
                 CH_CE_SUBMIT.label,
-                fail_outcome("MismatchedCredential"),
+                fail_outcome(MismatchedCredential.__name__),
                 detail=f"factory={self.id} ce={ce.id} pilot={pilot.id}",
             )
-            w.fail_pilot(pilot, "MismatchedCredential")
+            w.fail_pilot(pilot, MismatchedCredential.__name__)
             return pilot
         pilot.kid, pilot.token = w.mint_startd_token(pilot.id)
         outcome = ce.receive_submission(pilot, credential, interface)
@@ -873,9 +877,9 @@ class Factory:
         ):
             outcome = ce.receive_submission(pilot, self.pilot_proxy, interface)
         if outcome is SubmitOutcome.AUTH_REJECTED:
-            w.fail_pilot(pilot, "AuthRejected")
+            w.fail_pilot(pilot, AUTH_REJECTED)
         elif outcome is SubmitOutcome.FULL:
-            w.fail_pilot(pilot, "CapacityExceeded")
+            w.fail_pilot(pilot, CAPACITY_EXCEEDED)
         return pilot
 
 
@@ -904,7 +908,7 @@ class CEGateway:
             w.trace.record(
                 now,
                 CH_CE_SUBMIT.label,
-                fail_outcome("UntrustedIssuer"),
+                fail_outcome(UntrustedIssuer.__name__),
                 method=AuthMethod.SCITOKEN.value,
                 detail=f"ce={self.id} pilot={pilot.id} fault=CE_TOKEN_MISCONFIG",
             )
@@ -922,7 +926,7 @@ class CEGateway:
             w.trace.record(
                 now,
                 CH_CE_SUBMIT.label,
-                fail_outcome("CapacityExceeded"),
+                fail_outcome(CAPACITY_EXCEEDED),
                 method=peer.method.value,
                 identity=peer.canonical_identity,
                 detail=f"ce={self.id} pilot={pilot.id}",

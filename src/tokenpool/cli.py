@@ -112,13 +112,13 @@ def cmd_token_mint(args: argparse.Namespace) -> int:
 def cmd_token_inspect(args: argparse.Namespace) -> int:
     token = _read_token_arg(args.token)
     try:
-        header, claims, _ = jose.decode_token(token)
+        parsed = jose.decode_token(token)
     except TokenError as exc:
         print(f"invalid: {exc.reason}: {exc}", file=sys.stderr)
         return 1
     print(
         json.dumps(
-            {"header": header.to_json_dict(), "claims": claims.to_json_dict()},
+            {"header": parsed.header.to_json_dict(), "claims": parsed.claims.to_json_dict()},
             indent=2,
             sort_keys=True,
         )
@@ -129,18 +129,12 @@ def cmd_token_inspect(args: argparse.Namespace) -> int:
 def cmd_token_verify(args: argparse.Namespace) -> int:
     secret = _load_key_file(args.key_file)
     token = _read_token_arg(args.token)
-    kid = args.kid
-    if kid is None:
-        try:
-            header, _, _ = jose.decode_token(token)
-        except TokenError as exc:
-            print(f"invalid: {exc.reason}: {exc}", file=sys.stderr)
-            return 1
-        kid = header.kid
-    keyring = SymmetricKeyring.from_secrets({kid: secret})
     now = args.now if args.now is not None else int(time.time())
     try:
-        verified = verify_idtoken(token, keyring, now, skew=args.skew)
+        parsed = jose.decode_token(token)
+        kid = args.kid if args.kid is not None else parsed.header.kid
+        keyring = SymmetricKeyring.from_secrets({kid: secret})
+        verified = verify_idtoken(parsed, keyring, now, skew=args.skew)
     except TokenError as exc:
         print(f"invalid: {exc.reason}: {exc}", file=sys.stderr)
         return 1

@@ -1,7 +1,10 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the trace reasons.
 
-Every failure mode that can show up in a trace record has its own class;
-the class name is the stable reason string written to traces and reports.
+A failure that is raised writes its class name as the reason in traces
+and reports (:attr:`TokenPoolError.reason`).  Outcomes that nothing raises
+have a reason string of their own below.  :data:`TRACE_REASONS` is the
+closed set of every reason a trace may carry, in ``FAIL:<reason>``
+outcomes and ``reason=<reason>`` details.
 """
 
 
@@ -100,16 +103,8 @@ class SubmissionError(TokenPoolError):
     """Base class for pilot submission failures."""
 
 
-class DeprecatedInterface(SubmissionError):
-    """LDAP submission attempted with a factory runtime that dropped it."""
-
-
 class MismatchedCredential(SubmissionError):
     """No credential kind held by the factory is accepted by the CE."""
-
-
-class CapacityExceeded(SubmissionError):
-    """CE has no free pilot slots."""
 
 
 class AuthorizationDenied(TokenPoolError):
@@ -132,3 +127,43 @@ class UnknownTarget(SimulationError):
 
 class ScenarioError(TokenPoolError):
     """Scenario file failed to parse or validate."""
+
+
+# --- trace reasons ---
+
+#: A submission used LDAP, and the factory runtime has dropped it.
+DEPRECATED_INTERFACE = "DeprecatedInterface"
+#: A CE authenticated the pilot but had no free slot for it.
+CAPACITY_EXCEEDED = "CapacityExceeded"
+#: A CE refused every credential the factory presented for the pilot.
+AUTH_REJECTED = "AuthRejected"
+#: A pool member was evicted because its key was compromised.
+KEY_COMPROMISE = "KeyCompromise"
+#: A joined pilot that matched no job in time retired.
+IDLE = "idle"
+
+#: Every reason a trace may carry: the failures an authentication, an
+#: authorization or a request can raise, and the outcomes above.
+TRACE_REASONS = frozenset(
+    cls.__name__
+    for cls in (
+        MalformedToken,
+        InvalidClaims,
+        UnknownKey,
+        KeyRevoked,
+        SignatureInvalid,
+        Expired,
+        NotYetValid,
+        UntrustedIssuer,
+        AudienceMismatch,
+        InsufficientScope,
+        NoCommonMethod,
+        ProxyExpired,
+        UntrustedCA,
+        UnmappedIdentity,
+        InvalidPolicy,
+        MismatchedCredential,
+        AuthorizationDenied,
+        UnauthorizedRequestor,
+    )
+) | {DEPRECATED_INTERFACE, CAPACITY_EXCEEDED, AUTH_REJECTED, KEY_COMPROMISE, IDLE}

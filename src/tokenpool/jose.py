@@ -7,8 +7,10 @@ no whitespace -- so encoding is byte-deterministic and tokens can be
 compared or hashed directly.
 
 Parsing (:func:`decode_token`) is strictly separated from verification:
-it rejects malformed structure but accepts unknown algorithms and odd
-claim sets, deferring judgement to the verify layer.
+it rejects malformed structure and wrongly typed values but accepts unknown
+algorithms and absent claims, deferring judgement to the verify layer.  It
+returns a :class:`Token`, which carries the bytes its signature covers, so
+a token is parsed once and every verifier reads that one value.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import binascii
 import hashlib
 import hmac
 import json
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric import ed25519
@@ -74,9 +76,9 @@ class TokenHeader:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "TokenHeader":
         return cls(
-            alg=str(obj.get("alg", "")),
-            kid=str(obj.get("kid", "")),
-            typ=str(obj.get("typ", "")),
+            alg=_typed(obj, "alg", str, ""),
+            kid=_typed(obj, "kid", str, ""),
+            typ=_typed(obj, "typ", str, ""),
         )
 
 
@@ -136,19 +138,19 @@ class TokenClaims:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "TokenClaims":
-        scope = obj.get("scope")
-        limits = obj.get("authz_limits")
+        scope = _typed(obj, "scope", str, None)
+        limits = _typed(obj, "authz_limits", list, None)
+        if limits is not None and not all(type(x) is str for x in limits):
+            raise MalformedToken("authz_limits must be a list of strings")
         return cls(
-            sub=str(obj.get("sub", "")),
-            iss=str(obj["iss"]) if "iss" in obj else None,
-            aud=str(obj["aud"]) if "aud" in obj else None,
-            iat=int(obj.get("iat", 0)),
-            exp=int(obj.get("exp", 0)),
-            jti=str(obj.get("jti", "")),
-            scope=tuple(str(scope).split()) if scope is not None else None,
-            authz_limits=tuple(sorted(str(x) for x in limits))
-            if limits is not None
-            else None,
+            sub=_typed(obj, "sub", str, ""),
+            iss=_typed(obj, "iss", str, None),
+            aud=_typed(obj, "aud", str, None),
+            iat=_typed(obj, "iat", int, 0),
+            exp=_typed(obj, "exp", int, 0),
+            jti=_typed(obj, "jti", str, ""),
+            scope=tuple(scope.split()) if scope is not None else None,
+            authz_limits=tuple(sorted(limits)) if limits is not None else None,
         )
 
     @property
@@ -167,7 +169,7 @@ def _sign(alg: str, key: SigningKey, signing_input: bytes) -> bytes:
     if alg == IDTOKEN_ALG:
         if not isinstance(key, bytes):
             raise AlgKeyMismatch(f"{alg} requires a symmetric secret")
-        return hmac.new(key, signing_input, hashlib.sha256).digest()
+        return hs256_signature(key, signing_input)
     if alg == SCITOKEN_ALG:
         if not isinstance(key, ed25519.Ed25519PrivateKey):
             raise AlgKeyMismatch(f"{alg} requires an Ed25519 private key")
@@ -198,34 +200,54 @@ def encode_token(header: TokenHeader, claims: TokenClaims, key: SigningKey) -> s
     return signing_input + "." + b64url_encode(signature)
 
 
-def decode_token(token: str) -> tuple[TokenHeader, TokenClaims, bytes]:
-    """Parse a compact token without verifying anything.
+@dataclass(frozen=True)
+class Token:
+    """A compact token, parsed once, with the bytes its signature covers.
 
-    Rejects structural problems only: wrong segment count, bad base64url,
-    bad JSON, non-object JSON.  Unknown algorithms parse fine.
+    ``signing_input`` is the first two segments exactly as received, never
+    re-serialised; ``header`` and ``claims`` are parsed from those same
+    segments.  The only constructor argument is the compact string, which
+    is not kept: neither ``Token(...)`` nor ``dataclasses.replace`` can pair
+    claims with bytes they were not parsed from, so the claims a verifier
+    reads are the claims under the signature it checks.  Equal tokens have
+    equal wire forms.
 
     Raises:
         MalformedToken
     """
-    parts = token.split(".")
-    if len(parts) != 3:
-        raise MalformedToken(f"expected 3 segments, got {len(parts)}")
-    header_b64, claims_b64, sig_b64 = parts
-    header_obj = _parse_json_object(header_b64, "header")
-    claims_obj = _parse_json_object(claims_b64, "claims")
-    signature = b64url_decode(sig_b64)
-    try:
-        header = TokenHeader.from_json_dict(header_obj)
-        claims = TokenClaims.from_json_dict(claims_obj)
-    except (TypeError, ValueError) as exc:
-        raise MalformedToken(f"claim values have wrong types: {exc}") from exc
-    return header, claims, signature
+
+    compact: InitVar[str]
+    header: TokenHeader = field(init=False, compare=False)
+    claims: TokenClaims = field(init=False, compare=False)
+    signature: bytes = field(init=False)
+    signing_input: bytes = field(init=False)
+
+    def __post_init__(self, compact: str) -> None:
+        parts = compact.split(".")
+        if len(parts) != 3:
+            raise MalformedToken(f"expected 3 segments, got {len(parts)}")
+        header_b64, claims_b64, sig_b64 = parts
+        header = TokenHeader.from_json_dict(_parse_json_object(header_b64, "header"))
+        claims = TokenClaims.from_json_dict(_parse_json_object(claims_b64, "claims"))
+        set_field = object.__setattr__
+        set_field(self, "header", header)
+        set_field(self, "claims", claims)
+        set_field(self, "signature", b64url_decode(sig_b64))
+        # Both segments passed the base64url alphabet check, so this is ASCII.
+        set_field(self, "signing_input", f"{header_b64}.{claims_b64}".encode("ascii"))
 
 
-def signing_input_of(token: str) -> bytes:
-    """The byte string covered by the signature: first two raw segments."""
-    head, _, _ = token.rpartition(".")
-    return head.encode("ascii")
+def decode_token(token: str) -> Token:
+    """Parse a compact token without verifying anything.
+
+    Rejects structural problems: wrong segment count, bad base64url, bad
+    JSON, non-object JSON, and header or claim values of the wrong JSON
+    type.  Unknown algorithms and absent claims parse fine.
+
+    Raises:
+        MalformedToken
+    """
+    return Token(token)
 
 
 def hs256_signature(secret: bytes, signing_input: bytes) -> bytes:
@@ -243,6 +265,23 @@ def ed25519_matches(public_key_bytes: bytes, signing_input: bytes, signature: by
         return True
     except (InvalidSignature, ValueError):
         return False
+
+
+_ABSENT = object()
+
+
+def _typed(obj: dict, key: str, kind: type, default):
+    """``obj[key]`` if it has exactly JSON type ``kind``, ``default`` if absent.
+
+    The check is exact, so ``true`` is not an integer and ``null`` is not
+    a string.
+    """
+    value = obj.get(key, _ABSENT)
+    if value is _ABSENT:
+        return default
+    if type(value) is not kind:
+        raise MalformedToken(f"{key} must be {kind.__name__}, got {type(value).__name__}")
+    return value
 
 
 def _parse_json_object(segment: str, what: str) -> dict:

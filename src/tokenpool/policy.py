@@ -23,6 +23,7 @@ from .errors import (
     UnmappedIdentity,
     UntrustedCA,
 )
+from .jose import SCITOKEN_ALG, Token, decode_token
 from .tokens import (
     SymmetricKeyring,
     TrustDirectory,
@@ -300,16 +301,14 @@ def authenticate(
             subject=credential.account,
         )
 
-    # Token string: flavor decides the method.
-    from . import jose
-
-    header, _, _ = jose.decode_token(credential)
-    if header.alg == jose.SCITOKEN_ALG:
+    # Token string: parsed once here; every check below reads that value.
+    token = decode_token(credential)
+    if token_method(token) is AuthMethod.SCITOKEN:
         _require(AuthMethod.SCITOKEN, pol, channel)
         if trust is None:
             raise InvalidPolicy("capability verification needs a trust directory")
         cap: VerifiedCapability = verify_scitoken(
-            credential, trust, expected_audience, pol.required_scopes, now
+            token, trust, expected_audience, pol.required_scopes, now
         )
         identity = table.map_identity(cap.subject)
         return AuthenticatedPeer(
@@ -325,7 +324,7 @@ def authenticate(
     _require(AuthMethod.IDTOKEN, pol, channel)
     if keyring is None:
         raise InvalidPolicy("identity verification needs a keyring")
-    ident: VerifiedIdentity = verify_idtoken(credential, keyring, now)
+    ident: VerifiedIdentity = verify_idtoken(token, keyring, now)
     identity = table.map_identity(ident.subject)
     if ident.authz_limits:
         try:
@@ -344,6 +343,11 @@ def authenticate(
         token_kid=ident.kid,
         token_jti=ident.jti,
     )
+
+
+def token_method(token: Token) -> AuthMethod:
+    """The method a token authenticates with: its algorithm decides."""
+    return AuthMethod.SCITOKEN if token.header.alg == SCITOKEN_ALG else AuthMethod.IDTOKEN
 
 
 def _require(method: AuthMethod, pol: ChannelPolicy, channel: Channel) -> None:

@@ -31,7 +31,7 @@ from .errors import (
     UnknownKey,
     UntrustedIssuer,
 )
-from .jose import IDTOKEN_ALG, SCITOKEN_ALG, TokenClaims, TokenHeader
+from .jose import IDTOKEN_ALG, SCITOKEN_ALG, Token, TokenClaims, TokenHeader
 
 DEFAULT_SKEW = 60
 
@@ -239,21 +239,22 @@ def _check_window(claims: TokenClaims, now: int, skew: int) -> None:
 
 
 def verify_idtoken(
-    token: str,
+    token: Token,
     keyring: SymmetricKeyring,
     now: int,
     skew: int = DEFAULT_SKEW,
 ) -> VerifiedIdentity:
-    """Verify an identity token against the keyring.
+    """Verify a parsed identity token against the keyring.
 
-    Check order: parse, flavor, key status, signature, time window.  A
-    revoked key fails with KeyRevoked no matter what the signature says.
+    Check order: algorithm, typ, flavor, key status, signature, time
+    window.  A revoked key fails with KeyRevoked no matter what the
+    signature says.
 
     Raises:
         MalformedToken, UnknownKey, KeyRevoked, SignatureInvalid,
         Expired, NotYetValid
     """
-    header, claims, signature = jose.decode_token(token)
+    header, claims = token.header, token.claims
     if header.alg != IDTOKEN_ALG:
         raise SignatureInvalid(f"alg {header.alg!r} not valid for an identity token")
     if header.typ != "JWT":
@@ -261,7 +262,7 @@ def verify_idtoken(
     if not claims.is_idtoken:
         raise MalformedToken("capability claims presented for identity verification")
     secret = keyring.active_secret(header.kid)
-    if not jose.hs256_matches(secret, jose.signing_input_of(token), signature):
+    if not jose.hs256_matches(secret, token.signing_input, token.signature):
         raise SignatureInvalid("HMAC mismatch")
     _check_window(claims, now, skew)
     return VerifiedIdentity(
@@ -273,21 +274,21 @@ def verify_idtoken(
 
 
 def verify_scitoken(
-    token: str,
+    token: Token,
     trust: TrustDirectory,
     expected_audience: str,
     required_scopes: Iterable[str],
     now: int,
     skew: int = DEFAULT_SKEW,
 ) -> VerifiedCapability:
-    """Verify a capability token: issuer trust, signature, window,
-    audience, and scope coverage, in that order.
+    """Verify a parsed capability token: algorithm, flavor, issuer trust,
+    signature, window, audience, and scope coverage, in that order.
 
     Raises:
         MalformedToken, UntrustedIssuer, UnknownKey, SignatureInvalid,
         Expired, NotYetValid, AudienceMismatch, InsufficientScope
     """
-    header, claims, signature = jose.decode_token(token)
+    header, claims = token.header, token.claims
     if header.alg != SCITOKEN_ALG:
         raise SignatureInvalid(f"alg {header.alg!r} not valid for a capability token")
     if not claims.is_scitoken:
@@ -295,7 +296,7 @@ def verify_scitoken(
     if claims.iss is None:
         raise MalformedToken("capability token lacks an issuer claim")
     public = trust.verification_key(claims.iss, header.kid)
-    if not jose.ed25519_matches(public, jose.signing_input_of(token), signature):
+    if not jose.ed25519_matches(public, token.signing_input, token.signature):
         raise SignatureInvalid("Ed25519 signature mismatch")
     _check_window(claims, now, skew)
     if claims.aud != expected_audience:

@@ -13,6 +13,7 @@ there is exactly one copy to drift.
 
 import random
 import time
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -21,8 +22,9 @@ import yaml
 
 from test_jose import GOLDEN_VECTORS, oracle_hs256_jwt
 
+from tokenpool import errors
 from tokenpool.errors import MalformedToken, SignatureInvalid
-from tokenpool.jose import TokenClaims, TokenHeader, encode_token
+from tokenpool.jose import TokenClaims, TokenHeader, decode_token, encode_token
 from tokenpool.migration import (
     check_phase_soundness,
     compute_metrics,
@@ -113,7 +115,7 @@ def test_criterion_2_payload_tampering_never_verifies():
             mutant = f"{head}.{payload[:pos]}{replacement}{payload[pos + 1:]}.{sig}"
             mutants += 1
             try:
-                verify_idtoken(mutant, keyring, 1000 + i)
+                verify_idtoken(decode_token(mutant), keyring, 1000 + i)
             except SignatureInvalid:
                 rejected_signature += 1
             except MalformedToken:
@@ -363,3 +365,31 @@ def test_golden_reports_byte_identical(shipped, monkeypatch, capsys):
             pinned += 1
     print(f"[golden] {pinned} CLI outputs byte-identical to tests/golden/")
     assert pinned == 2 * len(shipped) + 1
+
+
+def test_trace_reasons_come_from_the_closed_vocabulary(shipped):
+    """Every ``FAIL:<reason>`` outcome and ``reason=<reason>`` detail of the
+    shipped traces is in ``errors.TRACE_REASONS``, and every entry of that
+    set names a failure class or is one of the declared outcome strings."""
+    declared = {
+        errors.DEPRECATED_INTERFACE,
+        errors.CAPACITY_EXCEEDED,
+        errors.AUTH_REJECTED,
+        errors.KEY_COMPROMISE,
+        errors.IDLE,
+    }
+    for reason in errors.TRACE_REASONS - declared:
+        assert issubclass(getattr(errors, reason), errors.TokenPoolError), reason
+    assert not any(hasattr(errors, reason) for reason in declared)
+
+    seen = Counter()
+    for run in shipped.values():
+        for record in run.result.trace.records:
+            outcome = str(record["outcome"])
+            if outcome.startswith("FAIL:"):
+                seen[outcome[len("FAIL:"):]] += 1
+            if "reason" in (detail := parse_detail(str(record["detail"]))):
+                seen[detail["reason"]] += 1
+    unknown = sorted(set(seen) - errors.TRACE_REASONS)
+    print(f"[vocabulary] reasons in the shipped traces: {dict(sorted(seen.items()))}")
+    assert seen and unknown == []

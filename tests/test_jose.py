@@ -1,6 +1,7 @@
 """Wire format: canonical JSON, base64url strictness, sign/parse split."""
 
 import base64
+import dataclasses
 import hashlib
 import hmac
 import json
@@ -105,10 +106,10 @@ def test_golden_vectors_match_frozen_and_oracle():
 
 def test_golden_vectors_round_trip_decode():
     for header, claims, secret, expected in GOLDEN_VECTORS:
-        parsed_header, parsed_claims, signature = jose.decode_token(expected)
-        assert parsed_header.to_json_dict() == header
-        assert parsed_claims.to_json_dict() == claims
-        assert jose.hs256_matches(secret, jose.signing_input_of(expected), signature)
+        token = jose.decode_token(expected)
+        assert token.header.to_json_dict() == header
+        assert token.claims.to_json_dict() == claims
+        assert jose.hs256_matches(secret, token.signing_input, token.signature)
 
 
 def test_b64url_round_trip():
@@ -228,12 +229,43 @@ def test_decode_rejects_bad_json_and_non_objects():
         jose.decode_token(f"{jose.b64url_encode(b'42')}.{good}.{sig}")
 
 
+ID_HEADER = b'{"alg":"HS256","kid":"k","typ":"JWT"}'
+ID_CLAIMS = b'"sub":"s","iat":1,"exp":2,"jti":"j"'
+
+#: (header JSON, claims JSON) pairs with one value of the wrong JSON type.
+WRONGLY_TYPED = [
+    (ID_HEADER, b'{"sub":"s","iat":"soon","exp":2,"jti":"j"}'),
+    (ID_HEADER, b'{"sub":null,"iat":1,"exp":2,"jti":"j"}'),
+    (ID_HEADER, b'{"sub":"s","iat":true,"exp":2,"jti":"j"}'),
+    (ID_HEADER, b'{"sub":"s","iat":1,"exp":1.9,"jti":"j"}'),
+    (ID_HEADER, b'{"sub":"s","iat":"100","exp":200,"jti":"j"}'),
+    (ID_HEADER, b'{' + ID_CLAIMS + b',"aud":5}'),
+    (ID_HEADER, b'{' + ID_CLAIMS + b',"authz_limits":"ADVERTISE"}'),
+    (ID_HEADER, b'{' + ID_CLAIMS + b',"authz_limits":["READ",1]}'),
+    (b'{"alg":"EdDSA","kid":"k","typ":"JWT"}', b'{' + ID_CLAIMS + b',"aud":"a","scope":["a","b"]}'),
+    (b'{"alg":"HS256","kid":3,"typ":"JWT"}', b'{' + ID_CLAIMS + b'}'),
+    (b'{"alg":null,"kid":"k","typ":"JWT"}', b'{' + ID_CLAIMS + b'}'),
+]
+
+
 def test_decode_rejects_wrongly_typed_claim_values():
-    header = jose.b64url_encode(b'{"alg":"HS256","kid":"k","typ":"JWT"}')
-    claims = jose.b64url_encode(b'{"sub":"s","iat":"soon","exp":2,"jti":"j"}')
     sig = jose.b64url_encode(b"\x00" * 32)
-    with pytest.raises(MalformedToken):
-        jose.decode_token(f"{header}.{claims}.{sig}")
+    for header_json, claims_json in WRONGLY_TYPED:
+        header = jose.b64url_encode(header_json)
+        claims = jose.b64url_encode(claims_json)
+        with pytest.raises(MalformedToken):
+            jose.decode_token(f"{header}.{claims}.{sig}")
+    # The well-typed form of the same claims parses.
+    header, claims = jose.b64url_encode(ID_HEADER), jose.b64url_encode(b"{" + ID_CLAIMS + b"}")
+    assert jose.decode_token(f"{header}.{claims}.{sig}").claims == TokenClaims(sub="s", iat=1, exp=2, jti="j")
+
+
+def test_decode_leaves_absent_claims_at_their_defaults():
+    header = jose.b64url_encode(b'{"alg":"HS256"}')
+    claims = jose.b64url_encode(b"{}")
+    token = jose.decode_token(f"{header}.{claims}.")
+    assert token.header == TokenHeader(alg="HS256", kid="", typ="")
+    assert token.claims == TokenClaims()
 
 
 def test_decode_accepts_unknown_algorithms():
@@ -241,15 +273,15 @@ def test_decode_accepts_unknown_algorithms():
     header = jose.b64url_encode(b'{"alg":"none","kid":"k","typ":"JWT"}')
     claims = jose.b64url_encode(b'{"sub":"s","iat":1,"exp":2,"jti":"j"}')
     sig = jose.b64url_encode(b"")
-    parsed, _, signature = jose.decode_token(f"{header}.{claims}.{sig}")
-    assert parsed.alg == "none"
-    assert signature == b""
+    token = jose.decode_token(f"{header}.{claims}.{sig}")
+    assert token.header.alg == "none"
+    assert token.signature == b""
 
 
 def test_signing_input_covers_raw_transmitted_segments():
-    token = GOLDEN_VECTORS[0][3]
+    secret, token = GOLDEN_VECTORS[0][2:]
     head, _, sig_seg = token.rpartition(".")
-    assert jose.signing_input_of(token) == head.encode("ascii")
+    assert jose.decode_token(token).signing_input == head.encode("ascii")
     # The signature is over the exact bytes on the wire, so re-encoding the
     # claims differently (e.g. unsorted keys) must break verification even
     # when the JSON content is identical.
@@ -257,9 +289,38 @@ def test_signing_input_covers_raw_transmitted_segments():
     obj = json.loads(jose.b64url_decode(claims_seg))
     reordered = json.dumps(obj, sort_keys=False, separators=(", ", ": ")).encode()
     alt = f"{header_seg}.{jose.b64url_encode(reordered)}.{sig_seg}"
-    assert not jose.hs256_matches(
-        b"secret", jose.signing_input_of(alt), jose.b64url_decode(sig_seg)
-    )
+    parsed = jose.decode_token(alt)
+    assert parsed.claims == jose.decode_token(token).claims
+    assert parsed.signing_input == alt.rpartition(".")[0].encode("ascii")
+    assert not jose.hs256_matches(secret, parsed.signing_input, parsed.signature)
+
+
+def test_token_holds_only_claims_from_its_signed_bytes():
+    token = jose.decode_token(GOLDEN_VECTORS[0][3])
+    forged = TokenClaims(sub="root", iat=0, exp=2**40, jti="x")
+    # The compact string is the only constructor argument ...
+    with pytest.raises(TypeError):
+        jose.Token(
+            header=token.header,
+            claims=forged,
+            signature=token.signature,
+            signing_input=token.signing_input,
+        )
+    # ... and replace() can only re-parse a compact string, never swap
+    # a parsed field under the same signed bytes.
+    for change in (
+        {"claims": forged},
+        {"header": TokenHeader("HS256", "root")},
+        {"signature": b""},
+        {"signing_input": b"e30.e30"},
+    ):
+        with pytest.raises(ValueError):
+            dataclasses.replace(token, **change)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        token.claims = forged
+    other = GOLDEN_VECTORS[1][3]
+    assert dataclasses.replace(token, compact=other) == jose.decode_token(other)
+    assert dataclasses.replace(token, compact=other).claims.sub == GOLDEN_VECTORS[1][1]["sub"]
 
 
 def test_hs256_matches_true_and_false():

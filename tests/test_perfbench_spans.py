@@ -1,0 +1,66 @@
+"""The benchmark's span tracer still fits the package it traces.
+
+``perfbench/spans.py`` patches ``tokenpool`` by name from the outside, so a
+rename or a change of signature in ``src/`` can break the per-layer
+benchmark without breaking any other test.  This file loads the tracer
+as it is and checks what it relies on.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+import tokenpool
+from tokenpool import jose
+from tokenpool.migration import run_scenario
+
+SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+@pytest.fixture(scope="module")
+def spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves(spans):
+    for mod_name, attr in spans.TRACED:
+        module = sys.modules[f"{tokenpool.__name__}.{mod_name}"]
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            assert callable(vars(getattr(module, cls_name))[meth]), (mod_name, attr)
+        else:
+            assert callable(getattr(module, attr)), (mod_name, attr)
+
+
+def test_parsed_tokens_can_be_collected_by_the_tracer():
+    # The tracer counts distinct tokens by putting each verifier's first
+    # argument, a parsed token, in a set: equal wire forms must collapse.
+    header = jose.TokenHeader("HS256", "k")
+    a, b = (
+        jose.encode_token(header, jose.TokenClaims(sub="s", iat=1, exp=2, jti=jti), b"sec")
+        for jti in ("a", "b")
+    )
+    assert len({jose.decode_token(a), jose.decode_token(a), jose.decode_token(b)}) == 2
+    # The tracer replaces every module attribute that is the traced function,
+    # so the parser must not be the value's class itself.
+    assert jose.decode_token is not jose.Token
+
+
+def test_traced_run_parses_each_presented_token_once(spans):
+    tracer = spans.SpanTracer()
+    with tracer.installed():
+        run_scenario(SCENARIO_DIR / "split-2022.yaml")
+    stats = tracer.summary()
+    token_auths = sum(
+        stats[f"{spans.AUTHENTICATE}[{method}]"].calls
+        for method in ("IDTOKEN", "SCITOKEN")
+        if f"{spans.AUTHENTICATE}[{method}]" in stats
+    )
+    assert token_auths > 0
+    assert stats["jose.decode_token"].calls == token_auths

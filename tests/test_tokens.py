@@ -15,7 +15,7 @@ from tokenpool.errors import (
     UnknownKey,
     UntrustedIssuer,
 )
-from tokenpool.jose import TokenClaims, TokenHeader
+from tokenpool.jose import TokenClaims, TokenHeader, decode_token
 from tokenpool.tokens import (
     IssuerKey,
     KeyStatus,
@@ -97,7 +97,7 @@ def test_idtoken_round_trip(keyring):
     token = mint_idtoken(
         keyring, "k1", "schedd@host", ("ADVERTISE", "READ"), 600, NOW, jti="j1"
     )
-    got = verify_idtoken(token, keyring, NOW + 10)
+    got = verify_idtoken(decode_token(token), keyring, NOW + 10)
     assert got.subject == "schedd@host"
     assert got.authz_limits == frozenset({"ADVERTISE", "READ"})
     assert got.kid == "k1"
@@ -106,15 +106,14 @@ def test_idtoken_round_trip(keyring):
 
 def test_idtoken_empty_limits_means_unlimited(keyring):
     token = mint_idtoken(keyring, "k1", "admin@x", (), 600, NOW)
-    got = verify_idtoken(token, keyring, NOW)
+    got = verify_idtoken(decode_token(token), keyring, NOW)
     assert got.authz_limits == frozenset()
 
 
 def test_idtoken_default_jti_is_random(keyring):
     a = mint_idtoken(keyring, "k1", "s", (), 600, NOW)
     b = mint_idtoken(keyring, "k1", "s", (), 600, NOW)
-    _, claims_a, _ = jose.decode_token(a)
-    _, claims_b, _ = jose.decode_token(b)
+    claims_a, claims_b = decode_token(a).claims, decode_token(b).claims
     assert claims_a.jti and claims_b.jti and claims_a.jti != claims_b.jti
 
 
@@ -122,21 +121,21 @@ def test_idtoken_wrong_secret_fails(keyring):
     token = mint_idtoken(keyring, "k1", "s", (), 600, NOW)
     other = SymmetricKeyring.from_secrets({"k1": b"z" * 32})
     with pytest.raises(SignatureInvalid):
-        verify_idtoken(token, other, NOW)
+        verify_idtoken(decode_token(token), other, NOW)
 
 
 def test_idtoken_unknown_kid_fails(keyring):
     token = mint_idtoken(keyring, "k1", "s", (), 600, NOW)
     small = SymmetricKeyring.from_secrets({"k2": b"b" * 32})
     with pytest.raises(UnknownKey):
-        verify_idtoken(token, small, NOW)
+        verify_idtoken(decode_token(token), small, NOW)
 
 
 def test_idtoken_revoked_key_beats_valid_signature(keyring):
     token = mint_idtoken(keyring, "k1", "s", (), 600, NOW)
     revoked = revoke_key(keyring, "k1")
     with pytest.raises(KeyRevoked):
-        verify_idtoken(token, revoked, NOW)
+        verify_idtoken(decode_token(token), revoked, NOW)
 
 
 def test_idtoken_payload_tamper_fails(keyring):
@@ -146,23 +145,23 @@ def test_idtoken_payload_tamper_fails(keyring):
     flipped = "A" if claims_seg[pos] != "A" else "B"
     tampered = f"{head}.{claims_seg[:pos]}{flipped}{claims_seg[pos + 1:]}.{sig}"
     with pytest.raises((SignatureInvalid, MalformedToken)):
-        verify_idtoken(tampered, keyring, NOW)
+        verify_idtoken(decode_token(tampered), keyring, NOW)
 
 
 def test_idtoken_expiry_window_with_skew(keyring):
     token = mint_idtoken(keyring, "k1", "s", (), 600, NOW)
-    verify_idtoken(token, keyring, NOW + 600 + tokens.DEFAULT_SKEW)  # boundary ok
+    verify_idtoken(decode_token(token), keyring, NOW + 600 + tokens.DEFAULT_SKEW)  # boundary ok
     with pytest.raises(Expired):
-        verify_idtoken(token, keyring, NOW + 600 + tokens.DEFAULT_SKEW + 1)
-    verify_idtoken(token, keyring, NOW - tokens.DEFAULT_SKEW)  # boundary ok
+        verify_idtoken(decode_token(token), keyring, NOW + 600 + tokens.DEFAULT_SKEW + 1)
+    verify_idtoken(decode_token(token), keyring, NOW - tokens.DEFAULT_SKEW)  # boundary ok
     with pytest.raises(NotYetValid):
-        verify_idtoken(token, keyring, NOW - tokens.DEFAULT_SKEW - 1)
+        verify_idtoken(decode_token(token), keyring, NOW - tokens.DEFAULT_SKEW - 1)
 
 
 def test_idtoken_rejects_foreign_algorithms(keyring, issuer_key):
     cap = mint_scitoken(issuer_key, ISSUER, "s", ("x",), "aud", 600, NOW)
     with pytest.raises(SignatureInvalid):
-        verify_idtoken(cap, keyring, NOW)
+        verify_idtoken(decode_token(cap), keyring, NOW)
 
 
 def test_idtoken_rejects_capability_claims_under_hs256(keyring):
@@ -170,14 +169,14 @@ def test_idtoken_rejects_capability_claims_under_hs256(keyring):
     claims = TokenClaims(sub="s", aud="a", iat=NOW, exp=NOW + 60, jti="j", scope=("x",))
     forged = jose.encode_token(TokenHeader("HS256", "k1"), claims, b"a" * 32)
     with pytest.raises(MalformedToken):
-        verify_idtoken(forged, keyring, NOW)
+        verify_idtoken(decode_token(forged), keyring, NOW)
 
 
 def test_idtoken_rejects_unexpected_typ(keyring):
     claims = TokenClaims(sub="s", iat=NOW, exp=NOW + 60, jti="j")
     odd = jose.encode_token(TokenHeader("HS256", "k1", typ="JOSE"), claims, b"a" * 32)
     with pytest.raises(MalformedToken):
-        verify_idtoken(odd, keyring, NOW)
+        verify_idtoken(decode_token(odd), keyring, NOW)
 
 
 def test_idtoken_check_order_signature_before_window(keyring):
@@ -187,7 +186,7 @@ def test_idtoken_check_order_signature_before_window(keyring):
     head, claims_seg, _ = token.split(".")
     bad_sig = jose.b64url_encode(b"\x01" * 32)
     with pytest.raises(SignatureInvalid):
-        verify_idtoken(f"{head}.{claims_seg}.{bad_sig}", keyring, NOW + 10_000)
+        verify_idtoken(decode_token(f"{head}.{claims_seg}.{bad_sig}"), keyring, NOW + 10_000)
 
 
 # -- issuer keys and trust --------------------------------------------------
@@ -219,7 +218,7 @@ def test_scitoken_round_trip(issuer_key, trust):
         issuer_key, ISSUER, "pilot-ops", ("compute.create", "compute.read"),
         "ce-1", 1200, NOW, jti="c1",
     )
-    got = verify_scitoken(token, trust, "ce-1", ("compute.create",), NOW + 5)
+    got = verify_scitoken(decode_token(token), trust, "ce-1", ("compute.create",), NOW + 5)
     assert got.subject == "pilot-ops"
     assert got.issuer == ISSUER
     assert got.granted_scopes == frozenset({"compute.create", "compute.read"})
@@ -230,14 +229,14 @@ def test_scitoken_round_trip(issuer_key, trust):
 def test_scitoken_untrusted_issuer(issuer_key, trust):
     token = mint_scitoken(issuer_key, "https://evil.test", "s", ("x",), "ce-1", 600, NOW)
     with pytest.raises(UntrustedIssuer):
-        verify_scitoken(token, trust, "ce-1", (), NOW)
+        verify_scitoken(decode_token(token), trust, "ce-1", (), NOW)
 
 
 def test_scitoken_unknown_issuer_kid(issuer_key, trust):
     rogue = IssuerKey.generate("op-9", seed=b"\x44" * 32)
     token = mint_scitoken(rogue, ISSUER, "s", ("x",), "ce-1", 600, NOW)
     with pytest.raises(UnknownKey):
-        verify_scitoken(token, trust, "ce-1", (), NOW)
+        verify_scitoken(decode_token(token), trust, "ce-1", (), NOW)
 
 
 def test_scitoken_signature_mismatch(trust):
@@ -245,43 +244,45 @@ def test_scitoken_signature_mismatch(trust):
     imposter = IssuerKey.generate("op-1", seed=b"\x55" * 32)
     token = mint_scitoken(imposter, ISSUER, "s", ("x",), "ce-1", 600, NOW)
     with pytest.raises(SignatureInvalid):
-        verify_scitoken(token, trust, "ce-1", (), NOW)
+        verify_scitoken(decode_token(token), trust, "ce-1", (), NOW)
 
 
 def test_scitoken_audience_must_match(issuer_key, trust):
     token = mint_scitoken(issuer_key, ISSUER, "s", ("x",), "ce-1", 600, NOW)
     with pytest.raises(AudienceMismatch):
-        verify_scitoken(token, trust, "ce-2", (), NOW)
+        verify_scitoken(decode_token(token), trust, "ce-2", (), NOW)
 
 
 def test_scitoken_issuer_audience_allowlist(issuer_key):
     restricted = TrustDirectory.single_issuer(ISSUER, issuer_key, audiences=("ce-a",))
     ok = mint_scitoken(issuer_key, ISSUER, "s", ("x",), "ce-a", 600, NOW)
-    verify_scitoken(ok, restricted, "ce-a", (), NOW)
+    verify_scitoken(decode_token(ok), restricted, "ce-a", (), NOW)
     off_list = mint_scitoken(issuer_key, ISSUER, "s", ("x",), "ce-b", 600, NOW)
     with pytest.raises(AudienceMismatch):
-        verify_scitoken(off_list, restricted, "ce-b", (), NOW)
+        verify_scitoken(decode_token(off_list), restricted, "ce-b", (), NOW)
 
 
 def test_scitoken_scope_coverage(issuer_key, trust):
     token = mint_scitoken(issuer_key, ISSUER, "s", ("compute.create",), "ce-1", 600, NOW)
-    verify_scitoken(token, trust, "ce-1", ("compute.create",), NOW)
+    verify_scitoken(decode_token(token), trust, "ce-1", ("compute.create",), NOW)
     with pytest.raises(InsufficientScope):
-        verify_scitoken(token, trust, "ce-1", ("compute.create", "compute.cancel"), NOW)
+        verify_scitoken(
+            decode_token(token), trust, "ce-1", ("compute.create", "compute.cancel"), NOW
+        )
 
 
 def test_scitoken_expiry(issuer_key, trust):
     token = mint_scitoken(issuer_key, ISSUER, "s", ("x",), "ce-1", 600, NOW)
     with pytest.raises(Expired):
-        verify_scitoken(token, trust, "ce-1", (), NOW + 600 + tokens.DEFAULT_SKEW + 1)
+        verify_scitoken(decode_token(token), trust, "ce-1", (), NOW + 600 + tokens.DEFAULT_SKEW + 1)
     with pytest.raises(NotYetValid):
-        verify_scitoken(token, trust, "ce-1", (), NOW - tokens.DEFAULT_SKEW - 1)
+        verify_scitoken(decode_token(token), trust, "ce-1", (), NOW - tokens.DEFAULT_SKEW - 1)
 
 
 def test_scitoken_rejects_hs256_identity_token(keyring, trust):
     idt = mint_idtoken(keyring, "k1", "s", (), 600, NOW)
     with pytest.raises(SignatureInvalid):
-        verify_scitoken(idt, trust, "ce-1", (), NOW)
+        verify_scitoken(decode_token(idt), trust, "ce-1", (), NOW)
 
 
 def test_scitoken_requires_issuer_claim(issuer_key, trust):
@@ -290,4 +291,4 @@ def test_scitoken_requires_issuer_claim(issuer_key, trust):
         TokenHeader("EdDSA", issuer_key.kid), claims, issuer_key.private_key
     )
     with pytest.raises(MalformedToken):
-        verify_scitoken(token, trust, "ce-1", (), NOW)
+        verify_scitoken(decode_token(token), trust, "ce-1", (), NOW)
