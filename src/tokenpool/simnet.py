@@ -15,7 +15,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .errors import SimulationError, UnknownTarget
 
@@ -81,6 +81,12 @@ def fail_outcome(reason: str) -> str:
     return f"FAIL:{reason}"
 
 
+#: Canonical record serialization: sorted keys, no whitespace, ASCII escapes.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+#: Records serialized per piece of JSONL text handed to the hash or the file.
+JSONL_CHUNK = 1024
+
+
 class Trace:
     """Append-only audit log; JSONL rendering defines the run digest."""
 
@@ -129,18 +135,25 @@ class Trace:
             out.append(rec)
         return out
 
+    def _jsonl_chunks(self) -> Iterator[str]:
+        """The JSONL text, one canonical line per record, in pieces of
+        ``JSONL_CHUNK`` records, so the whole text is never held at once."""
+        encode, records = _CANONICAL.encode, self.records
+        for i in range(0, len(records), JSONL_CHUNK):
+            yield "\n".join(map(encode, records[i : i + JSONL_CHUNK])) + "\n"
+
     def to_jsonl(self) -> str:
-        lines = [
-            json.dumps(rec, sort_keys=True, separators=(",", ":"))
-            for rec in self.records
-        ]
-        return "\n".join(lines) + ("\n" if lines else "")
+        return "".join(self._jsonl_chunks())
 
     def digest(self) -> str:
-        return hashlib.sha256(self.to_jsonl().encode()).hexdigest()
+        sha = hashlib.sha256()
+        for chunk in self._jsonl_chunks():
+            sha.update(chunk.encode())
+        return sha.hexdigest()
 
     def write(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_jsonl())
+        with open(path, "w", encoding="utf-8") as out:
+            out.writelines(self._jsonl_chunks())
 
 
 class FaultKind(enum.Enum):

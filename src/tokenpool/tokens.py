@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import os
 import secrets
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -34,6 +34,10 @@ from .errors import (
 from .jose import IDTOKEN_ALG, SCITOKEN_ALG, Token, TokenClaims, TokenHeader
 
 DEFAULT_SKEW = 60
+
+#: Most signatures one trust directory remembers as verified; the memo is
+#: cleared when it reaches this size.
+SIGNATURE_MEMO_SIZE = 4096
 
 
 class KeyStatus(enum.Enum):
@@ -125,11 +129,18 @@ class IssuerKey:
 class TrustDirectory:
     """Issuer URL -> kid -> raw Ed25519 public key, plus allowed audiences.
 
-    An empty audience tuple means the issuer is unrestricted.
+    An empty audience tuple means the issuer is unrestricted.  The
+    directory remembers the signatures it has verified, keyed on the
+    public key and the token exactly as received, so a token presented
+    again is not checked again, much as HTCondor reuses a security
+    session.  Only signatures that verified are remembered.
     """
 
     issuers: Mapping[str, Mapping[str, bytes]]
     audiences: Mapping[str, tuple[str, ...]]
+    _verified: set[tuple[bytes, bytes, bytes]] = field(
+        default_factory=set, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def single_issuer(
@@ -147,6 +158,22 @@ class TrustDirectory:
         if kid not in keys:
             raise UnknownKey(f"kid {kid!r} unknown for issuer {issuer!r}")
         return keys[kid]
+
+    def check_signature(self, token: Token) -> None:
+        """Check that the key ``kid`` of the issuer ``iss`` signed ``token``.
+
+        Raises:
+            UntrustedIssuer, UnknownKey, SignatureInvalid
+        """
+        public = self.verification_key(token.claims.iss, token.header.kid)
+        seen = (public, token.signing_input, token.signature)
+        if seen in self._verified:
+            return
+        if not jose.ed25519_matches(public, token.signing_input, token.signature):
+            raise SignatureInvalid("Ed25519 signature mismatch")
+        if len(self._verified) >= SIGNATURE_MEMO_SIZE:
+            self._verified.clear()
+        self._verified.add(seen)
 
 
 @dataclass(frozen=True)
@@ -284,6 +311,10 @@ def verify_scitoken(
     """Verify a parsed capability token: algorithm, flavor, issuer trust,
     signature, window, audience, and scope coverage, in that order.
 
+    The signature is checked once per trust directory
+    (:meth:`TrustDirectory.check_signature`); every other check runs on
+    every call.
+
     Raises:
         MalformedToken, UntrustedIssuer, UnknownKey, SignatureInvalid,
         Expired, NotYetValid, AudienceMismatch, InsufficientScope
@@ -295,9 +326,7 @@ def verify_scitoken(
         raise MalformedToken("identity claims presented for capability verification")
     if claims.iss is None:
         raise MalformedToken("capability token lacks an issuer claim")
-    public = trust.verification_key(claims.iss, header.kid)
-    if not jose.ed25519_matches(public, token.signing_input, token.signature):
-        raise SignatureInvalid("Ed25519 signature mismatch")
+    trust.check_signature(token)
     _check_window(claims, now, skew)
     if claims.aud != expected_audience:
         raise AudienceMismatch(f"token aud {claims.aud!r} != {expected_audience!r}")

@@ -43,7 +43,15 @@ from tokenpool.policy import (
     authorize,
 )
 from tokenpool.scenario import parse_scenario
-from tokenpool.tokens import SymmetricKeyring, mint_idtoken, verify_idtoken
+from tokenpool.tokens import (
+    IssuerKey,
+    SymmetricKeyring,
+    TrustDirectory,
+    mint_idtoken,
+    mint_scitoken,
+    verify_idtoken,
+    verify_scitoken,
+)
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -137,6 +145,48 @@ def test_criterion_2_payload_tampering_never_verifies():
     # control character inside a JSON string (malformed), but tens of
     # thousands of mutants stay well-formed and must die on the signature.
     assert rejected_signature > 10_000
+    assert elapsed < 10.0
+
+
+def test_criterion_2_tampering_never_verifies_against_a_warm_signature_memo():
+    # The trust directory remembers signatures it has verified; every mutant
+    # of a token it has already accepted must still be rejected.  A mutation
+    # that keeps the payload well-formed may also change the issuer, the
+    # window or the audience, which fail before or after the signature.
+    rng = random.Random(0x5C17)
+    issuer = "https://tamper.test"
+    key = IssuerKey.generate("t", seed=b"\x07" * 32)
+    trust = TrustDirectory.single_issuer(issuer, key)
+    started = time.perf_counter()
+    mutants = accepted = 0
+    rejected: Counter[str] = Counter()
+    for i in range(100):
+        token = mint_scitoken(
+            key, issuer, f"s{i}", ("compute.create",), "ce-1", 600, 1000 + i, jti=f"{i:04x}"
+        )
+        verify_scitoken(decode_token(token), trust, "ce-1", (), 1000 + i)
+        head, payload, sig = token.split(".")
+        for pos in range(len(payload)):
+            replacement = rng.choice(B64URL_ALPHABET)
+            while replacement == payload[pos]:
+                replacement = rng.choice(B64URL_ALPHABET)
+            mutant = f"{head}.{payload[:pos]}{replacement}{payload[pos + 1:]}.{sig}"
+            mutants += 1
+            try:
+                verify_scitoken(decode_token(mutant), trust, "ce-1", (), 1000 + i)
+            except errors.TokenPoolError as exc:
+                rejected[exc.reason] += 1
+            else:
+                accepted += 1
+    elapsed = time.perf_counter() - started
+    print(
+        f"[criterion 2, warm memo] {mutants} single-character payload mutants over"
+        f" 100 verified capability tokens: {dict(sorted(rejected.items()))},"
+        f" {accepted} false accepts; {elapsed:.2f}s (budget 10s)"
+    )
+    assert accepted == 0
+    assert sum(rejected.values()) == mutants
+    assert rejected["SignatureInvalid"] > 1_000
     assert elapsed < 10.0
 
 

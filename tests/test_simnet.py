@@ -7,6 +7,7 @@ import pytest
 
 from tokenpool.errors import SimulationError, UnknownTarget
 from tokenpool.simnet import (
+    JSONL_CHUNK,
     Engine,
     Fault,
     FaultBoard,
@@ -138,6 +139,41 @@ def test_trace_write(tmp_path):
     out = tmp_path / "trace.jsonl"
     trace.write(out)
     assert out.read_text() == trace.to_jsonl()
+
+
+def _trace_of(details):
+    trace = Trace()
+    for i, detail in enumerate(details):
+        trace.record(i, "A->B", "SUCCESS" if i % 3 else "FAIL:Expired", detail=detail)
+    return trace
+
+
+def _reference_jsonl(trace):
+    """The JSONL text built whole, one ``json.dumps`` line per record."""
+    lines = [json.dumps(rec, sort_keys=True, separators=(",", ":")) for rec in trace.records]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+@pytest.mark.parametrize(
+    "details",
+    [
+        [],
+        ["x=1"],
+        [f"n={i}" for i in range(JSONL_CHUNK)],
+        [f"n={i}" for i in range(2 * JSONL_CHUNK + 1)],
+        ["ce=site-\u00e9 note=\u2713 \U0001f4a5", "plain"],
+    ],
+    ids=["empty", "one", "one-chunk", "over-two-chunks", "non-ascii"],
+)
+def test_trace_digest_hashes_the_jsonl_text(details, tmp_path):
+    trace = _trace_of(details)
+    text = trace.to_jsonl()
+    assert text == _reference_jsonl(trace)
+    assert text.isascii()
+    assert trace.digest() == hashlib.sha256(text.encode()).hexdigest()
+    out = tmp_path / "trace.jsonl"
+    trace.write(out)
+    assert out.read_bytes() == text.encode()
 
 
 def test_fail_outcome_format():

@@ -1,8 +1,10 @@
 """Keyring lifecycle, trust directory, and both verification paths."""
 
+from pathlib import Path
+
 import pytest
 
-from tokenpool import jose, tokens
+from tokenpool import jose, policy, tokens
 from tokenpool.errors import (
     AudienceMismatch,
     DuplicateKid,
@@ -16,6 +18,7 @@ from tokenpool.errors import (
     UntrustedIssuer,
 )
 from tokenpool.jose import TokenClaims, TokenHeader, decode_token
+from tokenpool.migration import run_scenario
 from tokenpool.tokens import (
     IssuerKey,
     KeyStatus,
@@ -292,3 +295,94 @@ def test_scitoken_requires_issuer_claim(issuer_key, trust):
     )
     with pytest.raises(MalformedToken):
         verify_scitoken(decode_token(token), trust, "ce-1", (), NOW)
+
+
+# -- signature memo ---------------------------------------------------------
+
+
+def _with_flipped_signature_byte(token: str) -> str:
+    head, payload, sig = token.split(".")
+    raw = bytearray(jose.b64url_decode(sig))
+    raw[0] ^= 0x01
+    return f"{head}.{payload}.{jose.b64url_encode(bytes(raw))}"
+
+
+@pytest.fixture
+def warm(issuer_key, trust):
+    """A capability token the trust directory has already verified once."""
+    token = mint_scitoken(issuer_key, ISSUER, "s", ("compute.create",), "ce-1", 600, NOW)
+    verify_scitoken(decode_token(token), trust, "ce-1", ("compute.create",), NOW)
+    return token
+
+
+@pytest.mark.parametrize(
+    "present, audience, scopes, now, error",
+    [
+        (_with_flipped_signature_byte, "ce-1", (), NOW, SignatureInvalid),
+        (str, "ce-1", (), NOW + 600 + tokens.DEFAULT_SKEW + 1, Expired),
+        (str, "ce-2", (), NOW, AudienceMismatch),
+        (str, "ce-1", ("compute.create", "compute.cancel"), NOW, InsufficientScope),
+    ],
+    ids=["flipped-signature-byte", "expired", "other-audience", "missing-scope"],
+)
+def test_remembered_signature_still_runs_every_other_check(
+    warm, trust, present, audience, scopes, now, error
+):
+    with pytest.raises(error):
+        verify_scitoken(decode_token(present(warm)), trust, audience, scopes, now)
+
+
+def test_remembered_signature_does_not_vouch_for_another_key(warm, issuer_key):
+    # Same issuer and kid, different public key: a new directory must
+    # check the signature itself and reject it.
+    other = TrustDirectory.single_issuer(
+        ISSUER, IssuerKey.generate(issuer_key.kid, seed=b"\x66" * 32)
+    )
+    with pytest.raises(SignatureInvalid):
+        verify_scitoken(decode_token(warm), other, "ce-1", (), NOW)
+
+
+@pytest.fixture
+def ed25519_checks(monkeypatch):
+    """Every argument tuple ``jose.ed25519_matches`` is called with."""
+    checks = []
+    real = jose.ed25519_matches
+
+    def counting(*args):
+        checks.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(jose, "ed25519_matches", counting)
+    return checks
+
+
+def test_only_verified_signatures_are_remembered(warm, trust, ed25519_checks):
+    forged = decode_token(_with_flipped_signature_byte(warm))
+    for _ in range(2):
+        verify_scitoken(decode_token(warm), trust, "ce-1", (), NOW)
+        with pytest.raises(SignatureInvalid):
+            verify_scitoken(forged, trust, "ce-1", (), NOW)
+    assert [sig for _, _, sig in ed25519_checks] == [forged.signature, forged.signature]
+
+
+def test_signature_memo_is_cleared_when_full(issuer_key, trust, monkeypatch):
+    monkeypatch.setattr(tokens, "SIGNATURE_MEMO_SIZE", 3)
+    for i in range(7):
+        token = mint_scitoken(issuer_key, ISSUER, "s", ("x",), "ce-1", 600, NOW, jti=f"m{i}")
+        verify_scitoken(decode_token(token), trust, "ce-1", (), NOW)
+        assert len(trust._verified) == i % 3 + 1
+
+
+def test_run_checks_each_capability_signature_once(ed25519_checks, monkeypatch):
+    verified = []
+    real_verify = policy.verify_scitoken
+
+    def recording_verify(token, *args, **kwargs):
+        result = real_verify(token, *args, **kwargs)
+        verified.append(token)
+        return result
+
+    monkeypatch.setattr(policy, "verify_scitoken", recording_verify)
+    run_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "split-2022.yaml")
+    assert len(verified) > len(set(verified)) > 0
+    assert len(ed25519_checks) == len(set(verified))
