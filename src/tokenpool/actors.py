@@ -10,6 +10,7 @@ session and are not separately checked.
 from __future__ import annotations
 
 import enum
+import weakref
 from dataclasses import dataclass
 
 from . import jose
@@ -90,6 +91,10 @@ AUTH_CHANNEL_LABELS = tuple(c.label for c in AUTH_CHANNELS)
 
 DAEMON_TOKEN_LIFETIME = 86400
 
+#: Most parsed tokens one World remembers; the memo is cleared when it
+#: reaches this size.
+PARSE_MEMO_SIZE = 4096
+
 
 class PilotState(enum.Enum):
     REQUESTED = "REQUESTED"
@@ -122,6 +127,7 @@ class Pilot:
     state: PilotState
     requested_at: int
     kid: str = ""
+    jti: str = ""
     token: str = ""
     submitted_at: int | None = None
     joined_at: int | None = None
@@ -150,21 +156,23 @@ def _join_detail(*parts: str) -> str:
 
 
 def _method_name(credential: object) -> str:
-    """Best-effort method label for failure records (never verifies)."""
+    """Method label for failure records (never verifies); a token string
+    gets here only when it failed to parse."""
     if isinstance(credential, ProxyCredential):
         return AuthMethod.GSI_PROXY.value
     if isinstance(credential, LocalFsCredential):
         return AuthMethod.LOCAL_FS.value
-    if isinstance(credential, str):
-        try:
-            return token_method(jose.decode_token(credential)).value
-        except TokenPoolError:
-            return "-"
+    if isinstance(credential, jose.Token):
+        return token_method(credential).value
     return "-"
 
 
 class World:
-    """Everything one run owns: clock, randomness, trust, actors, ledger."""
+    """Everything one run owns: clock, randomness, trust, actors, ledger.
+
+    Actors reach their World through a weak proxy, so nothing in a World
+    refers back to it and a World nobody holds is freed at once.
+    """
 
     SCHEDD_HOST = "schedd.cmspool"
     CA = "cms-ca"
@@ -197,20 +205,22 @@ class World:
         self.active_table = apply_phase(self.base_table, self.phase)
 
         self._used_jtis: dict[str, set[str]] = {}
+        self._parsed: dict[str, jose.Token] = {}
         self._pilot_seq = 0
         self._job_seq = 0
         self.pilots: dict[str, Pilot] = {}
         self.jobs: list[Job] = []
         self.jobs_by_id: dict[str, Job] = {}
 
-        self.issuer = TokenIssuer(self)
-        self.collector = Collector(self)
-        self.schedd = Schedd(self)
-        self.frontend = Frontend(self)
-        self.ces = {spec.id: CEGateway(self, spec) for spec in scenario.ces}
-        self.factories = {spec.id: Factory(self, spec) for spec in scenario.factories}
-        self.clients = {spec.id: WMClient(self, spec) for spec in scenario.clients}
-        self.controller = MigrationController(self)
+        me = weakref.proxy(self)
+        self.issuer = TokenIssuer(me)
+        self.collector = Collector(me)
+        self.schedd = Schedd(me)
+        self.frontend = Frontend(me)
+        self.ces = {spec.id: CEGateway(me, spec) for spec in scenario.ces}
+        self.factories = {spec.id: Factory(me, spec) for spec in scenario.factories}
+        self.clients = {spec.id: WMClient(me, spec) for spec in scenario.clients}
+        self.controller = MigrationController(me)
 
     # -- identity and key helpers ------------------------------------------
 
@@ -237,22 +247,37 @@ class World:
             jti=self.next_jti("pool"),
         )
 
-    def mint_startd_token(self, pilot_id: str) -> tuple[str, str]:
-        """Pick the next ACTIVE worker key round-robin and mint the
-        identity token the pilot will carry to the collector."""
-        kid = self.startd_kids[self.startd_rr % len(self.startd_kids)]
+    def assign_startd_identity(self, pilot: Pilot) -> None:
+        """Give the pilot the next ACTIVE worker key, round-robin, and the
+        jti of the identity token it will carry to the collector."""
+        pilot.kid = self.startd_kids[self.startd_rr % len(self.startd_kids)]
         self.startd_rr += 1
-        token = mint_idtoken(
+        pilot.jti = self.next_jti("pool")
+
+    def mint_startd_token(self, pilot: Pilot) -> str:
+        """Mint the pilot's identity token under its assigned key and jti."""
+        return mint_idtoken(
             self.keyring,
-            kid,
-            f"startd@{pilot_id}",
+            pilot.kid,
+            f"startd@{pilot.id}",
             ("ADVERTISE",),
             self.scenario.pilots.token_lifetime,
             self.engine.now,
             issuer=self.POOL_ISSUER,
-            jti=self.next_jti("pool"),
+            jti=pilot.jti,
         )
-        return kid, token
+
+    def parsed_token(self, compact: str) -> jose.Token:
+        """``compact`` parsed, once per World, much as HTCondor reuses an
+        authenticated session.  Only the parse is remembered, never a
+        verdict, and a string that fails to parse is not remembered."""
+        token = self._parsed.get(compact)
+        if token is None:
+            token = jose.decode_token(compact)
+            if len(self._parsed) >= PARSE_MEMO_SIZE:
+                self._parsed.clear()
+            self._parsed[compact] = token
+        return token
 
     # -- authenticated requests --------------------------------------------
 
@@ -267,6 +292,8 @@ class World:
         pol = self.active_table.policy_for(channel)
         now = self.engine.now
         try:
+            if isinstance(credential, str):
+                credential = self.parsed_token(credential)
             peer = authenticate(
                 channel,
                 self.active_table,
@@ -868,7 +895,7 @@ class Factory:
             )
             w.fail_pilot(pilot, MismatchedCredential.__name__)
             return pilot
-        pilot.kid, pilot.token = w.mint_startd_token(pilot.id)
+        w.assign_startd_identity(pilot)
         outcome = ce.receive_submission(pilot, credential, interface)
         if (
             outcome is SubmitOutcome.AUTH_REJECTED
@@ -876,9 +903,12 @@ class Factory:
             and self.proxy_fallback_allowed()
         ):
             outcome = ce.receive_submission(pilot, self.pilot_proxy, interface)
-        if outcome is SubmitOutcome.AUTH_REJECTED:
+        if outcome is SubmitOutcome.ACCEPTED:
+            # Same event as the draw above, so the same bytes as minting then.
+            pilot.token = w.mint_startd_token(pilot)
+        elif outcome is SubmitOutcome.AUTH_REJECTED:
             w.fail_pilot(pilot, AUTH_REJECTED)
-        elif outcome is SubmitOutcome.FULL:
+        else:
             w.fail_pilot(pilot, CAPACITY_EXCEEDED)
         return pilot
 

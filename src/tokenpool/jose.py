@@ -42,7 +42,9 @@ _B64URL_CHARS = frozenset(
 
 
 def b64url_decode(segment: str) -> bytes:
-    """Strict base64url decode; any character outside the alphabet fails."""
+    """Strict base64url decode: any character outside the alphabet fails,
+    and so does a final character whose unused low bits are not zero, so
+    each byte string has exactly one accepted segment."""
     # validate=True alone is not enough: altchars translates '-_' to '+/'
     # before validation, which would let standard-alphabet input through.
     if not set(segment) <= _B64URL_CHARS:
@@ -51,9 +53,12 @@ def b64url_decode(segment: str) -> bytes:
     if pad == 3:
         raise MalformedToken("segment length invalid for base64url")
     try:
-        return base64.b64decode(segment + "=" * pad, altchars=b"-_", validate=True)
+        raw = base64.b64decode(segment + "=" * pad, altchars=b"-_", validate=True)
     except (binascii.Error, ValueError) as exc:
         raise MalformedToken(f"bad base64url segment: {exc}") from exc
+    if pad and b64url_encode(raw) != segment:
+        raise MalformedToken("segment's last character has non-zero unused bits")
+    return raw
 
 
 def canonical_json(obj: dict) -> str:

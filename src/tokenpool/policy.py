@@ -12,7 +12,8 @@ carries the missing rights.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -113,7 +114,7 @@ class Channel:
     src: Role
     dst: Role
 
-    @property
+    @cached_property
     def label(self) -> str:
         return f"{self.src.value}->{self.dst.value}"
 
@@ -135,7 +136,7 @@ class LocalFsCredential:
     host: str
 
 
-Credential = str | ProxyCredential | LocalFsCredential
+Credential = str | Token | ProxyCredential | LocalFsCredential
 
 
 @dataclass(frozen=True)
@@ -260,10 +261,10 @@ def authenticate(
 ) -> AuthenticatedPeer:
     """Authenticate one credential on one channel.
 
-    The method is inferred from the credential's shape (token strings by
-    algorithm, proxy and filesystem credentials by type) and must appear
-    in the channel's accepted list.  The authenticated name is rewritten
-    through the identity map.
+    The method is inferred from the credential's shape (tokens, parsed or
+    as strings, by algorithm; proxy and filesystem credentials by type) and
+    must appear in the channel's accepted list.  The authenticated name is
+    rewritten through the identity map.
 
     Raises:
         NoCommonMethod: the inferred method is not accepted here.
@@ -301,8 +302,8 @@ def authenticate(
             subject=credential.account,
         )
 
-    # Token string: parsed once here; every check below reads that value.
-    token = decode_token(credential)
+    # A token string is parsed here, once; every check below reads the value.
+    token = credential if isinstance(credential, Token) else decode_token(credential)
     if token_method(token) is AuthMethod.SCITOKEN:
         _require(AuthMethod.SCITOKEN, pol, channel)
         if trust is None:

@@ -23,6 +23,7 @@ import yaml
 from test_jose import GOLDEN_VECTORS, oracle_hs256_jwt
 
 from tokenpool import errors
+from tokenpool.actors import CH_CE_SUBMIT, CH_JOIN
 from tokenpool.errors import MalformedToken, SignatureInvalid
 from tokenpool.jose import TokenClaims, TokenHeader, decode_token, encode_token
 from tokenpool.migration import (
@@ -187,6 +188,49 @@ def test_criterion_2_tampering_never_verifies_against_a_warm_signature_memo():
     assert accepted == 0
     assert sum(rejected.values()) == mutants
     assert rejected["SignatureInvalid"] > 1_000
+    assert elapsed < 10.0
+
+
+def test_criterion_2_tampering_never_authenticates_against_a_warm_parse_memo():
+    # A World remembers the tokens it has parsed; every mutant of a token it
+    # has parsed and accepted is another string, and must still be refused.
+    rng = random.Random(0x3E11)
+    world = run_scenario(SCENARIO_DIR / "migration-2022.yaml").world
+    presented = [(CH_JOIN, p.token, "") for p in list(world.collector.members.values())[:20]]
+    presented += [
+        (CH_CE_SUBMIT, token, ce_id)
+        for ce_id, (token, _, _) in sorted(world.frontend.scitokens.items())
+    ]
+    started = time.perf_counter()
+    mutants = accepted = 0
+    rejected: Counter[str] = Counter()
+    for channel, token, audience in presented:
+        world.authenticate_on(channel, token, audience=audience)
+        assert token in world._parsed
+        head, payload, sig = token.split(".")
+        for pos in range(len(payload)):
+            replacement = rng.choice(B64URL_ALPHABET)
+            while replacement == payload[pos]:
+                replacement = rng.choice(B64URL_ALPHABET)
+            mutant = f"{head}.{payload[:pos]}{replacement}{payload[pos + 1:]}.{sig}"
+            mutants += 1
+            try:
+                world.authenticate_on(channel, mutant, audience=audience)
+            except errors.TokenPoolError as exc:
+                rejected[exc.reason] += 1
+            else:
+                accepted += 1
+    elapsed = time.perf_counter() - started
+    print(
+        f"[criterion 2, warm parse memo] {mutants} single-character payload mutants"
+        f" of {len(presented)} tokens a World had accepted:"
+        f" {dict(sorted(rejected.items()))}, {accepted} false accepts;"
+        f" {elapsed:.2f}s (budget 10s)"
+    )
+    assert len(presented) > 20
+    assert accepted == 0
+    assert sum(rejected.values()) == mutants
+    assert rejected["SignatureInvalid"] > 500
     assert elapsed < 10.0
 
 

@@ -1,8 +1,12 @@
 """World wiring and the daemon state machines, end to end on small pools."""
 
+import gc
+import weakref
+from pathlib import Path
+
 import pytest
 
-from tokenpool import jose
+from tokenpool import actors, jose
 from tokenpool.actors import (
     CH_ADVERTISE,
     CH_CE_SUBMIT,
@@ -15,17 +19,23 @@ from tokenpool.actors import (
     build_world,
 )
 from tokenpool.errors import (
+    AudienceMismatch,
     AuthorizationDenied,
+    Expired,
+    KeyRevoked,
+    MalformedToken,
     MismatchedCredential,
     UnauthorizedRequestor,
     UnknownTarget,
 )
+from tokenpool.migration import run_scenario
 from tokenpool.policy import AuthMethod, MigrationPhase
 from tokenpool.scenario import CEInterface, parse_scenario
 from tokenpool.simnet import OUTCOME_SUCCESS, TRACE_PILOT, TRACE_POOL
-from tokenpool.tokens import KeyStatus, revoke_key
+from tokenpool.tokens import DEFAULT_SKEW, KeyStatus, revoke_key
 
 ISSUER = "https://issuer.test"
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def doc(**over):
@@ -338,12 +348,130 @@ def test_join_with_revoked_key_is_rejected():
     )
     w.engine.run(10)
     pilot = w.new_pilot(w.ces["ce-a"])
-    pilot.kid, pilot.token = w.mint_startd_token(pilot.id)
+    w.assign_startd_identity(pilot)
+    pilot.token = w.mint_startd_token(pilot)
     pilot.state = PilotState.STARTED
     w.keyring = revoke_key(w.keyring, pilot.kid)
     w.collector.receive_join(pilot)
     assert pilot.state is PilotState.FAILED
     assert len(failures(w, CH_JOIN, "KeyRevoked")) == 1
+
+
+# -- the parse memo and the pilot's token -----------------------------------
+
+
+def idle_world(**over):
+    """A world at t=10 with no jobs; the frontend holds a capability for ce-a."""
+    jobless = [{"id": "cmsprod", "methods": ["IDTOKEN"], "jobs": 0, "duration": 10}]
+    w = build_world(parse_scenario(doc(clients=jobless, **over)))
+    w.engine.run(10)
+    return w
+
+
+def startd_token(w):
+    pilot = w.new_pilot(w.ces["ce-a"])
+    w.assign_startd_identity(pilot)
+    return pilot, w.mint_startd_token(pilot)
+
+
+def test_memoised_join_token_fails_once_its_key_is_revoked():
+    w = idle_world()
+    pilot, token = startd_token(w)
+    w.authenticate_on(CH_JOIN, token)
+    parsed = w._parsed[token]
+    w.keyring = revoke_key(w.keyring, pilot.kid)
+    with pytest.raises(KeyRevoked):
+        w.authenticate_on(CH_JOIN, token)
+    assert w._parsed[token] is parsed
+    (failed,) = failures(w, CH_JOIN, "KeyRevoked")
+    assert failed["method"] == AuthMethod.IDTOKEN.value
+
+
+def test_memoised_join_token_expires():
+    w = idle_world(pilots={"token_lifetime": 100})
+    _, token = startd_token(w)
+    w.authenticate_on(CH_JOIN, token)
+    w.engine.run(10 + 100 + DEFAULT_SKEW + 1)
+    with pytest.raises(Expired):
+        w.authenticate_on(CH_JOIN, token)
+    assert token in w._parsed
+    assert len(failures(w, CH_JOIN, "Expired")) == 1
+
+
+def test_memoised_capability_token_is_refused_at_another_gateway():
+    w = idle_world()
+    for_a = w.issuer.fetch_capability(w.frontend.token, "ce-a")
+    for_b = w.issuer.fetch_capability(w.frontend.token, "ce-b")
+    assert jose.decode_token(for_a).header.kid == jose.decode_token(for_b).header.kid
+    w.authenticate_on(CH_CE_SUBMIT, for_a, audience="ce-a")
+    w.authenticate_on(CH_CE_SUBMIT, for_b, audience="ce-b")
+    with pytest.raises(AudienceMismatch):
+        w.authenticate_on(CH_CE_SUBMIT, for_a, audience="ce-b")
+    assert {for_a, for_b} <= w._parsed.keys()
+    (failed,) = failures(w, CH_CE_SUBMIT, "AudienceMismatch")
+    assert failed["method"] == AuthMethod.SCITOKEN.value
+
+
+def test_malformed_token_is_recorded_each_time_and_never_remembered():
+    w = idle_world()
+    remembered = dict(w._parsed)
+    _, token = startd_token(w)
+    malformed = token[:-1]  # the signature's last character cut off
+    for _ in range(2):
+        with pytest.raises(MalformedToken):
+            w.authenticate_on(CH_JOIN, malformed)
+    assert w._parsed == remembered
+    assert [r["method"] for r in failures(w, CH_JOIN, "MalformedToken")] == ["-", "-"]
+
+
+def test_parse_memo_is_cleared_when_full(monkeypatch):
+    monkeypatch.setattr(actors, "PARSE_MEMO_SIZE", 3)
+    w = idle_world()
+    w._parsed.clear()
+    for i in range(7):
+        _, token = startd_token(w)
+        w.authenticate_on(CH_JOIN, token)
+        assert len(w._parsed) == i % 3 + 1
+        assert token in w._parsed
+
+
+@pytest.mark.parametrize(
+    "over",
+    [
+        {"clients": [{"id": "cmsprod", "methods": ["IDTOKEN"], "jobs": 15, "duration": 86400}]},
+        {"phase": "TOKEN_ONLY", "faults": [{"kind": "CE_TOKEN_MISCONFIG", "target": "ce-a"}]},
+    ],
+    ids=["gateway-full", "gateway-refuses-token"],
+)
+def test_pilot_token_is_minted_only_when_its_gateway_accepts_it(over):
+    w = run_doc(**over)
+    refused = [p for p in w.pilots.values() if p.submitted_at is None]
+    accepted = [p for p in w.pilots.values() if p.submitted_at is not None]
+    assert refused
+    for pilot in refused:
+        assert pilot.state is PilotState.FAILED
+        assert pilot.token == "" and pilot.kid and pilot.jti
+    for pilot in accepted:
+        token = jose.decode_token(pilot.token)
+        assert token.header.kid == pilot.kid
+        assert token.claims.jti == pilot.jti
+        assert token.claims.iat == pilot.submitted_at
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.yaml")), ids=lambda p: p.stem)
+def test_finished_world_is_freed_without_the_cyclic_collector(path):
+    # A dropped result must free its World by reference counting alone, so
+    # that a run's peak memory never includes the run before it.
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        result = run_scenario(path)
+        world = weakref.ref(result.world)
+        del result
+        assert world() is None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 # -- collector housekeeping -------------------------------------------------

@@ -135,11 +135,44 @@ def test_b64url_encode_has_no_padding_or_plus_slash():
         "abcde",  # len % 4 == 1 cannot come from any byte string
         "ab d",  # whitespace
         "ab\nd",
+        "QR",  # b"A" is "QQ"; the last character's 4 unused bits must be zero
+        "QUF",  # b"AA" is "QUE"; likewise its 2 unused bits
     ],
 )
 def test_b64url_decode_rejects_nonstrict_input(segment):
     with pytest.raises(MalformedToken):
         jose.b64url_decode(segment)
+
+
+B64URL_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-_"
+
+
+def last_character_variants(segment: str) -> list[str]:
+    """``segment`` with its last character changed only in its unused bits."""
+    unused = {2: 4, 3: 2}[len(segment) % 4]
+    index = B64URL_ALPHABET.index(segment[-1])
+    base = index >> unused << unused
+    return [
+        segment[:-1] + B64URL_ALPHABET[base + low]
+        for low in range(1 << unused)
+        if base + low != index
+    ]
+
+
+def test_each_signature_has_exactly_one_wire_form():
+    claims = TokenClaims(sub="s", iss="i", aud="ce", iat=1, exp=2, jti="j", scope=("x",))
+    ed = jose.encode_token(
+        TokenHeader("EdDSA", "k"), claims, ed25519.Ed25519PrivateKey.from_private_bytes(b"\x01" * 32)
+    )
+    hs = GOLDEN_VECTORS[0][3]
+    for token, variants in ((ed, 15), (hs, 3)):
+        signing_input, sig = token.rsplit(".", 1)
+        assert jose.decode_token(token).signature == jose.b64url_decode(sig)
+        forms = last_character_variants(sig)
+        assert len(forms) == variants
+        for form in forms:
+            with pytest.raises(MalformedToken):
+                jose.decode_token(f"{signing_input}.{form}")
 
 
 def test_canonical_json_is_sorted_and_tight():
