@@ -15,6 +15,7 @@ import json
 import statistics
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping
 
@@ -51,7 +52,7 @@ class RunResult:
     world: World
     trace: Trace
 
-    @property
+    @cached_property
     def digest(self) -> str:
         return self.trace.digest()
 
@@ -141,9 +142,9 @@ class _Pass:
         self.denied = self.dropped = 0
         attempts = []  # auth records that name a concrete method
         for rec in trace.records:
-            channel, outcome = rec["channel"], rec["outcome"]
+            channel, outcome = rec.channel, rec.outcome
             if channel in _AUTH_CHANNELS:
-                method = rec["method"]
+                method = rec.method
                 if method in _METHOD_VALUES:
                     attempts.append(rec)
                 if outcome == OUTCOME_SUCCESS:
@@ -158,38 +159,38 @@ class _Pass:
                     self.dropped += 1
             elif channel == TRACE_POOL:
                 if outcome == "SAMPLE":
-                    size = int(parse_detail(rec["detail"])["size"])
-                    self.samples.append((int(rec["t"]), size))
+                    size = int(parse_detail(rec.detail)["size"])
+                    self.samples.append((rec.t, size))
             elif channel == TRACE_PILOT:
                 self.pilot_counts[outcome] += 1
                 if outcome == "JOINED":
-                    self.joins.append(int(rec["t"]))
+                    self.joins.append(rec.t)
                 elif outcome == "EVICT":
-                    kid = parse_detail(rec["detail"]).get("kid")
-                    self.evictions.append((int(rec["t"]), kid))
+                    kid = parse_detail(rec.detail).get("kid")
+                    self.evictions.append((rec.t, kid))
             elif channel == TRACE_JOB:
                 if outcome == "QUEUED":
-                    self.job_counts[outcome] += int(parse_detail(rec["detail"]).get("count", "0"))
+                    self.job_counts[outcome] += int(parse_detail(rec.detail).get("count", "0"))
                 else:
                     self.job_counts[outcome] += 1
             elif channel == TRACE_PLAN:
                 if outcome == "PHASE":
-                    phase = MigrationPhase(parse_detail(rec["detail"])["phase"])
-                    self.timeline.append((int(rec["t"]), phase))
+                    phase = MigrationPhase(parse_detail(rec.detail)["phase"])
+                    self.timeline.append((rec.t, phase))
             elif channel == TRACE_FAULT and outcome == "ACTIVATE" and self.compromise is None:
-                kv = parse_detail(rec["detail"])
+                kv = parse_detail(rec.detail)
                 if kv.get("kind") == "KEY_COMPROMISE":
-                    self.compromise = (int(rec["t"]), kv["target"])
+                    self.compromise = (rec.t, kv["target"])
         self.violations: list[str] = []
         if not self.timeline:
             self.violations.append("no phase records in trace")
             attempts.clear()
         for rec in attempts:
-            phase = phase_at(self.timeline, int(rec["t"]))
-            if rec["method"] not in _PERMITTED[phase]:
+            phase = phase_at(self.timeline, rec.t)
+            if rec.method not in _PERMITTED[phase]:
                 self.violations.append(
-                    f"t={rec['t']} {rec['channel']} used {rec['method']} under {phase.value}"
-                    f" (outcome={rec['outcome']})"
+                    f"t={rec.t} {rec.channel} used {rec.method} under {phase.value}"
+                    f" (outcome={rec.outcome})"
                 )
 
     def metrics(self, scenario: Scenario) -> PoolMetrics:

@@ -24,7 +24,7 @@ from .errors import (
     UnmappedIdentity,
     UntrustedCA,
 )
-from .jose import SCITOKEN_ALG, Token, decode_token
+from .jose import SCITOKEN_ALG, Token
 from .tokens import (
     SymmetricKeyring,
     TrustDirectory,
@@ -136,7 +136,7 @@ class LocalFsCredential:
     host: str
 
 
-Credential = str | Token | ProxyCredential | LocalFsCredential
+Credential = Token | ProxyCredential | LocalFsCredential
 
 
 @dataclass(frozen=True)
@@ -261,8 +261,8 @@ def authenticate(
 ) -> AuthenticatedPeer:
     """Authenticate one credential on one channel.
 
-    The method is inferred from the credential's shape (tokens, parsed or
-    as strings, by algorithm; proxy and filesystem credentials by type) and
+    The method is inferred from the credential's shape (parsed tokens by
+    algorithm; proxy and filesystem credentials by type) and
     must appear in the channel's accepted list.  The authenticated name is
     rewritten through the identity map.
 
@@ -302,14 +302,12 @@ def authenticate(
             subject=credential.account,
         )
 
-    # A token string is parsed here, once; every check below reads the value.
-    token = credential if isinstance(credential, Token) else decode_token(credential)
-    if token_method(token) is AuthMethod.SCITOKEN:
+    if token_method(credential) is AuthMethod.SCITOKEN:
         _require(AuthMethod.SCITOKEN, pol, channel)
         if trust is None:
             raise InvalidPolicy("capability verification needs a trust directory")
         cap: VerifiedCapability = verify_scitoken(
-            token, trust, expected_audience, pol.required_scopes, now
+            credential, trust, expected_audience, pol.required_scopes, now
         )
         identity = table.map_identity(cap.subject)
         return AuthenticatedPeer(
@@ -325,7 +323,7 @@ def authenticate(
     _require(AuthMethod.IDTOKEN, pol, channel)
     if keyring is None:
         raise InvalidPolicy("identity verification needs a keyring")
-    ident: VerifiedIdentity = verify_idtoken(token, keyring, now)
+    ident: VerifiedIdentity = verify_idtoken(credential, keyring, now)
     identity = table.map_identity(ident.subject)
     if ident.authz_limits:
         try:

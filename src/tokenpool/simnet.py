@@ -11,11 +11,11 @@ from __future__ import annotations
 import enum
 import hashlib
 import heapq
-import json
 import random
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import SimulationError, UnknownTarget
 
@@ -81,21 +81,37 @@ def fail_outcome(reason: str) -> str:
     return f"FAIL:{reason}"
 
 
-#: Canonical record serialization: sorted keys, no whitespace, ASCII escapes.
-_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-#: Records serialized per piece of JSONL text handed to the hash or the file.
-JSONL_CHUNK = 1024
+class Record(NamedTuple):
+    """One audit-trace record; the fields are in its JSONL line's key order."""
+
+    channel: str
+    detail: str
+    identity: str
+    method: str
+    outcome: str
+    t: int
+
+
+_LINE = '{"channel":%s,"detail":%s,"identity":%s,"method":%s,"outcome":%s,"t":%d}\n'
+
+
+def canonical_line(rec: Record) -> str:
+    """The record's JSONL line: ``json.dumps`` with sorted keys, no
+    whitespace and ASCII escapes, then a newline."""
+    channel, detail, identity, method, outcome, t = rec
+    esc = encode_basestring_ascii
+    return _LINE % (esc(channel), esc(detail), esc(identity), esc(method), esc(outcome), t)
 
 
 class Trace:
-    """Append-only audit log; JSONL rendering defines the run digest."""
+    """Append-only audit log; its JSONL text defines the run digest."""
 
     def __init__(self) -> None:
-        self.records: list[dict[str, object]] = []
+        self.records: list[Record] = []
 
     def record(
         self,
-        t: int | float,
+        t: int,
         channel: str,
         outcome: str,
         *,
@@ -103,57 +119,36 @@ class Trace:
         identity: str = "-",
         detail: str = "",
     ) -> None:
-        if isinstance(t, float) and t.is_integer():
-            t = int(t)
-        self.records.append(
-            {
-                "t": t,
-                "channel": channel,
-                "method": method,
-                "outcome": outcome,
-                "identity": identity,
-                "detail": detail,
-            }
-        )
+        if type(t) is not int:
+            raise SimulationError(f"trace time must be an int, got {t!r}")
+        self.records.append(Record(channel, detail, identity, method, outcome, t))
 
     def select(
         self,
         channel: str | None = None,
         outcome: str | None = None,
         outcome_prefix: str | None = None,
-    ) -> list[dict[str, object]]:
+    ) -> list[Record]:
         out = []
         for rec in self.records:
-            if channel is not None and rec["channel"] != channel:
+            if channel is not None and rec.channel != channel:
                 continue
-            if outcome is not None and rec["outcome"] != outcome:
+            if outcome is not None and rec.outcome != outcome:
                 continue
-            if outcome_prefix is not None and not str(rec["outcome"]).startswith(
-                outcome_prefix
-            ):
+            if outcome_prefix is not None and not rec.outcome.startswith(outcome_prefix):
                 continue
             out.append(rec)
         return out
 
-    def _jsonl_chunks(self) -> Iterator[str]:
-        """The JSONL text, one canonical line per record, in pieces of
-        ``JSONL_CHUNK`` records, so the whole text is never held at once."""
-        encode, records = _CANONICAL.encode, self.records
-        for i in range(0, len(records), JSONL_CHUNK):
-            yield "\n".join(map(encode, records[i : i + JSONL_CHUNK])) + "\n"
-
-    def to_jsonl(self) -> str:
-        return "".join(self._jsonl_chunks())
-
     def digest(self) -> str:
         sha = hashlib.sha256()
-        for chunk in self._jsonl_chunks():
-            sha.update(chunk.encode())
+        for line in map(canonical_line, self.records):
+            sha.update(line.encode())
         return sha.hexdigest()
 
     def write(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8") as out:
-            out.writelines(self._jsonl_chunks())
+            out.writelines(map(canonical_line, self.records))
 
 
 class FaultKind(enum.Enum):

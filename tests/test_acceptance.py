@@ -280,9 +280,9 @@ def test_criterion_4_no_legacy_auth_under_token_only(shipped):
         legacy_success_in_token_only = [
             rec
             for rec in run.result.trace.records
-            if rec["outcome"] == "SUCCESS"
-            and rec["method"] in legacy
-            and phase_at(timeline, int(rec["t"])) is MigrationPhase.TOKEN_ONLY
+            if rec.outcome == "SUCCESS"
+            and rec.method in legacy
+            and phase_at(timeline, rec.t) is MigrationPhase.TOKEN_ONLY
         ]
         assert legacy_success_in_token_only == [], name
     print(f"[criterion 4] phase soundness clean on all {len(shipped)} shipped scenarios")
@@ -300,10 +300,10 @@ def test_criterion_5_key_compromise_drill(shipped):
     quarter = report.pool_before / 4
     evictions = result.trace.select("PILOT", outcome="EVICT")
     foreign = [
-        r for r in evictions if parse_detail(str(r["detail"])).get("kid") != report.kid
+        r for r in evictions if parse_detail(r.detail).get("kid") != report.kid
     ]
     final_size = int(
-        parse_detail(str(result.trace.select("POOL", outcome="SAMPLE")[-1]["detail"]))[
+        parse_detail(result.trace.select("POOL", outcome="SAMPLE")[-1].detail)[
             "size"
         ]
     )
@@ -380,15 +380,15 @@ def test_criterion_8_ldap_only_ce_is_dark_on_condor_10(shipped):
     trace = run.result.trace
 
     attempts = [
-        r for r in trace.select("FACTORY->CE") if "ce=ce-ldap" in str(r["detail"])
+        r for r in trace.select("FACTORY->CE") if "ce=ce-ldap" in r.detail
     ]
     assert attempts, "no submission attempts recorded for the LDAP-only CE"
-    assert all(r["outcome"] == "FAIL:DeprecatedInterface" for r in attempts)
+    assert all(r.outcome == "FAIL:DeprecatedInterface" for r in attempts)
 
     pilot_states = {
-        str(r["outcome"])
+        r.outcome
         for r in trace.select("PILOT")
-        if "ce=ce-ldap" in str(r["detail"])
+        if "ce=ce-ldap" in r.detail
     }
     assert pilot_states == {"REQUESTED", "FAILED"}  # never submitted, never joined
 
@@ -400,7 +400,7 @@ def test_criterion_8_ldap_only_ce_is_dark_on_condor_10(shipped):
     submitted = [
         r
         for r in older.trace.select("PILOT", outcome="SUBMITTED")
-        if "ce=ce-ldap" in str(r["detail"])
+        if "ce=ce-ldap" in r.detail
     ]
     print(
         f"[criterion 8] condor 10: {len(attempts)} attempts all"
@@ -479,10 +479,10 @@ def test_trace_reasons_come_from_the_closed_vocabulary(shipped):
     seen = Counter()
     for run in shipped.values():
         for record in run.result.trace.records:
-            outcome = str(record["outcome"])
+            outcome = record.outcome
             if outcome.startswith("FAIL:"):
                 seen[outcome[len("FAIL:"):]] += 1
-            if "reason" in (detail := parse_detail(str(record["detail"]))):
+            if "reason" in (detail := parse_detail(record.detail)):
                 seen[detail["reason"]] += 1
     unknown = sorted(set(seen) - errors.TRACE_REASONS)
     print(f"[vocabulary] reasons in the shipped traces: {dict(sorted(seen.items()))}")

@@ -87,7 +87,7 @@ def run_doc(**over):
 def successes(world, channel, method=None):
     recs = world.trace.select(channel.label, outcome=OUTCOME_SUCCESS)
     if method is not None:
-        recs = [r for r in recs if r["method"] == method.value]
+        recs = [r for r in recs if r.method == method.value]
     return recs
 
 
@@ -116,12 +116,12 @@ def test_pipeline_fills_pool_with_tokens_end_to_end():
     legacy = [
         r
         for r in w.trace.records
-        if r["method"] in (AuthMethod.GSI_PROXY.value, AuthMethod.LOCAL_FS.value)
+        if r.method in (AuthMethod.GSI_PROXY.value, AuthMethod.LOCAL_FS.value)
     ]
     assert legacy == []
 
     samples = w.trace.select(TRACE_POOL, outcome="SAMPLE")
-    assert "size=5" in str(samples[-1]["detail"])
+    assert "size=5" in samples[-1].detail
 
 
 def test_minted_tokens_have_unique_jtis():
@@ -139,7 +139,7 @@ def test_local_fs_only_client_succeeds_in_fallback_phase():
     )
     recs = successes(w, CH_SUBMIT, AuthMethod.LOCAL_FS)
     assert len(recs) == 1
-    assert recs[0]["identity"] == "cms-prod"
+    assert recs[0].identity == "cms-prod"
 
 
 def test_locked_out_client_retries_until_provisioned():
@@ -157,9 +157,9 @@ def test_locked_out_client_retries_until_provisioned():
         plan=[{"at": 250, "action": "provision_client_token", "client": "cmsprod"}],
     )
     rejected = failures(w, CH_SUBMIT, "NoCommonMethod")
-    assert [int(r["t"]) for r in rejected] == [0, 120, 240]
+    assert [r.t for r in rejected] == [0, 120, 240]
     accepted = successes(w, CH_SUBMIT, AuthMethod.IDTOKEN)
-    assert [int(r["t"]) for r in accepted] == [360]
+    assert [r.t for r in accepted] == [360]
     assert len(w.collector.members) == 5  # pool formed after the late submit
 
 
@@ -175,7 +175,7 @@ def test_misconfigured_ce_masked_by_proxy_fallback():
     assert len(w.collector.members) == 5
     # Retry happens in place: rejection first, proxy success after it.
     order = [
-        (r["outcome"], str(r["detail"]))
+        (r.outcome, r.detail)
         for r in w.trace.select(CH_CE_SUBMIT.label)
     ]
     for i, (outcome, detail) in enumerate(order):
@@ -192,7 +192,7 @@ def test_misconfigured_ce_starves_pool_under_token_only():
     assert len(w.collector.members) == 0
     assert len(failures(w, CH_CE_SUBMIT, "UntrustedIssuer")) >= 5
     assert not [
-        r for r in w.trace.records if r["method"] == AuthMethod.GSI_PROXY.value
+        r for r in w.trace.records if r.method == AuthMethod.GSI_PROXY.value
     ]
     failed = [p for p in w.pilots.values() if p.state is PilotState.FAILED]
     assert failed and len(failed) == len(w.pilots)
@@ -218,14 +218,14 @@ def test_capacity_exceeded_only_after_successful_auth():
     assert rejected
     ce_records = w.trace.select(CH_CE_SUBMIT.label)
     for reject in rejected:
-        pilot = str(reject["detail"]).split("pilot=")[1].split()[0]
+        pilot = reject.detail.split("pilot=")[1].split()[0]
         idx = ce_records.index(reject)
         prior_auth = [
             r
             for r in ce_records[:idx]
-            if r["outcome"] == OUTCOME_SUCCESS
-            and f"pilot={pilot}" in str(r["detail"])
-            and r["t"] == reject["t"]
+            if r.outcome == OUTCOME_SUCCESS
+            and f"pilot={pilot}" in r.detail
+            and r.t == reject.t
         ]
         assert prior_auth, f"{pilot} was refused capacity without authenticating"
 
@@ -235,7 +235,7 @@ def test_stuck_submissions_leak_slots_and_never_join():
     stuck = [
         r
         for r in w.trace.select(TRACE_PILOT, outcome="SUBMITTED")
-        if "stuck=1" in str(r["detail"])
+        if "stuck=1" in r.detail
     ]
     assert len(stuck) == 5
     assert w.trace.select(TRACE_PILOT, outcome="JOINED") == []
@@ -257,9 +257,9 @@ def test_dropped_joins_are_retried_on_keepalive():
         ],
     )
     drops = w.trace.select(CH_JOIN.label, outcome="DROP")
-    assert len(drops) == 5 and all(int(r["t"]) == 30 for r in drops)
+    assert len(drops) == 5 and all(r.t == 30 for r in drops)
     joins = w.trace.select(TRACE_PILOT, outcome="JOINED")
-    assert len(joins) == 5 and all(int(r["t"]) == 130 for r in joins)
+    assert len(joins) == 5 and all(r.t == 130 for r in joins)
     assert len(w.collector.members) == 5
 
 
@@ -297,7 +297,7 @@ def test_startd_key_compromise_evicts_rotates_reprovisions():
     evictions = w.trace.select(TRACE_PILOT, outcome="EVICT")
     assert len(evictions) == 2  # round-robin put 2 of 4 pilots on startd-1
     for rec in evictions:
-        detail = str(rec["detail"])
+        detail = rec.detail
         assert "kid=startd-1 " in detail and "reason=KeyCompromise" in detail
 
     assert w.keyring.lookup("startd-1").status is KeyStatus.REVOKED
@@ -306,18 +306,18 @@ def test_startd_key_compromise_evicts_rotates_reprovisions():
 
     rotated = w.trace.select("PLAN", outcome="KEY_ROTATED")
     assert len(rotated) == 1
-    assert "old=startd-1 new=startd-1-r1 evicted=2" in str(rotated[0]["detail"])
+    assert "old=startd-1 new=startd-1-r1 evicted=2" in rotated[0].detail
 
     requeues = w.trace.select("JOB", outcome="REQUEUE")
     assert len(requeues) == 2
 
     reprovisions = w.trace.select("PLAN", outcome="REPROVISION")
-    assert len(reprovisions) == 1 and int(reprovisions[0]["t"]) == 360
+    assert len(reprovisions) == 1 and reprovisions[0].t == 360
     late_joins = [
-        r for r in w.trace.select(TRACE_PILOT, outcome="JOINED") if int(r["t"]) > 300
+        r for r in w.trace.select(TRACE_PILOT, outcome="JOINED") if r.t > 300
     ]
-    assert len(late_joins) == 2 and all(int(r["t"]) == 390 for r in late_joins)
-    assert all("kid=startd-1 " not in str(r["detail"]) for r in late_joins)
+    assert len(late_joins) == 2 and all(r.t == 390 for r in late_joins)
+    assert all("kid=startd-1 " not in r.detail for r in late_joins)
 
     # Pool is back at pre-drill strength and every job is running again.
     assert len(w.collector.members) == 4
@@ -335,9 +335,9 @@ def test_daemon_key_compromise_reminted_for_all_daemons():
     assert len(w.collector.members) == 5
     # ...and the very next advertisement succeeds under the new key.
     later = [
-        r for r in successes(w, CH_ADVERTISE, AuthMethod.IDTOKEN) if int(r["t"]) >= 300
+        r for r in successes(w, CH_ADVERTISE, AuthMethod.IDTOKEN) if r.t >= 300
     ]
-    assert later and all("kid=pool-daemon-r1" in str(r["detail"]) for r in later)
+    assert later and all("kid=pool-daemon-r1" in r.detail for r in later)
 
 
 def test_join_with_revoked_key_is_rejected():
@@ -384,7 +384,7 @@ def test_memoised_join_token_fails_once_its_key_is_revoked():
         w.authenticate_on(CH_JOIN, token)
     assert w._parsed[token] is parsed
     (failed,) = failures(w, CH_JOIN, "KeyRevoked")
-    assert failed["method"] == AuthMethod.IDTOKEN.value
+    assert failed.method == AuthMethod.IDTOKEN.value
 
 
 def test_memoised_join_token_expires():
@@ -409,7 +409,7 @@ def test_memoised_capability_token_is_refused_at_another_gateway():
         w.authenticate_on(CH_CE_SUBMIT, for_a, audience="ce-b")
     assert {for_a, for_b} <= w._parsed.keys()
     (failed,) = failures(w, CH_CE_SUBMIT, "AudienceMismatch")
-    assert failed["method"] == AuthMethod.SCITOKEN.value
+    assert failed.method == AuthMethod.SCITOKEN.value
 
 
 def test_malformed_token_is_recorded_each_time_and_never_remembered():
@@ -421,7 +421,7 @@ def test_malformed_token_is_recorded_each_time_and_never_remembered():
         with pytest.raises(MalformedToken):
             w.authenticate_on(CH_JOIN, malformed)
     assert w._parsed == remembered
-    assert [r["method"] for r in failures(w, CH_JOIN, "MalformedToken")] == ["-", "-"]
+    assert [r.method for r in failures(w, CH_JOIN, "MalformedToken")] == ["-", "-"]
 
 
 def test_parse_memo_is_cleared_when_full(monkeypatch):
@@ -489,7 +489,7 @@ def test_pilot_with_no_work_retires_idle():
     retired = [
         r
         for r in w.trace.select(TRACE_PILOT, outcome="RETIRED")
-        if "reason=idle" in str(r["detail"])
+        if "reason=idle" in r.detail
     ]
     assert len(retired) == 1
     assert len(w.collector.members) == 0
@@ -504,7 +504,7 @@ def test_single_use_pilots_retire_with_their_job():
     assert len(done) == 2
     retired = w.trace.select(TRACE_PILOT, outcome="RETIRED")
     assert len(retired) == 2
-    assert all("job=" in str(r["detail"]) for r in retired)
+    assert all("job=" in r.detail for r in retired)
     assert len(w.collector.members) == 0
     assert w.ces["ce-a"].reserved == 0
 
@@ -526,7 +526,7 @@ def test_issuer_requires_read_level():
         w.issuer.fetch_capability(w.schedd.token, "ce-a")  # ADVERTISE-limited
     denied = w.trace.select(CH_TOKEN_FETCH.label, outcome="DENIED")
     assert len(denied) == 1
-    assert "missing=READ" in str(denied[0]["detail"])
+    assert "missing=READ" in denied[0].detail
 
 
 def test_capability_tokens_are_refreshed_before_expiry():
@@ -536,7 +536,7 @@ def test_capability_tokens_are_refreshed_before_expiry():
     )
     fetches = successes(w, CH_TOKEN_FETCH, AuthMethod.IDTOKEN)
     # Refresh at 80% of a 100 s lifetime with a 60 s cycle: t=0, 120, 240, ...
-    assert [int(r["t"]) for r in fetches] == [0, 120, 240, 360, 480, 600]
+    assert [r.t for r in fetches] == [0, 120, 240, 360, 480, 600]
 
 
 # -- factory gates ----------------------------------------------------------
@@ -620,8 +620,8 @@ def test_plan_steps_rewire_gateways_and_factories():
     assert w.ces["ce-x"].interface is CEInterface.REST
     assert w.ces["ce-x"].accepts_tokens is True
     assert w.factories["fac-1"].condor_major == 10
-    plan_records = [r for r in w.trace.records if r["channel"] == "PLAN"]
-    outcomes = [r["outcome"] for r in plan_records]
+    plan_records = [r for r in w.trace.records if r.channel == "PLAN"]
+    outcomes = [r.outcome for r in plan_records]
     assert "ADOPT_REST" in outcomes
     assert "UPGRADE_FACTORY" in outcomes
     assert "ENABLE_SCITOKEN" in outcomes

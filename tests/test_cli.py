@@ -9,6 +9,7 @@ import pytest
 import yaml
 
 from tokenpool.cli import main
+from tokenpool.simnet import Record, canonical_line
 
 SECRET = bytes(range(32))
 ISSUER = "https://issuer.test"
@@ -234,6 +235,12 @@ def test_sim_run_reports_digest_and_writes_trace(capsys, scenario_file, tmp_path
     assert match
     assert hashlib.sha256(trace_out.read_bytes()).hexdigest() == match.group(1)
     assert "tail_fill=" in out
+    lines = trace_out.read_bytes().splitlines(keepends=True)
+    assert lines
+    for line in lines:
+        obj = json.loads(line)
+        assert sorted(obj) == sorted(Record._fields)
+        assert canonical_line(Record(**obj)).encode() == line
 
 
 def test_sim_run_json_format(capsys, scenario_file):

@@ -92,6 +92,18 @@ def test_run_scenario_accepts_a_path(tmp_path, small_result):
     assert run_scenario(path).digest == small_result.digest
 
 
+def test_report_and_render_hash_the_trace_once(monkeypatch):
+    result = run_scenario(parse_scenario(doc()))
+    hashed = []
+    real_digest = Trace.digest
+    monkeypatch.setattr(Trace, "digest", lambda trace: hashed.append(trace) or real_digest(trace))
+    report = report_dict(result)
+    text = render_report(result)
+    assert hashed == [result.trace]
+    assert report["digest"] == real_digest(result.trace)
+    assert f"digest: {report['digest']}" in text
+
+
 def test_parse_detail():
     assert parse_detail("a=1 b=x flag orphan=") == {"a": "1", "b": "x", "orphan": ""}
     assert parse_detail("") == {}
@@ -114,17 +126,17 @@ def test_compute_metrics_cross_checks_against_raw_trace(small_result):
     recounted = sum(
         1
         for r in trace.records
-        if r["channel"] in auth_channels and r["outcome"] == "SUCCESS"
+        if r.channel in auth_channels and r.outcome == "SUCCESS"
     )
     assert sum(metrics.auth_success.values()) == recounted
     assert sum(metrics.auth_failures.values()) == sum(
         1
         for r in trace.records
-        if r["channel"] in auth_channels and str(r["outcome"]).startswith("FAIL:")
+        if r.channel in auth_channels and r.outcome.startswith("FAIL:")
     )
 
     sizes = [
-        (int(r["t"]), int(parse_detail(str(r["detail"]))["size"]))
+        (r.t, int(parse_detail(r.detail)["size"]))
         for r in trace.select("POOL", outcome="SAMPLE")
     ]
     assert metrics.peak_pool == max(s for _, s in sizes)
@@ -205,7 +217,7 @@ def test_phase_soundness_detects_forged_legacy_use(small_result):
     boundary = next(
         i
         for i, r in enumerate(forged.records)
-        if r["channel"] == "PLAN" and r["outcome"] == "PHASE" and r["t"] == 300
+        if r.channel == "PLAN" and r.outcome == "PHASE" and r.t == 300
     )
     forged.record(300, "FACTORY->CE", "SUCCESS", method="GSI_PROXY", identity="cms-pilot")
     forged.records.insert(boundary, forged.records.pop())

@@ -12,6 +12,7 @@ from tokenpool.errors import (
     UnmappedIdentity,
     UntrustedCA,
 )
+from tokenpool.jose import decode_token
 from tokenpool.policy import (
     JOB_SUBMIT_SCOPE,
     PHASE_PERMITS,
@@ -221,6 +222,8 @@ def table():
 
 
 def auth(table, channel, credential, **kw):
+    if isinstance(credential, str):
+        credential = decode_token(credential)
     kw.setdefault("trusted_cas", frozenset({CA}))
     kw.setdefault("local_host", HOST)
     kw.setdefault("now", NOW)

@@ -4,16 +4,19 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tokenpool.errors import SimulationError, UnknownTarget
 from tokenpool.simnet import (
-    JSONL_CHUNK,
     Engine,
     Fault,
     FaultBoard,
     FaultKind,
+    Record,
     RngStreams,
     Trace,
+    canonical_line,
     fail_outcome,
     message_dropped,
 )
@@ -110,23 +113,29 @@ def test_trace_record_and_select():
     assert len(trace.select("A->B")) == 2
     assert len(trace.select(outcome="SUCCESS")) == 1
     assert len(trace.select(outcome_prefix="FAIL:")) == 2
-    assert trace.select("C->D", outcome_prefix="FAIL:")[0]["outcome"] == "FAIL:UnknownKey"
+    assert trace.select("C->D", outcome_prefix="FAIL:")[0].outcome == "FAIL:UnknownKey"
 
 
-def test_trace_normalizes_integral_floats():
+@pytest.mark.parametrize("t", [5.0, 5.5, True], ids=["integral-float", "float", "bool"])
+def test_trace_rejects_non_int_times(t):
     trace = Trace()
-    trace.record(5.0, "A->B", "SUCCESS")
-    line = trace.to_jsonl().splitlines()[0]
-    assert '"t":5' in line and '"t":5.0' not in line
+    with pytest.raises(SimulationError, match="trace time must be an int"):
+        trace.record(t, "A->B", "SUCCESS")
+    assert trace.records == []
+
+
+def _jsonl(trace):
+    return "".join(map(canonical_line, trace.records))
 
 
 def test_trace_jsonl_is_canonical_and_digest_matches():
     trace = Trace()
     trace.record(1, "A->B", "SUCCESS", detail="x=1")
-    text = trace.to_jsonl()
+    assert trace.records == [Record("A->B", "x=1", "-", "-", "SUCCESS", 1)]
+    text = _jsonl(trace)
     assert text.endswith("\n")
     parsed = json.loads(text.splitlines()[0])
-    assert list(parsed) == sorted(parsed)
+    assert list(parsed) == sorted(parsed) == list(Record._fields)
     assert trace.digest() == hashlib.sha256(text.encode()).hexdigest()
     before = trace.digest()
     trace.record(2, "A->B", "SUCCESS")
@@ -138,42 +147,57 @@ def test_trace_write(tmp_path):
     trace.record(1, "A->B", "SUCCESS")
     out = tmp_path / "trace.jsonl"
     trace.write(out)
-    assert out.read_text() == trace.to_jsonl()
+    assert out.read_text() == _jsonl(trace)
 
 
-def _trace_of(details):
-    trace = Trace()
-    for i, detail in enumerate(details):
-        trace.record(i, "A->B", "SUCCESS" if i % 3 else "FAIL:Expired", detail=detail)
-    return trace
-
-
-def _reference_jsonl(trace):
-    """The JSONL text built whole, one ``json.dumps`` line per record."""
-    lines = [json.dumps(rec, sort_keys=True, separators=(",", ":")) for rec in trace.records]
-    return "\n".join(lines) + ("\n" if lines else "")
+def _json_line(rec):
+    """The record's line as ``json.dumps`` writes it."""
+    return json.dumps(rec._asdict(), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 @pytest.mark.parametrize(
     "details",
-    [
-        [],
-        ["x=1"],
-        [f"n={i}" for i in range(JSONL_CHUNK)],
-        [f"n={i}" for i in range(2 * JSONL_CHUNK + 1)],
-        ["ce=site-\u00e9 note=\u2713 \U0001f4a5", "plain"],
-    ],
-    ids=["empty", "one", "one-chunk", "over-two-chunks", "non-ascii"],
+    [[], ["x=1"], ["ce=site-\u00e9 note=\u2713 \U0001f4a5", "plain"]],
+    ids=["empty", "one", "non-ascii"],
 )
 def test_trace_digest_hashes_the_jsonl_text(details, tmp_path):
-    trace = _trace_of(details)
-    text = trace.to_jsonl()
-    assert text == _reference_jsonl(trace)
+    trace = Trace()
+    for i, detail in enumerate(details):
+        trace.record(i, "A->B", "SUCCESS" if i % 3 else "FAIL:Expired", detail=detail)
+    text = _jsonl(trace)
+    assert text == "".join(map(_json_line, trace.records))
     assert text.isascii()
     assert trace.digest() == hashlib.sha256(text.encode()).hexdigest()
     out = tmp_path / "trace.jsonl"
     trace.write(out)
     assert out.read_bytes() == text.encode()
+
+
+#: Text that leans on what JSON must escape: quotes, backslashes, control
+#: characters, DEL, line separators, non-BMP characters and lone surrogates.
+_FIELD_TEXT = st.text(
+    st.one_of(
+        st.sampled_from('"\\/\x00\x1f\x7f\u2028'),
+        st.characters(),
+        st.characters(min_codepoint=0x10000),
+        st.characters(categories=["Cs"]),
+    )
+)
+
+
+@given(
+    st.builds(
+        Record,
+        channel=_FIELD_TEXT,
+        detail=_FIELD_TEXT,
+        identity=_FIELD_TEXT,
+        method=_FIELD_TEXT,
+        outcome=_FIELD_TEXT,
+        t=st.integers(),
+    )
+)
+def test_canonical_line_is_the_json_dumps_line(rec):
+    assert canonical_line(rec) == _json_line(rec)
 
 
 def test_fail_outcome_format():
@@ -219,11 +243,11 @@ def test_fault_inject_records_and_activation_callback():
     engine, trace, board = make_board(fault, on_activate=fired.append)
     injects = trace.select("FAULT", outcome="INJECT")
     assert len(injects) == 1
-    assert "kind=KEY_COMPROMISE" in str(injects[0]["detail"])
+    assert "kind=KEY_COMPROMISE" in injects[0].detail
     assert fired == []
     engine.run(100)
     activations = trace.select("FAULT", outcome="ACTIVATE")
-    assert [int(r["t"]) for r in activations] == [40]
+    assert [r.t for r in activations] == [40]
     assert fired == [fault]
 
 
