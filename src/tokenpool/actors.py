@@ -782,33 +782,25 @@ class Frontend:
                 )
             else:
                 pairs = self.provision_pairs()
-                for (factory, ce), count in self._allocate(deficit, len(pairs), pairs):
+                cap = w.scenario.frontend.per_entry_cap
+                for (factory, ce), count in _allocate(deficit, pairs, cap):
                     factory.handle_request(credential, ce, count)
         w.engine.schedule(w.scenario.frontend.cycle, self.cycle)
 
-    def _allocate(
-        self,
-        deficit: int,
-        n_pairs: int,
-        pairs: list[tuple["Factory", "CEGateway"]],
-    ) -> list[tuple[tuple["Factory", "CEGateway"], int]]:
-        """Spread demand one pilot at a time across every factory/gateway
-        pair, each capped per cycle, so no entry starves while another
-        still has headroom."""
-        cap = self.world.scenario.frontend.per_entry_cap
-        counts = [0] * n_pairs
-        idx = 0
-        misses = 0
-        while deficit > 0 and misses < n_pairs:
-            slot = idx % n_pairs
-            if counts[slot] < cap:
-                counts[slot] += 1
-                deficit -= 1
-                misses = 0
-            else:
-                misses += 1
-            idx += 1
-        return [(pairs[i], counts[i]) for i in range(n_pairs) if counts[i]]
+
+def _allocate(
+    deficit: int, pairs: list[tuple[Factory, CEGateway]], cap: int
+) -> list[tuple[tuple[Factory, CEGateway], int]]:
+    """Spread demand evenly across every factory/gateway pair, each capped
+    at ``cap`` per cycle, so no entry starves while another still has
+    headroom: every pair gets ``q`` pilots and the first ``r`` one more,
+    which is what handing them out one at a time in pair order gives.
+    Pairs that get none are left out."""
+    n = len(pairs)
+    if n == 0:
+        return []
+    q, r = divmod(min(deficit, n * cap), n)
+    return [(pair, q + (i < r)) for i, pair in enumerate(pairs) if q + (i < r)]
 
 
 class Factory:

@@ -149,7 +149,7 @@ def cmd_token_verify(args: argparse.Namespace) -> int:
 def cmd_sim_run(args: argparse.Namespace) -> int:
     result = _load(args)
     if args.trace_out:
-        result.trace.write(args.trace_out)
+        result.write_trace(args.trace_out)
     print(render_report(result, args.format), end="")
     return 0
 

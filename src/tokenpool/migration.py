@@ -56,6 +56,11 @@ class RunResult:
     def digest(self) -> str:
         return self.trace.digest()
 
+    def write_trace(self, path: str | Path) -> None:
+        """Write the trace as JSONL, keeping the SHA-256 of the written
+        lines as the digest so the trace is serialised once."""
+        self.__dict__["digest"] = self.trace.write(path)
+
 
 def run_scenario(source: Scenario | str | Path, *, seed: int | None = None) -> RunResult:
     """Build the world for a scenario (or scenario file) and run it out."""

@@ -3,25 +3,25 @@
 A scenario names the seed, horizon, starting auth phase, symmetric keys,
 issuer, frontend tuning, factories, sites with their gateways, workload
 clients, a timed migration plan, and any injected faults.  Parsing is
-strict: anything structurally off raises ScenarioError with a message
-naming the offending field.
+strict: each value must have the type its spec dataclass declares, nothing
+is coerced, and anything off raises ScenarioError naming the field.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 import yaml
 
 from .errors import ScenarioError
 from .policy import AuthMethod, MigrationPhase
-from .simnet import Fault, FaultKind
-
-DEFAULT_SCITOKEN_LIFETIME = 1200
+from .simnet import Fault
 
 
 class CEFlavor(enum.Enum):
@@ -45,7 +45,7 @@ class KeySpec:
 class IssuerSpec:
     url: str
     kid: str
-    scitoken_lifetime: int = DEFAULT_SCITOKEN_LIFETIME
+    scitoken_lifetime: int = 1200
 
 
 @dataclass(frozen=True)
@@ -64,14 +64,14 @@ class PilotTimings:
     token_lifetime: int = 86400
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class CESpec:
     id: str
-    site: str
+    site: str  # the name of the site that lists this gateway
     flavor: CEFlavor
-    interface: CEInterface
+    interface: CEInterface = CEInterface.NATIVE
     capacity: int
-    accepts_tokens: bool
+    accepts_tokens: bool = False
 
 
 @dataclass(frozen=True)
@@ -84,9 +84,9 @@ class SiteSpec:
 class FactorySpec:
     id: str
     condor_major: int
-    rest_adopted: bool
-    token_capable: bool
-    entries: tuple[str, ...]  # empty tuple = serves every gateway
+    rest_adopted: bool = False
+    token_capable: bool = True
+    entries: tuple[str, ...] = ()  # empty tuple = serves every gateway
 
 
 @dataclass(frozen=True)
@@ -106,12 +106,13 @@ class PlanStep:
     params: Mapping[str, Any]
 
 
-PLAN_ACTIONS: dict[str, tuple[str, ...]] = {
-    "set_phase": ("phase",),
-    "enable_scitoken": ("ce",),
-    "adopt_rest": ("ce",),
-    "upgrade_factory": ("factory", "major"),
-    "provision_client_token": ("client",),
+#: The parameters each plan action takes, with their types.
+PLAN_ACTIONS: dict[str, dict[str, type]] = {
+    "set_phase": {"phase": MigrationPhase},
+    "enable_scitoken": {"ce": str},
+    "adopt_rest": {"ce": str},
+    "upgrade_factory": {"factory": str, "major": int},
+    "provision_client_token": {"client": str},
 }
 
 
@@ -120,7 +121,7 @@ class DrillSpec:
     reprovision_delay: int = 60
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Scenario:
     name: str
     seed: int
@@ -128,8 +129,8 @@ class Scenario:
     phase: MigrationPhase
     issuer: IssuerSpec
     keys: tuple[KeySpec, ...]
-    frontend: FrontendSpec
-    pilots: PilotTimings
+    frontend: FrontendSpec = field(default_factory=FrontendSpec)
+    pilots: PilotTimings = field(default_factory=PilotTimings)
     sites: tuple[SiteSpec, ...]
     factories: tuple[FactorySpec, ...]
     clients: tuple[ClientSpec, ...]
@@ -146,270 +147,211 @@ class Scenario:
         return sum(ce.capacity for ce in self.ces)
 
 
-def _need(data: Mapping[str, Any], key: str, where: str) -> Any:
-    if key not in data:
-        raise ScenarioError(f"{where}: missing {key!r}")
-    return data[key]
+#: Lower bound of each integer field that has one (for ``PlanStep``, of
+#: its ``at`` and of the ``major`` parameter of ``upgrade_factory``).
+_MINIMA: dict[type, dict[str, int]] = {
+    Scenario: {"horizon": 1},
+    IssuerSpec: {"scitoken_lifetime": 1},
+    FrontendSpec: {"cycle": 1, "per_entry_cap": 1, "match_interval": 1, "pilot_max_idle": 1},
+    PilotTimings: {"startup": 1, "join_latency": 0, "keepalive": 1, "token_lifetime": 1},
+    CESpec: {"capacity": 1},
+    FactorySpec: {"condor_major": 1},
+    ClientSpec: {"jobs": 0, "duration": 1, "submit_at": 0, "retry_interval": 1},
+    PlanStep: {"at": 0, "major": 1},
+    Fault: {"start": 0},
+    DrillSpec: {"reprovision_delay": 1},
+}
+
+#: Lists whose items are named in error messages by a noun (where their
+#: YAML key is terse) and take one field from the spec holding the list,
+#: never from their own mapping: ``(noun, item field, holder field)``.
+_ITEMS: dict[tuple[type, str], tuple[str, str, str]] = {(SiteSpec, "ces"): ("gateway", "site", "name")}
+
+_Read = Callable[..., Any]
 
 
-def _as_int(value: Any, where: str, minimum: int | None = None) -> int:
+def _read_exact(kind: type, expected: str, value: Any, where: str) -> Any:
+    if not isinstance(value, kind):
+        raise ScenarioError(f"{where}: expected {expected}, got {value!r}")
+    return value
+
+
+def _read_float(value: Any, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(f"{where}: expected a number, got {value!r}")
+    return float(value)
+
+
+def _read_int(value: Any, where: str, minimum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(f"{where}: expected integer, got {value!r}")
+        raise ScenarioError(f"{where}: expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ScenarioError(f"{where}: must be >= {minimum}, got {value}")
     return value
 
 
-def _as_bool(value: Any, where: str) -> bool:
-    if not isinstance(value, bool):
-        raise ScenarioError(f"{where}: expected true or false, got {value!r}")
-    return value
+def _read_enum(cls: type[enum.Enum], value: Any, where: str) -> enum.Enum:
+    if isinstance(value, str) and value in cls.__members__:
+        return cls[value]
+    raise ScenarioError(f"{where}: {value!r} not one of {', '.join(cls.__members__)}")
 
 
-def _fields_of(cls: type, data: Any, where: str, *, skip: str = "") -> Mapping[str, Any]:
-    """Return ``data`` if it is a mapping whose keys all name fields of ``cls``."""
+def _read_list(read: _Read, value: Any, where: str, **given: Any) -> tuple:
+    if not isinstance(value, list):
+        raise ScenarioError(f"{where}: expected a list, got {value!r}")
+    return tuple(read(item, f"{where}[{i}]", **given) for i, item in enumerate(value))
+
+
+@functools.cache
+def _reader(tp: Any, minimum: int | None = None) -> _Read:
+    """The function that reads a YAML value as a ``tp``, built once per type."""
+    if tp is str:
+        return functools.partial(_read_exact, str, "a string")
+    if tp is bool:
+        return functools.partial(_read_exact, bool, "true or false")
+    if tp is float:
+        return _read_float
+    if tp is int:
+        return functools.partial(_read_int, minimum=minimum)
+    if isinstance(tp, enum.EnumMeta):
+        return functools.partial(_read_enum, tp)
+    if tp is PlanStep:
+        return _read_plan_step
+    if dataclasses.is_dataclass(tp):
+        return functools.partial(_read_spec, tp)
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is tuple:  # tuple[X, ...]
+        return functools.partial(_read_list, _reader(args[0]))
+    if args[1:] == (type(None),):  # X | None
+        read = _reader(args[0], minimum)
+        return lambda value, where: None if value is None else read(value, where)
+    raise TypeError(f"no scenario reader for {tp!r}")
+
+
+@functools.cache
+def _plan(cls: type) -> dict[str, tuple[_Read, bool, tuple[str, str, str] | None]]:
+    """Each field of a spec class: its reader, whether it has no default,
+    and its ``_ITEMS`` entry.  Built once per class."""
+    hints = typing.get_type_hints(cls)
+    minima = _MINIMA.get(cls, {})
+    return {
+        f.name: (
+            _reader(hints[f.name], minima.get(f.name)),
+            f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING,
+            _ITEMS.get((cls, f.name)),
+        )
+        for f in dataclasses.fields(cls)
+    }
+
+
+def _read_spec(cls: type, data: Any, where: str, **given: Any) -> Any:
+    """Read a mapping into ``cls``: each key names a field, each value has
+    its field's type, and an absent field takes its declared default.
+    ``given`` fields come from the caller and may not appear in ``data``."""
+    plan = _plan(cls)
+    if not isinstance(data, Mapping):
+        raise ScenarioError(f"{where or 'scenario'}: expected a mapping, got {data!r}")
+    unknown = sorted(str(k) for k in data if k not in plan or k in given)
+    if unknown:
+        raise ScenarioError(f"unknown {where or 'top-level'} fields: {unknown}")
+    values = dict(given)
+    for name, (read, required, items) in plan.items():
+        if name not in data:
+            if required and name not in values:
+                raise ScenarioError(f"{where or 'scenario'}: missing {name!r}")
+            continue
+        if items is None:
+            values[name] = read(data[name], f"{where}.{name}" if where else name)
+        else:
+            noun, item_field, holder_field = items
+            values[name] = read(data[name], f"{noun} {where}.{name}", **{item_field: values[holder_field]})
+    return cls(**values)
+
+
+def _read_plan_step(data: Any, where: str) -> PlanStep:
+    """A plan step is one flat mapping: ``at``, ``action`` and the
+    parameters ``PLAN_ACTIONS`` lists for that action, each of its type."""
     if not isinstance(data, Mapping):
         raise ScenarioError(f"{where}: expected a mapping, got {data!r}")
-    known = {f.name for f in dataclasses.fields(cls)} - {skip}
-    unknown = sorted(str(k) for k in data if k not in known)
-    if unknown:
-        raise ScenarioError(f"unknown {where} fields: {unknown}")
-    return data
-
-
-def _int_spec(cls: type, data: Any, where: str, minima: Mapping[str, int]) -> Any:
-    """Build an all-integer spec; a field left out keeps its dataclass default."""
-    data = _fields_of(cls, data, where)
-    return cls(
-        **{
-            name: _as_int(data.get(name, getattr(cls, name)), f"{where}.{name}", low)
-            for name, low in minima.items()
-        }
-    )
-
-
-def _as_enum(cls: type, value: Any, where: str) -> Any:
-    try:
-        return cls(value)
-    except ValueError:
-        allowed = ", ".join(m.value for m in cls)  # type: ignore[attr-defined]
-        raise ScenarioError(f"{where}: {value!r} not one of {allowed}") from None
-
-
-def _parse_ce(data: Mapping[str, Any], site: str) -> CESpec:
-    data = _fields_of(CESpec, data, f"site {site} gateway", skip="site")
-    ce_id = str(_need(data, "id", f"site {site} gateway"))
-    where = f"gateway {ce_id}"
-    flavor = _as_enum(CEFlavor, _need(data, "flavor", where), where)
-    if flavor is CEFlavor.HTCONDOR_CE:
-        interface = CEInterface.NATIVE
-        if "interface" in data and data["interface"] != "NATIVE":
-            raise ScenarioError(f"{where}: HTCONDOR_CE admits only the NATIVE interface")
-    else:
-        interface = _as_enum(CEInterface, _need(data, "interface", where), where)
-        if interface is CEInterface.NATIVE:
-            raise ScenarioError(f"{where}: ARC_CE needs REST or LDAP")
-    return CESpec(
-        id=ce_id,
-        site=site,
-        flavor=flavor,
-        interface=interface,
-        capacity=_as_int(_need(data, "capacity", where), f"{where}.capacity", 1),
-        accepts_tokens=_as_bool(data.get("accepts_tokens", False), f"{where}.accepts_tokens"),
-    )
-
-
-def _parse_fault(data: Mapping[str, Any], index: int) -> Fault:
-    where = f"fault[{index}]"
-    data = _fields_of(Fault, data, where)
-    kind = _as_enum(FaultKind, _need(data, "kind", where), where)
-    start = _as_int(data.get("start", Fault.start), f"{where}.start", 0)
-    end = data.get("end")
-    if end is not None:
-        end = _as_int(end, f"{where}.end", 0)
-        if end <= start:
-            raise ScenarioError(f"{where}: end {end} not after start {start}")
-    rate = data.get("rate", Fault.rate)
-    if not isinstance(rate, (int, float)) or isinstance(rate, bool):
-        raise ScenarioError(f"{where}: rate must be a number")
-    if not 0.0 <= float(rate) <= 1.0:
-        raise ScenarioError(f"{where}: rate {rate} outside [0, 1]")
-    return Fault(
-        kind=kind,
-        target=str(_need(data, "target", where)),
-        start=start,
-        end=end,
-        rate=float(rate),
-    )
-
-
-def _parse_plan_step(data: Mapping[str, Any], index: int) -> PlanStep:
-    where = f"plan[{index}]"
-    action = str(_need(data, "action", where))
+    for key in ("action", "at"):
+        if key not in data:
+            raise ScenarioError(f"{where}: missing {key!r}")
+    action = _read_exact(str, "a string", data["action"], f"{where}.action")
     if action not in PLAN_ACTIONS:
-        raise ScenarioError(
-            f"{where}: unknown action {action!r}; know {sorted(PLAN_ACTIONS)}"
-        )
-    at = _as_int(_need(data, "at", where), f"{where}.at", 0)
-    params = {k: v for k, v in data.items() if k not in ("at", "action")}
-    missing = [k for k in PLAN_ACTIONS[action] if k not in params]
+        raise ScenarioError(f"{where}: unknown action {action!r}; know {sorted(PLAN_ACTIONS)}")
+    at = _read_int(data["at"], f"{where}.at", _MINIMA[PlanStep]["at"])
+    takes = PLAN_ACTIONS[action]
+    missing = [k for k in takes if k not in data]
     if missing:
         raise ScenarioError(f"{where}: {action} needs {missing}")
-    extra = [k for k in params if k not in PLAN_ACTIONS[action]]
+    extra = [k for k in data if k not in takes and k not in ("at", "action")]
     if extra:
         raise ScenarioError(f"{where}: {action} does not take {extra}")
-    if action == "set_phase":
-        params["phase"] = _as_enum(MigrationPhase, params["phase"], where)
-    if action == "upgrade_factory":
-        params["major"] = _as_int(params["major"], f"{where}.major", 1)
+    params = {k: _reader(tp, _MINIMA[PlanStep].get(k))(data[k], f"{where}.{k}") for k, tp in takes.items()}
     return PlanStep(at=at, action=action, params=params)
 
 
-def parse_scenario(data: Mapping[str, Any]) -> Scenario:
-    if not isinstance(data, Mapping):
-        raise ScenarioError("scenario document must be a mapping")
-    _fields_of(Scenario, data, "top-level")
-    name = str(_need(data, "name", "scenario"))
-    seed = _as_int(_need(data, "seed", "scenario"), "seed")
-    horizon = _as_int(_need(data, "horizon", "scenario"), "horizon", 1)
-    phase = _as_enum(MigrationPhase, _need(data, "phase", "scenario"), "phase")
+def _check(sc: Scenario) -> None:
+    """The rules of a scenario that no single field's type states."""
+    for specs, message in (
+        (sc.keys, "keys: need at least one symmetric key"),
+        (sc.sites, "sites: need at least one"),
+        (sc.factories, "factories: need at least one"),
+    ):
+        if not specs:
+            raise ScenarioError(message)
+    ce_ids = [ce.id for ce in sc.ces]
+    factory_ids = [f.id for f in sc.factories]
+    client_ids = [c.id for c in sc.clients]
+    for ids, message in (
+        ([k.kid for k in sc.keys], "keys: duplicate kid"),
+        (ce_ids, "sites: duplicate gateway id"),
+        ([s.name for s in sc.sites], "sites: duplicate site name"),
+        (factory_ids, "factories: duplicate id"),
+        (client_ids, "clients: duplicate id"),
+    ):
+        if len(set(ids)) != len(ids):
+            raise ScenarioError(message)
 
-    issuer_raw = _fields_of(IssuerSpec, _need(data, "issuer", "scenario"), "issuer")
-    issuer = IssuerSpec(
-        url=str(_need(issuer_raw, "url", "issuer")),
-        kid=str(_need(issuer_raw, "kid", "issuer")),
-        scitoken_lifetime=_as_int(
-            issuer_raw.get("scitoken_lifetime", IssuerSpec.scitoken_lifetime),
-            "issuer.scitoken_lifetime",
-            1,
-        ),
-    )
-
-    keys_raw = _need(data, "keys", "scenario")
-    if not keys_raw:
-        raise ScenarioError("keys: need at least one symmetric key")
-    keys = []
-    for entry in keys_raw:
-        entry = _fields_of(KeySpec, entry, "keys")
-        kid = str(_need(entry, "kid", "keys"))
-        purpose = str(_need(entry, "purpose", f"key {kid}"))
-        if purpose not in ("daemon", "startd"):
-            raise ScenarioError(f"key {kid}: purpose must be daemon or startd")
-        keys.append(KeySpec(kid, purpose))
-    kids = [k.kid for k in keys]
-    if len(set(kids)) != len(kids):
-        raise ScenarioError("keys: duplicate kid")
-    if not any(k.purpose == "daemon" for k in keys):
-        raise ScenarioError("keys: need a daemon-purpose key")
-    if not any(k.purpose == "startd" for k in keys):
-        raise ScenarioError("keys: need a startd-purpose key")
-
-    frontend = _int_spec(
-        FrontendSpec,
-        data.get("frontend", {}),
-        "frontend",
-        {"cycle": 1, "per_entry_cap": 1, "match_interval": 1, "pilot_max_idle": 1},
-    )
-    pilots = _int_spec(
-        PilotTimings,
-        data.get("pilots", {}),
-        "pilots",
-        {"startup": 1, "join_latency": 0, "keepalive": 1, "token_lifetime": 1},
-    )
-    if pilots.join_latency > pilots.startup:
+    for key in sc.keys:
+        if key.purpose not in ("daemon", "startd"):
+            raise ScenarioError(f"key {key.kid}: purpose must be daemon or startd")
+    for purpose in ("daemon", "startd"):
+        if not any(k.purpose == purpose for k in sc.keys):
+            raise ScenarioError(f"keys: need a {purpose}-purpose key")
+    if sc.pilots.join_latency > sc.pilots.startup:
         raise ScenarioError("pilots.join_latency cannot exceed pilots.startup")
+    for site in sc.sites:
+        if not site.ces:
+            raise ScenarioError(f"site {site.name}: no gateways")
+    for ce in sc.ces:
+        if ce.flavor is CEFlavor.HTCONDOR_CE and ce.interface is not CEInterface.NATIVE:
+            raise ScenarioError(f"gateway {ce.id}: HTCONDOR_CE admits only the NATIVE interface")
+        if ce.flavor is CEFlavor.ARC_CE and ce.interface is CEInterface.NATIVE:
+            raise ScenarioError(f"gateway {ce.id}: ARC_CE needs REST or LDAP")
+    for factory in sc.factories:
+        for entry in factory.entries:
+            if entry not in ce_ids:
+                raise ScenarioError(f"factory {factory.id}: unknown entry {entry!r}")
+    for client in sc.clients:
+        if not client.methods:
+            raise ScenarioError(f"client {client.id}: empty methods list")
+    targets = {"ce": ("gateway", ce_ids), "factory": ("factory", factory_ids), "client": ("client", client_ids)}
+    for i, step in enumerate(sc.plan):
+        for param, (noun, known) in targets.items():
+            if param in step.params and step.params[param] not in known:
+                raise ScenarioError(f"plan[{i}]: unknown {noun} {step.params[param]!r}")
+    for i, fault in enumerate(sc.faults):
+        if fault.end is not None and fault.end <= fault.start:
+            raise ScenarioError(f"faults[{i}]: end {fault.end} not after start {fault.start}")
+        if not 0.0 <= fault.rate <= 1.0:
+            raise ScenarioError(f"faults[{i}]: rate {fault.rate} outside [0, 1]")
 
-    sites = []
-    for site_raw in _need(data, "sites", "scenario"):
-        site_raw = _fields_of(SiteSpec, site_raw, "sites")
-        site_name = str(_need(site_raw, "name", "sites"))
-        ces = tuple(_parse_ce(ce_raw, site_name) for ce_raw in _need(site_raw, "ces", f"site {site_name}"))
-        if not ces:
-            raise ScenarioError(f"site {site_name}: no gateways")
-        sites.append(SiteSpec(site_name, ces))
-    if not sites:
-        raise ScenarioError("sites: need at least one")
-    all_ce_ids = [ce.id for site in sites for ce in site.ces]
-    if len(set(all_ce_ids)) != len(all_ce_ids):
-        raise ScenarioError("sites: duplicate gateway id")
-    site_names = [s.name for s in sites]
-    if len(set(site_names)) != len(site_names):
-        raise ScenarioError("sites: duplicate site name")
 
-    factories = []
-    for f_raw in _need(data, "factories", "scenario"):
-        f_raw = _fields_of(FactorySpec, f_raw, "factories")
-        f_id = str(_need(f_raw, "id", "factories"))
-        entries = tuple(str(e) for e in f_raw.get("entries", ()))
-        for entry in entries:
-            if entry not in all_ce_ids:
-                raise ScenarioError(f"factory {f_id}: unknown entry {entry!r}")
-        factories.append(
-            FactorySpec(
-                id=f_id,
-                condor_major=_as_int(_need(f_raw, "condor_major", f"factory {f_id}"), f"factory {f_id}.condor_major", 1),
-                rest_adopted=_as_bool(f_raw.get("rest_adopted", False), f"factory {f_id}.rest_adopted"),
-                token_capable=_as_bool(f_raw.get("token_capable", True), f"factory {f_id}.token_capable"),
-                entries=entries,
-            )
-        )
-    if not factories:
-        raise ScenarioError("factories: need at least one")
-    factory_ids = [f.id for f in factories]
-    if len(set(factory_ids)) != len(factory_ids):
-        raise ScenarioError("factories: duplicate id")
-
-    clients = []
-    for c_raw in _need(data, "clients", "scenario"):
-        c_raw = _fields_of(ClientSpec, c_raw, "clients")
-        c_id = str(_need(c_raw, "id", "clients"))
-        methods_raw = _need(c_raw, "methods", f"client {c_id}")
-        if not methods_raw:
-            raise ScenarioError(f"client {c_id}: empty methods list")
-        methods = tuple(_as_enum(AuthMethod, m, f"client {c_id}.methods") for m in methods_raw)
-        clients.append(
-            ClientSpec(
-                id=c_id,
-                methods=methods,
-                jobs=_as_int(_need(c_raw, "jobs", f"client {c_id}"), f"client {c_id}.jobs", 0),
-                duration=_as_int(_need(c_raw, "duration", f"client {c_id}"), f"client {c_id}.duration", 1),
-                submit_at=_as_int(c_raw.get("submit_at", ClientSpec.submit_at), f"client {c_id}.submit_at", 0),
-                retry_interval=_as_int(c_raw.get("retry_interval", ClientSpec.retry_interval), f"client {c_id}.retry_interval", 1),
-            )
-        )
-    client_ids = [c.id for c in clients]
-    if len(set(client_ids)) != len(client_ids):
-        raise ScenarioError("clients: duplicate id")
-
-    plan = tuple(_parse_plan_step(p, i) for i, p in enumerate(data.get("plan", ())))
-    for i, step in enumerate(plan):
-        if step.action in ("enable_scitoken", "adopt_rest") and step.params["ce"] not in all_ce_ids:
-            raise ScenarioError(f"plan[{i}]: unknown gateway {step.params['ce']!r}")
-        if step.action == "upgrade_factory" and step.params["factory"] not in factory_ids:
-            raise ScenarioError(f"plan[{i}]: unknown factory {step.params['factory']!r}")
-        if step.action == "provision_client_token" and step.params["client"] not in client_ids:
-            raise ScenarioError(f"plan[{i}]: unknown client {step.params['client']!r}")
-
-    faults = tuple(_parse_fault(f, i) for i, f in enumerate(data.get("faults", ())))
-
-    drill = _int_spec(DrillSpec, data.get("drill", {}), "drill", {"reprovision_delay": 1})
-
-    return Scenario(
-        name=name,
-        seed=seed,
-        horizon=horizon,
-        phase=phase,
-        issuer=issuer,
-        keys=tuple(keys),
-        frontend=frontend,
-        pilots=pilots,
-        sites=tuple(sites),
-        factories=tuple(factories),
-        clients=tuple(clients),
-        plan=plan,
-        faults=faults,
-        drill=drill,
-    )
+def parse_scenario(data: Mapping[str, Any]) -> Scenario:
+    scenario = _read_spec(Scenario, data, "")
+    _check(scenario)
+    return scenario
 
 
 def load_scenario(path: str | Path) -> Scenario:

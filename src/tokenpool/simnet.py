@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple
+from typing import BinaryIO, Callable, Iterable, NamedTuple
 
 from .errors import SimulationError, UnknownTarget
 
@@ -141,14 +141,24 @@ class Trace:
         return out
 
     def digest(self) -> str:
+        return self._hash_lines(None)
+
+    def write(self, path: str | Path) -> str:
+        """Write the trace as JSONL and return the SHA-256 of what was
+        written, which is the digest."""
+        with open(path, "wb") as out:
+            return self._hash_lines(out)
+
+    def _hash_lines(self, out: BinaryIO | None) -> str:
+        """SHA-256 of the canonical lines, each serialised once and, if
+        ``out`` is given, written there too."""
         sha = hashlib.sha256()
         for line in map(canonical_line, self.records):
-            sha.update(line.encode())
+            data = line.encode()
+            sha.update(data)
+            if out is not None:
+                out.write(data)
         return sha.hexdigest()
-
-    def write(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as out:
-            out.writelines(map(canonical_line, self.records))
 
 
 class FaultKind(enum.Enum):

@@ -5,6 +5,8 @@ import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tokenpool import actors, jose
 from tokenpool.actors import (
@@ -625,3 +627,30 @@ def test_plan_steps_rewire_gateways_and_factories():
     assert "ADOPT_REST" in outcomes
     assert "UPGRADE_FACTORY" in outcomes
     assert "ENABLE_SCITOKEN" in outcomes
+
+
+def _allocate_one_at_a_time(deficit, n_pairs, cap):
+    """The round-robin loop ``_allocate`` replaced: one pilot per pair in
+    turn, skipping full pairs, until the demand is met or every pair is full."""
+    counts = [0] * n_pairs
+    idx = misses = 0
+    while deficit > 0 and misses < n_pairs:
+        slot = idx % n_pairs
+        if counts[slot] < cap:
+            counts[slot] += 1
+            deficit -= 1
+            misses = 0
+        else:
+            misses += 1
+        idx += 1
+    return [(i, counts[i]) for i in range(n_pairs) if counts[i]]
+
+
+@given(
+    n_pairs=st.integers(min_value=0, max_value=30),
+    cap=st.integers(min_value=1, max_value=15),
+    deficit=st.integers(min_value=0, max_value=500),
+)
+def test_allocate_matches_one_at_a_time_loop(n_pairs, cap, deficit):
+    pairs = list(range(n_pairs))
+    assert actors._allocate(deficit, pairs, cap) == _allocate_one_at_a_time(deficit, n_pairs, cap)

@@ -243,6 +243,19 @@ def test_sim_run_reports_digest_and_writes_trace(capsys, scenario_file, tmp_path
         assert canonical_line(Record(**obj)).encode() == line
 
 
+def test_sim_run_trace_out_serialises_each_record_once(scenario_file, tmp_path, monkeypatch):
+    """The written lines are hashed as they are written, and the report
+    reuses that digest instead of serialising the trace again."""
+    from tokenpool import simnet
+
+    calls = []
+    real = simnet.canonical_line
+    monkeypatch.setattr(simnet, "canonical_line", lambda rec: calls.append(rec) or real(rec))
+    trace_out = tmp_path / "trace.jsonl"
+    assert main(["sim", "run", scenario_file, "--trace-out", str(trace_out)]) == 0
+    assert len(calls) == trace_out.read_bytes().count(b"\n") > 0
+
+
 def test_sim_run_json_format(capsys, scenario_file):
     rc = main(["sim", "run", scenario_file, "--format", "json"])
     assert rc == 0
@@ -309,6 +322,16 @@ def test_broken_scenario_file(capsys, tmp_path):
     rc = main(["sim", "run", str(path)])
     assert rc == 2
     assert "bad scenario" in capsys.readouterr().err
+
+
+def test_wrongly_typed_plan_step_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "plan.yaml"
+    path.write_text(yaml.safe_dump({**SCENARIO, "plan": [5]}))
+    rc = main(["report", str(path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad scenario: plan[0]: expected a mapping")
+    assert "Traceback" not in err
 
 
 def test_missing_subcommand_is_a_usage_error():

@@ -1,10 +1,13 @@
 """Scenario parsing: defaults, cross-references, strict rejection."""
 
 import copy
+from pathlib import Path
 
 import pytest
+import yaml
 
 from tokenpool.errors import ScenarioError
+from tokenpool.migration import run_scenario
 from tokenpool.policy import AuthMethod, MigrationPhase
 from tokenpool.scenario import (
     CEFlavor,
@@ -17,6 +20,8 @@ from tokenpool.scenario import (
     parse_scenario,
 )
 from tokenpool.simnet import FaultKind
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def base_doc():
@@ -315,3 +320,130 @@ def test_load_scenario_rejects_bad_yaml_and_empty_files(tmp_path):
     empty.write_text("")
     with pytest.raises(ScenarioError, match="empty"):
         load_scenario(empty)
+
+
+def _with_fault(**fault):
+    return variant(faults=[{"kind": "MESSAGE_DROP", "target": "*", **fault}])
+
+
+#: A wrongly typed value at each level, with the message that must name it.
+#: The parent coerced the first six with ``str(...)`` and crashed on the plan step.
+WRONGLY_TYPED = {
+    "name-null": (variant(name=None), r"^name: expected a string, got None"),
+    "issuer-kid-null": (
+        variant(issuer={"url": "https://issuer.test", "kid": None}),
+        r"^issuer\.kid: expected a string",
+    ),
+    "issuer-url-list": (
+        variant(issuer={"url": [1, 2], "kid": "op-1"}),
+        r"^issuer\.url: expected a string",
+    ),
+    "key-kid-int": (
+        variant(keys=[{"kid": 7, "purpose": "daemon"}, {"kid": "s", "purpose": "startd"}]),
+        r"^keys\[0\]\.kid: expected a string, got 7",
+    ),
+    "site-name-bool": (
+        variant(sites=[{**base_doc()["sites"][0], "name": True}]),
+        r"^sites\[0\]\.name: expected a string, got True",
+    ),
+    "fault-target-null": (_with_fault(target=None), r"^faults\[0\]\.target: expected a string"),
+    "methods-mapping": (
+        variant(clients=[{"id": "c", "methods": {"IDTOKEN": 1}, "jobs": 1, "duration": 9}]),
+        r"^clients\[0\]\.methods: expected a list",
+    ),
+    "plan-step-int": (variant(plan=[5]), r"^plan\[0\]: expected a mapping, got 5"),
+    "keys-mapping": (
+        variant(keys={"kid": "pool-daemon", "purpose": "daemon"}),
+        r"^keys: expected a list",
+    ),
+    "sites-string": (variant(sites="site-a"), r"^sites: expected a list"),
+    "gateways-mapping": (
+        variant(sites=[{"name": "site-a", "ces": base_doc()["sites"][0]["ces"][0]}]),
+        r"^gateway sites\[0\]\.ces: expected a list",
+    ),
+    "entries-string": (
+        variant(factories=[{"id": "f", "condor_major": 10, "entries": "ce-a1"}]),
+        r"^factories\[0\]\.entries: expected a list",
+    ),
+    "methods-string": (
+        variant(clients=[{"id": "c", "methods": "IDTOKEN", "jobs": 1, "duration": 9}]),
+        r"^clients\[0\]\.methods: expected a list",
+    ),
+    "plan-string": (variant(plan="set_phase"), r"^plan: expected a list"),
+    "plan-param-int": (
+        variant(plan=[{"at": 1, "action": "enable_scitoken", "ce": 5}]),
+        r"^plan\[0\]\.ce: expected a string, got 5",
+    ),
+    "rate-bool": (_with_fault(rate=True), r"^faults\[0\]\.rate: expected a number"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONGLY_TYPED))
+def test_wrongly_typed_value_rejected(case):
+    doc, message = WRONGLY_TYPED[case]
+    with pytest.raises(ScenarioError, match=message):
+        parse_scenario(doc)
+
+
+def test_an_int_rate_is_read_as_a_float_and_end_may_be_null():
+    sc = parse_scenario(_with_fault(rate=1))
+    assert sc.faults[0].rate == 1.0 and isinstance(sc.faults[0].rate, float)
+    assert parse_scenario(_with_fault(end=None)).faults[0].end is None
+
+
+#: YAML values of every type a scalar can be replaced with.
+REPLACEMENTS = (None, True, 7, 1.5, "x", [], {})
+
+
+def _scalar_leaves(node, path=()):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _scalar_leaves(value, (*path, key))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _scalar_leaves(value, (*path, i))
+    else:
+        yield path, node
+
+
+def _replaced(doc, path, value):
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("stem", ["split-2022", "drill-keysplit"])
+def test_every_scalar_of_another_type_is_rejected(stem):
+    """Each scalar leaf of a shipped scenario, replaced by a value of another
+    type, fails with ScenarioError.  An int may stand for a float, and a
+    string standing for a string is checked only as what it names, so
+    either may parse; neither may raise anything else."""
+    doc = yaml.safe_load((SCENARIO_DIR / f"{stem}.yaml").read_text())
+    leaves = list(_scalar_leaves(doc))
+    assert len(leaves) > 40
+    for path, original in leaves:
+        for value in REPLACEMENTS:
+            may_parse = type(value) is type(original) or (
+                type(original) is float and type(value) is int
+            )
+            try:
+                parse_scenario(_replaced(doc, path, value))
+            except ScenarioError:
+                continue
+            assert may_parse, f"{stem}: {path} = {value!r} was accepted"
+
+
+def test_readme_example_parses_and_runs():
+    """The scenario block in README's "Scenario files" section is a working scenario."""
+    readme = (SCENARIO_DIR.parent / "README.md").read_text()
+    section = readme[readme.index("## Scenario files"):]
+    block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+    sc = parse_scenario(yaml.safe_load(block))
+    assert sc.name == "example"
+    assert [ce.interface for ce in sc.ces] == [CEInterface.NATIVE, CEInterface.REST]
+    result = run_scenario(sc)
+    assert len(result.digest) == 64
+    assert any(rec.channel == "PLAN" for rec in result.trace.records)
