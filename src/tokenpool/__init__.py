@@ -27,6 +27,7 @@ from .policy import (
     AuthMethod,
     AuthzLevel,
     Channel,
+    CompiledPolicy,
     MigrationPhase,
     PolicyTable,
     Role,
@@ -58,6 +59,7 @@ __all__ = [
     "AuthorizationDenied",
     "AuthzLevel",
     "Channel",
+    "CompiledPolicy",
     "DrillReport",
     "IssuerKey",
     "MigrationPhase",

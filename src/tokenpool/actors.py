@@ -22,6 +22,7 @@ from .errors import (
     KEY_COMPROMISE,
     AuthorizationDenied,
     MismatchedCredential,
+    NoCommonMethod,
     TokenPoolError,
     UnauthorizedRequestor,
     UntrustedIssuer,
@@ -31,6 +32,7 @@ from .policy import (
     AuthenticatedPeer,
     AuthMethod,
     Channel,
+    CompiledPolicy,
     LocalFsCredential,
     MigrationPhase,
     ProxyCredential,
@@ -42,7 +44,6 @@ from .policy import (
     negotiate_method,
     token_method,
 )
-from .errors import NoCommonMethod
 from .scenario import CEFlavor, CEInterface, CESpec, ClientSpec, FactorySpec, Scenario
 from .simnet import (
     Engine,
@@ -202,13 +203,15 @@ class World:
         self.trusted_cas = frozenset({self.CA})
 
         self.base_table = default_table()
-        self.active_table = apply_phase(self.base_table, self.phase)
+        self.policy = CompiledPolicy(apply_phase(self.base_table, self.phase))
 
         self._used_jtis: dict[str, set[str]] = {}
         self._parsed: dict[str, jose.Token] = {}
         self._pilot_seq = 0
         self._job_seq = 0
         self.pilots: dict[str, Pilot] = {}
+        #: Pilots in PILOT_SUPPLY_STATES, kept by ``set_pilot_state``.
+        self.supply = 0
         self.jobs: list[Job] = []
         self.jobs_by_id: dict[str, Job] = {}
 
@@ -289,15 +292,17 @@ class World:
         Raises the underlying failure after recording it, so callers
         decide retry/fallback while the trace stays complete.
         """
-        pol = self.active_table.policy_for(channel)
+        compiled = self.policy
+        pol = compiled.channels[channel.label]
         now = self.engine.now
         try:
             if isinstance(credential, str):
                 credential = self.parsed_token(credential)
             peer = authenticate(
                 channel,
-                self.active_table,
+                pol,
                 credential,  # type: ignore[arg-type]
+                compiled=compiled,
                 keyring=self.keyring,
                 trust=self.trust,
                 trusted_cas=self.trusted_cas,
@@ -342,7 +347,7 @@ class World:
 
     def set_phase(self, phase: MigrationPhase) -> None:
         self.phase = phase
-        self.active_table = apply_phase(self.base_table, phase)
+        self.policy = CompiledPolicy(apply_phase(self.base_table, phase))
         self.trace.record(
             self.engine.now, TRACE_PLAN, "PHASE", detail=f"phase={phase.value}"
         )
@@ -360,6 +365,7 @@ class World:
             requested_at=self.engine.now,
         )
         self.pilots[pid] = pilot
+        self.supply += 1
         self.trace.record(
             self.engine.now,
             TRACE_PILOT,
@@ -368,8 +374,13 @@ class World:
         )
         return pilot
 
-    def pilot_event(self, pilot: Pilot, state: PilotState, extra: str = "") -> None:
+    def set_pilot_state(self, pilot: Pilot, state: PilotState) -> None:
+        """Every change of a pilot's state comes here, to keep ``supply``."""
+        self.supply += (state in PILOT_SUPPLY_STATES) - (pilot.state in PILOT_SUPPLY_STATES)
         pilot.state = state
+
+    def pilot_event(self, pilot: Pilot, state: PilotState, extra: str = "") -> None:
+        self.set_pilot_state(pilot, state)
         self.trace.record(
             self.engine.now,
             TRACE_PILOT,
@@ -496,7 +507,7 @@ class WMClient:
             return
         w = self.world
         now = w.engine.now
-        accepted = w.active_table.policy_for(CH_SUBMIT).methods
+        accepted = w.policy.channels[CH_SUBMIT.label].methods
         batch = f"client={self.spec.id} jobs={self.spec.jobs}"
         try:
             method = negotiate_method(self.offered_methods(), accepted)
@@ -549,7 +560,7 @@ class Schedd:
     def advertise(self) -> None:
         w = self.world
         now = w.engine.now
-        accepted = w.active_table.policy_for(CH_ADVERTISE).methods
+        accepted = w.policy.channels[CH_ADVERTISE.label].methods
         try:
             method = negotiate_method(
                 (AuthMethod.IDTOKEN, AuthMethod.GSI_PROXY), accepted
@@ -644,7 +655,7 @@ class Collector:
         self.members.pop(pilot.id, None)
         w.release_slot(pilot)
         w.requeue_job(pilot)
-        pilot.state = PilotState.FAILED
+        w.set_pilot_state(pilot, PilotState.FAILED)
         w.trace.record(
             w.engine.now,
             TRACE_PILOT,
@@ -675,7 +686,7 @@ class Collector:
         )
         idle_jobs = [j for j in w.jobs if j.state is JobState.IDLE]
         for pilot, job in zip(idle_pilots, idle_jobs):
-            pilot.state = PilotState.MATCHED
+            w.set_pilot_state(pilot, PilotState.MATCHED)
             pilot.job_id = job.id
             job.state = JobState.RUNNING
             job.pilot_id = pilot.id
@@ -745,7 +756,7 @@ class Frontend:
 
     def factory_credential(self) -> object | None:
         w = self.world
-        accepted = w.active_table.policy_for(CH_PROVISION).methods
+        accepted = w.policy.channels[CH_PROVISION.label].methods
         try:
             method = negotiate_method(
                 (AuthMethod.IDTOKEN, AuthMethod.GSI_PROXY), accepted
@@ -766,10 +777,7 @@ class Frontend:
         w = self.world
         self.refresh_capabilities()
         idle = sum(1 for j in w.jobs if j.state is JobState.IDLE)
-        supply = sum(
-            1 for p in w.pilots.values() if p.state in PILOT_SUPPLY_STATES
-        )
-        deficit = max(0, idle - supply)
+        deficit = max(0, idle - w.supply)
         if deficit > 0:
             credential = self.factory_credential()
             if credential is None:
@@ -843,24 +851,23 @@ class Factory:
 
     def select_credential(self, ce: "CEGateway") -> tuple[object, AuthMethod]:
         w = self.world
-        pol = w.active_table.policy_for(CH_CE_SUBMIT)
+        methods = w.policy.channels[CH_CE_SUBMIT.label].methods
         if (
-            AuthMethod.SCITOKEN in pol.methods
+            AuthMethod.SCITOKEN in methods
             and self.token_capable
             and ce.accepts_tokens
         ):
             token = w.frontend.capability_for(ce.id)
             if token is not None:
                 return token, AuthMethod.SCITOKEN
-        if AuthMethod.GSI_PROXY in pol.methods:
+        if AuthMethod.GSI_PROXY in methods:
             return self.pilot_proxy, AuthMethod.GSI_PROXY
         raise MismatchedCredential(
             f"no credential for {ce.id} under phase {w.phase.value}"
         )
 
     def proxy_fallback_allowed(self) -> bool:
-        pol = self.world.active_table.policy_for(CH_CE_SUBMIT)
-        return AuthMethod.GSI_PROXY in pol.methods
+        return AuthMethod.GSI_PROXY in self.world.policy.channels[CH_CE_SUBMIT.label].methods
 
     def submit_one(self, ce: "CEGateway") -> Pilot:
         w = self.world

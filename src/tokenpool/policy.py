@@ -12,7 +12,7 @@ carries the missing rights.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -77,6 +77,16 @@ def _closure(level: AuthzLevel) -> frozenset[AuthzLevel]:
 
 
 _DOMINATES: dict[AuthzLevel, frozenset[AuthzLevel]] = {lvl: _closure(lvl) for lvl in AuthzLevel}
+
+#: The held levels that pass a channel outright, by the level it requires:
+#: those dominating it, or ADMIN alone on a scope-guarded channel (``None``),
+#: because operators bypass capability gates.
+_SATISFIED_BY: dict[AuthzLevel | None, frozenset[AuthzLevel]] = {
+    **{req: frozenset(h for h in AuthzLevel if req in _DOMINATES[h]) for req in AuthzLevel},
+    None: frozenset({AuthzLevel.ADMIN}),
+}
+_ALL_LEVELS = frozenset(AuthzLevel)
+_LEVEL_NAMES = frozenset(level.value for level in AuthzLevel)
 
 
 def dominates(held: AuthzLevel, required: AuthzLevel) -> bool:
@@ -144,17 +154,22 @@ class ChannelPolicy:
     """What a channel accepts and what it requires once authenticated.
 
     Exactly one of ``required_level`` / ``required_scopes`` is set.
+    ``satisfied_by`` is derived from it: the held levels that pass the
+    channel outright, one set per requirement built once from the
+    privilege order.
     """
 
     methods: tuple[AuthMethod, ...]
     required_level: AuthzLevel | None = None
     required_scopes: frozenset[str] = frozenset()
+    satisfied_by: frozenset[AuthzLevel] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         has_level = self.required_level is not None
         has_scopes = bool(self.required_scopes)
         if has_level == has_scopes:
             raise InvalidPolicy("channel needs exactly one of level / scopes")
+        object.__setattr__(self, "satisfied_by", _SATISFIED_BY[self.required_level])
 
 
 @dataclass(frozen=True)
@@ -183,6 +198,60 @@ class PolicyTable:
             elif raw == pattern:
                 return target
         raise UnmappedIdentity(f"no mapping for {raw!r}")
+
+
+#: Most identity-map results, and most ``authz_limits`` level sets, one
+#: compiled policy remembers; each memo is cleared when it reaches its size.
+IDENTITY_MEMO_SIZE = 4096
+LIMITS_MEMO_SIZE = 256
+
+
+class CompiledPolicy:
+    """A policy table compiled for presentation.
+
+    ``channels`` maps each channel's label to its ``ChannelPolicy``, so a
+    lookup hashes a string, not two enum members.  Two memos hold pure
+    functions of the table and a string: the canonical identity of a raw
+    subject, and the level set an identity token's ``authz_limits`` name.
+    Only results are remembered, never a failure, and never a verdict on a
+    credential: every check of a presentation still runs.
+    """
+
+    __slots__ = ("table", "channels", "_identities", "_levels")
+
+    def __init__(self, table: PolicyTable) -> None:
+        self.table = table
+        self.channels = {channel.label: pol for channel, pol in table.channels.items()}
+        self._identities: dict[str, str] = {}
+        self._levels: dict[frozenset[str], frozenset[AuthzLevel]] = {}
+
+    def map_identity(self, raw: str) -> str:
+        """``table.map_identity(raw)``, remembered when it succeeds."""
+        identity = self._identities.get(raw)
+        if identity is None:
+            identity = self.table.map_identity(raw)
+            if len(self._identities) >= IDENTITY_MEMO_SIZE:
+                self._identities.clear()
+            self._identities[raw] = identity
+        return identity
+
+    def levels_for(self, limits: frozenset[str]) -> frozenset[AuthzLevel]:
+        """The levels ``authz_limits`` names; no limits claim means every
+        level, the token wielding its identity's full rights.
+
+        Raises:
+            InvalidClaims: a name is not a level (never remembered).
+        """
+        levels = self._levels.get(limits)
+        if levels is None:
+            bad = limits - _LEVEL_NAMES
+            if bad:
+                raise InvalidClaims(f"unknown authz limits: {', '.join(sorted(bad))}")
+            levels = frozenset(AuthzLevel(name) for name in limits) if limits else _ALL_LEVELS
+            if len(self._levels) >= LIMITS_MEMO_SIZE:
+                self._levels.clear()
+            self._levels[limits] = levels
+        return levels
 
 
 def validate_table(table: PolicyTable) -> None:
@@ -249,9 +318,10 @@ _LEGACY_LEVELS = frozenset({AuthzLevel.ADMIN})
 
 def authenticate(
     channel: Channel,
-    table: PolicyTable,
+    pol: ChannelPolicy,
     credential: Credential,
     *,
+    compiled: CompiledPolicy,
     keyring: SymmetricKeyring | None = None,
     trust: TrustDirectory | None = None,
     trusted_cas: frozenset[str] = frozenset(),
@@ -259,12 +329,13 @@ def authenticate(
     expected_audience: str = "",
     now: int = 0,
 ) -> AuthenticatedPeer:
-    """Authenticate one credential on one channel.
+    """Authenticate one credential on one channel, whose policy ``pol`` is
+    looked up once by the caller from ``compiled``.
 
     The method is inferred from the credential's shape (parsed tokens by
     algorithm; proxy and filesystem credentials by type) and
     must appear in the channel's accepted list.  The authenticated name is
-    rewritten through the identity map.
+    rewritten through ``compiled``'s identity map.
 
     Raises:
         NoCommonMethod: the inferred method is not accepted here.
@@ -272,15 +343,13 @@ def authenticate(
         UnmappedIdentity: no identity-map entry matched.
         TokenError subclasses: token verification failures.
     """
-    pol = table.policy_for(channel)
-
     if isinstance(credential, ProxyCredential):
         _require(AuthMethod.GSI_PROXY, pol, channel)
         if credential.attested_by not in trusted_cas:
             raise UntrustedCA(f"CA {credential.attested_by!r} not trusted")
         if now >= credential.expiry:
             raise ProxyExpired(f"proxy expired at {credential.expiry} (now {now})")
-        identity = table.map_identity(credential.distinguished_name)
+        identity = compiled.map_identity(credential.distinguished_name)
         return AuthenticatedPeer(
             canonical_identity=identity,
             method=AuthMethod.GSI_PROXY,
@@ -294,7 +363,7 @@ def authenticate(
             raise UntrustedCA(
                 f"filesystem credential from {credential.host!r} presented on {local_host!r}"
             )
-        identity = table.map_identity(credential.account)
+        identity = compiled.map_identity(credential.account)
         return AuthenticatedPeer(
             canonical_identity=identity,
             method=AuthMethod.LOCAL_FS,
@@ -309,7 +378,7 @@ def authenticate(
         cap: VerifiedCapability = verify_scitoken(
             credential, trust, expected_audience, pol.required_scopes, now
         )
-        identity = table.map_identity(cap.subject)
+        identity = compiled.map_identity(cap.subject)
         return AuthenticatedPeer(
             canonical_identity=identity,
             method=AuthMethod.SCITOKEN,
@@ -324,20 +393,11 @@ def authenticate(
     if keyring is None:
         raise InvalidPolicy("identity verification needs a keyring")
     ident: VerifiedIdentity = verify_idtoken(credential, keyring, now)
-    identity = table.map_identity(ident.subject)
-    if ident.authz_limits:
-        try:
-            levels = frozenset(AuthzLevel(name) for name in ident.authz_limits)
-        except ValueError:
-            bad = sorted(set(ident.authz_limits) - {l.value for l in AuthzLevel})
-            raise InvalidClaims(f"unknown authz limits: {', '.join(bad)}") from None
-    else:
-        # No limits claim: the token wields its identity's full rights.
-        levels = frozenset(AuthzLevel)
+    identity = compiled.map_identity(ident.subject)
     return AuthenticatedPeer(
         canonical_identity=identity,
         method=AuthMethod.IDTOKEN,
-        granted_levels=levels,
+        granted_levels=compiled.levels_for(ident.authz_limits),
         subject=ident.subject,
         token_kid=ident.kid,
         token_jti=ident.jti,
@@ -360,14 +420,12 @@ def authorize(peer: AuthenticatedPeer, pol: ChannelPolicy) -> Decision:
     Level requirements are satisfied by any held level that dominates
     the requirement.  Scope requirements are satisfied by scope
     coverage, or by a peer holding ADMIN (operators bypass capability
-    gates).
+    gates).  Both level tests are one look at ``pol.satisfied_by``.
     """
-    if pol.required_level is not None:
-        if any(dominates(h, pol.required_level) for h in peer.granted_levels):
-            return Decision(True)
-        return Decision(False, (pol.required_level.value,))
-    if AuthzLevel.ADMIN in peer.granted_levels:
+    if not pol.satisfied_by.isdisjoint(peer.granted_levels):
         return Decision(True)
+    if pol.required_level is not None:
+        return Decision(False, (pol.required_level.value,))
     missing = tuple(sorted(pol.required_scopes - peer.granted_scopes))
     if missing:
         return Decision(False, missing)

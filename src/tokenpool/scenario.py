@@ -337,10 +337,16 @@ def _check(sc: Scenario) -> None:
         if not client.methods:
             raise ScenarioError(f"client {client.id}: empty methods list")
     targets = {"ce": ("gateway", ce_ids), "factory": ("factory", factory_ids), "client": ("client", client_ids)}
+    flavors = {ce.id: ce.flavor for ce in sc.ces}
     for i, step in enumerate(sc.plan):
         for param, (noun, known) in targets.items():
             if param in step.params and step.params[param] not in known:
                 raise ScenarioError(f"plan[{i}]: unknown {noun} {step.params[param]!r}")
+        if step.action == "adopt_rest" and flavors[step.params["ce"]] is CEFlavor.HTCONDOR_CE:
+            raise ScenarioError(
+                f"plan[{i}]: adopt_rest on HTCONDOR_CE gateway {step.params['ce']!r},"
+                " which admits only the NATIVE interface"
+            )
     for i, fault in enumerate(sc.faults):
         if fault.end is not None and fault.end <= fault.start:
             raise ScenarioError(f"faults[{i}]: end {fault.end} not after start {fault.start}")
@@ -354,12 +360,33 @@ def parse_scenario(data: Mapping[str, Any]) -> Scenario:
     return scenario
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """``yaml.SafeLoader`` refusing a mapping that names one key twice,
+    which the safe loader would settle silently by keeping the last."""
+
+    def construct_mapping(self, node: yaml.MappingNode, deep: bool = False) -> dict:
+        first_line: dict[Any, int] = {}
+        for key_node, _ in node.value:
+            if not isinstance(key_node, yaml.ScalarNode) or key_node.tag == "tag:yaml.org,2002:merge":
+                continue
+            key = self.construct_object(key_node)
+            line = key_node.start_mark.line + 1
+            if key in first_line:
+                raise ScenarioError(
+                    f"duplicate key {key!r} on line {line} (first on line {first_line[key]})"
+                )
+            first_line[key] = line
+        return super().construct_mapping(node, deep)
+
+
 def load_scenario(path: str | Path) -> Scenario:
     raw = Path(path).read_text()
     try:
-        data = yaml.safe_load(raw)
+        data = yaml.load(raw, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"{path}: not valid YAML: {exc}") from None
+    except ScenarioError as exc:
+        raise ScenarioError(f"{path}: {exc}") from None
     if data is None:
         raise ScenarioError(f"{path}: empty scenario file")
     return parse_scenario(data)

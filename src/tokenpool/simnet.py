@@ -103,6 +103,16 @@ def canonical_line(rec: Record) -> str:
     return _LINE % (esc(channel), esc(detail), esc(identity), esc(method), esc(outcome), t)
 
 
+def _mistyped(rec: Record) -> str:
+    """What is wrong with a record holding a field of the wrong type."""
+    if type(rec.t) is not int:
+        return f"trace time must be an int, got {rec.t!r}"
+    name, value = next(
+        (name, value) for name, value in zip(rec._fields, rec) if type(value) is not str
+    )
+    return f"trace {name} must be a str, got {value!r}"
+
+
 class Trace:
     """Append-only audit log; its JSONL text defines the run digest."""
 
@@ -119,9 +129,12 @@ class Trace:
         identity: str = "-",
         detail: str = "",
     ) -> None:
-        if type(t) is not int:
-            raise SimulationError(f"trace time must be an int, got {t!r}")
-        self.records.append(Record(channel, detail, identity, method, outcome, t))
+        rec = Record(channel, detail, identity, method, outcome, t)
+        if type(t) is not int or not (
+            type(channel) is type(detail) is type(identity) is type(method) is type(outcome) is str
+        ):
+            raise SimulationError(_mistyped(rec))
+        self.records.append(rec)
 
     def select(
         self,

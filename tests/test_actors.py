@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tokenpool import actors, jose
+from tokenpool import actors, jose, policy
 from tokenpool.actors import (
     CH_ADVERTISE,
     CH_CE_SUBMIT,
@@ -21,6 +21,7 @@ from tokenpool.actors import (
     build_world,
 )
 from tokenpool.errors import (
+    KEY_COMPROMISE,
     AudienceMismatch,
     AuthorizationDenied,
     Expired,
@@ -38,6 +39,8 @@ from tokenpool.tokens import DEFAULT_SKEW, KeyStatus, revoke_key
 
 ISSUER = "https://issuer.test"
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+SHIPPED = sorted(SCENARIO_DIR.glob("*.yaml"))
 
 
 def doc(**over):
@@ -460,7 +463,56 @@ def test_pilot_token_is_minted_only_when_its_gateway_accepts_it(over):
         assert token.claims.iat == pilot.submitted_at
 
 
-@pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.yaml")), ids=lambda p: p.stem)
+def golden_digest(path):
+    (line,) = [
+        line
+        for line in (GOLDEN_DIR / f"{path.stem}.txt").read_text().splitlines()
+        if line.startswith("digest: ")
+    ]
+    return line.removeprefix("digest: ")
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+def test_policy_memo_caps_do_not_change_the_digest(path, monkeypatch):
+    # With room for one entry each, the identity and limits memos are
+    # cleared on nearly every miss; the run must not notice.
+    monkeypatch.setattr(policy, "IDENTITY_MEMO_SIZE", 1)
+    monkeypatch.setattr(policy, "LIMITS_MEMO_SIZE", 1)
+    assert run_scenario(path).digest == golden_digest(path)
+
+
+def supply_scan(world):
+    return sum(1 for p in world.pilots.values() if p.state in actors.PILOT_SUPPLY_STATES)
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+def test_live_supply_count_matches_a_scan_at_every_cycle(path, monkeypatch):
+    cycle = actors.Frontend.cycle
+    seen = []
+
+    def checked_cycle(frontend):
+        assert frontend.world.supply == supply_scan(frontend.world), frontend.world.engine.now
+        seen.append(frontend.world.supply)
+        cycle(frontend)
+
+    monkeypatch.setattr(actors.Frontend, "cycle", checked_cycle)
+    world = run_scenario(path).world
+    assert world.supply == supply_scan(world)
+    assert len(seen) > 1 and world.pilots
+
+
+def test_evicting_a_joined_pilot_lowers_the_supply_count():
+    # No shipped scenario evicts a pilot that is still unmatched.
+    w = idle_world()
+    before = w.supply
+    pilot, _ = startd_token(w)
+    w.pilot_event(pilot, PilotState.JOINED)
+    assert w.supply == before + 1 == supply_scan(w)
+    w.collector.evict(pilot, KEY_COMPROMISE)
+    assert w.supply == before == supply_scan(w)
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
 def test_finished_world_is_freed_without_the_cyclic_collector(path):
     # A dropped result must free its World by reference counting alone, so
     # that a run's peak memory never includes the run before it.

@@ -4,11 +4,16 @@ import itertools
 
 import pytest
 
+from tokenpool import policy
 from tokenpool.errors import (
+    AudienceMismatch,
+    Expired,
     InvalidClaims,
+    KeyRevoked,
     InvalidPolicy,
     NoCommonMethod,
     ProxyExpired,
+    TokenPoolError,
     UnmappedIdentity,
     UntrustedCA,
 )
@@ -21,6 +26,8 @@ from tokenpool.policy import (
     AuthzLevel,
     Channel,
     ChannelPolicy,
+    CompiledPolicy,
+    Decision,
     LocalFsCredential,
     MigrationPhase,
     PolicyTable,
@@ -40,6 +47,9 @@ from tokenpool.tokens import (
     TrustDirectory,
     mint_idtoken,
     mint_scitoken,
+    revoke_key,
+    verify_idtoken,
+    verify_scitoken,
 )
 
 NOW = 500_000
@@ -221,13 +231,16 @@ def table():
     )
 
 
-def auth(table, channel, credential, **kw):
+def auth(table, channel, credential, compiled=None, **kw):
     if isinstance(credential, str):
         credential = decode_token(credential)
     kw.setdefault("trusted_cas", frozenset({CA}))
     kw.setdefault("local_host", HOST)
     kw.setdefault("now", NOW)
-    return authenticate(channel, table, credential, **kw)
+    if compiled is None:
+        compiled = CompiledPolicy(table)
+    pol = compiled.channels[channel.label]
+    return authenticate(channel, pol, credential, compiled=compiled, **kw)
 
 
 def test_authenticate_proxy_grants_legacy_admin(table):
@@ -314,6 +327,216 @@ def test_authenticate_token_method_must_be_accepted(table, keyring, trust, issue
     )
     with pytest.raises(NoCommonMethod):
         auth(cap_only, Channel(Role.FACTORY, Role.CE), idt, keyring=keyring, trust=trust)
+
+
+# -- the compiled policy's memos ---------------------------------------------
+
+
+def test_identity_memo_remembers_only_mappings(table, keyring):
+    compiled = CompiledPolicy(table)
+    stranger = mint_idtoken(keyring, "pool-1", "stranger", (), 600, NOW)
+    for _ in range(2):
+        with pytest.raises(UnmappedIdentity):
+            compiled.map_identity("stranger")
+        with pytest.raises(UnmappedIdentity):
+            auth(table, Channel(Role.SCHEDD, Role.COLLECTOR), stranger, compiled, keyring=keyring)
+    assert compiled._identities == {}
+    assert compiled.map_identity("condor@a") == "pool-daemon"
+    assert compiled._identities == {"condor@a": "pool-daemon"}
+
+
+def test_unknown_limit_names_are_never_remembered(table, keyring):
+    compiled = CompiledPolicy(table)
+    bad = mint_idtoken(keyring, "pool-1", "condor@a", ("READ", "SUPERUSER"), 600, NOW)
+    for _ in range(2):
+        with pytest.raises(InvalidClaims, match="SUPERUSER"):
+            auth(table, Channel(Role.SCHEDD, Role.COLLECTOR), bad, compiled, keyring=keyring)
+    assert compiled._levels == {}
+
+
+def test_identity_memo_is_cleared_when_full(table, monkeypatch):
+    monkeypatch.setattr(policy, "IDENTITY_MEMO_SIZE", 3)
+    compiled = CompiledPolicy(table)
+    for i in range(7):
+        assert compiled.map_identity(f"condor@{i}") == "pool-daemon"
+        assert len(compiled._identities) == i % 3 + 1
+        assert f"condor@{i}" in compiled._identities
+
+
+def test_memoised_subject_still_fails_every_check(table, keyring, trust, issuer_key):
+    # Only the subject's mapping is remembered: key status, the time window
+    # and the audience are checked on every presentation.
+    compiled = CompiledPolicy(table)
+    join = Channel(Role.SCHEDD, Role.COLLECTOR)
+    auth(table, join, mint_idtoken(keyring, "pool-1", "condor@a", (), 600, NOW), compiled, keyring=keyring)
+    assert "condor@a" in compiled._identities
+    expired = mint_idtoken(keyring, "pool-1", "condor@a", (), 600, NOW - 10_000)
+    with pytest.raises(Expired):
+        auth(table, join, expired, compiled, keyring=keyring)
+    current = mint_idtoken(keyring, "pool-1", "condor@a", (), 600, NOW)
+    with pytest.raises(KeyRevoked):
+        auth(table, join, current, compiled, keyring=revoke_key(keyring, "pool-1"))
+
+    ce = Channel(Role.FACTORY, Role.CE)
+    cap = mint_scitoken(issuer_key, ISSUER, "pilot-ops", (JOB_SUBMIT_SCOPE,), "ce-1", 600, NOW)
+    auth(table, ce, cap, compiled, trust=trust, expected_audience="ce-1")
+    assert "pilot-ops" in compiled._identities
+    with pytest.raises(AudienceMismatch):
+        auth(table, ce, cap, compiled, trust=trust, expected_audience="ce-2")
+
+
+# -- the compiled path against the path it replaced --------------------------
+
+
+def reference_authenticate(channel, table, credential, *, keyring, trust, expected_audience):
+    """Authentication as it was before the policy was compiled: a
+    ``policy_for`` lookup, a linear identity-map scan, and the levels built
+    from the limit names one by one on every presentation."""
+    pol = table.policy_for(channel)
+
+    def require(method):
+        if method not in pol.methods:
+            raise NoCommonMethod(f"{method.value} not accepted on {channel.label}")
+
+    if isinstance(credential, ProxyCredential):
+        require(AuthMethod.GSI_PROXY)
+        if credential.attested_by not in frozenset({CA}):
+            raise UntrustedCA(f"CA {credential.attested_by!r} not trusted")
+        if NOW >= credential.expiry:
+            raise ProxyExpired(f"proxy expired at {credential.expiry} (now {NOW})")
+        return AuthenticatedPeer(
+            table.map_identity(credential.distinguished_name),
+            AuthMethod.GSI_PROXY,
+            frozenset({AuthzLevel.ADMIN}),
+            subject=credential.distinguished_name,
+        )
+    if isinstance(credential, LocalFsCredential):
+        require(AuthMethod.LOCAL_FS)
+        if credential.host != HOST:
+            raise UntrustedCA(f"filesystem credential from {credential.host!r} presented on {HOST!r}")
+        return AuthenticatedPeer(
+            table.map_identity(credential.account),
+            AuthMethod.LOCAL_FS,
+            frozenset({AuthzLevel.ADMIN}),
+            subject=credential.account,
+        )
+    if credential.header.alg == "EdDSA":
+        require(AuthMethod.SCITOKEN)
+        cap = verify_scitoken(credential, trust, expected_audience, pol.required_scopes, NOW)
+        return AuthenticatedPeer(
+            table.map_identity(cap.subject),
+            AuthMethod.SCITOKEN,
+            frozenset(),
+            cap.granted_scopes,
+            cap.subject,
+            cap.kid,
+            cap.jti,
+        )
+    require(AuthMethod.IDTOKEN)
+    ident = verify_idtoken(credential, keyring, NOW)
+    identity = table.map_identity(ident.subject)
+    if ident.authz_limits:
+        try:
+            levels = frozenset(AuthzLevel(name) for name in ident.authz_limits)
+        except ValueError:
+            bad = sorted(set(ident.authz_limits) - {l.value for l in AuthzLevel})
+            raise InvalidClaims(f"unknown authz limits: {', '.join(bad)}") from None
+    else:
+        levels = frozenset(AuthzLevel)
+    return AuthenticatedPeer(
+        identity, AuthMethod.IDTOKEN, levels, subject=ident.subject,
+        token_kid=ident.kid, token_jti=ident.jti,
+    )
+
+
+def reference_authorize(peer, pol):
+    """Authorization as it was: one ``dominates`` test per held level."""
+    if pol.required_level is not None:
+        if any(dominates(h, pol.required_level) for h in peer.granted_levels):
+            return Decision(True)
+        return Decision(False, (pol.required_level.value,))
+    if AuthzLevel.ADMIN in peer.granted_levels:
+        return Decision(True)
+    missing = tuple(sorted(pol.required_scopes - peer.granted_scopes))
+    return Decision(not missing, missing)
+
+
+def presented_credentials(keyring, issuer_key):
+    """One credential of every kind the pool sees, good and bad."""
+    out = [
+        ProxyCredential("/DC=ch/DC=cern/OU=computers/CN=host", NOW + 100, CA),
+        ProxyCredential("/DC=org/DC=cilogon/C=US/O=CMS/CN=Pilot/x", NOW + 100, CA),
+        ProxyCredential("/DC=ch/DC=cern/OU=computers/CN=host", NOW + 100, "rogue-ca"),
+        ProxyCredential("/DC=ch/DC=cern/OU=computers/CN=host", NOW, CA),
+        ProxyCredential("/CN=nobody", NOW + 100, CA),
+        LocalFsCredential("cmsprod", HOST),
+        LocalFsCredential("cmsprod", "other.host"),
+        LocalFsCredential("stranger", HOST),
+    ]
+    limits = [(), ("ADVERTISE",), ("READ", "WRITE"), ("WRITE",), ("DAEMON",), ("ADMIN",), ("READ",)]
+    for subject in ("condor@x", "frontend@cmspool", "cmsprod", "stranger"):
+        out += [mint_idtoken(keyring, "pool-1", subject, lim, 600, NOW) for lim in limits]
+    out += [
+        mint_idtoken(keyring, "pool-1", "condor@x", ("SUPERUSER",), 600, NOW),
+        mint_idtoken(keyring, "pool-1", "stranger", ("READ", "SUPERUSER"), 600, NOW),
+        mint_idtoken(keyring, "pool-1", "condor@x", ("ADVERTISE",), 600, NOW - 10_000),
+        mint_idtoken(keyring, "pool-2", "condor@x", ("ADVERTISE",), 600, NOW),
+    ]
+    for subject, scope, aud, iat in (
+        ("cms-pilot-ops", JOB_SUBMIT_SCOPE, "ce-1", NOW),
+        ("cms-pilot-ops", JOB_SUBMIT_SCOPE, "ce-2", NOW),
+        ("cms-pilot-ops", "compute.read", "ce-1", NOW),
+        ("cms-pilot-ops", JOB_SUBMIT_SCOPE, "ce-1", NOW - 10_000),
+        ("ghost", JOB_SUBMIT_SCOPE, "ce-1", NOW),
+    ):
+        out.append(mint_scitoken(issuer_key, ISSUER, subject, (scope,), aud, 600, iat))
+    return [decode_token(c) if isinstance(c, str) else c for c in out]
+
+
+def outcome(present):
+    try:
+        peer, decision = present()
+    except TokenPoolError as exc:
+        return type(exc), str(exc)
+    return peer, decision
+
+
+@pytest.mark.parametrize("phase", list(MigrationPhase), ids=lambda p: p.value)
+def test_compiled_path_matches_the_path_it_replaced(phase, issuer_key, trust):
+    keyring = SymmetricKeyring.from_secrets({"pool-1": b"p" * 32, "pool-2": b"q" * 32})
+    credentials = presented_credentials(keyring, issuer_key)
+    projected = apply_phase(default_table(), phase)
+    compiled = CompiledPolicy(projected)
+    kw = dict(keyring=revoke_key(keyring, "pool-2"), trust=trust, expected_audience="ce-1")
+    seen = set()
+    for channel in projected.channels:
+        pol = compiled.channels[channel.label]
+
+        def new_path(credential):
+            peer = authenticate(
+                channel, pol, credential, compiled=compiled,
+                trusted_cas=frozenset({CA}), local_host=HOST, now=NOW, **kw,
+            )
+            return peer, authorize(peer, pol)
+
+        def old_path(credential):
+            peer = reference_authenticate(channel, projected, credential, **kw)
+            return peer, reference_authorize(peer, projected.policy_for(channel))
+
+        for credential in credentials:
+            expected = outcome(lambda: old_path(credential))
+            for _ in range(2):  # memos cold, then warm
+                assert outcome(lambda: new_path(credential)) == expected, (channel.label, credential)
+            if isinstance(expected[1], Decision):
+                seen.add("allowed" if expected[1].allowed else f"missing={','.join(expected[1].missing)}")
+            else:
+                seen.add(expected[0].__name__)
+    # The credentials reach every kind of outcome the phase allows.
+    assert {"allowed", "NoCommonMethod", "UnmappedIdentity", "Expired"} <= seen
+    if phase is not MigrationPhase.GSI_ONLY:
+        assert {"missing=ADVERTISE", "missing=WRITE", "InvalidClaims", "KeyRevoked", "AudienceMismatch"} <= seen
+    if phase is not MigrationPhase.TOKEN_ONLY:
+        assert {"UntrustedCA", "ProxyExpired"} <= seen
 
 
 # -- authorize --------------------------------------------------------------

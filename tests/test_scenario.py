@@ -311,6 +311,34 @@ def test_load_scenario_round_trip(tmp_path):
     assert sc.name == "unit"
 
 
+def test_adopt_rest_on_an_htcondor_ce_is_rejected():
+    arc = {"id": "arc-1", "flavor": "ARC_CE", "interface": "LDAP", "capacity": 5}
+    sites = [{"name": "site-a", "ces": [base_doc()["sites"][0]["ces"][0], arc]}]
+    ok = parse_scenario(variant(sites=sites, plan=[{"at": 10, "action": "adopt_rest", "ce": "arc-1"}]))
+    assert ok.plan[0].params == {"ce": "arc-1"}
+    with pytest.raises(ScenarioError, match=r"plan\[0\]: adopt_rest on HTCONDOR_CE gateway 'ce-a1'"):
+        parse_scenario(variant(sites=sites, plan=[{"at": 10, "action": "adopt_rest", "ce": "ce-a1"}]))
+
+
+@pytest.mark.parametrize(
+    "before, duplicate, key",
+    [("horizon: 600\n", "horizon: 5\n", "horizon"), ("  kid: ", "  kid: op-2\n", "kid")],
+    ids=["top-level", "nested"],
+)
+def test_duplicate_yaml_key_rejected(tmp_path, before, duplicate, key):
+    # yaml.safe_load would keep the second value without a word.
+    text = (SCENARIO_DIR / "split-2022.yaml").read_text()
+    lines = text.splitlines(keepends=True)
+    at = next(i for i, l in enumerate(lines) if l.startswith(before))
+    lines.insert(at + 1, duplicate)
+    path = tmp_path / "dup.yaml"
+    path.write_text("".join(lines))
+    with pytest.raises(
+        ScenarioError, match=rf"dup.yaml: duplicate key '{key}' on line {at + 2} \(first on line {at + 1}\)"
+    ):
+        load_scenario(path)
+
+
 def test_load_scenario_rejects_bad_yaml_and_empty_files(tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text("name: [unclosed\n")

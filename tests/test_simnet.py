@@ -116,11 +116,28 @@ def test_trace_record_and_select():
     assert trace.select("C->D", outcome_prefix="FAIL:")[0].outcome == "FAIL:UnknownKey"
 
 
-@pytest.mark.parametrize("t", [5.0, 5.5, True], ids=["integral-float", "float", "bool"])
-def test_trace_rejects_non_int_times(t):
+#: One field of the wrong type per case, with the message that must name it.
+MISTYPED_FIELDS = {
+    "integral-float": ("t", 5.0, "trace time must be an int"),
+    "float": ("t", 5.5, "trace time must be an int"),
+    "bool": ("t", True, "trace time must be an int"),
+    "channel-none": ("channel", None, "trace channel must be a str"),
+    "outcome-bytes": ("outcome", b"SUCCESS", "trace outcome must be a str"),
+    "method-tuple": ("method", ("IDTOKEN",), "trace method must be a str"),
+    "identity-int": ("identity", 7, "trace identity must be a str"),
+    "detail-int": ("detail", 5, "trace detail must be a str"),
+}
+
+
+@pytest.mark.parametrize(
+    "field, value, message", MISTYPED_FIELDS.values(), ids=MISTYPED_FIELDS.keys()
+)
+def test_trace_rejects_non_int_times(field, value, message):
+    # Every field is checked when it is recorded, not later in digest().
+    fields = {"t": 1, "channel": "A->B", "outcome": "SUCCESS", field: value}
     trace = Trace()
-    with pytest.raises(SimulationError, match="trace time must be an int"):
-        trace.record(t, "A->B", "SUCCESS")
+    with pytest.raises(SimulationError, match=message):
+        trace.record(**fields)
     assert trace.records == []
 
 
