@@ -10,8 +10,9 @@ session and are not separately checked.
 from __future__ import annotations
 
 import enum
+import heapq
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import jose
 from .errors import (
@@ -111,39 +112,29 @@ class PilotState(enum.Enum):
 PILOT_SUPPLY_STATES = frozenset(
     {PilotState.REQUESTED, PilotState.SUBMITTED, PilotState.STARTED, PilotState.JOINED}
 )
-PILOT_TERMINAL_STATES = frozenset({PilotState.RETIRED, PilotState.FAILED})
 
 
-class JobState(enum.Enum):
-    IDLE = "IDLE"
-    RUNNING = "RUNNING"
-    DONE = "DONE"
+@dataclass(order=True)
+class Job:
+    #: Creation sequence, the only key jobs are ordered by.
+    seq: int
+    id: str = field(compare=False)
+    duration: int = field(compare=False)
 
 
 @dataclass
 class Pilot:
     id: str
     ce_id: str
-    site: str
     state: PilotState
-    requested_at: int
     kid: str = ""
     jti: str = ""
     token: str = ""
     submitted_at: int | None = None
     joined_at: int | None = None
-    job_id: str | None = None
+    #: The job this pilot runs, set only while it is MATCHED.
+    job: Job | None = None
     slot_held: bool = False
-
-
-@dataclass
-class Job:
-    id: str
-    client: str
-    duration: int
-    submitted_at: int
-    state: JobState = JobState.IDLE
-    pilot_id: str | None = None
 
 
 class SubmitOutcome(enum.Enum):
@@ -212,8 +203,8 @@ class World:
         self.pilots: dict[str, Pilot] = {}
         #: Pilots in PILOT_SUPPLY_STATES, kept by ``set_pilot_state``.
         self.supply = 0
-        self.jobs: list[Job] = []
-        self.jobs_by_id: dict[str, Job] = {}
+        #: Jobs no pilot runs: a heap in creation order.
+        self.idle_jobs: list[Job] = []
 
         me = weakref.proxy(self)
         self.issuer = TokenIssuer(me)
@@ -343,6 +334,16 @@ class World:
         )
         return peer
 
+    def dropped(self, channel: Channel, method: AuthMethod, detail: str) -> bool:
+        """Draw whether a message on ``channel`` is lost, recording the loss."""
+        now = self.engine.now
+        if not message_dropped(self.board, self.streams, channel.label, now):
+            return False
+        self.trace.record(
+            now, channel.label, OUTCOME_DROP, method=method.value, detail=detail
+        )
+        return True
+
     # -- phase control ------------------------------------------------------
 
     def set_phase(self, phase: MigrationPhase) -> None:
@@ -357,13 +358,7 @@ class World:
     def new_pilot(self, ce: "CEGateway") -> Pilot:
         pid = f"pilot-{self._pilot_seq:05d}"
         self._pilot_seq += 1
-        pilot = Pilot(
-            id=pid,
-            ce_id=ce.id,
-            site=ce.site,
-            state=PilotState.REQUESTED,
-            requested_at=self.engine.now,
-        )
+        pilot = Pilot(id=pid, ce_id=ce.id, state=PilotState.REQUESTED)
         self.pilots[pid] = pilot
         self.supply += 1
         self.trace.record(
@@ -379,52 +374,51 @@ class World:
         self.supply += (state in PILOT_SUPPLY_STATES) - (pilot.state in PILOT_SUPPLY_STATES)
         pilot.state = state
 
-    def pilot_event(self, pilot: Pilot, state: PilotState, extra: str = "") -> None:
+    def pilot_event(
+        self, pilot: Pilot, state: PilotState, extra: str = "", outcome: str = ""
+    ) -> None:
+        """Set the state and write its PILOT record, headed ``outcome`` if
+        given, else the state's name."""
         self.set_pilot_state(pilot, state)
         self.trace.record(
             self.engine.now,
             TRACE_PILOT,
-            state.value,
+            outcome or state.value,
             detail=_join_detail(f"pilot={pilot.id} ce={pilot.ce_id}", extra),
         )
 
-    def new_job(self, spec: ClientSpec) -> Job:
-        jid = f"job-{self._job_seq:05d}"
-        self._job_seq += 1
-        job = Job(
-            id=jid, client=spec.id, duration=spec.duration, submitted_at=self.engine.now
-        )
-        self.jobs.append(job)
-        self.jobs_by_id[jid] = job
-        return job
-
-    def release_slot(self, pilot: Pilot) -> None:
+    def end_pilot(
+        self, pilot: Pilot, state: PilotState, outcome: str, extra: str
+    ) -> None:
+        """Every way a pilot leaves the pool: out of the collector, its slot
+        freed, a job it still holds requeued, then its one PILOT record."""
+        self.collector.members.pop(pilot.id, None)
         if pilot.slot_held:
             self.ces[pilot.ce_id].reserved -= 1
             pilot.slot_held = False
-
-    def requeue_job(self, pilot: Pilot) -> None:
-        if pilot.job_id is None:
-            return
-        job = self.jobs_by_id[pilot.job_id]
-        if job.state is JobState.RUNNING and job.pilot_id == pilot.id:
-            job.state = JobState.IDLE
-            job.pilot_id = None
+        job = pilot.job
+        if job is not None:
+            pilot.job = None
+            heapq.heappush(self.idle_jobs, job)
             self.trace.record(
                 self.engine.now,
                 TRACE_JOB,
                 "REQUEUE",
                 detail=f"job={job.id} pilot={pilot.id}",
             )
-        pilot.job_id = None
+        self.pilot_event(pilot, state, extra, outcome)
 
     def fail_pilot(self, pilot: Pilot, reason: str) -> None:
-        if pilot.state in PILOT_TERMINAL_STATES:
-            return
-        self.release_slot(pilot)
-        self.requeue_job(pilot)
-        self.collector.members.pop(pilot.id, None)
-        self.pilot_event(pilot, PilotState.FAILED, f"reason={reason}")
+        self.end_pilot(
+            pilot, PilotState.FAILED, PilotState.FAILED.value, f"reason={reason}"
+        )
+
+    def new_job(self, spec: ClientSpec) -> Job:
+        seq = self._job_seq
+        self._job_seq += 1
+        job = Job(seq, f"job-{seq:05d}", spec.duration)
+        heapq.heappush(self.idle_jobs, job)
+        return job
 
     def factory_serving(self, ce_id: str) -> "Factory | None":
         for factory in self.factories.values():
@@ -559,7 +553,6 @@ class Schedd:
 
     def advertise(self) -> None:
         w = self.world
-        now = w.engine.now
         accepted = w.policy.channels[CH_ADVERTISE.label].methods
         try:
             method = negotiate_method(
@@ -567,21 +560,13 @@ class Schedd:
             )
         except NoCommonMethod:
             w.trace.record(
-                now,
+                w.engine.now,
                 CH_ADVERTISE.label,
                 fail_outcome("NoCommonMethod"),
                 detail="daemon=schedd",
             )
         else:
-            if message_dropped(w.board, w.streams, CH_ADVERTISE.label, now):
-                w.trace.record(
-                    now,
-                    CH_ADVERTISE.label,
-                    OUTCOME_DROP,
-                    method=method.value,
-                    detail="daemon=schedd",
-                )
-            else:
+            if not w.dropped(CH_ADVERTISE, method, "daemon=schedd"):
                 credential = self.token if method is AuthMethod.IDTOKEN else self.proxy
                 try:
                     w.authenticate_on(CH_ADVERTISE, credential, detail="daemon=schedd")
@@ -601,25 +586,18 @@ class Collector:
         w = self.world
         if pilot.state is not PilotState.STARTED:
             return
-        now = w.engine.now
-        if message_dropped(w.board, w.streams, CH_JOIN.label, now):
-            w.trace.record(
-                now,
-                CH_JOIN.label,
-                OUTCOME_DROP,
-                method=AuthMethod.IDTOKEN.value,
-                detail=f"pilot={pilot.id} join=1",
-            )
+        detail = f"pilot={pilot.id} join=1"
+        if w.dropped(CH_JOIN, AuthMethod.IDTOKEN, detail):
             w.engine.schedule(
                 w.scenario.pilots.keepalive, lambda p=pilot: self.receive_join(p)
             )
             return
         try:
-            w.authenticate_on(CH_JOIN, pilot.token, detail=f"pilot={pilot.id} join=1")
+            w.authenticate_on(CH_JOIN, pilot.token, detail=detail)
         except TokenPoolError as exc:
             w.fail_pilot(pilot, exc.reason)
             return
-        pilot.joined_at = now
+        pilot.joined_at = w.engine.now
         w.pilot_event(pilot, PilotState.JOINED, f"kid={pilot.kid}")
         self.members[pilot.id] = pilot
         w.engine.schedule(w.scenario.pilots.keepalive, lambda p=pilot: self.keepalive(p))
@@ -631,36 +609,18 @@ class Collector:
         w = self.world
         if pilot.state not in (PilotState.JOINED, PilotState.MATCHED):
             return
-        now = w.engine.now
-        if message_dropped(w.board, w.streams, CH_JOIN.label, now):
-            w.trace.record(
-                now,
-                CH_JOIN.label,
-                OUTCOME_DROP,
-                method=AuthMethod.IDTOKEN.value,
-                detail=f"pilot={pilot.id} keepalive=1",
-            )
-        else:
+        detail = f"pilot={pilot.id} keepalive=1"
+        if not w.dropped(CH_JOIN, AuthMethod.IDTOKEN, detail):
             try:
-                w.authenticate_on(
-                    CH_JOIN, pilot.token, detail=f"pilot={pilot.id} keepalive=1"
-                )
+                w.authenticate_on(CH_JOIN, pilot.token, detail=detail)
             except TokenPoolError as exc:
                 self.evict(pilot, exc.reason)
                 return
         w.engine.schedule(w.scenario.pilots.keepalive, lambda p=pilot: self.keepalive(p))
 
     def evict(self, pilot: Pilot, reason: str) -> None:
-        w = self.world
-        self.members.pop(pilot.id, None)
-        w.release_slot(pilot)
-        w.requeue_job(pilot)
-        w.set_pilot_state(pilot, PilotState.FAILED)
-        w.trace.record(
-            w.engine.now,
-            TRACE_PILOT,
-            "EVICT",
-            detail=f"pilot={pilot.id} ce={pilot.ce_id} kid={pilot.kid} reason={reason}",
+        self.world.end_pilot(
+            pilot, PilotState.FAILED, "EVICT", f"kid={pilot.kid} reason={reason}"
         )
 
     def evict_by_kid(self, kid: str) -> list[Pilot]:
@@ -670,12 +630,10 @@ class Collector:
         return hit
 
     def idle_check(self, pilot: Pilot) -> None:
-        if pilot.state is not PilotState.JOINED:
-            return
-        w = self.world
-        self.members.pop(pilot.id, None)
-        w.release_slot(pilot)
-        w.pilot_event(pilot, PilotState.RETIRED, f"reason={IDLE}")
+        if pilot.state is PilotState.JOINED:
+            self.world.end_pilot(
+                pilot, PilotState.RETIRED, PilotState.RETIRED.value, f"reason={IDLE}"
+            )
 
     def match_tick(self) -> None:
         w = self.world
@@ -684,17 +642,16 @@ class Collector:
             (p for p in self.members.values() if p.state is PilotState.JOINED),
             key=lambda p: (p.joined_at, p.id),
         )
-        idle_jobs = [j for j in w.jobs if j.state is JobState.IDLE]
-        for pilot, job in zip(idle_pilots, idle_jobs):
+        matched = min(len(idle_pilots), len(w.idle_jobs))
+        for pilot in idle_pilots[:matched]:
+            job = heapq.heappop(w.idle_jobs)
             w.set_pilot_state(pilot, PilotState.MATCHED)
-            pilot.job_id = job.id
-            job.state = JobState.RUNNING
-            job.pilot_id = pilot.id
+            pilot.job = job
             w.trace.record(
                 now, TRACE_JOB, "MATCH", detail=f"job={job.id} pilot={pilot.id}"
             )
             w.engine.schedule(job.duration, lambda j=job, p=pilot: self.job_done(j, p))
-        joined = sum(1 for p in self.members.values() if p.state is PilotState.JOINED)
+        joined = len(idle_pilots) - matched
         w.trace.record(
             now,
             TRACE_POOL,
@@ -704,17 +661,17 @@ class Collector:
         w.engine.schedule(w.scenario.frontend.match_interval, self.match_tick)
 
     def job_done(self, job: Job, pilot: Pilot) -> None:
-        if job.state is not JobState.RUNNING or job.pilot_id != pilot.id:
+        # A pilot that lost its job (evicted, the job requeued) reports nothing.
+        if pilot.job is not job:
             return
         w = self.world
-        job.state = JobState.DONE
+        pilot.job = None
         w.trace.record(
             w.engine.now, TRACE_JOB, "DONE", detail=f"job={job.id} pilot={pilot.id}"
         )
-        self.members.pop(pilot.id, None)
-        w.release_slot(pilot)
-        pilot.job_id = None
-        w.pilot_event(pilot, PilotState.RETIRED, f"job={job.id}")
+        w.end_pilot(
+            pilot, PilotState.RETIRED, PilotState.RETIRED.value, f"job={job.id}"
+        )
 
 
 class Frontend:
@@ -776,8 +733,7 @@ class Frontend:
     def cycle(self) -> None:
         w = self.world
         self.refresh_capabilities()
-        idle = sum(1 for j in w.jobs if j.state is JobState.IDLE)
-        deficit = max(0, idle - w.supply)
+        deficit = max(0, len(w.idle_jobs) - w.supply)
         if deficit > 0:
             credential = self.factory_credential()
             if credential is None:
@@ -919,7 +875,6 @@ class CEGateway:
     def __init__(self, world: World, spec: CESpec) -> None:
         self.world = world
         self.id = spec.id
-        self.site = spec.site
         self.flavor = spec.flavor
         self.interface = spec.interface
         self.capacity = spec.capacity

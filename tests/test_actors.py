@@ -17,7 +17,6 @@ from tokenpool.actors import (
     CH_SUBMIT,
     CH_TOKEN_FETCH,
     PilotState,
-    JobState,
     build_world,
 )
 from tokenpool.errors import (
@@ -107,7 +106,7 @@ def test_pipeline_fills_pool_with_tokens_end_to_end():
     w = run_doc()
     assert len(w.collector.members) == 5
     assert all(p.state is PilotState.MATCHED for p in w.collector.members.values())
-    assert sum(1 for j in w.jobs if j.state is JobState.RUNNING) == 5
+    assert sum(1 for p in w.pilots.values() if p.job is not None) == 5
 
     # Every hop authenticated with its token method.
     assert successes(w, CH_SUBMIT, AuthMethod.IDTOKEN)
@@ -326,7 +325,7 @@ def test_startd_key_compromise_evicts_rotates_reprovisions():
 
     # Pool is back at pre-drill strength and every job is running again.
     assert len(w.collector.members) == 4
-    assert sum(1 for j in w.jobs if j.state is JobState.RUNNING) == 4
+    assert sum(1 for p in w.pilots.values() if p.job is not None) == 4
 
 
 def test_daemon_key_compromise_reminted_for_all_daemons():
@@ -561,6 +560,93 @@ def test_single_use_pilots_retire_with_their_job():
     assert all("job=" in r.detail for r in retired)
     assert len(w.collector.members) == 0
     assert w.ces["ce-a"].reserved == 0
+
+
+def joined_pilot(w):
+    """A pilot that has just joined the collector, as ``receive_join`` leaves it."""
+    pilot, _ = startd_token(w)
+    pilot.joined_at = w.engine.now
+    w.pilot_event(pilot, PilotState.JOINED)
+    w.collector.members[pilot.id] = pilot
+    return pilot
+
+
+def matched_jobs(w):
+    return [r.detail for r in w.trace.select("JOB", outcome="MATCH")]
+
+
+def requeued_world():
+    """Three idle jobs; the first pilot took job 0 and was evicted, so job 0
+    is idle again behind the two jobs created after it."""
+    w = idle_world()
+    jobs = [w.new_job(w.clients["cmsprod"].spec) for _ in range(3)]
+    first = joined_pilot(w)
+    w.collector.match_tick()
+    assert first.job is jobs[0]
+    w.collector.evict(first, KEY_COMPROMISE)
+    assert first.job is None and first.state is PilotState.FAILED
+    return w, jobs, first
+
+
+def test_requeued_job_is_matched_before_jobs_created_after_it():
+    w, jobs, first = requeued_world()
+    second, third = joined_pilot(w), joined_pilot(w)
+    w.collector.match_tick()
+    assert (second.job, third.job) == (jobs[0], jobs[1])
+    assert w.idle_jobs == [jobs[2]]
+    assert matched_jobs(w) == [
+        f"job={jobs[0].id} pilot={first.id}",
+        f"job={jobs[0].id} pilot={second.id}",
+        f"job={jobs[1].id} pilot={third.id}",
+    ]
+
+
+def test_completion_for_an_evicted_pilot_is_ignored():
+    w, jobs, first = requeued_world()
+    second = joined_pilot(w)
+    w.collector.match_tick()
+    assert second.job is jobs[0]
+    w.collector.job_done(jobs[0], first)  # the evicted pilot's completion
+    assert w.trace.select("JOB", outcome="DONE") == []
+    assert second.job is jobs[0] and second.state is PilotState.MATCHED
+    assert first.state is PilotState.FAILED
+    w.collector.job_done(jobs[0], second)
+    (done,) = w.trace.select("JOB", outcome="DONE")
+    assert done.detail == f"job={jobs[0].id} pilot={second.id}"
+    assert second.job is None and second.state is PilotState.RETIRED
+
+
+#: Every state a pilot may move to from each state; RETIRED and FAILED end it.
+PILOT_MOVES = {
+    PilotState.REQUESTED: {PilotState.SUBMITTED, PilotState.FAILED},
+    PilotState.SUBMITTED: {PilotState.STARTED},
+    PilotState.STARTED: {PilotState.JOINED, PilotState.FAILED},
+    PilotState.JOINED: {PilotState.MATCHED, PilotState.RETIRED, PilotState.FAILED},
+    PilotState.MATCHED: {PilotState.RETIRED, PilotState.FAILED},
+    PilotState.RETIRED: set(),
+    PilotState.FAILED: set(),
+}
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+def test_pilot_states_follow_the_life_cycle(path, monkeypatch):
+    set_state = actors.World.set_pilot_state
+    last = {}  # pilot id -> the state it was last set to
+
+    def checked(world, pilot, state):
+        before = last.get(pilot.id, PilotState.REQUESTED)
+        where = (pilot.id, world.engine.now)
+        assert pilot.state is before, where  # set nowhere but here
+        assert before not in (PilotState.RETIRED, PilotState.FAILED), where
+        assert state in PILOT_MOVES[before], (*where, before, state)
+        last[pilot.id] = state
+        set_state(world, pilot, state)
+
+    monkeypatch.setattr(actors.World, "set_pilot_state", checked)
+    world = run_scenario(path).world
+    assert last
+    for pilot in world.pilots.values():
+        assert pilot.state is last.get(pilot.id, PilotState.REQUESTED), pilot.id
 
 
 # -- issuer authorization ---------------------------------------------------
