@@ -203,6 +203,9 @@ class World:
         self.pilots: dict[str, Pilot] = {}
         #: Pilots in PILOT_SUPPLY_STATES, kept by ``set_pilot_state``.
         self.supply = 0
+        #: JOINED pilots (joined, not yet matched) by id, kept by
+        #: ``set_pilot_state``.
+        self.joined: dict[str, Pilot] = {}
         #: Jobs no pilot runs: a heap in creation order.
         self.idle_jobs: list[Job] = []
 
@@ -321,16 +324,16 @@ class World:
                 detail=_join_detail(detail, f"missing={','.join(decision.missing)}"),
             )
             raise AuthorizationDenied(f"missing {', '.join(decision.missing)}")
-        extra = ""
         if peer.token_kid is not None:
-            extra = f"kid={peer.token_kid} jti={peer.token_jti}"
+            held = f"kid={peer.token_kid} jti={peer.token_jti}"
+            detail = f"{detail} {held}" if detail else held
         self.trace.record(
             now,
             channel.label,
             OUTCOME_SUCCESS,
             method=peer.method.value,
             identity=peer.canonical_identity,
-            detail=_join_detail(detail, extra),
+            detail=detail,
         )
         return peer
 
@@ -370,8 +373,13 @@ class World:
         return pilot
 
     def set_pilot_state(self, pilot: Pilot, state: PilotState) -> None:
-        """Every change of a pilot's state comes here, to keep ``supply``."""
+        """Every change of a pilot's state comes here, to keep ``supply``
+        and ``joined``."""
         self.supply += (state in PILOT_SUPPLY_STATES) - (pilot.state in PILOT_SUPPLY_STATES)
+        if pilot.state is PilotState.JOINED:
+            del self.joined[pilot.id]
+        if state is PilotState.JOINED:
+            self.joined[pilot.id] = pilot
         pilot.state = state
 
     def pilot_event(
@@ -638,10 +646,7 @@ class Collector:
     def match_tick(self) -> None:
         w = self.world
         now = w.engine.now
-        idle_pilots = sorted(
-            (p for p in self.members.values() if p.state is PilotState.JOINED),
-            key=lambda p: (p.joined_at, p.id),
-        )
+        idle_pilots = sorted(w.joined.values(), key=lambda p: (p.joined_at, p.id))
         matched = min(len(idle_pilots), len(w.idle_jobs))
         for pilot in idle_pilots[:matched]:
             job = heapq.heappop(w.idle_jobs)

@@ -127,6 +127,8 @@ def cmd_token_inspect(args: argparse.Namespace) -> int:
 
 
 def cmd_token_verify(args: argparse.Namespace) -> int:
+    if args.skew < 0:
+        raise _UsageError(f"--skew must not be negative, got {args.skew}")
     secret = _load_key_file(args.key_file)
     token = _read_token_arg(args.token)
     now = args.now if args.now is not None else int(time.time())

@@ -310,6 +310,10 @@ class Decision:
     missing: tuple[str, ...] = ()
 
 
+#: The one allowed decision; it is immutable, so every caller shares it.
+ALLOWED = Decision(True)
+
+
 #: Levels granted to peers arriving over legacy methods: the old scheme
 #: had no per-token attenuation, a verified peer could do anything its
 #: mapped identity could.
@@ -423,13 +427,13 @@ def authorize(peer: AuthenticatedPeer, pol: ChannelPolicy) -> Decision:
     gates).  Both level tests are one look at ``pol.satisfied_by``.
     """
     if not pol.satisfied_by.isdisjoint(peer.granted_levels):
-        return Decision(True)
+        return ALLOWED
     if pol.required_level is not None:
         return Decision(False, (pol.required_level.value,))
     missing = tuple(sorted(pol.required_scopes - peer.granted_scopes))
     if missing:
         return Decision(False, missing)
-    return Decision(True)
+    return ALLOWED
 
 
 # ---------------------------------------------------------------------------

@@ -200,7 +200,8 @@ class Fault:
 
 @dataclass
 class FaultBoard:
-    faults: list[Fault] = field(default_factory=list)
+    #: Injected faults by kind, each list in injection order.
+    by_kind: dict[FaultKind, list[Fault]] = field(default_factory=dict)
 
     def inject(
         self,
@@ -220,7 +221,7 @@ class FaultBoard:
             raise UnknownTarget(
                 f"fault target {fault.target!r} names nothing in this run"
             )
-        self.faults.append(fault)
+        self.by_kind.setdefault(fault.kind, []).append(fault)
         trace.record(
             engine.now,
             TRACE_FAULT,
@@ -236,9 +237,9 @@ class FaultBoard:
         engine.schedule_at(fault.start, _activate)
 
     def active(self, kind: FaultKind, target: str, t: int) -> Fault | None:
-        for fault in self.faults:
-            if fault.kind is not kind:
-                continue
+        """The first fault of ``kind``, in injection order, that covers
+        ``target`` at ``t``; only faults of that kind are looked at."""
+        for fault in self.by_kind.get(kind, ()):
             if fault.target != "*" and fault.target != target:
                 continue
             if t < fault.start:

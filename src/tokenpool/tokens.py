@@ -35,8 +35,8 @@ from .jose import IDTOKEN_ALG, SCITOKEN_ALG, Token, TokenClaims, TokenHeader
 
 DEFAULT_SKEW = 60
 
-#: Most signatures one trust directory remembers as verified; the memo is
-#: cleared when it reaches this size.
+#: Most signatures one trust directory, or MACs one keyring, remembers as
+#: verified; the memo is cleared when it reaches this size.
 SIGNATURE_MEMO_SIZE = 4096
 
 
@@ -56,9 +56,16 @@ class SymmetricKeyring:
     """Named symmetric keys for identity-token minting and verification.
 
     Revoked keys are retained (audit), they just refuse to mint or verify.
+    The keyring remembers the MACs it has verified, keyed on the secret
+    and the token exactly as received, as :class:`TrustDirectory` does for
+    signatures; only MACs that matched are remembered, and a keyring made
+    by :func:`rotate_key` or :func:`revoke_key` starts with none.
     """
 
     entries: Mapping[str, SymmetricKey]
+    _verified: set[tuple[bytes, bytes, bytes]] = field(
+        default_factory=set, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def from_secrets(cls, secrets_by_kid: Mapping[str, bytes]) -> "SymmetricKeyring":
@@ -78,6 +85,22 @@ class SymmetricKeyring:
 
     def active_kids(self) -> tuple[str, ...]:
         return tuple(k for k, v in self.entries.items() if v.status is KeyStatus.ACTIVE)
+
+    def check_mac(self, token: Token) -> None:
+        """Check that the ACTIVE key ``kid`` made ``token``'s HMAC.
+
+        Raises:
+            UnknownKey, KeyRevoked, SignatureInvalid
+        """
+        secret = self.active_secret(token.header.kid)
+        seen = (secret, token.signing_input, token.signature)
+        if seen in self._verified:
+            return
+        if not jose.hs256_matches(secret, token.signing_input, token.signature):
+            raise SignatureInvalid("HMAC mismatch")
+        if len(self._verified) >= SIGNATURE_MEMO_SIZE:
+            self._verified.clear()
+        self._verified.add(seen)
 
 
 def rotate_key(keyring: SymmetricKeyring, new_kid: str, secret: bytes | None = None) -> SymmetricKeyring:
@@ -275,7 +298,9 @@ def verify_idtoken(
 
     Check order: algorithm, typ, flavor, key status, signature, time
     window.  A revoked key fails with KeyRevoked no matter what the
-    signature says.
+    signature says.  The HMAC is computed once per keyring
+    (:meth:`SymmetricKeyring.check_mac`); every other check runs on every
+    call.
 
     Raises:
         MalformedToken, UnknownKey, KeyRevoked, SignatureInvalid,
@@ -288,9 +313,7 @@ def verify_idtoken(
         raise MalformedToken(f"unexpected typ {header.typ!r}")
     if not claims.is_idtoken:
         raise MalformedToken("capability claims presented for identity verification")
-    secret = keyring.active_secret(header.kid)
-    if not jose.hs256_matches(secret, token.signing_input, token.signature):
-        raise SignatureInvalid("HMAC mismatch")
+    keyring.check_mac(token)
     _check_window(claims, now, skew)
     return VerifiedIdentity(
         subject=claims.sub,

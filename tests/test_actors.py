@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tokenpool import actors, jose, policy
+from tokenpool import actors, jose, policy, tokens
 from tokenpool.actors import (
     CH_ADVERTISE,
     CH_CE_SUBMIT,
@@ -473,8 +473,11 @@ def golden_digest(path):
 
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
 def test_policy_memo_caps_do_not_change_the_digest(path, monkeypatch):
-    # With room for one entry each, the identity and limits memos are
-    # cleared on nearly every miss; the run must not notice.
+    # Every memo, not only the policy ones: with room for one entry each,
+    # the parse, signature and MAC, identity and limits memos are cleared
+    # on nearly every miss; the run must not notice.
+    monkeypatch.setattr(actors, "PARSE_MEMO_SIZE", 1)
+    monkeypatch.setattr(tokens, "SIGNATURE_MEMO_SIZE", 1)
     monkeypatch.setattr(policy, "IDENTITY_MEMO_SIZE", 1)
     monkeypatch.setattr(policy, "LIMITS_MEMO_SIZE", 1)
     assert run_scenario(path).digest == golden_digest(path)
@@ -500,6 +503,29 @@ def test_live_supply_count_matches_a_scan_at_every_cycle(path, monkeypatch):
     assert len(seen) > 1 and world.pilots
 
 
+def joined_scan(world):
+    return {
+        pid: p for pid, p in world.collector.members.items() if p.state is PilotState.JOINED
+    }
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+def test_joined_map_matches_a_scan_of_the_members_at_every_tick(path, monkeypatch):
+    tick = actors.Collector.match_tick
+    seen = []
+
+    def checked_tick(collector):
+        world = collector.world
+        assert world.joined == joined_scan(world), world.engine.now
+        seen.append(len(world.joined))
+        tick(collector)
+
+    monkeypatch.setattr(actors.Collector, "match_tick", checked_tick)
+    world = run_scenario(path).world
+    assert world.joined == joined_scan(world)
+    assert len(seen) > 1 and any(seen)
+
+
 def test_evicting_a_joined_pilot_lowers_the_supply_count():
     # No shipped scenario evicts a pilot that is still unmatched.
     w = idle_world()
@@ -507,8 +533,10 @@ def test_evicting_a_joined_pilot_lowers_the_supply_count():
     pilot, _ = startd_token(w)
     w.pilot_event(pilot, PilotState.JOINED)
     assert w.supply == before + 1 == supply_scan(w)
+    assert w.joined == {pilot.id: pilot}
     w.collector.evict(pilot, KEY_COMPROMISE)
     assert w.supply == before == supply_scan(w)
+    assert w.joined == {}
 
 
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)

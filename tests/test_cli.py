@@ -158,6 +158,16 @@ def test_verify_kid_override_must_match_header(capsys, key_file):
     assert "invalid: UnknownKey" in capsys.readouterr().err
 
 
+def test_verify_rejects_negative_skew(capsys, key_file):
+    # A negative allowance would shrink the token's window instead of
+    # widening it; it is refused rather than applied.
+    token = mint(capsys, key_file, "--lifetime", "100", "--now", "100")
+    verify = ["token", "verify", token, "--key-file", key_file, "--now", "150"]
+    assert main([*verify, "--skew", "-100"]) == 2
+    assert capsys.readouterr().err == "error: --skew must not be negative, got -100\n"
+    assert main([*verify, "--skew", "0"]) == 0
+
+
 def test_world_readable_key_file_is_refused(capsys, key_file, tmp_path):
     token = mint(capsys, key_file)
     loose = tmp_path / "loose.hex"

@@ -283,6 +283,51 @@ def test_fault_open_ended_window():
     assert board.active(FaultKind.CE_TOKEN_MISCONFIG, "ce-1", 10**9) is not None
 
 
+def scanned_active(faults, kind, target, t):
+    """The lookup as a scan over every fault in injection order: the
+    reference ``FaultBoard.active`` must agree with."""
+    for fault in faults:
+        if fault.kind is not kind:
+            continue
+        if fault.target != "*" and fault.target != target:
+            continue
+        if t < fault.start:
+            continue
+        if fault.end is not None and t >= fault.end:
+            continue
+        return fault
+    return None
+
+
+FAULT_TARGETS = ("*", "ce-1", "ce-2")
+
+faults_st = st.lists(
+    st.builds(
+        lambda kind, target, start, length, rate: Fault(
+            kind, target, start, None if length is None else start + length, rate
+        ),
+        st.sampled_from(FaultKind),
+        st.sampled_from(FAULT_TARGETS),
+        st.integers(0, 40),
+        st.none() | st.integers(1, 40),
+        st.sampled_from((0.0, 0.5, 1.0)),
+    ),
+    max_size=10,
+)
+
+
+@given(faults=faults_st)
+def test_fault_lookup_by_kind_matches_a_scan_of_every_fault(faults):
+    engine, trace, board = Engine(), Trace(), FaultBoard()
+    for fault in faults:
+        board.inject(fault, known_targets=FAULT_TARGETS, trace=trace, engine=engine)
+    for kind in FaultKind:
+        for target in ("ce-1", "ce-2", "ce-3"):
+            for t in range(0, 82):
+                want = scanned_active(faults, kind, target, t)
+                assert board.active(kind, target, t) is want, (kind, target, t)
+
+
 def test_message_drop_rates():
     streams = RngStreams(1)
     _, _, board = make_board(Fault(FaultKind.MESSAGE_DROP, "A->B", rate=1.0))

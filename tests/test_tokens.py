@@ -1,10 +1,14 @@
 """Keyring lifecycle, trust directory, and both verification paths."""
 
+import random
+import string
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from tokenpool import jose, policy, tokens
+from tokenpool.actors import CH_JOIN
 from tokenpool.errors import (
     AudienceMismatch,
     DuplicateKid,
@@ -14,6 +18,7 @@ from tokenpool.errors import (
     MalformedToken,
     NotYetValid,
     SignatureInvalid,
+    TokenPoolError,
     UnknownKey,
     UntrustedIssuer,
 )
@@ -22,6 +27,7 @@ from tokenpool.migration import run_scenario
 from tokenpool.tokens import (
     IssuerKey,
     KeyStatus,
+    SymmetricKey,
     SymmetricKeyring,
     TrustDirectory,
     mint_idtoken,
@@ -34,6 +40,7 @@ from tokenpool.tokens import (
 
 NOW = 1_000_000
 ISSUER = "https://issuer.test"
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 @pytest.fixture
@@ -383,6 +390,163 @@ def test_run_checks_each_capability_signature_once(ed25519_checks, monkeypatch):
         return result
 
     monkeypatch.setattr(policy, "verify_scitoken", recording_verify)
-    run_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "split-2022.yaml")
+    run_scenario(SCENARIO_DIR / "split-2022.yaml")
     assert len(verified) > len(set(verified)) > 0
     assert len(ed25519_checks) == len(set(verified))
+
+
+# -- MAC memo -----------------------------------------------------------------
+
+
+@pytest.fixture
+def hs256_macs(monkeypatch):
+    """The signing input of every MAC ``jose.hs256_signature`` computes,
+    for a mint or a verification."""
+    macs = []
+    real = jose.hs256_signature
+
+    def counting(secret, signing_input):
+        macs.append(signing_input)
+        return real(secret, signing_input)
+
+    monkeypatch.setattr(jose, "hs256_signature", counting)
+    return macs
+
+
+@pytest.fixture
+def warm_id(keyring):
+    """An identity token under k1 that the keyring has already verified once."""
+    token = mint_idtoken(keyring, "k1", "s", ("ADVERTISE",), 600, NOW, jti="w1")
+    verify_idtoken(decode_token(token), keyring, NOW)
+    return token
+
+
+def _with_payload_of_another_token(token: str) -> str:
+    # Another token under the same kid and secret as the ``keyring`` fixture's
+    # k1: its payload behind ``token``'s header and MAC.
+    keyring = SymmetricKeyring.from_secrets({"k1": b"a" * 32})
+    other = mint_idtoken(keyring, "k1", "mallory", ("ADVERTISE",), 600, NOW, jti="w2")
+    head, _, mac = token.split(".")
+    return f"{head}.{other.split('.')[1]}.{mac}"
+
+
+@pytest.mark.parametrize(
+    "present, now, error",
+    [
+        (_with_flipped_signature_byte, NOW, SignatureInvalid),
+        (_with_payload_of_another_token, NOW, SignatureInvalid),
+        (str, NOW + 600 + tokens.DEFAULT_SKEW + 1, Expired),
+    ],
+    ids=["flipped-mac-byte", "other-payload", "expired"],
+)
+def test_remembered_mac_still_runs_every_other_check(warm_id, keyring, present, now, error):
+    with pytest.raises(error):
+        verify_idtoken(decode_token(present(warm_id)), keyring, now)
+
+
+@pytest.mark.parametrize(
+    "now_bound_to, error",
+    [
+        (SymmetricKey(b"a" * 32, KeyStatus.REVOKED), KeyRevoked),
+        (SymmetricKey(b"z" * 32), SignatureInvalid),
+    ],
+    ids=["same-secret-revoked", "another-secret"],
+)
+def test_remembered_mac_is_tied_to_the_key_not_its_name(now_bound_to, error):
+    # The key's status and secret are read before the memo, and the memo is
+    # keyed on the secret: when the keyring's mapping revokes k1 or binds it
+    # to another secret, a token it had verified is refused.
+    entries = {"k1": SymmetricKey(b"a" * 32)}
+    keyring = SymmetricKeyring(entries)
+    token = decode_token(mint_idtoken(keyring, "k1", "s", (), 600, NOW))
+    verify_idtoken(token, keyring, NOW)
+    entries["k1"] = now_bound_to
+    with pytest.raises(error):
+        verify_idtoken(token, keyring, NOW)
+
+
+def test_only_matching_macs_are_remembered(warm_id, keyring, hs256_macs):
+    token = decode_token(warm_id)
+    forged = decode_token(_with_flipped_signature_byte(warm_id))
+    for _ in range(2):
+        verify_idtoken(token, keyring, NOW)
+        with pytest.raises(SignatureInvalid):
+            verify_idtoken(forged, keyring, NOW)
+    assert hs256_macs == [forged.signing_input, forged.signing_input]
+    assert keyring._verified == {(b"a" * 32, token.signing_input, token.signature)}
+
+
+def test_mac_memo_is_cleared_when_full(keyring, monkeypatch):
+    monkeypatch.setattr(tokens, "SIGNATURE_MEMO_SIZE", 3)
+    for i in range(7):
+        token = mint_idtoken(keyring, "k1", "s", (), 600, NOW, jti=f"m{i}")
+        verify_idtoken(decode_token(token), keyring, NOW)
+        assert len(keyring._verified) == i % 3 + 1
+
+
+def test_rotated_or_revoked_keyring_checks_each_mac_again(keyring, hs256_macs):
+    token = decode_token(mint_idtoken(keyring, "k2", "s", (), 600, NOW))
+    for _ in range(2):
+        verify_idtoken(token, keyring, NOW)
+    assert len(hs256_macs) == 2  # the mint, then one verification
+    for changed in (revoke_key(keyring, "k1"), rotate_key(keyring, "k3", b"c" * 32)):
+        assert not changed._verified
+        for _ in range(2):
+            verify_idtoken(token, changed, NOW)
+    assert len(hs256_macs) == 4
+
+
+def test_tampering_never_authenticates_against_a_warm_mac_memo():
+    # Every member's identity token has been verified by the World's keyring
+    # at its join and keepalives; every single-character payload mutant of
+    # one, presented to that World, keeps the MAC and must still be refused.
+    rng = random.Random(0x4D1C)
+    alphabet = string.ascii_letters + string.digits + "-_"
+    world = run_scenario(SCENARIO_DIR / "rollout-2022.yaml").world
+    presented = [p.token for p in list(world.collector.members.values())[:20]]
+    mutants = accepted = 0
+    rejected: Counter[str] = Counter()
+    for token in presented:
+        world.authenticate_on(CH_JOIN, token)
+        parsed = world.parsed_token(token)
+        secret = world.keyring.lookup(parsed.header.kid).secret
+        assert (secret, parsed.signing_input, parsed.signature) in world.keyring._verified
+        head, payload, mac = token.split(".")
+        for pos in range(len(payload)):
+            replacement = rng.choice(alphabet.replace(payload[pos], ""))
+            mutant = f"{head}.{payload[:pos]}{replacement}{payload[pos + 1:]}.{mac}"
+            mutants += 1
+            try:
+                world.authenticate_on(CH_JOIN, mutant)
+            except TokenPoolError as exc:
+                rejected[exc.reason] += 1
+            else:
+                accepted += 1
+    assert len(presented) == 20
+    assert accepted == 0
+    assert sum(rejected.values()) == mutants
+    assert rejected["SignatureInvalid"] > 500
+
+
+def test_run_computes_one_mac_per_mint_and_per_distinct_identity_token(
+    hs256_macs, monkeypatch
+):
+    minted, verified = [], []
+    real_encode, real_verify = jose.encode_token, policy.verify_idtoken
+
+    def recording_encode(header, claims, key):
+        token = real_encode(header, claims, key)
+        if header.alg == jose.IDTOKEN_ALG:
+            minted.append(token)
+        return token
+
+    def recording_verify(token, *args, **kwargs):
+        result = real_verify(token, *args, **kwargs)
+        verified.append(token)
+        return result
+
+    monkeypatch.setattr(jose, "encode_token", recording_encode)
+    monkeypatch.setattr(policy, "verify_idtoken", recording_verify)
+    run_scenario(SCENARIO_DIR / "rollout-2022.yaml")
+    assert len(verified) > len(set(verified)) > 0
+    assert len(hs256_macs) == len(minted) + len(set(verified))
