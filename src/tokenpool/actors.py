@@ -94,7 +94,7 @@ AUTH_CHANNEL_LABELS = tuple(c.label for c in AUTH_CHANNELS)
 DAEMON_TOKEN_LIFETIME = 86400
 
 #: Most parsed tokens one World remembers; the memo is cleared when it
-#: reaches this size.
+#: reaches this size, and the success-detail memo with it.
 PARSE_MEMO_SIZE = 4096
 
 
@@ -114,7 +114,7 @@ PILOT_SUPPLY_STATES = frozenset(
 )
 
 
-@dataclass(order=True)
+@dataclass(order=True, slots=True)
 class Job:
     #: Creation sequence, the only key jobs are ordered by.
     seq: int
@@ -122,7 +122,7 @@ class Job:
     duration: int = field(compare=False)
 
 
-@dataclass
+@dataclass(slots=True, weakref_slot=True)
 class Pilot:
     id: str
     ce_id: str
@@ -196,10 +196,15 @@ class World:
         self.base_table = default_table()
         self.policy = CompiledPolicy(apply_phase(self.base_table, self.phase))
 
-        self._used_jtis: dict[str, set[str]] = {}
+        #: The 64-bit draws behind every jti handed out, by authority.
+        self._used_jtis: dict[str, set[int]] = {}
         self._parsed: dict[str, jose.Token] = {}
+        #: Token string -> (request detail, success detail) of its last
+        #: success, so a repeated presentation shares one detail string.
+        self._success_details: dict[str, tuple[str, str]] = {}
         self._pilot_seq = 0
         self._job_seq = 0
+        #: Live pilots by id; ``end_pilot`` removes a pilot as it ends.
         self.pilots: dict[str, Pilot] = {}
         #: Pilots in PILOT_SUPPLY_STATES, kept by ``set_pilot_state``.
         self.supply = 0
@@ -225,10 +230,10 @@ class World:
         used = self._used_jtis.setdefault(authority, set())
         rng = self.streams.stream(f"jti/{authority}")
         while True:
-            jti = f"{rng.getrandbits(64):016x}"
-            if jti not in used:
-                used.add(jti)
-                return jti
+            draw = rng.getrandbits(64)
+            if draw not in used:
+                used.add(draw)
+                return f"{draw:016x}"
 
     def mint_daemon_idtoken(
         self, subject: str, limits: tuple[str, ...], kid: str | None = None
@@ -273,6 +278,7 @@ class World:
             token = jose.decode_token(compact)
             if len(self._parsed) >= PARSE_MEMO_SIZE:
                 self._parsed.clear()
+                self._success_details.clear()
             self._parsed[compact] = token
         return token
 
@@ -289,9 +295,10 @@ class World:
         compiled = self.policy
         pol = compiled.channels[channel.label]
         now = self.engine.now
+        compact = credential if isinstance(credential, str) else None
         try:
-            if isinstance(credential, str):
-                credential = self.parsed_token(credential)
+            if compact is not None:
+                credential = self.parsed_token(compact)
             peer = authenticate(
                 channel,
                 pol,
@@ -325,8 +332,15 @@ class World:
             )
             raise AuthorizationDenied(f"missing {', '.join(decision.missing)}")
         if peer.token_kid is not None:
-            held = f"kid={peer.token_kid} jti={peer.token_jti}"
-            detail = f"{detail} {held}" if detail else held
+            last = self._success_details.get(compact)
+            if last is not None and last[0] == detail:
+                detail = last[1]
+            else:
+                held = f"kid={peer.token_kid} jti={peer.token_jti}"
+                success = f"{detail} {held}" if detail else held
+                if compact is not None:
+                    self._success_details[compact] = (detail, success)
+                detail = success
         self.trace.record(
             now,
             channel.label,
@@ -399,7 +413,9 @@ class World:
         self, pilot: Pilot, state: PilotState, outcome: str, extra: str
     ) -> None:
         """Every way a pilot leaves the pool: out of the collector, its slot
-        freed, a job it still holds requeued, then its one PILOT record."""
+        freed, a job it still holds requeued, then its one PILOT record.
+        The World forgets the pilot here."""
+        del self.pilots[pilot.id]
         self.collector.members.pop(pilot.id, None)
         if pilot.slot_held:
             self.ces[pilot.ce_id].reserved -= 1

@@ -92,6 +92,8 @@ def _load(args: argparse.Namespace):
 
 
 def cmd_token_mint(args: argparse.Namespace) -> int:
+    if args.lifetime < 1:
+        raise _UsageError(f"--lifetime must be at least 1, got {args.lifetime}")
     secret = _load_key_file(args.key_file)
     keyring = SymmetricKeyring.from_secrets({args.kid: secret})
     now = args.now if args.now is not None else int(time.time())

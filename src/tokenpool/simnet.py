@@ -17,7 +17,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, NamedTuple
 
-from .errors import SimulationError, UnknownTarget
+from .errors import TRACE_REASONS, SimulationError, UnknownTarget
 
 
 class Engine:
@@ -38,10 +38,15 @@ class Engine:
         self.schedule_at(self.now + delay, action)
 
     def run(self, until: int) -> None:
-        """Pop events up to and including ``until``, then park the clock there."""
+        """Pop events up to and including ``until``, then park the clock there.
+
+        ``now`` keeps its object while the instant does not change, so every
+        record written at one instant holds the same ``int``.
+        """
         while self._heap and self._heap[0][0] <= until:
             t, _, action = heapq.heappop(self._heap)
-            self.now = t
+            if t != self.now:
+                self.now = t
             action()
         self.now = until
 
@@ -77,8 +82,19 @@ OUTCOME_DENIED = "DENIED"
 OUTCOME_DROP = "DROP"
 
 
+_FAIL_OUTCOMES = {reason: f"FAIL:{reason}" for reason in TRACE_REASONS}
+
+
 def fail_outcome(reason: str) -> str:
-    return f"FAIL:{reason}"
+    """The one ``FAIL:<reason>`` string of a reason in ``TRACE_REASONS``.
+
+    Raises:
+        SimulationError: the reason is outside the vocabulary.
+    """
+    try:
+        return _FAIL_OUTCOMES[reason]
+    except KeyError:
+        raise SimulationError(f"unknown trace reason {reason!r}") from None
 
 
 class Record(NamedTuple):
@@ -230,7 +246,7 @@ class FaultBoard:
         )
 
         def _activate() -> None:
-            trace.record(fault.start, TRACE_FAULT, "ACTIVATE", detail=_fault_detail(fault))
+            trace.record(engine.now, TRACE_FAULT, "ACTIVATE", detail=_fault_detail(fault))
             if on_activate is not None:
                 on_activate(fault)
 

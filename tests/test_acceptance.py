@@ -11,7 +11,10 @@ before the library existed.  They are imported rather than restated so
 there is exactly one copy to drift.
 """
 
+import os
 import random
+import subprocess
+import sys
 import time
 from collections import Counter
 from pathlib import Path
@@ -20,6 +23,7 @@ from types import SimpleNamespace
 import pytest
 import yaml
 
+from test_actors import golden_digest
 from test_jose import GOLDEN_VECTORS, oracle_hs256_jwt
 
 from tokenpool import errors
@@ -459,6 +463,33 @@ def test_golden_reports_byte_identical(shipped, monkeypatch, capsys):
             pinned += 1
     print(f"[golden] {pinned} CLI outputs byte-identical to tests/golden/")
     assert pinned == 2 * len(shipped) + 1
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "12345"])
+def test_digests_do_not_depend_on_the_hash_seed(hash_seed):
+    """A fresh interpreter under ``PYTHONHASHSEED`` runs the six shipped
+    scenarios and prints the golden digests: no set or dict order keyed on
+    a ``str`` hash reaches the trace."""
+    script = (
+        "import sys\n"
+        "from tokenpool.migration import run_scenario\n"
+        "for path in sys.argv[1:]:\n"
+        "    print(run_scenario(path).digest)\n"
+    )
+    paths = sorted(SCENARIO_DIR.glob("*.yaml"))
+    src = str(SCENARIO_DIR.parent / "src")
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script, *map(str, paths)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert len(paths) == 6
+    assert done.stdout.split() == [golden_digest(path) for path in paths]
 
 
 def test_trace_reasons_come_from_the_closed_vocabulary(shipped):

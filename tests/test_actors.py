@@ -30,7 +30,7 @@ from tokenpool.errors import (
     UnauthorizedRequestor,
     UnknownTarget,
 )
-from tokenpool.migration import run_scenario
+from tokenpool.migration import parse_detail, run_scenario
 from tokenpool.policy import AuthMethod, MigrationPhase
 from tokenpool.scenario import CEInterface, parse_scenario
 from tokenpool.simnet import OUTCOME_SUCCESS, TRACE_PILOT, TRACE_POOL
@@ -99,6 +99,24 @@ def failures(world, channel, reason):
     return world.trace.select(channel.label, outcome=f"FAIL:{reason}")
 
 
+def returned(monkeypatch, owner, name):
+    """Wrap ``owner.name``; the list returned collects what every call
+    returns, in call order."""
+    results = []
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return results
+
+
+def pilot_ids(world, outcome):
+    return {parse_detail(r.detail)["pilot"] for r in world.trace.select(TRACE_PILOT, outcome=outcome)}
+
+
 # -- the happy pipeline -----------------------------------------------------
 
 
@@ -128,10 +146,13 @@ def test_pipeline_fills_pool_with_tokens_end_to_end():
     assert "size=5" in samples[-1].detail
 
 
-def test_minted_tokens_have_unique_jtis():
+def test_minted_tokens_have_unique_jtis(monkeypatch):
+    # Every pilot token ever minted, not only those of pilots still live.
+    startd_tokens = returned(monkeypatch, actors.World, "mint_startd_token")
     w = run_doc()
+    assert startd_tokens
     minted = [w.schedd.token, w.frontend.token, w.clients["cmsprod"].token]
-    minted += [p.token for p in w.pilots.values() if p.token]
+    minted += startd_tokens
     minted += [entry[0] for entry in w.frontend.scitokens.values()]
     jtis = [jose.decode_token(t).claims.jti for t in minted]
     assert len(jtis) == len(set(jtis))
@@ -198,8 +219,9 @@ def test_misconfigured_ce_starves_pool_under_token_only():
     assert not [
         r for r in w.trace.records if r.method == AuthMethod.GSI_PROXY.value
     ]
-    failed = [p for p in w.pilots.values() if p.state is PilotState.FAILED]
-    assert failed and len(failed) == len(w.pilots)
+    requested = pilot_ids(w, "REQUESTED")
+    assert requested and requested == pilot_ids(w, "FAILED")
+    assert w.pilots == {}
 
 
 def test_token_only_without_ce_token_support_is_a_dead_end():
@@ -432,11 +454,13 @@ def test_parse_memo_is_cleared_when_full(monkeypatch):
     monkeypatch.setattr(actors, "PARSE_MEMO_SIZE", 3)
     w = idle_world()
     w._parsed.clear()
+    w._success_details.clear()
     for i in range(7):
         _, token = startd_token(w)
         w.authenticate_on(CH_JOIN, token)
         assert len(w._parsed) == i % 3 + 1
         assert token in w._parsed
+        assert w._success_details.keys() <= w._parsed.keys()
 
 
 @pytest.mark.parametrize(
@@ -447,10 +471,11 @@ def test_parse_memo_is_cleared_when_full(monkeypatch):
     ],
     ids=["gateway-full", "gateway-refuses-token"],
 )
-def test_pilot_token_is_minted_only_when_its_gateway_accepts_it(over):
-    w = run_doc(**over)
-    refused = [p for p in w.pilots.values() if p.submitted_at is None]
-    accepted = [p for p in w.pilots.values() if p.submitted_at is not None]
+def test_pilot_token_is_minted_only_when_its_gateway_accepts_it(over, monkeypatch):
+    made = returned(monkeypatch, actors.World, "new_pilot")
+    run_doc(**over)
+    refused = [p for p in made if p.submitted_at is None]
+    accepted = [p for p in made if p.submitted_at is not None]
     assert refused
     for pilot in refused:
         assert pilot.state is PilotState.FAILED
@@ -460,6 +485,67 @@ def test_pilot_token_is_minted_only_when_its_gateway_accepts_it(over):
         assert token.header.kid == pilot.kid
         assert token.claims.jti == pilot.jti
         assert token.claims.iat == pilot.submitted_at
+
+
+# -- records share the values they repeat -----------------------------------
+
+
+def test_repeated_presentations_share_one_success_detail():
+    w = run_doc(pilots={"keepalive": 60})
+    keepalives = {}
+    for rec in successes(w, CH_JOIN):
+        if "keepalive=1" in rec.detail:
+            keepalives.setdefault(parse_detail(rec.detail)["pilot"], []).append(rec.detail)
+    assert len(keepalives) == 5
+    for details in keepalives.values():
+        assert len(details) > 1 and len({id(d) for d in details}) == 1
+    advertised = successes(w, CH_ADVERTISE)
+    assert len(advertised) > 1 and len({id(r.detail) for r in advertised}) == 1
+
+
+def test_success_detail_is_remembered_per_token_and_request_detail():
+    w = idle_world()
+    a, b = (w.mint_daemon_idtoken("schedd@cmspool", ("ADVERTISE",)) for _ in range(2))
+    assert jose.decode_token(a).header.kid == jose.decode_token(b).header.kid
+    presented = [(a, "daemon=schedd"), (b, "daemon=schedd"), (a, "daemon=other"), (a, "daemon=schedd")]
+    for token, detail in presented:
+        w.authenticate_on(CH_ADVERTISE, token, detail=detail)
+    held = [r.detail for r in successes(w, CH_ADVERTISE)[-len(presented):]]
+    assert held == [
+        f"{detail} kid=pool-daemon jti={jose.decode_token(token).claims.jti}"
+        for token, detail in presented
+    ]
+
+
+def test_records_at_one_instant_share_one_time_object():
+    # Two faults start at 300 as two distinct int objects, so the second
+    # ACTIVATE record shares the instant only if it is written at the
+    # engine's clock rather than at its own fault's start.
+    starts = [int("300"), int("300")]
+    assert starts[0] is not starts[1]
+    drops = [
+        {"kind": "MESSAGE_DROP", "target": "SCHEDD->COLLECTOR", "start": t, "rate": 0.0}
+        for t in starts
+    ]
+    w = run_doc(faults=drops)
+    assert [r.t for r in w.trace.select("FAULT", outcome="ACTIVATE")] == starts
+    records = w.trace.records
+    assert len({id(r.t) for r in records}) == len({r.t for r in records})
+
+
+def test_next_jti_skips_a_repeated_draw(monkeypatch):
+    w = idle_world()
+    draws = iter([0xABC, 0xABC, 2**64 - 1])
+
+    class Stream:
+        def getrandbits(self, k):
+            assert k == 64
+            return next(draws)
+
+    monkeypatch.setattr(w.streams, "stream", lambda label: Stream())
+    assert w.next_jti("test") == "0000000000000abc"
+    assert w.next_jti("test") == "ffffffffffffffff"
+    assert w._used_jtis["test"] == {0xABC, 2**64 - 1}
 
 
 def golden_digest(path):
@@ -474,8 +560,9 @@ def golden_digest(path):
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
 def test_policy_memo_caps_do_not_change_the_digest(path, monkeypatch):
     # Every memo, not only the policy ones: with room for one entry each,
-    # the parse, signature and MAC, identity and limits memos are cleared
-    # on nearly every miss; the run must not notice.
+    # the parse (and with it the success-detail), signature and MAC,
+    # identity and limits memos are cleared on nearly every miss; the run
+    # must not notice.
     monkeypatch.setattr(actors, "PARSE_MEMO_SIZE", 1)
     monkeypatch.setattr(tokens, "SIGNATURE_MEMO_SIZE", 1)
     monkeypatch.setattr(policy, "IDENTITY_MEMO_SIZE", 1)
@@ -673,8 +760,52 @@ def test_pilot_states_follow_the_life_cycle(path, monkeypatch):
     monkeypatch.setattr(actors.World, "set_pilot_state", checked)
     world = run_scenario(path).world
     assert last
+    for pid, state in last.items():
+        ended = state in (PilotState.RETIRED, PilotState.FAILED)
+        assert (pid in world.pilots) is not ended, (pid, state)
     for pilot in world.pilots.values():
         assert pilot.state is last.get(pilot.id, PilotState.REQUESTED), pilot.id
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+def test_world_keeps_only_live_pilots(path, monkeypatch):
+    new_pilot, end_pilot, cycle = (
+        actors.World.new_pilot, actors.World.end_pilot, actors.Frontend.cycle
+    )
+    live = {}  # made and not yet ended, as the wrappers saw them
+    refused = []  # weak references to pilots refused at submission
+    cycles = []
+
+    def made(world, ce):
+        pilot = new_pilot(world, ce)
+        live[pilot.id] = pilot
+        return pilot
+
+    def ended(world, pilot, *args):
+        end_pilot(world, pilot, *args)
+        del live[pilot.id]
+        if pilot.submitted_at is None:
+            refused.append(weakref.ref(pilot))
+
+    def checked_cycle(frontend):
+        assert frontend.world.pilots == live, frontend.world.engine.now
+        cycles.append(len(live))
+        cycle(frontend)
+
+    monkeypatch.setattr(actors.World, "new_pilot", made)
+    monkeypatch.setattr(actors.World, "end_pilot", ended)
+    monkeypatch.setattr(actors.Frontend, "cycle", checked_cycle)
+    # Reference counting alone must free a refused pilot, as it frees a World.
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        world = run_scenario(path).world
+        assert world.pilots == live
+        assert [r for r in refused if r() is not None] == []
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert len(cycles) > 1 and any(cycles)
 
 
 # -- issuer authorization ---------------------------------------------------

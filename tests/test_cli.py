@@ -168,6 +168,16 @@ def test_verify_rejects_negative_skew(capsys, key_file):
     assert main([*verify, "--skew", "0"]) == 0
 
 
+@pytest.mark.parametrize("lifetime", ["-100", "0"])
+def test_mint_rejects_a_lifetime_below_one(capsys, key_file, lifetime):
+    # A token that is never valid is a mistake in the arguments, not a
+    # failed mint.
+    argv = ["token", "mint", "--key-file", key_file, "--kid", "k1", "--subject", "a"]
+    assert main([*argv, "--lifetime", lifetime, "--now", "1000"]) == 2
+    assert capsys.readouterr().err == f"error: --lifetime must be at least 1, got {lifetime}\n"
+    assert main([*argv, "--lifetime", "1", "--now", "1000"]) == 0
+
+
 def test_world_readable_key_file_is_refused(capsys, key_file, tmp_path):
     token = mint(capsys, key_file)
     loose = tmp_path / "loose.hex"

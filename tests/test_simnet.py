@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tokenpool.errors import SimulationError, UnknownTarget
+from tokenpool.errors import TRACE_REASONS, SimulationError, UnknownTarget
 from tokenpool.simnet import (
     Engine,
     Fault,
@@ -219,6 +219,17 @@ def test_canonical_line_is_the_json_dumps_line(rec):
 
 def test_fail_outcome_format():
     assert fail_outcome("Expired") == "FAIL:Expired"
+
+
+def test_each_reason_has_one_fail_outcome_string():
+    for reason in TRACE_REASONS:
+        assert fail_outcome(reason) == f"FAIL:{reason}"
+        assert fail_outcome(reason) is fail_outcome(reason), reason
+
+
+def test_fail_outcome_rejects_a_reason_outside_the_vocabulary():
+    with pytest.raises(SimulationError, match="'Bogus'"):
+        fail_outcome("Bogus")
 
 
 # -- faults -----------------------------------------------------------------
