@@ -94,7 +94,7 @@ AUTH_CHANNEL_LABELS = tuple(c.label for c in AUTH_CHANNELS)
 DAEMON_TOKEN_LIFETIME = 86400
 
 #: Most parsed tokens one World remembers; the memo is cleared when it
-#: reaches this size, and the success-detail memo with it.
+#: reaches this size.
 PARSE_MEMO_SIZE = 4096
 
 
@@ -122,7 +122,7 @@ class Job:
     duration: int = field(compare=False)
 
 
-@dataclass(slots=True, weakref_slot=True)
+@dataclass(slots=True)
 class Pilot:
     id: str
     ce_id: str
@@ -199,9 +199,10 @@ class World:
         #: The 64-bit draws behind every jti handed out, by authority.
         self._used_jtis: dict[str, set[int]] = {}
         self._parsed: dict[str, jose.Token] = {}
-        #: Token string -> (request detail, success detail) of its last
-        #: success, so a repeated presentation shares one detail string.
-        self._success_details: dict[str, tuple[str, str]] = {}
+        #: Each distinct success detail, so the records of every repeated
+        #: presentation hold one string.  It holds only strings the trace
+        #: holds; ``sys.intern`` would keep them past the World on 3.12.
+        self._success_details: dict[str, str] = {}
         self._pilot_seq = 0
         self._job_seq = 0
         #: Live pilots by id; ``end_pilot`` removes a pilot as it ends.
@@ -278,7 +279,6 @@ class World:
             token = jose.decode_token(compact)
             if len(self._parsed) >= PARSE_MEMO_SIZE:
                 self._parsed.clear()
-                self._success_details.clear()
             self._parsed[compact] = token
         return token
 
@@ -295,10 +295,9 @@ class World:
         compiled = self.policy
         pol = compiled.channels[channel.label]
         now = self.engine.now
-        compact = credential if isinstance(credential, str) else None
         try:
-            if compact is not None:
-                credential = self.parsed_token(compact)
+            if isinstance(credential, str):
+                credential = self.parsed_token(credential)
             peer = authenticate(
                 channel,
                 pol,
@@ -332,15 +331,9 @@ class World:
             )
             raise AuthorizationDenied(f"missing {', '.join(decision.missing)}")
         if peer.token_kid is not None:
-            last = self._success_details.get(compact)
-            if last is not None and last[0] == detail:
-                detail = last[1]
-            else:
-                held = f"kid={peer.token_kid} jti={peer.token_jti}"
-                success = f"{detail} {held}" if detail else held
-                if compact is not None:
-                    self._success_details[compact] = (detail, success)
-                detail = success
+            held = f"kid={peer.token_kid} jti={peer.token_jti}"
+            detail = f"{detail} {held}" if detail else held
+            detail = self._success_details.setdefault(detail, detail)
         self.trace.record(
             now,
             channel.label,

@@ -89,12 +89,10 @@ def fail_outcome(reason: str) -> str:
     """The one ``FAIL:<reason>`` string of a reason in ``TRACE_REASONS``.
 
     Raises:
-        SimulationError: the reason is outside the vocabulary.
+        KeyError: the reason is outside the vocabulary.  Not a
+            ``TokenPoolError``, so no caller that catches those hides it.
     """
-    try:
-        return _FAIL_OUTCOMES[reason]
-    except KeyError:
-        raise SimulationError(f"unknown trace reason {reason!r}") from None
+    return _FAIL_OUTCOMES[reason]
 
 
 class Record(NamedTuple):

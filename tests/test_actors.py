@@ -454,13 +454,11 @@ def test_parse_memo_is_cleared_when_full(monkeypatch):
     monkeypatch.setattr(actors, "PARSE_MEMO_SIZE", 3)
     w = idle_world()
     w._parsed.clear()
-    w._success_details.clear()
     for i in range(7):
         _, token = startd_token(w)
         w.authenticate_on(CH_JOIN, token)
         assert len(w._parsed) == i % 3 + 1
         assert token in w._parsed
-        assert w._success_details.keys() <= w._parsed.keys()
 
 
 @pytest.mark.parametrize(
@@ -503,7 +501,7 @@ def test_repeated_presentations_share_one_success_detail():
     assert len(advertised) > 1 and len({id(r.detail) for r in advertised}) == 1
 
 
-def test_success_detail_is_remembered_per_token_and_request_detail():
+def test_tokens_with_one_kid_get_their_own_success_details():
     w = idle_world()
     a, b = (w.mint_daemon_idtoken("schedd@cmspool", ("ADVERTISE",)) for _ in range(2))
     assert jose.decode_token(a).header.kid == jose.decode_token(b).header.kid
@@ -560,9 +558,8 @@ def golden_digest(path):
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
 def test_policy_memo_caps_do_not_change_the_digest(path, monkeypatch):
     # Every memo, not only the policy ones: with room for one entry each,
-    # the parse (and with it the success-detail), signature and MAC,
-    # identity and limits memos are cleared on nearly every miss; the run
-    # must not notice.
+    # the parse, signature and MAC, identity and limits memos are cleared
+    # on nearly every miss; the run must not notice.
     monkeypatch.setattr(actors, "PARSE_MEMO_SIZE", 1)
     monkeypatch.setattr(tokens, "SIGNATURE_MEMO_SIZE", 1)
     monkeypatch.setattr(policy, "IDENTITY_MEMO_SIZE", 1)
@@ -758,13 +755,21 @@ def test_pilot_states_follow_the_life_cycle(path, monkeypatch):
         set_state(world, pilot, state)
 
     monkeypatch.setattr(actors.World, "set_pilot_state", checked)
+    made = returned(monkeypatch, actors.World, "new_pilot")
     world = run_scenario(path).world
     assert last
-    for pid, state in last.items():
+    for pilot in made:
+        state = last.get(pilot.id, PilotState.REQUESTED)
+        assert pilot.state is state, pilot.id
         ended = state in (PilotState.RETIRED, PilotState.FAILED)
-        assert (pid in world.pilots) is not ended, (pid, state)
-    for pilot in world.pilots.values():
-        assert pilot.state is last.get(pilot.id, PilotState.REQUESTED), pilot.id
+        assert (pilot.id in world.pilots) is not ended, (pilot.id, state)
+    assert len(made) == len({pilot.id for pilot in made})
+
+
+class WeakPilot(actors.Pilot):
+    """A ``Pilot`` a test can hold a weak reference to."""
+
+    __slots__ = ("__weakref__",)
 
 
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
@@ -795,6 +800,7 @@ def test_world_keeps_only_live_pilots(path, monkeypatch):
     monkeypatch.setattr(actors.World, "new_pilot", made)
     monkeypatch.setattr(actors.World, "end_pilot", ended)
     monkeypatch.setattr(actors.Frontend, "cycle", checked_cycle)
+    monkeypatch.setattr(actors, "Pilot", WeakPilot)
     # Reference counting alone must free a refused pilot, as it frees a World.
     was_enabled = gc.isenabled()
     gc.disable()

@@ -228,7 +228,8 @@ def test_each_reason_has_one_fail_outcome_string():
 
 
 def test_fail_outcome_rejects_a_reason_outside_the_vocabulary():
-    with pytest.raises(SimulationError, match="'Bogus'"):
+    # A KeyError, which no caller catching TokenPoolError can swallow.
+    with pytest.raises(KeyError, match="'Bogus'"):
         fail_outcome("Bogus")
 
 
