@@ -113,6 +113,9 @@ PILOT_SUPPLY_STATES = frozenset(
     {PilotState.REQUESTED, PilotState.SUBMITTED, PilotState.STARTED, PilotState.JOINED}
 )
 
+#: Each member's trace string, read once: ``.value`` is a Python-level property.
+_NAMES = {m: m.value for e in (AuthMethod, MigrationPhase, PilotState, CEInterface) for m in e}
+
 
 @dataclass(order=True, slots=True)
 class Job:
@@ -151,11 +154,11 @@ def _method_name(credential: object) -> str:
     """Method label for failure records (never verifies); a token string
     gets here only when it failed to parse."""
     if isinstance(credential, ProxyCredential):
-        return AuthMethod.GSI_PROXY.value
+        return _NAMES[AuthMethod.GSI_PROXY]
     if isinstance(credential, LocalFsCredential):
-        return AuthMethod.LOCAL_FS.value
+        return _NAMES[AuthMethod.LOCAL_FS]
     if isinstance(credential, jose.Token):
-        return token_method(credential).value
+        return _NAMES[token_method(credential)]
     return "-"
 
 
@@ -325,7 +328,7 @@ class World:
                 now,
                 channel.label,
                 OUTCOME_DENIED,
-                method=peer.method.value,
+                method=_NAMES[peer.method],
                 identity=peer.canonical_identity,
                 detail=_join_detail(detail, f"missing={','.join(decision.missing)}"),
             )
@@ -338,7 +341,7 @@ class World:
             now,
             channel.label,
             OUTCOME_SUCCESS,
-            method=peer.method.value,
+            method=_NAMES[peer.method],
             identity=peer.canonical_identity,
             detail=detail,
         )
@@ -350,7 +353,7 @@ class World:
         if not message_dropped(self.board, self.streams, channel.label, now):
             return False
         self.trace.record(
-            now, channel.label, OUTCOME_DROP, method=method.value, detail=detail
+            now, channel.label, OUTCOME_DROP, method=_NAMES[method], detail=detail
         )
         return True
 
@@ -360,7 +363,7 @@ class World:
         self.phase = phase
         self.policy = CompiledPolicy(apply_phase(self.base_table, phase))
         self.trace.record(
-            self.engine.now, TRACE_PLAN, "PHASE", detail=f"phase={phase.value}"
+            self.engine.now, TRACE_PLAN, "PHASE", detail=f"phase={_NAMES[phase]}"
         )
 
     # -- pilot / job ledger -------------------------------------------------
@@ -374,7 +377,7 @@ class World:
         self.trace.record(
             self.engine.now,
             TRACE_PILOT,
-            PilotState.REQUESTED.value,
+            _NAMES[PilotState.REQUESTED],
             detail=f"pilot={pid} ce={ce.id}",
         )
         return pilot
@@ -398,7 +401,7 @@ class World:
         self.trace.record(
             self.engine.now,
             TRACE_PILOT,
-            outcome or state.value,
+            outcome or _NAMES[state],
             detail=_join_detail(f"pilot={pilot.id} ce={pilot.ce_id}", extra),
         )
 
@@ -427,7 +430,7 @@ class World:
 
     def fail_pilot(self, pilot: Pilot, reason: str) -> None:
         self.end_pilot(
-            pilot, PilotState.FAILED, PilotState.FAILED.value, f"reason={reason}"
+            pilot, PilotState.FAILED, _NAMES[PilotState.FAILED], f"reason={reason}"
         )
 
     def new_job(self, spec: ClientSpec) -> Job:
@@ -447,7 +450,7 @@ class World:
 
     def start(self) -> None:
         """Record the starting phase, arm faults and plan, seed the loops."""
-        self.trace.record(0, TRACE_PLAN, "PHASE", detail=f"phase={self.phase.value}")
+        self.trace.record(0, TRACE_PLAN, "PHASE", detail=f"phase={_NAMES[self.phase]}")
         self.controller.wire_faults()
         self.controller.schedule_plan()
         for client in self.clients.values():
@@ -475,7 +478,7 @@ class TokenIssuer:
                 w.engine.now,
                 CH_TOKEN_FETCH.label,
                 fail_outcome(UnauthorizedRequestor.__name__),
-                method=peer.method.value,
+                method=_NAMES[peer.method],
                 identity=peer.canonical_identity,
                 detail=f"aud={ce_id}",
             )
@@ -649,7 +652,7 @@ class Collector:
     def idle_check(self, pilot: Pilot) -> None:
         if pilot.state is PilotState.JOINED:
             self.world.end_pilot(
-                pilot, PilotState.RETIRED, PilotState.RETIRED.value, f"reason={IDLE}"
+                pilot, PilotState.RETIRED, _NAMES[PilotState.RETIRED], f"reason={IDLE}"
             )
 
     def match_tick(self) -> None:
@@ -684,7 +687,7 @@ class Collector:
             w.engine.now, TRACE_JOB, "DONE", detail=f"job={job.id} pilot={pilot.id}"
         )
         w.end_pilot(
-            pilot, PilotState.RETIRED, PilotState.RETIRED.value, f"job={job.id}"
+            pilot, PilotState.RETIRED, _NAMES[PilotState.RETIRED], f"job={job.id}"
         )
 
 
@@ -907,7 +910,7 @@ class CEGateway:
                 now,
                 CH_CE_SUBMIT.label,
                 fail_outcome(UntrustedIssuer.__name__),
-                method=AuthMethod.SCITOKEN.value,
+                method=_NAMES[AuthMethod.SCITOKEN],
                 detail=f"ce={self.id} pilot={pilot.id} fault=CE_TOKEN_MISCONFIG",
             )
             return SubmitOutcome.AUTH_REJECTED
@@ -916,7 +919,7 @@ class CEGateway:
                 CH_CE_SUBMIT,
                 credential,
                 audience=self.id,
-                detail=f"ce={self.id} pilot={pilot.id} iface={interface.value}",
+                detail=f"ce={self.id} pilot={pilot.id} iface={_NAMES[interface]}",
             )
         except TokenPoolError:
             return SubmitOutcome.AUTH_REJECTED
@@ -925,7 +928,7 @@ class CEGateway:
                 now,
                 CH_CE_SUBMIT.label,
                 fail_outcome(CAPACITY_EXCEEDED),
-                method=peer.method.value,
+                method=_NAMES[peer.method],
                 identity=peer.canonical_identity,
                 detail=f"ce={self.id} pilot={pilot.id}",
             )
@@ -937,7 +940,7 @@ class CEGateway:
         w.pilot_event(
             pilot,
             PilotState.SUBMITTED,
-            _join_detail(f"method={peer.method.value}", "stuck=1" if stuck else ""),
+            _join_detail(f"method={_NAMES[peer.method]}", "stuck=1" if stuck else ""),
         )
         if stuck:
             return SubmitOutcome.ACCEPTED

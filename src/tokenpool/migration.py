@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import statistics
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -44,6 +45,11 @@ _METHOD_VALUES = frozenset(m.value for m in AuthMethod)
 _PERMITTED = {
     phase: frozenset(m.value for m in methods) for phase, methods in PHASE_PERMITS.items()
 }
+#: (channel, outcome) of the non-auth heads whose facts are read record by record.
+_STEPPED = frozenset({
+    (TRACE_PILOT, "JOINED"), (TRACE_PILOT, "EVICT"), (TRACE_POOL, "SAMPLE"),
+    (TRACE_JOB, "QUEUED"), (TRACE_PLAN, "PHASE"), (TRACE_FAULT, "ACTIVATE"),
+})
 
 
 @dataclass(frozen=True)
@@ -124,13 +130,14 @@ class DrillReport:
 
 
 class _Pass:
-    """One walk over a trace's records, keeping what every report fact needs.
+    """One walk over a trace's columns, keeping what every report fact needs.
 
-    Phase soundness and the drill are settled only after the walk: a PHASE
-    record at t governs every auth record at t, and the drill counts every
-    eviction and join at the compromise instant, whichever of them was
-    written first.  A pass must not outlive the report that made it, so
-    its buffers are gone before the digest sets the report's peak memory.
+    Heads are classified once; only those whose facts sit in a record's time
+    or detail are read record by record.  Phase soundness and the drill are
+    settled after the walk: a PHASE record at t governs every auth record at
+    t, and the drill counts every eviction and join at the compromise instant,
+    whichever was written first.  A pass must not outlive its report, so its
+    buffers are gone before the digest sets the report's peak memory.
     """
 
     def __init__(self, trace: Trace) -> None:
@@ -145,57 +152,62 @@ class _Pass:
         self.pilot_counts: Counter[str] = Counter()
         self.job_counts: Counter[str] = Counter()
         self.denied = self.dropped = 0
-        attempts = []  # auth records that name a concrete method
-        for rec in trace.records:
-            channel, outcome = rec.channel, rec.outcome
+        heads, codes, times, details = trace.heads, trace.codes, trace.times, trace.details
+        steps: dict[int, str] = {}  # head code -> the outcome read record by record
+        for code, n in Counter(codes).items():
+            channel, _, method, outcome = heads[code]
             if channel in _AUTH_CHANNELS:
-                method = rec.method
                 if method in _METHOD_VALUES:
-                    attempts.append(rec)
+                    steps[code] = "attempt"  # a record of this head is an auth attempt
                 if outcome == OUTCOME_SUCCESS:
-                    self.auth_success[method] += 1
+                    self.auth_success[method] += n
                     if method in LEGACY_METHOD_VALUES:
-                        self.legacy[channel] += 1
+                        self.legacy[channel] += n
                 elif outcome.startswith("FAIL:"):
-                    self.auth_failures[outcome[len("FAIL:"):]] += 1
+                    self.auth_failures[outcome[len("FAIL:"):]] += n
                 elif outcome == OUTCOME_DENIED:
-                    self.denied += 1
+                    self.denied += n
                 elif outcome == OUTCOME_DROP:
-                    self.dropped += 1
-            elif channel == TRACE_POOL:
-                if outcome == "SAMPLE":
-                    size = int(parse_detail(rec.detail)["size"])
-                    self.samples.append((rec.t, size))
+                    self.dropped += n
             elif channel == TRACE_PILOT:
-                self.pilot_counts[outcome] += 1
-                if outcome == "JOINED":
-                    self.joins.append(rec.t)
-                elif outcome == "EVICT":
-                    kid = parse_detail(rec.detail).get("kid")
-                    self.evictions.append((rec.t, kid))
-            elif channel == TRACE_JOB:
-                if outcome == "QUEUED":
-                    self.job_counts[outcome] += int(parse_detail(rec.detail).get("count", "0"))
-                else:
-                    self.job_counts[outcome] += 1
-            elif channel == TRACE_PLAN:
-                if outcome == "PHASE":
-                    phase = MigrationPhase(parse_detail(rec.detail)["phase"])
-                    self.timeline.append((rec.t, phase))
-            elif channel == TRACE_FAULT and outcome == "ACTIVATE" and self.compromise is None:
-                kv = parse_detail(rec.detail)
-                if kv.get("kind") == "KEY_COMPROMISE":
-                    self.compromise = (rec.t, kv["target"])
+                self.pilot_counts[outcome] += n
+            elif channel == TRACE_JOB and outcome != "QUEUED":
+                self.job_counts[outcome] += n
+            if (channel, outcome) in _STEPPED:
+                steps[code] = outcome
+        attempts = array("I")  # indices of auth records that name a concrete method
+        for i, code in enumerate(codes):
+            step = steps.get(code)
+            if step == "attempt":
+                attempts.append(i)
+            elif step is not None:
+                t, kv = times[i], parse_detail(details[i])
+                if step == "SAMPLE":
+                    self.samples.append((t, int(kv["size"])))
+                elif step == "JOINED":
+                    self.joins.append(t)
+                elif step == "EVICT":
+                    self.evictions.append((t, kv.get("kid")))
+                elif step == "QUEUED":
+                    self.job_counts[step] += int(kv.get("count", "0"))
+                elif step == "PHASE":
+                    self.timeline.append((t, MigrationPhase(kv["phase"])))
+                elif kv.get("kind") == "KEY_COMPROMISE" and self.compromise is None:
+                    self.compromise = (t, kv["target"])
         self.violations: list[str] = []
         if not self.timeline:
             self.violations.append("no phase records in trace")
-            attempts.clear()
-        for rec in attempts:
-            phase = phase_at(self.timeline, rec.t)
-            if rec.method not in _PERMITTED[phase]:
+            return
+        # Only a method some phase in the timeline forbids can violate.
+        always = frozenset.intersection(*(_PERMITTED[phase] for _, phase in self.timeline))
+        suspect = {c for c, s in steps.items() if s == "attempt" and heads[c][2] not in always}
+        for i in (i for i in attempts if codes[i] in suspect):
+            channel, _, method, outcome = heads[codes[i]]
+            phase = phase_at(self.timeline, times[i])
+            if method not in _PERMITTED[phase]:
                 self.violations.append(
-                    f"t={rec.t} {rec.channel} used {rec.method} under {phase.value}"
-                    f" (outcome={rec.outcome})"
+                    f"t={times[i]} {channel} used {method} under {phase.value}"
+                    f" (outcome={outcome})"
                 )
 
     def metrics(self, scenario: Scenario) -> PoolMetrics:

@@ -12,6 +12,8 @@ import enum
 import hashlib
 import heapq
 import random
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -106,15 +108,18 @@ class Record(NamedTuple):
     t: int
 
 
-_LINE = '{"channel":%s,"detail":%s,"identity":%s,"method":%s,"outcome":%s,"t":%d}\n'
+def _line_template(channel: str, identity: str, method: str, outcome: str) -> str:
+    """The canonical line of a record with this head, less its escaped detail and t."""
+    esc = encode_basestring_ascii
+    return '{"channel":%s,"detail":%%s,"identity":%s,"method":%s,"outcome":%s,"t":%%d}\n' % tuple(
+        esc(field).replace("%", "%%") for field in (channel, identity, method, outcome)
+    )
 
 
 def canonical_line(rec: Record) -> str:
-    """The record's JSONL line: ``json.dumps`` with sorted keys, no
-    whitespace and ASCII escapes, then a newline."""
-    channel, detail, identity, method, outcome, t = rec
-    esc = encode_basestring_ascii
-    return _LINE % (esc(channel), esc(detail), esc(identity), esc(method), esc(outcome), t)
+    """The record's JSONL line."""
+    template = _line_template(rec.channel, rec.identity, rec.method, rec.outcome)
+    return template % (encode_basestring_ascii(rec.detail), rec.t)
 
 
 def _mistyped(rec: Record) -> str:
@@ -127,11 +132,37 @@ def _mistyped(rec: Record) -> str:
     return f"trace {name} must be a str, got {value!r}"
 
 
+class Records(Sequence[Record]):
+    """Read-only view of a trace's records, each built when it is read."""
+
+    __slots__ = ("_trace",)
+
+    def __init__(self, trace: Trace) -> None:
+        self._trace = trace
+
+    def __len__(self) -> int:
+        return len(self._trace.codes)
+
+    def __getitem__(self, i):  # type: ignore[override]
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        trace = self._trace
+        channel, identity, method, outcome = trace.heads[trace.codes[i]]
+        return Record(channel, trace.details[i], identity, method, outcome, trace.times[i])
+
+
 class Trace:
-    """Append-only audit log; its JSONL text defines the run digest."""
+    """Append-only audit log whose JSONL text defines the run digest, kept as
+    columns: record i is ``heads[codes[i]]``, ``times[i]`` and ``details[i]``."""
 
     def __init__(self) -> None:
-        self.records: list[Record] = []
+        self.heads: list[tuple[str, str, str, str]] = []
+        self._head_codes: dict[tuple[str, str, str, str], int] = {}
+        self.codes = array("I")
+        self.times: list[int] = []
+        self.details: list[str] = []
+
+    records = property(Records, doc="Read-only view of the records, built as they are read.")
 
     def record(
         self,
@@ -143,12 +174,17 @@ class Trace:
         identity: str = "-",
         detail: str = "",
     ) -> None:
-        rec = Record(channel, detail, identity, method, outcome, t)
         if type(t) is not int or not (
             type(channel) is type(detail) is type(identity) is type(method) is type(outcome) is str
         ):
-            raise SimulationError(_mistyped(rec))
-        self.records.append(rec)
+            raise SimulationError(_mistyped(Record(channel, detail, identity, method, outcome, t)))
+        head = (channel, identity, method, outcome)
+        code = self._head_codes.setdefault(head, len(self.heads))
+        if code == len(self.heads):
+            self.heads.append(head)
+        self.codes.append(code)
+        self.times.append(t)
+        self.details.append(detail)
 
     def select(
         self,
@@ -156,16 +192,13 @@ class Trace:
         outcome: str | None = None,
         outcome_prefix: str | None = None,
     ) -> list[Record]:
-        out = []
-        for rec in self.records:
-            if channel is not None and rec.channel != channel:
-                continue
-            if outcome is not None and rec.outcome != outcome:
-                continue
-            if outcome_prefix is not None and not rec.outcome.startswith(outcome_prefix):
-                continue
-            out.append(rec)
-        return out
+        return [
+            rec
+            for rec in self.records
+            if (channel is None or rec.channel == channel)
+            and (outcome is None or rec.outcome == outcome)
+            and (outcome_prefix is None or rec.outcome.startswith(outcome_prefix))
+        ]
 
     def digest(self) -> str:
         return self._hash_lines(None)
@@ -179,9 +212,11 @@ class Trace:
     def _hash_lines(self, out: BinaryIO | None) -> str:
         """SHA-256 of the canonical lines, each serialised once and, if
         ``out`` is given, written there too."""
+        templates = [_line_template(*head) for head in self.heads]
+        esc = encode_basestring_ascii
         sha = hashlib.sha256()
-        for line in map(canonical_line, self.records):
-            data = line.encode()
+        for code, t, detail in zip(self.codes, self.times, self.details):
+            data = (templates[code] % (esc(detail), t)).encode()
             sha.update(data)
             if out is not None:
                 out.write(data)

@@ -268,12 +268,18 @@ def test_sim_run_trace_out_serialises_each_record_once(scenario_file, tmp_path, 
     reuses that digest instead of serialising the trace again."""
     from tokenpool import simnet
 
-    calls = []
-    real = simnet.canonical_line
-    monkeypatch.setattr(simnet, "canonical_line", lambda rec: calls.append(rec) or real(rec))
+    passes = []  # one entry per serialisation of the whole trace: was it written out?
+    real = simnet.Trace._hash_lines
+
+    def counted(trace, out):
+        passes.append(out is not None)
+        return real(trace, out)
+
+    monkeypatch.setattr(simnet.Trace, "_hash_lines", counted)
     trace_out = tmp_path / "trace.jsonl"
     assert main(["sim", "run", scenario_file, "--trace-out", str(trace_out)]) == 0
-    assert len(calls) == trace_out.read_bytes().count(b"\n") > 0
+    assert passes == [True]
+    assert trace_out.read_bytes().count(b"\n") > 0
 
 
 def test_sim_run_json_format(capsys, scenario_file):

@@ -209,18 +209,19 @@ def test_phase_soundness_detects_forged_legacy_use(small_result):
             )
         )
     )
-    forged = Trace()
-    forged.records = list(staged.trace.records)
-    forged.record(400, "FACTORY->CE", "SUCCESS", method="GSI_PROXY", identity="cms-pilot")
     # The phase change at t=300 governs every record at t=300, including
     # one written before the PHASE record itself.
-    boundary = next(
-        i
-        for i, r in enumerate(forged.records)
-        if r.channel == "PLAN" and r.outcome == "PHASE" and r.t == 300
-    )
-    forged.record(300, "FACTORY->CE", "SUCCESS", method="GSI_PROXY", identity="cms-pilot")
-    forged.records.insert(boundary, forged.records.pop())
+    forged = Trace()
+    boundaries = 0
+    for r in staged.trace.records:
+        if r.channel == "PLAN" and r.outcome == "PHASE" and r.t == 300:
+            boundaries += 1
+            forged.record(300, "FACTORY->CE", "SUCCESS", method="GSI_PROXY", identity="cms-pilot")
+        forged.record(
+            r.t, r.channel, r.outcome, method=r.method, identity=r.identity, detail=r.detail
+        )
+    assert boundaries == 1
+    forged.record(400, "FACTORY->CE", "SUCCESS", method="GSI_PROXY", identity="cms-pilot")
     tampered = dataclasses.replace(staged, trace=forged)
     violations = check_phase_soundness(tampered)
     assert len(violations) == 2
@@ -229,6 +230,37 @@ def test_phase_soundness_detects_forged_legacy_use(small_result):
         assert "FACTORY->CE" in violation
         assert "GSI_PROXY" in violation
         assert "TOKEN_ONLY" in violation
+    assert report_dict(tampered)["phase_soundness"]["violations"] == violations
+
+
+def test_phase_soundness_lists_interleaved_violations_in_record_order(small_result):
+    """Legacy attempts on two channels interleave, some are written before
+    the PHASE record that forbids them, and one lies past the horizon but
+    is written before earlier ones: each is judged under the whole
+    timeline and listed where its record stands."""
+    forged = Trace()
+
+    def attempt(t, channel, method, outcome="SUCCESS"):
+        forged.record(t, channel, outcome, method=method, identity="cms-pilot")
+
+    forged.record(0, "PLAN", "PHASE", detail="phase=TOKEN_WITH_GSI_FALLBACK")
+    attempt(100, "FACTORY->CE", "GSI_PROXY")
+    attempt(300, "SCHEDD->COLLECTOR", "LOCAL_FS")
+    attempt(300, "FACTORY->CE", "GSI_PROXY", outcome="FAIL:AuthRejected")
+    attempt(small_result.scenario.horizon + 60, "FACTORY->CE", "GSI_PROXY")
+    forged.record(300, "PLAN", "PHASE", detail="phase=TOKEN_ONLY")
+    attempt(310, "SCHEDD->COLLECTOR", "IDTOKEN")
+    attempt(320, "SCHEDD->COLLECTOR", "LOCAL_FS")
+    attempt(330, "FACTORY->CE", "GSI_PROXY")
+    tampered = dataclasses.replace(small_result, trace=forged)
+    violations = check_phase_soundness(tampered)
+    assert violations == [
+        "t=300 SCHEDD->COLLECTOR used LOCAL_FS under TOKEN_ONLY (outcome=SUCCESS)",
+        "t=300 FACTORY->CE used GSI_PROXY under TOKEN_ONLY (outcome=FAIL:AuthRejected)",
+        "t=660 FACTORY->CE used GSI_PROXY under TOKEN_ONLY (outcome=SUCCESS)",
+        "t=320 SCHEDD->COLLECTOR used LOCAL_FS under TOKEN_ONLY (outcome=SUCCESS)",
+        "t=330 FACTORY->CE used GSI_PROXY under TOKEN_ONLY (outcome=SUCCESS)",
+    ]
     assert report_dict(tampered)["phase_soundness"]["violations"] == violations
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -138,7 +139,7 @@ def test_trace_rejects_non_int_times(field, value, message):
     trace = Trace()
     with pytest.raises(SimulationError, match=message):
         trace.record(**fields)
-    assert trace.records == []
+    assert list(trace.records) == []
 
 
 def _jsonl(trace):
@@ -148,7 +149,7 @@ def _jsonl(trace):
 def test_trace_jsonl_is_canonical_and_digest_matches():
     trace = Trace()
     trace.record(1, "A->B", "SUCCESS", detail="x=1")
-    assert trace.records == [Record("A->B", "x=1", "-", "-", "SUCCESS", 1)]
+    assert list(trace.records) == [Record("A->B", "x=1", "-", "-", "SUCCESS", 1)]
     text = _jsonl(trace)
     assert text.endswith("\n")
     parsed = json.loads(text.splitlines()[0])
@@ -190,16 +191,16 @@ def test_trace_digest_hashes_the_jsonl_text(details, tmp_path):
     assert out.read_bytes() == text.encode()
 
 
-#: Text that leans on what JSON must escape: quotes, backslashes, control
-#: characters, DEL, line separators, non-BMP characters and lone surrogates.
-_FIELD_TEXT = st.text(
-    st.one_of(
-        st.sampled_from('"\\/\x00\x1f\x7f\u2028'),
-        st.characters(),
-        st.characters(min_codepoint=0x10000),
-        st.characters(categories=["Cs"]),
-    )
+#: Text that leans on what JSON must escape, and on the ``%`` a line template
+#: must double: quotes, backslashes, control characters, DEL, line
+#: separators, non-BMP characters and lone surrogates.
+_FIELD_CHARS = st.one_of(
+    st.sampled_from('%"\\/\x00\x1f\x7f\u2028'),
+    st.characters(),
+    st.characters(min_codepoint=0x10000),
+    st.characters(categories=["Cs"]),
 )
+_FIELD_TEXT = st.text(_FIELD_CHARS)
 
 
 @given(
@@ -215,6 +216,75 @@ _FIELD_TEXT = st.text(
 )
 def test_canonical_line_is_the_json_dumps_line(rec):
     assert canonical_line(rec) == _json_line(rec)
+
+
+_SHORT_TEXT = st.text(_FIELD_CHARS, max_size=6)
+_HEAD = st.tuples(_SHORT_TEXT, _SHORT_TEXT, _SHORT_TEXT, _SHORT_TEXT)
+
+
+@given(
+    heads=st.lists(_HEAD, min_size=1, max_size=4),
+    rows=st.lists(
+        st.tuples(st.integers(min_value=0), st.integers(min_value=0), _SHORT_TEXT), max_size=10
+    ),
+)
+def test_columnar_trace_gives_back_the_records_it_was_given(heads, rows, tmp_path_factory):
+    # 300 more heads, so head codes outgrow a byte; the given rows reuse
+    # heads among them.
+    wide = []
+    for k in range(300):
+        channel, identity, method, outcome = heads[k % len(heads)]
+        wide.append(Record(f"{channel}%{k}", "", identity, method, outcome, k))
+    given_rows = []
+    for pick, t, detail in rows:
+        channel, identity, method, outcome = heads[pick % len(heads)]
+        given_rows.append(Record(channel, detail, identity, method, outcome, t))
+    expected = wide[:150] + given_rows + wide[150:]
+    trace = Trace()
+    for r in expected:
+        trace.record(r.t, r.channel, r.outcome, method=r.method, identity=r.identity, detail=r.detail)
+    assert len(trace.heads) > 256
+    text = "".join(map(_json_line, expected)).encode()
+    out = tmp_path_factory.getbasetemp() / "columnar-trace.jsonl"
+    assert trace.write(out) == trace.digest() == hashlib.sha256(text).hexdigest()
+    assert out.read_bytes() == text
+    assert len(trace.records) == len(expected)
+    assert list(trace.records) == expected
+    assert trace.records[-1] == expected[-1]
+    assert trace.records[150:-150] == given_rows
+
+
+def _allocated(action):
+    """Bytes ``action()`` leaves allocated, and the most it held at once."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        action()
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return after - before, peak - before
+
+
+def _fill(trace, n=20_000):
+    t, detail = 10**6, "pilot=pilot-00042 ce=ce-a1"
+    for _ in range(n):
+        trace.record(t, "STARTD->COLLECTOR", "SUCCESS", method="IDTOKEN", detail=detail)
+
+
+def test_a_record_that_shares_its_values_costs_at_most_32_bytes():
+    trace = Trace()
+    held, _ = _allocated(lambda: _fill(trace))
+    assert held <= 32 * 20_000
+
+
+def test_counting_records_builds_none():
+    trace = Trace()
+    _fill(trace)
+    counted = []
+    _, peak = _allocated(lambda: counted.append(len(trace.records)))
+    assert counted == [20_000]
+    assert peak < 1024
 
 
 def test_fail_outcome_format():
