@@ -239,12 +239,10 @@ class World:
                 used.add(draw)
                 return f"{draw:016x}"
 
-    def mint_daemon_idtoken(
-        self, subject: str, limits: tuple[str, ...], kid: str | None = None
-    ) -> str:
+    def mint_daemon_idtoken(self, subject: str, limits: tuple[str, ...]) -> str:
         return mint_idtoken(
             self.keyring,
-            kid if kid is not None else self.daemon_kid,
+            self.daemon_kid,
             subject,
             limits,
             DAEMON_TOKEN_LIFETIME,
@@ -314,13 +312,7 @@ class World:
                 now=now,
             )
         except TokenPoolError as exc:
-            self.trace.record(
-                now,
-                channel.label,
-                fail_outcome(exc.reason),
-                method=_method_name(credential),
-                detail=detail,
-            )
+            self.refuse(channel, exc.reason, method=_method_name(credential), detail=detail)
             raise
         decision = authorize(peer, pol)
         if not decision.allowed:
@@ -356,6 +348,42 @@ class World:
             now, channel.label, OUTCOME_DROP, method=_NAMES[method], detail=detail
         )
         return True
+
+    def refuse(
+        self,
+        channel: Channel,
+        reason: str,
+        *,
+        method: str = "-",
+        identity: str = "-",
+        detail: str = "",
+    ) -> None:
+        """Record a request on ``channel`` refused for ``reason``: the one
+        place a ``FAIL:<reason>`` record is written."""
+        self.trace.record(
+            self.engine.now,
+            channel.label,
+            fail_outcome(reason),
+            method=method,
+            identity=identity,
+            detail=detail,
+        )
+
+    def negotiate(
+        self,
+        channel: Channel,
+        offered: tuple[AuthMethod, ...] | list[AuthMethod],
+        *,
+        identity: str = "-",
+        detail: str = "",
+    ) -> AuthMethod | None:
+        """The method ``channel`` will use with a party offering ``offered``,
+        or None after refusing the request when the two share none."""
+        try:
+            return negotiate_method(offered, self.policy.channels[channel.label].methods)
+        except NoCommonMethod as exc:
+            self.refuse(channel, exc.reason, identity=identity, detail=detail)
+            return None
 
     # -- phase control ------------------------------------------------------
 
@@ -450,7 +478,7 @@ class World:
 
     def start(self) -> None:
         """Record the starting phase, arm faults and plan, seed the loops."""
-        self.trace.record(0, TRACE_PLAN, "PHASE", detail=f"phase={_NAMES[self.phase]}")
+        self.set_phase(self.phase)
         self.controller.wire_faults()
         self.controller.schedule_plan()
         for client in self.clients.values():
@@ -474,17 +502,17 @@ class TokenIssuer:
             CH_TOKEN_FETCH, requester_credential, detail=f"aud={ce_id}"
         )
         if peer.canonical_identity not in self.AUTHORIZED:
-            w.trace.record(
-                w.engine.now,
-                CH_TOKEN_FETCH.label,
-                fail_outcome(UnauthorizedRequestor.__name__),
+            exc = UnauthorizedRequestor(
+                f"{peer.canonical_identity!r} may not request capability tokens"
+            )
+            w.refuse(
+                CH_TOKEN_FETCH,
+                exc.reason,
                 method=_NAMES[peer.method],
                 identity=peer.canonical_identity,
                 detail=f"aud={ce_id}",
             )
-            raise UnauthorizedRequestor(
-                f"{peer.canonical_identity!r} may not request capability tokens"
-            )
+            raise exc
         return mint_scitoken(
             w.issuer_key,
             w.scenario.issuer.url,
@@ -520,19 +548,11 @@ class WMClient:
         if self.submitted:
             return
         w = self.world
-        now = w.engine.now
-        accepted = w.policy.channels[CH_SUBMIT.label].methods
         batch = f"client={self.spec.id} jobs={self.spec.jobs}"
-        try:
-            method = negotiate_method(self.offered_methods(), accepted)
-        except NoCommonMethod:
-            w.trace.record(
-                now,
-                CH_SUBMIT.label,
-                fail_outcome("NoCommonMethod"),
-                identity=self.spec.id,
-                detail=batch,
-            )
+        method = w.negotiate(
+            CH_SUBMIT, self.offered_methods(), identity=self.spec.id, detail=batch
+        )
+        if method is None:
             w.engine.schedule(self.spec.retry_interval, self.try_submit)
             return
         credential: object
@@ -573,25 +593,15 @@ class Schedd:
 
     def advertise(self) -> None:
         w = self.world
-        accepted = w.policy.channels[CH_ADVERTISE.label].methods
-        try:
-            method = negotiate_method(
-                (AuthMethod.IDTOKEN, AuthMethod.GSI_PROXY), accepted
-            )
-        except NoCommonMethod:
-            w.trace.record(
-                w.engine.now,
-                CH_ADVERTISE.label,
-                fail_outcome("NoCommonMethod"),
-                detail="daemon=schedd",
-            )
-        else:
-            if not w.dropped(CH_ADVERTISE, method, "daemon=schedd"):
-                credential = self.token if method is AuthMethod.IDTOKEN else self.proxy
-                try:
-                    w.authenticate_on(CH_ADVERTISE, credential, detail="daemon=schedd")
-                except TokenPoolError:
-                    pass
+        method = w.negotiate(
+            CH_ADVERTISE, (AuthMethod.IDTOKEN, AuthMethod.GSI_PROXY), detail="daemon=schedd"
+        )
+        if method is not None and not w.dropped(CH_ADVERTISE, method, "daemon=schedd"):
+            credential = self.token if method is AuthMethod.IDTOKEN else self.proxy
+            try:
+                w.authenticate_on(CH_ADVERTISE, credential, detail="daemon=schedd")
+            except TokenPoolError:
+                pass
         w.engine.schedule(w.scenario.frontend.cycle, self.advertise)
 
 
@@ -728,17 +738,6 @@ class Frontend:
             return None
         return cached[0]
 
-    def factory_credential(self) -> object | None:
-        w = self.world
-        accepted = w.policy.channels[CH_PROVISION.label].methods
-        try:
-            method = negotiate_method(
-                (AuthMethod.IDTOKEN, AuthMethod.GSI_PROXY), accepted
-            )
-        except NoCommonMethod:
-            return None
-        return self.token if method is AuthMethod.IDTOKEN else self.proxy
-
     def provision_pairs(self) -> list[tuple["Factory", "CEGateway"]]:
         w = self.world
         pairs: list[tuple[Factory, CEGateway]] = []
@@ -752,16 +751,14 @@ class Frontend:
         self.refresh_capabilities()
         deficit = max(0, len(w.idle_jobs) - w.supply)
         if deficit > 0:
-            credential = self.factory_credential()
-            if credential is None:
-                w.trace.record(
-                    w.engine.now,
-                    CH_PROVISION.label,
-                    fail_outcome("NoCommonMethod"),
-                    identity=self.subject,
-                    detail=f"deficit={deficit}",
-                )
-            else:
+            method = w.negotiate(
+                CH_PROVISION,
+                (AuthMethod.IDTOKEN, AuthMethod.GSI_PROXY),
+                identity=self.subject,
+                detail=f"deficit={deficit}",
+            )
+            if method is not None:
+                credential = self.token if method is AuthMethod.IDTOKEN else self.proxy
                 pairs = self.provision_pairs()
                 cap = w.scenario.frontend.per_entry_cap
                 for (factory, ce), count in _allocate(deficit, pairs, cap):
@@ -844,28 +841,18 @@ class Factory:
 
     def submit_one(self, ce: "CEGateway") -> Pilot:
         w = self.world
-        now = w.engine.now
         pilot = w.new_pilot(ce)
+        detail = f"factory={self.id} ce={ce.id} pilot={pilot.id}"
         interface = self.select_interface(ce)
         if interface is None:
-            w.trace.record(
-                now,
-                CH_CE_SUBMIT.label,
-                fail_outcome(DEPRECATED_INTERFACE),
-                detail=f"factory={self.id} ce={ce.id} pilot={pilot.id}",
-            )
+            w.refuse(CH_CE_SUBMIT, DEPRECATED_INTERFACE, detail=detail)
             w.fail_pilot(pilot, DEPRECATED_INTERFACE)
             return pilot
         try:
             credential, method = self.select_credential(ce)
-        except MismatchedCredential:
-            w.trace.record(
-                now,
-                CH_CE_SUBMIT.label,
-                fail_outcome(MismatchedCredential.__name__),
-                detail=f"factory={self.id} ce={ce.id} pilot={pilot.id}",
-            )
-            w.fail_pilot(pilot, MismatchedCredential.__name__)
+        except MismatchedCredential as exc:
+            w.refuse(CH_CE_SUBMIT, exc.reason, detail=detail)
+            w.fail_pilot(pilot, exc.reason)
             return pilot
         w.assign_startd_identity(pilot)
         outcome = ce.receive_submission(pilot, credential, interface)
@@ -906,10 +893,9 @@ class CEGateway:
         if isinstance(credential, str) and w.board.active(
             FaultKind.CE_TOKEN_MISCONFIG, self.id, now
         ):
-            w.trace.record(
-                now,
-                CH_CE_SUBMIT.label,
-                fail_outcome(UntrustedIssuer.__name__),
+            w.refuse(
+                CH_CE_SUBMIT,
+                UntrustedIssuer.__name__,
                 method=_NAMES[AuthMethod.SCITOKEN],
                 detail=f"ce={self.id} pilot={pilot.id} fault=CE_TOKEN_MISCONFIG",
             )
@@ -924,10 +910,9 @@ class CEGateway:
         except TokenPoolError:
             return SubmitOutcome.AUTH_REJECTED
         if self.reserved >= self.capacity:
-            w.trace.record(
-                now,
-                CH_CE_SUBMIT.label,
-                fail_outcome(CAPACITY_EXCEEDED),
+            w.refuse(
+                CH_CE_SUBMIT,
+                CAPACITY_EXCEEDED,
                 method=_NAMES[peer.method],
                 identity=peer.canonical_identity,
                 detail=f"ce={self.id} pilot={pilot.id}",
@@ -965,29 +950,11 @@ class MigrationController:
     def __init__(self, world: World) -> None:
         self.world = world
 
-    def known_fault_targets(self) -> set[str]:
-        w = self.world
-        targets = set(w.ces)
-        targets.update(w.keyring.entries)
-        targets.update(c.label for c in w.base_table.channels)
-        return targets
-
     def wire_faults(self) -> None:
         w = self.world
-        known = self.known_fault_targets()
         for fault in w.scenario.faults:
-            on_activate = (
-                self.on_key_compromise
-                if fault.kind is FaultKind.KEY_COMPROMISE
-                else None
-            )
-            w.board.inject(
-                fault,
-                known_targets=known,
-                trace=w.trace,
-                engine=w.engine,
-                on_activate=on_activate,
-            )
+            on_activate = self.on_key_compromise if fault.kind is FaultKind.KEY_COMPROMISE else None
+            w.board.inject(fault, trace=w.trace, engine=w.engine, on_activate=on_activate)
 
     def schedule_plan(self) -> None:
         w = self.world

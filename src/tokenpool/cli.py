@@ -36,7 +36,10 @@ def _load_key_file(path: str) -> bytes:
         raise _UsageError(
             f"key file {path!r} is readable by group/other; tighten it to 0600"
         )
-    text = p.read_text().strip()
+    try:
+        text = p.read_text(encoding="utf-8").strip()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _UsageError(f"cannot read key file {path!r}: {exc}") from None
     try:
         secret = bytes.fromhex(text)
     except ValueError:
@@ -153,7 +156,10 @@ def cmd_token_verify(args: argparse.Namespace) -> int:
 def cmd_sim_run(args: argparse.Namespace) -> int:
     result = _load(args)
     if args.trace_out:
-        result.write_trace(args.trace_out)
+        try:
+            result.write_trace(args.trace_out)
+        except OSError as exc:
+            raise _UsageError(f"cannot write trace: {exc}") from None
     print(render_report(result, args.format), end="")
     return 0
 

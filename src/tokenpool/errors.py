@@ -121,10 +121,6 @@ class SimulationError(TokenPoolError):
     """Base class for engine-level errors."""
 
 
-class UnknownTarget(SimulationError):
-    """Fault injection names a target that does not exist."""
-
-
 class ScenarioError(TokenPoolError):
     """Scenario file failed to parse or validate."""
 

@@ -20,8 +20,8 @@ from typing import Any, Callable, Mapping
 import yaml
 
 from .errors import ScenarioError
-from .policy import AuthMethod, MigrationPhase
-from .simnet import Fault
+from .policy import AuthMethod, MigrationPhase, default_channels
+from .simnet import Fault, FaultKind
 
 
 class CEFlavor(enum.Enum):
@@ -347,7 +347,16 @@ def _check(sc: Scenario) -> None:
                 f"plan[{i}]: adopt_rest on HTCONDOR_CE gateway {step.params['ce']!r},"
                 " which admits only the NATIVE interface"
             )
+    fault_targets = {
+        FaultKind.KEY_COMPROMISE: ("key", [k.kid for k in sc.keys]),
+        FaultKind.CE_TOKEN_MISCONFIG: ("gateway", ["*", *ce_ids]),
+        FaultKind.CE_STUCK_SUBMISSION: ("gateway", ["*", *ce_ids]),
+        FaultKind.MESSAGE_DROP: ("channel", ["*", *(c.label for c in default_channels())]),
+    }
     for i, fault in enumerate(sc.faults):
+        noun, known = fault_targets[fault.kind]
+        if fault.target not in known:
+            raise ScenarioError(f"faults[{i}]: {fault.kind.value} target {fault.target!r} names no {noun}")
         if fault.end is not None and fault.end <= fault.start:
             raise ScenarioError(f"faults[{i}]: end {fault.end} not after start {fault.start}")
         if not 0.0 <= fault.rate <= 1.0:

@@ -1,5 +1,7 @@
 """World wiring and the daemon state machines, end to end on small pools."""
 
+import ast
+import dataclasses
 import gc
 import weakref
 from pathlib import Path
@@ -27,8 +29,8 @@ from tokenpool.errors import (
     KeyRevoked,
     MalformedToken,
     MismatchedCredential,
+    ScenarioError,
     UnauthorizedRequestor,
-    UnknownTarget,
 )
 from tokenpool.migration import parse_detail, run_scenario
 from tokenpool.policy import AuthMethod, MigrationPhase
@@ -299,11 +301,9 @@ def test_dropped_advertisements_do_not_stop_the_schedule():
 
 
 def test_unknown_fault_target_rejected_at_world_start():
-    scenario = parse_scenario(
-        doc(faults=[{"kind": "CE_TOKEN_MISCONFIG", "target": "ce-ghost"}])
-    )
-    with pytest.raises(UnknownTarget):
-        build_world(scenario)
+    # Rejected as the scenario is parsed, before any World is built.
+    with pytest.raises(ScenarioError, match="CE_TOKEN_MISCONFIG target 'ce-ghost' names no gateway"):
+        parse_scenario(doc(faults=[{"kind": "CE_TOKEN_MISCONFIG", "target": "ce-ghost"}]))
 
 
 # -- key compromise ---------------------------------------------------------
@@ -957,3 +957,144 @@ def _allocate_one_at_a_time(deficit, n_pairs, cap):
 def test_allocate_matches_one_at_a_time_loop(n_pairs, cap, deficit):
     pairs = list(range(n_pairs))
     assert actors._allocate(deficit, pairs, cap) == _allocate_one_at_a_time(deficit, n_pairs, cap)
+
+
+
+# -- refusal records --------------------------------------------------------
+
+
+def _accepting_only_local_fs(channel):
+    """A world at t=0 whose ``channel`` accepts only LOCAL_FS, which no
+    daemon offers there, so negotiation on it fails."""
+    w = build_world(parse_scenario(doc()))
+    table = w.policy.table
+    channels = dict(table.channels)
+    channels[channel] = dataclasses.replace(channels[channel], methods=(AuthMethod.LOCAL_FS,))
+    w.policy = policy.CompiledPolicy(policy.PolicyTable(channels, table.identity_map))
+    w.engine.run(0)
+    return w
+
+
+def _revoked_join():
+    w = idle_world()
+    pilot, pilot.token = startd_token(w)
+    pilot.state = PilotState.STARTED
+    w.keyring = revoke_key(w.keyring, pilot.kid)
+    w.collector.receive_join(pilot)
+    return w
+
+
+def _unauthorized_fetch():
+    w = build_world(parse_scenario(doc()))
+    imposter = w.mint_daemon_idtoken("condor@imposter", ("READ",))
+    with pytest.raises(UnauthorizedRequestor):
+        w.issuer.fetch_capability(imposter, "ce-a")
+    return w
+
+
+def _locked_out_client():
+    client = {"id": "cmsprod", "methods": ["LOCAL_FS"], "jobs": 5, "duration": 86400}
+    return run_doc(phase="TOKEN_ONLY", clients=[client])
+
+
+def _ldap_only_gateway():
+    ce = {"id": "ce-x", "flavor": "ARC_CE", "interface": "LDAP", "capacity": 5}
+    return run_doc(sites=[{"name": "site-a", "ces": [ce]}])
+
+
+def _tokenless_gateway_under_token_only():
+    over = doc(phase="TOKEN_ONLY")
+    over["sites"][0]["ces"][0]["accepts_tokens"] = False
+    return run_doc(**over)
+
+
+def _misconfigured_gateway():
+    return run_doc(faults=[{"kind": "CE_TOKEN_MISCONFIG", "target": "ce-a"}])
+
+
+def _full_gateway():
+    return run_doc(clients=[{"id": "cmsprod", "methods": ["IDTOKEN"], "jobs": 15, "duration": 86400}])
+
+
+#: Each place that refuses a request, and the first refusal record of a run
+#: that reaches it: (channel, method, identity, outcome, detail, t).
+REFUSALS = [
+    pytest.param(
+        _revoked_join,
+        ("STARTD->COLLECTOR", "IDTOKEN", "-", "FAIL:KeyRevoked", "pilot=pilot-00000 join=1", 10),
+        id="join-KeyRevoked",
+    ),
+    pytest.param(
+        _unauthorized_fetch,
+        ("FRONTEND->ISSUER", "IDTOKEN", "pool-daemon", "FAIL:UnauthorizedRequestor", "aud=ce-a", 0),
+        id="fetch-UnauthorizedRequestor",
+    ),
+    pytest.param(
+        _locked_out_client,
+        ("WMCLIENT->SCHEDD", "-", "cmsprod", "FAIL:NoCommonMethod", "client=cmsprod jobs=5", 0),
+        id="submit-NoCommonMethod",
+    ),
+    pytest.param(
+        lambda: _accepting_only_local_fs(CH_ADVERTISE),
+        ("SCHEDD->COLLECTOR", "-", "-", "FAIL:NoCommonMethod", "daemon=schedd", 0),
+        id="advertise-NoCommonMethod",
+    ),
+    pytest.param(
+        lambda: _accepting_only_local_fs(CH_PROVISION),
+        ("FRONTEND->FACTORY", "-", "frontend@cmspool", "FAIL:NoCommonMethod", "deficit=5", 0),
+        id="provision-NoCommonMethod",
+    ),
+    pytest.param(
+        _ldap_only_gateway,
+        ("FACTORY->CE", "-", "-", "FAIL:DeprecatedInterface", "factory=fac-1 ce=ce-x pilot=pilot-00000", 0),
+        id="ce-DeprecatedInterface",
+    ),
+    pytest.param(
+        _tokenless_gateway_under_token_only,
+        ("FACTORY->CE", "-", "-", "FAIL:MismatchedCredential", "factory=fac-1 ce=ce-a pilot=pilot-00000", 0),
+        id="ce-MismatchedCredential",
+    ),
+    pytest.param(
+        _misconfigured_gateway,
+        ("FACTORY->CE", "SCITOKEN", "-", "FAIL:UntrustedIssuer", "ce=ce-a pilot=pilot-00000 fault=CE_TOKEN_MISCONFIG", 0),
+        id="ce-UntrustedIssuer-fault",
+    ),
+    pytest.param(
+        _full_gateway,
+        ("FACTORY->CE", "SCITOKEN", "cms-pilot", "FAIL:CapacityExceeded", "ce=ce-a pilot=pilot-00010", 60),
+        id="ce-CapacityExceeded",
+    ),
+]
+
+
+@pytest.mark.parametrize("make_world, expected", REFUSALS)
+def test_first_refusal_of_each_kind_field_by_field(make_world, expected):
+    w = make_world()
+    first = next(r for r in w.trace.records if r.outcome.startswith("FAIL:"))
+    assert (first.channel, first.method, first.identity, first.outcome, first.detail, first.t) == expected
+
+
+def _callers(tree, callee):
+    """Qualified names of the functions in ``tree`` that call ``callee`` by
+    its bare or its dotted name."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                inner = scope + (getattr(child, "name", "<lambda>"),)
+            elif isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "id", None) == callee or getattr(func, "attr", None) == callee:
+                    found.add(".".join(scope) or "<module>")
+            visit(child, inner)
+
+    visit(tree, ())
+    return found
+
+
+def test_refusals_are_written_and_methods_negotiated_in_one_place():
+    tree = ast.parse(Path(actors.__file__).read_text())
+    assert _callers(tree, "fail_outcome") == {"World.refuse"}
+    assert _callers(tree, "negotiate_method") == {"World.negotiate"}

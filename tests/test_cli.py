@@ -213,6 +213,15 @@ def test_missing_empty_and_non_hex_key_files(capsys, tmp_path):
     assert "empty" in capsys.readouterr().err
 
 
+def test_key_file_that_is_not_utf8_is_a_usage_error(capsys, tmp_path):
+    binary = tmp_path / "binary.hex"
+    binary.write_bytes(b"\xff\xfe" + SECRET)
+    binary.chmod(0o600)
+    rc = main(["token", "mint", "--key-file", str(binary), "--kid", "k1", "--subject", "a"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read key file {str(binary)!r}: ")
+
+
 def test_mint_rejects_unknown_limits(capsys, key_file):
     rc = main(
         [
@@ -261,6 +270,14 @@ def test_sim_run_reports_digest_and_writes_trace(capsys, scenario_file, tmp_path
         obj = json.loads(line)
         assert sorted(obj) == sorted(Record._fields)
         assert canonical_line(Record(**obj)).encode() == line
+
+
+def test_sim_run_trace_out_to_a_missing_directory_is_a_usage_error(capsys, scenario_file, tmp_path):
+    rc = main(["sim", "run", scenario_file, "--trace-out", str(tmp_path / "absent" / "t.jsonl")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write trace: ")
+    assert captured.out == ""
 
 
 def test_sim_run_trace_out_serialises_each_record_once(scenario_file, tmp_path, monkeypatch):

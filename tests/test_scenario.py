@@ -1,6 +1,7 @@
 """Scenario parsing: defaults, cross-references, strict rejection."""
 
 import copy
+import re
 from pathlib import Path
 
 import pytest
@@ -300,6 +301,23 @@ def test_fault_validation():
         )
     with pytest.raises(ScenarioError, match="missing 'target'"):
         parse_scenario(variant(faults=[{"kind": "MESSAGE_DROP"}]))
+
+
+@pytest.mark.parametrize(
+    "kind, wrong, noun, right",
+    [
+        ("KEY_COMPROMISE", "ce-a1", "key", "startd-1"),
+        ("KEY_COMPROMISE", "*", "key", "pool-daemon"),
+        ("CE_TOKEN_MISCONFIG", "WMCLIENT->SCHEDD", "gateway", "*"),
+        ("CE_STUCK_SUBMISSION", "startd-1", "gateway", "ce-a1"),
+        ("MESSAGE_DROP", "startd-1", "channel", "STARTD->COLLECTOR"),
+    ],
+    ids=["key-at-gateway", "key-at-wildcard", "misconfig-at-channel", "stuck-at-key", "drop-at-key"],
+)
+def test_fault_target_must_name_what_its_kind_acts_on(kind, wrong, noun, right):
+    with pytest.raises(ScenarioError, match=rf"^faults\[0\]: {kind} target {re.escape(repr(wrong))} names no {noun}$"):
+        parse_scenario(variant(faults=[{"kind": kind, "target": wrong}]))
+    assert parse_scenario(variant(faults=[{"kind": kind, "target": right}])).faults[0].target == right
 
 
 def test_load_scenario_round_trip(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tokenpool.errors import TRACE_REASONS, SimulationError, UnknownTarget
+from tokenpool.errors import TRACE_REASONS, SimulationError
 from tokenpool.simnet import (
     Engine,
     Fault,
@@ -310,25 +310,8 @@ def make_board(fault, on_activate=None):
     engine = Engine()
     trace = Trace()
     board = FaultBoard()
-    board.inject(
-        fault,
-        known_targets={"ce-1", "key-1", "A->B"},
-        trace=trace,
-        engine=engine,
-        on_activate=on_activate,
-    )
+    board.inject(fault, trace=trace, engine=engine, on_activate=on_activate)
     return engine, trace, board
-
-
-def test_fault_unknown_target_rejected():
-    engine, trace, board = Engine(), Trace(), FaultBoard()
-    with pytest.raises(UnknownTarget):
-        board.inject(
-            Fault(FaultKind.CE_TOKEN_MISCONFIG, "ghost"),
-            known_targets={"ce-1"},
-            trace=trace,
-            engine=engine,
-        )
 
 
 def test_fault_wildcard_target_is_always_known():
@@ -402,7 +385,7 @@ faults_st = st.lists(
 def test_fault_lookup_by_kind_matches_a_scan_of_every_fault(faults):
     engine, trace, board = Engine(), Trace(), FaultBoard()
     for fault in faults:
-        board.inject(fault, known_targets=FAULT_TARGETS, trace=trace, engine=engine)
+        board.inject(fault, trace=trace, engine=engine)
     for kind in FaultKind:
         for target in ("ce-1", "ce-2", "ce-3"):
             for t in range(0, 82):
