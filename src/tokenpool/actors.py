@@ -13,6 +13,7 @@ import enum
 import heapq
 import weakref
 from dataclasses import dataclass, field
+from typing import BinaryIO
 
 from . import jose
 from .errors import (
@@ -51,6 +52,7 @@ from .simnet import (
     Fault,
     FaultBoard,
     FaultKind,
+    Fold,
     OUTCOME_DENIED,
     OUTCOME_DROP,
     OUTCOME_SUCCESS,
@@ -108,9 +110,10 @@ class PilotState(enum.Enum):
     FAILED = "FAILED"
 
 
-#: States in which a pilot is still promised capacity the pool can count on.
-PILOT_SUPPLY_STATES = frozenset(
-    {PilotState.REQUESTED, PilotState.SUBMITTED, PilotState.STARTED, PilotState.JOINED}
+#: States in which a pilot is still promised capacity the pool can count on;
+#: a tuple, whose members are found by identity without hashing the enum.
+PILOT_SUPPLY_STATES = (
+    PilotState.REQUESTED, PilotState.SUBMITTED, PilotState.STARTED, PilotState.JOINED
 )
 
 #: Each member's trace string, read once: ``.value`` is a Python-level property.
@@ -173,11 +176,11 @@ class World:
     CA = "cms-ca"
     POOL_ISSUER = "cmspool"
 
-    def __init__(self, scenario: Scenario) -> None:
+    def __init__(self, scenario: Scenario, trace: Trace) -> None:
         self.scenario = scenario
         self.engine = Engine()
         self.streams = RngStreams(scenario.seed)
-        self.trace = Trace()
+        self.trace = trace
         self.board = FaultBoard()
         self.phase = scenario.phase
 
@@ -202,10 +205,6 @@ class World:
         #: The 64-bit draws behind every jti handed out, by authority.
         self._used_jtis: dict[str, set[int]] = {}
         self._parsed: dict[str, jose.Token] = {}
-        #: Each distinct success detail, so the records of every repeated
-        #: presentation hold one string.  It holds only strings the trace
-        #: holds; ``sys.intern`` would keep them past the World on 3.12.
-        self._success_details: dict[str, str] = {}
         self._pilot_seq = 0
         self._job_seq = 0
         #: Live pilots by id; ``end_pilot`` removes a pilot as it ends.
@@ -320,7 +319,7 @@ class World:
                 now,
                 channel.label,
                 OUTCOME_DENIED,
-                method=_NAMES[peer.method],
+                method=peer.method_name,
                 identity=peer.canonical_identity,
                 detail=_join_detail(detail, f"missing={','.join(decision.missing)}"),
             )
@@ -328,12 +327,11 @@ class World:
         if peer.token_kid is not None:
             held = f"kid={peer.token_kid} jti={peer.token_jti}"
             detail = f"{detail} {held}" if detail else held
-            detail = self._success_details.setdefault(detail, detail)
         self.trace.record(
             now,
             channel.label,
             OUTCOME_SUCCESS,
-            method=_NAMES[peer.method],
+            method=peer.method_name,
             identity=peer.canonical_identity,
             detail=detail,
         )
@@ -508,7 +506,7 @@ class TokenIssuer:
             w.refuse(
                 CH_TOKEN_FETCH,
                 exc.reason,
-                method=_NAMES[peer.method],
+                method=peer.method_name,
                 identity=peer.canonical_identity,
                 detail=f"aud={ce_id}",
             )
@@ -913,7 +911,7 @@ class CEGateway:
             w.refuse(
                 CH_CE_SUBMIT,
                 CAPACITY_EXCEEDED,
-                method=_NAMES[peer.method],
+                method=peer.method_name,
                 identity=peer.canonical_identity,
                 detail=f"ce={self.id} pilot={pilot.id}",
             )
@@ -925,7 +923,7 @@ class CEGateway:
         w.pilot_event(
             pilot,
             PilotState.SUBMITTED,
-            _join_detail(f"method={_NAMES[peer.method]}", "stuck=1" if stuck else ""),
+            _join_detail(f"method={peer.method_name}", "stuck=1" if stuck else ""),
         )
         if stuck:
             return SubmitOutcome.ACCEPTED
@@ -1031,7 +1029,16 @@ class MigrationController:
                 factory.submit_one(w.ces[old.ce_id])
 
 
-def build_world(scenario: Scenario) -> World:
-    world = World(scenario)
+def build_world(
+    scenario: Scenario,
+    *,
+    keep_records: bool = False,
+    out: BinaryIO | None = None,
+    fold: Fold | None = None,
+) -> World:
+    """A started World whose trace writes each line to ``out`` and feeds
+    each record to ``fold``, when given, and keeps its records only under
+    ``keep_records=True``."""
+    world = World(scenario, Trace(keep_records=keep_records, out=out, fold=fold))
     world.start()
     return world

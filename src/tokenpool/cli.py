@@ -13,12 +13,13 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import BinaryIO
 
 from . import jose
 from .errors import ScenarioError, SimulationError, TokenError, TokenPoolError
-from .migration import drill_report, render_report, run_scenario
+from .migration import RunResult, drill_report, render_report, run_scenario
 from .policy import AuthzLevel
-from .scenario import load_scenario
+from .scenario import Scenario, load_scenario
 from .tokens import DEFAULT_SKEW, SymmetricKeyring, mint_idtoken, verify_idtoken
 
 SEED_ENV = "TOKENPOOL_SEED"
@@ -81,15 +82,18 @@ def _resolve_seed(args: argparse.Namespace) -> int | None:
     return None
 
 
-def _load(args: argparse.Namespace):
+def _load(args: argparse.Namespace) -> Scenario:
     try:
-        scenario = load_scenario(args.scenario)
+        return load_scenario(args.scenario)
     except OSError as exc:
         raise _UsageError(f"cannot read scenario: {exc}") from None
     except ScenarioError as exc:
         raise _UsageError(f"bad scenario: {exc}") from None
+
+
+def _run(scenario: Scenario, args: argparse.Namespace, trace_out: BinaryIO | None = None) -> RunResult:
     try:
-        return run_scenario(scenario, seed=_resolve_seed(args))
+        return run_scenario(scenario, seed=_resolve_seed(args), trace_out=trace_out)
     except (ScenarioError, SimulationError) as exc:
         raise _UsageError(f"run failed: {exc}") from None
 
@@ -154,19 +158,22 @@ def cmd_token_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_sim_run(args: argparse.Namespace) -> int:
-    result = _load(args)
+    scenario = _load(args)
     if args.trace_out:
+        # Opened before the run, so a path it cannot write fails at once.
         try:
-            result.write_trace(args.trace_out)
+            with open(args.trace_out, "wb") as out:
+                result = _run(scenario, args, out)
         except OSError as exc:
             raise _UsageError(f"cannot write trace: {exc}") from None
+    else:
+        result = _run(scenario, args)
     print(render_report(result, args.format), end="")
     return 0
 
 
 def cmd_sim_drill(args: argparse.Namespace) -> int:
-    result = _load(args)
-    report = drill_report(result)
+    report = drill_report(_run(_load(args), args))
     if report is None:
         print("no key-compromise exercise in this run", file=sys.stderr)
         return 1

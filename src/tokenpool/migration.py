@@ -1,24 +1,23 @@
 """Run scenarios end to end and distill their traces into reports.
 
-A RunResult bundles the scenario, the finished World, and the audit
-trace.  Everything reported here — pool fill, auth mix, legacy
-dependency, drill recovery, phase soundness — is recomputed from the
-trace records, never from live actor state, so reports hold for
-serialized traces too.  A report reads the records in one pass
-(``_Pass``), and the public fact functions read their answers from it.
+A RunResult bundles the scenario, the finished World, the audit trace,
+its digest and the facts a report states.  Every fact — pool fill, auth
+mix, legacy dependency, drill recovery, phase soundness — comes from the
+trace records, never from live actor state: the trace feeds each record
+to one fold (``_Pass``) as it is written, so the facts are ready when the
+run ends and the report only formats them.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import statistics
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import partial
 from pathlib import Path
-from typing import Mapping
+from typing import BinaryIO, Callable, Mapping
 
 from .actors import AUTH_CHANNEL_LABELS, World, build_world
 from .policy import PHASE_PERMITS, AuthMethod, MigrationPhase
@@ -32,6 +31,7 @@ from .simnet import (
     TRACE_PILOT,
     TRACE_PLAN,
     TRACE_POOL,
+    Head,
     Trace,
 )
 
@@ -45,37 +45,13 @@ _METHOD_VALUES = frozenset(m.value for m in AuthMethod)
 _PERMITTED = {
     phase: frozenset(m.value for m in methods) for phase, methods in PHASE_PERMITS.items()
 }
-#: (channel, outcome) of the non-auth heads whose facts are read record by record.
-_STEPPED = frozenset({
-    (TRACE_PILOT, "JOINED"), (TRACE_PILOT, "EVICT"), (TRACE_POOL, "SAMPLE"),
-    (TRACE_JOB, "QUEUED"), (TRACE_PLAN, "PHASE"), (TRACE_FAULT, "ACTIVATE"),
-})
-
-
-@dataclass(frozen=True)
-class RunResult:
-    scenario: Scenario
-    world: World
-    trace: Trace
-
-    @cached_property
-    def digest(self) -> str:
-        return self.trace.digest()
-
-    def write_trace(self, path: str | Path) -> None:
-        """Write the trace as JSONL, keeping the SHA-256 of the written
-        lines as the digest so the trace is serialised once."""
-        self.__dict__["digest"] = self.trace.write(path)
-
-
-def run_scenario(source: Scenario | str | Path, *, seed: int | None = None) -> RunResult:
-    """Build the world for a scenario (or scenario file) and run it out."""
-    scenario = source if isinstance(source, Scenario) else load_scenario(source)
-    if seed is not None:
-        scenario = dataclasses.replace(scenario, seed=seed)
-    world = build_world(scenario)
-    world.engine.run(scenario.horizon)
-    return RunResult(scenario=scenario, world=world, trace=world.trace)
+#: (channel, outcome) of the non-auth heads whose facts are read record by
+#: record, and the ``_Pass`` method each such record is fed to.
+_STEPPED = {
+    (TRACE_PILOT, "JOINED"): "_joined", (TRACE_PILOT, "EVICT"): "_evict",
+    (TRACE_POOL, "SAMPLE"): "_sample", (TRACE_JOB, "QUEUED"): "_queued",
+    (TRACE_PLAN, "PHASE"): "_phase", (TRACE_FAULT, "ACTIVATE"): "_activate",
+}
 
 
 def parse_detail(detail: str) -> dict[str, str]:
@@ -129,125 +105,211 @@ class DrillReport:
         )
 
 
-class _Pass:
-    """One walk over a trace's columns, keeping what every report fact needs.
+@dataclass(frozen=True)
+class RunResult:
+    """A finished run: its digest and facts were streamed while it ran, and
+    ``trace.records`` can be read only if it ran with ``keep_records=True``."""
 
-    Heads are classified once; only those whose facts sit in a record's time
-    or detail are read record by record.  Phase soundness and the drill are
-    settled after the walk: a PHASE record at t governs every auth record at
-    t, and the drill counts every eviction and join at the compromise instant,
-    whichever was written first.  A pass must not outlive its report, so its
-    buffers are gone before the digest sets the report's peak memory.
+    scenario: Scenario
+    world: World
+    trace: Trace
+    digest: str
+    metrics: PoolMetrics
+    drill: DrillReport | None
+    timeline: list[tuple[int, MigrationPhase]]
+    violations: list[str]
+
+
+def run_scenario(
+    source: Scenario | str | Path,
+    *,
+    seed: int | None = None,
+    keep_records: bool = False,
+    trace_out: BinaryIO | None = None,
+) -> RunResult:
+    """Build the world for a scenario (or scenario file) and run it out.
+
+    Each trace line is written to ``trace_out``, when given, as it is made.
+    """
+    scenario = source if isinstance(source, Scenario) else load_scenario(source)
+    if seed is not None:
+        scenario = dataclasses.replace(scenario, seed=seed)
+    walk = _Pass(scenario)
+    world = build_world(scenario, keep_records=keep_records, out=trace_out, fold=walk)
+    world.engine.run(scenario.horizon)
+    trace = world.trace
+    return RunResult(scenario, world, trace, trace.digest(), *walk.finish(trace))
+
+
+class _Pass:
+    """The fold of a run's trace: fed each record as it is written, it keeps
+    what every report fact needs, in buffers that follow the pool, not the run.
+
+    Record times never decrease, so a fact at one instant is settled when a
+    later instant starts.  A PHASE record at t governs every auth attempt at
+    t, including those written before it, so the attempts of the current
+    instant wait for it to end.  The drill counts every eviction and join at
+    the compromise instant, whichever was written first, so the current
+    instant's evictions and joins are kept until a compromise is seen.
+    Heads are classified once; the rest of a head's facts is its record count.
     """
 
-    def __init__(self, trace: Trace) -> None:
+    def __init__(self, scenario: Scenario) -> None:
+        self.scenario = scenario
+        self.tail_start = scenario.horizon * (1.0 - TAIL_FRACTION)
+        self.instant: int | None = None
         self.timeline: list[tuple[int, MigrationPhase]] = []
-        self.samples: list[tuple[int, int]] = []  # (t, pool size)
-        self.joins: list[int] = []
-        self.evictions: list[tuple[int, str | None]] = []  # (t, kid)
-        self.compromise: tuple[int, str] | None = None  # first KEY_COMPROMISE: (t, kid)
-        self.auth_success: Counter[str] = Counter()
-        self.auth_failures: Counter[str] = Counter()
-        self.legacy: Counter[str] = Counter()
-        self.pilot_counts: Counter[str] = Counter()
-        self.job_counts: Counter[str] = Counter()
-        self.denied = self.dropped = 0
-        heads, codes, times, details = trace.heads, trace.codes, trace.times, trace.details
-        steps: dict[int, str] = {}  # head code -> the outcome read record by record
-        for code, n in Counter(codes).items():
-            channel, _, method, outcome = heads[code]
-            if channel in _AUTH_CHANNELS:
-                if method in _METHOD_VALUES:
-                    steps[code] = "attempt"  # a record of this head is an auth attempt
-                if outcome == OUTCOME_SUCCESS:
-                    self.auth_success[method] += n
-                    if method in LEGACY_METHOD_VALUES:
-                        self.legacy[channel] += n
-                elif outcome.startswith("FAIL:"):
-                    self.auth_failures[outcome[len("FAIL:"):]] += n
-                elif outcome == OUTCOME_DENIED:
-                    self.denied += n
-                elif outcome == OUTCOME_DROP:
-                    self.dropped += n
-            elif channel == TRACE_PILOT:
-                self.pilot_counts[outcome] += n
-            elif channel == TRACE_JOB and outcome != "QUEUED":
-                self.job_counts[outcome] += n
-            if (channel, outcome) in _STEPPED:
-                steps[code] = outcome
-        attempts = array("I")  # indices of auth records that name a concrete method
-        for i, code in enumerate(codes):
-            step = steps.get(code)
-            if step == "attempt":
-                attempts.append(i)
-            elif step is not None:
-                t, kv = times[i], parse_detail(details[i])
-                if step == "SAMPLE":
-                    self.samples.append((t, int(kv["size"])))
-                elif step == "JOINED":
-                    self.joins.append(t)
-                elif step == "EVICT":
-                    self.evictions.append((t, kv.get("kid")))
-                elif step == "QUEUED":
-                    self.job_counts[step] += int(kv.get("count", "0"))
-                elif step == "PHASE":
-                    self.timeline.append((t, MigrationPhase(kv["phase"])))
-                elif kv.get("kind") == "KEY_COMPROMISE" and self.compromise is None:
-                    self.compromise = (t, kv["target"])
         self.violations: list[str] = []
-        if not self.timeline:
-            self.violations.append("no phase records in trace")
-            return
-        # Only a method some phase in the timeline forbids can violate.
-        always = frozenset.intersection(*(_PERMITTED[phase] for _, phase in self.timeline))
-        suspect = {c for c, s in steps.items() if s == "attempt" and heads[c][2] not in always}
-        for i in (i for i in attempts if codes[i] in suspect):
-            channel, _, method, outcome = heads[codes[i]]
-            phase = phase_at(self.timeline, times[i])
-            if method not in _PERMITTED[phase]:
-                self.violations.append(
-                    f"t={times[i]} {channel} used {method} under {phase.value}"
-                    f" (outcome={outcome})"
-                )
+        self.attempts: list[tuple[int, Head]] = []  # auth attempts not yet judged
+        self.peak = self.final = self.tail_sum = self.tail_n = self.queued = 0
+        self.compromise: tuple[int, str] | None = None  # first KEY_COMPROMISE: (t, kid)
+        # Until a compromise: the pool size at the end of the last instant,
+        # and the kids evicted and the joins at the current one.
+        self.pool_before = self.joins_now = self.evicted = 0
+        self.evicted_now: list[str | None] = []
+        self.joins_after = array("q")  # join times from the compromise on
 
-    def metrics(self, scenario: Scenario) -> PoolMetrics:
-        capacity = scenario.total_capacity
-        tail_start = scenario.horizon * (1.0 - TAIL_FRACTION)
-        tail = [size for t, size in self.samples if t >= tail_start]
+    def step_for(self, head: Head) -> Callable[[int, str], None] | None:
+        channel, _, method, outcome = head
+        if channel in _AUTH_CHANNELS:
+            return partial(self._attempt, head) if method in _METHOD_VALUES else None
+        name = _STEPPED.get((channel, outcome))
+        return None if name is None else getattr(self, name)
+
+    def _advance(self, t: int | None) -> None:
+        """Close the current instant: judge its attempts, settle its drill buffers.
+
+        Attempts written before the first PHASE record wait, and are judged
+        with those of that record's instant.
+        """
+        if self.timeline:
+            phase = self.timeline[-1][1]
+            permitted = _PERMITTED[phase]
+            for at, (channel, _, method, outcome) in self.attempts:
+                if method not in permitted:
+                    self.violations.append(
+                        f"t={at} {channel} used {method} under {phase.value} (outcome={outcome})"
+                    )
+            self.attempts.clear()
+        if self.compromise is None:
+            self.pool_before = self.final
+            self.evicted_now.clear()
+            self.joins_now = 0
+        self.instant = t
+
+    def _attempt(self, head: Head, t: int, detail: str) -> None:
+        if t != self.instant:
+            self._advance(t)
+        self.attempts.append((t, head))
+
+    def _phase(self, t: int, detail: str) -> None:
+        if t != self.instant:
+            self._advance(t)
+        self.timeline.append((t, MigrationPhase(parse_detail(detail)["phase"])))
+
+    def _sample(self, t: int, detail: str) -> None:
+        if t != self.instant:
+            self._advance(t)
+        size = self.final = int(parse_detail(detail)["size"])
+        self.peak = max(self.peak, size)
+        if t >= self.tail_start:
+            self.tail_sum += size
+            self.tail_n += 1
+
+    def _joined(self, t: int, detail: str) -> None:
+        if t != self.instant:
+            self._advance(t)
+        if self.compromise is None:
+            self.joins_now += 1
+        else:
+            self.joins_after.append(t)
+
+    def _evict(self, t: int, detail: str) -> None:
+        if t != self.instant:
+            self._advance(t)
+        kid = parse_detail(detail).get("kid")
+        if self.compromise is None:
+            self.evicted_now.append(kid)
+        elif kid == self.compromise[1]:
+            self.evicted += 1
+
+    def _activate(self, t: int, detail: str) -> None:
+        if t != self.instant:
+            self._advance(t)
+        kv = parse_detail(detail)
+        if kv.get("kind") != "KEY_COMPROMISE" or self.compromise is not None:
+            return
+        kid = kv["target"]
+        self.compromise = (t, kid)
+        self.evicted = self.evicted_now.count(kid)
+        self.joins_after.extend([t] * self.joins_now)
+
+    def _queued(self, t: int, detail: str) -> None:
+        self.queued += int(parse_detail(detail).get("count", "0"))
+
+    def finish(
+        self, trace: Trace
+    ) -> tuple[PoolMetrics, DrillReport | None, list[tuple[int, MigrationPhase]], list[str]]:
+        """The metrics, drill, phase timeline and phase-soundness violations
+        of the whole trace; ``trace`` gives each head's record count."""
+        self._advance(self.instant)
+        violations = self.violations if self.timeline else ["no phase records in trace"]
+        return self._metrics(trace), self._drill(), self.timeline, violations
+
+    def _metrics(self, trace: Trace) -> PoolMetrics:
+        auth_success: Counter[str] = Counter()
+        auth_failures: Counter[str] = Counter()
+        legacy: Counter[str] = Counter()
+        pilot_counts: Counter[str] = Counter()
+        job_counts: Counter[str] = Counter()
+        denied = dropped = 0
+        for (channel, _, method, outcome), n in zip(trace.heads, trace.counts):
+            if channel in _AUTH_CHANNELS:
+                if outcome == OUTCOME_SUCCESS:
+                    auth_success[method] += n
+                    if method in LEGACY_METHOD_VALUES:
+                        legacy[channel] += n
+                elif outcome.startswith("FAIL:"):
+                    auth_failures[outcome[len("FAIL:"):]] += n
+                elif outcome == OUTCOME_DENIED:
+                    denied += n
+                elif outcome == OUTCOME_DROP:
+                    dropped += n
+            elif channel == TRACE_PILOT:
+                pilot_counts[outcome] += n
+            elif channel == TRACE_JOB:
+                job_counts[outcome] += n
+        if "QUEUED" in job_counts:
+            job_counts["QUEUED"] = self.queued  # jobs queued, not QUEUED records
+        capacity = self.scenario.total_capacity
         return PoolMetrics(
             total_capacity=capacity,
-            peak_pool=max((size for _, size in self.samples), default=0),
-            final_pool=self.samples[-1][1] if self.samples else 0,
-            capacity_fraction=statistics.fmean(tail) / capacity if tail and capacity else 0.0,
-            auth_success=_sorted(self.auth_success),
-            auth_failures=_sorted(self.auth_failures),
-            denied=self.denied,
-            dropped=self.dropped,
-            legacy_dependency=_sorted(self.legacy),
-            pilot_counts=_sorted(self.pilot_counts),
-            job_counts=_sorted(self.job_counts),
+            peak_pool=self.peak,
+            final_pool=self.final,
+            capacity_fraction=self.tail_sum / self.tail_n / capacity if self.tail_n and capacity else 0.0,
+            auth_success=_sorted(auth_success),
+            auth_failures=_sorted(auth_failures),
+            denied=denied,
+            dropped=dropped,
+            legacy_dependency=_sorted(legacy),
+            pilot_counts=_sorted(pilot_counts),
+            job_counts=_sorted(job_counts),
         )
 
-    def drill(self, scenario: Scenario) -> DrillReport | None:
+    def _drill(self) -> DrillReport | None:
         if self.compromise is None:
             return None
         compromised_at, kid = self.compromise
-        evicted = sum(1 for t, k in self.evictions if k == kid and t >= compromised_at)
-        pool_before = 0
-        for t, size in self.samples:
-            if t >= compromised_at:
-                break
-            pool_before = size
-        joins_after = [t for t in self.joins if t >= compromised_at]
+        evicted = self.evicted
         recovered_at: int | None = None
-        if evicted and len(joins_after) >= evicted:
-            recovered_at = joins_after[evicted - 1]
+        if evicted and len(self.joins_after) >= evicted:
+            recovered_at = self.joins_after[evicted - 1]
         recovery_time = None if recovered_at is None else recovered_at - compromised_at
-        bound = scenario.drill.reprovision_delay + scenario.pilots.startup
+        bound = self.scenario.drill.reprovision_delay + self.scenario.pilots.startup
         return DrillReport(
             kid=kid,
             compromised_at=compromised_at,
-            pool_before=pool_before,
+            pool_before=self.pool_before,
             evicted=evicted,
             recovered_at=recovered_at,
             recovery_time=recovery_time,
@@ -260,36 +322,19 @@ def _sorted(counts: Mapping[str, int]) -> dict[str, int]:
     return dict(sorted(counts.items()))
 
 
-def _facts(
-    result: RunResult,
-) -> tuple[PoolMetrics, DrillReport | None, list[tuple[int, MigrationPhase]], list[str]]:
-    """Every fact a report states, from one pass whose buffers die here."""
-    walk = _Pass(result.trace)
-    return (
-        walk.metrics(result.scenario),
-        walk.drill(result.scenario),
-        walk.timeline,
-        walk.violations,
-    )
-
-
 def compute_metrics(result: RunResult) -> PoolMetrics:
     """Summarize a run.  ``capacity_fraction`` is the mean pool size over
     the final ``TAIL_FRACTION`` of the horizon divided by total slots."""
-    return _Pass(result.trace).metrics(result.scenario)
+    return result.metrics
 
 
 def drill_report(result: RunResult) -> DrillReport | None:
-    """Reconstruct the key-compromise exercise from the trace, if one ran.
+    """The key-compromise exercise of the run, if one ran.
 
     Recovery is the instant the pool regains as many members as it lost:
     the t of the n-th join after the compromise, n = pilots evicted.
     """
-    return _Pass(result.trace).drill(result.scenario)
-
-
-def phase_timeline(trace: Trace) -> list[tuple[int, MigrationPhase]]:
-    return _Pass(trace).timeline
+    return result.drill
 
 
 def phase_at(timeline: list[tuple[int, MigrationPhase]], t: int) -> MigrationPhase:
@@ -305,11 +350,11 @@ def phase_at(timeline: list[tuple[int, MigrationPhase]], t: int) -> MigrationPha
 def check_phase_soundness(result: RunResult) -> list[str]:
     """Every auth attempt carrying a concrete method must use a method
     the phase in force at that instant permits.  Returns violations."""
-    return _Pass(result.trace).violations
+    return result.violations
 
 
 def report_dict(result: RunResult) -> dict:
-    metrics, drill, timeline, violations = _facts(result)
+    metrics, drill, timeline, violations = result.metrics, result.drill, result.timeline, result.violations
     out = {
         "scenario": result.scenario.name,
         "seed": result.scenario.seed,
@@ -341,7 +386,7 @@ def report_dict(result: RunResult) -> dict:
 def render_report(result: RunResult, fmt: str = "text") -> str:
     if fmt == "json":
         return json.dumps(report_dict(result), indent=2, sort_keys=True)
-    metrics, drill, timeline, violations = _facts(result)
+    metrics, drill, timeline, violations = result.metrics, result.drill, result.timeline, result.violations
     scenario = result.scenario
     lines = [
         f"run: {scenario.name}  seed={scenario.seed}  horizon={scenario.horizon}",

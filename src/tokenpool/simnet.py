@@ -16,8 +16,7 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
-from typing import BinaryIO, Callable, NamedTuple
+from typing import BinaryIO, Callable, NamedTuple, Protocol
 
 from .errors import TRACE_REASONS, SimulationError
 
@@ -133,7 +132,11 @@ def _mistyped(rec: Record) -> str:
 
 
 class Records(Sequence[Record]):
-    """Read-only view of a trace's records, each built when it is read."""
+    """Read-only view of a trace's records, each built when it is read.
+
+    Its length is the number of records written, kept or not; reading a
+    record needs a trace made with ``keep_records=True``.
+    """
 
     __slots__ = ("_trace",)
 
@@ -141,23 +144,56 @@ class Records(Sequence[Record]):
         self._trace = trace
 
     def __len__(self) -> int:
-        return len(self._trace.codes)
+        return sum(self._trace.counts)
 
     def __getitem__(self, i):  # type: ignore[override]
+        trace = self._trace
+        if not trace.keep_records:
+            raise SimulationError(
+                "this trace did not keep its records; make it with keep_records=True to read them"
+            )
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]
-        trace = self._trace
         channel, identity, method, outcome = trace.heads[trace.codes[i]]
         return Record(channel, trace.details[i], identity, method, outcome, trace.times[i])
 
 
-class Trace:
-    """Append-only audit log whose JSONL text defines the run digest, kept as
-    columns: record i is ``heads[codes[i]]``, ``times[i]`` and ``details[i]``."""
+#: The distinct (channel, identity, method, outcome) of a group of records.
+Head = tuple[str, str, str, str]
 
-    def __init__(self) -> None:
-        self.heads: list[tuple[str, str, str, str]] = []
-        self._head_codes: dict[tuple[str, str, str, str], int] = {}
+
+class Fold(Protocol):
+    """What a trace feeds each record to as it is written."""
+
+    def step_for(self, head: Head) -> Callable[[int, str], None] | None:
+        """The function each record with ``head`` is fed to as ``(t, detail)``,
+        or None when the head's record count is all the fold reads of it."""
+
+
+class Trace:
+    """Append-only audit log whose JSONL text defines the run digest.
+
+    Each record's canonical line is built once, as it is written: it is
+    hashed into the digest, written to ``out`` when one is given, and the
+    record is fed to ``fold``.  Per head, the trace keeps its line template
+    and its record count.  Only under ``keep_records=True`` does it keep
+    the records, as columns: record i is ``heads[codes[i]]``, ``times[i]``
+    and ``details[i]``.
+    """
+
+    def __init__(
+        self, *, keep_records: bool = False, out: BinaryIO | None = None, fold: Fold | None = None
+    ) -> None:
+        self.keep_records = keep_records
+        self._out = out
+        self._fold = fold
+        self._sha = hashlib.sha256()
+        self.heads: list[Head] = []
+        #: Records written per head code.
+        self.counts: list[int] = []
+        self._head_codes: dict[Head, int] = {}
+        #: Per head code: its line template and the fold's step for it.
+        self._per_head: list[tuple[str, Callable[[int, str], None] | None]] = []
         self.codes = array("I")
         self.times: list[int] = []
         self.details: list[str] = []
@@ -179,12 +215,29 @@ class Trace:
         ):
             raise SimulationError(_mistyped(Record(channel, detail, identity, method, outcome, t)))
         head = (channel, identity, method, outcome)
-        code = self._head_codes.setdefault(head, len(self.heads))
-        if code == len(self.heads):
-            self.heads.append(head)
-        self.codes.append(code)
-        self.times.append(t)
-        self.details.append(detail)
+        code = self._head_codes.get(head)
+        if code is None:
+            code = self._add_head(head)
+        template, step = self._per_head[code]
+        line = (template % (encode_basestring_ascii(detail), t)).encode()
+        self._sha.update(line)
+        if self._out is not None:
+            self._out.write(line)
+        self.counts[code] += 1
+        if step is not None:
+            step(t, detail)
+        if self.keep_records:
+            self.codes.append(code)
+            self.times.append(t)
+            self.details.append(detail)
+
+    def _add_head(self, head: Head) -> int:
+        code = self._head_codes[head] = len(self.heads)
+        self.heads.append(head)
+        self.counts.append(0)
+        step = None if self._fold is None else self._fold.step_for(head)
+        self._per_head.append((_line_template(*head), step))
+        return code
 
     def select(
         self,
@@ -201,26 +254,8 @@ class Trace:
         ]
 
     def digest(self) -> str:
-        return self._hash_lines(None)
-
-    def write(self, path: str | Path) -> str:
-        """Write the trace as JSONL and return the SHA-256 of what was
-        written, which is the digest."""
-        with open(path, "wb") as out:
-            return self._hash_lines(out)
-
-    def _hash_lines(self, out: BinaryIO | None) -> str:
-        """SHA-256 of the canonical lines, each serialised once and, if
-        ``out`` is given, written there too."""
-        templates = [_line_template(*head) for head in self.heads]
-        esc = encode_basestring_ascii
-        sha = hashlib.sha256()
-        for code, t, detail in zip(self.codes, self.times, self.details):
-            data = (templates[code] % (esc(detail), t)).encode()
-            sha.update(data)
-            if out is not None:
-                out.write(data)
-        return sha.hexdigest()
+        """SHA-256 of the canonical lines written so far."""
+        return self._sha.hexdigest()
 
 
 class FaultKind(enum.Enum):
@@ -251,8 +286,9 @@ class Fault:
 
 @dataclass
 class FaultBoard:
-    #: Injected faults by kind, each list in injection order.
-    by_kind: dict[FaultKind, list[Fault]] = field(default_factory=dict)
+    #: Injected faults by their kind's value, each list in injection order;
+    #: a str key hashes in C, an enum member's hash is a Python call.
+    by_kind: dict[str, list[Fault]] = field(default_factory=dict)
 
     def inject(
         self,
@@ -263,7 +299,7 @@ class FaultBoard:
         on_activate: Callable[[Fault], None] | None = None,
     ) -> None:
         """Register a fault, record INJECT now and ACTIVATE at its start."""
-        self.by_kind.setdefault(fault.kind, []).append(fault)
+        self.by_kind.setdefault(fault.kind.value, []).append(fault)
         trace.record(
             engine.now,
             TRACE_FAULT,
@@ -281,7 +317,7 @@ class FaultBoard:
     def active(self, kind: FaultKind, target: str, t: int) -> Fault | None:
         """The first fault of ``kind``, in injection order, that covers
         ``target`` at ``t``; only faults of that kind are looked at."""
-        for fault in self.by_kind.get(kind, ()):
+        for fault in self.by_kind.get(kind._value_, ()):
             if fault.target != "*" and fault.target != target:
                 continue
             if t < fault.start:

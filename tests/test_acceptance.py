@@ -11,6 +11,8 @@ before the library existed.  They are imported rather than restated so
 there is exactly one copy to drift.
 """
 
+import hashlib
+import io
 import os
 import random
 import subprocess
@@ -36,7 +38,8 @@ from tokenpool.migration import (
     drill_report,
     parse_detail,
     phase_at,
-    phase_timeline,
+    render_report,
+    report_dict,
     run_scenario,
 )
 from tokenpool.policy import (
@@ -69,7 +72,7 @@ def shipped():
         doc = yaml.safe_load(path.read_text())
         scenario = parse_scenario(doc)
         started = time.perf_counter()
-        result = run_scenario(scenario)
+        result = run_scenario(scenario, keep_records=True)
         runs[path.stem] = SimpleNamespace(
             path=path,
             doc=doc,
@@ -280,7 +283,7 @@ def test_criterion_4_no_legacy_auth_under_token_only(shipped):
     for name, run in shipped.items():
         violations = check_phase_soundness(run.result)
         assert violations == [], f"{name}: {violations[:3]}"
-        timeline = phase_timeline(run.result.trace)
+        timeline = run.result.timeline
         legacy_success_in_token_only = [
             rec
             for rec in run.result.trace.records
@@ -346,7 +349,7 @@ def test_criterion_6_authorize_matches_declared_partial_order():
     checked = allowed = 0
     for held in AuthzLevel:
         for required in AuthzLevel:
-            peer = AuthenticatedPeer("peer", AuthMethod.IDTOKEN, frozenset({held}))
+            peer = AuthenticatedPeer("peer", AuthMethod.IDTOKEN, frozenset({held}), method_name="IDTOKEN")
             decision = authorize(
                 peer, ChannelPolicy((AuthMethod.IDTOKEN,), required)
             )
@@ -376,6 +379,20 @@ def test_criterion_7_trace_digests_are_seed_deterministic(shipped):
     )
 
 
+def test_streamed_runs_report_what_kept_runs_report(shipped):
+    """A run that keeps no records states the same digest and reports as
+    one that keeps them, and the lines it writes out hash to that digest."""
+    for name, run in shipped.items():
+        out = io.BytesIO()
+        streamed = run_scenario(run.scenario, trace_out=out)
+        assert streamed.digest == run.result.digest, name
+        assert hashlib.sha256(out.getvalue()).hexdigest() == streamed.digest, name
+        assert len(streamed.trace.records) == len(run.result.trace.records), name
+        assert report_dict(streamed) == report_dict(run.result), name
+        for fmt in ("text", "json"):
+            assert render_report(streamed, fmt) == render_report(run.result, fmt), name
+
+
 # --- criterion 8: deprecated LDAP interface --------------------------------
 
 
@@ -400,7 +417,7 @@ def test_criterion_8_ldap_only_ce_is_dark_on_condor_10(shipped):
     # the CE over LDAP, so the refusal above is the version gate.
     older_doc = dict(run.doc, name="arc-ldap-on-9")
     older_doc["factories"] = [dict(run.doc["factories"][0], condor_major=9)]
-    older = run_scenario(parse_scenario(older_doc))
+    older = run_scenario(parse_scenario(older_doc), keep_records=True)
     submitted = [
         r
         for r in older.trace.select("PILOT", outcome="SUBMITTED")
@@ -439,8 +456,8 @@ def test_golden_reports_byte_identical(shipped, monkeypatch, capsys):
     from tokenpool import cli
 
     def cli_output(run, *argv):
-        def replay(scenario, seed=None):
-            assert scenario == run.scenario and seed is None
+        def replay(scenario, seed=None, trace_out=None):
+            assert scenario == run.scenario and seed is None and trace_out is None
             return run.result
 
         monkeypatch.setattr(cli, "run_scenario", replay)

@@ -9,6 +9,7 @@ import pytest
 import yaml
 
 from tokenpool.cli import main
+from tokenpool.migration import run_scenario
 from tokenpool.simnet import Record, canonical_line
 
 SECRET = bytes(range(32))
@@ -280,23 +281,38 @@ def test_sim_run_trace_out_to_a_missing_directory_is_a_usage_error(capsys, scena
     assert captured.out == ""
 
 
+def test_sim_run_opens_trace_out_before_the_run(capsys, scenario_file, tmp_path, monkeypatch):
+    from tokenpool import migration
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the run started before the trace file was opened")
+
+    monkeypatch.setattr(migration, "build_world", no_run)
+    rc = main(["sim", "run", scenario_file, "--trace-out", str(tmp_path / "absent" / "t.jsonl")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: cannot write trace: ")
+
+
 def test_sim_run_trace_out_serialises_each_record_once(scenario_file, tmp_path, monkeypatch):
-    """The written lines are hashed as they are written, and the report
-    reuses that digest instead of serialising the trace again."""
-    from tokenpool import simnet
+    """Each line is written as its record is made: when the run returns, the
+    file already holds the whole trace, whose SHA-256 is the run's digest,
+    and the report writes nothing more."""
+    from tokenpool import cli
 
-    passes = []  # one entry per serialisation of the whole trace: was it written out?
-    real = simnet.Trace._hash_lines
-
-    def counted(trace, out):
-        passes.append(out is not None)
-        return real(trace, out)
-
-    monkeypatch.setattr(simnet.Trace, "_hash_lines", counted)
     trace_out = tmp_path / "trace.jsonl"
+    written = []
+
+    def run(scenario, **kwargs):
+        result = run_scenario(scenario, **kwargs)
+        kwargs["trace_out"].flush()
+        written.append(trace_out.read_bytes())
+        assert hashlib.sha256(written[0]).hexdigest() == result.digest
+        assert written[0].count(b"\n") == len(result.trace.records) > 0
+        return result
+
+    monkeypatch.setattr(cli, "run_scenario", run)
     assert main(["sim", "run", scenario_file, "--trace-out", str(trace_out)]) == 0
-    assert passes == [True]
-    assert trace_out.read_bytes().count(b"\n") > 0
+    assert [trace_out.read_bytes()] == written
 
 
 def test_sim_run_json_format(capsys, scenario_file):

@@ -7,19 +7,19 @@ import pytest
 import yaml
 
 from tokenpool.migration import (
+    _Pass,
     check_phase_soundness,
     compute_metrics,
     drill_report,
     parse_detail,
     phase_at,
-    phase_timeline,
     render_report,
     report_dict,
     run_scenario,
 )
 from tokenpool.policy import MigrationPhase
 from tokenpool.scenario import parse_scenario
-from tokenpool.simnet import Trace
+from tokenpool.simnet import Record, Trace
 
 ISSUER = "https://issuer.test"
 
@@ -60,7 +60,7 @@ def doc(**over):
 
 @pytest.fixture(scope="module")
 def small_result():
-    return run_scenario(parse_scenario(doc()))
+    return run_scenario(parse_scenario(doc()), keep_records=True)
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +76,27 @@ def drill_result():
                 faults=[{"kind": "KEY_COMPROMISE", "target": "startd-1", "start": 300}],
                 drill={"reprovision_delay": 60},
             )
-        )
+        ),
+        keep_records=True,
+    )
+
+
+def refolded(result, records):
+    """``result`` with the facts of ``records``, fed one by one through a
+    fresh fold as a run feeds its own."""
+    walk = _Pass(result.scenario)
+    trace = Trace(keep_records=True, fold=walk)
+    for r in records:
+        trace.record(r.t, r.channel, r.outcome, method=r.method, identity=r.identity, detail=r.detail)
+    metrics, drill, timeline, violations = walk.finish(trace)
+    return dataclasses.replace(
+        result,
+        trace=trace,
+        digest=trace.digest(),
+        metrics=metrics,
+        drill=drill,
+        timeline=timeline,
+        violations=violations,
     )
 
 
@@ -93,10 +113,11 @@ def test_run_scenario_accepts_a_path(tmp_path, small_result):
 
 
 def test_report_and_render_hash_the_trace_once(monkeypatch):
-    result = run_scenario(parse_scenario(doc()))
+    # The run reads its digest once, when it ends; the reports only format it.
     hashed = []
     real_digest = Trace.digest
     monkeypatch.setattr(Trace, "digest", lambda trace: hashed.append(trace) or real_digest(trace))
+    result = run_scenario(parse_scenario(doc()))
     report = report_dict(result)
     text = render_report(result)
     assert hashed == [result.trace]
@@ -185,7 +206,7 @@ def test_phase_timeline_and_lookup():
             )
         )
     )
-    timeline = phase_timeline(result.trace)
+    timeline = result.timeline
     assert timeline == [
         (0, MigrationPhase.TOKEN_WITH_GSI_FALLBACK),
         (300, MigrationPhase.TOKEN_ONLY),
@@ -207,22 +228,21 @@ def test_phase_soundness_detects_forged_legacy_use(small_result):
                 name="staged-unit",
                 plan=[{"at": 300, "action": "set_phase", "phase": "TOKEN_ONLY"}],
             )
-        )
+        ),
+        keep_records=True,
     )
     # The phase change at t=300 governs every record at t=300, including
     # one written before the PHASE record itself.
-    forged = Trace()
+    forged = []
     boundaries = 0
     for r in staged.trace.records:
         if r.channel == "PLAN" and r.outcome == "PHASE" and r.t == 300:
             boundaries += 1
-            forged.record(300, "FACTORY->CE", "SUCCESS", method="GSI_PROXY", identity="cms-pilot")
-        forged.record(
-            r.t, r.channel, r.outcome, method=r.method, identity=r.identity, detail=r.detail
-        )
+            forged.append(Record("FACTORY->CE", "", "cms-pilot", "GSI_PROXY", "SUCCESS", 300))
+        forged.append(r)
     assert boundaries == 1
-    forged.record(400, "FACTORY->CE", "SUCCESS", method="GSI_PROXY", identity="cms-pilot")
-    tampered = dataclasses.replace(staged, trace=forged)
+    forged.append(Record("FACTORY->CE", "", "cms-pilot", "GSI_PROXY", "SUCCESS", 400))
+    tampered = refolded(staged, forged)
     violations = check_phase_soundness(tampered)
     assert len(violations) == 2
     assert [v.split()[0] for v in violations] == ["t=300", "t=400"]
@@ -234,34 +254,75 @@ def test_phase_soundness_detects_forged_legacy_use(small_result):
 
 
 def test_phase_soundness_lists_interleaved_violations_in_record_order(small_result):
-    """Legacy attempts on two channels interleave, some are written before
-    the PHASE record that forbids them, and one lies past the horizon but
-    is written before earlier ones: each is judged under the whole
-    timeline and listed where its record stands."""
-    forged = Trace()
+    """Legacy attempts on two channels interleave, and some are written
+    before the PHASE record that forbids them: each is judged under the
+    phase in force when its instant ends and listed where its record stands."""
+    forged = []
 
     def attempt(t, channel, method, outcome="SUCCESS"):
-        forged.record(t, channel, outcome, method=method, identity="cms-pilot")
+        forged.append(Record(channel, "", "cms-pilot", method, outcome, t))
 
-    forged.record(0, "PLAN", "PHASE", detail="phase=TOKEN_WITH_GSI_FALLBACK")
+    forged.append(Record("PLAN", "phase=TOKEN_WITH_GSI_FALLBACK", "-", "-", "PHASE", 0))
     attempt(100, "FACTORY->CE", "GSI_PROXY")
     attempt(300, "SCHEDD->COLLECTOR", "LOCAL_FS")
     attempt(300, "FACTORY->CE", "GSI_PROXY", outcome="FAIL:AuthRejected")
-    attempt(small_result.scenario.horizon + 60, "FACTORY->CE", "GSI_PROXY")
-    forged.record(300, "PLAN", "PHASE", detail="phase=TOKEN_ONLY")
+    forged.append(Record("PLAN", "phase=TOKEN_ONLY", "-", "-", "PHASE", 300))
+    attempt(300, "SCHEDD->COLLECTOR", "LOCAL_FS", outcome="DENIED")
     attempt(310, "SCHEDD->COLLECTOR", "IDTOKEN")
     attempt(320, "SCHEDD->COLLECTOR", "LOCAL_FS")
     attempt(330, "FACTORY->CE", "GSI_PROXY")
-    tampered = dataclasses.replace(small_result, trace=forged)
+    tampered = refolded(small_result, forged)
     violations = check_phase_soundness(tampered)
     assert violations == [
         "t=300 SCHEDD->COLLECTOR used LOCAL_FS under TOKEN_ONLY (outcome=SUCCESS)",
         "t=300 FACTORY->CE used GSI_PROXY under TOKEN_ONLY (outcome=FAIL:AuthRejected)",
-        "t=660 FACTORY->CE used GSI_PROXY under TOKEN_ONLY (outcome=SUCCESS)",
+        "t=300 SCHEDD->COLLECTOR used LOCAL_FS under TOKEN_ONLY (outcome=DENIED)",
         "t=320 SCHEDD->COLLECTOR used LOCAL_FS under TOKEN_ONLY (outcome=SUCCESS)",
         "t=330 FACTORY->CE used GSI_PROXY under TOKEN_ONLY (outcome=SUCCESS)",
     ]
     assert report_dict(tampered)["phase_soundness"]["violations"] == violations
+
+
+def test_fold_judges_an_attempt_under_a_phase_record_written_later_at_its_instant(small_result):
+    forged = [
+        Record("PLAN", "phase=TOKEN_WITH_GSI_FALLBACK", "-", "-", "PHASE", 0),
+        Record("FACTORY->CE", "", "cms-pilot", "GSI_PROXY", "SUCCESS", 500),
+        Record("FACTORY->CE", "", "cms-pilot", "SCITOKEN", "SUCCESS", 500),
+        Record("PLAN", "phase=TOKEN_ONLY", "-", "-", "PHASE", 500),
+    ]
+    assert check_phase_soundness(refolded(small_result, forged)) == [
+        "t=500 FACTORY->CE used GSI_PROXY under TOKEN_ONLY (outcome=SUCCESS)"
+    ]
+    # The same attempt one instant earlier falls under the old phase.
+    forged[1] = forged[1]._replace(t=499)
+    assert check_phase_soundness(refolded(small_result, forged)) == []
+
+
+def test_fold_drill_counts_an_eviction_and_a_join_written_before_the_compromise_at_its_instant(
+    drill_result,
+):
+    def pilot(outcome, t, detail=""):
+        return Record("PILOT", detail, "-", "-", outcome, t)
+
+    def sample(t, size):
+        return Record("POOL", f"joined=0 matched={size} size={size}", "-", "-", "SAMPLE", t)
+
+    forged = [
+        Record("PLAN", "phase=TOKEN_WITH_GSI_FALLBACK", "-", "-", "PHASE", 0),
+        sample(100, 4),
+        pilot("EVICT", 200, "pilot=p0 kid=startd-1 reason=KeyRevoked"),  # an earlier instant
+        sample(300, 3),  # at the compromise instant: not the pool before it
+        pilot("EVICT", 300, "pilot=p1 kid=startd-1 reason=KeyRevoked"),
+        pilot("JOINED", 300, "pilot=p9 kid=startd-2"),
+        Record("FAULT", "kind=KEY_COMPROMISE target=startd-1 start=300", "-", "-", "ACTIVATE", 300),
+        pilot("EVICT", 300, "pilot=p2 kid=startd-1 reason=KeyCompromise"),
+        pilot("EVICT", 300, "pilot=p3 kid=startd-2 reason=KeyCompromise"),  # another key
+        pilot("JOINED", 330, "pilot=p10 kid=startd-2"),
+        pilot("JOINED", 390, "pilot=p11 kid=startd-2"),
+    ]
+    report = drill_report(refolded(drill_result, forged))
+    assert (report.kid, report.compromised_at, report.pool_before) == ("startd-1", 300, 4)
+    assert (report.evicted, report.recovered_at, report.recovery_time) == (2, 330, 30)
 
 
 def test_report_dict_shape(drill_result):

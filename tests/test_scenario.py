@@ -490,6 +490,6 @@ def test_readme_example_parses_and_runs():
     sc = parse_scenario(yaml.safe_load(block))
     assert sc.name == "example"
     assert [ce.interface for ce in sc.ces] == [CEInterface.NATIVE, CEInterface.REST]
-    result = run_scenario(sc)
+    result = run_scenario(sc, keep_records=True)
     assert len(result.digest) == 64
     assert any(rec.channel == "PLAN" for rec in result.trace.records)

@@ -1,6 +1,7 @@
 """Event loop determinism, RNG stream isolation, trace digests, faults."""
 
 import hashlib
+import io
 import json
 import tracemalloc
 
@@ -107,7 +108,7 @@ def test_rng_streams_are_isolated_between_labels():
 
 
 def test_trace_record_and_select():
-    trace = Trace()
+    trace = Trace(keep_records=True)
     trace.record(1, "A->B", "SUCCESS", method="IDTOKEN", identity="svc")
     trace.record(2, "A->B", "FAIL:Expired")
     trace.record(3, "C->D", "FAIL:UnknownKey")
@@ -134,12 +135,14 @@ MISTYPED_FIELDS = {
     "field, value, message", MISTYPED_FIELDS.values(), ids=MISTYPED_FIELDS.keys()
 )
 def test_trace_rejects_non_int_times(field, value, message):
-    # Every field is checked when it is recorded, not later in digest().
+    # Every field is checked before the record is hashed, written or kept.
     fields = {"t": 1, "channel": "A->B", "outcome": "SUCCESS", field: value}
-    trace = Trace()
+    out = io.BytesIO()
+    trace = Trace(keep_records=True, out=out)
     with pytest.raises(SimulationError, match=message):
         trace.record(**fields)
     assert list(trace.records) == []
+    assert out.getvalue() == b"" and trace.digest() == hashlib.sha256().hexdigest()
 
 
 def _jsonl(trace):
@@ -147,7 +150,7 @@ def _jsonl(trace):
 
 
 def test_trace_jsonl_is_canonical_and_digest_matches():
-    trace = Trace()
+    trace = Trace(keep_records=True)
     trace.record(1, "A->B", "SUCCESS", detail="x=1")
     assert list(trace.records) == [Record("A->B", "x=1", "-", "-", "SUCCESS", 1)]
     text = _jsonl(trace)
@@ -160,12 +163,14 @@ def test_trace_jsonl_is_canonical_and_digest_matches():
     assert trace.digest() != before
 
 
-def test_trace_write(tmp_path):
-    trace = Trace()
+def test_trace_write():
+    # Each line reaches ``out`` as its record is written.
+    out = io.BytesIO()
+    trace = Trace(keep_records=True, out=out)
     trace.record(1, "A->B", "SUCCESS")
-    out = tmp_path / "trace.jsonl"
-    trace.write(out)
-    assert out.read_text() == _jsonl(trace)
+    assert out.getvalue() == _jsonl(trace).encode()
+    trace.record(2, "A->B", "DROP", detail="x=2")
+    assert out.getvalue() == _jsonl(trace).encode()
 
 
 def _json_line(rec):
@@ -178,17 +183,16 @@ def _json_line(rec):
     [[], ["x=1"], ["ce=site-\u00e9 note=\u2713 \U0001f4a5", "plain"]],
     ids=["empty", "one", "non-ascii"],
 )
-def test_trace_digest_hashes_the_jsonl_text(details, tmp_path):
-    trace = Trace()
+def test_trace_digest_hashes_the_jsonl_text(details):
+    out = io.BytesIO()
+    trace = Trace(keep_records=True, out=out)
     for i, detail in enumerate(details):
         trace.record(i, "A->B", "SUCCESS" if i % 3 else "FAIL:Expired", detail=detail)
     text = _jsonl(trace)
     assert text == "".join(map(_json_line, trace.records))
     assert text.isascii()
     assert trace.digest() == hashlib.sha256(text.encode()).hexdigest()
-    out = tmp_path / "trace.jsonl"
-    trace.write(out)
-    assert out.read_bytes() == text.encode()
+    assert out.getvalue() == text.encode()
 
 
 #: Text that leans on what JSON must escape, and on the ``%`` a line template
@@ -228,7 +232,7 @@ _HEAD = st.tuples(_SHORT_TEXT, _SHORT_TEXT, _SHORT_TEXT, _SHORT_TEXT)
         st.tuples(st.integers(min_value=0), st.integers(min_value=0), _SHORT_TEXT), max_size=10
     ),
 )
-def test_columnar_trace_gives_back_the_records_it_was_given(heads, rows, tmp_path_factory):
+def test_columnar_trace_gives_back_the_records_it_was_given(heads, rows):
     # 300 more heads, so head codes outgrow a byte; the given rows reuse
     # heads among them.
     wide = []
@@ -240,14 +244,14 @@ def test_columnar_trace_gives_back_the_records_it_was_given(heads, rows, tmp_pat
         channel, identity, method, outcome = heads[pick % len(heads)]
         given_rows.append(Record(channel, detail, identity, method, outcome, t))
     expected = wide[:150] + given_rows + wide[150:]
-    trace = Trace()
+    out = io.BytesIO()
+    trace = Trace(keep_records=True, out=out)
     for r in expected:
         trace.record(r.t, r.channel, r.outcome, method=r.method, identity=r.identity, detail=r.detail)
     assert len(trace.heads) > 256
     text = "".join(map(_json_line, expected)).encode()
-    out = tmp_path_factory.getbasetemp() / "columnar-trace.jsonl"
-    assert trace.write(out) == trace.digest() == hashlib.sha256(text).hexdigest()
-    assert out.read_bytes() == text
+    assert trace.digest() == hashlib.sha256(text).hexdigest()
+    assert out.getvalue() == text
     assert len(trace.records) == len(expected)
     assert list(trace.records) == expected
     assert trace.records[-1] == expected[-1]
@@ -273,18 +277,36 @@ def _fill(trace, n=20_000):
 
 
 def test_a_record_that_shares_its_values_costs_at_most_32_bytes():
-    trace = Trace()
+    trace = Trace(keep_records=True)
     held, _ = _allocated(lambda: _fill(trace))
     assert held <= 32 * 20_000
 
 
 def test_counting_records_builds_none():
-    trace = Trace()
+    trace = Trace(keep_records=True)
     _fill(trace)
     counted = []
     _, peak = _allocated(lambda: counted.append(len(trace.records)))
     assert counted == [20_000]
     assert peak < 1024
+
+
+def test_a_trace_that_does_not_keep_records_holds_none():
+    trace = Trace()
+    trace.record(0, "STARTD->COLLECTOR", "SUCCESS", method="IDTOKEN", detail="warm-up")
+
+    def fill():
+        for i in range(20_000):
+            detail = f"pilot=pilot-{i:05d} ce=ce-a{i % 7} keepalive=1 jti={i * 7919:016x}"
+            trace.record(i, "STARTD->COLLECTOR", "SUCCESS", method="IDTOKEN", detail=detail)
+
+    held, _ = _allocated(fill)
+    assert held < 1024
+    assert len(trace.records) == 20_001
+    with pytest.raises(SimulationError, match="keep_records=True"):
+        trace.records[0]
+    with pytest.raises(SimulationError, match="keep_records=True"):
+        trace.select("STARTD->COLLECTOR")
 
 
 def test_fail_outcome_format():
@@ -308,7 +330,7 @@ def test_fail_outcome_rejects_a_reason_outside_the_vocabulary():
 
 def make_board(fault, on_activate=None):
     engine = Engine()
-    trace = Trace()
+    trace = Trace(keep_records=True)
     board = FaultBoard()
     board.inject(fault, trace=trace, engine=engine, on_activate=on_activate)
     return engine, trace, board
@@ -383,7 +405,7 @@ faults_st = st.lists(
 
 @given(faults=faults_st)
 def test_fault_lookup_by_kind_matches_a_scan_of_every_fault(faults):
-    engine, trace, board = Engine(), Trace(), FaultBoard()
+    engine, trace, board = Engine(), Trace(keep_records=True), FaultBoard()
     for fault in faults:
         board.inject(fault, trace=trace, engine=engine)
     for kind in FaultKind:
