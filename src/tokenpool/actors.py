@@ -13,7 +13,6 @@ import enum
 import heapq
 import weakref
 from dataclasses import dataclass, field
-from typing import BinaryIO
 
 from . import jose
 from .errors import (
@@ -52,7 +51,6 @@ from .simnet import (
     Fault,
     FaultBoard,
     FaultKind,
-    Fold,
     OUTCOME_DENIED,
     OUTCOME_DROP,
     OUTCOME_SUCCESS,
@@ -176,11 +174,11 @@ class World:
     CA = "cms-ca"
     POOL_ISSUER = "cmspool"
 
-    def __init__(self, scenario: Scenario, trace: Trace) -> None:
+    def __init__(self, scenario: Scenario, trace: Trace | None = None) -> None:
         self.scenario = scenario
         self.engine = Engine()
         self.streams = RngStreams(scenario.seed)
-        self.trace = trace
+        self.trace = Trace() if trace is None else trace
         self.board = FaultBoard()
         self.phase = scenario.phase
 
@@ -319,7 +317,7 @@ class World:
                 now,
                 channel.label,
                 OUTCOME_DENIED,
-                method=peer.method_name,
+                method=peer.method._value_,
                 identity=peer.canonical_identity,
                 detail=_join_detail(detail, f"missing={','.join(decision.missing)}"),
             )
@@ -331,7 +329,7 @@ class World:
             now,
             channel.label,
             OUTCOME_SUCCESS,
-            method=peer.method_name,
+            method=peer.method._value_,
             identity=peer.canonical_identity,
             detail=detail,
         )
@@ -506,7 +504,7 @@ class TokenIssuer:
             w.refuse(
                 CH_TOKEN_FETCH,
                 exc.reason,
-                method=peer.method_name,
+                method=peer.method._value_,
                 identity=peer.canonical_identity,
                 detail=f"aud={ce_id}",
             )
@@ -911,7 +909,7 @@ class CEGateway:
             w.refuse(
                 CH_CE_SUBMIT,
                 CAPACITY_EXCEEDED,
-                method=peer.method_name,
+                method=peer.method._value_,
                 identity=peer.canonical_identity,
                 detail=f"ce={self.id} pilot={pilot.id}",
             )
@@ -923,7 +921,7 @@ class CEGateway:
         w.pilot_event(
             pilot,
             PilotState.SUBMITTED,
-            _join_detail(f"method={peer.method_name}", "stuck=1" if stuck else ""),
+            _join_detail(f"method={peer.method._value_}", "stuck=1" if stuck else ""),
         )
         if stuck:
             return SubmitOutcome.ACCEPTED
@@ -1029,16 +1027,7 @@ class MigrationController:
                 factory.submit_one(w.ces[old.ce_id])
 
 
-def build_world(
-    scenario: Scenario,
-    *,
-    keep_records: bool = False,
-    out: BinaryIO | None = None,
-    fold: Fold | None = None,
-) -> World:
-    """A started World whose trace writes each line to ``out`` and feeds
-    each record to ``fold``, when given, and keeps its records only under
-    ``keep_records=True``."""
-    world = World(scenario, Trace(keep_records=keep_records, out=out, fold=fold))
+def build_world(scenario: Scenario, trace: Trace | None = None) -> World:
+    world = World(scenario, trace)
     world.start()
     return world

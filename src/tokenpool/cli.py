@@ -17,9 +17,9 @@ from typing import BinaryIO
 
 from . import jose
 from .errors import ScenarioError, SimulationError, TokenError, TokenPoolError
-from .migration import RunResult, drill_report, render_report, run_scenario
+from .migration import drill_report, render_report, run_scenario
 from .policy import AuthzLevel
-from .scenario import Scenario, load_scenario
+from .scenario import load_scenario
 from .tokens import DEFAULT_SKEW, SymmetricKeyring, mint_idtoken, verify_idtoken
 
 SEED_ENV = "TOKENPOOL_SEED"
@@ -82,16 +82,13 @@ def _resolve_seed(args: argparse.Namespace) -> int | None:
     return None
 
 
-def _load(args: argparse.Namespace) -> Scenario:
+def _load(args: argparse.Namespace, trace_out: BinaryIO | None = None):
     try:
-        return load_scenario(args.scenario)
+        scenario = load_scenario(args.scenario)
     except OSError as exc:
         raise _UsageError(f"cannot read scenario: {exc}") from None
     except ScenarioError as exc:
         raise _UsageError(f"bad scenario: {exc}") from None
-
-
-def _run(scenario: Scenario, args: argparse.Namespace, trace_out: BinaryIO | None = None) -> RunResult:
     try:
         return run_scenario(scenario, seed=_resolve_seed(args), trace_out=trace_out)
     except (ScenarioError, SimulationError) as exc:
@@ -158,22 +155,21 @@ def cmd_token_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_sim_run(args: argparse.Namespace) -> int:
-    scenario = _load(args)
     if args.trace_out:
         # Opened before the run, so a path it cannot write fails at once.
         try:
             with open(args.trace_out, "wb") as out:
-                result = _run(scenario, args, out)
+                result = _load(args, out)
         except OSError as exc:
             raise _UsageError(f"cannot write trace: {exc}") from None
     else:
-        result = _run(scenario, args)
+        result = _load(args)
     print(render_report(result, args.format), end="")
     return 0
 
 
 def cmd_sim_drill(args: argparse.Namespace) -> int:
-    report = drill_report(_run(_load(args), args))
+    report = drill_report(_load(args))
     if report is None:
         print("no key-compromise exercise in this run", file=sys.stderr)
         return 1

@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import BinaryIO, Callable, Mapping
 
 from .actors import AUTH_CHANNEL_LABELS, World, build_world
+from .errors import SimulationError
 from .policy import PHASE_PERMITS, AuthMethod, MigrationPhase
 from .scenario import Scenario, load_scenario
 from .simnet import (
@@ -127,17 +128,15 @@ def run_scenario(
     keep_records: bool = False,
     trace_out: BinaryIO | None = None,
 ) -> RunResult:
-    """Build the world for a scenario (or scenario file) and run it out.
-
-    Each trace line is written to ``trace_out``, when given, as it is made.
-    """
+    """Build the world for a scenario (or scenario file) and run it out,
+    writing each trace line to ``trace_out``, when given, as it is made."""
     scenario = source if isinstance(source, Scenario) else load_scenario(source)
     if seed is not None:
         scenario = dataclasses.replace(scenario, seed=seed)
     walk = _Pass(scenario)
-    world = build_world(scenario, keep_records=keep_records, out=trace_out, fold=walk)
+    trace = Trace(keep_records=keep_records, out=trace_out, fold=walk)
+    world = build_world(scenario, trace)
     world.engine.run(scenario.horizon)
-    trace = world.trace
     return RunResult(scenario, world, trace, trace.digest(), *walk.finish(trace))
 
 
@@ -145,13 +144,11 @@ class _Pass:
     """The fold of a run's trace: fed each record as it is written, it keeps
     what every report fact needs, in buffers that follow the pool, not the run.
 
-    Record times never decrease, so a fact at one instant is settled when a
-    later instant starts.  A PHASE record at t governs every auth attempt at
-    t, including those written before it, so the attempts of the current
-    instant wait for it to end.  The drill counts every eviction and join at
-    the compromise instant, whichever was written first, so the current
-    instant's evictions and joins are kept until a compromise is seen.
-    Heads are classified once; the rest of a head's facts is its record count.
+    Record times must never decrease (a record that goes back is refused),
+    so an instant is settled when a later one starts.  A PHASE record at t
+    governs every auth attempt at t, and the drill counts every eviction and
+    join at the compromise instant, whichever was written first; so both
+    wait for the current instant to end.
     """
 
     def __init__(self, scenario: Scenario) -> None:
@@ -161,7 +158,8 @@ class _Pass:
         self.timeline: list[tuple[int, MigrationPhase]] = []
         self.violations: list[str] = []
         self.attempts: list[tuple[int, Head]] = []  # auth attempts not yet judged
-        self.peak = self.final = self.tail_sum = self.tail_n = self.queued = 0
+        self.peak = self.final = self.tail_sum = self.tail_n = 0
+        self.job_counts: Counter[str] = Counter()  # jobs queued; other job events are counts
         self.compromise: tuple[int, str] | None = None  # first KEY_COMPROMISE: (t, kid)
         # Until a compromise: the pool size at the end of the last instant,
         # and the kids evicted and the joins at the current one.
@@ -172,16 +170,24 @@ class _Pass:
     def step_for(self, head: Head) -> Callable[[int, str], None] | None:
         channel, _, method, outcome = head
         if channel in _AUTH_CHANNELS:
-            return partial(self._attempt, head) if method in _METHOD_VALUES else None
-        name = _STEPPED.get((channel, outcome))
-        return None if name is None else getattr(self, name)
+            step = partial(self._attempt, head) if method in _METHOD_VALUES else None
+        else:
+            name = _STEPPED.get((channel, outcome))
+            step = None if name is None else getattr(self, name)
+        return None if step is None else partial(self._feed, step)
 
-    def _advance(self, t: int | None) -> None:
-        """Close the current instant: judge its attempts, settle its drill buffers.
+    def _feed(self, step: Callable[[int, str], None], t: int, detail: str) -> None:
+        """Hand a record to its step, closing the current instant if it ends."""
+        if t != self.instant:
+            if self.instant is not None and t < self.instant:
+                raise SimulationError(f"trace record at t={t} written after one at t={self.instant}")
+            self._close()
+            self.instant = t
+        step(t, detail)
 
-        Attempts written before the first PHASE record wait, and are judged
-        with those of that record's instant.
-        """
+    def _close(self) -> None:
+        """Judge the instant's attempts (or keep them until the first PHASE
+        record) and, until a compromise, settle its drill buffers."""
         if self.timeline:
             phase = self.timeline[-1][1]
             permitted = _PERMITTED[phase]
@@ -195,21 +201,14 @@ class _Pass:
             self.pool_before = self.final
             self.evicted_now.clear()
             self.joins_now = 0
-        self.instant = t
 
     def _attempt(self, head: Head, t: int, detail: str) -> None:
-        if t != self.instant:
-            self._advance(t)
         self.attempts.append((t, head))
 
     def _phase(self, t: int, detail: str) -> None:
-        if t != self.instant:
-            self._advance(t)
         self.timeline.append((t, MigrationPhase(parse_detail(detail)["phase"])))
 
     def _sample(self, t: int, detail: str) -> None:
-        if t != self.instant:
-            self._advance(t)
         size = self.final = int(parse_detail(detail)["size"])
         self.peak = max(self.peak, size)
         if t >= self.tail_start:
@@ -217,16 +216,12 @@ class _Pass:
             self.tail_n += 1
 
     def _joined(self, t: int, detail: str) -> None:
-        if t != self.instant:
-            self._advance(t)
         if self.compromise is None:
             self.joins_now += 1
         else:
             self.joins_after.append(t)
 
     def _evict(self, t: int, detail: str) -> None:
-        if t != self.instant:
-            self._advance(t)
         kid = parse_detail(detail).get("kid")
         if self.compromise is None:
             self.evicted_now.append(kid)
@@ -234,8 +229,6 @@ class _Pass:
             self.evicted += 1
 
     def _activate(self, t: int, detail: str) -> None:
-        if t != self.instant:
-            self._advance(t)
         kv = parse_detail(detail)
         if kv.get("kind") != "KEY_COMPROMISE" or self.compromise is not None:
             return
@@ -245,14 +238,14 @@ class _Pass:
         self.joins_after.extend([t] * self.joins_now)
 
     def _queued(self, t: int, detail: str) -> None:
-        self.queued += int(parse_detail(detail).get("count", "0"))
+        self.job_counts["QUEUED"] += int(parse_detail(detail).get("count", "0"))
 
     def finish(
         self, trace: Trace
     ) -> tuple[PoolMetrics, DrillReport | None, list[tuple[int, MigrationPhase]], list[str]]:
         """The metrics, drill, phase timeline and phase-soundness violations
         of the whole trace; ``trace`` gives each head's record count."""
-        self._advance(self.instant)
+        self._close()
         violations = self.violations if self.timeline else ["no phase records in trace"]
         return self._metrics(trace), self._drill(), self.timeline, violations
 
@@ -261,7 +254,7 @@ class _Pass:
         auth_failures: Counter[str] = Counter()
         legacy: Counter[str] = Counter()
         pilot_counts: Counter[str] = Counter()
-        job_counts: Counter[str] = Counter()
+        job_counts = self.job_counts.copy()
         denied = dropped = 0
         for (channel, _, method, outcome), n in zip(trace.heads, trace.counts):
             if channel in _AUTH_CHANNELS:
@@ -277,10 +270,8 @@ class _Pass:
                     dropped += n
             elif channel == TRACE_PILOT:
                 pilot_counts[outcome] += n
-            elif channel == TRACE_JOB:
+            elif channel == TRACE_JOB and outcome != "QUEUED":
                 job_counts[outcome] += n
-        if "QUEUED" in job_counts:
-            job_counts["QUEUED"] = self.queued  # jobs queued, not QUEUED records
         capacity = self.scenario.total_capacity
         return PoolMetrics(
             total_capacity=capacity,

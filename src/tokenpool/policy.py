@@ -298,8 +298,6 @@ class AuthenticatedPeer:
     canonical_identity: str
     method: AuthMethod
     granted_levels: frozenset[AuthzLevel]
-    #: ``method``'s trace string, held so no caller hashes the enum for it.
-    method_name: str = field(kw_only=True)
     granted_scopes: frozenset[str] = frozenset()
     subject: str = ""
     token_kid: str | None = None
@@ -359,7 +357,6 @@ def authenticate(
         return AuthenticatedPeer(
             canonical_identity=identity,
             method=AuthMethod.GSI_PROXY,
-            method_name="GSI_PROXY",
             granted_levels=_LEGACY_LEVELS,
             subject=credential.distinguished_name,
         )
@@ -374,7 +371,6 @@ def authenticate(
         return AuthenticatedPeer(
             canonical_identity=identity,
             method=AuthMethod.LOCAL_FS,
-            method_name="LOCAL_FS",
             granted_levels=_LEGACY_LEVELS,
             subject=credential.account,
         )
@@ -390,7 +386,6 @@ def authenticate(
         return AuthenticatedPeer(
             canonical_identity=identity,
             method=AuthMethod.SCITOKEN,
-            method_name="SCITOKEN",
             granted_levels=frozenset(),
             granted_scopes=cap.granted_scopes,
             subject=cap.subject,
@@ -406,7 +401,6 @@ def authenticate(
     return AuthenticatedPeer(
         canonical_identity=identity,
         method=AuthMethod.IDTOKEN,
-        method_name="IDTOKEN",
         granted_levels=compiled.levels_for(ident.authz_limits),
         subject=ident.subject,
         token_kid=ident.kid,

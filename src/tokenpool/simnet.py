@@ -132,11 +132,8 @@ def _mistyped(rec: Record) -> str:
 
 
 class Records(Sequence[Record]):
-    """Read-only view of a trace's records, each built when it is read.
-
-    Its length is the number of records written, kept or not; reading a
-    record needs a trace made with ``keep_records=True``.
-    """
+    """Read-only view of a trace's records, each built when it is read; its
+    length counts every record written, reading one needs ``keep_records``."""
 
     __slots__ = ("_trace",)
 
@@ -149,9 +146,7 @@ class Records(Sequence[Record]):
     def __getitem__(self, i):  # type: ignore[override]
         trace = self._trace
         if not trace.keep_records:
-            raise SimulationError(
-                "this trace did not keep its records; make it with keep_records=True to read them"
-            )
+            raise SimulationError("make the trace with keep_records=True to read its records")
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]
         channel, identity, method, outcome = trace.heads[trace.codes[i]]
@@ -163,23 +158,17 @@ Head = tuple[str, str, str, str]
 
 
 class Fold(Protocol):
-    """What a trace feeds each record to as it is written."""
-
     def step_for(self, head: Head) -> Callable[[int, str], None] | None:
-        """The function each record with ``head`` is fed to as ``(t, detail)``,
-        or None when the head's record count is all the fold reads of it."""
+        """What each record with ``head`` is fed to as ``(t, detail)``, if anything."""
 
 
 class Trace:
     """Append-only audit log whose JSONL text defines the run digest.
 
-    Each record's canonical line is built once, as it is written: it is
-    hashed into the digest, written to ``out`` when one is given, and the
-    record is fed to ``fold``.  Per head, the trace keeps its line template
-    and its record count.  Only under ``keep_records=True`` does it keep
-    the records, as columns: record i is ``heads[codes[i]]``, ``times[i]``
-    and ``details[i]``.
-    """
+    Each record's line is built once, hashed into the digest, written to
+    ``out`` when given, and the record fed to ``fold``.  Only under
+    ``keep_records=True`` are records kept, as columns: record i is
+    ``heads[codes[i]]``, ``times[i]`` and ``details[i]``."""
 
     def __init__(
         self, *, keep_records: bool = False, out: BinaryIO | None = None, fold: Fold | None = None
@@ -189,8 +178,7 @@ class Trace:
         self._fold = fold
         self._sha = hashlib.sha256()
         self.heads: list[Head] = []
-        #: Records written per head code.
-        self.counts: list[int] = []
+        self.counts: list[int] = []  # records written per head code
         self._head_codes: dict[Head, int] = {}
         #: Per head code: its line template and the fold's step for it.
         self._per_head: list[tuple[str, Callable[[int, str], None] | None]] = []
@@ -217,7 +205,11 @@ class Trace:
         head = (channel, identity, method, outcome)
         code = self._head_codes.get(head)
         if code is None:
-            code = self._add_head(head)
+            code = self._head_codes[head] = len(self.heads)
+            self.heads.append(head)
+            self.counts.append(0)
+            step = None if self._fold is None else self._fold.step_for(head)
+            self._per_head.append((_line_template(*head), step))
         template, step = self._per_head[code]
         line = (template % (encode_basestring_ascii(detail), t)).encode()
         self._sha.update(line)
@@ -230,14 +222,6 @@ class Trace:
             self.codes.append(code)
             self.times.append(t)
             self.details.append(detail)
-
-    def _add_head(self, head: Head) -> int:
-        code = self._head_codes[head] = len(self.heads)
-        self.heads.append(head)
-        self.counts.append(0)
-        step = None if self._fold is None else self._fold.step_for(head)
-        self._per_head.append((_line_template(*head), step))
-        return code
 
     def select(
         self,

@@ -349,7 +349,7 @@ def test_criterion_6_authorize_matches_declared_partial_order():
     checked = allowed = 0
     for held in AuthzLevel:
         for required in AuthzLevel:
-            peer = AuthenticatedPeer("peer", AuthMethod.IDTOKEN, frozenset({held}), method_name="IDTOKEN")
+            peer = AuthenticatedPeer("peer", AuthMethod.IDTOKEN, frozenset({held}))
             decision = authorize(
                 peer, ChannelPolicy((AuthMethod.IDTOKEN,), required)
             )

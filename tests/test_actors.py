@@ -35,7 +35,7 @@ from tokenpool.errors import (
 from tokenpool.migration import parse_detail, run_scenario
 from tokenpool.policy import AuthMethod, MigrationPhase
 from tokenpool.scenario import CEInterface, parse_scenario
-from tokenpool.simnet import OUTCOME_SUCCESS, TRACE_PILOT, TRACE_POOL
+from tokenpool.simnet import OUTCOME_SUCCESS, TRACE_PILOT, TRACE_POOL, Trace
 from tokenpool.tokens import DEFAULT_SKEW, KeyStatus, revoke_key
 
 ISSUER = "https://issuer.test"
@@ -85,7 +85,7 @@ def doc(**over):
 
 def run_doc(**over):
     scenario = parse_scenario(doc(**over))
-    world = build_world(scenario, keep_records=True)
+    world = build_world(scenario, Trace(keep_records=True))
     world.engine.run(scenario.horizon)
     return world
 
@@ -371,7 +371,7 @@ def test_join_with_revoked_key_is_rejected():
         parse_scenario(
             doc(clients=[{"id": "cmsprod", "methods": ["IDTOKEN"], "jobs": 0, "duration": 10}])
         ),
-        keep_records=True,
+        Trace(keep_records=True),
     )
     w.engine.run(10)
     pilot = w.new_pilot(w.ces["ce-a"])
@@ -390,7 +390,7 @@ def test_join_with_revoked_key_is_rejected():
 def idle_world(**over):
     """A world at t=10 with no jobs; the frontend holds a capability for ce-a."""
     jobless = [{"id": "cmsprod", "methods": ["IDTOKEN"], "jobs": 0, "duration": 10}]
-    w = build_world(parse_scenario(doc(clients=jobless, **over)), keep_records=True)
+    w = build_world(parse_scenario(doc(clients=jobless, **over)), Trace(keep_records=True))
     w.engine.run(10)
     return w
 
@@ -635,7 +635,7 @@ def test_pilot_with_no_work_retires_idle():
         parse_scenario(
             doc(clients=[{"id": "cmsprod", "methods": ["IDTOKEN"], "jobs": 0, "duration": 10}])
         ),
-        keep_records=True,
+        Trace(keep_records=True),
     )
     w.engine.run(10)  # first frontend cycle caches the gateway capability
     w.factories["fac-1"].submit_one(w.ces["ce-a"])
@@ -807,7 +807,7 @@ def test_world_keeps_only_live_pilots(path, monkeypatch):
 
 
 def test_issuer_serves_only_the_frontend_identity():
-    w = build_world(parse_scenario(doc()), keep_records=True)
+    w = build_world(parse_scenario(doc()), Trace(keep_records=True))
     imposter = w.mint_daemon_idtoken("condor@imposter", ("READ",))
     with pytest.raises(UnauthorizedRequestor):
         w.issuer.fetch_capability(imposter, "ce-a")
@@ -815,7 +815,7 @@ def test_issuer_serves_only_the_frontend_identity():
 
 
 def test_issuer_requires_read_level():
-    w = build_world(parse_scenario(doc()), keep_records=True)
+    w = build_world(parse_scenario(doc()), Trace(keep_records=True))
     with pytest.raises(AuthorizationDenied):
         w.issuer.fetch_capability(w.schedd.token, "ce-a")  # ADVERTISE-limited
     denied = w.trace.select(CH_TOKEN_FETCH.label, outcome="DENIED")
@@ -854,7 +854,7 @@ def arc_fleet_doc():
 
 
 def test_factory_interface_gate():
-    w = build_world(parse_scenario(arc_fleet_doc()), keep_records=True)
+    w = build_world(parse_scenario(arc_fleet_doc()), Trace(keep_records=True))
     fac = w.factories["fac-1"]
     assert fac.select_interface(w.ces["ce-htc"]) is CEInterface.NATIVE
     assert fac.select_interface(w.ces["ce-ldap"]) is CEInterface.LDAP  # still alive on 9
@@ -867,7 +867,7 @@ def test_factory_interface_gate():
 
 
 def test_factory_credential_gate():
-    w = build_world(parse_scenario(doc()), keep_records=True)
+    w = build_world(parse_scenario(doc()), Trace(keep_records=True))
     w.engine.run(10)  # let the frontend cache a capability for ce-a
     fac = w.factories["fac-1"]
     ce = w.ces["ce-a"]
@@ -909,7 +909,7 @@ def test_plan_steps_rewire_gateways_and_factories():
         ],
     )
     scenario = parse_scenario(over)
-    w = build_world(scenario, keep_records=True)
+    w = build_world(scenario, Trace(keep_records=True))
     w.engine.run(200)
     assert w.ces["ce-x"].interface is CEInterface.REST
     assert w.ces["ce-x"].accepts_tokens is True
@@ -955,7 +955,7 @@ def test_allocate_matches_one_at_a_time_loop(n_pairs, cap, deficit):
 def _accepting_only_local_fs(channel):
     """A world at t=0 whose ``channel`` accepts only LOCAL_FS, which no
     daemon offers there, so negotiation on it fails."""
-    w = build_world(parse_scenario(doc()), keep_records=True)
+    w = build_world(parse_scenario(doc()), Trace(keep_records=True))
     table = w.policy.table
     channels = dict(table.channels)
     channels[channel] = dataclasses.replace(channels[channel], methods=(AuthMethod.LOCAL_FS,))
@@ -974,7 +974,7 @@ def _revoked_join():
 
 
 def _unauthorized_fetch():
-    w = build_world(parse_scenario(doc()), keep_records=True)
+    w = build_world(parse_scenario(doc()), Trace(keep_records=True))
     imposter = w.mint_daemon_idtoken("condor@imposter", ("READ",))
     with pytest.raises(UnauthorizedRequestor):
         w.issuer.fetch_capability(imposter, "ce-a")

@@ -17,6 +17,7 @@ from tokenpool.migration import (
     report_dict,
     run_scenario,
 )
+from tokenpool.errors import SimulationError
 from tokenpool.policy import MigrationPhase
 from tokenpool.scenario import parse_scenario
 from tokenpool.simnet import Record, Trace
@@ -241,7 +242,8 @@ def test_phase_soundness_detects_forged_legacy_use(small_result):
             forged.append(Record("FACTORY->CE", "", "cms-pilot", "GSI_PROXY", "SUCCESS", 300))
         forged.append(r)
     assert boundaries == 1
-    forged.append(Record("FACTORY->CE", "", "cms-pilot", "GSI_PROXY", "SUCCESS", 400))
+    later = next(i for i, r in enumerate(forged) if r.t > 400)  # keep time order
+    forged.insert(later, Record("FACTORY->CE", "", "cms-pilot", "GSI_PROXY", "SUCCESS", 400))
     tampered = refolded(staged, forged)
     violations = check_phase_soundness(tampered)
     assert len(violations) == 2
@@ -256,7 +258,8 @@ def test_phase_soundness_detects_forged_legacy_use(small_result):
 def test_phase_soundness_lists_interleaved_violations_in_record_order(small_result):
     """Legacy attempts on two channels interleave, and some are written
     before the PHASE record that forbids them: each is judged under the
-    phase in force when its instant ends and listed where its record stands."""
+    phase in force when its instant ends and listed where its record stands.
+    An attempt past the horizon written before earlier records is refused."""
     forged = []
 
     def attempt(t, channel, method, outcome="SUCCESS"):
@@ -281,6 +284,10 @@ def test_phase_soundness_lists_interleaved_violations_in_record_order(small_resu
         "t=330 FACTORY->CE used GSI_PROXY under TOKEN_ONLY (outcome=SUCCESS)",
     ]
     assert report_dict(tampered)["phase_soundness"]["violations"] == violations
+    late = Record("FACTORY->CE", "", "cms-pilot", "GSI_PROXY", "SUCCESS", small_result.scenario.horizon + 60)
+    assert forged[4].outcome == "PHASE" and forged[4].t == 300
+    with pytest.raises(SimulationError, match=f"t=300 written after one at t={late.t}"):
+        refolded(small_result, forged[:4] + [late] + forged[4:])
 
 
 def test_fold_judges_an_attempt_under_a_phase_record_written_later_at_its_instant(small_result):

@@ -409,7 +409,6 @@ def reference_authenticate(channel, table, credential, *, keyring, trust, expect
             AuthMethod.GSI_PROXY,
             frozenset({AuthzLevel.ADMIN}),
             subject=credential.distinguished_name,
-            method_name="GSI_PROXY",
         )
     if isinstance(credential, LocalFsCredential):
         require(AuthMethod.LOCAL_FS)
@@ -420,7 +419,6 @@ def reference_authenticate(channel, table, credential, *, keyring, trust, expect
             AuthMethod.LOCAL_FS,
             frozenset({AuthzLevel.ADMIN}),
             subject=credential.account,
-            method_name="LOCAL_FS",
         )
     if credential.header.alg == "EdDSA":
         require(AuthMethod.SCITOKEN)
@@ -433,7 +431,6 @@ def reference_authenticate(channel, table, credential, *, keyring, trust, expect
             cap.subject,
             cap.kid,
             cap.jti,
-            method_name="SCITOKEN",
         )
     require(AuthMethod.IDTOKEN)
     ident = verify_idtoken(credential, keyring, NOW)
@@ -447,7 +444,7 @@ def reference_authenticate(channel, table, credential, *, keyring, trust, expect
     else:
         levels = frozenset(AuthzLevel)
     return AuthenticatedPeer(
-        identity, AuthMethod.IDTOKEN, levels, method_name="IDTOKEN", subject=ident.subject,
+        identity, AuthMethod.IDTOKEN, levels, subject=ident.subject,
         token_kid=ident.kid, token_jti=ident.jti,
     )
 
@@ -549,7 +546,6 @@ def peer_with(levels=frozenset(), scopes=frozenset()):
     return AuthenticatedPeer(
         canonical_identity="x",
         method=AuthMethod.IDTOKEN,
-        method_name="IDTOKEN",
         granted_levels=frozenset(levels),
         granted_scopes=frozenset(scopes),
     )
