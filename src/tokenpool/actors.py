@@ -66,6 +66,7 @@ from .simnet import (
 from .tokens import (
     IssuerKey,
     KeyStatus,
+    Memo,
     SymmetricKeyring,
     TrustDirectory,
     mint_idtoken,
@@ -93,10 +94,6 @@ AUTH_CHANNEL_LABELS = tuple(c.label for c in AUTH_CHANNELS)
 
 DAEMON_TOKEN_LIFETIME = 86400
 
-#: Most parsed tokens one World remembers; the memo is cleared when it
-#: reaches this size.
-PARSE_MEMO_SIZE = 4096
-
 
 class PilotState(enum.Enum):
     REQUESTED = "REQUESTED"
@@ -113,9 +110,6 @@ class PilotState(enum.Enum):
 PILOT_SUPPLY_STATES = (
     PilotState.REQUESTED, PilotState.SUBMITTED, PilotState.STARTED, PilotState.JOINED
 )
-
-#: Each member's trace string, read once: ``.value`` is a Python-level property.
-_NAMES = {m: m.value for e in (AuthMethod, MigrationPhase, PilotState, CEInterface) for m in e}
 
 
 @dataclass(order=True, slots=True)
@@ -155,11 +149,11 @@ def _method_name(credential: object) -> str:
     """Method label for failure records (never verifies); a token string
     gets here only when it failed to parse."""
     if isinstance(credential, ProxyCredential):
-        return _NAMES[AuthMethod.GSI_PROXY]
+        return AuthMethod.GSI_PROXY._value_
     if isinstance(credential, LocalFsCredential):
-        return _NAMES[AuthMethod.LOCAL_FS]
+        return AuthMethod.LOCAL_FS._value_
     if isinstance(credential, jose.Token):
-        return _NAMES[token_method(credential)]
+        return token_method(credential)._value_
     return "-"
 
 
@@ -202,7 +196,9 @@ class World:
 
         #: The 64-bit draws behind every jti handed out, by authority.
         self._used_jtis: dict[str, set[int]] = {}
-        self._parsed: dict[str, jose.Token] = {}
+        #: ``parsed_token[compact]`` is ``compact`` parsed, once per World.
+        #: Only the parse is remembered, never a verdict.
+        self.parsed_token = Memo(jose.decode_token)
         self._pilot_seq = 0
         self._job_seq = 0
         #: Live pilots by id; ``end_pilot`` removes a pilot as it ends.
@@ -268,18 +264,6 @@ class World:
             jti=pilot.jti,
         )
 
-    def parsed_token(self, compact: str) -> jose.Token:
-        """``compact`` parsed, once per World, much as HTCondor reuses an
-        authenticated session.  Only the parse is remembered, never a
-        verdict, and a string that fails to parse is not remembered."""
-        token = self._parsed.get(compact)
-        if token is None:
-            token = jose.decode_token(compact)
-            if len(self._parsed) >= PARSE_MEMO_SIZE:
-                self._parsed.clear()
-            self._parsed[compact] = token
-        return token
-
     # -- authenticated requests --------------------------------------------
 
     def authenticate_on(
@@ -295,7 +279,7 @@ class World:
         now = self.engine.now
         try:
             if isinstance(credential, str):
-                credential = self.parsed_token(credential)
+                credential = self.parsed_token[credential]
             peer = authenticate(
                 channel,
                 pol,
@@ -341,7 +325,7 @@ class World:
         if not message_dropped(self.board, self.streams, channel.label, now):
             return False
         self.trace.record(
-            now, channel.label, OUTCOME_DROP, method=_NAMES[method], detail=detail
+            now, channel.label, OUTCOME_DROP, method=method._value_, detail=detail
         )
         return True
 
@@ -387,7 +371,7 @@ class World:
         self.phase = phase
         self.policy = CompiledPolicy(apply_phase(self.base_table, phase))
         self.trace.record(
-            self.engine.now, TRACE_PLAN, "PHASE", detail=f"phase={_NAMES[phase]}"
+            self.engine.now, TRACE_PLAN, "PHASE", detail=f"phase={phase._value_}"
         )
 
     # -- pilot / job ledger -------------------------------------------------
@@ -401,7 +385,7 @@ class World:
         self.trace.record(
             self.engine.now,
             TRACE_PILOT,
-            _NAMES[PilotState.REQUESTED],
+            PilotState.REQUESTED._value_,
             detail=f"pilot={pid} ce={ce.id}",
         )
         return pilot
@@ -425,7 +409,7 @@ class World:
         self.trace.record(
             self.engine.now,
             TRACE_PILOT,
-            outcome or _NAMES[state],
+            outcome or state._value_,
             detail=_join_detail(f"pilot={pilot.id} ce={pilot.ce_id}", extra),
         )
 
@@ -454,7 +438,7 @@ class World:
 
     def fail_pilot(self, pilot: Pilot, reason: str) -> None:
         self.end_pilot(
-            pilot, PilotState.FAILED, _NAMES[PilotState.FAILED], f"reason={reason}"
+            pilot, PilotState.FAILED, PilotState.FAILED._value_, f"reason={reason}"
         )
 
     def new_job(self, spec: ClientSpec) -> Job:
@@ -658,7 +642,7 @@ class Collector:
     def idle_check(self, pilot: Pilot) -> None:
         if pilot.state is PilotState.JOINED:
             self.world.end_pilot(
-                pilot, PilotState.RETIRED, _NAMES[PilotState.RETIRED], f"reason={IDLE}"
+                pilot, PilotState.RETIRED, PilotState.RETIRED._value_, f"reason={IDLE}"
             )
 
     def match_tick(self) -> None:
@@ -693,7 +677,7 @@ class Collector:
             w.engine.now, TRACE_JOB, "DONE", detail=f"job={job.id} pilot={pilot.id}"
         )
         w.end_pilot(
-            pilot, PilotState.RETIRED, _NAMES[PilotState.RETIRED], f"job={job.id}"
+            pilot, PilotState.RETIRED, PilotState.RETIRED._value_, f"job={job.id}"
         )
 
 
@@ -892,7 +876,7 @@ class CEGateway:
             w.refuse(
                 CH_CE_SUBMIT,
                 UntrustedIssuer.__name__,
-                method=_NAMES[AuthMethod.SCITOKEN],
+                method=AuthMethod.SCITOKEN._value_,
                 detail=f"ce={self.id} pilot={pilot.id} fault=CE_TOKEN_MISCONFIG",
             )
             return SubmitOutcome.AUTH_REJECTED
@@ -901,7 +885,7 @@ class CEGateway:
                 CH_CE_SUBMIT,
                 credential,
                 audience=self.id,
-                detail=f"ce={self.id} pilot={pilot.id} iface={_NAMES[interface]}",
+                detail=f"ce={self.id} pilot={pilot.id} iface={interface._value_}",
             )
         except TokenPoolError:
             return SubmitOutcome.AUTH_REJECTED

@@ -256,7 +256,7 @@ class _Pass:
         pilot_counts: Counter[str] = Counter()
         job_counts = self.job_counts.copy()
         denied = dropped = 0
-        for (channel, _, method, outcome), n in zip(trace.heads, trace.counts):
+        for (channel, _, method, outcome), n in trace.head_counts().items():
             if channel in _AUTH_CHANNELS:
                 if outcome == OUTCOME_SUCCESS:
                     auth_success[method] += n

@@ -26,6 +26,7 @@ from .errors import (
 )
 from .jose import SCITOKEN_ALG, Token
 from .tokens import (
+    Memo,
     SymmetricKeyring,
     TrustDirectory,
     VerifiedCapability,
@@ -200,58 +201,37 @@ class PolicyTable:
         raise UnmappedIdentity(f"no mapping for {raw!r}")
 
 
-#: Most identity-map results, and most ``authz_limits`` level sets, one
-#: compiled policy remembers; each memo is cleared when it reaches its size.
-IDENTITY_MEMO_SIZE = 4096
-LIMITS_MEMO_SIZE = 256
-
-
 class CompiledPolicy:
     """A policy table compiled for presentation.
 
     ``channels`` maps each channel's label to its ``ChannelPolicy``, so a
     lookup hashes a string, not two enum members.  Two memos hold pure
-    functions of the table and a string: the canonical identity of a raw
-    subject, and the level set an identity token's ``authz_limits`` name.
-    Only results are remembered, never a failure, and never a verdict on a
-    credential: every check of a presentation still runs.
+    functions of the table and a string: ``map_identity[raw]`` is the
+    canonical identity of a raw subject, and ``levels_for[limits]`` the
+    level set an identity token's ``authz_limits`` name.  Neither is a
+    verdict on a credential: every check of a presentation still runs.
     """
 
-    __slots__ = ("table", "channels", "_identities", "_levels")
+    __slots__ = ("table", "channels", "map_identity", "levels_for")
 
     def __init__(self, table: PolicyTable) -> None:
         self.table = table
         self.channels = {channel.label: pol for channel, pol in table.channels.items()}
-        self._identities: dict[str, str] = {}
-        self._levels: dict[frozenset[str], frozenset[AuthzLevel]] = {}
+        self.map_identity = Memo(table.map_identity)
+        self.levels_for = Memo(_levels_named)
 
-    def map_identity(self, raw: str) -> str:
-        """``table.map_identity(raw)``, remembered when it succeeds."""
-        identity = self._identities.get(raw)
-        if identity is None:
-            identity = self.table.map_identity(raw)
-            if len(self._identities) >= IDENTITY_MEMO_SIZE:
-                self._identities.clear()
-            self._identities[raw] = identity
-        return identity
 
-    def levels_for(self, limits: frozenset[str]) -> frozenset[AuthzLevel]:
-        """The levels ``authz_limits`` names; no limits claim means every
-        level, the token wielding its identity's full rights.
+def _levels_named(limits: frozenset[str]) -> frozenset[AuthzLevel]:
+    """The levels ``authz_limits`` names; no limits claim means every
+    level, the token wielding its identity's full rights.
 
-        Raises:
-            InvalidClaims: a name is not a level (never remembered).
-        """
-        levels = self._levels.get(limits)
-        if levels is None:
-            bad = limits - _LEVEL_NAMES
-            if bad:
-                raise InvalidClaims(f"unknown authz limits: {', '.join(sorted(bad))}")
-            levels = frozenset(AuthzLevel(name) for name in limits) if limits else _ALL_LEVELS
-            if len(self._levels) >= LIMITS_MEMO_SIZE:
-                self._levels.clear()
-            self._levels[limits] = levels
-        return levels
+    Raises:
+        InvalidClaims: a name is not a level.
+    """
+    bad = limits - _LEVEL_NAMES
+    if bad:
+        raise InvalidClaims(f"unknown authz limits: {', '.join(sorted(bad))}")
+    return frozenset(AuthzLevel(name) for name in limits) if limits else _ALL_LEVELS
 
 
 def validate_table(table: PolicyTable) -> None:
@@ -353,7 +333,7 @@ def authenticate(
             raise UntrustedCA(f"CA {credential.attested_by!r} not trusted")
         if now >= credential.expiry:
             raise ProxyExpired(f"proxy expired at {credential.expiry} (now {now})")
-        identity = compiled.map_identity(credential.distinguished_name)
+        identity = compiled.map_identity[credential.distinguished_name]
         return AuthenticatedPeer(
             canonical_identity=identity,
             method=AuthMethod.GSI_PROXY,
@@ -367,7 +347,7 @@ def authenticate(
             raise UntrustedCA(
                 f"filesystem credential from {credential.host!r} presented on {local_host!r}"
             )
-        identity = compiled.map_identity(credential.account)
+        identity = compiled.map_identity[credential.account]
         return AuthenticatedPeer(
             canonical_identity=identity,
             method=AuthMethod.LOCAL_FS,
@@ -382,7 +362,7 @@ def authenticate(
         cap: VerifiedCapability = verify_scitoken(
             credential, trust, expected_audience, pol.required_scopes, now
         )
-        identity = compiled.map_identity(cap.subject)
+        identity = compiled.map_identity[cap.subject]
         return AuthenticatedPeer(
             canonical_identity=identity,
             method=AuthMethod.SCITOKEN,
@@ -397,11 +377,11 @@ def authenticate(
     if keyring is None:
         raise InvalidPolicy("identity verification needs a keyring")
     ident: VerifiedIdentity = verify_idtoken(credential, keyring, now)
-    identity = compiled.map_identity(ident.subject)
+    identity = compiled.map_identity[ident.subject]
     return AuthenticatedPeer(
         canonical_identity=identity,
         method=AuthMethod.IDTOKEN,
-        granted_levels=compiled.levels_for(ident.authz_limits),
+        granted_levels=compiled.levels_for[ident.authz_limits],
         subject=ident.subject,
         token_kid=ident.kid,
         token_jti=ident.jti,

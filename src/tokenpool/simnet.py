@@ -12,7 +12,6 @@ import enum
 import hashlib
 import heapq
 import random
-from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
@@ -131,26 +130,19 @@ def _mistyped(rec: Record) -> str:
     return f"trace {name} must be a str, got {value!r}"
 
 
-class Records(Sequence[Record]):
-    """Read-only view of a trace's records, each built when it is read; its
-    length counts every record written, reading one needs ``keep_records``."""
+class _Unkept(Sequence[Record]):
+    """The records of a trace that keeps none: their count, and none to read."""
 
-    __slots__ = ("_trace",)
+    __slots__ = ("_count",)
 
-    def __init__(self, trace: Trace) -> None:
-        self._trace = trace
+    def __init__(self, count: int) -> None:
+        self._count = count
 
     def __len__(self) -> int:
-        return sum(self._trace.counts)
+        return self._count
 
     def __getitem__(self, i):  # type: ignore[override]
-        trace = self._trace
-        if not trace.keep_records:
-            raise SimulationError("make the trace with keep_records=True to read its records")
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        channel, identity, method, outcome = trace.heads[trace.codes[i]]
-        return Record(channel, trace.details[i], identity, method, outcome, trace.times[i])
+        raise SimulationError("make the trace with keep_records=True to read its records")
 
 
 #: The distinct (channel, identity, method, outcome) of a group of records.
@@ -167,8 +159,7 @@ class Trace:
 
     Each record's line is built once, hashed into the digest, written to
     ``out`` when given, and the record fed to ``fold``.  Only under
-    ``keep_records=True`` are records kept, as columns: record i is
-    ``heads[codes[i]]``, ``times[i]`` and ``details[i]``."""
+    ``keep_records=True`` are records kept."""
 
     def __init__(
         self, *, keep_records: bool = False, out: BinaryIO | None = None, fold: Fold | None = None
@@ -177,16 +168,19 @@ class Trace:
         self._out = out
         self._fold = fold
         self._sha = hashlib.sha256()
-        self.heads: list[Head] = []
-        self.counts: list[int] = []  # records written per head code
-        self._head_codes: dict[Head, int] = {}
-        #: Per head code: its line template and the fold's step for it.
-        self._per_head: list[tuple[str, Callable[[int, str], None] | None]] = []
-        self.codes = array("I")
-        self.times: list[int] = []
-        self.details: list[str] = []
+        #: Per head, in the order first written: [its line template, the
+        #: fold's step for it, its number of records].
+        self._heads: dict[Head, list] = {}
+        self._kept: list[Record] = []
 
-    records = property(Records, doc="Read-only view of the records, built as they are read.")
+    @property
+    def records(self) -> Sequence[Record]:
+        """The records in order; of a trace that keeps none, only their count."""
+        return self._kept if self.keep_records else _Unkept(sum(self.head_counts().values()))
+
+    def head_counts(self) -> dict[Head, int]:
+        """Each head's number of records, in the order first written."""
+        return {head: entry[2] for head, entry in self._heads.items()}
 
     def record(
         self,
@@ -203,25 +197,20 @@ class Trace:
         ):
             raise SimulationError(_mistyped(Record(channel, detail, identity, method, outcome, t)))
         head = (channel, identity, method, outcome)
-        code = self._head_codes.get(head)
-        if code is None:
-            code = self._head_codes[head] = len(self.heads)
-            self.heads.append(head)
-            self.counts.append(0)
+        entry = self._heads.get(head)
+        if entry is None:
             step = None if self._fold is None else self._fold.step_for(head)
-            self._per_head.append((_line_template(*head), step))
-        template, step = self._per_head[code]
+            entry = self._heads[head] = [_line_template(*head), step, 0]
+        template, step, _ = entry
         line = (template % (encode_basestring_ascii(detail), t)).encode()
         self._sha.update(line)
         if self._out is not None:
             self._out.write(line)
-        self.counts[code] += 1
+        entry[2] += 1
         if step is not None:
             step(t, detail)
         if self.keep_records:
-            self.codes.append(code)
-            self.times.append(t)
-            self.details.append(detail)
+            self._kept.append(Record(channel, detail, identity, method, outcome, t))
 
     def select(
         self,

@@ -13,7 +13,7 @@ import os
 import secrets
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from cryptography.hazmat.primitives.asymmetric import ed25519
 
@@ -35,9 +35,31 @@ from .jose import IDTOKEN_ALG, SCITOKEN_ALG, Token, TokenClaims, TokenHeader
 
 DEFAULT_SKEW = 60
 
-#: Most signatures one trust directory, or MACs one keyring, remembers as
-#: verified; the memo is cleared when it reaches this size.
-SIGNATURE_MEMO_SIZE = 4096
+#: Most results one memo remembers; a memo is cleared when it reaches this size.
+MEMO_SIZE = 4096
+
+
+class Memo(dict):
+    """``memo[key]`` is ``fn(key)``, computed at the first lookup and
+    remembered, much as HTCondor reuses an authenticated session.
+
+    Only results are remembered, never a raised failure, and the memo is
+    cleared when it holds ``MEMO_SIZE`` results.  ``fn`` is never a bound
+    method of the memo's holder, so that the two do not refer to each other.
+    """
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn: Callable[[Any], Any]) -> None:
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key: Any) -> Any:
+        value = self.fn(key)
+        if len(self) >= MEMO_SIZE:
+            self.clear()
+        self[key] = value
+        return value
 
 
 class KeyStatus(enum.Enum):
@@ -63,8 +85,8 @@ class SymmetricKeyring:
     """
 
     entries: Mapping[str, SymmetricKey]
-    _verified: set[tuple[bytes, bytes, bytes]] = field(
-        default_factory=set, init=False, repr=False, compare=False
+    _macs: Memo = field(
+        default_factory=lambda: Memo(_check_hmac), init=False, repr=False, compare=False
     )
 
     @classmethod
@@ -93,14 +115,13 @@ class SymmetricKeyring:
             UnknownKey, KeyRevoked, SignatureInvalid
         """
         secret = self.active_secret(token.header.kid)
-        seen = (secret, token.signing_input, token.signature)
-        if seen in self._verified:
-            return
-        if not jose.hs256_matches(secret, token.signing_input, token.signature):
-            raise SignatureInvalid("HMAC mismatch")
-        if len(self._verified) >= SIGNATURE_MEMO_SIZE:
-            self._verified.clear()
-        self._verified.add(seen)
+        self._macs[(secret, token.signing_input, token.signature)]
+
+
+def _check_hmac(seen: tuple[bytes, bytes, bytes]) -> None:
+    """Raise SignatureInvalid unless ``seen`` is a secret, a signing input and its MAC."""
+    if not jose.hs256_matches(*seen):
+        raise SignatureInvalid("HMAC mismatch")
 
 
 def rotate_key(keyring: SymmetricKeyring, new_kid: str, secret: bytes | None = None) -> SymmetricKeyring:
@@ -161,8 +182,8 @@ class TrustDirectory:
 
     issuers: Mapping[str, Mapping[str, bytes]]
     audiences: Mapping[str, tuple[str, ...]]
-    _verified: set[tuple[bytes, bytes, bytes]] = field(
-        default_factory=set, init=False, repr=False, compare=False
+    _signatures: Memo = field(
+        default_factory=lambda: Memo(_check_ed25519), init=False, repr=False, compare=False
     )
 
     @classmethod
@@ -189,14 +210,13 @@ class TrustDirectory:
             UntrustedIssuer, UnknownKey, SignatureInvalid
         """
         public = self.verification_key(token.claims.iss, token.header.kid)
-        seen = (public, token.signing_input, token.signature)
-        if seen in self._verified:
-            return
-        if not jose.ed25519_matches(public, token.signing_input, token.signature):
-            raise SignatureInvalid("Ed25519 signature mismatch")
-        if len(self._verified) >= SIGNATURE_MEMO_SIZE:
-            self._verified.clear()
-        self._verified.add(seen)
+        self._signatures[(public, token.signing_input, token.signature)]
+
+
+def _check_ed25519(seen: tuple[bytes, bytes, bytes]) -> None:
+    """Raise SignatureInvalid unless ``seen`` is a public key, a signing input and its signature."""
+    if not jose.ed25519_matches(*seen):
+        raise SignatureInvalid("Ed25519 signature mismatch")
 
 
 @dataclass(frozen=True)

@@ -213,7 +213,7 @@ def test_criterion_2_tampering_never_authenticates_against_a_warm_parse_memo():
     rejected: Counter[str] = Counter()
     for channel, token, audience in presented:
         world.authenticate_on(channel, token, audience=audience)
-        assert token in world._parsed
+        assert token in world.parsed_token
         head, payload, sig = token.split(".")
         for pos in range(len(payload)):
             replacement = rng.choice(B64URL_ALPHABET)

