@@ -194,7 +194,8 @@ class World:
         self.base_table = default_table()
         self.policy = CompiledPolicy(apply_phase(self.base_table, self.phase))
 
-        #: The 64-bit draws behind every jti handed out, by authority.
+        #: The 64-bit draws behind every jti handed out, by authority, less
+        #: the pilot draws ``end_pilot`` gives back because no token took them.
         self._used_jtis: dict[str, set[int]] = {}
         #: ``parsed_token[compact]`` is ``compact`` parsed, once per World.
         #: Only the parse is remembered, never a verdict.
@@ -420,6 +421,9 @@ class World:
         freed, a job it still holds requeued, then its one PILOT record.
         The World forgets the pilot here."""
         del self.pilots[pilot.id]
+        if pilot.jti and not pilot.token:
+            # No token carries this jti, so the ledger gives the draw back.
+            self._used_jtis["pool"].discard(int(pilot.jti, 16))
         self.collector.members.pop(pilot.id, None)
         if pilot.slot_held:
             self.ces[pilot.ce_id].reserved -= 1

@@ -369,23 +369,27 @@ def parse_scenario(data: Mapping[str, Any]) -> Scenario:
     return scenario
 
 
-class _UniqueKeyLoader(yaml.SafeLoader):
-    """``yaml.SafeLoader`` refusing a mapping that names one key twice,
-    which the safe loader would settle silently by keeping the last."""
+class _UniqueKeyLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """The safe loader, on libyaml where PyYAML was built with it, refusing
+    a mapping that names one key twice or merges one in with ``<<``: the
+    safe loader would settle either silently by keeping the last value."""
 
     def construct_mapping(self, node: yaml.MappingNode, deep: bool = False) -> dict:
         first_line: dict[Any, int] = {}
         for key_node, _ in node.value:
-            if not isinstance(key_node, yaml.ScalarNode) or key_node.tag == "tag:yaml.org,2002:merge":
+            if not isinstance(key_node, yaml.ScalarNode):
                 continue
-            key = self.construct_object(key_node)
             line = key_node.start_mark.line + 1
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                raise ScenarioError(f"merge key '<<' on line {line}")
+            key = self.construct_object(key_node)
             if key in first_line:
                 raise ScenarioError(
                     f"duplicate key {key!r} on line {line} (first on line {first_line[key]})"
                 )
             first_line[key] = line
-        return super().construct_mapping(node, deep)
+        # Named rather than super(), so this body serves either base.
+        return yaml.constructor.SafeConstructor.construct_mapping(self, node, deep)
 
 
 def load_scenario(path: str | Path) -> Scenario:

@@ -599,6 +599,28 @@ def test_next_jti_skips_a_repeated_draw(monkeypatch):
     assert w._used_jtis["test"] == {0xABC, 2**64 - 1}
 
 
+@pytest.mark.parametrize("name", ["arc-ldap-deprecation", "split-2022", "rollout-2022-tokenonly"])
+def test_jti_ledger_holds_only_the_pool_jtis_a_token_carries(name, monkeypatch):
+    # Each of these refuses pilots after they drew a jti; a refused draw is
+    # given back, so the ledger grows with the tokens, not the requests.
+    next_jti = actors.World.next_jti
+    pool_draws = []
+
+    def drawn(world, authority):
+        jti = next_jti(world, authority)
+        if authority == "pool":
+            pool_draws.append(jti)
+        return jti
+
+    monkeypatch.setattr(actors.World, "next_jti", drawn)
+    startd_tokens = returned(monkeypatch, actors.World, "mint_startd_token")
+    daemon_tokens = returned(monkeypatch, actors.World, "mint_daemon_idtoken")
+    world = run_scenario(SCENARIO_DIR / f"{name}.yaml").world
+    minted = {int(jose.decode_token(t).claims.jti, 16) for t in startd_tokens + daemon_tokens}
+    assert world._used_jtis["pool"] == minted
+    assert len(pool_draws) > len(minted)
+
+
 def golden_digest(path):
     (line,) = [
         line

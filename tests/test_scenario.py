@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from tokenpool import scenario
 from tokenpool.errors import ScenarioError
 from tokenpool.migration import run_scenario
 from tokenpool.policy import AuthMethod, MigrationPhase
@@ -338,12 +339,48 @@ def test_adopt_rest_on_an_htcondor_ce_is_rejected():
         parse_scenario(variant(sites=sites, plan=[{"at": 10, "action": "adopt_rest", "ce": "ce-a1"}]))
 
 
+LOADER_BASES = [
+    yaml.SafeLoader,
+    pytest.param(
+        getattr(yaml, "CSafeLoader", None),
+        marks=pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML has no libyaml"),
+        id="CSafeLoader",
+    ),
+]
+
+
+def loader_on(base):
+    """``scenario._UniqueKeyLoader`` itself, or its refusals on the other base."""
+    loader = scenario._UniqueKeyLoader
+    if base in loader.__bases__:
+        return loader
+    return type(f"UniqueKey{base.__name__}", (base,), {"construct_mapping": loader.construct_mapping})
+
+
+@pytest.fixture(params=LOADER_BASES, ids=lambda base: base.__name__)
+def loader_base(request, monkeypatch):
+    """Run the test with ``load_scenario`` parsing on one safe-loader base."""
+    monkeypatch.setattr(scenario, "_UniqueKeyLoader", loader_on(request.param))
+
+
+def test_shipped_scenarios_load_alike_on_both_loader_bases(monkeypatch):
+    assert scenario._UniqueKeyLoader.__bases__ == (getattr(yaml, "CSafeLoader", yaml.SafeLoader),)
+    paths = sorted(SCENARIO_DIR.glob("*.yaml"))
+    assert len(paths) == 6
+    loaded = {}
+    for base in (yaml.SafeLoader, getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+        monkeypatch.setattr(scenario, "_UniqueKeyLoader", loader_on(base))
+        loaded[base] = [load_scenario(path) for path in paths]
+    first, *rest = loaded.values()
+    assert all(scenarios == first for scenarios in rest)
+
+
 @pytest.mark.parametrize(
     "before, duplicate, key",
     [("horizon: 600\n", "horizon: 5\n", "horizon"), ("  kid: ", "  kid: op-2\n", "kid")],
     ids=["top-level", "nested"],
 )
-def test_duplicate_yaml_key_rejected(tmp_path, before, duplicate, key):
+def test_duplicate_yaml_key_rejected(tmp_path, loader_base, before, duplicate, key):
     # yaml.safe_load would keep the second value without a word.
     text = (SCENARIO_DIR / "split-2022.yaml").read_text()
     lines = text.splitlines(keepends=True)
@@ -357,10 +394,23 @@ def test_duplicate_yaml_key_rejected(tmp_path, before, duplicate, key):
         load_scenario(path)
 
 
-def test_load_scenario_rejects_bad_yaml_and_empty_files(tmp_path):
+@pytest.mark.parametrize(
+    "text, line",
+    [("<<: {horizon: 5}\nhorizon: 600\n", 1), ("base: &op {kid: op-1}\nkeys:\n  - <<: *op\n    kid: op-2\n", 3)],
+    ids=["top-level", "nested-alias"],
+)
+def test_yaml_merge_key_rejected(tmp_path, loader_base, text, line):
+    # Both loaders would let the later key win over the merged one silently.
+    path = tmp_path / "merge.yaml"
+    path.write_text(text)
+    with pytest.raises(ScenarioError, match=rf"merge.yaml: merge key '<<' on line {line}$"):
+        load_scenario(path)
+
+
+def test_load_scenario_rejects_bad_yaml_and_empty_files(tmp_path, loader_base):
     bad = tmp_path / "bad.yaml"
     bad.write_text("name: [unclosed\n")
-    with pytest.raises(ScenarioError, match="not valid YAML"):
+    with pytest.raises(ScenarioError, match=r"(?s)not valid YAML: .*line 1, column 7"):
         load_scenario(bad)
     empty = tmp_path / "empty.yaml"
     empty.write_text("")
