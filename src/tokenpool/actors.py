@@ -198,7 +198,9 @@ class World:
         #: the pilot draws ``end_pilot`` gives back because no token took them.
         self._used_jtis: dict[str, set[int]] = {}
         #: ``parsed_token[compact]`` is ``compact`` parsed, once per World.
-        #: Only the parse is remembered, never a verdict.
+        #: The verdict on a parsed token is a session in ``policy.sessions``,
+        #: which re-checks the channel, the time window and a capability's
+        #: audience and scopes at every presentation.
         self.parsed_token = Memo(jose.decode_token)
         self._pilot_seq = 0
         self._job_seq = 0

@@ -27,10 +27,14 @@ from .errors import (
 from .jose import SCITOKEN_ALG, Token
 from .tokens import (
     Memo,
+    Sessions,
     SymmetricKeyring,
     TrustDirectory,
     VerifiedCapability,
     VerifiedIdentity,
+    _check_audience,
+    _check_scopes,
+    _check_window,
     verify_idtoken,
     verify_scitoken,
 )
@@ -205,20 +209,24 @@ class CompiledPolicy:
     """A policy table compiled for presentation.
 
     ``channels`` maps each channel's label to its ``ChannelPolicy``, so a
-    lookup hashes a string, not two enum members.  Two memos hold pure
-    functions of the table and a string: ``map_identity[raw]`` is the
-    canonical identity of a raw subject, and ``levels_for[limits]`` the
-    level set an identity token's ``authz_limits`` name.  Neither is a
-    verdict on a credential: every check of a presentation still runs.
+    lookup hashes a string, not two enum members.  ``levels_for[limits]``
+    is the level set an identity token's ``authz_limits`` name.
+    ``sessions`` maps each parsed token that :func:`authenticate` has fully
+    verified to the peer it returned; it is filled under one keyring and
+    one trust directory and starts over when handed others.  A session
+    skips only the checks that are pure functions of the token, the
+    keyring, the trust directory and this table; the channel's method,
+    the time window and, for capability tokens, the audience and the
+    scope coverage are checked at every presentation.
     """
 
-    __slots__ = ("table", "channels", "map_identity", "levels_for")
+    __slots__ = ("table", "channels", "levels_for", "sessions")
 
     def __init__(self, table: PolicyTable) -> None:
         self.table = table
         self.channels = {channel.label: pol for channel, pol in table.channels.items()}
-        self.map_identity = Memo(table.map_identity)
         self.levels_for = Memo(_levels_named)
+        self.sessions = Sessions()
 
 
 def _levels_named(limits: frozenset[str]) -> frozenset[AuthzLevel]:
@@ -271,7 +279,7 @@ def negotiate_method(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuthenticatedPeer:
     """Outcome of authentication on one channel: who, how, with what rights."""
 
@@ -321,6 +329,13 @@ def authenticate(
     must appear in the channel's accepted list.  The authenticated name is
     rewritten through ``compiled``'s identity map.
 
+    A token with a session in ``compiled.sessions`` is checked again only
+    for what can differ between its presentations: the method on this
+    channel, the time window at ``now`` and, for a capability token, the
+    audience and the scope coverage, in the order a full verification
+    checks them.  Any other token is verified in full, and opens a session
+    if it passes.
+
     Raises:
         NoCommonMethod: the inferred method is not accepted here.
         ProxyExpired, UntrustedCA: legacy proxy failures.
@@ -333,7 +348,7 @@ def authenticate(
             raise UntrustedCA(f"CA {credential.attested_by!r} not trusted")
         if now >= credential.expiry:
             raise ProxyExpired(f"proxy expired at {credential.expiry} (now {now})")
-        identity = compiled.map_identity[credential.distinguished_name]
+        identity = compiled.table.map_identity(credential.distinguished_name)
         return AuthenticatedPeer(
             canonical_identity=identity,
             method=AuthMethod.GSI_PROXY,
@@ -347,13 +362,25 @@ def authenticate(
             raise UntrustedCA(
                 f"filesystem credential from {credential.host!r} presented on {local_host!r}"
             )
-        identity = compiled.map_identity[credential.account]
+        identity = compiled.table.map_identity(credential.account)
         return AuthenticatedPeer(
             canonical_identity=identity,
             method=AuthMethod.LOCAL_FS,
             granted_levels=_LEGACY_LEVELS,
             subject=credential.account,
         )
+
+    sessions = compiled.sessions
+    if sessions.keyring is not keyring or sessions.trust is not trust:
+        sessions = compiled.sessions = Sessions(keyring, trust)
+    peer = sessions.get(credential)
+    if peer is not None:
+        _require(peer.method, pol, channel)
+        _check_window(credential.claims, now)
+        if peer.method is AuthMethod.SCITOKEN:
+            _check_audience(credential.claims, expected_audience)
+            _check_scopes(peer.granted_scopes, pol.required_scopes)
+        return peer
 
     if token_method(credential) is AuthMethod.SCITOKEN:
         _require(AuthMethod.SCITOKEN, pol, channel)
@@ -362,29 +389,35 @@ def authenticate(
         cap: VerifiedCapability = verify_scitoken(
             credential, trust, expected_audience, pol.required_scopes, now
         )
-        identity = compiled.map_identity[cap.subject]
-        return AuthenticatedPeer(
-            canonical_identity=identity,
-            method=AuthMethod.SCITOKEN,
-            granted_levels=frozenset(),
-            granted_scopes=cap.granted_scopes,
-            subject=cap.subject,
-            token_kid=cap.kid,
-            token_jti=cap.jti,
+        identity = compiled.table.map_identity(cap.subject)
+        return sessions.open(
+            credential,
+            AuthenticatedPeer(
+                canonical_identity=identity,
+                method=AuthMethod.SCITOKEN,
+                granted_levels=frozenset(),
+                granted_scopes=cap.granted_scopes,
+                subject=cap.subject,
+                token_kid=cap.kid,
+                token_jti=cap.jti,
+            ),
         )
 
     _require(AuthMethod.IDTOKEN, pol, channel)
     if keyring is None:
         raise InvalidPolicy("identity verification needs a keyring")
     ident: VerifiedIdentity = verify_idtoken(credential, keyring, now)
-    identity = compiled.map_identity[ident.subject]
-    return AuthenticatedPeer(
-        canonical_identity=identity,
-        method=AuthMethod.IDTOKEN,
-        granted_levels=compiled.levels_for[ident.authz_limits],
-        subject=ident.subject,
-        token_kid=ident.kid,
-        token_jti=ident.jti,
+    identity = compiled.table.map_identity(ident.subject)
+    return sessions.open(
+        credential,
+        AuthenticatedPeer(
+            canonical_identity=identity,
+            method=AuthMethod.IDTOKEN,
+            granted_levels=compiled.levels_for[ident.authz_limits],
+            subject=ident.subject,
+            token_kid=ident.kid,
+            token_jti=ident.jti,
+        ),
     )
 
 

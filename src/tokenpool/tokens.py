@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import os
 import secrets
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping
 
@@ -41,7 +41,7 @@ MEMO_SIZE = 4096
 
 class Memo(dict):
     """``memo[key]`` is ``fn(key)``, computed at the first lookup and
-    remembered, much as HTCondor reuses an authenticated session.
+    remembered.
 
     Only results are remembered, never a raised failure, and the memo is
     cleared when it holds ``MEMO_SIZE`` results.  ``fn`` is never a bound
@@ -62,6 +62,37 @@ class Memo(dict):
         return value
 
 
+class Sessions(dict):
+    """``sessions[token]`` is what the first fully successful verification
+    of the parsed ``token`` under ``keyring`` and ``trust`` returned, much
+    as HTCondor reuses an authenticated security session.
+
+    A session stands for the checks that are pure functions of the token
+    and the trust state; the holder still re-checks, at every presentation,
+    whatever depends on the channel, the audience or the time.  Only
+    successes are opened, and the table is cleared when it holds
+    ``MEMO_SIZE`` sessions.  Keyrings and trust directories are never
+    changed in place (:func:`revoke_key` and :func:`rotate_key` return new
+    ones), so a table is good only under the two it was filled under.
+    """
+
+    __slots__ = ("keyring", "trust")
+
+    def __init__(
+        self, keyring: SymmetricKeyring | None = None, trust: TrustDirectory | None = None
+    ) -> None:
+        super().__init__()
+        self.keyring = keyring
+        self.trust = trust
+
+    def open(self, token: Token, result: Any) -> Any:
+        """Remember ``result`` as ``token``'s session and return it."""
+        if len(self) >= MEMO_SIZE:
+            self.clear()
+        self[token] = result
+        return result
+
+
 class KeyStatus(enum.Enum):
     ACTIVE = "ACTIVE"
     REVOKED = "REVOKED"
@@ -78,16 +109,13 @@ class SymmetricKeyring:
     """Named symmetric keys for identity-token minting and verification.
 
     Revoked keys are retained (audit), they just refuse to mint or verify.
-    The keyring remembers the MACs it has verified, keyed on the secret
-    and the token exactly as received, as :class:`TrustDirectory` does for
-    signatures; only MACs that matched are remembered, and a keyring made
-    by :func:`rotate_key` or :func:`revoke_key` starts with none.
+    The keyring remembers nothing: every MAC it is asked about is computed.
+    A verified token's session (:class:`Sessions`) is what spares a token
+    presented again its MAC, and a keyring made by :func:`rotate_key` or
+    :func:`revoke_key` is one no session was opened under.
     """
 
     entries: Mapping[str, SymmetricKey]
-    _macs: Memo = field(
-        default_factory=lambda: Memo(_check_hmac), init=False, repr=False, compare=False
-    )
 
     @classmethod
     def from_secrets(cls, secrets_by_kid: Mapping[str, bytes]) -> "SymmetricKeyring":
@@ -115,13 +143,8 @@ class SymmetricKeyring:
             UnknownKey, KeyRevoked, SignatureInvalid
         """
         secret = self.active_secret(token.header.kid)
-        self._macs[(secret, token.signing_input, token.signature)]
-
-
-def _check_hmac(seen: tuple[bytes, bytes, bytes]) -> None:
-    """Raise SignatureInvalid unless ``seen`` is a secret, a signing input and its MAC."""
-    if not jose.hs256_matches(*seen):
-        raise SignatureInvalid("HMAC mismatch")
+        if not jose.hs256_matches(secret, token.signing_input, token.signature):
+            raise SignatureInvalid("HMAC mismatch")
 
 
 def rotate_key(keyring: SymmetricKeyring, new_kid: str, secret: bytes | None = None) -> SymmetricKeyring:
@@ -174,17 +197,13 @@ class TrustDirectory:
     """Issuer URL -> kid -> raw Ed25519 public key, plus allowed audiences.
 
     An empty audience tuple means the issuer is unrestricted.  The
-    directory remembers the signatures it has verified, keyed on the
-    public key and the token exactly as received, so a token presented
-    again is not checked again, much as HTCondor reuses a security
-    session.  Only signatures that verified are remembered.
+    directory remembers nothing: every signature it is asked about is
+    checked.  A verified token's session (:class:`Sessions`) is what spares
+    a token presented again its signature check.
     """
 
     issuers: Mapping[str, Mapping[str, bytes]]
     audiences: Mapping[str, tuple[str, ...]]
-    _signatures: Memo = field(
-        default_factory=lambda: Memo(_check_ed25519), init=False, repr=False, compare=False
-    )
 
     @classmethod
     def single_issuer(
@@ -210,13 +229,8 @@ class TrustDirectory:
             UntrustedIssuer, UnknownKey, SignatureInvalid
         """
         public = self.verification_key(token.claims.iss, token.header.kid)
-        self._signatures[(public, token.signing_input, token.signature)]
-
-
-def _check_ed25519(seen: tuple[bytes, bytes, bytes]) -> None:
-    """Raise SignatureInvalid unless ``seen`` is a public key, a signing input and its signature."""
-    if not jose.ed25519_matches(*seen):
-        raise SignatureInvalid("Ed25519 signature mismatch")
+        if not jose.ed25519_matches(public, token.signing_input, token.signature):
+            raise SignatureInvalid("Ed25519 signature mismatch")
 
 
 @dataclass(frozen=True)
@@ -301,11 +315,22 @@ def mint_scitoken(
     )
 
 
-def _check_window(claims: TokenClaims, now: int, skew: int) -> None:
+def _check_window(claims: TokenClaims, now: int, skew: int = DEFAULT_SKEW) -> None:
     if now > claims.exp + skew:
         raise Expired(f"expired at {claims.exp} (now {now}, skew {skew})")
     if now < claims.iat - skew:
         raise NotYetValid(f"issued at {claims.iat} (now {now}, skew {skew})")
+
+
+def _check_audience(claims: TokenClaims, expected_audience: str) -> None:
+    if claims.aud != expected_audience:
+        raise AudienceMismatch(f"token aud {claims.aud!r} != {expected_audience!r}")
+
+
+def _check_scopes(granted: frozenset[str], required_scopes: Iterable[str]) -> None:
+    missing = sorted(set(required_scopes) - granted)
+    if missing:
+        raise InsufficientScope(f"missing scopes: {' '.join(missing)}")
 
 
 def verify_idtoken(
@@ -318,9 +343,9 @@ def verify_idtoken(
 
     Check order: algorithm, typ, flavor, key status, signature, time
     window.  A revoked key fails with KeyRevoked no matter what the
-    signature says.  The HMAC is computed once per keyring
-    (:meth:`SymmetricKeyring.check_mac`); every other check runs on every
-    call.
+    signature says.  Every check, the HMAC included, runs on every call;
+    :func:`tokenpool.policy.authenticate` calls this only for a token
+    with no session, and re-checks just the window for one with a session.
 
     Raises:
         MalformedToken, UnknownKey, KeyRevoked, SignatureInvalid,
@@ -354,9 +379,10 @@ def verify_scitoken(
     """Verify a parsed capability token: algorithm, flavor, issuer trust,
     signature, window, audience, and scope coverage, in that order.
 
-    The signature is checked once per trust directory
-    (:meth:`TrustDirectory.check_signature`); every other check runs on
-    every call.
+    Every check, the signature included, runs on every call;
+    :func:`tokenpool.policy.authenticate` calls this only for a token with
+    no session, and re-checks just the window, the audience and the scope
+    coverage for one with a session.
 
     Raises:
         MalformedToken, UntrustedIssuer, UnknownKey, SignatureInvalid,
@@ -371,15 +397,12 @@ def verify_scitoken(
         raise MalformedToken("capability token lacks an issuer claim")
     trust.check_signature(token)
     _check_window(claims, now, skew)
-    if claims.aud != expected_audience:
-        raise AudienceMismatch(f"token aud {claims.aud!r} != {expected_audience!r}")
+    _check_audience(claims, expected_audience)
     allowed = trust.audiences.get(claims.iss, ())
     if allowed and claims.aud not in allowed:
         raise AudienceMismatch(f"audience {claims.aud!r} not allowed for issuer")
     granted = frozenset(claims.scope or ())
-    missing = sorted(set(required_scopes) - granted)
-    if missing:
-        raise InsufficientScope(f"missing scopes: {' '.join(missing)}")
+    _check_scopes(granted, required_scopes)
     return VerifiedCapability(
         subject=claims.sub,
         issuer=claims.iss,

@@ -47,7 +47,10 @@ from tokenpool.policy import (
     AuthMethod,
     AuthzLevel,
     ChannelPolicy,
+    CompiledPolicy,
     MigrationPhase,
+    PolicyTable,
+    authenticate,
     authorize,
 )
 from tokenpool.scenario import parse_scenario
@@ -157,14 +160,24 @@ def test_criterion_2_payload_tampering_never_verifies():
 
 
 def test_criterion_2_tampering_never_verifies_against_a_warm_signature_memo():
-    # The trust directory remembers signatures it has verified; every mutant
-    # of a token it has already accepted must still be rejected.  A mutation
-    # that keeps the payload well-formed may also change the issuer, the
-    # window or the audience, which fail before or after the signature.
+    # A capability token that verified opens a session, which spares it the
+    # signature check when it is presented again; every mutant of a token
+    # with a session must still be rejected.  A mutation that keeps the
+    # payload well-formed may also change the issuer, the window or the
+    # audience, which fail before or after the signature.
     rng = random.Random(0x5C17)
     issuer = "https://tamper.test"
     key = IssuerKey.generate("t", seed=b"\x07" * 32)
     trust = TrustDirectory.single_issuer(issuer, key)
+    compiled = CompiledPolicy(PolicyTable({}, (("*", "anyone"),)))
+    pol = ChannelPolicy((AuthMethod.SCITOKEN,), required_scopes=frozenset({"compute.create"}))
+
+    def present(token, now):
+        return authenticate(
+            CH_CE_SUBMIT, pol, decode_token(token), compiled=compiled, trust=trust,
+            expected_audience="ce-1", now=now,
+        )
+
     started = time.perf_counter()
     mutants = accepted = 0
     rejected: Counter[str] = Counter()
@@ -172,7 +185,8 @@ def test_criterion_2_tampering_never_verifies_against_a_warm_signature_memo():
         token = mint_scitoken(
             key, issuer, f"s{i}", ("compute.create",), "ce-1", 600, 1000 + i, jti=f"{i:04x}"
         )
-        verify_scitoken(decode_token(token), trust, "ce-1", (), 1000 + i)
+        present(token, 1000 + i)
+        assert decode_token(token) in compiled.sessions
         head, payload, sig = token.split(".")
         for pos in range(len(payload)):
             replacement = rng.choice(B64URL_ALPHABET)
@@ -181,15 +195,15 @@ def test_criterion_2_tampering_never_verifies_against_a_warm_signature_memo():
             mutant = f"{head}.{payload[:pos]}{replacement}{payload[pos + 1:]}.{sig}"
             mutants += 1
             try:
-                verify_scitoken(decode_token(mutant), trust, "ce-1", (), 1000 + i)
+                present(mutant, 1000 + i)
             except errors.TokenPoolError as exc:
                 rejected[exc.reason] += 1
             else:
                 accepted += 1
     elapsed = time.perf_counter() - started
     print(
-        f"[criterion 2, warm memo] {mutants} single-character payload mutants over"
-        f" 100 verified capability tokens: {dict(sorted(rejected.items()))},"
+        f"[criterion 2, warm sessions] {mutants} single-character payload mutants over"
+        f" 100 capability tokens with sessions: {dict(sorted(rejected.items()))},"
         f" {accepted} false accepts; {elapsed:.2f}s (budget 10s)"
     )
     assert accepted == 0

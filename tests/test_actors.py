@@ -455,74 +455,72 @@ def test_malformed_token_is_recorded_each_time_and_never_remembered():
     assert [r.method for r in failures(w, CH_JOIN, "MalformedToken")] == ["-", "-"]
 
 
-# -- the five memos -----------------------------------------------------------
+# -- the three memos ----------------------------------------------------------
 
 
-def _parse_memo():
+def _counted(memo):
+    """The keys ``memo`` computes a result for from now on."""
+    computed = []
+    fn = memo.fn
+    memo.fn = lambda key: computed.append(key) or fn(key)
+    return computed
+
+
+def _parse_memo(monkeypatch):
     keyring = tokens.SymmetricKeyring.from_secrets({"k": b"k" * 32})
     keys = [tokens.mint_idtoken(keyring, "k", "s", (), 600, 0, jti=f"m{i}") for i in range(7)]
-    return idle_world().parsed_token, keys, "not-a-token", MalformedToken
+    memo = idle_world().parsed_token
+    return memo, memo.__getitem__, _counted(memo), keys, "not-a-token", MalformedToken
 
 
-def _identity_memo():
-    memo = policy.CompiledPolicy(policy.default_table()).map_identity
-    return memo, [f"condor@{i}" for i in range(7)], "stranger", UnmappedIdentity
-
-
-def _limits_memo():
+def _limits_memo(monkeypatch):
     names = [level.value for level in policy.AuthzLevel]
     keys = [frozenset(), *(frozenset({name}) for name in names), frozenset(names)]
     memo = policy.CompiledPolicy(policy.default_table()).levels_for
-    return memo, keys, frozenset({"READ", "SUPERUSER"}), InvalidClaims
+    bad = frozenset({"READ", "SUPERUSER"})
+    return memo, memo.__getitem__, _counted(memo), keys, bad, InvalidClaims
 
 
-def _mac_memo():
-    secret = b"k" * 32
-    keyring = tokens.SymmetricKeyring.from_secrets({"k": secret})
-    minted = [
-        jose.decode_token(tokens.mint_idtoken(keyring, "k", "s", (), 600, 0, jti=f"m{i}"))
+def _session_memo(monkeypatch):
+    keyring = tokens.SymmetricKeyring.from_secrets({"k": b"k" * 32})
+    keys = [
+        jose.decode_token(tokens.mint_idtoken(keyring, "k", f"condor@{i}", (), 600, 0))
         for i in range(7)
     ]
-    keys = [(secret, t.signing_input, t.signature) for t in minted]
-    forged = (secret, minted[0].signing_input, bytes(32))
-    return keyring._macs, keys, forged, SignatureInvalid
+    bad = jose.decode_token(tokens.mint_idtoken(keyring, "k", "stranger", (), 600, 0))
+    compiled = policy.CompiledPolicy(policy.default_table())
+    compiled.sessions = tokens.Sessions(keyring)
+    pol = compiled.channels[CH_JOIN.label]
+    computed = []
+    verify = policy.verify_idtoken
+    monkeypatch.setattr(
+        policy, "verify_idtoken", lambda token, *a: computed.append(token) or verify(token, *a)
+    )
 
+    def look_up(token):
+        return policy.authenticate(CH_JOIN, pol, token, compiled=compiled, keyring=keyring)
 
-def _signature_memo():
-    key = tokens.IssuerKey.generate("kid", seed=b"\x11" * 32)
-    trust = tokens.TrustDirectory.single_issuer("https://issuer", key)
-    minted = [
-        jose.decode_token(tokens.mint_scitoken(key, "https://issuer", "s", ("x",), "ce", 600, 0, jti=f"m{i}"))
-        for i in range(7)
-    ]
-    keys = [(key.public_bytes, t.signing_input, t.signature) for t in minted]
-    forged = (key.public_bytes, minted[0].signing_input, bytes(64))
-    return trust._signatures, keys, forged, SignatureInvalid
+    return compiled.sessions, look_up, computed, keys, bad, UnmappedIdentity
 
 
 @pytest.mark.parametrize(
-    "make_memo",
-    [_parse_memo, _identity_memo, _limits_memo, _mac_memo, _signature_memo],
-    ids=["parse", "identity", "limits", "mac", "signature"],
+    "make_memo", [_parse_memo, _limits_memo, _session_memo], ids=["parse", "limits", "session"]
 )
 def test_each_memo_remembers_only_results_and_is_cleared_when_full(make_memo, monkeypatch):
-    memo, keys, bad, error = make_memo()
+    memo, look_up, computed, keys, bad, error = make_memo(monkeypatch)
     memo.clear()
-    calls = []
-    fn = memo.fn
-    memo.fn = lambda key: calls.append(key) or fn(key)
-    result = memo[keys[0]]
-    assert memo[keys[0]] is result
-    assert calls == [keys[0]]
+    result = look_up(keys[0])
+    assert look_up(keys[0]) is result
+    assert computed == [keys[0]]
     for _ in range(2):
         with pytest.raises(error):
-            memo[bad]
-    assert calls == [keys[0], bad, bad]
+            look_up(bad)
+    assert computed == [keys[0], bad, bad]
     assert memo.keys() == {keys[0]}
     monkeypatch.setattr(tokens, "MEMO_SIZE", 3)
     memo.clear()
     for i, key in enumerate(keys):
-        memo[key]
+        look_up(key)
         assert len(memo) == i % 3 + 1
         assert key in memo
 
@@ -633,10 +631,12 @@ def golden_digest(path):
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
 def test_policy_memo_caps_do_not_change_the_digest(path, monkeypatch):
     # Every memo, not only the policy ones: with room for one entry each,
-    # the parse, signature and MAC, identity and limits memos are cleared
-    # on nearly every miss; the run must not notice.
+    # the parse and limits memos and the session table are cleared on
+    # nearly every miss; the run must not notice.
     monkeypatch.setattr(tokens, "MEMO_SIZE", 1)
-    assert run_scenario(path).digest == golden_digest(path)
+    result = run_scenario(path)
+    assert result.digest == golden_digest(path)
+    assert len(result.world.parsed_token) == len(result.world.policy.sessions) == 1
 
 
 def supply_scan(world):
@@ -1184,4 +1184,8 @@ def test_one_module_sets_the_memo_cap_and_clears_memos():
         clearers |= {f"{path.stem}.{caller}" for caller in _callers(tree, "clear")}
     assert cap_names == {"tokens.MEMO_SIZE"}
     # The trace fold's per-instant buffers are the only other things cleared.
-    assert clearers == {"tokens.Memo.__missing__", "migration._Pass._close"}
+    assert clearers == {
+        "tokens.Memo.__missing__",
+        "tokens.Sessions.open",
+        "migration._Pass._close",
+    }

@@ -7,16 +7,18 @@ import pytest
 from tokenpool.errors import (
     AudienceMismatch,
     Expired,
+    InsufficientScope,
     InvalidClaims,
     KeyRevoked,
     InvalidPolicy,
     NoCommonMethod,
+    NotYetValid,
     ProxyExpired,
     TokenPoolError,
     UnmappedIdentity,
     UntrustedCA,
 )
-from tokenpool.jose import decode_token
+from tokenpool.jose import Token, decode_token
 from tokenpool.policy import (
     JOB_SUBMIT_SCOPE,
     PHASE_PERMITS,
@@ -41,12 +43,14 @@ from tokenpool.policy import (
     validate_table,
 )
 from tokenpool.tokens import (
+    DEFAULT_SKEW,
     IssuerKey,
     SymmetricKeyring,
     TrustDirectory,
     mint_idtoken,
     mint_scitoken,
     revoke_key,
+    rotate_key,
     verify_idtoken,
     verify_scitoken,
 )
@@ -328,20 +332,20 @@ def test_authenticate_token_method_must_be_accepted(table, keyring, trust, issue
         auth(cap_only, Channel(Role.FACTORY, Role.CE), idt, keyring=keyring, trust=trust)
 
 
-# -- the compiled policy's memos ---------------------------------------------
+# -- the compiled policy's memo and sessions ----------------------------------
 
 
-def test_identity_memo_remembers_only_mappings(table, keyring):
+def test_sessions_remember_only_mapped_subjects(table, keyring):
     compiled = CompiledPolicy(table)
-    stranger = mint_idtoken(keyring, "pool-1", "stranger", (), 600, NOW)
+    join = Channel(Role.SCHEDD, Role.COLLECTOR)
+    stranger = decode_token(mint_idtoken(keyring, "pool-1", "stranger", (), 600, NOW))
     for _ in range(2):
         with pytest.raises(UnmappedIdentity):
-            compiled.map_identity["stranger"]
-        with pytest.raises(UnmappedIdentity):
-            auth(table, Channel(Role.SCHEDD, Role.COLLECTOR), stranger, compiled, keyring=keyring)
-    assert compiled.map_identity == {}
-    assert compiled.map_identity["condor@a"] == "pool-daemon"
-    assert compiled.map_identity == {"condor@a": "pool-daemon"}
+            auth(table, join, stranger, compiled, keyring=keyring)
+    assert not compiled.sessions
+    known = decode_token(mint_idtoken(keyring, "pool-1", "condor@a", (), 600, NOW))
+    peer = auth(table, join, known, compiled, keyring=keyring)
+    assert compiled.sessions == {known: peer}
 
 
 def test_unknown_limit_names_are_never_remembered(table, keyring):
@@ -351,37 +355,55 @@ def test_unknown_limit_names_are_never_remembered(table, keyring):
         with pytest.raises(InvalidClaims, match="SUPERUSER"):
             auth(table, Channel(Role.SCHEDD, Role.COLLECTOR), bad, compiled, keyring=keyring)
     assert compiled.levels_for == {}
+    assert not compiled.sessions
 
 
 def test_memoised_subject_still_fails_every_check(table, keyring, trust, issuer_key):
-    # Only the subject's mapping is remembered: key status, the time window
-    # and the audience are checked on every presentation.
+    # A session spares a token only the checks that cannot change between
+    # its presentations: the channel's method, the time window, the key's
+    # status and, for a capability, the audience and scopes are checked on
+    # every presentation.
     compiled = CompiledPolicy(table)
     join = Channel(Role.SCHEDD, Role.COLLECTOR)
-    auth(table, join, mint_idtoken(keyring, "pool-1", "condor@a", (), 600, NOW), compiled, keyring=keyring)
-    assert "condor@a" in compiled.map_identity
-    expired = mint_idtoken(keyring, "pool-1", "condor@a", (), 600, NOW - 10_000)
+    token = decode_token(mint_idtoken(keyring, "pool-1", "condor@a", (), 600, NOW))
+    auth(table, join, token, compiled, keyring=keyring)
+    assert token in compiled.sessions
     with pytest.raises(Expired):
-        auth(table, join, expired, compiled, keyring=keyring)
-    current = mint_idtoken(keyring, "pool-1", "condor@a", (), 600, NOW)
+        auth(table, join, token, compiled, keyring=keyring, now=NOW + 10_000)
+    with pytest.raises(NotYetValid):
+        auth(table, join, token, compiled, keyring=keyring, now=NOW - 10_000)
+    with pytest.raises(NoCommonMethod):
+        auth(table, Channel(Role.FACTORY, Role.CE), token, compiled, keyring=keyring)
     with pytest.raises(KeyRevoked):
-        auth(table, join, current, compiled, keyring=revoke_key(keyring, "pool-1"))
+        auth(table, join, token, compiled, keyring=revoke_key(keyring, "pool-1"))
 
     ce = Channel(Role.FACTORY, Role.CE)
-    cap = mint_scitoken(issuer_key, ISSUER, "pilot-ops", (JOB_SUBMIT_SCOPE,), "ce-1", 600, NOW)
+    cap = decode_token(
+        mint_scitoken(issuer_key, ISSUER, "pilot-ops", (JOB_SUBMIT_SCOPE,), "ce-1", 600, NOW)
+    )
     auth(table, ce, cap, compiled, trust=trust, expected_audience="ce-1")
-    assert "pilot-ops" in compiled.map_identity
+    assert cap in compiled.sessions
     with pytest.raises(AudienceMismatch):
         auth(table, ce, cap, compiled, trust=trust, expected_audience="ce-2")
+    wider = ChannelPolicy(
+        (AuthMethod.SCITOKEN,), required_scopes=frozenset({JOB_SUBMIT_SCOPE, "compute.cancel"})
+    )
+    with pytest.raises(InsufficientScope, match="compute.cancel"):
+        authenticate(
+            ce, wider, cap, compiled=compiled, trust=trust, expected_audience="ce-1", now=NOW
+        )
 
 
 # -- the compiled path against the path it replaced --------------------------
 
 
-def reference_authenticate(channel, table, credential, *, keyring, trust, expected_audience):
+def reference_authenticate(
+    channel, table, credential, *, keyring, trust, expected_audience, now=NOW
+):
     """Authentication as it was before the policy was compiled: a
-    ``policy_for`` lookup, a linear identity-map scan, and the levels built
-    from the limit names one by one on every presentation."""
+    ``policy_for`` lookup, a linear identity-map scan, the levels built
+    from the limit names one by one, and a full verification on every
+    presentation."""
     pol = table.policy_for(channel)
 
     def require(method):
@@ -392,8 +414,8 @@ def reference_authenticate(channel, table, credential, *, keyring, trust, expect
         require(AuthMethod.GSI_PROXY)
         if credential.attested_by not in frozenset({CA}):
             raise UntrustedCA(f"CA {credential.attested_by!r} not trusted")
-        if NOW >= credential.expiry:
-            raise ProxyExpired(f"proxy expired at {credential.expiry} (now {NOW})")
+        if now >= credential.expiry:
+            raise ProxyExpired(f"proxy expired at {credential.expiry} (now {now})")
         return AuthenticatedPeer(
             table.map_identity(credential.distinguished_name),
             AuthMethod.GSI_PROXY,
@@ -412,7 +434,7 @@ def reference_authenticate(channel, table, credential, *, keyring, trust, expect
         )
     if credential.header.alg == "EdDSA":
         require(AuthMethod.SCITOKEN)
-        cap = verify_scitoken(credential, trust, expected_audience, pol.required_scopes, NOW)
+        cap = verify_scitoken(credential, trust, expected_audience, pol.required_scopes, now)
         return AuthenticatedPeer(
             table.map_identity(cap.subject),
             AuthMethod.SCITOKEN,
@@ -423,7 +445,7 @@ def reference_authenticate(channel, table, credential, *, keyring, trust, expect
             cap.jti,
         )
     require(AuthMethod.IDTOKEN)
-    ident = verify_idtoken(credential, keyring, NOW)
+    ident = verify_idtoken(credential, keyring, now)
     identity = table.map_identity(ident.subject)
     if ident.authz_limits:
         try:
@@ -497,34 +519,62 @@ def test_compiled_path_matches_the_path_it_replaced(phase, issuer_key, trust):
     credentials = presented_credentials(keyring, issuer_key)
     projected = apply_phase(default_table(), phase)
     compiled = CompiledPolicy(projected)
-    kw = dict(keyring=revoke_key(keyring, "pool-2"), trust=trust, expected_audience="ce-1")
+    live = revoke_key(keyring, "pool-2")
+    base = dict(now=NOW, expected_audience="ce-1", keyring=live)
+    # Right after a presentation at ``base``, which leaves a session for
+    # every token it accepts, each credential is shown again: outside, at
+    # the edges of and inside its window, at another audience, and under a
+    # keyring that revoked a key or gained one.
+    again = [
+        dict(base, now=NOW - DEFAULT_SKEW - 1),
+        dict(base, now=NOW - DEFAULT_SKEW),
+        dict(base, now=NOW + 300),
+        dict(base, now=NOW + 600 + DEFAULT_SKEW),
+        dict(base, now=NOW + 600 + DEFAULT_SKEW + 1),
+        dict(base, expected_audience="ce-2"),
+        dict(base, keyring=revoke_key(live, "pool-1")),
+        dict(base, keyring=rotate_key(live, "pool-3", b"r" * 32)),
+    ]
     seen = set()
     for channel in projected.channels:
         pol = compiled.channels[channel.label]
 
-        def new_path(credential):
+        def new_path(credential, at):
             peer = authenticate(
-                channel, pol, credential, compiled=compiled,
-                trusted_cas=frozenset({CA}), local_host=HOST, now=NOW, **kw,
+                channel, pol, credential, compiled=compiled, trust=trust,
+                trusted_cas=frozenset({CA}), local_host=HOST, **at,
             )
             return peer, authorize(peer, pol)
 
-        def old_path(credential):
-            peer = reference_authenticate(channel, projected, credential, **kw)
+        def old_path(credential, at):
+            peer = reference_authenticate(channel, projected, credential, trust=trust, **at)
             return peer, reference_authorize(peer, projected.policy_for(channel))
 
         for credential in credentials:
-            expected = outcome(lambda: old_path(credential))
-            for _ in range(2):  # memos cold, then warm
-                assert outcome(lambda: new_path(credential)) == expected, (channel.label, credential)
-            if isinstance(expected[1], Decision):
-                seen.add("allowed" if expected[1].allowed else f"missing={','.join(expected[1].missing)}")
-            else:
-                seen.add(expected[0].__name__)
+            first = outcome(lambda: old_path(credential, base))
+            for at in again:
+                # Sessions cold at the first presentation, warm after it.
+                warmed = outcome(lambda: new_path(credential, base))
+                assert warmed == first, (channel.label, credential)
+                if isinstance(credential, Token) and isinstance(first[1], Decision):
+                    assert credential in compiled.sessions
+                expected = outcome(lambda: old_path(credential, at))
+                got = outcome(lambda: new_path(credential, at))
+                assert got == expected, (channel.label, at, credential)
+                for result in (first, expected):
+                    if not isinstance(result[1], Decision):
+                        seen.add(result[0].__name__)
+                    elif result[1].allowed:
+                        seen.add("allowed")
+                    else:
+                        seen.add(f"missing={','.join(result[1].missing)}")
     # The credentials reach every kind of outcome the phase allows.
     assert {"allowed", "NoCommonMethod", "UnmappedIdentity", "Expired"} <= seen
     if phase is not MigrationPhase.GSI_ONLY:
-        assert {"missing=ADVERTISE", "missing=WRITE", "InvalidClaims", "KeyRevoked", "AudienceMismatch"} <= seen
+        assert {
+            "missing=ADVERTISE", "missing=WRITE", "InvalidClaims", "KeyRevoked",
+            "AudienceMismatch", "NotYetValid",
+        } <= seen
     if phase is not MigrationPhase.TOKEN_ONLY:
         assert {"UntrustedCA", "ProxyExpired"} <= seen
 

@@ -6,7 +6,7 @@ import json
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tokenpool.errors import TRACE_REASONS, SimulationError
@@ -226,6 +226,9 @@ _SHORT_TEXT = st.text(_FIELD_CHARS, max_size=6)
 _HEAD = st.tuples(_SHORT_TEXT, _SHORT_TEXT, _SHORT_TEXT, _SHORT_TEXT)
 
 
+# 50 examples, not the profile's 200: each one records 300 extra heads, so
+# every example is already past 256 heads, and more examples cost time.
+@settings(max_examples=50)
 @given(
     heads=st.lists(_HEAD, min_size=1, max_size=4),
     rows=st.lists(

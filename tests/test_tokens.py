@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from tokenpool import jose, policy, tokens
+from tokenpool import actors, jose, policy, tokens
 from tokenpool.actors import CH_JOIN
 from tokenpool.errors import (
     AudienceMismatch,
@@ -304,7 +304,51 @@ def test_scitoken_requires_issuer_claim(issuer_key, trust):
         verify_scitoken(decode_token(token), trust, "ce-1", (), NOW)
 
 
-# -- signature memo ---------------------------------------------------------
+# -- sessions -------------------------------------------------------------
+
+
+@pytest.fixture
+def compiled():
+    """A compiled policy whose identity map maps every subject, so that
+    only the token decides whether a session opens."""
+    return policy.CompiledPolicy(policy.PolicyTable({}, (("*", "anyone"),)))
+
+
+def present(compiled, token, *, keyring=None, trust=None, audience="ce-1", scopes=(), now=NOW):
+    """Authenticate ``token`` through ``compiled`` on a channel that accepts
+    its method and asks for ``scopes``, or for READ when there are none."""
+    method = policy.token_method(token)
+    if scopes:
+        pol = policy.ChannelPolicy((method,), required_scopes=frozenset(scopes))
+    else:
+        pol = policy.ChannelPolicy((method,), policy.AuthzLevel.READ)
+    channel = policy.Channel(policy.Role.FACTORY, policy.Role.CE)
+    return policy.authenticate(
+        channel, pol, token, compiled=compiled, keyring=keyring, trust=trust,
+        expected_audience=audience, now=now,
+    )
+
+
+def served_tokens(monkeypatch):
+    """Every token a World authenticates, as (method, token, the session
+    table that served it), in order."""
+    served = []
+    real = actors.authenticate
+
+    def recording(channel, pol, credential, *, compiled, **kw):
+        peer = real(channel, pol, credential, compiled=compiled, **kw)
+        if isinstance(credential, jose.Token):
+            served.append((peer.method, credential, compiled.sessions))
+        return peer
+
+    monkeypatch.setattr(actors, "authenticate", recording)
+    return served
+
+
+def sessions_opened(served, method):
+    """Distinct (token, session table) pairs among the ``method`` tokens
+    served; ``served`` keeps every table alive, so ids are not reused."""
+    return len({(token, id(table)) for m, token, table in served if m is method})
 
 
 def _with_flipped_signature_byte(token: str) -> str:
@@ -315,15 +359,16 @@ def _with_flipped_signature_byte(token: str) -> str:
 
 
 @pytest.fixture
-def warm(issuer_key, trust):
-    """A capability token the trust directory has already verified once."""
+def warm(issuer_key, trust, compiled):
+    """A capability token with a session in ``compiled``."""
     token = mint_scitoken(issuer_key, ISSUER, "s", ("compute.create",), "ce-1", 600, NOW)
-    verify_scitoken(decode_token(token), trust, "ce-1", ("compute.create",), NOW)
+    present(compiled, decode_token(token), trust=trust, scopes=("compute.create",))
+    assert decode_token(token) in compiled.sessions
     return token
 
 
 @pytest.mark.parametrize(
-    "present, audience, scopes, now, error",
+    "shown, audience, scopes, now, error",
     [
         (_with_flipped_signature_byte, "ce-1", (), NOW, SignatureInvalid),
         (str, "ce-1", (), NOW + 600 + tokens.DEFAULT_SKEW + 1, Expired),
@@ -333,20 +378,23 @@ def warm(issuer_key, trust):
     ids=["flipped-signature-byte", "expired", "other-audience", "missing-scope"],
 )
 def test_remembered_signature_still_runs_every_other_check(
-    warm, trust, present, audience, scopes, now, error
+    warm, compiled, trust, shown, audience, scopes, now, error
 ):
     with pytest.raises(error):
-        verify_scitoken(decode_token(present(warm)), trust, audience, scopes, now)
+        present(
+            compiled, decode_token(shown(warm)), trust=trust, audience=audience,
+            scopes=scopes, now=now,
+        )
 
 
-def test_remembered_signature_does_not_vouch_for_another_key(warm, issuer_key):
-    # Same issuer and kid, different public key: a new directory must
-    # check the signature itself and reject it.
+def test_remembered_signature_does_not_vouch_for_another_key(warm, compiled, issuer_key):
+    # Same issuer and kid, different public key: under a new directory the
+    # session table starts over, checks the signature itself and rejects it.
     other = TrustDirectory.single_issuer(
         ISSUER, IssuerKey.generate(issuer_key.kid, seed=b"\x66" * 32)
     )
     with pytest.raises(SignatureInvalid):
-        verify_scitoken(decode_token(warm), other, "ce-1", (), NOW)
+        present(compiled, decode_token(warm), trust=other)
 
 
 @pytest.fixture
@@ -363,31 +411,34 @@ def ed25519_checks(monkeypatch):
     return checks
 
 
-def test_only_verified_signatures_are_remembered(warm, trust, ed25519_checks):
+def test_only_verified_signatures_are_remembered(warm, compiled, trust, ed25519_checks):
+    # Only a token whose signature verified opens a session; a forged one
+    # is checked, and refused, at every presentation.
+    token = decode_token(warm)
     forged = decode_token(_with_flipped_signature_byte(warm))
     for _ in range(2):
-        verify_scitoken(decode_token(warm), trust, "ce-1", (), NOW)
+        present(compiled, token, trust=trust)
         with pytest.raises(SignatureInvalid):
-            verify_scitoken(forged, trust, "ce-1", (), NOW)
+            present(compiled, forged, trust=trust)
     assert [sig for _, _, sig in ed25519_checks] == [forged.signature, forged.signature]
+    assert compiled.sessions.keys() == {token}
 
 
 def test_run_checks_each_capability_signature_once(ed25519_checks, monkeypatch):
-    verified = []
-    real_verify = policy.verify_scitoken
+    # One Ed25519 check per distinct capability token and session table
+    # (one table per policy phase, keyring and trust directory); these runs
+    # refuse no token after its signature check.
+    served = served_tokens(monkeypatch)
+    for name in ("split-2022", "migration-2022"):
+        run_scenario(SCENARIO_DIR / f"{name}.yaml")
+    capability = [s for s in served if s[0] is policy.AuthMethod.SCITOKEN]
+    opened = sessions_opened(served, policy.AuthMethod.SCITOKEN)
+    assert len({id(table) for _, _, table in capability}) > 2
+    assert len(capability) > opened > 0
+    assert len(ed25519_checks) == opened
 
-    def recording_verify(token, *args, **kwargs):
-        result = real_verify(token, *args, **kwargs)
-        verified.append(token)
-        return result
 
-    monkeypatch.setattr(policy, "verify_scitoken", recording_verify)
-    run_scenario(SCENARIO_DIR / "split-2022.yaml")
-    assert len(verified) > len(set(verified)) > 0
-    assert len(ed25519_checks) == len(set(verified))
-
-
-# -- MAC memo -----------------------------------------------------------------
+# -- MAC check ----------------------------------------------------------------
 
 
 @pytest.fixture
@@ -406,10 +457,11 @@ def hs256_macs(monkeypatch):
 
 
 @pytest.fixture
-def warm_id(keyring):
-    """An identity token under k1 that the keyring has already verified once."""
+def warm_id(keyring, compiled):
+    """An identity token under k1 with a session in ``compiled``."""
     token = mint_idtoken(keyring, "k1", "s", ("ADVERTISE",), 600, NOW, jti="w1")
-    verify_idtoken(decode_token(token), keyring, NOW)
+    present(compiled, decode_token(token), keyring=keyring)
+    assert decode_token(token) in compiled.sessions
     return token
 
 
@@ -423,7 +475,7 @@ def _with_payload_of_another_token(token: str) -> str:
 
 
 @pytest.mark.parametrize(
-    "present, now, error",
+    "shown, now, error",
     [
         (_with_flipped_signature_byte, NOW, SignatureInvalid),
         (_with_payload_of_another_token, NOW, SignatureInvalid),
@@ -431,9 +483,11 @@ def _with_payload_of_another_token(token: str) -> str:
     ],
     ids=["flipped-mac-byte", "other-payload", "expired"],
 )
-def test_remembered_mac_still_runs_every_other_check(warm_id, keyring, present, now, error):
+def test_remembered_mac_still_runs_every_other_check(
+    warm_id, compiled, keyring, shown, now, error
+):
     with pytest.raises(error):
-        verify_idtoken(decode_token(present(warm_id)), keyring, now)
+        present(compiled, decode_token(shown(warm_id)), keyring=keyring, now=now)
 
 
 @pytest.mark.parametrize(
@@ -445,9 +499,9 @@ def test_remembered_mac_still_runs_every_other_check(warm_id, keyring, present, 
     ids=["same-secret-revoked", "another-secret"],
 )
 def test_remembered_mac_is_tied_to_the_key_not_its_name(now_bound_to, error):
-    # The key's status and secret are read before the memo, and the memo is
-    # keyed on the secret: when the keyring's mapping revokes k1 or binds it
-    # to another secret, a token it had verified is refused.
+    # Verification reads the key's status and secret at every call: when the
+    # keyring's mapping revokes k1 or binds it to another secret, a token it
+    # had verified is refused.
     entries = {"k1": SymmetricKey(b"a" * 32)}
     keyring = SymmetricKeyring(entries)
     token = decode_token(mint_idtoken(keyring, "k1", "s", (), 600, NOW))
@@ -457,33 +511,38 @@ def test_remembered_mac_is_tied_to_the_key_not_its_name(now_bound_to, error):
         verify_idtoken(token, keyring, NOW)
 
 
-def test_only_matching_macs_are_remembered(warm_id, keyring, hs256_macs):
+def test_only_matching_macs_are_remembered(warm_id, compiled, keyring, hs256_macs):
+    # Only a token whose MAC matched opens a session; a forged one is
+    # checked, and refused, at every presentation.
     token = decode_token(warm_id)
     forged = decode_token(_with_flipped_signature_byte(warm_id))
     for _ in range(2):
-        verify_idtoken(token, keyring, NOW)
+        present(compiled, token, keyring=keyring)
         with pytest.raises(SignatureInvalid):
-            verify_idtoken(forged, keyring, NOW)
+            present(compiled, forged, keyring=keyring)
     assert hs256_macs == [forged.signing_input, forged.signing_input]
-    assert keyring._macs.keys() == {(b"a" * 32, token.signing_input, token.signature)}
+    assert compiled.sessions.keys() == {token}
 
 
-def test_rotated_or_revoked_keyring_checks_each_mac_again(keyring, hs256_macs):
+def test_rotated_or_revoked_keyring_checks_each_mac_again(compiled, keyring, hs256_macs):
+    # A keyring made by revoke_key or rotate_key has no sessions: the table
+    # starts over, and the token's MAC is computed once under each.
     token = decode_token(mint_idtoken(keyring, "k2", "s", (), 600, NOW))
     for _ in range(2):
-        verify_idtoken(token, keyring, NOW)
+        present(compiled, token, keyring=keyring)
     assert len(hs256_macs) == 2  # the mint, then one verification
     for changed in (revoke_key(keyring, "k1"), rotate_key(keyring, "k3", b"c" * 32)):
-        assert not changed._macs
         for _ in range(2):
-            verify_idtoken(token, changed, NOW)
+            present(compiled, token, keyring=changed)
+        assert compiled.sessions.keyring is changed
+        assert compiled.sessions.keys() == {token}
     assert len(hs256_macs) == 4
 
 
-def test_tampering_never_authenticates_against_a_warm_mac_memo():
-    # Every member's identity token has been verified by the World's keyring
-    # at its join and keepalives; every single-character payload mutant of
-    # one, presented to that World, keeps the MAC and must still be refused.
+def test_tampering_never_authenticates_against_a_warm_session():
+    # Every member's identity token has a session in the World's policy from
+    # its join and keepalives; every single-character payload mutant of one,
+    # presented to that World, keeps the MAC and must still be refused.
     rng = random.Random(0x4D1C)
     alphabet = string.ascii_letters + string.digits + "-_"
     world = run_scenario(SCENARIO_DIR / "rollout-2022.yaml").world
@@ -492,9 +551,7 @@ def test_tampering_never_authenticates_against_a_warm_mac_memo():
     rejected: Counter[str] = Counter()
     for token in presented:
         world.authenticate_on(CH_JOIN, token)
-        parsed = world.parsed_token[token]
-        secret = world.keyring.lookup(parsed.header.kid).secret
-        assert (secret, parsed.signing_input, parsed.signature) in world.keyring._macs
+        assert world.parsed_token[token] in world.policy.sessions
         head, payload, mac = token.split(".")
         for pos in range(len(payload)):
             replacement = rng.choice(alphabet.replace(payload[pos], ""))
@@ -515,8 +572,11 @@ def test_tampering_never_authenticates_against_a_warm_mac_memo():
 def test_run_computes_one_mac_per_mint_and_per_distinct_identity_token(
     hs256_macs, monkeypatch
 ):
-    minted, verified = [], []
-    real_encode, real_verify = jose.encode_token, policy.verify_idtoken
+    # One HMAC per mint, and one per distinct identity token and session
+    # table (one table per policy phase, keyring and trust directory); these
+    # runs refuse no token after its MAC.
+    minted = []
+    real_encode = jose.encode_token
 
     def recording_encode(header, claims, key):
         token = real_encode(header, claims, key)
@@ -524,13 +584,12 @@ def test_run_computes_one_mac_per_mint_and_per_distinct_identity_token(
             minted.append(token)
         return token
 
-    def recording_verify(token, *args, **kwargs):
-        result = real_verify(token, *args, **kwargs)
-        verified.append(token)
-        return result
-
     monkeypatch.setattr(jose, "encode_token", recording_encode)
-    monkeypatch.setattr(policy, "verify_idtoken", recording_verify)
-    run_scenario(SCENARIO_DIR / "rollout-2022.yaml")
-    assert len(verified) > len(set(verified)) > 0
-    assert len(hs256_macs) == len(minted) + len(set(verified))
+    served = served_tokens(monkeypatch)
+    for name in ("rollout-2022", "drill-keysplit"):
+        run_scenario(SCENARIO_DIR / f"{name}.yaml")
+    identity = [s for s in served if s[0] is policy.AuthMethod.IDTOKEN]
+    opened = sessions_opened(served, policy.AuthMethod.IDTOKEN)
+    assert len({id(table) for _, _, table in identity}) > 2
+    assert len(identity) > opened > 0
+    assert len(hs256_macs) == len(minted) + opened
