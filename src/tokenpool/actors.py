@@ -13,6 +13,7 @@ import enum
 import heapq
 import weakref
 from dataclasses import dataclass, field
+from types import MethodType
 
 from . import jose
 from .errors import (
@@ -604,9 +605,7 @@ class Collector:
             return
         detail = f"pilot={pilot.id} join=1"
         if w.dropped(CH_JOIN, AuthMethod.IDTOKEN, detail):
-            w.engine.schedule(
-                w.scenario.pilots.keepalive, lambda p=pilot: self.receive_join(p)
-            )
+            w.engine.schedule(w.scenario.pilots.keepalive, MethodType(self.receive_join, pilot))
             return
         try:
             w.authenticate_on(CH_JOIN, pilot.token, detail=detail)
@@ -616,10 +615,10 @@ class Collector:
         pilot.joined_at = w.engine.now
         w.pilot_event(pilot, PilotState.JOINED, f"kid={pilot.kid}")
         self.members[pilot.id] = pilot
-        w.engine.schedule(w.scenario.pilots.keepalive, lambda p=pilot: self.keepalive(p))
-        w.engine.schedule(
-            w.scenario.frontend.pilot_max_idle, lambda p=pilot: self.idle_check(p)
-        )
+        # Each pending pilot event is a method bound to the pilot, which holds
+        # less than a closure over it; a pool keeps a few per live pilot.
+        w.engine.schedule(w.scenario.pilots.keepalive, MethodType(self.keepalive, pilot))
+        w.engine.schedule(w.scenario.frontend.pilot_max_idle, MethodType(self.idle_check, pilot))
 
     def keepalive(self, pilot: Pilot) -> None:
         w = self.world
@@ -632,7 +631,7 @@ class Collector:
             except TokenPoolError as exc:
                 self.evict(pilot, exc.reason)
                 return
-        w.engine.schedule(w.scenario.pilots.keepalive, lambda p=pilot: self.keepalive(p))
+        w.engine.schedule(w.scenario.pilots.keepalive, MethodType(self.keepalive, pilot))
 
     def evict(self, pilot: Pilot, reason: str) -> None:
         self.world.end_pilot(
@@ -663,7 +662,7 @@ class Collector:
             w.trace.record(
                 now, TRACE_JOB, "MATCH", detail=f"job={job.id} pilot={pilot.id}"
             )
-            w.engine.schedule(job.duration, lambda j=job, p=pilot: self.job_done(j, p))
+            w.engine.schedule(job.duration, MethodType(self.job_done, pilot))
         joined = len(idle_pilots) - matched
         w.trace.record(
             now,
@@ -673,9 +672,11 @@ class Collector:
         )
         w.engine.schedule(w.scenario.frontend.match_interval, self.match_tick)
 
-    def job_done(self, job: Job, pilot: Pilot) -> None:
-        # A pilot that lost its job (evicted, the job requeued) reports nothing.
-        if pilot.job is not job:
+    def job_done(self, pilot: Pilot) -> None:
+        # A pilot is matched at most once and end_pilot clears its job, so a
+        # pilot that lost its job (evicted, the job requeued) reports nothing.
+        job = pilot.job
+        if job is None:
             return
         w = self.world
         pilot.job = None
@@ -917,12 +918,9 @@ class CEGateway:
             return SubmitOutcome.ACCEPTED
         timings = w.scenario.pilots
         w.engine.schedule(
-            timings.startup - timings.join_latency,
-            lambda p=pilot: self.pilot_started(p),
+            timings.startup - timings.join_latency, MethodType(self.pilot_started, pilot)
         )
-        w.engine.schedule(
-            timings.startup, lambda p=pilot: w.collector.receive_join(p)
-        )
+        w.engine.schedule(timings.startup, MethodType(w.collector.receive_join, pilot))
         return SubmitOutcome.ACCEPTED
 
     def pilot_started(self, pilot: Pilot) -> None:

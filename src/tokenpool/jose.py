@@ -9,8 +9,11 @@ compared or hashed directly.
 Parsing (:func:`decode_token`) is strictly separated from verification:
 it rejects malformed structure and wrongly typed values but accepts unknown
 algorithms and absent claims, deferring judgement to the verify layer.  It
-returns a :class:`Token`, which carries the bytes its signature covers, so
-a token is parsed once and every verifier reads that one value.
+returns a :class:`Token`, which keeps the compact string it was parsed from
+and derives the bytes its signature covers from it, so a token is parsed
+once and every verifier reads that one value.  The parse shares, through
+:func:`sys.intern`, the strings that every token of a key or issuer
+repeats.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ import binascii
 import hashlib
 import hmac
 import json
-from dataclasses import InitVar, dataclass, field
+import sys
+from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric import ed25519
@@ -66,7 +70,7 @@ def canonical_json(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TokenHeader:
     """JOSE header. ``alg`` is carried verbatim; unsupported values are
     only rejected at verification time, never at parse time."""
@@ -81,13 +85,13 @@ class TokenHeader:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "TokenHeader":
         return cls(
-            alg=_typed(obj, "alg", str, ""),
-            kid=_typed(obj, "kid", str, ""),
-            typ=_typed(obj, "typ", str, ""),
+            alg=sys.intern(_typed(obj, "alg", str, "")),
+            kid=sys.intern(_typed(obj, "kid", str, "")),
+            typ=sys.intern(_typed(obj, "typ", str, "")),
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TokenClaims:
     """Claim set for both token flavors.
 
@@ -143,19 +147,21 @@ class TokenClaims:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "TokenClaims":
+        iss = _typed(obj, "iss", str, None)
+        aud = _typed(obj, "aud", str, None)
         scope = _typed(obj, "scope", str, None)
         limits = _typed(obj, "authz_limits", list, None)
         if limits is not None and not all(type(x) is str for x in limits):
             raise MalformedToken("authz_limits must be a list of strings")
         return cls(
             sub=_typed(obj, "sub", str, ""),
-            iss=_typed(obj, "iss", str, None),
-            aud=_typed(obj, "aud", str, None),
+            iss=sys.intern(iss) if iss is not None else None,
+            aud=sys.intern(aud) if aud is not None else None,
             iat=_typed(obj, "iat", int, 0),
             exp=_typed(obj, "exp", int, 0),
             jti=_typed(obj, "jti", str, ""),
-            scope=tuple(scope.split()) if scope is not None else None,
-            authz_limits=tuple(sorted(limits)) if limits is not None else None,
+            scope=tuple(map(sys.intern, scope.split())) if scope is not None else None,
+            authz_limits=tuple(sorted(map(sys.intern, limits))) if limits is not None else None,
         )
 
     @property
@@ -205,30 +211,29 @@ def encode_token(header: TokenHeader, claims: TokenClaims, key: SigningKey) -> s
     return signing_input + "." + b64url_encode(signature)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
-    """A compact token, parsed once, with the bytes its signature covers.
+    """A compact token, parsed once, kept with its wire form.
 
-    ``signing_input`` is the first two segments exactly as received, never
-    re-serialised; ``header`` and ``claims`` are parsed from those same
-    segments.  The only constructor argument is the compact string, which
-    is not kept: neither ``Token(...)`` nor ``dataclasses.replace`` can pair
-    claims with bytes they were not parsed from, so the claims a verifier
-    reads are the claims under the signature it checks.  Equal tokens have
-    equal wire forms.
+    ``header`` and ``claims`` are parsed from ``compact``, and
+    ``signing_input`` is its first two segments exactly as received, never
+    re-serialised.  The compact string is the only constructor argument:
+    neither ``Token(...)`` nor ``dataclasses.replace`` can pair claims with
+    bytes they were not parsed from, so the claims a verifier reads are the
+    claims under the signature it checks.  Tokens compare and hash by their
+    wire form.
 
     Raises:
         MalformedToken
     """
 
-    compact: InitVar[str]
+    compact: str
     header: TokenHeader = field(init=False, compare=False)
     claims: TokenClaims = field(init=False, compare=False)
-    signature: bytes = field(init=False)
-    signing_input: bytes = field(init=False)
+    signature: bytes = field(init=False, compare=False)
 
-    def __post_init__(self, compact: str) -> None:
-        parts = compact.split(".")
+    def __post_init__(self) -> None:
+        parts = self.compact.split(".")
         if len(parts) != 3:
             raise MalformedToken(f"expected 3 segments, got {len(parts)}")
         header_b64, claims_b64, sig_b64 = parts
@@ -238,8 +243,15 @@ class Token:
         set_field(self, "header", header)
         set_field(self, "claims", claims)
         set_field(self, "signature", b64url_decode(sig_b64))
+
+    def __hash__(self) -> int:
+        return hash(self.compact)
+
+    @property
+    def signing_input(self) -> bytes:
+        """The bytes the signature covers: the first two segments as received."""
         # Both segments passed the base64url alphabet check, so this is ASCII.
-        set_field(self, "signing_input", f"{header_b64}.{claims_b64}".encode("ascii"))
+        return self.compact[: self.compact.rindex(".")].encode("ascii")
 
 
 def decode_token(token: str) -> Token:

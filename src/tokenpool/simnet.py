@@ -1,9 +1,10 @@
 """Seeded discrete-event core: clock, RNG streams, audit trace, faults.
 
-Determinism contract: with the same scenario and seed the engine pops
-events in identical order (ties break on insertion sequence), every
-random draw comes from a label-isolated substream, and the audit trace
-serializes to byte-identical JSONL whose SHA-256 is the run digest.
+Determinism contract: with the same scenario and seed the engine runs
+events in identical order (within an instant, in the order they were
+scheduled), every random draw comes from a label-isolated substream, and
+the audit trace serializes to byte-identical JSONL whose SHA-256 is the
+run digest.
 """
 
 from __future__ import annotations
@@ -21,33 +22,53 @@ from .errors import TRACE_REASONS, SimulationError
 
 
 class Engine:
-    """Minimal event loop: integer-friendly clock, FIFO tie-breaking."""
+    """Calendar event loop: integer-friendly clock, FIFO within an instant.
+
+    ``_calendar`` maps each pending instant to its actions in the order they
+    were scheduled, which is the tie-break, and the ``_instants`` heap holds
+    each of those instants once.  An action scheduled for the instant being
+    run joins the end of its list and runs in the same pass.
+    """
 
     def __init__(self) -> None:
         self.now: int = 0
-        self._seq = 0
-        self._heap: list[tuple[int, int, Callable[[], None]]] = []
+        self._calendar: dict[int, list[Callable[[], None]]] = {}
+        self._instants: list[int] = []
 
     def schedule_at(self, t: int, action: Callable[[], None]) -> None:
         if t < self.now:
             raise SimulationError(f"cannot schedule at {t}, clock is at {self.now}")
-        heapq.heappush(self._heap, (t, self._seq, action))
-        self._seq += 1
+        actions = self._calendar.get(t)
+        if actions is None:
+            self._calendar[t] = [action]
+            heapq.heappush(self._instants, t)
+        else:
+            actions.append(action)
 
     def schedule(self, delay: int, action: Callable[[], None]) -> None:
         self.schedule_at(self.now + delay, action)
 
     def run(self, until: int) -> None:
-        """Pop events up to and including ``until``, then park the clock there.
+        """Run the instants up to and including ``until``, then park the clock there.
 
         ``now`` keeps its object while the instant does not change, so every
-        record written at one instant holds the same ``int``.
+        record written at one instant holds the same ``int``.  An action that
+        raises leaves the actions after it at its instant pending.
         """
-        while self._heap and self._heap[0][0] <= until:
-            t, _, action = heapq.heappop(self._heap)
+        calendar, instants = self._calendar, self._instants
+        while instants and instants[0] <= until:
+            t = instants[0]
             if t != self.now:
                 self.now = t
-            action()
+            pending = iter(calendar[t])
+            try:
+                for action in pending:
+                    action()
+            except BaseException:
+                calendar[t] = list(pending)
+                raise
+            heapq.heappop(instants)
+            del calendar[t]
         self.now = until
 
 

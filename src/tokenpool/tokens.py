@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping
 
+from cryptography.hazmat.primitives import serialization
 from cryptography.hazmat.primitives.asymmetric import ed25519
 
 from . import jose
@@ -112,14 +113,18 @@ class SymmetricKeyring:
     The keyring remembers nothing: every MAC it is asked about is computed.
     A verified token's session (:class:`Sessions`) is what spares a token
     presented again its MAC, and a keyring made by :func:`rotate_key` or
-    :func:`revoke_key` is one no session was opened under.
+    :func:`revoke_key` is one no session was opened under.  ``entries`` is
+    copied into a read-only mapping, so the caller's cannot change it.
     """
 
     entries: Mapping[str, SymmetricKey]
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
+
     @classmethod
     def from_secrets(cls, secrets_by_kid: Mapping[str, bytes]) -> "SymmetricKeyring":
-        return cls(MappingProxyType({k: SymmetricKey(v) for k, v in secrets_by_kid.items()}))
+        return cls({k: SymmetricKey(v) for k, v in secrets_by_kid.items()})
 
     def lookup(self, kid: str) -> SymmetricKey:
         try:
@@ -157,7 +162,7 @@ def rotate_key(keyring: SymmetricKeyring, new_kid: str, secret: bytes | None = N
         raise DuplicateKid(f"kid {new_kid!r} already present")
     entries = dict(keyring.entries)
     entries[new_kid] = SymmetricKey(secret if secret is not None else os.urandom(32))
-    return SymmetricKeyring(MappingProxyType(entries))
+    return SymmetricKeyring(entries)
 
 
 def revoke_key(keyring: SymmetricKeyring, kid: str) -> SymmetricKeyring:
@@ -165,7 +170,7 @@ def revoke_key(keyring: SymmetricKeyring, kid: str) -> SymmetricKeyring:
     old = keyring.lookup(kid)
     entries = dict(keyring.entries)
     entries[kid] = SymmetricKey(old.secret, KeyStatus.REVOKED)
-    return SymmetricKeyring(MappingProxyType(entries))
+    return SymmetricKeyring(entries)
 
 
 @dataclass(frozen=True)
@@ -185,8 +190,6 @@ class IssuerKey:
 
     @property
     def public_bytes(self) -> bytes:
-        from cryptography.hazmat.primitives import serialization
-
         return self.private_key.public_key().public_bytes(
             serialization.Encoding.Raw, serialization.PublicFormat.Raw
         )
@@ -199,20 +202,24 @@ class TrustDirectory:
     An empty audience tuple means the issuer is unrestricted.  The
     directory remembers nothing: every signature it is asked about is
     checked.  A verified token's session (:class:`Sessions`) is what spares
-    a token presented again its signature check.
+    a token presented again its signature check.  Both mappings are copied
+    into read-only ones, so the caller's cannot change them.
     """
 
     issuers: Mapping[str, Mapping[str, bytes]]
     audiences: Mapping[str, tuple[str, ...]]
 
+    def __post_init__(self) -> None:
+        issuers = {iss: MappingProxyType(dict(keys)) for iss, keys in self.issuers.items()}
+        audiences = {iss: tuple(auds) for iss, auds in self.audiences.items()}
+        object.__setattr__(self, "issuers", MappingProxyType(issuers))
+        object.__setattr__(self, "audiences", MappingProxyType(audiences))
+
     @classmethod
     def single_issuer(
         cls, issuer: str, key: IssuerKey, audiences: Iterable[str] = ()
     ) -> "TrustDirectory":
-        return cls(
-            issuers=MappingProxyType({issuer: MappingProxyType({key.kid: key.public_bytes})}),
-            audiences=MappingProxyType({issuer: tuple(audiences)}),
-        )
+        return cls(issuers={issuer: {key.kid: key.public_bytes}}, audiences={issuer: audiences})
 
     def verification_key(self, issuer: str, kid: str) -> bytes:
         if issuer not in self.issuers:

@@ -345,15 +345,54 @@ def test_token_holds_only_claims_from_its_signed_bytes():
         {"claims": forged},
         {"header": TokenHeader("HS256", "root")},
         {"signature": b""},
-        {"signing_input": b"e30.e30"},
     ):
         with pytest.raises(ValueError):
             dataclasses.replace(token, **change)
+    # The signed bytes are no field at all: they are read off the wire form.
+    with pytest.raises(TypeError):
+        dataclasses.replace(token, signing_input=b"e30.e30")
     with pytest.raises(dataclasses.FrozenInstanceError):
         token.claims = forged
     other = GOLDEN_VECTORS[1][3]
     assert dataclasses.replace(token, compact=other) == jose.decode_token(other)
     assert dataclasses.replace(token, compact=other).claims.sub == GOLDEN_VECTORS[1][1]["sub"]
+    # Slotted, so no attribute can be added beside the parsed ones.
+    for value in (token, token.header, token.claims):
+        assert not hasattr(value, "__dict__")
+    # Equal wire forms parse to equal tokens, which hash equal.
+    again = jose.decode_token(GOLDEN_VECTORS[0][3].encode().decode())  # another str
+    assert again is not token and again == token and hash(again) == hash(token)
+    assert token != jose.decode_token(other)
+    head, _, _ = GOLDEN_VECTORS[0][3].rpartition(".")
+    assert token.signing_input == head.encode("ascii")
+
+
+def test_tokens_of_one_key_share_the_strings_they_repeat():
+    # alg, kid, typ, iss, aud and the limit and scope names are kept once,
+    # however many tokens of a key or issuer are parsed.
+    secret, private = b"k" * 32, ed25519.Ed25519PrivateKey.generate()
+
+    def parsed(jti, **claims):
+        key = private if "scope" in claims else secret
+        alg = "EdDSA" if "scope" in claims else "HS256"
+        claims = TokenClaims(
+            sub=f"sub-{jti}", iss="https://iss.test", aud="ce-1", iat=0, exp=60, jti=jti, **claims
+        )
+        return jose.decode_token(jose.encode_token(TokenHeader(alg, "kid-1"), claims, key))
+
+    for kw in ({"authz_limits": ("ADVERTISE", "READ")}, {"scope": ("compute.create", "compute.read")}):
+        one, two = parsed("j1", **kw), parsed("j2", **kw)
+        shared = [
+            (one.header.alg, two.header.alg),
+            (one.header.kid, two.header.kid),
+            (one.header.typ, two.header.typ),
+            (one.claims.iss, two.claims.iss),
+            (one.claims.aud, two.claims.aud),
+            *zip(one.claims.authz_limits or (), two.claims.authz_limits or ()),
+            *zip(one.claims.scope or (), two.claims.scope or ()),
+        ]
+        assert all(a == b and a is b for a, b in shared), shared
+        assert one.claims.sub != two.claims.sub
 
 
 def test_hs256_matches_true_and_false():

@@ -1,6 +1,7 @@
 """Event loop determinism, RNG stream isolation, trace digests, faults."""
 
 import hashlib
+import heapq
 import io
 import json
 import tracemalloc
@@ -70,6 +71,105 @@ def test_engine_rejects_scheduling_in_the_past():
     engine.run(10)
     with pytest.raises(SimulationError):
         engine.schedule_at(9, lambda: None)
+
+
+class HeapEngine:
+    """The reference engine: one heap entry ``(t, seq, action)`` per event,
+    ties broken on the insertion sequence."""
+
+    def __init__(self) -> None:
+        self.now = 0
+        self._seq = 0
+        self._heap = []
+
+    def schedule_at(self, t, action):
+        if t < self.now:
+            raise SimulationError(f"cannot schedule at {t}, clock is at {self.now}")
+        heapq.heappush(self._heap, (t, self._seq, action))
+        self._seq += 1
+
+    def schedule(self, delay, action):
+        self.schedule_at(self.now + delay, action)
+
+    def run(self, until):
+        while self._heap and self._heap[0][0] <= until:
+            t, _, action = heapq.heappop(self._heap)
+            if t != self.now:
+                self.now = t
+            action()
+        self.now = until
+
+
+class Boom(Exception):
+    """What a raising action of an engine program raises."""
+
+
+#: Most actions one engine program schedules from inside actions.
+SPAWN_BUDGET = 60
+
+
+def run_engine_program(engine, nodes, ops):
+    """Run ``ops`` on ``engine`` and log what happened, in order.
+
+    ``nodes[i]`` is ``(children, raises)``: action ``i`` logs its id and
+    ``now``, schedules each ``(delay, child)`` from inside itself, then
+    raises ``Boom`` if ``raises``.  An op is ``("at", t, i)`` or
+    ``("run", until)``; each logs its result, or what it raised."""
+    log, spawned = [], [0]
+
+    def action(i):
+        def act():
+            log.append(("act", i, engine.now))
+            children, raises = nodes[i]
+            for delay, child in children:
+                if spawned[0] < SPAWN_BUDGET:
+                    spawned[0] += 1
+                    engine.schedule(delay, action(child))
+            if raises:
+                raise Boom(i)
+
+        return act
+
+    for op in ops:
+        try:
+            if op[0] == "at":
+                engine.schedule_at(op[1], action(op[2]))
+            else:
+                engine.run(op[1])
+        except (Boom, SimulationError) as exc:
+            log.append((*op, type(exc).__name__, engine.now))
+        else:
+            log.append((*op, engine.now))
+    return log
+
+
+@st.composite
+def engine_programs(draw):
+    n = draw(st.integers(1, 12))
+    nodes = []
+    for i in range(n):
+        # Children come later in the list, so a program always ends.
+        children = []
+        if i + 1 < n:
+            delay = st.sampled_from([0, 0, 0, 1, 2, 5])
+            children = draw(st.lists(st.tuples(delay, st.integers(i + 1, n - 1)), max_size=3))
+        nodes.append((children, draw(st.integers(0, 4)) == 0))
+    op = st.one_of(
+        st.tuples(st.just("at"), st.integers(0, 20), st.integers(0, n - 1)),
+        st.tuples(st.just("run"), st.integers(0, 25)),
+    )
+    return nodes, draw(st.lists(op, min_size=1, max_size=20)) + [("run", 40), ("run", 40)]
+
+
+@settings(max_examples=100)
+@given(engine_programs())
+def test_engine_runs_every_program_as_the_heap_engine_does(program):
+    # Same actions in the same order at the same now, the same raises and
+    # refusals, and the same clock after every op: delay-0 actions run in
+    # the pass of their instant, and a raise leaves the rest of its
+    # instant pending for the next run.
+    nodes, ops = program
+    assert run_engine_program(Engine(), nodes, ops) == run_engine_program(HeapEngine(), nodes, ops)
 
 
 # -- rng streams ------------------------------------------------------------

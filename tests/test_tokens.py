@@ -499,16 +499,60 @@ def test_remembered_mac_still_runs_every_other_check(
     ids=["same-secret-revoked", "another-secret"],
 )
 def test_remembered_mac_is_tied_to_the_key_not_its_name(now_bound_to, error):
-    # Verification reads the key's status and secret at every call: when the
-    # keyring's mapping revokes k1 or binds it to another secret, a token it
-    # had verified is refused.
+    # Verification reads the key's status and secret at every call: when a
+    # keyring revokes k1 or binds it to another secret, a token the keyring
+    # before it had verified is refused.
     entries = {"k1": SymmetricKey(b"a" * 32)}
     keyring = SymmetricKeyring(entries)
     token = decode_token(mint_idtoken(keyring, "k1", "s", (), 600, NOW))
     verify_idtoken(token, keyring, NOW)
-    entries["k1"] = now_bound_to
+    rebound = SymmetricKeyring({**entries, "k1": now_bound_to})
     with pytest.raises(error):
-        verify_idtoken(token, keyring, NOW)
+        verify_idtoken(token, rebound, NOW)
+    verify_idtoken(token, keyring, NOW)
+
+
+def _outcome(check):
+    """What ``check()`` came to: ``"ok"`` or the name of what it raised."""
+    try:
+        check()
+    except TokenPoolError as exc:
+        return type(exc).__name__
+    return "ok"
+
+
+def test_sessions_and_verification_agree_after_the_callers_mappings_change(
+    compiled, issuer_key
+):
+    # A keyring and a trust directory copy the mappings they are built from,
+    # so a caller changing its dicts after a session opened changes neither:
+    # a session hit and a full verification still reach the same outcome.
+    entries = {"k1": SymmetricKey(b"a" * 32)}
+    keys = {issuer_key.kid: issuer_key.public_bytes}
+    issuers, audiences = {ISSUER: keys}, {ISSUER: ("ce-1",)}
+    keyring, trust = SymmetricKeyring(entries), TrustDirectory(issuers, audiences)
+    scopes = ("compute.create",)
+    id_token = decode_token(mint_idtoken(keyring, "k1", "s", (), 600, NOW))
+    cap = decode_token(mint_scitoken(issuer_key, ISSUER, "s", scopes, "ce-1", 600, NOW))
+    present(compiled, id_token, keyring=keyring, trust=trust)
+    present(compiled, cap, keyring=keyring, trust=trust, scopes=scopes)
+    assert compiled.sessions.keys() == {id_token, cap}
+    entries["k1"] = SymmetricKey(b"a" * 32, KeyStatus.REVOKED)
+    keys[issuer_key.kid] = IssuerKey.generate("op-1", seed=b"\x22" * 32).public_bytes
+    audiences[ISSUER] = ("elsewhere",)
+    del issuers[ISSUER]
+    for session, verification in (
+        (
+            lambda: present(compiled, id_token, keyring=keyring, trust=trust),
+            lambda: verify_idtoken(id_token, keyring, NOW),
+        ),
+        (
+            lambda: present(compiled, cap, keyring=keyring, trust=trust, scopes=scopes),
+            lambda: verify_scitoken(cap, trust, "ce-1", scopes, NOW),
+        ),
+    ):
+        assert _outcome(session) == _outcome(verification) == "ok"
+    assert compiled.sessions.keyring is keyring and compiled.sessions.trust is trust
 
 
 def test_only_matching_macs_are_remembered(warm_id, compiled, keyring, hs256_macs):
