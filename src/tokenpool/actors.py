@@ -13,7 +13,6 @@ import enum
 import heapq
 import weakref
 from dataclasses import dataclass, field
-from types import MethodType
 
 from . import jose
 from .errors import (
@@ -117,23 +116,52 @@ PILOT_SUPPLY_STATES = (
 class Job:
     #: Creation sequence, the only key jobs are ordered by.
     seq: int
-    id: str = field(compare=False)
     duration: int = field(compare=False)
+
+    @property
+    def id(self) -> str:
+        """The job's name in records, formatted where one is written."""
+        return f"job-{self.seq:05d}"
 
 
 @dataclass(slots=True)
 class Pilot:
+    """One pilot's ledger entry.
+
+    Each pending pilot event is one of the methods below bound to the pilot,
+    one small object per event; it calls its actor through ``world``, the
+    World's weak proxy, so a pilot never keeps its World alive.
+    """
+
     id: str
     ce_id: str
     state: PilotState
+    world: "World" = field(repr=False, compare=False)
     kid: str = ""
-    jti: str = ""
+    #: The 64-bit draw behind the jti of the pilot's token, shared with the
+    #: World's jti ledger; None until the pilot is given an identity.
+    jti: int | None = None
     token: str = ""
     submitted_at: int | None = None
     joined_at: int | None = None
     #: The job this pilot runs, set only while it is MATCHED.
     job: Job | None = None
     slot_held: bool = False
+
+    def started(self) -> None:
+        self.world.ces[self.ce_id].pilot_started(self)
+
+    def join(self) -> None:
+        self.world.collector.receive_join(self)
+
+    def keepalive(self) -> None:
+        self.world.collector.keepalive(self)
+
+    def idle_check(self) -> None:
+        self.world.collector.idle_check(self)
+
+    def job_done(self) -> None:
+        self.world.collector.job_done(self)
 
 
 class SubmitOutcome(enum.Enum):
@@ -227,14 +255,19 @@ class World:
 
     # -- identity and key helpers ------------------------------------------
 
-    def next_jti(self, authority: str) -> str:
+    def next_draw(self, authority: str) -> int:
+        """A 64-bit draw no earlier jti of ``authority`` holds, now in its
+        ledger; the jti is the draw as 16 hex digits."""
         used = self._used_jtis.setdefault(authority, set())
         rng = self.streams.stream(f"jti/{authority}")
         while True:
             draw = rng.getrandbits(64)
             if draw not in used:
                 used.add(draw)
-                return f"{draw:016x}"
+                return draw
+
+    def next_jti(self, authority: str) -> str:
+        return f"{self.next_draw(authority):016x}"
 
     def mint_daemon_idtoken(self, subject: str, limits: tuple[str, ...]) -> str:
         return mint_idtoken(
@@ -253,7 +286,7 @@ class World:
         jti of the identity token it will carry to the collector."""
         pilot.kid = self.startd_kids[self.startd_rr % len(self.startd_kids)]
         self.startd_rr += 1
-        pilot.jti = self.next_jti("pool")
+        pilot.jti = self.next_draw("pool")
 
     def mint_startd_token(self, pilot: Pilot) -> str:
         """Mint the pilot's identity token under its assigned key and jti."""
@@ -265,7 +298,7 @@ class World:
             self.scenario.pilots.token_lifetime,
             self.engine.now,
             issuer=self.POOL_ISSUER,
-            jti=pilot.jti,
+            jti=f"{pilot.jti:016x}",
         )
 
     # -- authenticated requests --------------------------------------------
@@ -383,7 +416,7 @@ class World:
     def new_pilot(self, ce: "CEGateway") -> Pilot:
         pid = f"pilot-{self._pilot_seq:05d}"
         self._pilot_seq += 1
-        pilot = Pilot(id=pid, ce_id=ce.id, state=PilotState.REQUESTED)
+        pilot = Pilot(id=pid, ce_id=ce.id, state=PilotState.REQUESTED, world=ce.world)
         self.pilots[pid] = pilot
         self.supply += 1
         self.trace.record(
@@ -424,9 +457,9 @@ class World:
         freed, a job it still holds requeued, then its one PILOT record.
         The World forgets the pilot here."""
         del self.pilots[pilot.id]
-        if pilot.jti and not pilot.token:
+        if pilot.jti is not None and not pilot.token:
             # No token carries this jti, so the ledger gives the draw back.
-            self._used_jtis["pool"].discard(int(pilot.jti, 16))
+            self._used_jtis["pool"].discard(pilot.jti)
         self.collector.members.pop(pilot.id, None)
         if pilot.slot_held:
             self.ces[pilot.ce_id].reserved -= 1
@@ -451,7 +484,7 @@ class World:
     def new_job(self, spec: ClientSpec) -> Job:
         seq = self._job_seq
         self._job_seq += 1
-        job = Job(seq, f"job-{seq:05d}", spec.duration)
+        job = Job(seq, spec.duration)
         heapq.heappush(self.idle_jobs, job)
         return job
 
@@ -605,7 +638,7 @@ class Collector:
             return
         detail = f"pilot={pilot.id} join=1"
         if w.dropped(CH_JOIN, AuthMethod.IDTOKEN, detail):
-            w.engine.schedule(w.scenario.pilots.keepalive, MethodType(self.receive_join, pilot))
+            w.engine.schedule(w.scenario.pilots.keepalive, pilot.join)
             return
         try:
             w.authenticate_on(CH_JOIN, pilot.token, detail=detail)
@@ -615,10 +648,8 @@ class Collector:
         pilot.joined_at = w.engine.now
         w.pilot_event(pilot, PilotState.JOINED, f"kid={pilot.kid}")
         self.members[pilot.id] = pilot
-        # Each pending pilot event is a method bound to the pilot, which holds
-        # less than a closure over it; a pool keeps a few per live pilot.
-        w.engine.schedule(w.scenario.pilots.keepalive, MethodType(self.keepalive, pilot))
-        w.engine.schedule(w.scenario.frontend.pilot_max_idle, MethodType(self.idle_check, pilot))
+        w.engine.schedule(w.scenario.pilots.keepalive, pilot.keepalive)
+        w.engine.schedule(w.scenario.frontend.pilot_max_idle, pilot.idle_check)
 
     def keepalive(self, pilot: Pilot) -> None:
         w = self.world
@@ -631,7 +662,7 @@ class Collector:
             except TokenPoolError as exc:
                 self.evict(pilot, exc.reason)
                 return
-        w.engine.schedule(w.scenario.pilots.keepalive, MethodType(self.keepalive, pilot))
+        w.engine.schedule(w.scenario.pilots.keepalive, pilot.keepalive)
 
     def evict(self, pilot: Pilot, reason: str) -> None:
         self.world.end_pilot(
@@ -662,7 +693,7 @@ class Collector:
             w.trace.record(
                 now, TRACE_JOB, "MATCH", detail=f"job={job.id} pilot={pilot.id}"
             )
-            w.engine.schedule(job.duration, MethodType(self.job_done, pilot))
+            w.engine.schedule(job.duration, pilot.job_done)
         joined = len(idle_pilots) - matched
         w.trace.record(
             now,
@@ -917,10 +948,8 @@ class CEGateway:
         if stuck:
             return SubmitOutcome.ACCEPTED
         timings = w.scenario.pilots
-        w.engine.schedule(
-            timings.startup - timings.join_latency, MethodType(self.pilot_started, pilot)
-        )
-        w.engine.schedule(timings.startup, MethodType(w.collector.receive_join, pilot))
+        w.engine.schedule(timings.startup - timings.join_latency, pilot.started)
+        w.engine.schedule(timings.startup, pilot.join)
         return SubmitOutcome.ACCEPTED
 
     def pilot_started(self, pilot: Pilot) -> None:

@@ -10,10 +10,10 @@ Parsing (:func:`decode_token`) is strictly separated from verification:
 it rejects malformed structure and wrongly typed values but accepts unknown
 algorithms and absent claims, deferring judgement to the verify layer.  It
 returns a :class:`Token`, which keeps the compact string it was parsed from
-and derives the bytes its signature covers from it, so a token is parsed
-once and every verifier reads that one value.  The parse shares, through
-:func:`sys.intern`, the strings that every token of a key or issuer
-repeats.
+and derives its signature, and the bytes that signature covers, from it, so
+a token is parsed once and every verifier reads that one value.  The parse
+shares, through :func:`sys.intern`, the strings that every token of a key
+or issuer repeats.
 """
 
 from __future__ import annotations
@@ -215,9 +215,10 @@ def encode_token(header: TokenHeader, claims: TokenClaims, key: SigningKey) -> s
 class Token:
     """A compact token, parsed once, kept with its wire form.
 
-    ``header`` and ``claims`` are parsed from ``compact``, and
-    ``signing_input`` is its first two segments exactly as received, never
-    re-serialised.  The compact string is the only constructor argument:
+    ``header`` and ``claims`` are parsed from ``compact``; ``signing_input``
+    is its first two segments exactly as received, never re-serialised, and
+    ``signature`` is its third segment decoded.  All three segments are
+    checked at parse.  The compact string is the only constructor argument:
     neither ``Token(...)`` nor ``dataclasses.replace`` can pair claims with
     bytes they were not parsed from, so the claims a verifier reads are the
     claims under the signature it checks.  Tokens compare and hash by their
@@ -230,7 +231,6 @@ class Token:
     compact: str
     header: TokenHeader = field(init=False, compare=False)
     claims: TokenClaims = field(init=False, compare=False)
-    signature: bytes = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         parts = self.compact.split(".")
@@ -239,10 +239,10 @@ class Token:
         header_b64, claims_b64, sig_b64 = parts
         header = TokenHeader.from_json_dict(_parse_json_object(header_b64, "header"))
         claims = TokenClaims.from_json_dict(_parse_json_object(claims_b64, "claims"))
+        b64url_decode(sig_b64)  # refused here; decoded again when a verifier asks
         set_field = object.__setattr__
         set_field(self, "header", header)
         set_field(self, "claims", claims)
-        set_field(self, "signature", b64url_decode(sig_b64))
 
     def __hash__(self) -> int:
         return hash(self.compact)
@@ -252,6 +252,11 @@ class Token:
         """The bytes the signature covers: the first two segments as received."""
         # Both segments passed the base64url alphabet check, so this is ASCII.
         return self.compact[: self.compact.rindex(".")].encode("ascii")
+
+    @property
+    def signature(self) -> bytes:
+        """The signature: the third segment, decoded when a verifier asks."""
+        return b64url_decode(self.compact[self.compact.rindex(".") + 1 :])
 
 
 def decode_token(token: str) -> Token:

@@ -3,7 +3,9 @@
 import ast
 import dataclasses
 import gc
+import itertools
 import tracemalloc
+import types
 import weakref
 from pathlib import Path
 
@@ -542,11 +544,11 @@ def test_pilot_token_is_minted_only_when_its_gateway_accepts_it(over, monkeypatc
     assert refused
     for pilot in refused:
         assert pilot.state is PilotState.FAILED
-        assert pilot.token == "" and pilot.kid and pilot.jti
+        assert pilot.token == "" and pilot.kid and pilot.jti is not None
     for pilot in accepted:
         token = jose.decode_token(pilot.token)
         assert token.header.kid == pilot.kid
-        assert token.claims.jti == pilot.jti
+        assert token.claims.jti == f"{pilot.jti:016x}"
         assert token.claims.iat == pilot.submitted_at
 
 
@@ -602,22 +604,28 @@ def test_next_jti_skips_a_repeated_draw(monkeypatch):
 def test_jti_ledger_holds_only_the_pool_jtis_a_token_carries(name, monkeypatch):
     # Each of these refuses pilots after they drew a jti; a refused draw is
     # given back, so the ledger grows with the tokens, not the requests.
-    next_jti = actors.World.next_jti
+    # ``next_draw`` is the one method that draws, for pilots and daemons.
+    next_draw = actors.World.next_draw
     pool_draws = []
 
     def drawn(world, authority):
-        jti = next_jti(world, authority)
+        draw = next_draw(world, authority)
         if authority == "pool":
-            pool_draws.append(jti)
-        return jti
+            pool_draws.append(draw)
+        return draw
 
-    monkeypatch.setattr(actors.World, "next_jti", drawn)
+    monkeypatch.setattr(actors.World, "next_draw", drawn)
+    made = returned(monkeypatch, actors.World, "new_pilot")
     startd_tokens = returned(monkeypatch, actors.World, "mint_startd_token")
     daemon_tokens = returned(monkeypatch, actors.World, "mint_daemon_idtoken")
     world = run_scenario(SCENARIO_DIR / f"{name}.yaml").world
     minted = {int(jose.decode_token(t).claims.jti, 16) for t in startd_tokens + daemon_tokens}
     assert world._used_jtis["pool"] == minted
     assert len(pool_draws) > len(minted)
+    accepted = [p for p in made if p.token]
+    assert accepted
+    for pilot in accepted:
+        assert pilot.jti == int(jose.decode_token(pilot.token).claims.jti, 16)
 
 
 def golden_digest(path):
@@ -909,6 +917,66 @@ def test_live_pool_fits_its_memory_bound():
     finally:
         tracemalloc.stop()
     assert peak < ROLLOUT_PEAK_BOUND, f"peak {peak / 2**20:.3f} MiB"
+
+
+#: The instant of ``rollout-2022``'s live-pool peak: 1,980 live pilots, all
+#: matched, each with a pending keepalive, idle check and job completion.
+ROLLOUT_PEAK_T = 530
+
+#: Bytes held per live pilot at that instant, tracemalloc's current count
+#: over the run so far: 1,592 once a pending event is one bound method of its
+#: pilot, the token's signature is read off the wire, the pilot keeps its
+#: jti as the ledger's draw and a job keeps no name (1,982 before).
+BYTES_PER_LIVE_PILOT = 1750
+
+
+def rollout_at_peak():
+    world = build_world(load_scenario(SCENARIO_DIR / "rollout-2022.yaml"))
+    world.engine.run(ROLLOUT_PEAK_T)
+    return world
+
+
+def test_pending_pilot_events_are_single_bound_methods_of_their_pilot():
+    # One small object per pending event: a method of the pilot bound once,
+    # never a bound method wrapped in another, nor a closure over a pilot.
+    world = rollout_at_peak()
+    steps = {f for f in vars(actors.Pilot).values() if isinstance(f, types.FunctionType)}
+    served = []
+    for action in itertools.chain.from_iterable(world.engine._calendar.values()):
+        if isinstance(action, types.MethodType):
+            assert isinstance(action.__func__, types.FunctionType), action
+            if isinstance(action.__self__, actors.Pilot):
+                assert action.__func__ in steps, action
+                served.append(action)
+            continue
+        held = [c.cell_contents for c in action.__closure__ or ()]
+        held += action.__defaults__ or ()
+        assert not any(isinstance(v, actors.Pilot) for v in held), action
+    keepalives = {id(a.__self__) for a in served if a.__func__ is actors.Pilot.keepalive}
+    assert len(world.pilots) > 1900
+    assert keepalives == {id(p) for p in world.collector.members.values()}
+    assert len(served) >= 3 * len(world.collector.members)
+
+
+def test_live_pilot_fits_its_byte_budget():
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        world = rollout_at_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        # Pilots and their pending events reach the World only weakly, so
+        # reference counting alone frees it.
+        live, freed = len(world.pilots), weakref.ref(world)
+        del world
+        assert freed() is None
+    finally:
+        tracemalloc.stop()
+        if was_enabled:
+            gc.enable()
+    assert live == 1980
+    assert held <= BYTES_PER_LIVE_PILOT * live, f"{held / live:.0f} B per live pilot"
 
 
 # -- issuer authorization ---------------------------------------------------

@@ -242,6 +242,23 @@ def test_sign_rejects_wrong_key_kind_and_unknown_alg():
         jose.encode_token(TokenHeader("RS256", "k"), claims, b"sec")
 
 
+def test_signature_is_read_off_the_wire_and_checked_at_parse():
+    # The token keeps no decoded signature, yet a bad third segment is
+    # still refused when the token is parsed, not when it is verified.
+    for _, _, _, compact in GOLDEN_VECTORS:
+        sig = compact.rsplit(".", 1)[1]
+        assert jose.decode_token(compact).signature == jose.b64url_decode(sig)
+    signing_input, sig = GOLDEN_VECTORS[0][3].rsplit(".", 1)
+    assert len(sig) % 4 == 3
+    for bad in (
+        sig[:-1] + "+",  # outside the base64url alphabet
+        last_character_variants(sig)[0],  # non-zero unused bits
+        sig + "AA",  # length 1 mod 4
+    ):
+        with pytest.raises(MalformedToken):
+            jose.decode_token(f"{signing_input}.{bad}")
+
+
 def test_decode_rejects_wrong_segment_count():
     with pytest.raises(MalformedToken):
         jose.decode_token("onlyone")
@@ -344,13 +361,14 @@ def test_token_holds_only_claims_from_its_signed_bytes():
     for change in (
         {"claims": forged},
         {"header": TokenHeader("HS256", "root")},
-        {"signature": b""},
     ):
         with pytest.raises(ValueError):
             dataclasses.replace(token, **change)
-    # The signed bytes are no field at all: they are read off the wire form.
-    with pytest.raises(TypeError):
-        dataclasses.replace(token, signing_input=b"e30.e30")
+    # The signed bytes and the signature are no fields at all: they are
+    # read off the wire form.
+    for change in ({"signing_input": b"e30.e30"}, {"signature": b""}):
+        with pytest.raises(TypeError):
+            dataclasses.replace(token, **change)
     with pytest.raises(dataclasses.FrozenInstanceError):
         token.claims = forged
     other = GOLDEN_VECTORS[1][3]
