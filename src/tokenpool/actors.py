@@ -226,10 +226,10 @@ class World:
         #: The 64-bit draws behind every jti handed out, by authority, less
         #: the pilot draws ``end_pilot`` gives back because no token took them.
         self._used_jtis: dict[str, set[int]] = {}
-        #: ``parsed_token[compact]`` is ``compact`` parsed, once per World.
-        #: The verdict on a parsed token is a session in ``policy.sessions``,
-        #: which re-checks the channel, the time window and a capability's
-        #: audience and scopes at every presentation.
+        #: ``parsed_token[compact]`` is ``compact`` parsed, kept while its
+        #: holder lives (``forget_token``).  The verdict on a parsed token is
+        #: a session in ``policy.sessions``, which re-checks the channel, the
+        #: time window and a capability's audience and scopes every time.
         self.parsed_token = Memo(jose.decode_token)
         self._pilot_seq = 0
         self._job_seq = 0
@@ -300,6 +300,12 @@ class World:
             issuer=self.POOL_ISSUER,
             jti=f"{pilot.jti:016x}",
         )
+
+    def forget_token(self, compact: str) -> None:
+        """Drop ``compact``'s parse and session: its holder ended or replaced it."""
+        token = self.parsed_token.pop(compact, None)
+        if token is not None:
+            self.policy.sessions.pop(token, None)
 
     # -- authenticated requests --------------------------------------------
 
@@ -455,9 +461,11 @@ class World:
     ) -> None:
         """Every way a pilot leaves the pool: out of the collector, its slot
         freed, a job it still holds requeued, then its one PILOT record.
-        The World forgets the pilot here."""
+        The World forgets the pilot, and its token, here."""
         del self.pilots[pilot.id]
-        if pilot.jti is not None and not pilot.token:
+        if pilot.token:
+            self.forget_token(pilot.token)
+        elif pilot.jti is not None:
             # No token carries this jti, so the ledger gives the draw back.
             self._used_jtis["pool"].discard(pilot.jti)
         self.collector.members.pop(pilot.id, None)
@@ -748,6 +756,8 @@ class Frontend:
                 token = w.issuer.fetch_capability(self.token, ce.id)
             except TokenPoolError:
                 continue
+            if cached is not None:
+                w.forget_token(cached[0])
             self.scitokens[ce.id] = (token, now, now + lifetime)
 
     def capability_for(self, ce_id: str) -> str | None:

@@ -328,16 +328,6 @@ def drill_report(result: RunResult) -> DrillReport | None:
     return result.drill
 
 
-def phase_at(timeline: list[tuple[int, MigrationPhase]], t: int) -> MigrationPhase:
-    current = timeline[0][1]
-    for change_t, phase in timeline:
-        if change_t <= t:
-            current = phase
-        else:
-            break
-    return current
-
-
 def check_phase_soundness(result: RunResult) -> list[str]:
     """Every auth attempt carrying a concrete method must use a method
     the phase in force at that instant permits.  Returns violations."""

@@ -189,12 +189,6 @@ class PolicyTable:
     channels: Mapping[Channel, ChannelPolicy]
     identity_map: tuple[tuple[str, str], ...] = ()
 
-    def policy_for(self, channel: Channel) -> ChannelPolicy:
-        try:
-            return self.channels[channel]
-        except KeyError:
-            raise InvalidPolicy(f"no policy for channel {channel.label}") from None
-
     def map_identity(self, raw: str) -> str:
         for pattern, target in self.identity_map:
             if pattern.endswith("*"):
@@ -212,12 +206,13 @@ class CompiledPolicy:
     lookup hashes a string, not two enum members.  ``levels_for[limits]``
     is the level set an identity token's ``authz_limits`` name.
     ``sessions`` maps each parsed token that :func:`authenticate` has fully
-    verified to the peer it returned; it is filled under one keyring and
-    one trust directory and starts over when handed others.  A session
-    skips only the checks that are pure functions of the token, the
-    keyring, the trust directory and this table; the channel's method,
-    the time window and, for capability tokens, the audience and the
-    scope coverage are checked at every presentation.
+    verified to the peer it returned, until the token's holder drops it; it
+    is filled under one keyring and one trust directory and starts over
+    when handed others.  A session skips only the checks that are pure
+    functions of the token, the keyring, the trust directory and this
+    table; the channel's method, the time window and, for capability
+    tokens, the audience and the scope coverage are checked at every
+    presentation.
     """
 
     __slots__ = ("table", "channels", "levels_for", "sessions")

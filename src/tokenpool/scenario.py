@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
+import re
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -162,6 +163,18 @@ _MINIMA: dict[type, dict[str, int]] = {
     DrillSpec: {"reprovision_delay": 1},
 }
 
+#: Upper bound of each integer field the run turns into one object per
+#: unit, far above any shipped value.
+_MAXIMA: dict[type, dict[str, int]] = {
+    CESpec: {"capacity": 10_000},
+    ClientSpec: {"jobs": 100_000},
+}
+
+#: An id the trace writes: non-empty, no whitespace and no ``=``, since
+#: trace details are space-separated ``key=value`` pairs.  ``*`` is the
+#: fault wildcard, so it names nothing.
+_ID = re.compile(r"[^\s=]+")
+
 #: Lists whose items are named in error messages by a noun (where their
 #: YAML key is terse) and take one field from the spec holding the list,
 #: never from their own mapping: ``(noun, item field, holder field)``.
@@ -182,11 +195,15 @@ def _read_float(value: Any, where: str) -> float:
     return float(value)
 
 
-def _read_int(value: Any, where: str, minimum: int | None = None) -> int:
+def _read_int(
+    value: Any, where: str, minimum: int | None = None, maximum: int | None = None
+) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ScenarioError(f"{where}: expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ScenarioError(f"{where}: must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ScenarioError(f"{where}: must be <= {maximum}, got {value}")
     return value
 
 
@@ -203,7 +220,7 @@ def _read_list(read: _Read, value: Any, where: str, **given: Any) -> tuple:
 
 
 @functools.cache
-def _reader(tp: Any, minimum: int | None = None) -> _Read:
+def _reader(tp: Any, minimum: int | None = None, maximum: int | None = None) -> _Read:
     """The function that reads a YAML value as a ``tp``, built once per type."""
     if tp is str:
         return functools.partial(_read_exact, str, "a string")
@@ -212,7 +229,7 @@ def _reader(tp: Any, minimum: int | None = None) -> _Read:
     if tp is float:
         return _read_float
     if tp is int:
-        return functools.partial(_read_int, minimum=minimum)
+        return functools.partial(_read_int, minimum=minimum, maximum=maximum)
     if isinstance(tp, enum.EnumMeta):
         return functools.partial(_read_enum, tp)
     if tp is PlanStep:
@@ -223,7 +240,7 @@ def _reader(tp: Any, minimum: int | None = None) -> _Read:
     if typing.get_origin(tp) is tuple:  # tuple[X, ...]
         return functools.partial(_read_list, _reader(args[0]))
     if args[1:] == (type(None),):  # X | None
-        read = _reader(args[0], minimum)
+        read = _reader(args[0], minimum, maximum)
         return lambda value, where: None if value is None else read(value, where)
     raise TypeError(f"no scenario reader for {tp!r}")
 
@@ -233,10 +250,10 @@ def _plan(cls: type) -> dict[str, tuple[_Read, bool, tuple[str, str, str] | None
     """Each field of a spec class: its reader, whether it has no default,
     and its ``_ITEMS`` entry.  Built once per class."""
     hints = typing.get_type_hints(cls)
-    minima = _MINIMA.get(cls, {})
+    minima, maxima = _MINIMA.get(cls, {}), _MAXIMA.get(cls, {})
     return {
         f.name: (
-            _reader(hints[f.name], minima.get(f.name)),
+            _reader(hints[f.name], minima.get(f.name), maxima.get(f.name)),
             f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING,
             _ITEMS.get((cls, f.name)),
         )
@@ -303,6 +320,17 @@ def _check(sc: Scenario) -> None:
     ce_ids = [ce.id for ce in sc.ces]
     factory_ids = [f.id for f in sc.factories]
     client_ids = [c.id for c in sc.clients]
+    named = [("issuer.kid", sc.issuer.kid), *((f"keys[{i}].kid", k.kid) for i, k in enumerate(sc.keys))]
+    for i, site in enumerate(sc.sites):
+        named.append((f"sites[{i}].name", site.name))
+        named += ((f"gateway sites[{i}].ces[{j}].id", ce.id) for j, ce in enumerate(site.ces))
+    named += ((f"factories[{i}].id", f.id) for i, f in enumerate(sc.factories))
+    named += ((f"clients[{i}].id", c.id) for i, c in enumerate(sc.clients))
+    for where, name in named:
+        if name == "*" or not _ID.fullmatch(name):
+            raise ScenarioError(
+                f"{where}: {name!r} must be non-empty, hold no whitespace or '=', and not be '*'"
+            )
     for ids, message in (
         ([k.kid for k in sc.keys], "keys: duplicate kid"),
         (ce_ids, "sites: duplicate gateway id"),

@@ -36,16 +36,13 @@ from .jose import IDTOKEN_ALG, SCITOKEN_ALG, Token, TokenClaims, TokenHeader
 
 DEFAULT_SKEW = 60
 
-#: Most results one memo remembers; a memo is cleared when it reaches this size.
-MEMO_SIZE = 4096
-
 
 class Memo(dict):
     """``memo[key]`` is ``fn(key)``, computed at the first lookup and
-    remembered.
-
-    Only results are remembered, never a raised failure, and the memo is
-    cleared when it holds ``MEMO_SIZE`` results.  ``fn`` is never a bound
+    remembered; a raised failure never is.  An entry lives as long as the
+    holder of its key, who drops it (``World.forget_token``).  Daemon tokens
+    re-minted at a rotation or by ``provision_client_token`` stay, bounded
+    by the plan and the faults, not the pool.  ``fn`` is never a bound
     method of the memo's holder, so that the two do not refer to each other.
     """
 
@@ -56,10 +53,7 @@ class Memo(dict):
         self.fn = fn
 
     def __missing__(self, key: Any) -> Any:
-        value = self.fn(key)
-        if len(self) >= MEMO_SIZE:
-            self.clear()
-        self[key] = value
+        value = self[key] = self.fn(key)
         return value
 
 
@@ -71,10 +65,10 @@ class Sessions(dict):
     A session stands for the checks that are pure functions of the token
     and the trust state; the holder still re-checks, at every presentation,
     whatever depends on the channel, the audience or the time.  Only
-    successes are opened, and the table is cleared when it holds
-    ``MEMO_SIZE`` sessions.  Keyrings and trust directories are never
-    changed in place (:func:`revoke_key` and :func:`rotate_key` return new
-    ones), so a table is good only under the two it was filled under.
+    successes are opened; a session lives as long as its token's holder.
+    Keyrings and trust directories are never changed in place
+    (:func:`revoke_key` and :func:`rotate_key` return new ones), so a table
+    is good only under the two it was filled under.
     """
 
     __slots__ = ("keyring", "trust")
@@ -88,8 +82,6 @@ class Sessions(dict):
 
     def open(self, token: Token, result: Any) -> Any:
         """Remember ``result`` as ``token``'s session and return it."""
-        if len(self) >= MEMO_SIZE:
-            self.clear()
         self[token] = result
         return result
 
@@ -137,9 +129,6 @@ class SymmetricKeyring:
         if key.status is KeyStatus.REVOKED:
             raise KeyRevoked(f"key {kid!r} is revoked")
         return key.secret
-
-    def active_kids(self) -> tuple[str, ...]:
-        return tuple(k for k, v in self.entries.items() if v.status is KeyStatus.ACTIVE)
 
     def check_mac(self, token: Token) -> None:
         """Check that the ACTIVE key ``kid`` made ``token``'s HMAC.

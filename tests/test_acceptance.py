@@ -37,7 +37,6 @@ from tokenpool.migration import (
     compute_metrics,
     drill_report,
     parse_detail,
-    phase_at,
     render_report,
     report_dict,
     run_scenario,
@@ -303,7 +302,7 @@ def test_criterion_4_no_legacy_auth_under_token_only(shipped):
             for rec in run.result.trace.records
             if rec.outcome == "SUCCESS"
             and rec.method in legacy
-            and phase_at(timeline, rec.t) is MigrationPhase.TOKEN_ONLY
+            and [phase for t, phase in timeline if t <= rec.t][-1] is MigrationPhase.TOKEN_ONLY
         ]
         assert legacy_success_in_token_only == [], name
     print(f"[criterion 4] phase soundness clean on all {len(shipped)} shipped scenarios")

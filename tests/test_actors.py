@@ -509,7 +509,7 @@ def _session_memo(monkeypatch):
 @pytest.mark.parametrize(
     "make_memo", [_parse_memo, _limits_memo, _session_memo], ids=["parse", "limits", "session"]
 )
-def test_each_memo_remembers_only_results_and_is_cleared_when_full(make_memo, monkeypatch):
+def test_each_memo_remembers_only_results(make_memo, monkeypatch):
     memo, look_up, computed, keys, bad, error = make_memo(monkeypatch)
     memo.clear()
     result = look_up(keys[0])
@@ -520,12 +520,10 @@ def test_each_memo_remembers_only_results_and_is_cleared_when_full(make_memo, mo
             look_up(bad)
     assert computed == [keys[0], bad, bad]
     assert memo.keys() == {keys[0]}
-    monkeypatch.setattr(tokens, "MEMO_SIZE", 3)
-    memo.clear()
-    for i, key in enumerate(keys):
+    for key in keys:
         look_up(key)
-        assert len(memo) == i % 3 + 1
-        assert key in memo
+    assert memo.keys() == set(keys)
+    assert computed == [keys[0], bad, bad, *keys[1:]]
 
 
 @pytest.mark.parametrize(
@@ -639,13 +637,33 @@ def golden_digest(path):
 
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
 def test_policy_memo_caps_do_not_change_the_digest(path, monkeypatch):
-    # Every memo, not only the policy ones: with room for one entry each,
-    # the parse and limits memos and the session table are cleared on
-    # nearly every miss; the run must not notice.
-    monkeypatch.setattr(tokens, "MEMO_SIZE", 1)
+    # The tightest cap of all: the parse and limits memos and the session
+    # table store nothing, so every presentation parses and verifies its
+    # token in full; the run must not notice.
+    monkeypatch.setattr(tokens.Memo, "__missing__", lambda memo, key: memo.fn(key))
+    monkeypatch.setattr(tokens.Sessions, "open", lambda sessions, token, result: result)
     result = run_scenario(path)
     assert result.digest == golden_digest(path)
-    assert len(result.world.parsed_token) == len(result.world.policy.sessions) == 1
+    world = result.world
+    assert not world.parsed_token and not world.policy.sessions and not world.policy.levels_for
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+def test_parse_memo_and_sessions_follow_the_pool(path, monkeypatch):
+    # A token whose pilot has ended, or a capability token the frontend
+    # has replaced, is never presented again, so neither cache holds it.
+    made = returned(monkeypatch, actors.World, "new_pilot")
+    fetched = returned(monkeypatch, actors.TokenIssuer, "fetch_capability")
+    world = run_scenario(path).world
+    held = {token for token, _, _ in world.frontend.scitokens.values()}
+    ended = {p.token for p in made if p.token and p.id not in world.pilots}
+    dead = ended | (set(fetched) - held)
+    assert not dead & world.parsed_token.keys()
+    assert not dead & {token.compact for token in world.policy.sessions}
+    # Every member presented its token at its join, and still holds it.
+    assert {p.token for p in world.collector.members.values()} <= world.parsed_token.keys()
+    # In these two no pilot with a token ends and no capability is replaced.
+    assert dead or path.stem in ("arc-ldap-deprecation", "split-2022")
 
 
 def supply_scan(world):
@@ -897,10 +915,10 @@ def test_world_keeps_only_live_pilots(path, monkeypatch):
     assert len(cycles) > 1 and any(cycles)
 
 
-#: The tracemalloc peak of a ``rollout-2022`` run, in bytes: 1.15 times the
-#: 3.82 MiB it measured once pending events were bound methods on a calendar
-#: engine and tokens were slotted (6.58 MiB before).
-ROLLOUT_PEAK_BOUND = int(1.15 * 3.823 * 2**20)
+#: The tracemalloc peak of a ``rollout-2022`` run, in bytes: 1.10 times the
+#: largest of its readings, 3,204,016 to 3,213,470 B (3.06 MiB), in fresh
+#: processes and under pytest.
+ROLLOUT_PEAK_BOUND = int(1.10 * 3_213_470)
 
 
 def test_live_pool_fits_its_memory_bound():
@@ -1265,19 +1283,17 @@ def test_refusals_are_written_and_methods_negotiated_in_one_place():
     assert _callers(tree, "negotiate_method") == {"World.negotiate"}
 
 
-def test_one_module_sets_the_memo_cap_and_clears_memos():
-    cap_names, clearers = set(), set()
+def test_no_memo_has_a_size_cap_and_only_the_fold_clears():
+    # A memo entry lives as long as its holder (``World.forget_token``); no
+    # module names a size for a memo, and nothing clears one when it fills.
+    sized, clearers = set(), set()
     for path in sorted(Path(tokens.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
         for node in ast.walk(tree):
             name = getattr(node, "id", None) or getattr(node, "attr", None) or ""
-            if name.endswith("MEMO_SIZE"):
-                cap_names.add(f"{path.stem}.{name}")
+            if name.endswith("_SIZE"):
+                sized.add(f"{path.stem}.{name}")
         clearers |= {f"{path.stem}.{caller}" for caller in _callers(tree, "clear")}
-    assert cap_names == {"tokens.MEMO_SIZE"}
-    # The trace fold's per-instant buffers are the only other things cleared.
-    assert clearers == {
-        "tokens.Memo.__missing__",
-        "tokens.Sessions.open",
-        "migration._Pass._close",
-    }
+    assert sized == set()
+    # The trace fold's per-instant buffers are the only things cleared.
+    assert clearers == {"migration._Pass._close"}

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, output contracts, key hygiene."""
 
+import copy
 import hashlib
 import io
 import json
@@ -381,6 +382,47 @@ def test_broken_scenario_file(capsys, tmp_path):
     rc = main(["sim", "run", str(path)])
     assert rc == 2
     assert "bad scenario" in capsys.readouterr().err
+
+
+def _with(path, value):
+    """``SCENARIO`` with the value at ``path`` (keys and list indices)
+    replaced."""
+    doc = copy.deepcopy(SCENARIO)
+    *head, last = path
+    node = doc
+    for key in head:
+        node = node[key]
+    node[last] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "path, value, named",
+    [
+        (("keys", 1, "kid"), "", "keys[1].kid: ''"),
+        (("keys", 1, "kid"), "startd-1 x", "keys[1].kid: 'startd-1 x'"),
+        (("sites", 0, "ces", 0, "id"), "*", "gateway sites[0].ces[0].id: '*'"),
+        (("clients", 0, "jobs"), 2**70, "clients[0].jobs: must be <= "),
+    ],
+    ids=["empty-kid", "kid-with-space", "gateway-star", "huge-jobs"],
+)
+def test_scenario_the_run_cannot_carry_is_refused_before_it_starts(
+    capsys, tmp_path, monkeypatch, path, value, named
+):
+    # An empty kid fails the run at its first mint, a space splits a trace
+    # detail, a gateway named ``*`` cannot be a fault's only target, and
+    # 2**70 jobs never finish: each is refused before the run starts.
+    from tokenpool import migration
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(migration, "build_world", no_run)
+    scenario = tmp_path / "bad.yaml"
+    scenario.write_text(yaml.safe_dump(_with(path, value)))
+    assert main(["sim", "run", str(scenario)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad scenario: {named}"), err
 
 
 def test_wrongly_typed_plan_step_is_a_usage_error(capsys, tmp_path):

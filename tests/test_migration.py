@@ -12,7 +12,6 @@ from tokenpool.migration import (
     compute_metrics,
     drill_report,
     parse_detail,
-    phase_at,
     render_report,
     report_dict,
     run_scenario,
@@ -198,7 +197,7 @@ def test_drill_report_reconstruction(drill_result):
     assert report.within_bound
 
 
-def test_phase_timeline_and_lookup():
+def test_phase_timeline():
     result = run_scenario(
         parse_scenario(
             doc(
@@ -212,10 +211,6 @@ def test_phase_timeline_and_lookup():
         (0, MigrationPhase.TOKEN_WITH_GSI_FALLBACK),
         (300, MigrationPhase.TOKEN_ONLY),
     ]
-    assert phase_at(timeline, 0) is MigrationPhase.TOKEN_WITH_GSI_FALLBACK
-    assert phase_at(timeline, 299) is MigrationPhase.TOKEN_WITH_GSI_FALLBACK
-    assert phase_at(timeline, 300) is MigrationPhase.TOKEN_ONLY
-    assert phase_at(timeline, 10**6) is MigrationPhase.TOKEN_ONLY
 
 
 def test_phase_soundness_clean_run(small_result):

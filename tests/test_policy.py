@@ -139,12 +139,6 @@ def test_channel_policy_needs_exactly_one_requirement():
         )
 
 
-def test_missing_channel_is_a_configuration_error():
-    table = PolicyTable({}, ())
-    with pytest.raises(InvalidPolicy):
-        table.policy_for(Channel(Role.WMCLIENT, Role.SCHEDD))
-
-
 def test_identity_map_first_match_and_wildcards():
     table = PolicyTable(
         {},
@@ -185,7 +179,7 @@ def test_default_table_is_valid_and_closed():
     assert table.map_identity("cmsprod-t0") == "cms-prod"
     assert table.map_identity("startd@pilot-00042") == "pool-daemon"
     assert table.map_identity("frontend@cmspool") == "cms-frontend"
-    ce_pol = table.policy_for(Channel(Role.FACTORY, Role.CE))
+    ce_pol = table.channels[Channel(Role.FACTORY, Role.CE)]
     assert ce_pol.required_scopes == frozenset({JOB_SUBMIT_SCOPE})
 
 
@@ -401,10 +395,10 @@ def reference_authenticate(
     channel, table, credential, *, keyring, trust, expected_audience, now=NOW
 ):
     """Authentication as it was before the policy was compiled: a
-    ``policy_for`` lookup, a linear identity-map scan, the levels built
+    ``channels`` lookup, a linear identity-map scan, the levels built
     from the limit names one by one, and a full verification on every
     presentation."""
-    pol = table.policy_for(channel)
+    pol = table.channels[channel]
 
     def require(method):
         if method not in pol.methods:
@@ -548,7 +542,7 @@ def test_compiled_path_matches_the_path_it_replaced(phase, issuer_key, trust):
 
         def old_path(credential, at):
             peer = reference_authenticate(channel, projected, credential, trust=trust, **at)
-            return peer, reference_authorize(peer, projected.policy_for(channel))
+            return peer, reference_authorize(peer, projected.channels[channel])
 
         for credential in credentials:
             first = outcome(lambda: old_path(credential, base))
@@ -615,7 +609,7 @@ def test_authorize_scope_requirements_and_admin_bypass():
 
 
 def methods_of(table, src, dst):
-    return table.policy_for(Channel(src, dst)).methods
+    return table.channels[Channel(src, dst)].methods
 
 
 def test_apply_phase_gsi_only_strips_tokens_from_legacy_channels():
@@ -629,7 +623,7 @@ def test_apply_phase_gsi_only_strips_tokens_from_legacy_channels():
 def test_apply_phase_fallback_keeps_everything_tokens_first():
     projected = apply_phase(default_table(), MigrationPhase.TOKEN_WITH_GSI_FALLBACK)
     for channel, pol in projected.channels.items():
-        original = default_table().policy_for(channel)
+        original = default_table().channels[channel]
         assert set(pol.methods) == set(original.methods)
         seen_legacy = False
         for method in pol.methods:
@@ -657,7 +651,7 @@ def test_apply_phase_token_only_may_empty_a_channel():
         (),
     )
     projected = apply_phase(legacy_only, MigrationPhase.TOKEN_ONLY)
-    assert projected.policy_for(Channel(Role.WMCLIENT, Role.SCHEDD)).methods == ()
+    assert projected.channels[Channel(Role.WMCLIENT, Role.SCHEDD)].methods == ()
 
 
 def test_apply_phase_preserves_requirements_and_identity_map():
@@ -665,6 +659,6 @@ def test_apply_phase_preserves_requirements_and_identity_map():
     projected = apply_phase(table, MigrationPhase.TOKEN_ONLY)
     assert projected.identity_map == table.identity_map
     for channel, pol in projected.channels.items():
-        original = table.policy_for(channel)
+        original = table.channels[channel]
         assert pol.required_level == original.required_level
         assert pol.required_scopes == original.required_scopes

@@ -222,6 +222,58 @@ def test_duplicate_ids_rejected():
         parse_scenario(doc)
 
 
+#: Where each id the trace writes sits in ``base_doc()``, and the path its
+#: refusal names.
+ID_FIELDS = [
+    (("issuer", "kid"), "issuer.kid"),
+    (("keys", 1, "kid"), "keys[1].kid"),
+    (("sites", 0, "ces", 0, "id"), "gateway sites[0].ces[0].id"),
+    (("sites", 0, "name"), "sites[0].name"),
+    (("factories", 0, "id"), "factories[0].id"),
+    (("clients", 0, "id"), "clients[0].id"),
+]
+ID_FIELD_IDS = [".".join(map(str, path)) for path, _ in ID_FIELDS]
+
+
+def with_value(path, value):
+    doc = base_doc()
+    *head, last = path
+    node = doc
+    for key in head:
+        node = node[key]
+    node[last] = value
+    return doc
+
+
+@pytest.mark.parametrize("path, named", ID_FIELDS, ids=ID_FIELD_IDS)
+@pytest.mark.parametrize(
+    "bad",
+    ["", "a b", "a\tb", "a\nb", "a=b", "*", "\u00a0"],
+    ids=["empty", "space", "tab", "newline", "equals", "star", "nbsp"],
+)
+def test_every_id_the_trace_writes_follows_one_rule(path, named, bad):
+    with pytest.raises(ScenarioError) as excinfo:
+        parse_scenario(with_value(path, bad))
+    assert str(excinfo.value).startswith(f"{named}: {bad!r} must be non-empty")
+
+
+@pytest.mark.parametrize("path, named", ID_FIELDS, ids=ID_FIELD_IDS)
+def test_an_id_may_hold_any_other_character(path, named):
+    parse_scenario(with_value(path, "x.y-z_9@*/:#"))
+
+
+@pytest.mark.parametrize(
+    "path, bound",
+    [(("sites", 0, "ces", 0, "capacity"), 10_000), (("clients", 0, "jobs"), 100_000)],
+    ids=["capacity", "jobs"],
+)
+def test_counts_made_into_one_object_each_have_an_upper_bound(path, bound):
+    parse_scenario(with_value(path, bound))
+    for too_many in (bound + 1, 2**70):
+        with pytest.raises(ScenarioError, match=f"must be <= {bound}, got {too_many}"):
+            parse_scenario(with_value(path, too_many))
+
+
 def test_factory_entries_must_name_real_gateways():
     doc = variant(
         factories=[{"id": "fac-1", "condor_major": 10, "entries": ["ce-ghost"]}]

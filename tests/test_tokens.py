@@ -61,17 +61,21 @@ def trust(issuer_key):
 # -- keyring ----------------------------------------------------------------
 
 
+def active_kids(keyring):
+    return tuple(k for k, v in keyring.entries.items() if v.status is KeyStatus.ACTIVE)
+
+
 def test_keyring_lookup_and_active_kids(keyring):
     assert keyring.lookup("k1").secret == b"a" * 32
-    assert keyring.active_kids() == ("k1", "k2")
+    assert active_kids(keyring) == ("k1", "k2")
     with pytest.raises(UnknownKey):
         keyring.lookup("missing")
 
 
 def test_rotate_adds_key_without_mutating_original(keyring):
     grown = rotate_key(keyring, "k3", b"c" * 32)
-    assert grown.active_kids() == ("k1", "k2", "k3")
-    assert keyring.active_kids() == ("k1", "k2")
+    assert active_kids(grown) == ("k1", "k2", "k3")
+    assert active_kids(keyring) == ("k1", "k2")
     with pytest.raises(DuplicateKid):
         rotate_key(grown, "k1")
 
@@ -86,7 +90,7 @@ def test_rotate_draws_a_fresh_secret_when_none_given(keyring):
 def test_revoke_marks_key_and_leaves_original_untouched(keyring):
     revoked = revoke_key(keyring, "k1")
     assert revoked.lookup("k1").status is KeyStatus.REVOKED
-    assert revoked.active_kids() == ("k2",)
+    assert active_kids(revoked) == ("k2",)
     assert keyring.lookup("k1").status is KeyStatus.ACTIVE
     with pytest.raises(KeyRevoked):
         revoked.active_secret("k1")
