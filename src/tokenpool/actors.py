@@ -29,6 +29,12 @@ from .errors import (
     UntrustedIssuer,
 )
 from .policy import (
+    CH_ADVERTISE,
+    CH_CE_SUBMIT,
+    CH_JOIN,
+    CH_PROVISION,
+    CH_SUBMIT,
+    CH_TOKEN_FETCH,
     JOB_SUBMIT_SCOPE,
     AuthenticatedPeer,
     AuthMethod,
@@ -37,7 +43,6 @@ from .policy import (
     LocalFsCredential,
     MigrationPhase,
     ProxyCredential,
-    Role,
     apply_phase,
     authenticate,
     authorize,
@@ -74,23 +79,6 @@ from .tokens import (
     revoke_key,
     rotate_key,
 )
-
-CH_SUBMIT = Channel(Role.WMCLIENT, Role.SCHEDD)
-CH_ADVERTISE = Channel(Role.SCHEDD, Role.COLLECTOR)
-CH_TOKEN_FETCH = Channel(Role.FRONTEND, Role.ISSUER)
-CH_PROVISION = Channel(Role.FRONTEND, Role.FACTORY)
-CH_CE_SUBMIT = Channel(Role.FACTORY, Role.CE)
-CH_JOIN = Channel(Role.STARTD, Role.COLLECTOR)
-
-AUTH_CHANNELS = (
-    CH_SUBMIT,
-    CH_ADVERTISE,
-    CH_TOKEN_FETCH,
-    CH_PROVISION,
-    CH_CE_SUBMIT,
-    CH_JOIN,
-)
-AUTH_CHANNEL_LABELS = tuple(c.label for c in AUTH_CHANNELS)
 
 DAEMON_TOKEN_LIFETIME = 86400
 
@@ -142,11 +130,11 @@ class Pilot:
     #: World's jti ledger; None until the pilot is given an identity.
     jti: int | None = None
     token: str = ""
+    #: Set where its gateway reserves it a slot, which it holds until it ends.
     submitted_at: int | None = None
     joined_at: int | None = None
     #: The job this pilot runs, set only while it is MATCHED.
     job: Job | None = None
-    slot_held: bool = False
 
     def started(self) -> None:
         self.world.ces[self.ce_id].pilot_started(self)
@@ -162,12 +150,6 @@ class Pilot:
 
     def job_done(self) -> None:
         self.world.collector.job_done(self)
-
-
-class SubmitOutcome(enum.Enum):
-    ACCEPTED = "ACCEPTED"
-    AUTH_REJECTED = "AUTH_REJECTED"
-    FULL = "FULL"
 
 
 def _join_detail(*parts: str) -> str:
@@ -233,8 +215,6 @@ class World:
         self.parsed_token = Memo(jose.decode_token)
         self._pilot_seq = 0
         self._job_seq = 0
-        #: Live pilots by id; ``end_pilot`` removes a pilot as it ends.
-        self.pilots: dict[str, Pilot] = {}
         #: Pilots in PILOT_SUPPLY_STATES, kept by ``set_pilot_state``.
         self.supply = 0
         #: JOINED pilots (joined, not yet matched) by id, kept by
@@ -423,7 +403,6 @@ class World:
         pid = f"pilot-{self._pilot_seq:05d}"
         self._pilot_seq += 1
         pilot = Pilot(id=pid, ce_id=ce.id, state=PilotState.REQUESTED, world=ce.world)
-        self.pilots[pid] = pilot
         self.supply += 1
         self.trace.record(
             self.engine.now,
@@ -457,21 +436,20 @@ class World:
         )
 
     def end_pilot(
-        self, pilot: Pilot, state: PilotState, outcome: str, extra: str
+        self, pilot: Pilot, state: PilotState, extra: str = "", outcome: str = ""
     ) -> None:
         """Every way a pilot leaves the pool: out of the collector, its slot
-        freed, a job it still holds requeued, then its one PILOT record.
-        The World forgets the pilot, and its token, here."""
-        del self.pilots[pilot.id]
+        freed if it was submitted, a job it still holds requeued, then its
+        one PILOT record as ``pilot_event`` writes it.  The World forgets its
+        token, or takes back its jti draw, and keeps no other reference to it."""
         if pilot.token:
             self.forget_token(pilot.token)
         elif pilot.jti is not None:
             # No token carries this jti, so the ledger gives the draw back.
             self._used_jtis["pool"].discard(pilot.jti)
         self.collector.members.pop(pilot.id, None)
-        if pilot.slot_held:
+        if pilot.submitted_at is not None:
             self.ces[pilot.ce_id].reserved -= 1
-            pilot.slot_held = False
         job = pilot.job
         if job is not None:
             pilot.job = None
@@ -485,9 +463,7 @@ class World:
         self.pilot_event(pilot, state, extra, outcome)
 
     def fail_pilot(self, pilot: Pilot, reason: str) -> None:
-        self.end_pilot(
-            pilot, PilotState.FAILED, PilotState.FAILED._value_, f"reason={reason}"
-        )
+        self.end_pilot(pilot, PilotState.FAILED, f"reason={reason}")
 
     def new_job(self, spec: ClientSpec) -> Job:
         seq = self._job_seq
@@ -498,7 +474,7 @@ class World:
 
     def factory_serving(self, ce_id: str) -> "Factory | None":
         for factory in self.factories.values():
-            if not factory.entries or ce_id in factory.entries:
+            if ce_id in factory.entries:
                 return factory
         return None
 
@@ -674,7 +650,7 @@ class Collector:
 
     def evict(self, pilot: Pilot, reason: str) -> None:
         self.world.end_pilot(
-            pilot, PilotState.FAILED, "EVICT", f"kid={pilot.kid} reason={reason}"
+            pilot, PilotState.FAILED, f"kid={pilot.kid} reason={reason}", "EVICT"
         )
 
     def evict_by_kid(self, kid: str) -> list[Pilot]:
@@ -685,9 +661,7 @@ class Collector:
 
     def idle_check(self, pilot: Pilot) -> None:
         if pilot.state is PilotState.JOINED:
-            self.world.end_pilot(
-                pilot, PilotState.RETIRED, PilotState.RETIRED._value_, f"reason={IDLE}"
-            )
+            self.world.end_pilot(pilot, PilotState.RETIRED, f"reason={IDLE}")
 
     def match_tick(self) -> None:
         w = self.world
@@ -722,9 +696,7 @@ class Collector:
         w.trace.record(
             w.engine.now, TRACE_JOB, "DONE", detail=f"job={job.id} pilot={pilot.id}"
         )
-        w.end_pilot(
-            pilot, PilotState.RETIRED, PilotState.RETIRED._value_, f"job={job.id}"
-        )
+        w.end_pilot(pilot, PilotState.RETIRED, f"job={job.id}")
 
 
 class Frontend:
@@ -768,11 +740,9 @@ class Frontend:
 
     def provision_pairs(self) -> list[tuple["Factory", "CEGateway"]]:
         w = self.world
-        pairs: list[tuple[Factory, CEGateway]] = []
-        for factory in w.factories.values():
-            entries = factory.entries or tuple(w.ces)
-            pairs.extend((factory, w.ces[ce_id]) for ce_id in entries)
-        return pairs
+        return [
+            (factory, w.ces[ce_id]) for factory in w.factories.values() for ce_id in factory.entries
+        ]
 
     def cycle(self) -> None:
         w = self.world
@@ -818,7 +788,8 @@ class Factory:
         self.condor_major = spec.condor_major
         self.rest_adopted = spec.rest_adopted
         self.token_capable = spec.token_capable
-        self.entries = spec.entries
+        #: The gateways it submits to: its spec's, or every one if that names none.
+        self.entries = spec.entries or tuple(world.ces)
         self.pilot_proxy = ProxyCredential(
             "/DC=org/DC=cilogon/C=US/O=CMS/CN=Pilot/cms", 10**9, World.CA
         )
@@ -883,20 +854,18 @@ class Factory:
             w.fail_pilot(pilot, exc.reason)
             return pilot
         w.assign_startd_identity(pilot)
-        outcome = ce.receive_submission(pilot, credential, interface)
+        refused = ce.receive_submission(pilot, credential, interface)
         if (
-            outcome is SubmitOutcome.AUTH_REJECTED
+            refused == AUTH_REJECTED
             and method is AuthMethod.SCITOKEN
             and self.proxy_fallback_allowed()
         ):
-            outcome = ce.receive_submission(pilot, self.pilot_proxy, interface)
-        if outcome is SubmitOutcome.ACCEPTED:
+            refused = ce.receive_submission(pilot, self.pilot_proxy, interface)
+        if refused is None:
             # Same event as the draw above, so the same bytes as minting then.
             pilot.token = w.mint_startd_token(pilot)
-        elif outcome is SubmitOutcome.AUTH_REJECTED:
-            w.fail_pilot(pilot, AUTH_REJECTED)
         else:
-            w.fail_pilot(pilot, CAPACITY_EXCEEDED)
+            w.fail_pilot(pilot, refused)
         return pilot
 
 
@@ -915,7 +884,9 @@ class CEGateway:
 
     def receive_submission(
         self, pilot: Pilot, credential: object, interface: CEInterface
-    ) -> SubmitOutcome:
+    ) -> str | None:
+        """Authenticate a submission and reserve its slot: None if accepted,
+        else the reason refused, ``AUTH_REJECTED`` or ``CAPACITY_EXCEEDED``."""
         w = self.world
         now = w.engine.now
         if isinstance(credential, str) and w.board.active(
@@ -927,7 +898,7 @@ class CEGateway:
                 method=AuthMethod.SCITOKEN._value_,
                 detail=f"ce={self.id} pilot={pilot.id} fault=CE_TOKEN_MISCONFIG",
             )
-            return SubmitOutcome.AUTH_REJECTED
+            return AUTH_REJECTED
         try:
             peer = w.authenticate_on(
                 CH_CE_SUBMIT,
@@ -936,7 +907,7 @@ class CEGateway:
                 detail=f"ce={self.id} pilot={pilot.id} iface={interface._value_}",
             )
         except TokenPoolError:
-            return SubmitOutcome.AUTH_REJECTED
+            return AUTH_REJECTED
         if self.reserved >= self.capacity:
             w.refuse(
                 CH_CE_SUBMIT,
@@ -945,9 +916,8 @@ class CEGateway:
                 identity=peer.canonical_identity,
                 detail=f"ce={self.id} pilot={pilot.id}",
             )
-            return SubmitOutcome.FULL
+            return CAPACITY_EXCEEDED
         self.reserved += 1
-        pilot.slot_held = True
         pilot.submitted_at = now
         stuck = w.board.active(FaultKind.CE_STUCK_SUBMISSION, self.id, now) is not None
         w.pilot_event(
@@ -955,12 +925,11 @@ class CEGateway:
             PilotState.SUBMITTED,
             _join_detail(f"method={peer.method._value_}", "stuck=1" if stuck else ""),
         )
-        if stuck:
-            return SubmitOutcome.ACCEPTED
-        timings = w.scenario.pilots
-        w.engine.schedule(timings.startup - timings.join_latency, pilot.started)
-        w.engine.schedule(timings.startup, pilot.join)
-        return SubmitOutcome.ACCEPTED
+        if not stuck:
+            timings = w.scenario.pilots
+            w.engine.schedule(timings.startup - timings.join_latency, pilot.started)
+            w.engine.schedule(timings.startup, pilot.join)
+        return None
 
     def pilot_started(self, pilot: Pilot) -> None:
         if pilot.state is PilotState.SUBMITTED:

@@ -19,9 +19,9 @@ from functools import partial
 from pathlib import Path
 from typing import BinaryIO, Callable, Mapping
 
-from .actors import AUTH_CHANNEL_LABELS, World, build_world
+from .actors import World, build_world
 from .errors import SimulationError
-from .policy import PHASE_PERMITS, AuthMethod, MigrationPhase
+from .policy import LEGACY_METHODS, PHASE_PERMITS, AuthMethod, MigrationPhase, default_channels
 from .scenario import Scenario, load_scenario
 from .simnet import (
     OUTCOME_DENIED,
@@ -36,12 +36,12 @@ from .simnet import (
     Trace,
 )
 
-LEGACY_METHOD_VALUES = (AuthMethod.GSI_PROXY.value, AuthMethod.LOCAL_FS.value)
+LEGACY_METHOD_VALUES = frozenset(m.value for m in LEGACY_METHODS)
 
 #: ``capacity_fraction`` averages the pool size over this final share of the horizon.
 TAIL_FRACTION = 0.2
 
-_AUTH_CHANNELS = frozenset(AUTH_CHANNEL_LABELS)
+_AUTH_CHANNELS = frozenset(c.label for c in default_channels())
 _METHOD_VALUES = frozenset(m.value for m in AuthMethod)
 _PERMITTED = {
     phase: frozenset(m.value for m in methods) for phase, methods in PHASE_PERMITS.items()

@@ -107,9 +107,9 @@ class MigrationPhase(enum.Enum):
 
 #: Methods a channel may use under each phase.
 PHASE_PERMITS: dict[MigrationPhase, frozenset[AuthMethod]] = {
-    MigrationPhase.GSI_ONLY: frozenset({AuthMethod.GSI_PROXY, AuthMethod.LOCAL_FS}),
+    MigrationPhase.GSI_ONLY: LEGACY_METHODS,
     MigrationPhase.TOKEN_WITH_GSI_FALLBACK: frozenset(AuthMethod),
-    MigrationPhase.TOKEN_ONLY: frozenset({AuthMethod.IDTOKEN, AuthMethod.SCITOKEN}),
+    MigrationPhase.TOKEN_ONLY: TOKEN_METHODS,
 }
 
 
@@ -132,6 +132,15 @@ class Channel:
     @cached_property
     def label(self) -> str:
         return f"{self.src.value}->{self.dst.value}"
+
+
+#: The pool's six authenticated channels, constructed here and nowhere else.
+CH_SUBMIT = Channel(Role.WMCLIENT, Role.SCHEDD)
+CH_ADVERTISE = Channel(Role.SCHEDD, Role.COLLECTOR)
+CH_TOKEN_FETCH = Channel(Role.FRONTEND, Role.ISSUER)
+CH_PROVISION = Channel(Role.FRONTEND, Role.FACTORY)
+CH_CE_SUBMIT = Channel(Role.FACTORY, Role.CE)
+CH_JOIN = Channel(Role.STARTD, Role.COLLECTOR)
 
 
 @dataclass(frozen=True)
@@ -454,25 +463,15 @@ def default_channels() -> dict[Channel, ChannelPolicy]:
     """The six inter-daemon channels of the pool, pre-migration shape:
     tokens listed alongside the legacy method wherever both exist."""
     return {
-        Channel(Role.WMCLIENT, Role.SCHEDD): ChannelPolicy(
-            (AuthMethod.IDTOKEN, AuthMethod.LOCAL_FS), AuthzLevel.WRITE
-        ),
-        Channel(Role.SCHEDD, Role.COLLECTOR): ChannelPolicy(
-            (AuthMethod.IDTOKEN, AuthMethod.GSI_PROXY), AuthzLevel.ADVERTISE
-        ),
-        Channel(Role.FRONTEND, Role.ISSUER): ChannelPolicy(
-            (AuthMethod.IDTOKEN,), AuthzLevel.READ
-        ),
-        Channel(Role.FRONTEND, Role.FACTORY): ChannelPolicy(
-            (AuthMethod.IDTOKEN, AuthMethod.GSI_PROXY), AuthzLevel.WRITE
-        ),
-        Channel(Role.FACTORY, Role.CE): ChannelPolicy(
+        CH_SUBMIT: ChannelPolicy((AuthMethod.IDTOKEN, AuthMethod.LOCAL_FS), AuthzLevel.WRITE),
+        CH_ADVERTISE: ChannelPolicy((AuthMethod.IDTOKEN, AuthMethod.GSI_PROXY), AuthzLevel.ADVERTISE),
+        CH_TOKEN_FETCH: ChannelPolicy((AuthMethod.IDTOKEN,), AuthzLevel.READ),
+        CH_PROVISION: ChannelPolicy((AuthMethod.IDTOKEN, AuthMethod.GSI_PROXY), AuthzLevel.WRITE),
+        CH_CE_SUBMIT: ChannelPolicy(
             (AuthMethod.SCITOKEN, AuthMethod.GSI_PROXY),
             required_scopes=frozenset({JOB_SUBMIT_SCOPE}),
         ),
-        Channel(Role.STARTD, Role.COLLECTOR): ChannelPolicy(
-            (AuthMethod.IDTOKEN, AuthMethod.GSI_PROXY), AuthzLevel.ADVERTISE
-        ),
+        CH_JOIN: ChannelPolicy((AuthMethod.IDTOKEN, AuthMethod.GSI_PROXY), AuthzLevel.ADVERTISE),
     }
 
 

@@ -41,7 +41,15 @@ from tokenpool.errors import (
 from tokenpool.migration import parse_detail, run_scenario
 from tokenpool.policy import AuthMethod, MigrationPhase
 from tokenpool.scenario import CEInterface, load_scenario, parse_scenario
-from tokenpool.simnet import OUTCOME_SUCCESS, TRACE_PILOT, TRACE_POOL, Trace
+from tokenpool.simnet import (
+    OUTCOME_SUCCESS,
+    TRACE_FAULT,
+    TRACE_JOB,
+    TRACE_PILOT,
+    TRACE_PLAN,
+    TRACE_POOL,
+    Trace,
+)
 from tokenpool.tokens import DEFAULT_SKEW, KeyStatus, revoke_key
 
 ISSUER = "https://issuer.test"
@@ -121,6 +129,27 @@ def returned(monkeypatch, owner, name):
     return results
 
 
+def live_pilots(monkeypatch):
+    """Wrap ``World.new_pilot`` and ``World.end_pilot``; the dict returned
+    holds, by id, every pilot made and not yet ended.  Ending a pilot twice
+    raises here."""
+    live = {}
+    new_pilot, end_pilot = actors.World.new_pilot, actors.World.end_pilot
+
+    def made(world, ce):
+        pilot = new_pilot(world, ce)
+        live[pilot.id] = pilot
+        return pilot
+
+    def ended(world, pilot, *args, **kwargs):
+        end_pilot(world, pilot, *args, **kwargs)
+        del live[pilot.id]
+
+    monkeypatch.setattr(actors.World, "new_pilot", made)
+    monkeypatch.setattr(actors.World, "end_pilot", ended)
+    return live
+
+
 def pilot_ids(world, outcome):
     return {parse_detail(r.detail)["pilot"] for r in world.trace.select(TRACE_PILOT, outcome=outcome)}
 
@@ -128,11 +157,12 @@ def pilot_ids(world, outcome):
 # -- the happy pipeline -----------------------------------------------------
 
 
-def test_pipeline_fills_pool_with_tokens_end_to_end():
+def test_pipeline_fills_pool_with_tokens_end_to_end(monkeypatch):
+    live = live_pilots(monkeypatch)
     w = run_doc()
     assert len(w.collector.members) == 5
     assert all(p.state is PilotState.MATCHED for p in w.collector.members.values())
-    assert sum(1 for p in w.pilots.values() if p.job is not None) == 5
+    assert sum(1 for p in live.values() if p.job is not None) == 5
 
     # Every hop authenticated with its token method.
     assert successes(w, CH_SUBMIT, AuthMethod.IDTOKEN)
@@ -218,7 +248,8 @@ def test_misconfigured_ce_masked_by_proxy_fallback():
             assert later, f"no proxy retry for {pilot}"
 
 
-def test_misconfigured_ce_starves_pool_under_token_only():
+def test_misconfigured_ce_starves_pool_under_token_only(monkeypatch):
+    live = live_pilots(monkeypatch)
     w = run_doc(
         phase="TOKEN_ONLY", faults=[{"kind": "CE_TOKEN_MISCONFIG", "target": "ce-a"}]
     )
@@ -229,7 +260,7 @@ def test_misconfigured_ce_starves_pool_under_token_only():
     ]
     requested = pilot_ids(w, "REQUESTED")
     assert requested and requested == pilot_ids(w, "FAILED")
-    assert w.pilots == {}
+    assert live == {}
 
 
 def test_token_only_without_ce_token_support_is_a_dead_end():
@@ -315,7 +346,8 @@ def test_unknown_fault_target_rejected_at_world_start():
 # -- key compromise ---------------------------------------------------------
 
 
-def test_startd_key_compromise_evicts_rotates_reprovisions():
+def test_startd_key_compromise_evicts_rotates_reprovisions(monkeypatch):
+    live = live_pilots(monkeypatch)
     w = run_doc(
         # Park the frontend after its first cycle so the drill's own
         # reprovisioning is the only source of replacement pilots.
@@ -353,7 +385,7 @@ def test_startd_key_compromise_evicts_rotates_reprovisions():
 
     # Pool is back at pre-drill strength and every job is running again.
     assert len(w.collector.members) == 4
-    assert sum(1 for p in w.pilots.values() if p.job is not None) == 4
+    assert sum(1 for p in live.values() if p.job is not None) == 4
 
 
 def test_daemon_key_compromise_reminted_for_all_daemons():
@@ -652,11 +684,12 @@ def test_policy_memo_caps_do_not_change_the_digest(path, monkeypatch):
 def test_parse_memo_and_sessions_follow_the_pool(path, monkeypatch):
     # A token whose pilot has ended, or a capability token the frontend
     # has replaced, is never presented again, so neither cache holds it.
+    live = live_pilots(monkeypatch)
     made = returned(monkeypatch, actors.World, "new_pilot")
     fetched = returned(monkeypatch, actors.TokenIssuer, "fetch_capability")
     world = run_scenario(path).world
     held = {token for token, _, _ in world.frontend.scitokens.values()}
-    ended = {p.token for p in made if p.token and p.id not in world.pilots}
+    ended = {p.token for p in made if p.token and p.id not in live}
     dead = ended | (set(fetched) - held)
     assert not dead & world.parsed_token.keys()
     assert not dead & {token.compact for token in world.policy.sessions}
@@ -666,24 +699,25 @@ def test_parse_memo_and_sessions_follow_the_pool(path, monkeypatch):
     assert dead or path.stem in ("arc-ldap-deprecation", "split-2022")
 
 
-def supply_scan(world):
-    return sum(1 for p in world.pilots.values() if p.state in actors.PILOT_SUPPLY_STATES)
+def supply_scan(live):
+    return sum(1 for p in live.values() if p.state in actors.PILOT_SUPPLY_STATES)
 
 
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
 def test_live_supply_count_matches_a_scan_at_every_cycle(path, monkeypatch):
+    live = live_pilots(monkeypatch)
     cycle = actors.Frontend.cycle
     seen = []
 
     def checked_cycle(frontend):
-        assert frontend.world.supply == supply_scan(frontend.world), frontend.world.engine.now
+        assert frontend.world.supply == supply_scan(live), frontend.world.engine.now
         seen.append(frontend.world.supply)
         cycle(frontend)
 
     monkeypatch.setattr(actors.Frontend, "cycle", checked_cycle)
     world = run_scenario(path).world
-    assert world.supply == supply_scan(world)
-    assert len(seen) > 1 and world.pilots
+    assert world.supply == supply_scan(live)
+    assert len(seen) > 1 and live
 
 
 def joined_scan(world):
@@ -709,16 +743,17 @@ def test_joined_map_matches_a_scan_of_the_members_at_every_tick(path, monkeypatc
     assert len(seen) > 1 and any(seen)
 
 
-def test_evicting_a_joined_pilot_lowers_the_supply_count():
+def test_evicting_a_joined_pilot_lowers_the_supply_count(monkeypatch):
     # No shipped scenario evicts a pilot that is still unmatched.
+    live = live_pilots(monkeypatch)
     w = idle_world()
     before = w.supply
     pilot, _ = startd_token(w)
     w.pilot_event(pilot, PilotState.JOINED)
-    assert w.supply == before + 1 == supply_scan(w)
+    assert w.supply == before + 1 == supply_scan(live)
     assert w.joined == {pilot.id: pilot}
     w.collector.evict(pilot, KEY_COMPROMISE)
-    assert w.supply == before == supply_scan(w)
+    assert w.supply == before == supply_scan(live)
     assert w.joined == {}
 
 
@@ -856,14 +891,15 @@ def test_pilot_states_follow_the_life_cycle(path, monkeypatch):
         set_state(world, pilot, state)
 
     monkeypatch.setattr(actors.World, "set_pilot_state", checked)
+    live = live_pilots(monkeypatch)
     made = returned(monkeypatch, actors.World, "new_pilot")
-    world = run_scenario(path).world
+    run_scenario(path)
     assert last
     for pilot in made:
         state = last.get(pilot.id, PilotState.REQUESTED)
         assert pilot.state is state, pilot.id
         ended = state in (PilotState.RETIRED, PilotState.FAILED)
-        assert (pilot.id in world.pilots) is not ended, (pilot.id, state)
+        assert (pilot.id in live) is not ended, (pilot.id, state)
     assert len(made) == len({pilot.id for pilot in made})
 
 
@@ -873,32 +909,37 @@ class WeakPilot(actors.Pilot):
     __slots__ = ("__weakref__",)
 
 
+def check_live_ledger(world, live):
+    """The World's counts agree with the live pilots: the collector holds
+    exactly the joined and matched ones, and each gateway has reserved one
+    slot, within its capacity, per live pilot it accepted."""
+    assert world.collector.members == {
+        pid: p for pid, p in live.items() if p.state in (PilotState.JOINED, PilotState.MATCHED)
+    }
+    for ce in world.ces.values():
+        held = sum(1 for p in live.values() if p.ce_id == ce.id and p.submitted_at is not None)
+        assert ce.reserved == held <= ce.capacity, ce.id
+
+
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
 def test_world_keeps_only_live_pilots(path, monkeypatch):
-    new_pilot, end_pilot, cycle = (
-        actors.World.new_pilot, actors.World.end_pilot, actors.Frontend.cycle
-    )
-    live = {}  # made and not yet ended, as the wrappers saw them
+    live = live_pilots(monkeypatch)  # made and not yet ended, as the wrappers saw them
+    end_pilot, cycle = actors.World.end_pilot, actors.Frontend.cycle
     refused = []  # weak references to pilots refused at submission
     cycles = []
 
-    def made(world, ce):
-        pilot = new_pilot(world, ce)
-        live[pilot.id] = pilot
-        return pilot
-
-    def ended(world, pilot, *args):
-        end_pilot(world, pilot, *args)
-        del live[pilot.id]
+    def ended(world, pilot, *args, **kwargs):
+        end_pilot(world, pilot, *args, **kwargs)
         if pilot.submitted_at is None:
             refused.append(weakref.ref(pilot))
 
     def checked_cycle(frontend):
-        assert frontend.world.pilots == live, frontend.world.engine.now
+        world = frontend.world
+        assert not hasattr(world, "pilots")  # the World keeps no registry of them
+        check_live_ledger(world, live)
         cycles.append(len(live))
         cycle(frontend)
 
-    monkeypatch.setattr(actors.World, "new_pilot", made)
     monkeypatch.setattr(actors.World, "end_pilot", ended)
     monkeypatch.setattr(actors.Frontend, "cycle", checked_cycle)
     monkeypatch.setattr(actors, "Pilot", WeakPilot)
@@ -907,7 +948,7 @@ def test_world_keeps_only_live_pilots(path, monkeypatch):
     gc.disable()
     try:
         world = run_scenario(path).world
-        assert world.pilots == live
+        check_live_ledger(world, live)
         assert [r for r in refused if r() is not None] == []
     finally:
         if was_enabled:
@@ -916,9 +957,9 @@ def test_world_keeps_only_live_pilots(path, monkeypatch):
 
 
 #: The tracemalloc peak of a ``rollout-2022`` run, in bytes: 1.10 times the
-#: largest of its readings, 3,204,016 to 3,213,470 B (3.06 MiB), in fresh
+#: largest of its readings, 3,135,268 to 3,143,610 B (3.00 MiB), in fresh
 #: processes and under pytest.
-ROLLOUT_PEAK_BOUND = int(1.10 * 3_213_470)
+ROLLOUT_PEAK_BOUND = int(1.10 * 3_143_610)
 
 
 def test_live_pool_fits_its_memory_bound():
@@ -942,10 +983,13 @@ def test_live_pool_fits_its_memory_bound():
 ROLLOUT_PEAK_T = 530
 
 #: Bytes held per live pilot at that instant, tracemalloc's current count
-#: over the run so far: 1,592 once a pending event is one bound method of its
-#: pilot, the token's signature is read off the wire, the pilot keeps its
-#: jti as the ledger's draw and a job keeps no name (1,982 before).
-BYTES_PER_LIVE_PILOT = 1750
+#: over the run so far: 1,569 to 1,573 under pytest and 1,589 in a fresh
+#: process, once a pending event is one bound method of its pilot, the
+#: token's signature is read off the wire, the pilot keeps its jti as the
+#: ledger's draw, a job keeps no name, and the World keeps no registry of
+#: its pilots nor a pilot a flag for its slot.  The bound is 1.10 times the
+#: largest reading.
+BYTES_PER_LIVE_PILOT = int(1.10 * 1588.5)
 
 
 def rollout_at_peak():
@@ -954,9 +998,10 @@ def rollout_at_peak():
     return world
 
 
-def test_pending_pilot_events_are_single_bound_methods_of_their_pilot():
+def test_pending_pilot_events_are_single_bound_methods_of_their_pilot(monkeypatch):
     # One small object per pending event: a method of the pilot bound once,
     # never a bound method wrapped in another, nor a closure over a pilot.
+    live = live_pilots(monkeypatch)
     world = rollout_at_peak()
     steps = {f for f in vars(actors.Pilot).values() if isinstance(f, types.FunctionType)}
     served = []
@@ -971,7 +1016,9 @@ def test_pending_pilot_events_are_single_bound_methods_of_their_pilot():
         held += action.__defaults__ or ()
         assert not any(isinstance(v, actors.Pilot) for v in held), action
     keepalives = {id(a.__self__) for a in served if a.__func__ is actors.Pilot.keepalive}
-    assert len(world.pilots) > 1900
+    assert len(live) > 1900
+    # At the peak every live pilot is a member, as the byte budget assumes.
+    assert world.collector.members == live
     assert keepalives == {id(p) for p in world.collector.members.values()}
     assert len(served) >= 3 * len(world.collector.members)
 
@@ -985,8 +1032,8 @@ def test_live_pilot_fits_its_byte_budget():
         world = rollout_at_peak()
         held = tracemalloc.get_traced_memory()[0]
         # Pilots and their pending events reach the World only weakly, so
-        # reference counting alone frees it.
-        live, freed = len(world.pilots), weakref.ref(world)
+        # reference counting alone frees it.  Every live pilot is a member.
+        live, freed = len(world.collector.members), weakref.ref(world)
         del world
         assert freed() is None
     finally:
@@ -1281,6 +1328,27 @@ def test_refusals_are_written_and_methods_negotiated_in_one_place():
     tree = ast.parse(Path(actors.__file__).read_text())
     assert _callers(tree, "fail_outcome") == {"World.refuse"}
     assert _callers(tree, "negotiate_method") == {"World.negotiate"}
+
+
+def test_only_policy_constructs_a_channel():
+    # The six channels have one home, policy's ``CH_*`` constants, which
+    # ``default_channels`` is keyed by; every other module imports them.
+    builders = set()
+    for path in sorted(Path(policy.__file__).parent.glob("*.py")):
+        builders |= {f"{path.stem}.{c}" for c in _callers(ast.parse(path.read_text()), "Channel")}
+    assert builders == {"policy.<module>"}
+
+
+#: The trace heads that are not an authenticated channel.
+NON_AUTH_HEADS = {TRACE_FAULT, TRACE_JOB, TRACE_PILOT, TRACE_PLAN, TRACE_POOL}
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+def test_every_traced_auth_channel_is_a_default_channel(path):
+    labels = {channel.label for channel in policy.default_channels()}
+    traced = {channel for channel, *_ in run_scenario(path).trace.head_counts()}
+    assert traced - NON_AUTH_HEADS <= labels
+    assert traced & labels
 
 
 def test_no_memo_has_a_size_cap_and_only_the_fold_clears():

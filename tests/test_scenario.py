@@ -1,11 +1,15 @@
 """Scenario parsing: defaults, cross-references, strict rejection."""
 
 import copy
+import dataclasses
+import math
 import re
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tokenpool import scenario
 from tokenpool.errors import ScenarioError
@@ -554,12 +558,19 @@ def _scalar_leaves(node, path=()):
         yield path, node
 
 
+#: Passed as the value to ``_replaced``, deletes the entry at the path.
+DELETE = object()
+
+
 def _replaced(doc, path, value):
     doc = copy.deepcopy(doc)
     node = doc
     for key in path[:-1]:
         node = node[key]
-    node[path[-1]] = value
+    if value is DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
     return doc
 
 
@@ -582,6 +593,38 @@ def test_every_scalar_of_another_type_is_rejected(stem):
             except ScenarioError:
                 continue
             assert may_parse, f"{stem}: {path} = {value!r} was accepted"
+
+
+#: The values a mutation may put in place of any one value of a scenario.
+MUTATION_POOL = ("", -1, 0, 1.5, 2**70, math.nan, math.inf, [], {}, True, "*", "a b", "a=b")
+SHIPPED_DOCS = {path.stem: yaml.safe_load(path.read_text()) for path in sorted(SCENARIO_DIR.glob("*.yaml"))}
+
+
+def _value_paths(node, path=()):
+    """The path to every value below ``node``, mappings and lists included."""
+    if isinstance(node, (dict, list)):
+        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+            yield (*path, key)
+            yield from _value_paths(value, (*path, key))
+
+
+VALUE_PATHS = {stem: list(_value_paths(doc)) for stem, doc in SHIPPED_DOCS.items()}
+
+
+@settings(max_examples=400)
+@given(st.data())
+def test_a_mutated_shipped_scenario_is_refused_at_parse_or_runs(data):
+    """Delete one key (or list item) of a shipped scenario, or replace one
+    value with one from a fixed pool: the parser refuses the result with
+    ScenarioError, or the run, capped at t=1200, raises nothing."""
+    stem = data.draw(st.sampled_from(sorted(SHIPPED_DOCS)), label="scenario")
+    path = data.draw(st.sampled_from(VALUE_PATHS[stem]), label="path")
+    value = data.draw(st.sampled_from((DELETE, *MUTATION_POOL)), label="value")
+    try:
+        sc = parse_scenario(_replaced(SHIPPED_DOCS[stem], path, value))
+    except ScenarioError:
+        return
+    run_scenario(dataclasses.replace(sc, horizon=min(sc.horizon, 1200)))
 
 
 def test_readme_example_parses_and_runs():
