@@ -130,8 +130,6 @@ class Pilot:
     #: World's jti ledger; None until the pilot is given an identity.
     jti: int | None = None
     token: str = ""
-    #: Set where its gateway reserves it a slot, which it holds until it ends.
-    submitted_at: int | None = None
     joined_at: int | None = None
     #: The job this pilot runs, set only while it is MATCHED.
     job: Job | None = None
@@ -203,7 +201,7 @@ class World:
         self.trusted_cas = frozenset({self.CA})
 
         self.base_table = default_table()
-        self.policy = CompiledPolicy(apply_phase(self.base_table, self.phase))
+        self.policy: CompiledPolicy  # compiled by set_phase, which start() calls first
 
         #: The 64-bit draws behind every jti handed out, by authority, less
         #: the pilot draws ``end_pilot`` gives back because no token took them.
@@ -448,7 +446,8 @@ class World:
             # No token carries this jti, so the ledger gives the draw back.
             self._used_jtis["pool"].discard(pilot.jti)
         self.collector.members.pop(pilot.id, None)
-        if pilot.submitted_at is not None:
+        # A pilot holds its gateway's slot from the moment it leaves REQUESTED.
+        if pilot.state is not PilotState.REQUESTED:
             self.ces[pilot.ce_id].reserved -= 1
         job = pilot.job
         if job is not None:
@@ -709,8 +708,8 @@ class Frontend:
         self.proxy = ProxyCredential(
             "/DC=org/DC=cilogon/C=US/O=CMS/CN=Frontend/cms", 10**9, World.CA
         )
-        #: gateway id -> (token, issued_at, expires_at)
-        self.scitokens: dict[str, tuple[str, int, int]] = {}
+        #: gateway id -> (token, issued_at)
+        self.scitokens: dict[str, tuple[str, int]] = {}
 
     def refresh_capabilities(self) -> None:
         w = self.world
@@ -730,11 +729,12 @@ class Frontend:
                 continue
             if cached is not None:
                 w.forget_token(cached[0])
-            self.scitokens[ce.id] = (token, now, now + lifetime)
+            self.scitokens[ce.id] = (token, now)
 
     def capability_for(self, ce_id: str) -> str | None:
+        w = self.world
         cached = self.scitokens.get(ce_id)
-        if cached is None or self.world.engine.now >= cached[2]:
+        if cached is None or w.engine.now >= cached[1] + w.scenario.issuer.scitoken_lifetime:
             return None
         return cached[0]
 
@@ -918,7 +918,6 @@ class CEGateway:
             )
             return CAPACITY_EXCEEDED
         self.reserved += 1
-        pilot.submitted_at = now
         stuck = w.board.active(FaultKind.CE_STUCK_SUBMISSION, self.id, now) is not None
         w.pilot_event(
             pilot,

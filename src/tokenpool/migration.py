@@ -148,7 +148,9 @@ class _Pass:
     so an instant is settled when a later one starts.  A PHASE record at t
     governs every auth attempt at t, and the drill counts every eviction and
     join at the compromise instant, whichever was written first; so both
-    wait for the current instant to end.
+    wait for the current instant to end.  The drill keeps two buffers, the
+    kids evicted and the join times, emptied as each instant ends until the
+    compromise and only appended to from then on.
     """
 
     def __init__(self, scenario: Scenario) -> None:
@@ -161,11 +163,9 @@ class _Pass:
         self.peak = self.final = self.tail_sum = self.tail_n = 0
         self.job_counts: Counter[str] = Counter()  # jobs queued; other job events are counts
         self.compromise: tuple[int, str] | None = None  # first KEY_COMPROMISE: (t, kid)
-        # Until a compromise: the pool size at the end of the last instant,
-        # and the kids evicted and the joins at the current one.
-        self.pool_before = self.joins_now = self.evicted = 0
-        self.evicted_now: list[str | None] = []
-        self.joins_after = array("q")  # join times from the compromise on
+        self.pool_before = 0  # the pool size at the end of the last instant before the compromise
+        self.evicted: list[str | None] = []
+        self.joins = array("q")
 
     def step_for(self, head: Head) -> Callable[[int, str], None] | None:
         channel, _, method, outcome = head
@@ -187,7 +187,7 @@ class _Pass:
 
     def _close(self) -> None:
         """Judge the instant's attempts (or keep them until the first PHASE
-        record) and, until a compromise, settle its drill buffers."""
+        record) and, until a compromise, empty the drill's buffers."""
         if self.timeline:
             phase = self.timeline[-1][1]
             permitted = _PERMITTED[phase]
@@ -199,8 +199,8 @@ class _Pass:
             self.attempts.clear()
         if self.compromise is None:
             self.pool_before = self.final
-            self.evicted_now.clear()
-            self.joins_now = 0
+            self.evicted.clear()
+            del self.joins[:]
 
     def _attempt(self, head: Head, t: int, detail: str) -> None:
         self.attempts.append((t, head))
@@ -216,26 +216,15 @@ class _Pass:
             self.tail_n += 1
 
     def _joined(self, t: int, detail: str) -> None:
-        if self.compromise is None:
-            self.joins_now += 1
-        else:
-            self.joins_after.append(t)
+        self.joins.append(t)
 
     def _evict(self, t: int, detail: str) -> None:
-        kid = parse_detail(detail).get("kid")
-        if self.compromise is None:
-            self.evicted_now.append(kid)
-        elif kid == self.compromise[1]:
-            self.evicted += 1
+        self.evicted.append(parse_detail(detail).get("kid"))
 
     def _activate(self, t: int, detail: str) -> None:
         kv = parse_detail(detail)
-        if kv.get("kind") != "KEY_COMPROMISE" or self.compromise is not None:
-            return
-        kid = kv["target"]
-        self.compromise = (t, kid)
-        self.evicted = self.evicted_now.count(kid)
-        self.joins_after.extend([t] * self.joins_now)
+        if kv.get("kind") == "KEY_COMPROMISE" and self.compromise is None:
+            self.compromise = (t, kv["target"])
 
     def _queued(self, t: int, detail: str) -> None:
         self.job_counts["QUEUED"] += int(parse_detail(detail).get("count", "0"))
@@ -291,10 +280,10 @@ class _Pass:
         if self.compromise is None:
             return None
         compromised_at, kid = self.compromise
-        evicted = self.evicted
+        evicted = self.evicted.count(kid)
         recovered_at: int | None = None
-        if evicted and len(self.joins_after) >= evicted:
-            recovered_at = self.joins_after[evicted - 1]
+        if evicted and len(self.joins) >= evicted:
+            recovered_at = self.joins[evicted - 1]
         recovery_time = None if recovered_at is None else recovered_at - compromised_at
         bound = self.scenario.drill.reprovision_delay + self.scenario.pilots.startup
         return DrillReport(

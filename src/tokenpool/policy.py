@@ -502,9 +502,10 @@ def apply_phase(table: PolicyTable, phase: MigrationPhase) -> PolicyTable:
     GSI_ONLY drops token methods from any channel that still has a
     legacy method (token-only channels are left alone: they have no
     pre-token shape to fall back to).  The fallback phase keeps
-    everything but lists tokens first.  TOKEN_ONLY drops the legacy
-    methods everywhere; a channel may end up with no methods at all, in
-    which case negotiation on it fails until its parties learn tokens.
+    everything.  TOKEN_ONLY drops the legacy methods everywhere; a channel
+    may end up with no methods at all, in which case negotiation on it
+    fails until its parties learn tokens.  Each channel keeps the table's
+    method order: ``negotiate_method`` ranks tokens first on every call.
     """
     permitted = PHASE_PERMITS[phase]
     channels: dict[Channel, ChannelPolicy] = {}
@@ -515,10 +516,5 @@ def apply_phase(table: PolicyTable, phase: MigrationPhase) -> PolicyTable:
             methods = pol.methods
         else:
             methods = tuple(m for m in pol.methods if m in permitted)
-        ranked = tuple(m for m in methods if m in TOKEN_METHODS) + tuple(
-            m for m in methods if m not in TOKEN_METHODS
-        )
-        channels[channel] = ChannelPolicy(
-            ranked, pol.required_level, pol.required_scopes
-        )
+        channels[channel] = ChannelPolicy(methods, pol.required_level, pol.required_scopes)
     return PolicyTable(channels, table.identity_map)

@@ -68,7 +68,6 @@ class PilotTimings:
 @dataclass(frozen=True, kw_only=True)
 class CESpec:
     id: str
-    site: str  # the name of the site that lists this gateway
     flavor: CEFlavor
     interface: CEInterface = CEInterface.NATIVE
     capacity: int
@@ -163,9 +162,10 @@ _MINIMA: dict[type, dict[str, int]] = {
     DrillSpec: {"reprovision_delay": 1},
 }
 
-#: Upper bound of each integer field the run turns into one object per
-#: unit, far above any shipped value.
+#: Upper bound of each integer field the run's cost grows with (one object
+#: per unit, or one step per simulated second), far above any shipped value.
 _MAXIMA: dict[type, dict[str, int]] = {
+    Scenario: {"horizon": 86_400},  # one simulated day
     CESpec: {"capacity": 10_000},
     ClientSpec: {"jobs": 100_000},
 }
@@ -175,10 +175,8 @@ _MAXIMA: dict[type, dict[str, int]] = {
 #: fault wildcard, so it names nothing.
 _ID = re.compile(r"[^\s=]+")
 
-#: Lists whose items are named in error messages by a noun (where their
-#: YAML key is terse) and take one field from the spec holding the list,
-#: never from their own mapping: ``(noun, item field, holder field)``.
-_ITEMS: dict[tuple[type, str], tuple[str, str, str]] = {(SiteSpec, "ces"): ("gateway", "site", "name")}
+#: The noun error messages put before a list whose YAML key is terse.
+_NOUNS: dict[tuple[type, str], str] = {(SiteSpec, "ces"): "gateway"}
 
 _Read = Callable[..., Any]
 
@@ -213,10 +211,10 @@ def _read_enum(cls: type[enum.Enum], value: Any, where: str) -> enum.Enum:
     raise ScenarioError(f"{where}: {value!r} not one of {', '.join(cls.__members__)}")
 
 
-def _read_list(read: _Read, value: Any, where: str, **given: Any) -> tuple:
+def _read_list(read: _Read, value: Any, where: str) -> tuple:
     if not isinstance(value, list):
         raise ScenarioError(f"{where}: expected a list, got {value!r}")
-    return tuple(read(item, f"{where}[{i}]", **given) for i, item in enumerate(value))
+    return tuple(read(item, f"{where}[{i}]") for i, item in enumerate(value))
 
 
 @functools.cache
@@ -246,42 +244,38 @@ def _reader(tp: Any, minimum: int | None = None, maximum: int | None = None) -> 
 
 
 @functools.cache
-def _plan(cls: type) -> dict[str, tuple[_Read, bool, tuple[str, str, str] | None]]:
+def _plan(cls: type) -> dict[str, tuple[_Read, bool, str | None]]:
     """Each field of a spec class: its reader, whether it has no default,
-    and its ``_ITEMS`` entry.  Built once per class."""
+    and its ``_NOUNS`` entry.  Built once per class."""
     hints = typing.get_type_hints(cls)
     minima, maxima = _MINIMA.get(cls, {}), _MAXIMA.get(cls, {})
     return {
         f.name: (
             _reader(hints[f.name], minima.get(f.name), maxima.get(f.name)),
             f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING,
-            _ITEMS.get((cls, f.name)),
+            _NOUNS.get((cls, f.name)),
         )
         for f in dataclasses.fields(cls)
     }
 
 
-def _read_spec(cls: type, data: Any, where: str, **given: Any) -> Any:
+def _read_spec(cls: type, data: Any, where: str) -> Any:
     """Read a mapping into ``cls``: each key names a field, each value has
-    its field's type, and an absent field takes its declared default.
-    ``given`` fields come from the caller and may not appear in ``data``."""
+    its field's type, and an absent field takes its declared default."""
     plan = _plan(cls)
     if not isinstance(data, Mapping):
         raise ScenarioError(f"{where or 'scenario'}: expected a mapping, got {data!r}")
-    unknown = sorted(str(k) for k in data if k not in plan or k in given)
+    unknown = sorted(str(k) for k in data if k not in plan)
     if unknown:
         raise ScenarioError(f"unknown {where or 'top-level'} fields: {unknown}")
-    values = dict(given)
-    for name, (read, required, items) in plan.items():
+    values: dict[str, Any] = {}
+    for name, (read, required, noun) in plan.items():
         if name not in data:
-            if required and name not in values:
+            if required:
                 raise ScenarioError(f"{where or 'scenario'}: missing {name!r}")
             continue
-        if items is None:
-            values[name] = read(data[name], f"{where}.{name}" if where else name)
-        else:
-            noun, item_field, holder_field = items
-            values[name] = read(data[name], f"{noun} {where}.{name}", **{item_field: values[holder_field]})
+        field_where = f"{where}.{name}" if where else name
+        values[name] = read(data[name], field_where if noun is None else f"{noun} {field_where}")
     return cls(**values)
 
 

@@ -403,15 +403,17 @@ def _with(path, value):
         (("keys", 1, "kid"), "startd-1 x", "keys[1].kid: 'startd-1 x'"),
         (("sites", 0, "ces", 0, "id"), "*", "gateway sites[0].ces[0].id: '*'"),
         (("clients", 0, "jobs"), 2**70, "clients[0].jobs: must be <= "),
+        (("horizon",), 2**70, "horizon: must be <= "),
     ],
-    ids=["empty-kid", "kid-with-space", "gateway-star", "huge-jobs"],
+    ids=["empty-kid", "kid-with-space", "gateway-star", "huge-jobs", "huge-horizon"],
 )
 def test_scenario_the_run_cannot_carry_is_refused_before_it_starts(
     capsys, tmp_path, monkeypatch, path, value, named
 ):
     # An empty kid fails the run at its first mint, a space splits a trace
     # detail, a gateway named ``*`` cannot be a fault's only target, and
-    # 2**70 jobs never finish: each is refused before the run starts.
+    # 2**70 jobs or simulated seconds never finish: each is refused before
+    # the run starts.
     from tokenpool import migration
 
     def no_run(*args, **kwargs):

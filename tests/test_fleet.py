@@ -34,7 +34,7 @@ def fleet(sc: Scenario, k: int) -> Scenario:
             replace(
                 site,
                 name=site.name + x,
-                ces=tuple(replace(ce, id=ce.id + x, site=site.name + x) for ce in site.ces),
+                ces=tuple(replace(ce, id=ce.id + x) for ce in site.ces),
             )
             for site in sc.sites
         ]

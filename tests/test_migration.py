@@ -5,6 +5,8 @@ import json
 
 import pytest
 import yaml
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tokenpool.migration import (
     _Pass,
@@ -325,6 +327,75 @@ def test_fold_drill_counts_an_eviction_and_a_join_written_before_the_compromise_
     report = drill_report(refolded(drill_result, forged))
     assert (report.kid, report.compromised_at, report.pool_before) == ("startd-1", 300, 4)
     assert (report.evicted, report.recovered_at, report.recovery_time) == (2, 330, 30)
+
+
+STARTD_KIDS = ("startd-1", "startd-2", "startd-3")
+
+#: A record other than a compromise's ACTIVATE, as (channel, detail, outcome).
+_DRILL_BODY = st.one_of(
+    st.integers(0, 9).map(lambda n: ("POOL", f"joined=0 matched={n} size={n}", "SAMPLE")),
+    st.sampled_from(STARTD_KIDS).map(lambda kid: ("PILOT", f"pilot=p kid={kid}", "JOINED")),
+    st.sampled_from(STARTD_KIDS).map(lambda kid: ("PILOT", f"pilot=p kid={kid} reason=KeyRevoked", "EVICT")),
+    st.sampled_from(
+        [
+            ("FAULT", "kind=MESSAGE_DROP target=* start=0 rate=0.5", "ACTIVATE"),
+            ("FAULT", "kind=KEY_COMPROMISE target=startd-1 start=0", "INJECT"),
+            ("PILOT", "pilot=p ce=ce-a", "SUBMITTED"),
+            ("JOB", "job=job-00001 pilot=p", "MATCH"),
+        ]
+    ),
+)
+
+
+@st.composite
+def drill_records(draw):
+    """Records whose times never decrease, many sharing an instant, with zero,
+    one or two key compromises among them."""
+    body = draw(st.lists(_DRILL_BODY, min_size=8, max_size=30))
+    for _ in range(draw(st.integers(0, 2))):
+        kid = draw(st.sampled_from(STARTD_KIDS))
+        compromise = ("FAULT", f"kind=KEY_COMPROMISE target={kid} start=0", "ACTIVATE")
+        body.insert(draw(st.integers(0, len(body))), compromise)
+    t, records = 0, []
+    for channel, detail, outcome in body:
+        t += draw(st.sampled_from((0, 0, 0, 1, 30)))
+        records.append(Record(channel, detail, "-", "-", outcome, t))
+    return records
+
+
+def brute_force_drill(records):
+    """(kid, compromised_at, pool_before, evicted, recovered_at) of the first
+    compromise, read off the whole list, or None without one."""
+    def of(channel, outcome):
+        return [(r.t, parse_detail(r.detail)) for r in records if (r.channel, r.outcome) == (channel, outcome)]
+
+    compromises = [(t, kv["target"]) for t, kv in of("FAULT", "ACTIVATE") if kv["kind"] == "KEY_COMPROMISE"]
+    if not compromises:
+        return None
+    at, kid = compromises[0]
+    sizes = [int(kv["size"]) for t, kv in of("POOL", "SAMPLE") if t < at]
+    evicted = sum(1 for t, kv in of("PILOT", "EVICT") if t >= at and kv["kid"] == kid)
+    joins = [t for t, _ in of("PILOT", "JOINED") if t >= at]
+    recovered_at = joins[evicted - 1] if 0 < evicted <= len(joins) else None
+    return kid, at, sizes[-1] if sizes else 0, evicted, recovered_at
+
+
+@given(records=drill_records())
+def test_fold_drill_matches_a_brute_force_over_generated_records(drill_result, records):
+    # A live run writes no join or eviction before the compromise's ACTIVATE
+    # at its instant, so only records fed to the fold reach that case.
+    report = drill_report(refolded(drill_result, records))
+    expected = brute_force_drill(records)
+    if expected is None:
+        assert report is None
+        return
+    got = (report.kid, report.compromised_at, report.pool_before, report.evicted, report.recovered_at)
+    assert got == expected
+    if report.recovered_at is None:
+        assert report.recovery_time is None and not report.within_bound
+    else:
+        assert report.recovery_time == report.recovered_at - report.compromised_at
+        assert report.within_bound is (report.recovery_time <= report.bound)
 
 
 def test_report_dict_shape(drill_result):

@@ -620,7 +620,8 @@ def test_apply_phase_gsi_only_strips_tokens_from_legacy_channels():
     assert methods_of(projected, Role.FRONTEND, Role.ISSUER) == (AuthMethod.IDTOKEN,)
 
 
-def test_apply_phase_fallback_keeps_everything_tokens_first():
+def test_apply_phase_fallback_keeps_every_method_of_the_default_table_in_order():
+    # The default table lists tokens first, and the projection keeps its order.
     projected = apply_phase(default_table(), MigrationPhase.TOKEN_WITH_GSI_FALLBACK)
     for channel, pol in projected.channels.items():
         original = default_table().channels[channel]
@@ -631,6 +632,23 @@ def test_apply_phase_fallback_keeps_everything_tokens_first():
                 seen_legacy = True
             else:
                 assert not seen_legacy, f"{channel.label}: token after legacy"
+
+
+def test_apply_phase_keeps_a_legacy_first_order_and_negotiation_still_picks_the_token():
+    channel = Channel(Role.SCHEDD, Role.COLLECTOR)
+    legacy_first = PolicyTable(
+        {channel: ChannelPolicy((AuthMethod.GSI_PROXY, AuthMethod.IDTOKEN), AuthzLevel.ADVERTISE)}, ()
+    )
+    projected = {phase: apply_phase(legacy_first, phase).channels[channel].methods for phase in MigrationPhase}
+    assert projected == {
+        MigrationPhase.GSI_ONLY: (AuthMethod.GSI_PROXY,),
+        MigrationPhase.TOKEN_WITH_GSI_FALLBACK: (AuthMethod.GSI_PROXY, AuthMethod.IDTOKEN),
+        MigrationPhase.TOKEN_ONLY: (AuthMethod.IDTOKEN,),
+    }
+    fallback = projected[MigrationPhase.TOKEN_WITH_GSI_FALLBACK]
+    both = [AuthMethod.GSI_PROXY, AuthMethod.IDTOKEN]
+    assert negotiate_method(both, fallback) is AuthMethod.IDTOKEN
+    assert negotiate_method(both[:1], fallback) is AuthMethod.GSI_PROXY
 
 
 def test_apply_phase_token_only_removes_legacy_everywhere():

@@ -118,6 +118,12 @@ def test_unknown_nested_field_rejected(level):
         parse_scenario(NESTED_TYPOS[level])
 
 
+def test_a_gateway_names_no_site_of_its_own():
+    # A gateway's site is the site that lists it.
+    with pytest.raises(ScenarioError, match=r"^unknown gateway sites\[0\]\.ces\[0\] fields: \['site'\]$"):
+        parse_scenario(_with_ce(site="site-a"))
+
+
 def test_nested_section_must_be_a_mapping():
     with pytest.raises(ScenarioError, match="frontend: expected a mapping"):
         parse_scenario(variant(frontend=None))
@@ -276,6 +282,14 @@ def test_counts_made_into_one_object_each_have_an_upper_bound(path, bound):
     for too_many in (bound + 1, 2**70):
         with pytest.raises(ScenarioError, match=f"must be <= {bound}, got {too_many}"):
             parse_scenario(with_value(path, too_many))
+
+
+def test_horizon_is_at_most_one_simulated_day():
+    # A run's cost grows with its horizon, about 22 us per simulated second.
+    parse_scenario(with_value(("horizon",), 86_400))
+    for too_long in (86_401, 2**70):
+        with pytest.raises(ScenarioError, match=f"^horizon: must be <= 86400, got {too_long}"):
+            parse_scenario(with_value(("horizon",), too_long))
 
 
 def test_factory_entries_must_name_real_gateways():
