@@ -40,6 +40,7 @@ from .policy import (
     AuthMethod,
     Channel,
     CompiledPolicy,
+    Credential,
     LocalFsCredential,
     MigrationPhase,
     ProxyCredential,
@@ -71,7 +72,6 @@ from .simnet import (
 from .tokens import (
     IssuerKey,
     KeyStatus,
-    Memo,
     SymmetricKeyring,
     TrustDirectory,
     mint_idtoken,
@@ -129,7 +129,7 @@ class Pilot:
     #: The 64-bit draw behind the jti of the pilot's token, shared with the
     #: World's jti ledger; None until the pilot is given an identity.
     jti: int | None = None
-    token: str = ""
+    token: jose.Token | None = None
     joined_at: int | None = None
     #: The job this pilot runs, set only while it is MATCHED.
     job: Job | None = None
@@ -154,16 +154,14 @@ def _join_detail(*parts: str) -> str:
     return " ".join(p for p in parts if p)
 
 
-def _method_name(credential: object) -> str:
-    """Method label for failure records (never verifies); a token string
-    gets here only when it failed to parse."""
+def _method_name(credential: Credential) -> str:
+    """Method label for failure records (never verifies): a parsed token's
+    algorithm decides, or the legacy credential's type."""
     if isinstance(credential, ProxyCredential):
         return AuthMethod.GSI_PROXY._value_
     if isinstance(credential, LocalFsCredential):
         return AuthMethod.LOCAL_FS._value_
-    if isinstance(credential, jose.Token):
-        return token_method(credential)._value_
-    return "-"
+    return token_method(credential)._value_
 
 
 class World:
@@ -206,11 +204,6 @@ class World:
         #: The 64-bit draws behind every jti handed out, by authority, less
         #: the pilot draws ``end_pilot`` gives back because no token took them.
         self._used_jtis: dict[str, set[int]] = {}
-        #: ``parsed_token[compact]`` is ``compact`` parsed, kept while its
-        #: holder lives (``forget_token``).  The verdict on a parsed token is
-        #: a session in ``policy.sessions``, which re-checks the channel, the
-        #: time window and a capability's audience and scopes every time.
-        self.parsed_token = Memo(jose.decode_token)
         self._pilot_seq = 0
         self._job_seq = 0
         #: Pilots in PILOT_SUPPLY_STATES, kept by ``set_pilot_state``.
@@ -247,8 +240,8 @@ class World:
     def next_jti(self, authority: str) -> str:
         return f"{self.next_draw(authority):016x}"
 
-    def mint_daemon_idtoken(self, subject: str, limits: tuple[str, ...]) -> str:
-        return mint_idtoken(
+    def mint_daemon_idtoken(self, subject: str, limits: tuple[str, ...]) -> jose.Token:
+        return jose.decode_token(mint_idtoken(
             self.keyring,
             self.daemon_kid,
             subject,
@@ -257,7 +250,7 @@ class World:
             self.engine.now,
             issuer=self.POOL_ISSUER,
             jti=self.next_jti("pool"),
-        )
+        ))
 
     def assign_startd_identity(self, pilot: Pilot) -> None:
         """Give the pilot the next ACTIVE worker key, round-robin, and the
@@ -266,9 +259,9 @@ class World:
         self.startd_rr += 1
         pilot.jti = self.next_draw("pool")
 
-    def mint_startd_token(self, pilot: Pilot) -> str:
+    def mint_startd_token(self, pilot: Pilot) -> jose.Token:
         """Mint the pilot's identity token under its assigned key and jti."""
-        return mint_idtoken(
+        return jose.decode_token(mint_idtoken(
             self.keyring,
             pilot.kid,
             f"startd@{pilot.id}",
@@ -277,18 +270,16 @@ class World:
             self.engine.now,
             issuer=self.POOL_ISSUER,
             jti=f"{pilot.jti:016x}",
-        )
+        ))
 
-    def forget_token(self, compact: str) -> None:
-        """Drop ``compact``'s parse and session: its holder ended or replaced it."""
-        token = self.parsed_token.pop(compact, None)
-        if token is not None:
-            self.policy.sessions.pop(token, None)
+    def forget_token(self, token: jose.Token) -> None:
+        """Drop ``token``'s session: its holder ended or replaced it."""
+        self.policy.sessions.pop(token, None)
 
     # -- authenticated requests --------------------------------------------
 
     def authenticate_on(
-        self, channel: Channel, credential: object, *, audience: str = "", detail: str = ""
+        self, channel: Channel, credential: Credential, *, audience: str = "", detail: str = ""
     ) -> AuthenticatedPeer:
         """Authenticate + authorize one request, recording the outcome.
 
@@ -299,12 +290,10 @@ class World:
         pol = compiled.channels[channel.label]
         now = self.engine.now
         try:
-            if isinstance(credential, str):
-                credential = self.parsed_token[credential]
             peer = authenticate(
                 channel,
                 pol,
-                credential,  # type: ignore[arg-type]
+                credential,
                 compiled=compiled,
                 keyring=self.keyring,
                 trust=self.trust,
@@ -440,7 +429,7 @@ class World:
         freed if it was submitted, a job it still holds requeued, then its
         one PILOT record as ``pilot_event`` writes it.  The World forgets its
         token, or takes back its jti draw, and keeps no other reference to it."""
-        if pilot.token:
+        if pilot.token is not None:
             self.forget_token(pilot.token)
         elif pilot.jti is not None:
             # No token carries this jti, so the ledger gives the draw back.
@@ -499,7 +488,7 @@ class TokenIssuer:
     def __init__(self, world: World) -> None:
         self.world = world
 
-    def fetch_capability(self, requester_credential: object, ce_id: str) -> str:
+    def fetch_capability(self, requester_credential: Credential, ce_id: str) -> jose.Token:
         w = self.world
         peer = w.authenticate_on(
             CH_TOKEN_FETCH, requester_credential, detail=f"aud={ce_id}"
@@ -516,7 +505,7 @@ class TokenIssuer:
                 detail=f"aud={ce_id}",
             )
             raise exc
-        return mint_scitoken(
+        return jose.decode_token(mint_scitoken(
             w.issuer_key,
             w.scenario.issuer.url,
             "cms-pilot-ops",
@@ -525,7 +514,7 @@ class TokenIssuer:
             w.scenario.issuer.scitoken_lifetime,
             w.engine.now,
             jti=w.next_jti("issuer"),
-        )
+        ))
 
 
 class WMClient:
@@ -535,7 +524,7 @@ class WMClient:
         self.world = world
         self.spec = spec
         self.submitted = False
-        self.token: str | None = None
+        self.token: jose.Token | None = None
         if AuthMethod.IDTOKEN in spec.methods:
             self.token = world.mint_daemon_idtoken(spec.id, ("WRITE",))
 
@@ -558,7 +547,7 @@ class WMClient:
         if method is None:
             w.engine.schedule(self.spec.retry_interval, self.try_submit)
             return
-        credential: object
+        credential: Credential
         if method is AuthMethod.IDTOKEN:
             credential = self.token
         else:
@@ -709,7 +698,7 @@ class Frontend:
             "/DC=org/DC=cilogon/C=US/O=CMS/CN=Frontend/cms", 10**9, World.CA
         )
         #: gateway id -> (token, issued_at)
-        self.scitokens: dict[str, tuple[str, int]] = {}
+        self.scitokens: dict[str, tuple[jose.Token, int]] = {}
 
     def refresh_capabilities(self) -> None:
         w = self.world
@@ -731,7 +720,7 @@ class Frontend:
                 w.forget_token(cached[0])
             self.scitokens[ce.id] = (token, now)
 
-    def capability_for(self, ce_id: str) -> str | None:
+    def capability_for(self, ce_id: str) -> jose.Token | None:
         w = self.world
         cached = self.scitokens.get(ce_id)
         if cached is None or w.engine.now >= cached[1] + w.scenario.issuer.scitoken_lifetime:
@@ -794,7 +783,7 @@ class Factory:
             "/DC=org/DC=cilogon/C=US/O=CMS/CN=Pilot/cms", 10**9, World.CA
         )
 
-    def handle_request(self, frontend_credential: object, ce: "CEGateway", count: int) -> None:
+    def handle_request(self, frontend_credential: Credential, ce: "CEGateway", count: int) -> None:
         w = self.world
         try:
             w.authenticate_on(
@@ -818,7 +807,7 @@ class Factory:
             return None
         return CEInterface.LDAP
 
-    def select_credential(self, ce: "CEGateway") -> tuple[object, AuthMethod]:
+    def select_credential(self, ce: "CEGateway") -> tuple[Credential, AuthMethod]:
         w = self.world
         methods = w.policy.channels[CH_CE_SUBMIT.label].methods
         if (
@@ -883,13 +872,13 @@ class CEGateway:
         self.reserved = 0
 
     def receive_submission(
-        self, pilot: Pilot, credential: object, interface: CEInterface
+        self, pilot: Pilot, credential: Credential, interface: CEInterface
     ) -> str | None:
         """Authenticate a submission and reserve its slot: None if accepted,
         else the reason refused, ``AUTH_REJECTED`` or ``CAPACITY_EXCEEDED``."""
         w = self.world
         now = w.engine.now
-        if isinstance(credential, str) and w.board.active(
+        if isinstance(credential, jose.Token) and w.board.active(
             FaultKind.CE_TOKEN_MISCONFIG, self.id, now
         ):
             w.refuse(
@@ -969,6 +958,8 @@ class MigrationController:
             w.factories[step.params["factory"]].condor_major = step.params["major"]
         elif step.action == "provision_client_token":
             client = w.clients[step.params["client"]]
+            if client.token is not None:
+                w.forget_token(client.token)
             client.token = w.mint_daemon_idtoken(client.spec.id, ("WRITE",))
 
     def on_key_compromise(self, fault: Fault) -> None:

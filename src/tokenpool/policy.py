@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -26,7 +27,6 @@ from .errors import (
 )
 from .jose import SCITOKEN_ALG, Token
 from .tokens import (
-    Memo,
     Sessions,
     SymmetricKeyring,
     TrustDirectory,
@@ -92,6 +92,15 @@ _SATISFIED_BY: dict[AuthzLevel | None, frozenset[AuthzLevel]] = {
 }
 _ALL_LEVELS = frozenset(AuthzLevel)
 _LEVEL_NAMES = frozenset(level.value for level in AuthzLevel)
+
+#: The level set each ``authz_limits`` claim names, one entry per subset of
+#: the level names; no limits claim means every level, the token wielding
+#: its identity's full rights.  Sessions share these sets.
+_LEVELS_NAMED: dict[frozenset[str], frozenset[AuthzLevel]] = {
+    frozenset(level.value for level in levels): frozenset(levels) or _ALL_LEVELS
+    for n in range(len(AuthzLevel) + 1)
+    for levels in combinations(AuthzLevel, n)
+}
 
 
 def dominates(held: AuthzLevel, required: AuthzLevel) -> bool:
@@ -212,38 +221,22 @@ class CompiledPolicy:
     """A policy table compiled for presentation.
 
     ``channels`` maps each channel's label to its ``ChannelPolicy``, so a
-    lookup hashes a string, not two enum members.  ``levels_for[limits]``
-    is the level set an identity token's ``authz_limits`` name.
-    ``sessions`` maps each parsed token that :func:`authenticate` has fully
-    verified to the peer it returned, until the token's holder drops it; it
-    is filled under one keyring and one trust directory and starts over
-    when handed others.  A session skips only the checks that are pure
-    functions of the token, the keyring, the trust directory and this
-    table; the channel's method, the time window and, for capability
-    tokens, the audience and the scope coverage are checked at every
-    presentation.
+    lookup hashes a string, not two enum members.  ``sessions`` maps each
+    parsed token that :func:`authenticate` has fully verified to the peer
+    it returned, until the token's holder drops it; it is filled under one
+    keyring and one trust directory and starts over when handed others.  A
+    session skips only the checks that are pure functions of the token, the
+    keyring, the trust directory and this table; the channel's method, the
+    time window and, for capability tokens, the audience and the scope
+    coverage are checked at every presentation.
     """
 
-    __slots__ = ("table", "channels", "levels_for", "sessions")
+    __slots__ = ("table", "channels", "sessions")
 
     def __init__(self, table: PolicyTable) -> None:
         self.table = table
         self.channels = {channel.label: pol for channel, pol in table.channels.items()}
-        self.levels_for = Memo(_levels_named)
         self.sessions = Sessions()
-
-
-def _levels_named(limits: frozenset[str]) -> frozenset[AuthzLevel]:
-    """The levels ``authz_limits`` names; no limits claim means every
-    level, the token wielding its identity's full rights.
-
-    Raises:
-        InvalidClaims: a name is not a level.
-    """
-    bad = limits - _LEVEL_NAMES
-    if bad:
-        raise InvalidClaims(f"unknown authz limits: {', '.join(sorted(bad))}")
-    return frozenset(AuthzLevel(name) for name in limits) if limits else _ALL_LEVELS
 
 
 def validate_table(table: PolicyTable) -> None:
@@ -412,12 +405,16 @@ def authenticate(
         raise InvalidPolicy("identity verification needs a keyring")
     ident: VerifiedIdentity = verify_idtoken(credential, keyring, now)
     identity = compiled.table.map_identity(ident.subject)
+    levels = _LEVELS_NAMED.get(ident.authz_limits)
+    if levels is None:
+        bad = ", ".join(sorted(ident.authz_limits - _LEVEL_NAMES))
+        raise InvalidClaims(f"unknown authz limits: {bad}")
     return sessions.open(
         credential,
         AuthenticatedPeer(
             canonical_identity=identity,
             method=AuthMethod.IDTOKEN,
-            granted_levels=compiled.levels_for[ident.authz_limits],
+            granted_levels=levels,
             subject=ident.subject,
             token_kid=ident.kid,
             token_jti=ident.jti,

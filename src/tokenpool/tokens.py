@@ -13,7 +13,7 @@ import os
 import secrets
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
 from cryptography.hazmat.primitives import serialization
 from cryptography.hazmat.primitives.asymmetric import ed25519
@@ -37,26 +37,6 @@ from .jose import IDTOKEN_ALG, SCITOKEN_ALG, Token, TokenClaims, TokenHeader
 DEFAULT_SKEW = 60
 
 
-class Memo(dict):
-    """``memo[key]`` is ``fn(key)``, computed at the first lookup and
-    remembered; a raised failure never is.  An entry lives as long as the
-    holder of its key, who drops it (``World.forget_token``).  Daemon tokens
-    re-minted at a rotation or by ``provision_client_token`` stay, bounded
-    by the plan and the faults, not the pool.  ``fn`` is never a bound
-    method of the memo's holder, so that the two do not refer to each other.
-    """
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn: Callable[[Any], Any]) -> None:
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key: Any) -> Any:
-        value = self[key] = self.fn(key)
-        return value
-
-
 class Sessions(dict):
     """``sessions[token]`` is what the first fully successful verification
     of the parsed ``token`` under ``keyring`` and ``trust`` returned, much
@@ -65,7 +45,8 @@ class Sessions(dict):
     A session stands for the checks that are pure functions of the token
     and the trust state; the holder still re-checks, at every presentation,
     whatever depends on the channel, the audience or the time.  Only
-    successes are opened; a session lives as long as its token's holder.
+    successes are opened; a session lives as long as its token's holder,
+    and this table is the one cache between a credential and its verdict.
     Keyrings and trust directories are never changed in place
     (:func:`revoke_key` and :func:`rotate_key` return new ones), so a table
     is good only under the two it was filled under.

@@ -211,9 +211,10 @@ def test_criterion_2_tampering_never_verifies_against_a_warm_signature_memo():
     assert elapsed < 10.0
 
 
-def test_criterion_2_tampering_never_authenticates_against_a_warm_parse_memo():
-    # A World remembers the tokens it has parsed; every mutant of a token it
-    # has parsed and accepted is another string, and must still be refused.
+def test_criterion_2_tampering_never_authenticates_against_a_warm_world_session():
+    # A World keeps a session for each token it has accepted; every mutant of
+    # such a token is another token, and must still be refused, at parse or
+    # at authentication.
     rng = random.Random(0x3E11)
     world = run_scenario(SCENARIO_DIR / "migration-2022.yaml").world
     presented = [(CH_JOIN, p.token, "") for p in list(world.collector.members.values())[:20]]
@@ -226,8 +227,8 @@ def test_criterion_2_tampering_never_authenticates_against_a_warm_parse_memo():
     rejected: Counter[str] = Counter()
     for channel, token, audience in presented:
         world.authenticate_on(channel, token, audience=audience)
-        assert token in world.parsed_token
-        head, payload, sig = token.split(".")
+        assert token in world.policy.sessions
+        head, payload, sig = token.compact.split(".")
         for pos in range(len(payload)):
             replacement = rng.choice(B64URL_ALPHABET)
             while replacement == payload[pos]:
@@ -235,14 +236,14 @@ def test_criterion_2_tampering_never_authenticates_against_a_warm_parse_memo():
             mutant = f"{head}.{payload[:pos]}{replacement}{payload[pos + 1:]}.{sig}"
             mutants += 1
             try:
-                world.authenticate_on(channel, mutant, audience=audience)
+                world.authenticate_on(channel, decode_token(mutant), audience=audience)
             except errors.TokenPoolError as exc:
                 rejected[exc.reason] += 1
             else:
                 accepted += 1
     elapsed = time.perf_counter() - started
     print(
-        f"[criterion 2, warm parse memo] {mutants} single-character payload mutants"
+        f"[criterion 2, warm World sessions] {mutants} single-character payload mutants"
         f" of {len(presented)} tokens a World had accepted:"
         f" {dict(sorted(rejected.items()))}, {accepted} false accepts;"
         f" {elapsed:.2f}s (budget 10s)"

@@ -29,7 +29,6 @@ from tokenpool.errors import (
     AudienceMismatch,
     AuthorizationDenied,
     Expired,
-    InvalidClaims,
     KeyRevoked,
     MalformedToken,
     MismatchedCredential,
@@ -192,7 +191,7 @@ def test_minted_tokens_have_unique_jtis(monkeypatch):
     minted = [w.schedd.token, w.frontend.token, w.clients["cmsprod"].token]
     minted += startd_tokens
     minted += [entry[0] for entry in w.frontend.scitokens.values()]
-    jtis = [jose.decode_token(t).claims.jti for t in minted]
+    jtis = [t.claims.jti for t in minted]
     assert len(jtis) == len(set(jtis))
 
 
@@ -393,7 +392,7 @@ def test_daemon_key_compromise_reminted_for_all_daemons():
     assert w.daemon_kid == "pool-daemon-r1"
     assert w.keyring.lookup("pool-daemon").status is KeyStatus.REVOKED
     for token in (w.schedd.token, w.frontend.token, w.clients["cmsprod"].token):
-        assert jose.decode_token(token).header.kid == "pool-daemon-r1"
+        assert token.header.kid == "pool-daemon-r1"
     # No pool member carried the daemon key, so nothing was evicted...
     assert w.trace.select(TRACE_PILOT, outcome="EVICT") == []
     assert len(w.collector.members) == 5
@@ -422,7 +421,7 @@ def test_join_with_revoked_key_is_rejected():
     assert len(failures(w, CH_JOIN, "KeyRevoked")) == 1
 
 
-# -- the parse memo and the pilot's token -----------------------------------
+# -- sessions and the pilot's token -----------------------------------------
 
 
 def idle_world(**over):
@@ -443,12 +442,12 @@ def test_memoised_join_token_fails_once_its_key_is_revoked():
     w = idle_world()
     pilot, token = startd_token(w)
     w.authenticate_on(CH_JOIN, token)
-    assert token in w.parsed_token
-    parsed = w.parsed_token[token]
+    assert token in w.policy.sessions
     w.keyring = revoke_key(w.keyring, pilot.kid)
     with pytest.raises(KeyRevoked):
         w.authenticate_on(CH_JOIN, token)
-    assert w.parsed_token[token] is parsed
+    # The table started over under the new keyring, and a failure opens none.
+    assert not w.policy.sessions
     (failed,) = failures(w, CH_JOIN, "KeyRevoked")
     assert failed.method == AuthMethod.IDTOKEN.value
 
@@ -460,7 +459,8 @@ def test_memoised_join_token_expires():
     w.engine.run(10 + 100 + DEFAULT_SKEW + 1)
     with pytest.raises(Expired):
         w.authenticate_on(CH_JOIN, token)
-    assert token in w.parsed_token
+    # The session stays; the window is checked at every presentation.
+    assert token in w.policy.sessions
     assert len(failures(w, CH_JOIN, "Expired")) == 1
 
 
@@ -468,52 +468,39 @@ def test_memoised_capability_token_is_refused_at_another_gateway():
     w = idle_world()
     for_a = w.issuer.fetch_capability(w.frontend.token, "ce-a")
     for_b = w.issuer.fetch_capability(w.frontend.token, "ce-b")
-    assert jose.decode_token(for_a).header.kid == jose.decode_token(for_b).header.kid
+    assert for_a.header.kid == for_b.header.kid
     w.authenticate_on(CH_CE_SUBMIT, for_a, audience="ce-a")
     w.authenticate_on(CH_CE_SUBMIT, for_b, audience="ce-b")
     with pytest.raises(AudienceMismatch):
         w.authenticate_on(CH_CE_SUBMIT, for_a, audience="ce-b")
-    assert {for_a, for_b} <= w.parsed_token.keys()
+    assert {for_a, for_b} <= w.policy.sessions.keys()
     (failed,) = failures(w, CH_CE_SUBMIT, "AudienceMismatch")
     assert failed.method == AuthMethod.SCITOKEN.value
 
 
 def test_malformed_token_is_recorded_each_time_and_never_remembered():
+    # An HS256 token carrying a capability's scope parses, but is not an
+    # identity token: every presentation is refused and none opens a session.
     w = idle_world()
-    remembered = dict(w.parsed_token)
-    _, token = startd_token(w)
-    malformed = token[:-1]  # the signature's last character cut off
+    pilot, _ = startd_token(w)
+    claims = jose.TokenClaims(
+        sub=f"startd@{pilot.id}", iss=w.POOL_ISSUER, aud="ce-a", iat=10, exp=610,
+        jti="0", scope=("compute.create",),
+    )
+    secret = w.keyring.active_secret(pilot.kid)
+    scoped = jose.decode_token(
+        jose.encode_token(jose.TokenHeader(jose.IDTOKEN_ALG, pilot.kid), claims, secret)
+    )
+    remembered = dict(w.policy.sessions)
     for _ in range(2):
         with pytest.raises(MalformedToken):
-            w.authenticate_on(CH_JOIN, malformed)
-    assert w.parsed_token == remembered
-    assert [r.method for r in failures(w, CH_JOIN, "MalformedToken")] == ["-", "-"]
+            w.authenticate_on(CH_JOIN, scoped)
+    assert w.policy.sessions == remembered
+    methods = [r.method for r in failures(w, CH_JOIN, "MalformedToken")]
+    assert methods == [AuthMethod.IDTOKEN.value] * 2
 
 
-# -- the three memos ----------------------------------------------------------
-
-
-def _counted(memo):
-    """The keys ``memo`` computes a result for from now on."""
-    computed = []
-    fn = memo.fn
-    memo.fn = lambda key: computed.append(key) or fn(key)
-    return computed
-
-
-def _parse_memo(monkeypatch):
-    keyring = tokens.SymmetricKeyring.from_secrets({"k": b"k" * 32})
-    keys = [tokens.mint_idtoken(keyring, "k", "s", (), 600, 0, jti=f"m{i}") for i in range(7)]
-    memo = idle_world().parsed_token
-    return memo, memo.__getitem__, _counted(memo), keys, "not-a-token", MalformedToken
-
-
-def _limits_memo(monkeypatch):
-    names = [level.value for level in policy.AuthzLevel]
-    keys = [frozenset(), *(frozenset({name}) for name in names), frozenset(names)]
-    memo = policy.CompiledPolicy(policy.default_table()).levels_for
-    bad = frozenset({"READ", "SUPERUSER"})
-    return memo, memo.__getitem__, _counted(memo), keys, bad, InvalidClaims
+# -- the session table --------------------------------------------------------
 
 
 def _session_memo(monkeypatch):
@@ -539,7 +526,7 @@ def _session_memo(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "make_memo", [_parse_memo, _limits_memo, _session_memo], ids=["parse", "limits", "session"]
+    "make_memo", [_session_memo], ids=["session"]
 )
 def test_each_memo_remembers_only_results(make_memo, monkeypatch):
     memo, look_up, computed, keys, bad, error = make_memo(monkeypatch)
@@ -578,10 +565,10 @@ def test_pilot_token_is_minted_only_when_its_gateway_accepts_it(over, monkeypatc
     assert refused
     for pilot in refused:
         assert pilot.state is PilotState.FAILED
-        assert pilot.token == "" and pilot.kid and pilot.jti is not None
+        assert pilot.token is None and pilot.kid and pilot.jti is not None
     for pilot in accepted:
         assert pilot.state is not PilotState.REQUESTED
-        token = jose.decode_token(pilot.token)
+        token = pilot.token
         assert token.header.kid == pilot.kid
         assert token.claims.jti == f"{pilot.jti:016x}"
         assert token.claims.iat == submitted_at[pilot.id]
@@ -593,13 +580,13 @@ def test_pilot_token_is_minted_only_when_its_gateway_accepts_it(over, monkeypatc
 def test_tokens_with_one_kid_get_their_own_success_details():
     w = idle_world()
     a, b = (w.mint_daemon_idtoken("schedd@cmspool", ("ADVERTISE",)) for _ in range(2))
-    assert jose.decode_token(a).header.kid == jose.decode_token(b).header.kid
+    assert a.header.kid == b.header.kid
     presented = [(a, "daemon=schedd"), (b, "daemon=schedd"), (a, "daemon=other"), (a, "daemon=schedd")]
     for token, detail in presented:
         w.authenticate_on(CH_ADVERTISE, token, detail=detail)
     held = [r.detail for r in successes(w, CH_ADVERTISE)[-len(presented):]]
     assert held == [
-        f"{detail} kid=pool-daemon jti={jose.decode_token(token).claims.jti}"
+        f"{detail} kid=pool-daemon jti={token.claims.jti}"
         for token, detail in presented
     ]
 
@@ -654,13 +641,13 @@ def test_jti_ledger_holds_only_the_pool_jtis_a_token_carries(name, monkeypatch):
     startd_tokens = returned(monkeypatch, actors.World, "mint_startd_token")
     daemon_tokens = returned(monkeypatch, actors.World, "mint_daemon_idtoken")
     world = run_scenario(SCENARIO_DIR / f"{name}.yaml").world
-    minted = {int(jose.decode_token(t).claims.jti, 16) for t in startd_tokens + daemon_tokens}
+    minted = {int(t.claims.jti, 16) for t in startd_tokens + daemon_tokens}
     assert world._used_jtis["pool"] == minted
     assert len(pool_draws) > len(minted)
-    accepted = [p for p in made if p.token]
+    accepted = [p for p in made if p.token is not None]
     assert accepted
     for pilot in accepted:
-        assert pilot.jti == int(jose.decode_token(pilot.token).claims.jti, 16)
+        assert pilot.jti == int(pilot.token.claims.jti, 16)
 
 
 def golden_digest(path):
@@ -674,32 +661,28 @@ def golden_digest(path):
 
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
 def test_policy_memo_caps_do_not_change_the_digest(path, monkeypatch):
-    # The tightest cap of all: the parse and limits memos and the session
-    # table store nothing, so every presentation parses and verifies its
-    # token in full; the run must not notice.
-    monkeypatch.setattr(tokens.Memo, "__missing__", lambda memo, key: memo.fn(key))
+    # The tightest cap of all: the session table stores nothing, so every
+    # presentation verifies its token in full; the run must not notice.
     monkeypatch.setattr(tokens.Sessions, "open", lambda sessions, token, result: result)
     result = run_scenario(path)
     assert result.digest == golden_digest(path)
-    world = result.world
-    assert not world.parsed_token and not world.policy.sessions and not world.policy.levels_for
+    assert not result.world.policy.sessions
 
 
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
 def test_parse_memo_and_sessions_follow_the_pool(path, monkeypatch):
     # A token whose pilot has ended, or a capability token the frontend
-    # has replaced, is never presented again, so neither cache holds it.
+    # has replaced, is never presented again, so the session table drops it.
     live = live_pilots(monkeypatch)
     made = returned(monkeypatch, actors.World, "new_pilot")
     fetched = returned(monkeypatch, actors.TokenIssuer, "fetch_capability")
     world = run_scenario(path).world
     held = {token for token, _ in world.frontend.scitokens.values()}
-    ended = {p.token for p in made if p.token and p.id not in live}
+    ended = {p.token for p in made if p.token is not None and p.id not in live}
     dead = ended | (set(fetched) - held)
-    assert not dead & world.parsed_token.keys()
-    assert not dead & {token.compact for token in world.policy.sessions}
-    # Every member presented its token at its join, and still holds it.
-    assert {p.token for p in world.collector.members.values()} <= world.parsed_token.keys()
+    assert not dead & world.policy.sessions.keys()
+    # Every member presented its token at its join, and still holds its session.
+    assert {p.token for p in world.collector.members.values()} <= world.policy.sessions.keys()
     # In these two no pilot with a token ends and no capability is replaced.
     assert dead or path.stem in ("arc-ldap-deprecation", "split-2022")
 
@@ -963,9 +946,9 @@ def test_world_keeps_only_live_pilots(path, monkeypatch):
 
 
 #: The tracemalloc peak of a ``rollout-2022`` run, in bytes: 1.10 times the
-#: largest of its readings, 3,117,604 to 3,126,186 B (2.98 MiB), in fresh
-#: processes and under pytest.
-ROLLOUT_PEAK_BOUND = int(1.10 * 3_126_186)
+#: largest of its readings, 3,068,252 to 3,076,826 B (2.93 MiB), in fresh
+#: processes and under pytest, once holders keep their parsed tokens.
+ROLLOUT_PEAK_BOUND = int(1.10 * 3_076_826)
 
 
 def test_live_pool_fits_its_memory_bound():
@@ -989,13 +972,14 @@ def test_live_pool_fits_its_memory_bound():
 ROLLOUT_PEAK_T = 530
 
 #: Bytes held per live pilot at that instant, tracemalloc's current count
-#: over the run so far, after one World was built untraced: 1,543.9 to
-#: 1,546.1 under pytest and 1,546.4 in a fresh process, once a pending event
+#: over the run so far, after one World was built untraced: 1,518.9 to
+#: 1,521.2 under pytest and 1,521.4 in a fresh process, once a pending event
 #: is one bound method of its pilot, the token's signature is read off the
 #: wire, the pilot keeps its jti as the ledger's draw, a job keeps no name,
-#: and the World keeps no registry of its pilots nor a pilot a copy of its
-#: slot or submission time.  The bound is 1.10 times the largest reading.
-BYTES_PER_LIVE_PILOT = int(1.10 * 1546.4)
+#: the World keeps no registry of its pilots nor a pilot a copy of its slot
+#: or submission time, and a pilot keeps the token it was minted, parsed,
+#: with no parse memo beside it.  The bound is 1.10 times the largest reading.
+BYTES_PER_LIVE_PILOT = int(1.10 * 1521.4)
 
 
 def rollout_at_peak(scenario):
@@ -1358,6 +1342,25 @@ def test_refusals_are_written_and_methods_negotiated_in_one_place():
     assert _callers(tree, "negotiate_method") == {"World.negotiate"}
 
 
+def test_tokens_are_parsed_only_where_they_are_minted():
+    # Each holder keeps the parsed token it was minted, so the session table
+    # is the one cache between a credential and its verdict; besides the
+    # three mints, only the CLI parses, the tokens it is handed as text.
+    parsers = set()
+    for path in sorted(Path(tokens.__file__).parent.glob("*.py")):
+        parsers |= {f"{path.stem}.{c}" for c in _callers(ast.parse(path.read_text()), "decode_token")}
+    assert parsers == {
+        "actors.World.mint_daemon_idtoken",
+        "actors.World.mint_startd_token",
+        "actors.TokenIssuer.fetch_capability",
+        "cli.cmd_token_inspect",
+        "cli.cmd_token_verify",
+    }
+    tree = ast.parse(Path(tokens.__file__).read_text())
+    classes = {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    assert "Memo" not in classes and "Sessions" in classes
+
+
 def test_only_policy_constructs_a_channel():
     # The six channels have one home, policy's ``CH_*`` constants, which
     # ``default_channels`` is keyed by; every other module imports them.
@@ -1380,8 +1383,8 @@ def test_every_traced_auth_channel_is_a_default_channel(path):
 
 
 def test_no_memo_has_a_size_cap_and_only_the_fold_clears():
-    # A memo entry lives as long as its holder (``World.forget_token``); no
-    # module names a size for a memo, and nothing clears one when it fills.
+    # A session lives as long as its token's holder (``World.forget_token``);
+    # no module names a size for a cache, and nothing clears one when it fills.
     sized, clearers = set(), set()
     for path in sorted(Path(tokens.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from tokenpool import actors, jose
+from tokenpool import jose
 from tokenpool.migration import run_scenario
 from tokenpool.scenario import Scenario, _check, load_scenario
 from tokenpool.simnet import FaultKind
@@ -74,28 +74,21 @@ FLEET_DIGESTS = {
 
 @pytest.fixture(scope="module")
 def fleet_runs():
-    """Each cell run once: its digest, the World's token parses and the
-    distinct compact strings presented to ``World.authenticate_on``."""
+    """Each cell run once: its digest, whether the tokens it parsed are the
+    tokens it minted, in mint order, and how many it minted."""
     runs = {}
     parses: list[str] = []
-    presented: set[str] = set()
-    decode = jose.decode_token
-    authenticate_on = actors.World.authenticate_on
-
-    def counted(world, channel, credential, **kwargs):
-        if isinstance(credential, str):
-            presented.add(credential)
-        return authenticate_on(world, channel, credential, **kwargs)
-
+    mints: list[str] = []
+    decode, encode = jose.decode_token, jose.encode_token
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(jose, "decode_token", lambda compact: parses.append(compact) or decode(compact))
-        mp.setattr(actors.World, "authenticate_on", counted)
+        mp.setattr(jose, "encode_token", lambda *args: mints.append(encode(*args)) or mints[-1])
         for name, k in FLEET_DIGESTS:
             parses.clear()
-            presented.clear()
+            mints.clear()
             scenario = fleet(load_scenario(SCENARIO_DIR / f"{name}.yaml"), k)
             _check(scenario)
-            runs[name, k] = (run_scenario(scenario).digest, len(parses), len(presented))
+            runs[name, k] = (run_scenario(scenario).digest, parses == mints, len(mints))
     return runs
 
 
@@ -133,7 +126,7 @@ def test_fleet_digest_is_pinned(fleet_runs, cell):
 
 @pytest.mark.parametrize("name", ["rollout-2022", "rollout-2022-tokenonly"])
 def test_each_token_presented_at_fleet_x4_is_parsed_once(fleet_runs, name):
-    # More than 4,096 live pilots: a parse memo that let go of a live
-    # pilot's token would parse it again at its next keepalive.
-    _, parses, presented = fleet_runs[name, 4]
-    assert parses == presented > 4096
+    # More than 4,096 live pilots, and each token is parsed once, where it
+    # is minted: its holder keeps the parse, so no keepalive parses again.
+    _, parsed_as_minted, minted = fleet_runs[name, 4]
+    assert parsed_as_minted and minted > 4096

@@ -20,6 +20,8 @@ from tokenpool.errors import (
 )
 from tokenpool.jose import Token, decode_token
 from tokenpool.policy import (
+    _ALL_LEVELS,
+    _LEVELS_NAMED,
     JOB_SUBMIT_SCOPE,
     PHASE_PERMITS,
     AuthenticatedPeer,
@@ -326,7 +328,7 @@ def test_authenticate_token_method_must_be_accepted(table, keyring, trust, issue
         auth(cap_only, Channel(Role.FACTORY, Role.CE), idt, keyring=keyring, trust=trust)
 
 
-# -- the compiled policy's memo and sessions ----------------------------------
+# -- the compiled policy's limits table and sessions ------------------------
 
 
 def test_sessions_remember_only_mapped_subjects(table, keyring):
@@ -344,12 +346,28 @@ def test_sessions_remember_only_mapped_subjects(table, keyring):
 
 def test_unknown_limit_names_are_never_remembered(table, keyring):
     compiled = CompiledPolicy(table)
-    bad = mint_idtoken(keyring, "pool-1", "condor@a", ("READ", "SUPERUSER"), 600, NOW)
+    bad = decode_token(mint_idtoken(keyring, "pool-1", "condor@a", ("READ", "SUPERUSER"), 600, NOW))
     for _ in range(2):
-        with pytest.raises(InvalidClaims, match="SUPERUSER"):
+        with pytest.raises(InvalidClaims, match="unknown authz limits: SUPERUSER$"):
             auth(table, Channel(Role.SCHEDD, Role.COLLECTOR), bad, compiled, keyring=keyring)
-    assert compiled.levels_for == {}
-    assert not compiled.sessions
+        assert not compiled.sessions
+
+
+def test_limits_table_names_what_the_old_rule_named():
+    # The rule the table replaced, run on every subset of the level names:
+    # an empty limits claim means every level, the token's full rights.
+    names = [level.value for level in AuthzLevel]
+    subsets = [
+        frozenset(chosen) for n in range(len(names) + 1) for chosen in itertools.combinations(names, n)
+    ]
+    assert len(subsets) == 32
+    assert _LEVELS_NAMED == {
+        limits: frozenset(AuthzLevel(name) for name in limits) if limits else frozenset(AuthzLevel)
+        for limits in subsets
+    }
+    assert _LEVELS_NAMED[frozenset()] is _ALL_LEVELS
+    assert _LEVELS_NAMED.get(frozenset({"SUPERUSER"})) is None
+    assert _LEVELS_NAMED.get(frozenset({"READ", "SUPERUSER"})) is None
 
 
 def test_memoised_subject_still_fails_every_check(table, keyring, trust, issuer_key):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tokenpool import scenario
@@ -26,6 +26,7 @@ from tokenpool.scenario import (
     parse_scenario,
 )
 from tokenpool.simnet import FaultKind
+from tokenpool.tokens import Sessions
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -639,6 +640,34 @@ def test_a_mutated_shipped_scenario_is_refused_at_parse_or_runs(data):
     except ScenarioError:
         return
     run_scenario(dataclasses.replace(sc, horizon=min(sc.horizon, 1200)))
+
+
+#: The draws of the test above as one strategy: a scenario, one of its
+#: paths, and what to put there.
+MUTATIONS = st.sampled_from(sorted(SHIPPED_DOCS)).flatmap(
+    lambda stem: st.tuples(
+        st.just(stem), st.sampled_from(VALUE_PATHS[stem]), st.sampled_from((DELETE, *MUTATION_POOL))
+    )
+)
+
+
+@settings(max_examples=80)
+@example(("migration-2022", ("pilots", "token_lifetime"), 300))
+@given(MUTATIONS)
+def test_sessions_leave_a_mutated_scenario_digest_alone(mutation):
+    """A mutated shipped scenario that parses, run to t=1200, has the same
+    digest whether or not a verified token opens a session.  The example
+    makes pilot tokens expire between keepalives, after their session opened."""
+    stem, path, value = mutation
+    try:
+        sc = parse_scenario(_replaced(SHIPPED_DOCS[stem], path, value))
+    except ScenarioError:
+        return
+    capped = dataclasses.replace(sc, horizon=min(sc.horizon, 1200))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Sessions, "open", lambda sessions, token, result: result)
+        unopened = run_scenario(capped).digest
+    assert run_scenario(capped).digest == unopened
 
 
 def test_readme_example_parses_and_runs():

@@ -599,14 +599,14 @@ def test_tampering_never_authenticates_against_a_warm_session():
     rejected: Counter[str] = Counter()
     for token in presented:
         world.authenticate_on(CH_JOIN, token)
-        assert world.parsed_token[token] in world.policy.sessions
-        head, payload, mac = token.split(".")
+        assert token in world.policy.sessions
+        head, payload, mac = token.compact.split(".")
         for pos in range(len(payload)):
             replacement = rng.choice(alphabet.replace(payload[pos], ""))
             mutant = f"{head}.{payload[:pos]}{replacement}{payload[pos + 1:]}.{mac}"
             mutants += 1
             try:
-                world.authenticate_on(CH_JOIN, mutant)
+                world.authenticate_on(CH_JOIN, decode_token(mutant))
             except TokenPoolError as exc:
                 rejected[exc.reason] += 1
             else:
