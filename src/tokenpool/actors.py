@@ -93,13 +93,6 @@ class PilotState(enum.Enum):
     FAILED = "FAILED"
 
 
-#: States in which a pilot is still promised capacity the pool can count on;
-#: a tuple, whose members are found by identity without hashing the enum.
-PILOT_SUPPLY_STATES = (
-    PilotState.REQUESTED, PilotState.SUBMITTED, PilotState.STARTED, PilotState.JOINED
-)
-
-
 @dataclass(order=True, slots=True)
 class Job:
     #: Creation sequence, the only key jobs are ordered by.
@@ -125,10 +118,8 @@ class Pilot:
     ce_id: str
     state: PilotState
     world: "World" = field(repr=False, compare=False)
-    kid: str = ""
-    #: The 64-bit draw behind the jti of the pilot's token, shared with the
-    #: World's jti ledger; None until the pilot is given an identity.
-    jti: int | None = None
+    #: The identity token it carries to the collector, minted once its
+    #: gateway accepts it; its header names the pilot's key.
     token: jose.Token | None = None
     joined_at: int | None = None
     #: The job this pilot runs, set only while it is MATCHED.
@@ -202,12 +193,11 @@ class World:
         self.policy: CompiledPolicy  # compiled by set_phase, which start() calls first
 
         #: The 64-bit draws behind every jti handed out, by authority, less
-        #: the pilot draws ``end_pilot`` gives back because no token took them.
+        #: the pilot draws ``Factory.submit_one`` gives back because no token
+        #: took them.
         self._used_jtis: dict[str, set[int]] = {}
         self._pilot_seq = 0
         self._job_seq = 0
-        #: Pilots in PILOT_SUPPLY_STATES, kept by ``set_pilot_state``.
-        self.supply = 0
         #: JOINED pilots (joined, not yet matched) by id, kept by
         #: ``set_pilot_state``.
         self.joined: dict[str, Pilot] = {}
@@ -252,24 +242,24 @@ class World:
             jti=self.next_jti("pool"),
         ))
 
-    def assign_startd_identity(self, pilot: Pilot) -> None:
-        """Give the pilot the next ACTIVE worker key, round-robin, and the
-        jti of the identity token it will carry to the collector."""
-        pilot.kid = self.startd_kids[self.startd_rr % len(self.startd_kids)]
+    def startd_identity(self) -> tuple[str, int]:
+        """The next ACTIVE worker key, round-robin, and the draw behind the
+        jti of the identity token a pilot will carry to the collector."""
+        kid = self.startd_kids[self.startd_rr % len(self.startd_kids)]
         self.startd_rr += 1
-        pilot.jti = self.next_draw("pool")
+        return kid, self.next_draw("pool")
 
-    def mint_startd_token(self, pilot: Pilot) -> jose.Token:
-        """Mint the pilot's identity token under its assigned key and jti."""
+    def mint_startd_token(self, pilot: Pilot, kid: str, draw: int) -> jose.Token:
+        """Mint the pilot's identity token under ``kid``, its jti ``draw``."""
         return jose.decode_token(mint_idtoken(
             self.keyring,
-            pilot.kid,
+            kid,
             f"startd@{pilot.id}",
             ("ADVERTISE",),
             self.scenario.pilots.token_lifetime,
             self.engine.now,
             issuer=self.POOL_ISSUER,
-            jti=f"{pilot.jti:016x}",
+            jti=f"{draw:016x}",
         ))
 
     def forget_token(self, token: jose.Token) -> None:
@@ -386,11 +376,18 @@ class World:
 
     # -- pilot / job ledger -------------------------------------------------
 
+    @property
+    def supply(self) -> int:
+        """Pilots the pool can count on that run no job: those holding a
+        gateway slot (from SUBMITTED until they end) less the MATCHED ones,
+        the members not JOINED.  No pilot is REQUESTED between events."""
+        reserved = sum(ce.reserved for ce in self.ces.values())
+        return reserved - (len(self.collector.members) - len(self.joined))
+
     def new_pilot(self, ce: "CEGateway") -> Pilot:
         pid = f"pilot-{self._pilot_seq:05d}"
         self._pilot_seq += 1
         pilot = Pilot(id=pid, ce_id=ce.id, state=PilotState.REQUESTED, world=ce.world)
-        self.supply += 1
         self.trace.record(
             self.engine.now,
             TRACE_PILOT,
@@ -400,9 +397,7 @@ class World:
         return pilot
 
     def set_pilot_state(self, pilot: Pilot, state: PilotState) -> None:
-        """Every change of a pilot's state comes here, to keep ``supply``
-        and ``joined``."""
-        self.supply += (state in PILOT_SUPPLY_STATES) - (pilot.state in PILOT_SUPPLY_STATES)
+        """Every change of a pilot's state comes here, to keep ``joined``."""
         if pilot.state is PilotState.JOINED:
             del self.joined[pilot.id]
         if state is PilotState.JOINED:
@@ -428,12 +423,9 @@ class World:
         """Every way a pilot leaves the pool: out of the collector, its slot
         freed if it was submitted, a job it still holds requeued, then its
         one PILOT record as ``pilot_event`` writes it.  The World forgets its
-        token, or takes back its jti draw, and keeps no other reference to it."""
+        token and keeps no other reference to it."""
         if pilot.token is not None:
             self.forget_token(pilot.token)
-        elif pilot.jti is not None:
-            # No token carries this jti, so the ledger gives the draw back.
-            self._used_jtis["pool"].discard(pilot.jti)
         self.collector.members.pop(pilot.id, None)
         # A pilot holds its gateway's slot from the moment it leaves REQUESTED.
         if pilot.state is not PilotState.REQUESTED:
@@ -618,7 +610,7 @@ class Collector:
             w.fail_pilot(pilot, exc.reason)
             return
         pilot.joined_at = w.engine.now
-        w.pilot_event(pilot, PilotState.JOINED, f"kid={pilot.kid}")
+        w.pilot_event(pilot, PilotState.JOINED, f"kid={pilot.token.header.kid}")
         self.members[pilot.id] = pilot
         w.engine.schedule(w.scenario.pilots.keepalive, pilot.keepalive)
         w.engine.schedule(w.scenario.frontend.pilot_max_idle, pilot.idle_check)
@@ -638,11 +630,11 @@ class Collector:
 
     def evict(self, pilot: Pilot, reason: str) -> None:
         self.world.end_pilot(
-            pilot, PilotState.FAILED, f"kid={pilot.kid} reason={reason}", "EVICT"
+            pilot, PilotState.FAILED, f"kid={pilot.token.header.kid} reason={reason}", "EVICT"
         )
 
     def evict_by_kid(self, kid: str) -> list[Pilot]:
-        hit = [p for p in self.members.values() if p.kid == kid]
+        hit = [p for p in self.members.values() if p.token.header.kid == kid]
         for pilot in hit:
             self.evict(pilot, KEY_COMPROMISE)
         return hit
@@ -654,7 +646,8 @@ class Collector:
     def match_tick(self) -> None:
         w = self.world
         now = w.engine.now
-        idle_pilots = sorted(w.joined.values(), key=lambda p: (p.joined_at, p.id))
+        # "pilot-100000" sorts before "pilot-99999", so a longer id goes last.
+        idle_pilots = sorted(w.joined.values(), key=lambda p: (p.joined_at, len(p.id), p.id))
         matched = min(len(idle_pilots), len(w.idle_jobs))
         for pilot in idle_pilots[:matched]:
             job = heapq.heappop(w.idle_jobs)
@@ -697,8 +690,8 @@ class Frontend:
         self.proxy = ProxyCredential(
             "/DC=org/DC=cilogon/C=US/O=CMS/CN=Frontend/cms", 10**9, World.CA
         )
-        #: gateway id -> (token, issued_at)
-        self.scitokens: dict[str, tuple[jose.Token, int]] = {}
+        #: gateway id -> the capability token held for it
+        self.scitokens: dict[str, jose.Token] = {}
 
     def refresh_capabilities(self) -> None:
         w = self.world
@@ -710,22 +703,21 @@ class Frontend:
             if not ce.accepts_tokens:
                 continue
             cached = self.scitokens.get(ce.id)
-            if cached is not None and now - cached[1] < int(0.8 * lifetime):
+            if cached is not None and now - cached.claims.iat < int(0.8 * lifetime):
                 continue
             try:
                 token = w.issuer.fetch_capability(self.token, ce.id)
             except TokenPoolError:
                 continue
             if cached is not None:
-                w.forget_token(cached[0])
-            self.scitokens[ce.id] = (token, now)
+                w.forget_token(cached)
+            self.scitokens[ce.id] = token
 
     def capability_for(self, ce_id: str) -> jose.Token | None:
-        w = self.world
-        cached = self.scitokens.get(ce_id)
-        if cached is None or w.engine.now >= cached[1] + w.scenario.issuer.scitoken_lifetime:
+        token = self.scitokens.get(ce_id)
+        if token is None or self.world.engine.now >= token.claims.exp:
             return None
-        return cached[0]
+        return token
 
     def provision_pairs(self) -> list[tuple["Factory", "CEGateway"]]:
         w = self.world
@@ -842,7 +834,7 @@ class Factory:
             w.refuse(CH_CE_SUBMIT, exc.reason, detail=detail)
             w.fail_pilot(pilot, exc.reason)
             return pilot
-        w.assign_startd_identity(pilot)
+        kid, draw = w.startd_identity()
         refused = ce.receive_submission(pilot, credential, interface)
         if (
             refused == AUTH_REJECTED
@@ -852,8 +844,10 @@ class Factory:
             refused = ce.receive_submission(pilot, self.pilot_proxy, interface)
         if refused is None:
             # Same event as the draw above, so the same bytes as minting then.
-            pilot.token = w.mint_startd_token(pilot)
+            pilot.token = w.mint_startd_token(pilot, kid, draw)
         else:
+            # No token carries this jti, so the ledger gives the draw back.
+            w._used_jtis["pool"].discard(draw)
             w.fail_pilot(pilot, refused)
         return pilot
 

@@ -59,29 +59,14 @@ class AuthzLevel(enum.Enum):
     ADMIN = "ADMIN"
 
 
-#: Generator edges of the privilege order: holding the left level implies
-#: every right level.  The full relation is the reflexive-transitive
-#: closure of these edges.
-_IMPLIES: dict[AuthzLevel, frozenset[AuthzLevel]] = {
-    AuthzLevel.ADMIN: frozenset(
-        {AuthzLevel.DAEMON, AuthzLevel.WRITE, AuthzLevel.READ, AuthzLevel.ADVERTISE}
-    ),
-    AuthzLevel.DAEMON: frozenset({AuthzLevel.ADVERTISE}),
+#: The privilege order: holding a level satisfies every level it maps to.
+_DOMINATES: dict[AuthzLevel, frozenset[AuthzLevel]] = {
+    AuthzLevel.READ: frozenset({AuthzLevel.READ}),
+    AuthzLevel.WRITE: frozenset({AuthzLevel.WRITE}),
+    AuthzLevel.ADVERTISE: frozenset({AuthzLevel.ADVERTISE}),
+    AuthzLevel.DAEMON: frozenset({AuthzLevel.DAEMON, AuthzLevel.ADVERTISE}),
+    AuthzLevel.ADMIN: frozenset(AuthzLevel),
 }
-
-
-def _closure(level: AuthzLevel) -> frozenset[AuthzLevel]:
-    seen: set[AuthzLevel] = {level}
-    frontier = [level]
-    while frontier:
-        for nxt in _IMPLIES.get(frontier.pop(), ()):  # type: ignore[arg-type]
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return frozenset(seen)
-
-
-_DOMINATES: dict[AuthzLevel, frozenset[AuthzLevel]] = {lvl: _closure(lvl) for lvl in AuthzLevel}
 
 #: The held levels that pass a channel outright, by the level it requires:
 #: those dominating it, or ADMIN alone on a scope-guarded channel (``None``),

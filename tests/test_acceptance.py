@@ -220,7 +220,7 @@ def test_criterion_2_tampering_never_authenticates_against_a_warm_world_session(
     presented = [(CH_JOIN, p.token, "") for p in list(world.collector.members.values())[:20]]
     presented += [
         (CH_CE_SUBMIT, token, ce_id)
-        for ce_id, (token, _) in sorted(world.frontend.scitokens.items())
+        for ce_id, token in sorted(world.frontend.scitokens.items())
     ]
     started = time.perf_counter()
     mutants = accepted = 0

@@ -10,8 +10,9 @@ import weakref
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_scenario import MUTATIONS, SHIPPED_DOCS, _replaced
 
 from tokenpool import actors, jose, policy, tokens
 from tokenpool.actors import (
@@ -190,7 +191,7 @@ def test_minted_tokens_have_unique_jtis(monkeypatch):
     assert startd_tokens
     minted = [w.schedd.token, w.frontend.token, w.clients["cmsprod"].token]
     minted += startd_tokens
-    minted += [entry[0] for entry in w.frontend.scitokens.values()]
+    minted += w.frontend.scitokens.values()
     jtis = [t.claims.jti for t in minted]
     assert len(jtis) == len(set(jtis))
 
@@ -412,10 +413,9 @@ def test_join_with_revoked_key_is_rejected():
     )
     w.engine.run(10)
     pilot = w.new_pilot(w.ces["ce-a"])
-    w.assign_startd_identity(pilot)
-    pilot.token = w.mint_startd_token(pilot)
+    pilot.token = w.mint_startd_token(pilot, *w.startd_identity())
     pilot.state = PilotState.STARTED
-    w.keyring = revoke_key(w.keyring, pilot.kid)
+    w.keyring = revoke_key(w.keyring, pilot.token.header.kid)
     w.collector.receive_join(pilot)
     assert pilot.state is PilotState.FAILED
     assert len(failures(w, CH_JOIN, "KeyRevoked")) == 1
@@ -434,16 +434,15 @@ def idle_world(**over):
 
 def startd_token(w):
     pilot = w.new_pilot(w.ces["ce-a"])
-    w.assign_startd_identity(pilot)
-    return pilot, w.mint_startd_token(pilot)
+    return pilot, w.mint_startd_token(pilot, *w.startd_identity())
 
 
 def test_memoised_join_token_fails_once_its_key_is_revoked():
     w = idle_world()
-    pilot, token = startd_token(w)
+    _, token = startd_token(w)
     w.authenticate_on(CH_JOIN, token)
     assert token in w.policy.sessions
-    w.keyring = revoke_key(w.keyring, pilot.kid)
+    w.keyring = revoke_key(w.keyring, token.header.kid)
     with pytest.raises(KeyRevoked):
         w.authenticate_on(CH_JOIN, token)
     # The table started over under the new keyring, and a failure opens none.
@@ -482,14 +481,15 @@ def test_malformed_token_is_recorded_each_time_and_never_remembered():
     # An HS256 token carrying a capability's scope parses, but is not an
     # identity token: every presentation is refused and none opens a session.
     w = idle_world()
-    pilot, _ = startd_token(w)
+    pilot, token = startd_token(w)
+    kid = token.header.kid
     claims = jose.TokenClaims(
         sub=f"startd@{pilot.id}", iss=w.POOL_ISSUER, aud="ce-a", iat=10, exp=610,
         jti="0", scope=("compute.create",),
     )
-    secret = w.keyring.active_secret(pilot.kid)
+    secret = w.keyring.active_secret(kid)
     scoped = jose.decode_token(
-        jose.encode_token(jose.TokenHeader(jose.IDTOKEN_ALG, pilot.kid), claims, secret)
+        jose.encode_token(jose.TokenHeader(jose.IDTOKEN_ALG, kid), claims, secret)
     )
     remembered = dict(w.policy.sessions)
     for _ in range(2):
@@ -555,22 +555,25 @@ def test_each_memo_remembers_only_results(make_memo, monkeypatch):
 )
 def test_pilot_token_is_minted_only_when_its_gateway_accepts_it(over, monkeypatch):
     made = returned(monkeypatch, actors.World, "new_pilot")
+    identities = returned(monkeypatch, actors.World, "startd_identity")
     world = run_doc(**over)
     # A pilot its gateway accepted left REQUESTED with one SUBMITTED record.
     submitted_at = {
         parse_detail(r.detail)["pilot"]: r.t for r in world.trace.select(TRACE_PILOT, outcome="SUBMITTED")
     }
-    refused = [p for p in made if p.id not in submitted_at]
-    accepted = [p for p in made if p.id in submitted_at]
+    # Every pilot here drew its key and jti before its gateway answered.
+    assert len(identities) == len(made)
+    refused = [(p, i) for p, i in zip(made, identities) if p.id not in submitted_at]
+    accepted = [(p, i) for p, i in zip(made, identities) if p.id in submitted_at]
     assert refused
-    for pilot in refused:
+    for pilot, (_, draw) in refused:
         assert pilot.state is PilotState.FAILED
-        assert pilot.token is None and pilot.kid and pilot.jti is not None
-    for pilot in accepted:
+        assert pilot.token is None and draw not in world._used_jtis["pool"]
+    for pilot, (kid, draw) in accepted:
         assert pilot.state is not PilotState.REQUESTED
         token = pilot.token
-        assert token.header.kid == pilot.kid
-        assert token.claims.jti == f"{pilot.jti:016x}"
+        assert token.header.kid == kid
+        assert token.claims.jti == f"{draw:016x}"
         assert token.claims.iat == submitted_at[pilot.id]
 
 
@@ -637,17 +640,13 @@ def test_jti_ledger_holds_only_the_pool_jtis_a_token_carries(name, monkeypatch):
         return draw
 
     monkeypatch.setattr(actors.World, "next_draw", drawn)
-    made = returned(monkeypatch, actors.World, "new_pilot")
     startd_tokens = returned(monkeypatch, actors.World, "mint_startd_token")
     daemon_tokens = returned(monkeypatch, actors.World, "mint_daemon_idtoken")
     world = run_scenario(SCENARIO_DIR / f"{name}.yaml").world
+    assert startd_tokens
     minted = {int(t.claims.jti, 16) for t in startd_tokens + daemon_tokens}
     assert world._used_jtis["pool"] == minted
     assert len(pool_draws) > len(minted)
-    accepted = [p for p in made if p.token is not None]
-    assert accepted
-    for pilot in accepted:
-        assert pilot.jti == int(pilot.token.claims.jti, 16)
 
 
 def golden_digest(path):
@@ -677,7 +676,7 @@ def test_parse_memo_and_sessions_follow_the_pool(path, monkeypatch):
     made = returned(monkeypatch, actors.World, "new_pilot")
     fetched = returned(monkeypatch, actors.TokenIssuer, "fetch_capability")
     world = run_scenario(path).world
-    held = {token for token, _ in world.frontend.scitokens.values()}
+    held = set(world.frontend.scitokens.values())
     ended = {p.token for p in made if p.token is not None and p.id not in live}
     dead = ended | (set(fetched) - held)
     assert not dead & world.policy.sessions.keys()
@@ -687,8 +686,13 @@ def test_parse_memo_and_sessions_follow_the_pool(path, monkeypatch):
     assert dead or path.stem in ("arc-ldap-deprecation", "split-2022")
 
 
+#: The states of a pilot the frontend counts as supply, the oracle for the
+#: ``World.supply`` the run derives from slots and members.
+SUPPLY_STATES = (PilotState.REQUESTED, PilotState.SUBMITTED, PilotState.STARTED, PilotState.JOINED)
+
+
 def supply_scan(live):
-    return sum(1 for p in live.values() if p.state in actors.PILOT_SUPPLY_STATES)
+    return sum(1 for p in live.values() if p.state in SUPPLY_STATES)
 
 
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
@@ -736,8 +740,7 @@ def test_evicting_a_joined_pilot_lowers_the_supply_count(monkeypatch):
     live = live_pilots(monkeypatch)
     w = idle_world()
     before = w.supply
-    pilot, _ = startd_token(w)
-    w.pilot_event(pilot, PilotState.JOINED)
+    pilot = joined_pilot(w)
     assert w.supply == before + 1 == supply_scan(live)
     assert w.joined == {pilot.id: pilot}
     w.collector.evict(pilot, KEY_COMPROMISE)
@@ -798,8 +801,11 @@ def test_single_use_pilots_retire_with_their_job():
 
 
 def joined_pilot(w):
-    """A pilot that has just joined the collector, as ``receive_join`` leaves it."""
-    pilot, _ = startd_token(w)
+    """A pilot its gateway accepted that has just joined the collector, as
+    ``receive_join`` leaves it."""
+    pilot, pilot.token = startd_token(w)
+    ce = w.ces[pilot.ce_id]
+    assert ce.receive_submission(pilot, w.frontend.capability_for(ce.id), CEInterface.NATIVE) is None
     pilot.joined_at = w.engine.now
     w.pilot_event(pilot, PilotState.JOINED)
     w.collector.members[pilot.id] = pilot
@@ -834,6 +840,20 @@ def test_requeued_job_is_matched_before_jobs_created_after_it():
         f"job={jobs[0].id} pilot={second.id}",
         f"job={jobs[1].id} pilot={third.id}",
     ]
+
+
+def test_match_order_follows_creation_past_pilot_99999():
+    # "pilot-100000" sorts before "pilot-99999" as a string, yet the pilot
+    # made first takes the one idle job.
+    w = idle_world()
+    w._pilot_seq = 99_999
+    job = w.new_job(w.clients["cmsprod"].spec)
+    first, second = joined_pilot(w), joined_pilot(w)
+    assert (first.id, second.id) == ("pilot-99999", "pilot-100000")
+    assert first.joined_at == second.joined_at
+    w.collector.match_tick()
+    assert matched_jobs(w) == [f"job={job.id} pilot=pilot-99999"]
+    assert first.job is job and second.job is None
 
 
 def test_completion_for_an_evicted_pilot_is_ignored():
@@ -945,10 +965,37 @@ def test_world_keeps_only_live_pilots(path, monkeypatch):
     assert len(cycles) > 1 and any(cycles)
 
 
+@settings(max_examples=200)
+@given(MUTATIONS)
+def test_ledger_and_supply_follow_the_live_pilots_of_a_mutated_scenario(mutation):
+    """A mutated shipped scenario that parses, run to t=1200, keeps its
+    members and slots, and the supply it derives from them, in step with
+    its live pilots at every frontend cycle."""
+    stem, path, value = mutation
+    try:
+        sc = parse_scenario(_replaced(SHIPPED_DOCS[stem], path, value))
+    except ScenarioError:
+        return
+    cycle = actors.Frontend.cycle
+
+    def checked_cycle(frontend):
+        world = frontend.world
+        check_live_ledger(world, live)
+        assert world.supply == supply_scan(live), world.engine.now
+        cycle(frontend)
+
+    # Hypothesis runs many examples per test, so no function-scoped fixture.
+    with pytest.MonkeyPatch.context() as mp:
+        live = live_pilots(mp)
+        mp.setattr(actors.Frontend, "cycle", checked_cycle)
+        run_scenario(dataclasses.replace(sc, horizon=min(sc.horizon, 1200)))
+
+
 #: The tracemalloc peak of a ``rollout-2022`` run, in bytes: 1.10 times the
-#: largest of its readings, 3,068,252 to 3,076,826 B (2.93 MiB), in fresh
-#: processes and under pytest, once holders keep their parsed tokens.
-ROLLOUT_PEAK_BOUND = int(1.10 * 3_076_826)
+#: largest of its readings, 3,062,596 to 3,071,298 B (2.93 MiB), in fresh
+#: processes and under pytest, once holders keep their parsed tokens and a
+#: pilot keeps no copy of its token's key and jti.
+ROLLOUT_PEAK_BOUND = int(1.10 * 3_071_298)
 
 
 def test_live_pool_fits_its_memory_bound():
@@ -972,14 +1019,15 @@ def test_live_pool_fits_its_memory_bound():
 ROLLOUT_PEAK_T = 530
 
 #: Bytes held per live pilot at that instant, tracemalloc's current count
-#: over the run so far, after one World was built untraced: 1,518.9 to
-#: 1,521.2 under pytest and 1,521.4 in a fresh process, once a pending event
-#: is one bound method of its pilot, the token's signature is read off the
-#: wire, the pilot keeps its jti as the ledger's draw, a job keeps no name,
-#: the World keeps no registry of its pilots nor a pilot a copy of its slot
-#: or submission time, and a pilot keeps the token it was minted, parsed,
-#: with no parse memo beside it.  The bound is 1.10 times the largest reading.
-BYTES_PER_LIVE_PILOT = int(1.10 * 1521.4)
+#: over the run so far, after one World was built untraced: 1,506.1 in the
+#: whole suite and 1,508.6 in a fresh process and under pytest alone, once a
+#: pending event is one bound method of its pilot, the token's signature is
+#: read off the wire, a job keeps no name, the World keeps no registry of its
+#: pilots nor a pilot a copy of its slot or submission time, and a pilot
+#: keeps the token it was minted, parsed, with no parse memo beside it and
+#: no copy of the key and jti that token carries.  The bound is 1.10 times
+#: the largest reading.
+BYTES_PER_LIVE_PILOT = int(1.10 * 1508.6)
 
 
 def rollout_at_peak(scenario):
@@ -1221,7 +1269,7 @@ def _revoked_join():
     w = idle_world()
     pilot, pilot.token = startd_token(w)
     pilot.state = PilotState.STARTED
-    w.keyring = revoke_key(w.keyring, pilot.kid)
+    w.keyring = revoke_key(w.keyring, pilot.token.header.kid)
     w.collector.receive_join(pilot)
     return w
 
