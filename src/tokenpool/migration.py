@@ -108,8 +108,8 @@ class DrillReport:
 
 @dataclass(frozen=True)
 class RunResult:
-    """A finished run: its digest and facts were streamed while it ran, and
-    ``trace.records`` can be read only if it ran with ``keep_records=True``."""
+    """A finished run: its digest and facts were streamed while it ran; its
+    records are the lines written to ``trace_out``."""
 
     scenario: Scenario
     world: World
@@ -125,7 +125,6 @@ def run_scenario(
     source: Scenario | str | Path,
     *,
     seed: int | None = None,
-    keep_records: bool = False,
     trace_out: BinaryIO | None = None,
 ) -> RunResult:
     """Build the world for a scenario (or scenario file) and run it out,
@@ -134,7 +133,7 @@ def run_scenario(
     if seed is not None:
         scenario = dataclasses.replace(scenario, seed=seed)
     walk = _Pass(scenario)
-    trace = Trace(keep_records=keep_records, out=trace_out, fold=walk)
+    trace = Trace(out=trace_out, fold=walk)
     world = build_world(scenario, trace)
     world.engine.run(scenario.horizon)
     return RunResult(scenario, world, trace, trace.digest(), *walk.finish(trace))

@@ -135,12 +135,6 @@ def _line_template(channel: str, identity: str, method: str, outcome: str) -> st
     )
 
 
-def canonical_line(rec: Record) -> str:
-    """The record's JSONL line."""
-    template = _line_template(rec.channel, rec.identity, rec.method, rec.outcome)
-    return template % (encode_basestring_ascii(rec.detail), rec.t)
-
-
 def _mistyped(rec: Record) -> str:
     """What is wrong with a record holding a field of the wrong type."""
     if type(rec.t) is not int:
@@ -152,7 +146,7 @@ def _mistyped(rec: Record) -> str:
 
 
 class _Unkept(Sequence[Record]):
-    """The records of a trace that keeps none: their count, and none to read."""
+    """The records of a trace: their count, and none to read."""
 
     __slots__ = ("_count",)
 
@@ -163,7 +157,7 @@ class _Unkept(Sequence[Record]):
         return self._count
 
     def __getitem__(self, i):  # type: ignore[override]
-        raise SimulationError("make the trace with keep_records=True to read its records")
+        raise SimulationError("a trace keeps no records: parse the lines it wrote to its out")
 
 
 #: The distinct (channel, identity, method, outcome) of a group of records.
@@ -179,25 +173,20 @@ class Trace:
     """Append-only audit log whose JSONL text defines the run digest.
 
     Each record's line is built once, hashed into the digest, written to
-    ``out`` when given, and the record fed to ``fold``.  Only under
-    ``keep_records=True`` are records kept."""
+    ``out`` when given, and the record fed to ``fold``; no record is kept."""
 
-    def __init__(
-        self, *, keep_records: bool = False, out: BinaryIO | None = None, fold: Fold | None = None
-    ) -> None:
-        self.keep_records = keep_records
+    def __init__(self, *, out: BinaryIO | None = None, fold: Fold | None = None) -> None:
         self._out = out
         self._fold = fold
         self._sha = hashlib.sha256()
         #: Per head, in the order first written: [its line template, the
         #: fold's step for it, its number of records].
         self._heads: dict[Head, list] = {}
-        self._kept: list[Record] = []
 
     @property
     def records(self) -> Sequence[Record]:
-        """The records in order; of a trace that keeps none, only their count."""
-        return self._kept if self.keep_records else _Unkept(sum(self.head_counts().values()))
+        """The number of records; reading one raises, as none is kept."""
+        return _Unkept(sum(self.head_counts().values()))
 
     def head_counts(self) -> dict[Head, int]:
         """Each head's number of records, in the order first written."""
@@ -230,8 +219,6 @@ class Trace:
         entry[2] += 1
         if step is not None:
             step(t, detail)
-        if self.keep_records:
-            self._kept.append(Record(channel, detail, identity, method, outcome, t))
 
     def select(
         self,
@@ -239,13 +226,8 @@ class Trace:
         outcome: str | None = None,
         outcome_prefix: str | None = None,
     ) -> list[Record]:
-        return [
-            rec
-            for rec in self.records
-            if (channel is None or rec.channel == channel)
-            and (outcome is None or rec.outcome == outcome)
-            and (outcome_prefix is None or rec.outcome.startswith(outcome_prefix))
-        ]
+        """Refused, as reading a record is: a trace keeps none."""
+        return list(self.records)
 
     def digest(self) -> str:
         """SHA-256 of the canonical lines written so far."""

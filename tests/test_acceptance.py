@@ -27,6 +27,7 @@ import yaml
 
 from test_actors import golden_digest
 from test_jose import GOLDEN_VECTORS, oracle_hs256_jwt
+from test_simnet import pick, written
 
 from tokenpool import errors
 from tokenpool.actors import CH_CE_SUBMIT, CH_JOIN
@@ -68,19 +69,25 @@ SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 @pytest.fixture(scope="module")
 def shipped():
-    """Every scenario shipped under scenarios/, run once, with timings."""
+    """Every scenario shipped under scenarios/, run once, with timings, the
+    trace it wrote and the records read back from it."""
     runs = {}
     for path in sorted(SCENARIO_DIR.glob("*.yaml")):
         doc = yaml.safe_load(path.read_text())
         scenario = parse_scenario(doc)
+        out = io.BytesIO()
         started = time.perf_counter()
-        result = run_scenario(scenario, keep_records=True)
+        result = run_scenario(scenario, trace_out=out)
+        elapsed = time.perf_counter() - started
+        lines = out.getvalue()
         runs[path.stem] = SimpleNamespace(
             path=path,
             doc=doc,
             scenario=scenario,
             result=result,
-            elapsed=time.perf_counter() - started,
+            elapsed=elapsed,
+            lines=lines,
+            records=written(lines),
         )
     assert len(runs) == 6
     return runs
@@ -273,7 +280,7 @@ def test_criterion_3_rollout_2022_capacity_fractions(shipped):
         assert len(misconfigured) == 12
 
     requested = sum(
-        1 for r in fallback.result.trace.select("PILOT", outcome="REQUESTED")
+        1 for r in pick(fallback.records, "PILOT", outcome="REQUESTED")
     )
     fallback_fill = compute_metrics(fallback.result).capacity_fraction
     token_only_fill = compute_metrics(token_only.result).capacity_fraction
@@ -300,7 +307,7 @@ def test_criterion_4_no_legacy_auth_under_token_only(shipped):
         timeline = run.result.timeline
         legacy_success_in_token_only = [
             rec
-            for rec in run.result.trace.records
+            for rec in run.records
             if rec.outcome == "SUCCESS"
             and rec.method in legacy
             and [phase for t, phase in timeline if t <= rec.t][-1] is MigrationPhase.TOKEN_ONLY
@@ -313,18 +320,19 @@ def test_criterion_4_no_legacy_auth_under_token_only(shipped):
 
 
 def test_criterion_5_key_compromise_drill(shipped):
-    result = shipped["drill-keysplit"].result
+    run = shipped["drill-keysplit"]
+    result = run.result
     assert len(result.world.startd_kids) == 4
 
     report = drill_report(result)
     assert report is not None
     quarter = report.pool_before / 4
-    evictions = result.trace.select("PILOT", outcome="EVICT")
+    evictions = pick(run.records, "PILOT", outcome="EVICT")
     foreign = [
         r for r in evictions if parse_detail(r.detail).get("kid") != report.kid
     ]
     final_size = int(
-        parse_detail(result.trace.select("POOL", outcome="SAMPLE")[-1].detail)[
+        parse_detail(pick(run.records, "POOL", outcome="SAMPLE")[-1].detail)[
             "size"
         ]
     )
@@ -393,18 +401,17 @@ def test_criterion_7_trace_digests_are_seed_deterministic(shipped):
     )
 
 
-def test_streamed_runs_report_what_kept_runs_report(shipped):
-    """A run that keeps no records states the same digest and reports as
-    one that keeps them, and the lines it writes out hash to that digest."""
+def test_runs_report_the_same_with_and_without_trace_out(shipped):
+    """A run that writes no trace states the same digest and reports as one
+    that writes it, and the lines written hash to that digest."""
     for name, run in shipped.items():
-        out = io.BytesIO()
-        streamed = run_scenario(run.scenario, trace_out=out)
-        assert streamed.digest == run.result.digest, name
-        assert hashlib.sha256(out.getvalue()).hexdigest() == streamed.digest, name
-        assert len(streamed.trace.records) == len(run.result.trace.records), name
-        assert report_dict(streamed) == report_dict(run.result), name
+        unwritten = run_scenario(run.scenario)
+        assert unwritten.digest == run.result.digest, name
+        assert hashlib.sha256(run.lines).hexdigest() == run.result.digest, name
+        assert len(unwritten.trace.records) == len(run.result.trace.records) == len(run.records), name
+        assert report_dict(unwritten) == report_dict(run.result), name
         for fmt in ("text", "json"):
-            assert render_report(streamed, fmt) == render_report(run.result, fmt), name
+            assert render_report(unwritten, fmt) == render_report(run.result, fmt), name
 
 
 # --- criterion 8: deprecated LDAP interface --------------------------------
@@ -412,17 +419,16 @@ def test_streamed_runs_report_what_kept_runs_report(shipped):
 
 def test_criterion_8_ldap_only_ce_is_dark_on_condor_10(shipped):
     run = shipped["arc-ldap-deprecation"]
-    trace = run.result.trace
 
     attempts = [
-        r for r in trace.select("FACTORY->CE") if "ce=ce-ldap" in r.detail
+        r for r in pick(run.records, "FACTORY->CE") if "ce=ce-ldap" in r.detail
     ]
     assert attempts, "no submission attempts recorded for the LDAP-only CE"
     assert all(r.outcome == "FAIL:DeprecatedInterface" for r in attempts)
 
     pilot_states = {
         r.outcome
-        for r in trace.select("PILOT")
+        for r in pick(run.records, "PILOT")
         if "ce=ce-ldap" in r.detail
     }
     assert pilot_states == {"REQUESTED", "FAILED"}  # never submitted, never joined
@@ -431,10 +437,11 @@ def test_criterion_8_ldap_only_ce_is_dark_on_condor_10(shipped):
     # the CE over LDAP, so the refusal above is the version gate.
     older_doc = dict(run.doc, name="arc-ldap-on-9")
     older_doc["factories"] = [dict(run.doc["factories"][0], condor_major=9)]
-    older = run_scenario(parse_scenario(older_doc), keep_records=True)
+    older_out = io.BytesIO()
+    run_scenario(parse_scenario(older_doc), trace_out=older_out)
     submitted = [
         r
-        for r in older.trace.select("PILOT", outcome="SUBMITTED")
+        for r in pick(written(older_out.getvalue()), "PILOT", outcome="SUBMITTED")
         if "ce=ce-ldap" in r.detail
     ]
     print(
@@ -540,7 +547,7 @@ def test_trace_reasons_come_from_the_closed_vocabulary(shipped):
 
     seen = Counter()
     for run in shipped.values():
-        for record in run.result.trace.records:
+        for record in run.records:
             outcome = record.outcome
             if outcome.startswith("FAIL:"):
                 seen[outcome[len("FAIL:"):]] += 1

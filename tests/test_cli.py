@@ -8,10 +8,11 @@ import re
 
 import pytest
 import yaml
+from test_simnet import written
 
 from tokenpool.cli import main
 from tokenpool.migration import run_scenario
-from tokenpool.simnet import Record, canonical_line
+from tokenpool.simnet import Record
 
 SECRET = bytes(range(32))
 ISSUER = "https://issuer.test"
@@ -271,7 +272,7 @@ def test_sim_run_reports_digest_and_writes_trace(capsys, scenario_file, tmp_path
     for line in lines:
         obj = json.loads(line)
         assert sorted(obj) == sorted(Record._fields)
-        assert canonical_line(Record(**obj)).encode() == line
+        assert written(line) == [Record(**obj)]
 
 
 def test_sim_run_trace_out_to_a_missing_directory_is_a_usage_error(capsys, scenario_file, tmp_path):
@@ -301,19 +302,19 @@ def test_sim_run_trace_out_serialises_each_record_once(scenario_file, tmp_path, 
     from tokenpool import cli
 
     trace_out = tmp_path / "trace.jsonl"
-    written = []
+    seen = []
 
     def run(scenario, **kwargs):
         result = run_scenario(scenario, **kwargs)
         kwargs["trace_out"].flush()
-        written.append(trace_out.read_bytes())
-        assert hashlib.sha256(written[0]).hexdigest() == result.digest
-        assert written[0].count(b"\n") == len(result.trace.records) > 0
+        seen.append(trace_out.read_bytes())
+        assert hashlib.sha256(seen[0]).hexdigest() == result.digest
+        assert seen[0].count(b"\n") == len(result.trace.records) > 0
         return result
 
     monkeypatch.setattr(cli, "run_scenario", run)
     assert main(["sim", "run", scenario_file, "--trace-out", str(trace_out)]) == 0
-    assert [trace_out.read_bytes()] == written
+    assert [trace_out.read_bytes()] == seen
 
 
 def test_sim_run_json_format(capsys, scenario_file):

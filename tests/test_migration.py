@@ -1,12 +1,14 @@
 """Trace-derived reporting: metrics, drill reconstruction, soundness."""
 
 import dataclasses
+import io
 import json
 
 import pytest
 import yaml
 from hypothesis import given
 from hypothesis import strategies as st
+from test_simnet import pick, written
 
 from tokenpool.migration import (
     _Pass,
@@ -61,8 +63,14 @@ def doc(**over):
 
 
 @pytest.fixture(scope="module")
-def small_result():
-    return run_scenario(parse_scenario(doc()), keep_records=True)
+def small_out():
+    """The buffer ``small_result`` writes its trace to."""
+    return io.BytesIO()
+
+
+@pytest.fixture(scope="module")
+def small_result(small_out):
+    return run_scenario(parse_scenario(doc()), trace_out=small_out)
 
 
 @pytest.fixture(scope="module")
@@ -79,7 +87,6 @@ def drill_result():
                 drill={"reprovision_delay": 60},
             )
         ),
-        keep_records=True,
     )
 
 
@@ -87,7 +94,7 @@ def refolded(result, records):
     """``result`` with the facts of ``records``, fed one by one through a
     fresh fold as a run feeds its own."""
     walk = _Pass(result.scenario)
-    trace = Trace(keep_records=True, fold=walk)
+    trace = Trace(fold=walk)
     for r in records:
         trace.record(r.t, r.channel, r.outcome, method=r.method, identity=r.identity, detail=r.detail)
     metrics, drill, timeline, violations = walk.finish(trace)
@@ -132,9 +139,9 @@ def test_parse_detail():
     assert parse_detail("") == {}
 
 
-def test_compute_metrics_cross_checks_against_raw_trace(small_result):
+def test_compute_metrics_cross_checks_against_raw_trace(small_result, small_out):
     metrics = compute_metrics(small_result)
-    trace = small_result.trace
+    records = written(small_out.getvalue())
     assert metrics.total_capacity == 10
 
     # Totals must equal independent recounts of the same records.
@@ -148,19 +155,19 @@ def test_compute_metrics_cross_checks_against_raw_trace(small_result):
     }
     recounted = sum(
         1
-        for r in trace.records
+        for r in records
         if r.channel in auth_channels and r.outcome == "SUCCESS"
     )
     assert sum(metrics.auth_success.values()) == recounted
     assert sum(metrics.auth_failures.values()) == sum(
         1
-        for r in trace.records
+        for r in records
         if r.channel in auth_channels and r.outcome.startswith("FAIL:")
     )
 
     sizes = [
         (r.t, int(parse_detail(r.detail)["size"]))
-        for r in trace.select("POOL", outcome="SAMPLE")
+        for r in pick(records, "POOL", outcome="SAMPLE")
     ]
     assert metrics.peak_pool == max(s for _, s in sizes)
     assert metrics.final_pool == sizes[-1][1]
@@ -220,6 +227,7 @@ def test_phase_soundness_clean_run(small_result):
 
 
 def test_phase_soundness_detects_forged_legacy_use(small_result):
+    out = io.BytesIO()
     staged = run_scenario(
         parse_scenario(
             doc(
@@ -227,13 +235,13 @@ def test_phase_soundness_detects_forged_legacy_use(small_result):
                 plan=[{"at": 300, "action": "set_phase", "phase": "TOKEN_ONLY"}],
             )
         ),
-        keep_records=True,
+        trace_out=out,
     )
     # The phase change at t=300 governs every record at t=300, including
     # one written before the PHASE record itself.
     forged = []
     boundaries = 0
-    for r in staged.trace.records:
+    for r in written(out.getvalue()):
         if r.channel == "PLAN" and r.outcome == "PHASE" and r.t == 300:
             boundaries += 1
             forged.append(Record("FACTORY->CE", "", "cms-pilot", "GSI_PROXY", "SUCCESS", 300))

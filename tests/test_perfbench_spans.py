@@ -20,12 +20,17 @@ SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
-@pytest.fixture(scope="module")
-def spans():
+def load_spans():
+    """``perfbench/spans.py`` as it is, loaded from its path."""
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def spans():
+    return load_spans()
 
 
 def test_every_traced_name_resolves(spans):

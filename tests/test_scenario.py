@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import io
 import math
 import re
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_simnet import written
 
 from tokenpool import scenario
 from tokenpool.errors import ScenarioError
@@ -631,7 +633,8 @@ VALUE_PATHS = {stem: list(_value_paths(doc)) for stem, doc in SHIPPED_DOCS.items
 def test_a_mutated_shipped_scenario_is_refused_at_parse_or_runs(data):
     """Delete one key (or list item) of a shipped scenario, or replace one
     value with one from a fixed pool: the parser refuses the result with
-    ScenarioError, or the run, capped at t=1200, raises nothing."""
+    ScenarioError, or the run, capped at t=1200, raises nothing and breaks
+    no phase rule."""
     stem = data.draw(st.sampled_from(sorted(SHIPPED_DOCS)), label="scenario")
     path = data.draw(st.sampled_from(VALUE_PATHS[stem]), label="path")
     value = data.draw(st.sampled_from((DELETE, *MUTATION_POOL)), label="value")
@@ -639,7 +642,8 @@ def test_a_mutated_shipped_scenario_is_refused_at_parse_or_runs(data):
         sc = parse_scenario(_replaced(SHIPPED_DOCS[stem], path, value))
     except ScenarioError:
         return
-    run_scenario(dataclasses.replace(sc, horizon=min(sc.horizon, 1200)))
+    result = run_scenario(dataclasses.replace(sc, horizon=min(sc.horizon, 1200)))
+    assert not result.violations, result.violations[:3]
 
 
 #: The draws of the test above as one strategy: a scenario, one of its
@@ -678,6 +682,7 @@ def test_readme_example_parses_and_runs():
     sc = parse_scenario(yaml.safe_load(block))
     assert sc.name == "example"
     assert [ce.interface for ce in sc.ces] == [CEInterface.NATIVE, CEInterface.REST]
-    result = run_scenario(sc, keep_records=True)
+    out = io.BytesIO()
+    result = run_scenario(sc, trace_out=out)
     assert len(result.digest) == 64
-    assert any(rec.channel == "PLAN" for rec in result.trace.records)
+    assert any(rec.channel == "PLAN" for rec in written(out.getvalue()))

@@ -19,7 +19,6 @@ from tokenpool.simnet import (
     Record,
     RngStreams,
     Trace,
-    canonical_line,
     fail_outcome,
     message_dropped,
 )
@@ -207,15 +206,45 @@ def test_rng_streams_are_isolated_between_labels():
 # -- trace ------------------------------------------------------------------
 
 
+def _json_line(rec):
+    """The record's line as ``json.dumps`` writes it."""
+    return json.dumps(rec._asdict(), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def written(data):
+    """The records of the trace lines in ``data``, in order.
+
+    Every test that reads a run's records reads them here, from the bytes
+    the digest hashes, so each also checks those bytes: every line must be
+    the ``json.dumps`` line of the record it parses to."""
+    records = []
+    for line in data.splitlines(keepends=True):
+        rec = Record(**json.loads(line))
+        assert line == _json_line(rec).encode(), line
+        records.append(rec)
+    return records
+
+
+def pick(records, channel=None, outcome=None):
+    """The records on ``channel`` with ``outcome``; ``None`` matches any."""
+    return [
+        r
+        for r in records
+        if (channel is None or r.channel == channel) and (outcome is None or r.outcome == outcome)
+    ]
+
+
 def test_trace_record_and_select():
-    trace = Trace(keep_records=True)
+    out = io.BytesIO()
+    trace = Trace(out=out)
     trace.record(1, "A->B", "SUCCESS", method="IDTOKEN", identity="svc")
     trace.record(2, "A->B", "FAIL:Expired")
     trace.record(3, "C->D", "FAIL:UnknownKey")
-    assert len(trace.select("A->B")) == 2
-    assert len(trace.select(outcome="SUCCESS")) == 1
-    assert len(trace.select(outcome_prefix="FAIL:")) == 2
-    assert trace.select("C->D", outcome_prefix="FAIL:")[0].outcome == "FAIL:UnknownKey"
+    records = written(out.getvalue())
+    assert len(pick(records, "A->B")) == 2
+    assert len(pick(records, outcome="SUCCESS")) == 1
+    assert len([r for r in records if r.outcome.startswith("FAIL:")]) == 2
+    assert [r.outcome for r in pick(records, "C->D")] == ["FAIL:UnknownKey"]
 
 
 #: One field of the wrong type per case, with the message that must name it.
@@ -235,25 +264,22 @@ MISTYPED_FIELDS = {
     "field, value, message", MISTYPED_FIELDS.values(), ids=MISTYPED_FIELDS.keys()
 )
 def test_trace_rejects_non_int_times(field, value, message):
-    # Every field is checked before the record is hashed, written or kept.
+    # Every field is checked before the record is hashed or written.
     fields = {"t": 1, "channel": "A->B", "outcome": "SUCCESS", field: value}
     out = io.BytesIO()
-    trace = Trace(keep_records=True, out=out)
+    trace = Trace(out=out)
     with pytest.raises(SimulationError, match=message):
         trace.record(**fields)
-    assert list(trace.records) == []
+    assert len(trace.records) == 0
     assert out.getvalue() == b"" and trace.digest() == hashlib.sha256().hexdigest()
 
 
-def _jsonl(trace):
-    return "".join(map(canonical_line, trace.records))
-
-
 def test_trace_jsonl_is_canonical_and_digest_matches():
-    trace = Trace(keep_records=True)
+    out = io.BytesIO()
+    trace = Trace(out=out)
     trace.record(1, "A->B", "SUCCESS", detail="x=1")
-    assert list(trace.records) == [Record("A->B", "x=1", "-", "-", "SUCCESS", 1)]
-    text = _jsonl(trace)
+    assert written(out.getvalue()) == [Record("A->B", "x=1", "-", "-", "SUCCESS", 1)]
+    text = out.getvalue().decode()
     assert text.endswith("\n")
     parsed = json.loads(text.splitlines()[0])
     assert list(parsed) == sorted(parsed) == list(Record._fields)
@@ -266,16 +292,13 @@ def test_trace_jsonl_is_canonical_and_digest_matches():
 def test_trace_write():
     # Each line reaches ``out`` as its record is written.
     out = io.BytesIO()
-    trace = Trace(keep_records=True, out=out)
+    trace = Trace(out=out)
     trace.record(1, "A->B", "SUCCESS")
-    assert out.getvalue() == _jsonl(trace).encode()
+    first = _json_line(Record("A->B", "", "-", "-", "SUCCESS", 1))
+    assert out.getvalue() == first.encode()
     trace.record(2, "A->B", "DROP", detail="x=2")
-    assert out.getvalue() == _jsonl(trace).encode()
-
-
-def _json_line(rec):
-    """The record's line as ``json.dumps`` writes it."""
-    return json.dumps(rec._asdict(), sort_keys=True, separators=(",", ":")) + "\n"
+    second = _json_line(Record("A->B", "x=2", "-", "-", "DROP", 2))
+    assert out.getvalue() == (first + second).encode()
 
 
 @pytest.mark.parametrize(
@@ -285,11 +308,14 @@ def _json_line(rec):
 )
 def test_trace_digest_hashes_the_jsonl_text(details):
     out = io.BytesIO()
-    trace = Trace(keep_records=True, out=out)
+    trace = Trace(out=out)
+    given_records = []
     for i, detail in enumerate(details):
-        trace.record(i, "A->B", "SUCCESS" if i % 3 else "FAIL:Expired", detail=detail)
-    text = _jsonl(trace)
-    assert text == "".join(map(_json_line, trace.records))
+        outcome = "SUCCESS" if i % 3 else "FAIL:Expired"
+        trace.record(i, "A->B", outcome, detail=detail)
+        given_records.append(Record("A->B", detail, "-", "-", outcome, i))
+    assert written(out.getvalue()) == given_records
+    text = "".join(map(_json_line, given_records))
     assert text.isascii()
     assert trace.digest() == hashlib.sha256(text.encode()).hexdigest()
     assert out.getvalue() == text.encode()
@@ -318,8 +344,12 @@ _FIELD_TEXT = st.text(_FIELD_CHARS)
         t=st.integers(),
     )
 )
-def test_canonical_line_is_the_json_dumps_line(rec):
-    assert canonical_line(rec) == _json_line(rec)
+def test_trace_writes_the_json_dumps_line(rec):
+    out = io.BytesIO()
+    Trace(out=out).record(
+        rec.t, rec.channel, rec.outcome, method=rec.method, identity=rec.identity, detail=rec.detail
+    )
+    assert out.getvalue() == _json_line(rec).encode()
 
 
 _SHORT_TEXT = st.text(_FIELD_CHARS, max_size=6)
@@ -347,7 +377,7 @@ def test_trace_gives_back_the_records_it_was_given(heads, rows):
         given_rows.append(Record(channel, detail, identity, method, outcome, t))
     expected = wide[:150] + given_rows + wide[150:]
     out = io.BytesIO()
-    trace = Trace(keep_records=True, out=out)
+    trace = Trace(out=out)
     for r in expected:
         trace.record(r.t, r.channel, r.outcome, method=r.method, identity=r.identity, detail=r.detail)
     counts = trace.head_counts()
@@ -357,9 +387,13 @@ def test_trace_gives_back_the_records_it_was_given(heads, rows):
     assert trace.digest() == hashlib.sha256(text).hexdigest()
     assert out.getvalue() == text
     assert len(trace.records) == len(expected)
-    assert list(trace.records) == expected
-    assert trace.records[-1] == expected[-1]
-    assert trace.records[150:-150] == given_rows
+    # JSON reads a surrogate pair, written as two escapes, back as the one
+    # character it encodes; any other record reads back as it was given.
+    as_read = [Record(**json.loads(_json_line(r))) for r in expected]
+    records = written(out.getvalue())
+    assert records == as_read
+    assert records[-1] == as_read[-1]
+    assert records[150:-150] == as_read[150:-150]
 
 
 def _allocated(action):
@@ -381,7 +415,7 @@ def _fill(trace, n=20_000):
 
 
 def test_counting_records_builds_none():
-    trace = Trace(keep_records=True)
+    trace = Trace()
     _fill(trace)
     counted = []
     _, peak = _allocated(lambda: counted.append(len(trace.records)))
@@ -389,7 +423,7 @@ def test_counting_records_builds_none():
     assert peak < 1024
 
 
-def test_a_trace_that_does_not_keep_records_holds_none():
+def test_a_trace_holds_no_records():
     trace = Trace()
     trace.record(0, "STARTD->COLLECTOR", "SUCCESS", method="IDTOKEN", detail="warm-up")
 
@@ -401,9 +435,9 @@ def test_a_trace_that_does_not_keep_records_holds_none():
     held, _ = _allocated(fill)
     assert held < 1024
     assert len(trace.records) == 20_001
-    with pytest.raises(SimulationError, match="keep_records=True"):
+    with pytest.raises(SimulationError, match="keeps no records"):
         trace.records[0]
-    with pytest.raises(SimulationError, match="keep_records=True"):
+    with pytest.raises(SimulationError, match="keeps no records"):
         trace.select("STARTD->COLLECTOR")
 
 
@@ -427,28 +461,28 @@ def test_fail_outcome_rejects_a_reason_outside_the_vocabulary():
 
 
 def make_board(fault, on_activate=None):
-    engine = Engine()
-    trace = Trace(keep_records=True)
+    """An engine, the buffer its trace writes to, and a board holding ``fault``."""
+    engine, out = Engine(), io.BytesIO()
     board = FaultBoard()
-    board.inject(fault, trace=trace, engine=engine, on_activate=on_activate)
-    return engine, trace, board
+    board.inject(fault, trace=Trace(out=out), engine=engine, on_activate=on_activate)
+    return engine, out, board
 
 
 def test_fault_wildcard_target_is_always_known():
-    engine, trace, board = make_board(Fault(FaultKind.MESSAGE_DROP, "*", rate=0.5))
+    engine, _, board = make_board(Fault(FaultKind.MESSAGE_DROP, "*", rate=0.5))
     assert board.active(FaultKind.MESSAGE_DROP, "anything", 0) is not None
 
 
 def test_fault_inject_records_and_activation_callback():
     fired = []
     fault = Fault(FaultKind.KEY_COMPROMISE, "key-1", start=40)
-    engine, trace, board = make_board(fault, on_activate=fired.append)
-    injects = trace.select("FAULT", outcome="INJECT")
+    engine, out, board = make_board(fault, on_activate=fired.append)
+    injects = pick(written(out.getvalue()), "FAULT", outcome="INJECT")
     assert len(injects) == 1
     assert "kind=KEY_COMPROMISE" in injects[0].detail
     assert fired == []
     engine.run(100)
-    activations = trace.select("FAULT", outcome="ACTIVATE")
+    activations = pick(written(out.getvalue()), "FAULT", outcome="ACTIVATE")
     assert [r.t for r in activations] == [40]
     assert fired == [fault]
 
@@ -503,7 +537,7 @@ faults_st = st.lists(
 
 @given(faults=faults_st)
 def test_fault_lookup_by_kind_matches_a_scan_of_every_fault(faults):
-    engine, trace, board = Engine(), Trace(keep_records=True), FaultBoard()
+    engine, trace, board = Engine(), Trace(), FaultBoard()
     for fault in faults:
         board.inject(fault, trace=trace, engine=engine)
     for kind in FaultKind:
