@@ -18,9 +18,7 @@ or issuer repeats.
 
 from __future__ import annotations
 
-import base64
 import binascii
-import hashlib
 import hmac
 import json
 import sys
@@ -35,39 +33,41 @@ IDTOKEN_ALG = "HS256"
 SCITOKEN_ALG = "EdDSA"
 
 
+_ALPHABET = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-_"
+_TO_STD = bytes.maketrans(b"-_", b"+/")
+_TO_URLSAFE = bytes.maketrans(b"+/", b"-_")
+#: By segment length mod 4: the padding to add, and the last characters
+#: whose unused low bits are zero (``None``: any character, or none valid).
+_TAILS = ((b"", None), None, (b"==", _ALPHABET[::16]), (b"=", _ALPHABET[::4]))
+
+
 def b64url_encode(data: bytes) -> str:
     """Base64url without padding."""
-    return base64.urlsafe_b64encode(data).rstrip(b"=").decode("ascii")
-
-
-_B64URL_CHARS = frozenset(
-    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-_"
-)
+    return binascii.b2a_base64(data, newline=False).translate(_TO_URLSAFE, b"=").decode("ascii")
 
 
 def b64url_decode(segment: str) -> bytes:
     """Strict base64url decode: any character outside the alphabet fails,
     and so does a final character whose unused low bits are not zero, so
     each byte string has exactly one accepted segment."""
-    # validate=True alone is not enough: altchars translates '-_' to '+/'
-    # before validation, which would let standard-alphabet input through.
-    if not set(segment) <= _B64URL_CHARS:
-        raise MalformedToken("segment holds non-base64url characters")
-    pad = -len(segment) % 4
-    if pad == 3:
-        raise MalformedToken("segment length invalid for base64url")
     try:
-        raw = base64.b64decode(segment + "=" * pad, altchars=b"-_", validate=True)
-    except (binascii.Error, ValueError) as exc:
-        raise MalformedToken(f"bad base64url segment: {exc}") from exc
-    if pad and b64url_encode(raw) != segment:
+        raw = segment.encode("ascii")
+    except UnicodeEncodeError:
+        raise MalformedToken("segment holds non-base64url characters") from None
+    if raw.translate(None, _ALPHABET):
+        raise MalformedToken("segment holds non-base64url characters")
+    tail = _TAILS[len(raw) % 4]
+    if tail is None:
+        raise MalformedToken("segment length invalid for base64url")
+    pad, clean_last = tail
+    if clean_last is not None and raw[-1] not in clean_last:
         raise MalformedToken("segment's last character has non-zero unused bits")
-    return raw
+    return binascii.a2b_base64(raw.translate(_TO_STD) + pad)
 
 
-def canonical_json(obj: dict) -> str:
-    """Canonical serialization: sorted keys, no whitespace, ASCII escapes."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+#: Canonical serialization: sorted keys, no whitespace, ASCII escapes.  One
+#: encoder for every call; ``json.dumps`` would build one per call.
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 @dataclass(frozen=True, slots=True)
@@ -273,7 +273,7 @@ def decode_token(token: str) -> Token:
 
 
 def hs256_signature(secret: bytes, signing_input: bytes) -> bytes:
-    return hmac.new(secret, signing_input, hashlib.sha256).digest()
+    return hmac.digest(secret, signing_input, "sha256")
 
 
 def hs256_matches(secret: bytes, signing_input: bytes, signature: bytes) -> bool:
@@ -307,9 +307,10 @@ def _typed(obj: dict, key: str, kind: type, default):
 
 
 def _parse_json_object(segment: str, what: str) -> dict:
-    raw = b64url_decode(segment)
+    # RFC 7515 and 7519 allow UTF-8 only; json.loads(bytes) would also take
+    # UTF-16 and UTF-32, a BOM and encoded surrogates.
     try:
-        obj = json.loads(raw)
+        obj = json.loads(b64url_decode(segment).decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise MalformedToken(f"bad {what} JSON: {exc}") from exc
     if not isinstance(obj, dict):

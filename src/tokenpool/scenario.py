@@ -171,9 +171,11 @@ _MAXIMA: dict[type, dict[str, int]] = {
 }
 
 #: An id the trace writes: non-empty, no whitespace and no ``=``, since
-#: trace details are space-separated ``key=value`` pairs.  ``*`` is the
-#: fault wildcard, so it names nothing.
-_ID = re.compile(r"[^\s=]+")
+#: trace details are space-separated ``key=value`` pairs, and no surrogate
+#: code point, since the trace writes a pair held as two code points and
+#: the one character it encodes alike.  ``*`` is the fault wildcard, so it
+#: names nothing.
+_ID = re.compile(r"[^\s=\ud800-\udfff]+")
 
 #: The noun error messages put before a list whose YAML key is terse.
 _NOUNS: dict[tuple[type, str], str] = {(SiteSpec, "ces"): "gateway"}
@@ -323,7 +325,7 @@ def _check(sc: Scenario) -> None:
     for where, name in named:
         if name == "*" or not _ID.fullmatch(name):
             raise ScenarioError(
-                f"{where}: {name!r} must be non-empty, hold no whitespace or '=', and not be '*'"
+                f"{where}: {name!r} must be non-empty, hold no whitespace, '=' or surrogate, and not be '*'"
             )
     for ids, message in (
         ([k.kid for k in sc.keys], "keys: duplicate kid"),
@@ -415,9 +417,10 @@ class _UniqueKeyLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    raw = Path(path).read_text()
     try:
-        data = yaml.load(raw, Loader=_UniqueKeyLoader)
+        # Bytes, so the YAML reader settles the encoding and refuses what
+        # is not Unicode (such as an encoded surrogate) as a YAMLError.
+        data = yaml.load(Path(path).read_bytes(), Loader=_UniqueKeyLoader)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"{path}: not valid YAML: {exc}") from None
     except ScenarioError as exc:

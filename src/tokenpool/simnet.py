@@ -262,9 +262,11 @@ class Fault:
 
 @dataclass
 class FaultBoard:
-    #: Injected faults by their kind's value, each list in injection order;
-    #: a str key hashes in C, an enum member's hash is a Python call.
-    by_kind: dict[str, list[Fault]] = field(default_factory=dict)
+    #: Injected faults by their kind's value, then by target, each list in
+    #: injection order.  A kind's ``"*"`` list holds its wildcards, which
+    #: are also added to every other list of the kind, so one list answers
+    #: a lookup.  Str keys hash in C; an enum member's hash is a Python call.
+    by_kind: dict[str, dict[str, list[Fault]]] = field(default_factory=dict)
 
     def inject(
         self,
@@ -275,7 +277,12 @@ class FaultBoard:
         on_activate: Callable[[Fault], None] | None = None,
     ) -> None:
         """Register a fault, record INJECT now and ACTIVATE at its start."""
-        self.by_kind.setdefault(fault.kind.value, []).append(fault)
+        by_target = self.by_kind.setdefault(fault.kind.value, {})
+        if fault.target not in by_target:
+            by_target[fault.target] = list(by_target.get("*", ()))
+        for target, faults in by_target.items():
+            if target == fault.target or fault.target == "*":
+                faults.append(fault)
         trace.record(
             engine.now,
             TRACE_FAULT,
@@ -292,13 +299,14 @@ class FaultBoard:
 
     def active(self, kind: FaultKind, target: str, t: int) -> Fault | None:
         """The first fault of ``kind``, in injection order, that covers
-        ``target`` at ``t``; only faults of that kind are looked at."""
-        for fault in self.by_kind.get(kind._value_, ()):
-            if fault.target != "*" and fault.target != target:
-                continue
-            if t < fault.start:
-                continue
-            if fault.end is not None and t >= fault.end:
+        ``target`` at ``t``; only faults of that kind aimed at ``target``
+        or at ``*`` are looked at."""
+        by_target = self.by_kind.get(kind._value_)
+        if by_target is None:
+            return None
+        # No list is empty, so a target with none of its own reads the wildcards.
+        for fault in by_target.get(target) or by_target.get("*", ()):
+            if t < fault.start or (fault.end is not None and t >= fault.end):
                 continue
             return fault
         return None

@@ -428,6 +428,23 @@ def test_scenario_the_run_cannot_carry_is_refused_before_it_starts(
     assert err.startswith(f"error: bad scenario: {named}"), err
 
 
+@pytest.mark.parametrize(
+    "held",
+    [b'"\\ud800\\udc00"', b"\xed\xa0\x80\xed\xb0\x80"],
+    ids=["escaped", "encoded"],
+)
+def test_scenario_with_a_surrogate_id_is_a_usage_error(capsys, tmp_path, held):
+    # A gateway id held as a surrogate pair, written as YAML escapes or as
+    # the pair's UTF-8-style bytes (not UTF-8), is refused without a
+    # traceback: by libyaml's reader, or else by the id rule.
+    text = yaml.safe_dump(_with(("sites", 0, "ces", 0, "id"), "GATEWAY-ID")).encode()
+    path = tmp_path / "surrogate.yaml"
+    path.write_bytes(text.replace(b"GATEWAY-ID", held))
+    assert main(["sim", "run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad scenario: ") and "Traceback" not in err, err
+
+
 def test_wrongly_typed_plan_step_is_a_usage_error(capsys, tmp_path):
     path = tmp_path / "plan.yaml"
     path.write_text(yaml.safe_dump({**SCENARIO, "plan": [5]}))

@@ -1,6 +1,7 @@
 """Wire format: canonical JSON, base64url strictness, sign/parse split."""
 
 import base64
+import binascii
 import dataclasses
 import hashlib
 import hmac
@@ -8,6 +9,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tokenpool import jose
 from tokenpool.errors import AlgKeyMismatch, InvalidClaims, MalformedToken
@@ -16,15 +19,19 @@ from tokenpool.jose import TokenClaims, TokenHeader
 from cryptography.hazmat.primitives.asymmetric import ed25519
 
 
-def oracle_hs256_jwt(header: dict, claims: dict, secret: bytes) -> str:
-    """Stdlib-only reference encoder, sharing no code with the package."""
+def oracle_jwt(header: dict, claims: dict, key: bytes | ed25519.Ed25519PrivateKey) -> str:
+    """Reference encoder from the standard library and Ed25519 signing,
+    sharing no code with the package: HS256 for a secret, EdDSA for a key."""
 
     def seg(obj: dict) -> str:
         raw = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
         return base64.urlsafe_b64encode(raw).rstrip(b"=").decode("ascii")
 
     signing = seg(header) + "." + seg(claims)
-    sig = hmac.new(secret, signing.encode("ascii"), hashlib.sha256).digest()
+    if isinstance(key, bytes):
+        sig = hmac.new(key, signing.encode("ascii"), hashlib.sha256).digest()
+    else:
+        sig = key.sign(signing.encode("ascii"))
     return signing + "." + base64.urlsafe_b64encode(sig).rstrip(b"=").decode("ascii")
 
 
@@ -95,7 +102,7 @@ GOLDEN_VECTORS = [
 
 def test_golden_vectors_match_frozen_and_oracle():
     for header, claims, secret, expected in GOLDEN_VECTORS:
-        assert oracle_hs256_jwt(header, claims, secret) == expected
+        assert oracle_jwt(header, claims, secret) == expected
         produced = jose.encode_token(
             TokenHeader.from_json_dict(header),
             TokenClaims.from_json_dict(claims),
@@ -157,6 +164,107 @@ def last_character_variants(segment: str) -> list[str]:
         for low in range(1 << unused)
         if base + low != index
     ]
+
+
+def reference_b64url_decode(segment: str) -> bytes:
+    """The strict decoder as written over ``base64.b64decode``: the reference
+    ``jose.b64url_decode`` must agree with, in bytes or in refusal."""
+    if not set(segment) <= set(B64URL_ALPHABET):
+        raise MalformedToken("segment holds non-base64url characters")
+    pad = -len(segment) % 4
+    if pad == 3:
+        raise MalformedToken("segment length invalid for base64url")
+    try:
+        raw = base64.b64decode(segment + "=" * pad, altchars=b"-_", validate=True)
+    except (binascii.Error, ValueError) as exc:
+        raise MalformedToken(f"bad base64url segment: {exc}") from exc
+    if pad and base64.urlsafe_b64encode(raw).rstrip(b"=").decode("ascii") != segment:
+        raise MalformedToken("segment's last character has non-zero unused bits")
+    return raw
+
+
+#: Characters a segment must not hold: the standard alphabet and padding,
+#: whitespace, the segment separator and non-ASCII (a lone surrogate too).
+SEGMENT_NOISE = "+/= \t\n.\u00e9\u00ff\u2028\U0001d538\ud800"
+
+
+def segments(tail: int) -> st.SearchStrategy[str]:
+    """Text whose length is ``tail`` mod 4, in the alphabet or mixed with noise."""
+
+    def of(chars: str) -> st.SearchStrategy[str]:
+        return st.integers(0, 4).flatmap(
+            lambda k: st.text(st.sampled_from(chars), min_size=4 * k + tail, max_size=4 * k + tail)
+        )
+
+    return of(B64URL_ALPHABET) | of(B64URL_ALPHABET + SEGMENT_NOISE)
+
+
+@pytest.mark.parametrize("tail", range(4))
+@given(data=st.data())
+def test_b64url_decode_agrees_with_the_reference(tail, data):
+    segment = data.draw(segments(tail))
+    try:
+        want = reference_b64url_decode(segment)
+    except MalformedToken:
+        with pytest.raises(MalformedToken):
+            jose.b64url_decode(segment)
+    else:
+        assert jose.b64url_decode(segment) == want
+
+
+@given(blob=st.binary(max_size=70))
+def test_b64url_encode_is_unpadded_urlsafe_base64(blob):
+    assert jose.b64url_encode(blob) == base64.urlsafe_b64encode(blob).rstrip(b"=").decode()
+    assert jose.b64url_decode(jose.b64url_encode(blob)) == blob
+
+
+ED_KEY = ed25519.Ed25519PrivateKey.from_private_bytes(bytes(range(32)))
+#: Any text but lone surrogates.
+ANY_TEXT = st.text(st.characters(exclude_categories=("Cs",)), min_size=1, max_size=12)
+#: Lists of scope words or limit names: text with no whitespace.
+WORDS = st.lists(
+    st.text(st.characters(exclude_categories=("Cs", "Cc", "Zs", "Zl", "Zp")), min_size=1, max_size=8),
+    max_size=4,
+)
+
+
+@st.composite
+def claim_sets(draw) -> tuple[dict, dict, bytes | ed25519.Ed25519PrivateKey]:
+    """(header JSON, claims JSON, signing key) of an identity or a capability token."""
+    capability = draw(st.booleans())
+    iat = draw(st.integers(0, 2**40))
+    claims = {"sub": draw(ANY_TEXT), "iat": iat, "exp": iat + draw(st.integers(1, 2**31)), "jti": draw(ANY_TEXT)}
+    if draw(st.booleans()):
+        claims["iss"] = draw(ANY_TEXT)
+    if capability or draw(st.booleans()):
+        claims["aud"] = draw(ANY_TEXT)
+    if capability:
+        claims["scope"] = " ".join(draw(WORDS.filter(bool)))
+    elif draw(st.booleans()):
+        claims["authz_limits"] = sorted(draw(WORDS))
+    header = {"alg": "EdDSA" if capability else "HS256", "kid": draw(ANY_TEXT), "typ": "JWT"}
+    return header, claims, ED_KEY if capability else draw(st.binary(max_size=40))
+
+
+@given(minted=claim_sets())
+def test_encode_token_matches_the_reference_and_decodes_back(minted):
+    header, claims, key = minted
+    parsed_claims = TokenClaims(
+        sub=claims["sub"],
+        iss=claims.get("iss"),
+        aud=claims.get("aud"),
+        iat=claims["iat"],
+        exp=claims["exp"],
+        jti=claims["jti"],
+        scope=tuple(claims["scope"].split(" ")) if "scope" in claims else None,
+        authz_limits=tuple(claims["authz_limits"]) if "authz_limits" in claims else None,
+    )
+    parsed_header = TokenHeader(header["alg"], header["kid"])
+    compact = jose.encode_token(parsed_header, parsed_claims, key)
+    assert compact == oracle_jwt(header, claims, key)
+    token = jose.decode_token(compact)
+    assert (token.header, token.claims) == (parsed_header, parsed_claims)
+    assert token.header.to_json_dict() == header and token.claims.to_json_dict() == claims
 
 
 def test_each_signature_has_exactly_one_wire_form():
@@ -308,6 +416,31 @@ def test_decode_rejects_wrongly_typed_claim_values():
     # The well-typed form of the same claims parses.
     header, claims = jose.b64url_encode(ID_HEADER), jose.b64url_encode(b"{" + ID_CLAIMS + b"}")
     assert jose.decode_token(f"{header}.{claims}.{sig}").claims == TokenClaims(sub="s", iat=1, exp=2, jti="j")
+
+
+#: A JSON text in a form other than plain UTF-8.  ``json.loads(bytes)``
+#: takes every one of them; RFC 7515 and RFC 7519 allow only UTF-8.
+NOT_UTF8 = {
+    "utf-16": lambda text: text.encode("utf-16"),
+    "utf-16-be": lambda text: text.encode("utf-16-be"),
+    "utf-32": lambda text: text.encode("utf-32"),
+    "utf-32-le": lambda text: text.encode("utf-32-le"),
+    "bom": lambda text: text.encode("utf-8-sig"),
+    # The first string value gains a surrogate, encoded as UTF-8 bytes.
+    "surrogate": lambda text: text.replace(':"', ':"\ud800', 1).encode("utf-8", "surrogatepass"),
+}
+
+
+@pytest.mark.parametrize("form", NOT_UTF8)
+@pytest.mark.parametrize("segment", ["header", "claims"])
+def test_decode_takes_utf8_json_only(segment, form):
+    texts = {"header": ID_HEADER.decode(), "claims": "{" + ID_CLAIMS.decode() + "}"}
+    parts = {name: jose.b64url_encode(text.encode()) for name, text in texts.items()}
+    sig = jose.b64url_encode(b"\x00" * 32)
+    assert jose.decode_token(f"{parts['header']}.{parts['claims']}.{sig}")
+    parts[segment] = jose.b64url_encode(NOT_UTF8[form](texts[segment]))
+    with pytest.raises(MalformedToken, match=f"bad {segment} JSON"):
+        jose.decode_token(f"{parts['header']}.{parts['claims']}.{sig}")
 
 
 def test_decode_leaves_absent_claims_at_their_defaults():

@@ -261,13 +261,26 @@ def with_value(path, value):
 @pytest.mark.parametrize("path, named", ID_FIELDS, ids=ID_FIELD_IDS)
 @pytest.mark.parametrize(
     "bad",
-    ["", "a b", "a\tb", "a\nb", "a=b", "*", "\u00a0"],
-    ids=["empty", "space", "tab", "newline", "equals", "star", "nbsp"],
+    ["", "a b", "a\tb", "a\nb", "a=b", "*", "\u00a0", "a\udc00"],
+    ids=["empty", "space", "tab", "newline", "equals", "star", "nbsp", "surrogate"],
 )
 def test_every_id_the_trace_writes_follows_one_rule(path, named, bad):
     with pytest.raises(ScenarioError) as excinfo:
         parse_scenario(with_value(path, bad))
     assert str(excinfo.value).startswith(f"{named}: {bad!r} must be non-empty")
+
+
+def test_a_surrogate_pair_and_the_character_it_encodes_are_not_two_gateways():
+    # PyYAML reads the escapes "\ud800\udc00" as two code points, and the
+    # trace writes those and U+10000 as the same escapes, so every ce=
+    # record of the two gateways would read alike.
+    doc = base_doc()
+    ce = doc["sites"][0]["ces"][0]
+    doc["sites"][0]["ces"] = [{**ce, "id": "\ud800\udc00"}, {**ce, "id": "\U00010000"}]
+    with pytest.raises(ScenarioError, match=r"^gateway sites\[0\]\.ces\[0\]\.id: .* or surrogate"):
+        parse_scenario(doc)
+    doc["sites"][0]["ces"] = [{**ce, "id": "\U00010000"}]
+    assert parse_scenario(doc).ces[0].id == "\U00010000"
 
 
 @pytest.mark.parametrize("path, named", ID_FIELDS, ids=ID_FIELD_IDS)

@@ -519,29 +519,35 @@ def scanned_active(faults, kind, target, t):
 
 
 FAULT_TARGETS = ("*", "ce-1", "ce-2")
+LOOKUP_TARGETS = ("ce-1", "ce-2", "ce-3")
 
-faults_st = st.lists(
-    st.builds(
-        lambda kind, target, start, length, rate: Fault(
-            kind, target, start, None if length is None else start + length, rate
-        ),
-        st.sampled_from(FaultKind),
-        st.sampled_from(FAULT_TARGETS),
-        st.integers(0, 40),
-        st.none() | st.integers(1, 40),
-        st.sampled_from((0.0, 0.5, 1.0)),
+fault_st = st.builds(
+    lambda kind, target, start, length, rate: Fault(
+        kind, target, start, None if length is None else start + length, rate
     ),
-    max_size=10,
+    st.sampled_from(FaultKind),
+    st.sampled_from(FAULT_TARGETS),
+    st.integers(0, 40),
+    st.none() | st.integers(1, 40),
+    st.sampled_from((0.0, 0.5, 1.0)),
 )
+lookup_st = st.tuples(st.sampled_from(FaultKind), st.sampled_from(LOOKUP_TARGETS), st.integers(0, 81))
 
 
-@given(faults=faults_st)
-def test_fault_lookup_by_kind_matches_a_scan_of_every_fault(faults):
+@given(steps=st.lists(fault_st | lookup_st, max_size=24))
+def test_fault_lookup_by_kind_matches_a_scan_of_every_fault(steps):
+    # Injects and lookups interleave, so an index that a lookup built or
+    # read before a later inject must still answer for every fault since.
     engine, trace, board = Engine(), Trace(), FaultBoard()
-    for fault in faults:
-        board.inject(fault, trace=trace, engine=engine)
+    faults = []
+    for step in steps:
+        if isinstance(step, Fault):
+            board.inject(step, trace=trace, engine=engine)
+            faults.append(step)
+        else:
+            assert board.active(*step) is scanned_active(faults, *step), step
     for kind in FaultKind:
-        for target in ("ce-1", "ce-2", "ce-3"):
+        for target in LOOKUP_TARGETS:
             for t in range(0, 82):
                 want = scanned_active(faults, kind, target, t)
                 assert board.active(kind, target, t) is want, (kind, target, t)
