@@ -26,11 +26,9 @@ from .migration import (
 from .policy import (
     AuthMethod,
     AuthzLevel,
-    Channel,
     CompiledPolicy,
     MigrationPhase,
     PolicyTable,
-    Role,
     apply_phase,
     authenticate,
     authorize,
@@ -58,14 +56,12 @@ __all__ = [
     "AuthPolicyError",
     "AuthorizationDenied",
     "AuthzLevel",
-    "Channel",
     "CompiledPolicy",
     "DrillReport",
     "IssuerKey",
     "MigrationPhase",
     "PolicyTable",
     "PoolMetrics",
-    "Role",
     "RunResult",
     "Scenario",
     "ScenarioError",

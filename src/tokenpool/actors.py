@@ -38,7 +38,6 @@ from .policy import (
     JOB_SUBMIT_SCOPE,
     AuthenticatedPeer,
     AuthMethod,
-    Channel,
     CompiledPolicy,
     Credential,
     LocalFsCredential,
@@ -263,13 +262,15 @@ class World:
         ))
 
     def forget_token(self, token: jose.Token) -> None:
-        """Drop ``token``'s session: its holder ended or replaced it."""
+        """Drop ``token``'s session: its holder ended (``end_pilot``) or
+        replaced it (``Frontend.refresh_capabilities``, ``WMClient.renew_token``).
+        A key rotation needs no call: a new keyring starts the sessions over."""
         self.policy.sessions.pop(token, None)
 
     # -- authenticated requests --------------------------------------------
 
     def authenticate_on(
-        self, channel: Channel, credential: Credential, *, audience: str = "", detail: str = ""
+        self, channel: str, credential: Credential, *, audience: str = "", detail: str = ""
     ) -> AuthenticatedPeer:
         """Authenticate + authorize one request, recording the outcome.
 
@@ -277,7 +278,7 @@ class World:
         decide retry/fallback while the trace stays complete.
         """
         compiled = self.policy
-        pol = compiled.channels[channel.label]
+        pol = compiled.channels[channel]
         now = self.engine.now
         try:
             peer = authenticate(
@@ -299,19 +300,19 @@ class World:
         if not decision.allowed:
             self.trace.record(
                 now,
-                channel.label,
+                channel,
                 OUTCOME_DENIED,
                 method=peer.method._value_,
                 identity=peer.canonical_identity,
                 detail=_join_detail(detail, f"missing={','.join(decision.missing)}"),
             )
             raise AuthorizationDenied(f"missing {', '.join(decision.missing)}")
-        if peer.token_kid is not None:
-            held = f"kid={peer.token_kid} jti={peer.token_jti}"
+        if isinstance(credential, jose.Token):
+            held = f"kid={credential.header.kid} jti={credential.claims.jti}"
             detail = f"{detail} {held}" if detail else held
         self.trace.record(
             now,
-            channel.label,
+            channel,
             OUTCOME_SUCCESS,
             method=peer.method._value_,
             identity=peer.canonical_identity,
@@ -319,19 +320,19 @@ class World:
         )
         return peer
 
-    def dropped(self, channel: Channel, method: AuthMethod, detail: str) -> bool:
+    def dropped(self, channel: str, method: AuthMethod, detail: str) -> bool:
         """Draw whether a message on ``channel`` is lost, recording the loss."""
         now = self.engine.now
-        if not message_dropped(self.board, self.streams, channel.label, now):
+        if not message_dropped(self.board, self.streams, channel, now):
             return False
         self.trace.record(
-            now, channel.label, OUTCOME_DROP, method=method._value_, detail=detail
+            now, channel, OUTCOME_DROP, method=method._value_, detail=detail
         )
         return True
 
     def refuse(
         self,
-        channel: Channel,
+        channel: str,
         reason: str,
         *,
         method: str = "-",
@@ -342,7 +343,7 @@ class World:
         place a ``FAIL:<reason>`` record is written."""
         self.trace.record(
             self.engine.now,
-            channel.label,
+            channel,
             fail_outcome(reason),
             method=method,
             identity=identity,
@@ -351,7 +352,7 @@ class World:
 
     def negotiate(
         self,
-        channel: Channel,
+        channel: str,
         offered: tuple[AuthMethod, ...] | list[AuthMethod],
         *,
         identity: str = "-",
@@ -360,7 +361,7 @@ class World:
         """The method ``channel`` will use with a party offering ``offered``,
         or None after refusing the request when the two share none."""
         try:
-            return negotiate_method(offered, self.policy.channels[channel.label].methods)
+            return negotiate_method(offered, self.policy.channels[channel].methods)
         except NoCommonMethod as exc:
             self.refuse(channel, exc.reason, identity=identity, detail=detail)
             return None
@@ -518,7 +519,14 @@ class WMClient:
         self.submitted = False
         self.token: jose.Token | None = None
         if AuthMethod.IDTOKEN in spec.methods:
-            self.token = world.mint_daemon_idtoken(spec.id, ("WRITE",))
+            self.renew_token()
+
+    def renew_token(self) -> None:
+        """Mint the client's identity token, dropping the session of the one
+        it replaces."""
+        if self.token is not None:
+            self.world.forget_token(self.token)
+        self.token = self.world.mint_daemon_idtoken(self.spec.id, ("WRITE",))
 
     def offered_methods(self) -> list[AuthMethod]:
         out: list[AuthMethod] = []
@@ -558,10 +566,14 @@ class Schedd:
 
     def __init__(self, world: World) -> None:
         self.world = world
-        self.token = world.mint_daemon_idtoken("schedd@cmspool", ("ADVERTISE",))
+        self.renew_token()
         self.proxy = ProxyCredential(
             "/DC=ch/DC=cern/OU=computers/CN=schedd.cmspool", 10**9, World.CA
         )
+
+    def renew_token(self) -> None:
+        """Mint the schedd's identity token under the current daemon key."""
+        self.token = self.world.mint_daemon_idtoken("schedd@cmspool", ("ADVERTISE",))
 
     def accept_jobs(self, spec: ClientSpec, peer: AuthenticatedPeer) -> None:
         w = self.world
@@ -686,12 +698,16 @@ class Frontend:
     def __init__(self, world: World) -> None:
         self.world = world
         self.subject = "frontend@cmspool"
-        self.token = world.mint_daemon_idtoken(self.subject, ("READ", "WRITE"))
+        self.renew_token()
         self.proxy = ProxyCredential(
             "/DC=org/DC=cilogon/C=US/O=CMS/CN=Frontend/cms", 10**9, World.CA
         )
         #: gateway id -> the capability token held for it
         self.scitokens: dict[str, jose.Token] = {}
+
+    def renew_token(self) -> None:
+        """Mint the frontend's identity token under the current daemon key."""
+        self.token = self.world.mint_daemon_idtoken(self.subject, ("READ", "WRITE"))
 
     def refresh_capabilities(self) -> None:
         w = self.world
@@ -799,49 +815,40 @@ class Factory:
             return None
         return CEInterface.LDAP
 
-    def select_credential(self, ce: "CEGateway") -> tuple[Credential, AuthMethod]:
+    def credentials_for(self, ce: "CEGateway") -> list[Credential]:
+        """What to present to ``ce``, in the order to try it: the frontend's
+        capability token for it, when the phase, this factory and the gateway
+        all take tokens and one is held, then the pilot proxy, when the phase
+        still takes it."""
         w = self.world
-        methods = w.policy.channels[CH_CE_SUBMIT.label].methods
-        if (
-            AuthMethod.SCITOKEN in methods
-            and self.token_capable
-            and ce.accepts_tokens
-        ):
+        methods = w.policy.channels[CH_CE_SUBMIT].methods
+        out: list[Credential] = []
+        if AuthMethod.SCITOKEN in methods and self.token_capable and ce.accepts_tokens:
             token = w.frontend.capability_for(ce.id)
             if token is not None:
-                return token, AuthMethod.SCITOKEN
+                out.append(token)
         if AuthMethod.GSI_PROXY in methods:
-            return self.pilot_proxy, AuthMethod.GSI_PROXY
-        raise MismatchedCredential(
-            f"no credential for {ce.id} under phase {w.phase.value}"
-        )
-
-    def proxy_fallback_allowed(self) -> bool:
-        return AuthMethod.GSI_PROXY in self.world.policy.channels[CH_CE_SUBMIT.label].methods
+            out.append(self.pilot_proxy)
+        return out
 
     def submit_one(self, ce: "CEGateway") -> Pilot:
+        """Submit one pilot to ``ce``, presenting each credential in turn
+        until the gateway gives an answer other than ``AUTH_REJECTED``."""
         w = self.world
         pilot = w.new_pilot(ce)
         detail = f"factory={self.id} ce={ce.id} pilot={pilot.id}"
         interface = self.select_interface(ce)
-        if interface is None:
-            w.refuse(CH_CE_SUBMIT, DEPRECATED_INTERFACE, detail=detail)
-            w.fail_pilot(pilot, DEPRECATED_INTERFACE)
-            return pilot
-        try:
-            credential, method = self.select_credential(ce)
-        except MismatchedCredential as exc:
-            w.refuse(CH_CE_SUBMIT, exc.reason, detail=detail)
-            w.fail_pilot(pilot, exc.reason)
+        credentials = self.credentials_for(ce)
+        if interface is None or not credentials:
+            reason = DEPRECATED_INTERFACE if interface is None else MismatchedCredential.__name__
+            w.refuse(CH_CE_SUBMIT, reason, detail=detail)
+            w.fail_pilot(pilot, reason)
             return pilot
         kid, draw = w.startd_identity()
-        refused = ce.receive_submission(pilot, credential, interface)
-        if (
-            refused == AUTH_REJECTED
-            and method is AuthMethod.SCITOKEN
-            and self.proxy_fallback_allowed()
-        ):
-            refused = ce.receive_submission(pilot, self.pilot_proxy, interface)
+        for credential in credentials:
+            refused = ce.receive_submission(pilot, credential, interface)
+            if refused != AUTH_REJECTED:
+                break
         if refused is None:
             # Same event as the draw above, so the same bytes as minting then.
             pilot.token = w.mint_startd_token(pilot, kid, draw)
@@ -951,10 +958,7 @@ class MigrationController:
         elif step.action == "upgrade_factory":
             w.factories[step.params["factory"]].condor_major = step.params["major"]
         elif step.action == "provision_client_token":
-            client = w.clients[step.params["client"]]
-            if client.token is not None:
-                w.forget_token(client.token)
-            client.token = w.mint_daemon_idtoken(client.spec.id, ("WRITE",))
+            w.clients[step.params["client"]].renew_token()
 
     def on_key_compromise(self, fault: Fault) -> None:
         w = self.world
@@ -976,13 +980,11 @@ class MigrationController:
             w.startd_kids[w.startd_kids.index(kid)] = replacement
         if kid == w.daemon_kid:
             w.daemon_kid = replacement
-            w.schedd.token = w.mint_daemon_idtoken("schedd@cmspool", ("ADVERTISE",))
-            w.frontend.token = w.mint_daemon_idtoken(
-                w.frontend.subject, ("READ", "WRITE")
-            )
+            w.schedd.renew_token()
+            w.frontend.renew_token()
             for client in w.clients.values():
                 if client.token is not None:
-                    client.token = w.mint_daemon_idtoken(client.spec.id, ("WRITE",))
+                    client.renew_token()
         evicted = w.collector.evict_by_kid(kid)
         w.trace.record(
             w.engine.now,

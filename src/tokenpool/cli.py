@@ -149,7 +149,7 @@ def cmd_token_verify(args: argparse.Namespace) -> int:
     limits = ",".join(sorted(verified.authz_limits)) or "(unlimited)"
     print(
         f"valid sub={verified.subject} limits={limits}"
-        f" kid={verified.kid} jti={verified.jti}"
+        f" kid={parsed.header.kid} jti={parsed.claims.jti}"
     )
     return 0
 

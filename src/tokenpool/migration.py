@@ -41,7 +41,7 @@ LEGACY_METHOD_VALUES = frozenset(m.value for m in LEGACY_METHODS)
 #: ``capacity_fraction`` averages the pool size over this final share of the horizon.
 TAIL_FRACTION = 0.2
 
-_AUTH_CHANNELS = frozenset(c.label for c in default_channels())
+_AUTH_CHANNELS = frozenset(default_channels())
 _METHOD_VALUES = frozenset(m.value for m in AuthMethod)
 _PERMITTED = {
     phase: frozenset(m.value for m in methods) for phase, methods in PHASE_PERMITS.items()

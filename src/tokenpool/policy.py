@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import combinations
 from typing import Mapping, Sequence
 
@@ -107,34 +106,14 @@ PHASE_PERMITS: dict[MigrationPhase, frozenset[AuthMethod]] = {
 }
 
 
-class Role(enum.Enum):
-    WMCLIENT = "WMCLIENT"
-    SCHEDD = "SCHEDD"
-    COLLECTOR = "COLLECTOR"
-    FRONTEND = "FRONTEND"
-    FACTORY = "FACTORY"
-    CE = "CE"
-    STARTD = "STARTD"
-    ISSUER = "ISSUER"
-
-
-@dataclass(frozen=True)
-class Channel:
-    src: Role
-    dst: Role
-
-    @cached_property
-    def label(self) -> str:
-        return f"{self.src.value}->{self.dst.value}"
-
-
-#: The pool's six authenticated channels, constructed here and nowhere else.
-CH_SUBMIT = Channel(Role.WMCLIENT, Role.SCHEDD)
-CH_ADVERTISE = Channel(Role.SCHEDD, Role.COLLECTOR)
-CH_TOKEN_FETCH = Channel(Role.FRONTEND, Role.ISSUER)
-CH_PROVISION = Channel(Role.FRONTEND, Role.FACTORY)
-CH_CE_SUBMIT = Channel(Role.FACTORY, Role.CE)
-CH_JOIN = Channel(Role.STARTD, Role.COLLECTOR)
+#: The pool's six authenticated channels, each named ``SRC->DST`` by the
+#: two daemons it joins, as the trace writes it.
+CH_SUBMIT = "WMCLIENT->SCHEDD"
+CH_ADVERTISE = "SCHEDD->COLLECTOR"
+CH_TOKEN_FETCH = "FRONTEND->ISSUER"
+CH_PROVISION = "FRONTEND->FACTORY"
+CH_CE_SUBMIT = "FACTORY->CE"
+CH_JOIN = "STARTD->COLLECTOR"
 
 
 @dataclass(frozen=True)
@@ -189,7 +168,7 @@ class PolicyTable:
     single ``*`` wildcard.
     """
 
-    channels: Mapping[Channel, ChannelPolicy]
+    channels: Mapping[str, ChannelPolicy]
     identity_map: tuple[tuple[str, str], ...] = ()
 
     def map_identity(self, raw: str) -> str:
@@ -205,22 +184,22 @@ class PolicyTable:
 class CompiledPolicy:
     """A policy table compiled for presentation.
 
-    ``channels`` maps each channel's label to its ``ChannelPolicy``, so a
-    lookup hashes a string, not two enum members.  ``sessions`` maps each
-    parsed token that :func:`authenticate` has fully verified to the peer
-    it returned, until the token's holder drops it; it is filled under one
-    keyring and one trust directory and starts over when handed others.  A
-    session skips only the checks that are pure functions of the token, the
-    keyring, the trust directory and this table; the channel's method, the
-    time window and, for capability tokens, the audience and the scope
-    coverage are checked at every presentation.
+    ``channels`` is the table's own map from channel name to
+    ``ChannelPolicy``.  ``sessions`` maps each parsed token that
+    :func:`authenticate` has fully verified to the peer it returned, until
+    the token's holder drops it; it is filled under one keyring and one
+    trust directory and starts over when handed others.  A session skips
+    only the checks that are pure functions of the token, the keyring, the
+    trust directory and this table; the channel's method, the time window
+    and, for capability tokens, the audience and the scope coverage are
+    checked at every presentation.
     """
 
     __slots__ = ("table", "channels", "sessions")
 
     def __init__(self, table: PolicyTable) -> None:
         self.table = table
-        self.channels = {channel.label: pol for channel, pol in table.channels.items()}
+        self.channels = table.channels
         self.sessions = Sessions()
 
 
@@ -228,9 +207,9 @@ def validate_table(table: PolicyTable) -> None:
     """Reject method-less channels and malformed identity-map patterns."""
     for channel, pol in table.channels.items():
         if not pol.methods:
-            raise InvalidPolicy(f"channel {channel.label} lists no methods")
+            raise InvalidPolicy(f"channel {channel} lists no methods")
         if len(set(pol.methods)) != len(pol.methods):
-            raise InvalidPolicy(f"channel {channel.label} repeats a method")
+            raise InvalidPolicy(f"channel {channel} repeats a method")
     for pattern, _ in table.identity_map:
         if "*" in pattern[:-1]:
             raise InvalidPolicy(f"wildcard only allowed at end: {pattern!r}")
@@ -269,9 +248,6 @@ class AuthenticatedPeer:
     method: AuthMethod
     granted_levels: frozenset[AuthzLevel]
     granted_scopes: frozenset[str] = frozenset()
-    subject: str = ""
-    token_kid: str | None = None
-    token_jti: str | None = None
 
 
 @dataclass(frozen=True)
@@ -291,7 +267,7 @@ _LEGACY_LEVELS = frozenset({AuthzLevel.ADMIN})
 
 
 def authenticate(
-    channel: Channel,
+    channel: str,
     pol: ChannelPolicy,
     credential: Credential,
     *,
@@ -335,7 +311,6 @@ def authenticate(
             canonical_identity=identity,
             method=AuthMethod.GSI_PROXY,
             granted_levels=_LEGACY_LEVELS,
-            subject=credential.distinguished_name,
         )
 
     if isinstance(credential, LocalFsCredential):
@@ -349,7 +324,6 @@ def authenticate(
             canonical_identity=identity,
             method=AuthMethod.LOCAL_FS,
             granted_levels=_LEGACY_LEVELS,
-            subject=credential.account,
         )
 
     sessions = compiled.sessions
@@ -379,9 +353,6 @@ def authenticate(
                 method=AuthMethod.SCITOKEN,
                 granted_levels=frozenset(),
                 granted_scopes=cap.granted_scopes,
-                subject=cap.subject,
-                token_kid=cap.kid,
-                token_jti=cap.jti,
             ),
         )
 
@@ -400,9 +371,6 @@ def authenticate(
             canonical_identity=identity,
             method=AuthMethod.IDTOKEN,
             granted_levels=levels,
-            subject=ident.subject,
-            token_kid=ident.kid,
-            token_jti=ident.jti,
         ),
     )
 
@@ -412,9 +380,9 @@ def token_method(token: Token) -> AuthMethod:
     return AuthMethod.SCITOKEN if token.header.alg == SCITOKEN_ALG else AuthMethod.IDTOKEN
 
 
-def _require(method: AuthMethod, pol: ChannelPolicy, channel: Channel) -> None:
+def _require(method: AuthMethod, pol: ChannelPolicy, channel: str) -> None:
     if method not in pol.methods:
-        raise NoCommonMethod(f"{method.value} not accepted on {channel.label}")
+        raise NoCommonMethod(f"{method.value} not accepted on {channel}")
 
 
 def authorize(peer: AuthenticatedPeer, pol: ChannelPolicy) -> Decision:
@@ -441,7 +409,7 @@ def authorize(peer: AuthenticatedPeer, pol: ChannelPolicy) -> Decision:
 JOB_SUBMIT_SCOPE = "compute.create"
 
 
-def default_channels() -> dict[Channel, ChannelPolicy]:
+def default_channels() -> dict[str, ChannelPolicy]:
     """The six inter-daemon channels of the pool, pre-migration shape:
     tokens listed alongside the legacy method wherever both exist."""
     return {
@@ -490,7 +458,7 @@ def apply_phase(table: PolicyTable, phase: MigrationPhase) -> PolicyTable:
     method order: ``negotiate_method`` ranks tokens first on every call.
     """
     permitted = PHASE_PERMITS[phase]
-    channels: dict[Channel, ChannelPolicy] = {}
+    channels: dict[str, ChannelPolicy] = {}
     for channel, pol in table.channels.items():
         if phase is MigrationPhase.GSI_ONLY and not any(
             m in LEGACY_METHODS for m in pol.methods

@@ -375,7 +375,7 @@ def _check(sc: Scenario) -> None:
         FaultKind.KEY_COMPROMISE: ("key", [k.kid for k in sc.keys]),
         FaultKind.CE_TOKEN_MISCONFIG: ("gateway", ["*", *ce_ids]),
         FaultKind.CE_STUCK_SUBMISSION: ("gateway", ["*", *ce_ids]),
-        FaultKind.MESSAGE_DROP: ("channel", ["*", *(c.label for c in default_channels())]),
+        FaultKind.MESSAGE_DROP: ("channel", ["*", *default_channels()]),
     }
     for i, fault in enumerate(sc.faults):
         noun, known = fault_targets[fault.kind]

@@ -53,8 +53,12 @@ class Engine:
 
         ``now`` keeps its object while the instant does not change, so every
         record written at one instant holds the same ``int``.  An action that
-        raises leaves the actions after it at its instant pending.
+        raises leaves the actions after it at its instant pending.  An
+        ``until`` before ``now`` is refused, as ``schedule_at`` refuses a past
+        instant: the clock never runs backwards.
         """
+        if until < self.now:
+            raise SimulationError(f"cannot run until {until}, clock is at {self.now}")
         calendar, instants = self._calendar, self._instants
         while instants and instants[0] <= until:
             t = instants[0]

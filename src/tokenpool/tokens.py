@@ -216,8 +216,6 @@ class VerifiedIdentity:
 
     subject: str
     authz_limits: frozenset[str]
-    kid: str
-    jti: str
 
 
 @dataclass(frozen=True)
@@ -225,10 +223,7 @@ class VerifiedCapability:
     """Result of a successful capability-token verification."""
 
     subject: str
-    issuer: str
     granted_scopes: frozenset[str]
-    kid: str
-    jti: str
 
 
 def _fresh_jti() -> str:
@@ -340,8 +335,6 @@ def verify_idtoken(
     return VerifiedIdentity(
         subject=claims.sub,
         authz_limits=frozenset(claims.authz_limits or ()),
-        kid=header.kid,
-        jti=claims.jti,
     )
 
 
@@ -380,10 +373,4 @@ def verify_scitoken(
         raise AudienceMismatch(f"audience {claims.aud!r} not allowed for issuer")
     granted = frozenset(claims.scope or ())
     _check_scopes(granted, required_scopes)
-    return VerifiedCapability(
-        subject=claims.sub,
-        issuer=claims.iss,
-        granted_scopes=granted,
-        kid=header.kid,
-        jti=claims.jti,
-    )
+    return VerifiedCapability(subject=claims.sub, granted_scopes=granted)

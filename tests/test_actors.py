@@ -5,6 +5,7 @@ import dataclasses
 import gc
 import io
 import itertools
+import re
 import tracemalloc
 import types
 import weakref
@@ -115,14 +116,14 @@ def records(world):
 
 
 def successes(world, channel, method=None):
-    recs = pick(records(world), channel.label, outcome=OUTCOME_SUCCESS)
+    recs = pick(records(world), channel, outcome=OUTCOME_SUCCESS)
     if method is not None:
         recs = [r for r in recs if r.method == method.value]
     return recs
 
 
 def failures(world, channel, reason):
-    return pick(records(world), channel.label, outcome=f"FAIL:{reason}")
+    return pick(records(world), channel, outcome=f"FAIL:{reason}")
 
 
 def returned(monkeypatch, owner, name):
@@ -249,7 +250,7 @@ def test_misconfigured_ce_masked_by_proxy_fallback():
     # Retry happens in place: rejection first, proxy success after it.
     order = [
         (r.outcome, r.detail)
-        for r in pick(records(w), CH_CE_SUBMIT.label)
+        for r in pick(records(w), CH_CE_SUBMIT)
     ]
     for i, (outcome, detail) in enumerate(order):
         if outcome == "FAIL:UntrustedIssuer":
@@ -291,7 +292,7 @@ def test_capacity_exceeded_only_after_successful_auth():
     assert len(w.collector.members) == 10  # capacity caps the pool
     rejected = failures(w, CH_CE_SUBMIT, "CapacityExceeded")
     assert rejected
-    ce_records = pick(records(w), CH_CE_SUBMIT.label)
+    ce_records = pick(records(w), CH_CE_SUBMIT)
     for reject in rejected:
         pilot = reject.detail.split("pilot=")[1].split()[0]
         idx = ce_records.index(reject)
@@ -331,7 +332,7 @@ def test_dropped_joins_are_retried_on_keepalive():
             }
         ],
     )
-    drops = pick(records(w), CH_JOIN.label, outcome="DROP")
+    drops = pick(records(w), CH_JOIN, outcome="DROP")
     assert len(drops) == 5 and all(r.t == 30 for r in drops)
     joins = pick(records(w), TRACE_PILOT, outcome="JOINED")
     assert len(joins) == 5 and all(r.t == 130 for r in joins)
@@ -342,7 +343,7 @@ def test_dropped_advertisements_do_not_stop_the_schedule():
     w = run_doc(
         faults=[{"kind": "MESSAGE_DROP", "target": "SCHEDD->COLLECTOR", "rate": 1.0}]
     )
-    drops = pick(records(w), CH_ADVERTISE.label, outcome="DROP")
+    drops = pick(records(w), CH_ADVERTISE, outcome="DROP")
     assert len(drops) == 600 // 60 + 1  # one per cycle, t=0 through t=600
     assert successes(w, CH_ADVERTISE) == []
 
@@ -522,7 +523,7 @@ def _session_memo(monkeypatch):
     bad = jose.decode_token(tokens.mint_idtoken(keyring, "k", "stranger", (), 600, 0))
     compiled = policy.CompiledPolicy(policy.default_table())
     compiled.sessions = tokens.Sessions(keyring)
-    pol = compiled.channels[CH_JOIN.label]
+    pol = compiled.channels[CH_JOIN]
     computed = []
     verify = policy.verify_idtoken
     monkeypatch.setattr(
@@ -902,10 +903,12 @@ PILOT_MOVES = {
 }
 
 
-@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
-def test_pilot_states_follow_the_life_cycle(path, monkeypatch):
+def checked_pilot_moves(monkeypatch):
+    """Wrap ``World.set_pilot_state`` to assert that every move is one of
+    ``PILOT_MOVES``; the dict returned holds, by pilot id, the state each
+    pilot was last set to."""
     set_state = actors.World.set_pilot_state
-    last = {}  # pilot id -> the state it was last set to
+    last = {}
 
     def checked(world, pilot, state):
         before = last.get(pilot.id, PilotState.REQUESTED)
@@ -917,6 +920,12 @@ def test_pilot_states_follow_the_life_cycle(path, monkeypatch):
         set_state(world, pilot, state)
 
     monkeypatch.setattr(actors.World, "set_pilot_state", checked)
+    return last
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+def test_pilot_states_follow_the_life_cycle(path, monkeypatch):
+    last = checked_pilot_moves(monkeypatch)
     live = live_pilots(monkeypatch)
     made = returned(monkeypatch, actors.World, "new_pilot")
     run_scenario(path)
@@ -983,16 +992,25 @@ def test_world_keeps_only_live_pilots(path, monkeypatch):
     assert len(cycles) > 1 and any(cycles)
 
 
+def mutated_scenario(mutation):
+    """The mutated shipped scenario, capped at t=1200, or None if it does
+    not parse."""
+    stem, path, value = mutation
+    try:
+        sc = parse_scenario(_replaced(SHIPPED_DOCS[stem], path, value))
+    except ScenarioError:
+        return None
+    return dataclasses.replace(sc, horizon=min(sc.horizon, 1200))
+
+
 @settings(max_examples=200)
 @given(MUTATIONS)
 def test_ledger_and_supply_follow_the_live_pilots_of_a_mutated_scenario(mutation):
     """A mutated shipped scenario that parses, run to t=1200, keeps its
     members and slots, and the supply it derives from them, in step with
     its live pilots at every frontend cycle."""
-    stem, path, value = mutation
-    try:
-        sc = parse_scenario(_replaced(SHIPPED_DOCS[stem], path, value))
-    except ScenarioError:
+    sc = mutated_scenario(mutation)
+    if sc is None:
         return
     cycle = actors.Frontend.cycle
 
@@ -1006,7 +1024,40 @@ def test_ledger_and_supply_follow_the_live_pilots_of_a_mutated_scenario(mutation
     with pytest.MonkeyPatch.context() as mp:
         live = live_pilots(mp)
         mp.setattr(actors.Frontend, "cycle", checked_cycle)
-        run_scenario(dataclasses.replace(sc, horizon=min(sc.horizon, 1200)))
+        run_scenario(sc)
+
+
+@settings(max_examples=100)
+@given(MUTATIONS)
+def test_pilots_of_a_mutated_scenario_follow_the_life_cycle(mutation):
+    """A mutated shipped scenario that parses moves every pilot only along
+    ``PILOT_MOVES``."""
+    sc = mutated_scenario(mutation)
+    if sc is None:
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        checked_pilot_moves(mp)
+        run_scenario(sc)
+
+
+@settings(max_examples=100)
+@given(MUTATIONS)
+def test_pool_size_of_a_mutated_scenario_is_joins_less_leaves(mutation):
+    """In the trace of a mutated shipped scenario that parses, each SAMPLE's
+    size is the pilots JOINED before it less those of them that ended."""
+    sc = mutated_scenario(mutation)
+    if sc is None:
+        return
+    out = io.BytesIO()
+    run_scenario(sc, trace_out=out)
+    members = set()
+    for rec in written(out.getvalue()):
+        if rec.channel == TRACE_PILOT and rec.outcome == "JOINED":
+            members.add(parse_detail(rec.detail)["pilot"])
+        elif rec.channel == TRACE_PILOT and rec.outcome in ("RETIRED", "FAILED", "EVICT"):
+            members.discard(parse_detail(rec.detail)["pilot"])
+        elif rec.channel == TRACE_POOL and rec.outcome == "SAMPLE":
+            assert int(parse_detail(rec.detail)["size"]) == len(members), rec
 
 
 #: The tracemalloc peak of a ``rollout-2022`` run, in bytes: 1.10 times the
@@ -1038,15 +1089,16 @@ ROLLOUT_PEAK_T = 530
 
 #: Bytes held per live pilot at that instant, tracemalloc's current count
 #: over the run so far after a full collection, with one World built
-#: untraced before it: 1,490.0 in five fresh processes and under pytest
-#: alone, once a pending event is one bound method of its pilot, the token's
-#: signature is read off the wire, a job keeps no name, the World keeps no
-#: registry of its pilots nor a pilot a copy of its slot or submission time,
-#: and a pilot keeps the token it was minted, parsed, with no parse memo
-#: beside it and no copy of the key and jti that token carries.  The
-#: collection empties the free lists, so a transient (a tick's sort key)
-#: does not count.  The bound is 1.10 times the largest reading.
-BYTES_PER_LIVE_PILOT = int(1.10 * 1490.0)
+#: untraced before it: 1,466.0 in five fresh processes, once a pending event
+#: is one bound method of its pilot, the token's signature is read off the
+#: wire, a job keeps no name, the World keeps no registry of its pilots nor
+#: a pilot a copy of its slot or submission time, a pilot keeps the token it
+#: was minted, parsed, with no parse memo beside it and no copy of the key
+#: and jti that token carries, and the peer its session holds keeps no copy
+#: of the token's subject, key or jti either.  The collection empties the
+#: free lists, so a transient (a tick's sort key) does not count.  The bound
+#: is 1.10 times the largest reading.
+BYTES_PER_LIVE_PILOT = int(1.10 * 1466.0)
 
 
 def rollout_at_peak(scenario):
@@ -1123,7 +1175,7 @@ def test_issuer_requires_read_level():
     w = build_world(parse_scenario(doc()), Trace(out=io.BytesIO()))
     with pytest.raises(AuthorizationDenied):
         w.issuer.fetch_capability(w.schedd.token, "ce-a")  # ADVERTISE-limited
-    denied = pick(records(w), CH_TOKEN_FETCH.label, outcome="DENIED")
+    denied = pick(records(w), CH_TOKEN_FETCH, outcome="DENIED")
     assert len(denied) == 1
     assert "missing=READ" in denied[0].detail
 
@@ -1184,7 +1236,7 @@ def test_world_negotiates_the_token_first_under_a_legacy_first_table():
     )
     w.set_phase(MigrationPhase.TOKEN_WITH_GSI_FALLBACK)
     both = (AuthMethod.GSI_PROXY, AuthMethod.IDTOKEN)
-    assert w.policy.channels[CH_ADVERTISE.label].methods == both
+    assert w.policy.channels[CH_ADVERTISE].methods == both
     assert w.negotiate(CH_ADVERTISE, both) is AuthMethod.IDTOKEN
     assert w.negotiate(CH_ADVERTISE, both[:1]) is AuthMethod.GSI_PROXY
 
@@ -1194,23 +1246,44 @@ def test_factory_credential_gate():
     w.engine.run(10)  # let the frontend cache a capability for ce-a
     fac = w.factories["fac-1"]
     ce = w.ces["ce-a"]
-    credential, method = fac.select_credential(ce)
-    assert method is AuthMethod.SCITOKEN
+    token = w.frontend.capability_for(ce.id)
+    assert token is not None
+    assert fac.credentials_for(ce) == [token, fac.pilot_proxy]
 
     fac.token_capable = False
-    _, method = fac.select_credential(ce)
-    assert method is AuthMethod.GSI_PROXY
+    assert fac.credentials_for(ce) == [fac.pilot_proxy]
     fac.token_capable = True
 
     w.frontend.scitokens.clear()
-    _, method = fac.select_credential(ce)
-    assert method is AuthMethod.GSI_PROXY  # no cached token yet
+    assert fac.credentials_for(ce) == [fac.pilot_proxy]  # no cached token yet
 
     w.set_phase(MigrationPhase.TOKEN_ONLY)
-    assert not fac.proxy_fallback_allowed()
+    w.frontend.refresh_capabilities()
+    token = w.frontend.capability_for(ce.id)
+    assert fac.credentials_for(ce) == [token]  # no proxy fallback
     ce.accepts_tokens = False
-    with pytest.raises(MismatchedCredential):
-        fac.select_credential(ce)
+    assert fac.credentials_for(ce) == []
+    # Nothing to present: the pilot is refused before it draws a jti.
+    draws = set(w._used_jtis["pool"])
+    pilot = fac.submit_one(ce)
+    assert pilot.state is PilotState.FAILED
+    assert w._used_jtis["pool"] == draws
+    (refused,) = failures(w, CH_CE_SUBMIT, MismatchedCredential.__name__)
+    assert refused.detail == f"factory=fac-1 ce=ce-a pilot={pilot.id}"
+
+
+def test_capacity_refusal_is_not_retried_with_the_proxy():
+    # Only an authentication failure sends the factory on to its next
+    # credential: a capability token refused for capacity stays refused.
+    w = idle_world()
+    ce = w.ces["ce-a"]
+    ce.reserved = ce.capacity
+    pilot = w.factories["fac-1"].submit_one(ce)
+    attempts = [
+        (r.outcome, r.method) for r in pick(records(w), CH_CE_SUBMIT) if f"pilot={pilot.id}" in r.detail
+    ]
+    assert attempts == [(OUTCOME_SUCCESS, "SCITOKEN"), ("FAIL:CapacityExceeded", "SCITOKEN")]
+    assert pilot.state is PilotState.FAILED
 
 
 def test_plan_steps_rewire_gateways_and_factories():
@@ -1432,12 +1505,16 @@ def test_tokens_are_parsed_only_where_they_are_minted():
 
 
 def test_only_policy_constructs_a_channel():
-    # The six channels have one home, policy's ``CH_*`` constants, which
-    # ``default_channels`` is keyed by; every other module imports them.
-    builders = set()
+    # A channel is its ``SRC->DST`` name.  The six names have one home,
+    # policy's ``CH_*`` constants, which ``default_channels`` is keyed by;
+    # every other module imports them.
+    written = []
     for path in sorted(Path(policy.__file__).parent.glob("*.py")):
-        builders |= {f"{path.stem}.{c}" for c in _callers(ast.parse(path.read_text()), "Channel")}
-    assert builders == {"policy.<module>"}
+        for node in ast.walk(ast.parse(path.read_text())):
+            value = getattr(node, "value", None)
+            if isinstance(value, str) and re.fullmatch(r"[A-Z_]+->[A-Z_]+", value):
+                written.append(f"{path.stem}.{value}")
+    assert sorted(written) == sorted(f"policy.{name}" for name in policy.default_channels())
 
 
 #: The trace heads that are not an authenticated channel.
@@ -1446,10 +1523,10 @@ NON_AUTH_HEADS = {TRACE_FAULT, TRACE_JOB, TRACE_PILOT, TRACE_PLAN, TRACE_POOL}
 
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
 def test_every_traced_auth_channel_is_a_default_channel(path):
-    labels = {channel.label for channel in policy.default_channels()}
+    channels = set(policy.default_channels())
     traced = {channel for channel, *_ in run_scenario(path).trace.head_counts()}
-    assert traced - NON_AUTH_HEADS <= labels
-    assert traced & labels
+    assert traced - NON_AUTH_HEADS <= channels
+    assert traced & channels
 
 
 def test_no_memo_has_a_size_cap_and_only_the_fold_clears():

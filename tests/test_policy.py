@@ -1,6 +1,7 @@
 """Negotiation, the privilege order, identity mapping, phase projection."""
 
 import itertools
+from dataclasses import fields
 
 import pytest
 
@@ -22,12 +23,15 @@ from tokenpool.jose import Token, decode_token
 from tokenpool.policy import (
     _ALL_LEVELS,
     _LEVELS_NAMED,
+    CH_ADVERTISE,
+    CH_CE_SUBMIT,
+    CH_SUBMIT,
+    CH_TOKEN_FETCH,
     JOB_SUBMIT_SCOPE,
     PHASE_PERMITS,
     AuthenticatedPeer,
     AuthMethod,
     AuthzLevel,
-    Channel,
     ChannelPolicy,
     CompiledPolicy,
     Decision,
@@ -35,7 +39,6 @@ from tokenpool.policy import (
     MigrationPhase,
     PolicyTable,
     ProxyCredential,
-    Role,
     apply_phase,
     authenticate,
     authorize,
@@ -161,12 +164,12 @@ def test_validate_table_rejects_structural_problems():
     level = AuthzLevel.READ
     with pytest.raises(InvalidPolicy):
         validate_table(
-            PolicyTable({Channel(Role.WMCLIENT, Role.SCHEDD): ChannelPolicy((), level)})
+            PolicyTable({CH_SUBMIT: ChannelPolicy((), level)})
         )
     dup = (AuthMethod.IDTOKEN, AuthMethod.IDTOKEN)
     with pytest.raises(InvalidPolicy):
         validate_table(
-            PolicyTable({Channel(Role.WMCLIENT, Role.SCHEDD): ChannelPolicy(dup, level)})
+            PolicyTable({CH_SUBMIT: ChannelPolicy(dup, level)})
         )
     with pytest.raises(InvalidPolicy):
         validate_table(PolicyTable({}, (("a*b", "x"),)))
@@ -181,7 +184,7 @@ def test_default_table_is_valid_and_closed():
     assert table.map_identity("cmsprod-t0") == "cms-prod"
     assert table.map_identity("startd@pilot-00042") == "pool-daemon"
     assert table.map_identity("frontend@cmspool") == "cms-frontend"
-    ce_pol = table.channels[Channel(Role.FACTORY, Role.CE)]
+    ce_pol = table.channels[CH_CE_SUBMIT]
     assert ce_pol.required_scopes == frozenset({JOB_SUBMIT_SCOPE})
 
 
@@ -207,16 +210,16 @@ def trust(issuer_key):
 def table():
     return PolicyTable(
         {
-            Channel(Role.WMCLIENT, Role.SCHEDD): ChannelPolicy(
+            CH_SUBMIT: ChannelPolicy(
                 (AuthMethod.IDTOKEN, AuthMethod.LOCAL_FS), AuthzLevel.WRITE
             ),
-            Channel(Role.SCHEDD, Role.COLLECTOR): ChannelPolicy(
+            CH_ADVERTISE: ChannelPolicy(
                 (AuthMethod.IDTOKEN, AuthMethod.GSI_PROXY), AuthzLevel.ADVERTISE
             ),
-            Channel(Role.FRONTEND, Role.ISSUER): ChannelPolicy(
+            CH_TOKEN_FETCH: ChannelPolicy(
                 (AuthMethod.IDTOKEN,), AuthzLevel.READ
             ),
-            Channel(Role.FACTORY, Role.CE): ChannelPolicy(
+            CH_CE_SUBMIT: ChannelPolicy(
                 (AuthMethod.SCITOKEN, AuthMethod.GSI_PROXY),
                 required_scopes=frozenset({JOB_SUBMIT_SCOPE}),
             ),
@@ -238,32 +241,31 @@ def auth(table, channel, credential, compiled=None, **kw):
     kw.setdefault("now", NOW)
     if compiled is None:
         compiled = CompiledPolicy(table)
-    pol = compiled.channels[channel.label]
+    pol = compiled.channels[channel]
     return authenticate(channel, pol, credential, compiled=compiled, **kw)
 
 
 def test_authenticate_proxy_grants_legacy_admin(table):
     proxy = ProxyCredential("/DC=x/CN=Service one", NOW + 100, CA)
-    peer = auth(table, Channel(Role.SCHEDD, Role.COLLECTOR), proxy)
+    peer = auth(table, CH_ADVERTISE, proxy)
     assert peer.method is AuthMethod.GSI_PROXY
     assert peer.canonical_identity == "pool-daemon"
     assert peer.granted_levels == frozenset({AuthzLevel.ADMIN})
-    assert peer.token_kid is None
 
 
 def test_authenticate_proxy_failures(table):
-    channel = Channel(Role.SCHEDD, Role.COLLECTOR)
+    channel = CH_ADVERTISE
     with pytest.raises(UntrustedCA):
         auth(table, channel, ProxyCredential("/DC=x/CN=Service one", NOW + 100, "rogue-ca"))
     with pytest.raises(ProxyExpired):
         auth(table, channel, ProxyCredential("/DC=x/CN=Service one", NOW, CA))
     with pytest.raises(NoCommonMethod):
         # This channel only accepts identity tokens.
-        auth(table, Channel(Role.FRONTEND, Role.ISSUER), ProxyCredential("/DC=x/CN=Service one", NOW + 100, CA))
+        auth(table, CH_TOKEN_FETCH, ProxyCredential("/DC=x/CN=Service one", NOW + 100, CA))
 
 
 def test_authenticate_local_fs_host_binding(table):
-    channel = Channel(Role.WMCLIENT, Role.SCHEDD)
+    channel = CH_SUBMIT
     peer = auth(table, channel, LocalFsCredential("prod-user", HOST))
     assert peer.method is AuthMethod.LOCAL_FS
     assert peer.canonical_identity == "cms-prod"
@@ -274,29 +276,32 @@ def test_authenticate_local_fs_host_binding(table):
 
 def test_authenticate_idtoken_carries_limits(table, keyring):
     token = mint_idtoken(keyring, "pool-1", "condor@sched", ("ADVERTISE",), 600, NOW)
-    peer = auth(table, Channel(Role.SCHEDD, Role.COLLECTOR), token, keyring=keyring)
+    peer = auth(table, CH_ADVERTISE, token, keyring=keyring)
     assert peer.method is AuthMethod.IDTOKEN
     assert peer.canonical_identity == "pool-daemon"
     assert peer.granted_levels == frozenset({AuthzLevel.ADVERTISE})
-    assert peer.token_kid == "pool-1"
+    # Who, how and with what rights, and no copy of the token's own fields.
+    assert [f.name for f in fields(peer)] == [
+        "canonical_identity", "method", "granted_levels", "granted_scopes"
+    ]
 
 
 def test_authenticate_idtoken_without_limits_is_unlimited(table, keyring):
     token = mint_idtoken(keyring, "pool-1", "condor@sched", (), 600, NOW)
-    peer = auth(table, Channel(Role.SCHEDD, Role.COLLECTOR), token, keyring=keyring)
+    peer = auth(table, CH_ADVERTISE, token, keyring=keyring)
     assert peer.granted_levels == frozenset(AuthzLevel)
 
 
 def test_authenticate_idtoken_unknown_limit_name_rejected(table, keyring):
     token = mint_idtoken(keyring, "pool-1", "condor@sched", ("SUPERUSER",), 600, NOW)
     with pytest.raises(InvalidClaims):
-        auth(table, Channel(Role.SCHEDD, Role.COLLECTOR), token, keyring=keyring)
+        auth(table, CH_ADVERTISE, token, keyring=keyring)
 
 
 def test_authenticate_idtoken_unmapped_subject(table, keyring):
     token = mint_idtoken(keyring, "pool-1", "nobody@nowhere", (), 600, NOW)
     with pytest.raises(UnmappedIdentity):
-        auth(table, Channel(Role.SCHEDD, Role.COLLECTOR), token, keyring=keyring)
+        auth(table, CH_ADVERTISE, token, keyring=keyring)
 
 
 def test_authenticate_scitoken_grants_scopes_not_levels(table, trust, issuer_key):
@@ -304,7 +309,7 @@ def test_authenticate_scitoken_grants_scopes_not_levels(table, trust, issuer_key
         issuer_key, ISSUER, "pilot-ops", (JOB_SUBMIT_SCOPE,), "ce-1", 600, NOW
     )
     peer = auth(
-        table, Channel(Role.FACTORY, Role.CE), token, trust=trust, expected_audience="ce-1"
+        table, CH_CE_SUBMIT, token, trust=trust, expected_audience="ce-1"
     )
     assert peer.method is AuthMethod.SCITOKEN
     assert peer.canonical_identity == "cms-pilot"
@@ -318,14 +323,14 @@ def test_authenticate_token_method_must_be_accepted(table, keyring, trust, issue
     idt = mint_idtoken(keyring, "pool-1", "condor@x", (), 600, NOW)
     cap_only = PolicyTable(
         {
-            Channel(Role.FACTORY, Role.CE): ChannelPolicy(
+            CH_CE_SUBMIT: ChannelPolicy(
                 (AuthMethod.SCITOKEN,), required_scopes=frozenset({JOB_SUBMIT_SCOPE})
             )
         },
         (("condor@*", "pool-daemon"),),
     )
     with pytest.raises(NoCommonMethod):
-        auth(cap_only, Channel(Role.FACTORY, Role.CE), idt, keyring=keyring, trust=trust)
+        auth(cap_only, CH_CE_SUBMIT, idt, keyring=keyring, trust=trust)
 
 
 # -- the compiled policy's limits table and sessions ------------------------
@@ -333,7 +338,7 @@ def test_authenticate_token_method_must_be_accepted(table, keyring, trust, issue
 
 def test_sessions_remember_only_mapped_subjects(table, keyring):
     compiled = CompiledPolicy(table)
-    join = Channel(Role.SCHEDD, Role.COLLECTOR)
+    join = CH_ADVERTISE
     stranger = decode_token(mint_idtoken(keyring, "pool-1", "stranger", (), 600, NOW))
     for _ in range(2):
         with pytest.raises(UnmappedIdentity):
@@ -349,7 +354,7 @@ def test_unknown_limit_names_are_never_remembered(table, keyring):
     bad = decode_token(mint_idtoken(keyring, "pool-1", "condor@a", ("READ", "SUPERUSER"), 600, NOW))
     for _ in range(2):
         with pytest.raises(InvalidClaims, match="unknown authz limits: SUPERUSER$"):
-            auth(table, Channel(Role.SCHEDD, Role.COLLECTOR), bad, compiled, keyring=keyring)
+            auth(table, CH_ADVERTISE, bad, compiled, keyring=keyring)
         assert not compiled.sessions
 
 
@@ -376,7 +381,7 @@ def test_memoised_subject_still_fails_every_check(table, keyring, trust, issuer_
     # status and, for a capability, the audience and scopes are checked on
     # every presentation.
     compiled = CompiledPolicy(table)
-    join = Channel(Role.SCHEDD, Role.COLLECTOR)
+    join = CH_ADVERTISE
     token = decode_token(mint_idtoken(keyring, "pool-1", "condor@a", (), 600, NOW))
     auth(table, join, token, compiled, keyring=keyring)
     assert token in compiled.sessions
@@ -385,11 +390,11 @@ def test_memoised_subject_still_fails_every_check(table, keyring, trust, issuer_
     with pytest.raises(NotYetValid):
         auth(table, join, token, compiled, keyring=keyring, now=NOW - 10_000)
     with pytest.raises(NoCommonMethod):
-        auth(table, Channel(Role.FACTORY, Role.CE), token, compiled, keyring=keyring)
+        auth(table, CH_CE_SUBMIT, token, compiled, keyring=keyring)
     with pytest.raises(KeyRevoked):
         auth(table, join, token, compiled, keyring=revoke_key(keyring, "pool-1"))
 
-    ce = Channel(Role.FACTORY, Role.CE)
+    ce = CH_CE_SUBMIT
     cap = decode_token(
         mint_scitoken(issuer_key, ISSUER, "pilot-ops", (JOB_SUBMIT_SCOPE,), "ce-1", 600, NOW)
     )
@@ -420,7 +425,7 @@ def reference_authenticate(
 
     def require(method):
         if method not in pol.methods:
-            raise NoCommonMethod(f"{method.value} not accepted on {channel.label}")
+            raise NoCommonMethod(f"{method.value} not accepted on {channel}")
 
     if isinstance(credential, ProxyCredential):
         require(AuthMethod.GSI_PROXY)
@@ -432,7 +437,6 @@ def reference_authenticate(
             table.map_identity(credential.distinguished_name),
             AuthMethod.GSI_PROXY,
             frozenset({AuthzLevel.ADMIN}),
-            subject=credential.distinguished_name,
         )
     if isinstance(credential, LocalFsCredential):
         require(AuthMethod.LOCAL_FS)
@@ -442,7 +446,6 @@ def reference_authenticate(
             table.map_identity(credential.account),
             AuthMethod.LOCAL_FS,
             frozenset({AuthzLevel.ADMIN}),
-            subject=credential.account,
         )
     if credential.header.alg == "EdDSA":
         require(AuthMethod.SCITOKEN)
@@ -452,9 +455,6 @@ def reference_authenticate(
             AuthMethod.SCITOKEN,
             frozenset(),
             cap.granted_scopes,
-            cap.subject,
-            cap.kid,
-            cap.jti,
         )
     require(AuthMethod.IDTOKEN)
     ident = verify_idtoken(credential, keyring, now)
@@ -467,10 +467,7 @@ def reference_authenticate(
             raise InvalidClaims(f"unknown authz limits: {', '.join(bad)}") from None
     else:
         levels = frozenset(AuthzLevel)
-    return AuthenticatedPeer(
-        identity, AuthMethod.IDTOKEN, levels, subject=ident.subject,
-        token_kid=ident.kid, token_jti=ident.jti,
-    )
+    return AuthenticatedPeer(identity, AuthMethod.IDTOKEN, levels)
 
 
 def reference_authorize(peer, pol):
@@ -549,7 +546,7 @@ def test_compiled_path_matches_the_path_it_replaced(phase, issuer_key, trust):
     ]
     seen = set()
     for channel in projected.channels:
-        pol = compiled.channels[channel.label]
+        pol = compiled.channels[channel]
 
         def new_path(credential, at):
             peer = authenticate(
@@ -567,12 +564,12 @@ def test_compiled_path_matches_the_path_it_replaced(phase, issuer_key, trust):
             for at in again:
                 # Sessions cold at the first presentation, warm after it.
                 warmed = outcome(lambda: new_path(credential, base))
-                assert warmed == first, (channel.label, credential)
+                assert warmed == first, (channel, credential)
                 if isinstance(credential, Token) and isinstance(first[1], Decision):
                     assert credential in compiled.sessions
                 expected = outcome(lambda: old_path(credential, at))
                 got = outcome(lambda: new_path(credential, at))
-                assert got == expected, (channel.label, at, credential)
+                assert got == expected, (channel, at, credential)
                 for result in (first, expected):
                     if not isinstance(result[1], Decision):
                         seen.add(result[0].__name__)
@@ -626,16 +623,16 @@ def test_authorize_scope_requirements_and_admin_bypass():
 # -- phase projection -------------------------------------------------------
 
 
-def methods_of(table, src, dst):
-    return table.channels[Channel(src, dst)].methods
+def methods_of(table, channel):
+    return table.channels[channel].methods
 
 
 def test_apply_phase_gsi_only_strips_tokens_from_legacy_channels():
     projected = apply_phase(default_table(), MigrationPhase.GSI_ONLY)
-    assert methods_of(projected, Role.WMCLIENT, Role.SCHEDD) == (AuthMethod.LOCAL_FS,)
-    assert methods_of(projected, Role.SCHEDD, Role.COLLECTOR) == (AuthMethod.GSI_PROXY,)
+    assert methods_of(projected, CH_SUBMIT) == (AuthMethod.LOCAL_FS,)
+    assert methods_of(projected, CH_ADVERTISE) == (AuthMethod.GSI_PROXY,)
     # A channel born token-only has no pre-token shape; it keeps its method.
-    assert methods_of(projected, Role.FRONTEND, Role.ISSUER) == (AuthMethod.IDTOKEN,)
+    assert methods_of(projected, CH_TOKEN_FETCH) == (AuthMethod.IDTOKEN,)
 
 
 def test_apply_phase_fallback_keeps_every_method_of_the_default_table_in_order():
@@ -649,11 +646,11 @@ def test_apply_phase_fallback_keeps_every_method_of_the_default_table_in_order()
             if method in (AuthMethod.GSI_PROXY, AuthMethod.LOCAL_FS):
                 seen_legacy = True
             else:
-                assert not seen_legacy, f"{channel.label}: token after legacy"
+                assert not seen_legacy, f"{channel}: token after legacy"
 
 
 def test_apply_phase_keeps_a_legacy_first_order_and_negotiation_still_picks_the_token():
-    channel = Channel(Role.SCHEDD, Role.COLLECTOR)
+    channel = CH_ADVERTISE
     legacy_first = PolicyTable(
         {channel: ChannelPolicy((AuthMethod.GSI_PROXY, AuthMethod.IDTOKEN), AuthzLevel.ADVERTISE)}, ()
     )
@@ -672,22 +669,22 @@ def test_apply_phase_keeps_a_legacy_first_order_and_negotiation_still_picks_the_
 def test_apply_phase_token_only_removes_legacy_everywhere():
     projected = apply_phase(default_table(), MigrationPhase.TOKEN_ONLY)
     for channel, pol in projected.channels.items():
-        assert AuthMethod.GSI_PROXY not in pol.methods, channel.label
-        assert AuthMethod.LOCAL_FS not in pol.methods, channel.label
-    assert methods_of(projected, Role.FACTORY, Role.CE) == (AuthMethod.SCITOKEN,)
+        assert AuthMethod.GSI_PROXY not in pol.methods, channel
+        assert AuthMethod.LOCAL_FS not in pol.methods, channel
+    assert methods_of(projected, CH_CE_SUBMIT) == (AuthMethod.SCITOKEN,)
 
 
 def test_apply_phase_token_only_may_empty_a_channel():
     legacy_only = PolicyTable(
         {
-            Channel(Role.WMCLIENT, Role.SCHEDD): ChannelPolicy(
+            CH_SUBMIT: ChannelPolicy(
                 (AuthMethod.LOCAL_FS,), AuthzLevel.WRITE
             )
         },
         (),
     )
     projected = apply_phase(legacy_only, MigrationPhase.TOKEN_ONLY)
-    assert projected.channels[Channel(Role.WMCLIENT, Role.SCHEDD)].methods == ()
+    assert projected.channels[CH_SUBMIT].methods == ()
 
 
 def test_apply_phase_preserves_requirements_and_identity_map():

@@ -91,6 +91,8 @@ class HeapEngine:
         self.schedule_at(self.now + delay, action)
 
     def run(self, until):
+        if until < self.now:
+            raise SimulationError(f"cannot run until {until}, clock is at {self.now}")
         while self._heap and self._heap[0][0] <= until:
             t, _, action = heapq.heappop(self._heap)
             if t != self.now:
@@ -105,6 +107,24 @@ class Boom(Exception):
 
 #: Most actions one engine program schedules from inside actions.
 SPAWN_BUDGET = 60
+
+
+def test_engine_refuses_to_run_its_clock_backwards():
+    # After run(150), run(50) used to park the clock at 50, so an action
+    # scheduled at 60 then ran after one that had run at 100.
+    engine = Engine()
+    seen = []
+    engine.schedule_at(100, lambda: seen.append(engine.now))
+    engine.run(150)
+    with pytest.raises(SimulationError):
+        engine.run(50)
+    assert engine.now == 150
+    with pytest.raises(SimulationError):
+        engine.schedule_at(60, lambda: seen.append(engine.now))
+    engine.schedule_at(160, lambda: seen.append(engine.now))
+    engine.run(150)
+    engine.run(200)
+    assert seen == [100, 160]
 
 
 def run_engine_program(engine, nodes, ops):

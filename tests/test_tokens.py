@@ -111,11 +111,12 @@ def test_idtoken_round_trip(keyring):
     token = mint_idtoken(
         keyring, "k1", "schedd@host", ("ADVERTISE", "READ"), 600, NOW, jti="j1"
     )
-    got = verify_idtoken(decode_token(token), keyring, NOW + 10)
+    parsed = decode_token(token)
+    got = verify_idtoken(parsed, keyring, NOW + 10)
     assert got.subject == "schedd@host"
     assert got.authz_limits == frozenset({"ADVERTISE", "READ"})
-    assert got.kid == "k1"
-    assert got.jti == "j1"
+    assert parsed.header.kid == "k1"
+    assert parsed.claims.jti == "j1"
 
 
 def test_idtoken_empty_limits_means_unlimited(keyring):
@@ -232,12 +233,13 @@ def test_scitoken_round_trip(issuer_key, trust):
         issuer_key, ISSUER, "pilot-ops", ("compute.create", "compute.read"),
         "ce-1", 1200, NOW, jti="c1",
     )
-    got = verify_scitoken(decode_token(token), trust, "ce-1", ("compute.create",), NOW + 5)
+    parsed = decode_token(token)
+    got = verify_scitoken(parsed, trust, "ce-1", ("compute.create",), NOW + 5)
     assert got.subject == "pilot-ops"
-    assert got.issuer == ISSUER
     assert got.granted_scopes == frozenset({"compute.create", "compute.read"})
-    assert got.kid == "op-1"
-    assert got.jti == "c1"
+    assert parsed.claims.iss == ISSUER
+    assert parsed.header.kid == "op-1"
+    assert parsed.claims.jti == "c1"
 
 
 def test_scitoken_untrusted_issuer(issuer_key, trust):
@@ -326,9 +328,8 @@ def present(compiled, token, *, keyring=None, trust=None, audience="ce-1", scope
         pol = policy.ChannelPolicy((method,), required_scopes=frozenset(scopes))
     else:
         pol = policy.ChannelPolicy((method,), policy.AuthzLevel.READ)
-    channel = policy.Channel(policy.Role.FACTORY, policy.Role.CE)
     return policy.authenticate(
-        channel, pol, token, compiled=compiled, keyring=keyring, trust=trust,
+        policy.CH_CE_SUBMIT, pol, token, compiled=compiled, keyring=keyring, trust=trust,
         expected_audience=audience, now=now,
     )
 
