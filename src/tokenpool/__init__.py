@@ -8,7 +8,6 @@ from .errors import (
     AuthorizationDenied,
     ScenarioError,
     SimulationError,
-    SubmissionError,
     TokenError,
     TokenPoolError,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "Scenario",
     "ScenarioError",
     "SimulationError",
-    "SubmissionError",
     "SymmetricKeyring",
     "Token",
     "TokenClaims",

@@ -21,8 +21,8 @@ from .errors import (
     DEPRECATED_INTERFACE,
     IDLE,
     KEY_COMPROMISE,
+    MISMATCHED_CREDENTIAL,
     AuthorizationDenied,
-    MismatchedCredential,
     NoCommonMethod,
     TokenPoolError,
     UnauthorizedRequestor,
@@ -840,7 +840,7 @@ class Factory:
         interface = self.select_interface(ce)
         credentials = self.credentials_for(ce)
         if interface is None or not credentials:
-            reason = DEPRECATED_INTERFACE if interface is None else MismatchedCredential.__name__
+            reason = DEPRECATED_INTERFACE if interface is None else MISMATCHED_CREDENTIAL
             w.refuse(CH_CE_SUBMIT, reason, detail=detail)
             w.fail_pilot(pilot, reason)
             return pilot

@@ -97,15 +97,7 @@ class InvalidPolicy(AuthPolicyError):
     """Policy table violates a structural invariant at load time."""
 
 
-# --- actors / submission outcomes ---
-
-class SubmissionError(TokenPoolError):
-    """Base class for pilot submission failures."""
-
-
-class MismatchedCredential(SubmissionError):
-    """No credential kind held by the factory is accepted by the CE."""
-
+# --- actors ---
 
 class AuthorizationDenied(TokenPoolError):
     """Authenticated peer lacks the required authorization level."""
@@ -131,6 +123,8 @@ class ScenarioError(TokenPoolError):
 DEPRECATED_INTERFACE = "DeprecatedInterface"
 #: A CE authenticated the pilot but had no free slot for it.
 CAPACITY_EXCEEDED = "CapacityExceeded"
+#: The factory held no credential kind the CE accepts.
+MISMATCHED_CREDENTIAL = "MismatchedCredential"
 #: A CE refused every credential the factory presented for the pilot.
 AUTH_REJECTED = "AuthRejected"
 #: A pool member was evicted because its key was compromised.
@@ -158,8 +152,14 @@ TRACE_REASONS = frozenset(
         UntrustedCA,
         UnmappedIdentity,
         InvalidPolicy,
-        MismatchedCredential,
         AuthorizationDenied,
         UnauthorizedRequestor,
     )
-) | {DEPRECATED_INTERFACE, CAPACITY_EXCEEDED, AUTH_REJECTED, KEY_COMPROMISE, IDLE}
+) | {
+    DEPRECATED_INTERFACE,
+    CAPACITY_EXCEEDED,
+    MISMATCHED_CREDENTIAL,
+    AUTH_REJECTED,
+    KEY_COMPROMISE,
+    IDLE,
+}

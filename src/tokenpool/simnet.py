@@ -16,9 +16,15 @@ import random
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from typing import BinaryIO, Callable, NamedTuple, Protocol
+from types import MethodType
+from typing import Any, BinaryIO, Callable, NamedTuple, Protocol
 
 from .errors import TRACE_REASONS, SimulationError
+
+
+def _call(action: Callable[[], None]) -> None:
+    """Run a pending action that is not a bound method."""
+    action()
 
 
 class Engine:
@@ -26,24 +32,34 @@ class Engine:
 
     ``_calendar`` maps each pending instant to its actions in the order they
     were scheduled, which is the tie-break, and the ``_instants`` heap holds
-    each of those instants once.  An action scheduled for the instant being
-    run joins the end of its list and runs in the same pass.
+    each of those instants once.  An action takes two slots of its instant's
+    list, a function and the one argument it is called with: a bound method
+    is held as its function and its object, so no method object outlives the
+    call that scheduled it, and any other callable as ``_call`` and itself.
+    An action scheduled for the instant being run joins the end of its list
+    and runs in the same pass.
     """
 
     def __init__(self) -> None:
         self.now: int = 0
-        self._calendar: dict[int, list[Callable[[], None]]] = {}
+        #: Instant -> ``[fn, arg, fn, arg, ...]``, each pair one pending ``fn(arg)``.
+        self._calendar: dict[int, list[Callable[[Any], object] | Any]] = {}
         self._instants: list[int] = []
 
     def schedule_at(self, t: int, action: Callable[[], None]) -> None:
         if t < self.now:
             raise SimulationError(f"cannot schedule at {t}, clock is at {self.now}")
+        if type(action) is MethodType:
+            fn, arg = action.__func__, action.__self__
+        else:
+            fn, arg = _call, action
         actions = self._calendar.get(t)
         if actions is None:
-            self._calendar[t] = [action]
+            self._calendar[t] = [fn, arg]
             heapq.heappush(self._instants, t)
         else:
-            actions.append(action)
+            actions.append(fn)
+            actions.append(arg)
 
     def schedule(self, delay: int, action: Callable[[], None]) -> None:
         self.schedule_at(self.now + delay, action)
@@ -66,8 +82,8 @@ class Engine:
                 self.now = t
             pending = iter(calendar[t])
             try:
-                for action in pending:
-                    action()
+                for fn, arg in zip(pending, pending):
+                    fn(arg)
             except BaseException:
                 calendar[t] = list(pending)
                 raise

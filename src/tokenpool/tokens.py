@@ -47,12 +47,14 @@ class Sessions(dict):
     whatever depends on the channel, the audience or the time.  Only
     successes are opened; a session lives as long as its token's holder,
     and this table is the one cache between a credential and its verdict.
-    Keyrings and trust directories are never changed in place
-    (:func:`revoke_key` and :func:`rotate_key` return new ones), so a table
-    is good only under the two it was filled under.
+    Sessions with equal verdicts share one verdict object, held once in
+    ``_results`` for as long as the table lives, so a verdict must be
+    immutable and hashable.  Keyrings and trust directories are never
+    changed in place (:func:`revoke_key` and :func:`rotate_key` return new
+    ones), so a table is good only under the two it was filled under.
     """
 
-    __slots__ = ("keyring", "trust")
+    __slots__ = ("keyring", "trust", "_results")
 
     def __init__(
         self, keyring: SymmetricKeyring | None = None, trust: TrustDirectory | None = None
@@ -60,10 +62,12 @@ class Sessions(dict):
         super().__init__()
         self.keyring = keyring
         self.trust = trust
+        self._results: dict[Any, Any] = {}
 
     def open(self, token: Token, result: Any) -> Any:
-        """Remember ``result`` as ``token``'s session and return it."""
-        self[token] = result
+        """Remember ``result`` as ``token``'s session and return it, or the
+        equal verdict a session of this table already holds."""
+        result = self[token] = self._results.setdefault(result, result)
         return result
 
 

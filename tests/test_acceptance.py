@@ -537,6 +537,7 @@ def test_trace_reasons_come_from_the_closed_vocabulary(shipped):
     declared = {
         errors.DEPRECATED_INTERFACE,
         errors.CAPACITY_EXCEEDED,
+        errors.MISMATCHED_CREDENTIAL,
         errors.AUTH_REJECTED,
         errors.KEY_COMPROMISE,
         errors.IDLE,

@@ -4,7 +4,6 @@ import ast
 import dataclasses
 import gc
 import io
-import itertools
 import re
 import tracemalloc
 import types
@@ -32,12 +31,12 @@ from tokenpool.actors import (
 )
 from tokenpool.errors import (
     KEY_COMPROMISE,
+    MISMATCHED_CREDENTIAL,
     AudienceMismatch,
     AuthorizationDenied,
     Expired,
     KeyRevoked,
     MalformedToken,
-    MismatchedCredential,
     ScenarioError,
     SignatureInvalid,
     UnauthorizedRequestor,
@@ -278,7 +277,7 @@ def test_token_only_without_ce_token_support_is_a_dead_end():
     over = doc(phase="TOKEN_ONLY")
     over["sites"][0]["ces"][0]["accepts_tokens"] = False
     w = run_doc(**over)
-    assert len(failures(w, CH_CE_SUBMIT, "MismatchedCredential")) >= 5
+    assert len(failures(w, CH_CE_SUBMIT, MISMATCHED_CREDENTIAL)) >= 5
     assert pick(records(w), TRACE_PILOT, outcome="SUBMITTED") == []
     assert len(w.collector.members) == 0
 
@@ -1061,10 +1060,13 @@ def test_pool_size_of_a_mutated_scenario_is_joins_less_leaves(mutation):
 
 
 #: The tracemalloc peak of a ``rollout-2022`` run, in bytes: 1.10 times the
-#: largest of its readings, 3,062,596 to 3,071,298 B (2.93 MiB), in fresh
-#: processes and under pytest, once holders keep their parsed tokens and a
-#: pilot keeps no copy of its token's key and jti.
-ROLLOUT_PEAK_BOUND = int(1.10 * 3_071_298)
+#: largest of its readings, 2,522,532 B under pytest and 2,531,138 B (2.41
+#: MiB) in each of five fresh processes, once a pending event is a function
+#: and its argument and sessions share their equal verdicts.  A calendar
+#: holding bound methods reads 2,881,202 B and fails it; sessions each
+#: holding their own verdict read 2,673,498 B, inside the 1.10 margin, so
+#: ``test_sessions_at_the_peak_hold_each_distinct_verdict_once`` pins that.
+ROLLOUT_PEAK_BOUND = int(1.10 * 2_531_138)
 
 
 def test_live_pool_fits_its_memory_bound():
@@ -1089,16 +1091,19 @@ ROLLOUT_PEAK_T = 530
 
 #: Bytes held per live pilot at that instant, tracemalloc's current count
 #: over the run so far after a full collection, with one World built
-#: untraced before it: 1,466.0 in five fresh processes, once a pending event
-#: is one bound method of its pilot, the token's signature is read off the
-#: wire, a job keeps no name, the World keeps no registry of its pilots nor
-#: a pilot a copy of its slot or submission time, a pilot keeps the token it
-#: was minted, parsed, with no parse memo beside it and no copy of the key
-#: and jti that token carries, and the peer its session holds keeps no copy
-#: of the token's subject, key or jti either.  The collection empties the
-#: free lists, so a transient (a tick's sort key) does not count.  The bound
-#: is 1.10 times the largest reading.
-BYTES_PER_LIVE_PILOT = int(1.10 * 1466.0)
+#: untraced before it: 1,229.6 in five fresh processes (1,227.2 under
+#: pytest), once a pending event is two calendar slots, the pilot's step
+#: function and the pilot, and the sessions of equal verdicts share one
+#: peer; besides, the token's signature is read off the wire, a job keeps
+#: no name, the World keeps no registry of its pilots nor a pilot a copy of
+#: its slot or submission time, and a pilot keeps the token it was minted,
+#: parsed, with no parse memo beside it and no copy of the key and jti that
+#: token carries.  The collection empties the free lists, so a transient (a
+#: tick's sort key) does not count.  The bound is 1.10 times the largest
+#: reading.  Pending bound methods read 1,394.1 and fail it; a peer per
+#: session reads 1,301.5, inside the margin, and is pinned by
+#: ``test_sessions_at_the_peak_hold_each_distinct_verdict_once``.
+BYTES_PER_LIVE_PILOT = int(1.10 * 1229.6)
 
 
 def rollout_at_peak(scenario):
@@ -1107,29 +1112,41 @@ def rollout_at_peak(scenario):
     return world
 
 
-def test_pending_pilot_events_are_single_bound_methods_of_their_pilot(monkeypatch):
-    # One small object per pending event: a method of the pilot bound once,
-    # never a bound method wrapped in another, nor a closure over a pilot.
+def test_pending_pilot_events_are_a_step_function_and_its_pilot(monkeypatch):
+    # Two calendar slots per pending event, a function and its argument: a
+    # pilot's step is held as the Pilot function and the pilot, never as a
+    # method object, and no other pending action's closure holds a pilot.
     live = live_pilots(monkeypatch)
     world = rollout_at_peak(load_scenario(SCENARIO_DIR / "rollout-2022.yaml"))
     steps = {f for f in vars(actors.Pilot).values() if isinstance(f, types.FunctionType)}
     served = []
-    for action in itertools.chain.from_iterable(world.engine._calendar.values()):
-        if isinstance(action, types.MethodType):
-            assert isinstance(action.__func__, types.FunctionType), action
-            if isinstance(action.__self__, actors.Pilot):
-                assert action.__func__ in steps, action
-                served.append(action)
-            continue
-        held = [c.cell_contents for c in action.__closure__ or ()]
-        held += action.__defaults__ or ()
-        assert not any(isinstance(v, actors.Pilot) for v in held), action
-    keepalives = {id(a.__self__) for a in served if a.__func__ is actors.Pilot.keepalive}
+    for pending in world.engine._calendar.values():
+        assert len(pending) % 2 == 0
+        assert not any(isinstance(entry, types.MethodType) for entry in pending)
+        for fn, arg in zip(pending[::2], pending[1::2]):
+            assert isinstance(fn, types.FunctionType), fn
+            assert (fn in steps) == isinstance(arg, actors.Pilot), (fn, arg)
+            if fn in steps:
+                served.append((fn, arg))
+            elif isinstance(arg, types.FunctionType):
+                held = [c.cell_contents for c in arg.__closure__ or ()]
+                held += arg.__defaults__ or ()
+                assert not any(isinstance(v, actors.Pilot) for v in held), arg
+    keepalives = {id(pilot) for fn, pilot in served if fn is actors.Pilot.keepalive}
     assert len(live) > 1900
     # At the peak every live pilot is a member, as the byte budget assumes.
     assert world.collector.members == live
     assert keepalives == {id(p) for p in world.collector.members.values()}
     assert len(served) >= 3 * len(world.collector.members)
+
+
+def test_sessions_at_the_peak_hold_each_distinct_verdict_once():
+    # About 2,000 members' identity tokens have a session each, and only a
+    # handful of verdicts differ: equal ones are one object.
+    world = rollout_at_peak(load_scenario(SCENARIO_DIR / "rollout-2022.yaml"))
+    peers = list(world.policy.sessions.values())
+    assert len(peers) > 1900
+    assert len({id(peer) for peer in peers}) == len(set(peers)) < 10
 
 
 def test_live_pilot_fits_its_byte_budget():
@@ -1268,7 +1285,7 @@ def test_factory_credential_gate():
     pilot = fac.submit_one(ce)
     assert pilot.state is PilotState.FAILED
     assert w._used_jtis["pool"] == draws
-    (refused,) = failures(w, CH_CE_SUBMIT, MismatchedCredential.__name__)
+    (refused,) = failures(w, CH_CE_SUBMIT, MISMATCHED_CREDENTIAL)
     assert refused.detail == f"factory=fac-1 ce=ce-a pilot={pilot.id}"
 
 

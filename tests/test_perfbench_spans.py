@@ -70,3 +70,20 @@ def test_traced_run_parses_each_distinct_token_once_per_world(spans):
     )
     assert token_auths > 0
     assert stats["jose.decode_token"].calls == stats["jose.encode_token"].calls < token_auths
+
+
+def test_traced_run_dispatches_every_scheduled_event_under_a_span(spans):
+    # The tracer counts each action handed to Engine.schedule_at and wraps it
+    # in a dispatch span.  An engine that scheduled or ran an event around
+    # that wrapper would leave the two counts apart, and tracing must not
+    # move the digest.  The run ends with events still pending past its
+    # horizon, each a (function, argument) pair on the calendar.
+    path = SCENARIO_DIR / "arc-ldap-deprecation.yaml"
+    tracer = spans.SpanTracer()
+    with tracer.installed():
+        traced = run_scenario(path)
+    pending = sum(len(actions) // 2 for actions in traced.world.engine._calendar.values())
+    dispatched = tracer.summary()[spans.DISPATCH].calls
+    assert dispatched > 0 and pending > 0
+    assert tracer.counts[spans.EVENTS] == dispatched + pending
+    assert traced.digest == run_scenario(path).digest

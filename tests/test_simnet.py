@@ -127,19 +127,34 @@ def test_engine_refuses_to_run_its_clock_backwards():
     assert seen == [100, 160]
 
 
+class Node:
+    """An engine program's action held as a bound method, ``Node(act).run``,
+    so ``schedule_at`` stores it as its function and object."""
+
+    __slots__ = ("act",)
+
+    def __init__(self, act):
+        self.act = act
+
+    def run(self):
+        self.act()
+
+
 def run_engine_program(engine, nodes, ops):
     """Run ``ops`` on ``engine`` and log what happened, in order.
 
-    ``nodes[i]`` is ``(children, raises)``: action ``i`` logs its id and
-    ``now``, schedules each ``(delay, child)`` from inside itself, then
-    raises ``Boom`` if ``raises``.  An op is ``("at", t, i)`` or
+    ``nodes[i]`` is ``(children, raises, bound)``: action ``i`` logs its id
+    and ``now``, schedules each ``(delay, child)`` from inside itself, then
+    raises ``Boom`` if ``raises``; it is scheduled as a bound method of a
+    ``Node`` if ``bound``, else as a closure.  An op is ``("at", t, i)`` or
     ``("run", until)``; each logs its result, or what it raised."""
     log, spawned = [], [0]
 
     def action(i):
+        children, raises, bound = nodes[i]
+
         def act():
             log.append(("act", i, engine.now))
-            children, raises = nodes[i]
             for delay, child in children:
                 if spawned[0] < SPAWN_BUDGET:
                     spawned[0] += 1
@@ -147,7 +162,7 @@ def run_engine_program(engine, nodes, ops):
             if raises:
                 raise Boom(i)
 
-        return act
+        return Node(act).run if bound else act
 
     for op in ops:
         try:
@@ -172,7 +187,7 @@ def engine_programs(draw):
         if i + 1 < n:
             delay = st.sampled_from([0, 0, 0, 1, 2, 5])
             children = draw(st.lists(st.tuples(delay, st.integers(i + 1, n - 1)), max_size=3))
-        nodes.append((children, draw(st.integers(0, 4)) == 0))
+        nodes.append((children, draw(st.integers(0, 4)) == 0, draw(st.booleans())))
     op = st.one_of(
         st.tuples(st.just("at"), st.integers(0, 20), st.integers(0, n - 1)),
         st.tuples(st.just("run"), st.integers(0, 25)),
@@ -186,7 +201,8 @@ def test_engine_runs_every_program_as_the_heap_engine_does(program):
     # Same actions in the same order at the same now, the same raises and
     # refusals, and the same clock after every op: delay-0 actions run in
     # the pass of their instant, and a raise leaves the rest of its
-    # instant pending for the next run.
+    # instant pending for the next run, whether the actions are closures,
+    # bound methods or a mix of the two.
     nodes, ops = program
     assert run_engine_program(Engine(), nodes, ops) == run_engine_program(HeapEngine(), nodes, ops)
 

@@ -588,6 +588,35 @@ def test_rotated_or_revoked_keyring_checks_each_mac_again(compiled, keyring, hs2
     assert len(hs256_macs) == 4
 
 
+def test_sessions_with_equal_verdicts_share_one_peer(compiled, keyring, issuer_key, trust):
+    # Two startd tokens under one keyring get the identical peer; capability
+    # tokens with other scopes get their own; dropping one token's session
+    # leaves the other's; a new keyring starts a table that shares nothing.
+    startd = [
+        decode_token(mint_idtoken(keyring, "k1", "startd@wn-1", ("ADVERTISE",), 600, NOW, jti=jti))
+        for jti in ("s1", "s2")
+    ]
+    peers = [present(compiled, token, keyring=keyring, trust=trust) for token in startd]
+    assert peers[0] is peers[1]
+    assert compiled.sessions[startd[0]] is compiled.sessions[startd[1]] is peers[0]
+    caps = [
+        decode_token(mint_scitoken(issuer_key, ISSUER, "s", scopes, "ce-1", 600, NOW))
+        for scopes in (("compute.create",), ("compute.create", "compute.read"))
+    ]
+    cap_peers = [
+        present(compiled, cap, keyring=keyring, trust=trust, scopes=("compute.create",))
+        for cap in caps
+    ]
+    assert cap_peers[0] != cap_peers[1]
+    assert len({id(peer) for peer in (*peers, *cap_peers)}) == 3
+    compiled.sessions.pop(startd[0])
+    assert compiled.sessions[startd[1]] is peers[1]
+    assert present(compiled, startd[1], keyring=keyring, trust=trust) is peers[1]
+    rotated = rotate_key(keyring, "k3", b"c" * 32)
+    again = present(compiled, startd[1], keyring=rotated, trust=trust)
+    assert again == peers[1] and again is not peers[1]
+
+
 def test_tampering_never_authenticates_against_a_warm_session():
     # Every member's identity token has a session in the World's policy from
     # its join and keepalives; every single-character payload mutant of one,
