@@ -13,7 +13,8 @@ returns a :class:`Token`, which keeps the compact string it was parsed from
 and derives its signature, and the bytes that signature covers, from it, so
 a token is parsed once and every verifier reads that one value.  The parse
 shares, through :func:`sys.intern`, the strings that every token of a key
-or issuer repeats.
+or issuer repeats, and shares the parsed header and the limit and scope
+tuples that tokens of one key repeat.
 """
 
 from __future__ import annotations
@@ -160,8 +161,8 @@ class TokenClaims:
             iat=_typed(obj, "iat", int, 0),
             exp=_typed(obj, "exp", int, 0),
             jti=_typed(obj, "jti", str, ""),
-            scope=tuple(map(sys.intern, scope.split())) if scope is not None else None,
-            authz_limits=tuple(sorted(map(sys.intern, limits))) if limits is not None else None,
+            scope=_shared(tuple(map(sys.intern, scope.split()))) if scope is not None else None,
+            authz_limits=_shared(tuple(sorted(map(sys.intern, limits)))) if limits is not None else None,
         )
 
     @property
@@ -237,9 +238,16 @@ class Token:
         if len(parts) != 3:
             raise MalformedToken(f"expected 3 segments, got {len(parts)}")
         header_b64, claims_b64, sig_b64 = parts
-        header = TokenHeader.from_json_dict(_parse_json_object(header_b64, "header"))
+        header = _HEADERS.get(header_b64)
+        if header is None:
+            header = TokenHeader.from_json_dict(_parse_json_object(header_b64, "header"))
         claims = TokenClaims.from_json_dict(_parse_json_object(claims_b64, "claims"))
         b64url_decode(sig_b64)  # refused here; decoded again when a verifier asks
+        # The whole token parsed, so its parts may be shared from now on.
+        _HEADERS.setdefault(header_b64, header)
+        for names in (claims.scope, claims.authz_limits):
+            if names is not None:
+                _NAMES.setdefault(names, names)
         set_field = object.__setattr__
         set_field(self, "header", header)
         set_field(self, "claims", claims)
@@ -287,6 +295,19 @@ def ed25519_matches(public_key_bytes: bytes, signing_input: bytes, signature: by
         return True
     except (InvalidSignature, ValueError):
         return False
+
+
+#: What tokens of one key repeat, held once: the parsed header by its exact
+#: segment (a header is a function of those characters alone), and each
+#: distinct scope or limit tuple.  Only a token that parsed whole adds an
+#: entry, so both grow with the distinct headers and name sets of accepted
+#: parses, never with refused input.
+_HEADERS: dict[str, TokenHeader] = {}
+_NAMES: dict[tuple[str, ...], tuple[str, ...]] = {}
+
+
+def _shared(names: tuple[str, ...]) -> tuple[str, ...]:
+    return _NAMES.get(names, names)
 
 
 _ABSENT = object()

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
+import itertools
 import re
 import typing
 from dataclasses import dataclass, field
@@ -385,6 +386,18 @@ def _check(sc: Scenario) -> None:
             raise ScenarioError(f"faults[{i}]: end {fault.end} not after start {fault.start}")
         if not 0.0 <= fault.rate <= 1.0:
             raise ScenarioError(f"faults[{i}]: rate {fault.rate} outside [0, 1]")
+    # A message meets only the first drop fault covering it, so a second
+    # one over the same channel and time would silently never act.
+    drops = [(i, f) for i, f in enumerate(sc.faults) if f.kind is FaultKind.MESSAGE_DROP]
+    for (i, a), (j, b) in itertools.combinations(drops, 2):
+        if a.target != b.target and "*" not in (a.target, b.target):
+            continue
+        if (a.end is not None and a.end <= b.start) or (b.end is not None and b.end <= a.start):
+            continue
+        channel = a.target if b.target == "*" else b.target
+        raise ScenarioError(
+            f"faults[{i}] and faults[{j}]: MESSAGE_DROP windows overlap on channel {channel!r}"
+        )
 
 
 def parse_scenario(data: Mapping[str, Any]) -> Scenario:

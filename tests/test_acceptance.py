@@ -11,6 +11,7 @@ before the library existed.  They are imported rather than restated so
 there is exactly one copy to drift.
 """
 
+import ast
 import hashlib
 import io
 import os
@@ -65,6 +66,7 @@ from tokenpool.tokens import (
 )
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+SOURCE_DIR = Path(__file__).resolve().parent.parent / "src" / "tokenpool"
 
 
 @pytest.fixture(scope="module")
@@ -557,3 +559,10 @@ def test_trace_reasons_come_from_the_closed_vocabulary(shipped):
     unknown = sorted(set(seen) - errors.TRACE_REASONS)
     print(f"[vocabulary] reasons in the shipped traces: {dict(sorted(seen.items()))}")
     assert seen and unknown == []
+
+
+@pytest.mark.parametrize("path", sorted(SOURCE_DIR.glob("*.py")), ids=lambda path: path.name)
+def test_sources_parse_as_the_oldest_supported_python(path):
+    # pyproject.toml allows Python 3.10, so no module may use syntax that
+    # only a later version parses (``except*``, say).
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

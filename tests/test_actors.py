@@ -611,8 +611,8 @@ def test_records_at_one_instant_share_one_time_object(monkeypatch):
     starts = [int("300"), int("300")]
     assert starts[0] is not starts[1]
     drops = [
-        {"kind": "MESSAGE_DROP", "target": "SCHEDD->COLLECTOR", "start": t, "rate": 0.0}
-        for t in starts
+        {"kind": "MESSAGE_DROP", "target": channel, "start": t, "rate": 0.0}
+        for channel, t in zip(("SCHEDD->COLLECTOR", "STARTD->COLLECTOR"), starts)
     ]
     # The time each record is written at, as handed to the trace.
     times = []
@@ -1091,19 +1091,22 @@ ROLLOUT_PEAK_T = 530
 
 #: Bytes held per live pilot at that instant, tracemalloc's current count
 #: over the run so far after a full collection, with one World built
-#: untraced before it: 1,229.6 in five fresh processes (1,227.2 under
-#: pytest), once a pending event is two calendar slots, the pilot's step
-#: function and the pilot, and the sessions of equal verdicts share one
-#: peer; besides, the token's signature is read off the wire, a job keeps
-#: no name, the World keeps no registry of its pilots nor a pilot a copy of
+#: untraced before it: 1,123.6 in five fresh processes (1,120.5 under
+#: pytest), once tokens of one key share their parsed header and limit
+#: tuple, a pending event is two calendar slots, the pilot's step function
+#: and the pilot, and the sessions of equal verdicts share one peer;
+#: besides, the token's signature is read off the wire, a job keeps no
+#: name, the World keeps no registry of its pilots nor a pilot a copy of
 #: its slot or submission time, and a pilot keeps the token it was minted,
 #: parsed, with no parse memo beside it and no copy of the key and jti that
 #: token carries.  The collection empties the free lists, so a transient (a
 #: tick's sort key) does not count.  The bound is 1.10 times the largest
-#: reading.  Pending bound methods read 1,394.1 and fail it; a peer per
-#: session reads 1,301.5, inside the margin, and is pinned by
-#: ``test_sessions_at_the_peak_hold_each_distinct_verdict_once``.
-BYTES_PER_LIVE_PILOT = int(1.10 * 1229.6)
+#: reading.  Pending bound methods fail it.  A header or a limit tuple per
+#: token, or a peer per session, each stays inside the margin, and is
+#: pinned by the shape it leaves:
+#: ``test_member_tokens_at_the_peak_hold_each_distinct_header_and_limits_once``
+#: and ``test_sessions_at_the_peak_hold_each_distinct_verdict_once``.
+BYTES_PER_LIVE_PILOT = int(1.10 * 1123.6)
 
 
 def rollout_at_peak(scenario):
@@ -1147,6 +1150,18 @@ def test_sessions_at_the_peak_hold_each_distinct_verdict_once():
     peers = list(world.policy.sessions.values())
     assert len(peers) > 1900
     assert len({id(peer) for peer in peers}) == len(set(peers)) < 10
+
+
+def test_member_tokens_at_the_peak_hold_each_distinct_header_and_limits_once():
+    # About 2,000 members' tokens differ only in sub, jti, iat and exp: the
+    # parsed header is one object per distinct header segment, and their
+    # one limit set is one tuple.
+    world = rollout_at_peak(load_scenario(SCENARIO_DIR / "rollout-2022.yaml"))
+    tokens = [pilot.token for pilot in world.collector.members.values()]
+    assert len(tokens) > 1900
+    segments = {token.compact.partition(".")[0] for token in tokens}
+    assert len({id(token.header) for token in tokens}) == len(segments) < 10
+    assert len({id(token.claims.authz_limits) for token in tokens}) == 1
 
 
 def test_live_pilot_fits_its_byte_budget():

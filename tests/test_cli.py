@@ -405,16 +405,25 @@ def _with(path, value):
         (("sites", 0, "ces", 0, "id"), "*", "gateway sites[0].ces[0].id: '*'"),
         (("clients", 0, "jobs"), 2**70, "clients[0].jobs: must be <= "),
         (("horizon",), 2**70, "horizon: must be <= "),
+        (
+            ("faults",),
+            [
+                {"kind": "MESSAGE_DROP", "target": "*", "rate": 0.0},
+                {"kind": "MESSAGE_DROP", "target": "STARTD->COLLECTOR", "rate": 1.0},
+            ],
+            "faults[0] and faults[1]: MESSAGE_DROP windows overlap",
+        ),
     ],
-    ids=["empty-kid", "kid-with-space", "gateway-star", "huge-jobs", "huge-horizon"],
+    ids=["empty-kid", "kid-with-space", "gateway-star", "huge-jobs", "huge-horizon", "overlapping-drops"],
 )
 def test_scenario_the_run_cannot_carry_is_refused_before_it_starts(
     capsys, tmp_path, monkeypatch, path, value, named
 ):
     # An empty kid fails the run at its first mint, a space splits a trace
-    # detail, a gateway named ``*`` cannot be a fault's only target, and
-    # 2**70 jobs or simulated seconds never finish: each is refused before
-    # the run starts.
+    # detail, a gateway named ``*`` cannot be a fault's only target,
+    # 2**70 jobs or simulated seconds never finish, and of two overlapping
+    # drop faults the second never acts: each is refused before the run
+    # starts.
     from tokenpool import migration
 
     def no_run(*args, **kwargs):

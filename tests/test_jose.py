@@ -519,8 +519,9 @@ def test_token_holds_only_claims_from_its_signed_bytes():
 
 
 def test_tokens_of_one_key_share_the_strings_they_repeat():
-    # alg, kid, typ, iss, aud and the limit and scope names are kept once,
-    # however many tokens of a key or issuer are parsed.
+    # The header, the limit and scope tuples, and alg, kid, typ, iss, aud
+    # and the names in those tuples are kept once, however many tokens of
+    # a key or issuer are parsed.
     secret, private = b"k" * 32, ed25519.Ed25519PrivateKey.generate()
 
     def parsed(jti, **claims):
@@ -534,6 +535,9 @@ def test_tokens_of_one_key_share_the_strings_they_repeat():
     for kw in ({"authz_limits": ("ADVERTISE", "READ")}, {"scope": ("compute.create", "compute.read")}):
         one, two = parsed("j1", **kw), parsed("j2", **kw)
         shared = [
+            (one.header, two.header),
+            (one.claims.authz_limits, two.claims.authz_limits),
+            (one.claims.scope, two.claims.scope),
             (one.header.alg, two.header.alg),
             (one.header.kid, two.header.kid),
             (one.header.typ, two.header.typ),
@@ -544,6 +548,87 @@ def test_tokens_of_one_key_share_the_strings_they_repeat():
         ]
         assert all(a == b and a is b for a, b in shared), shared
         assert one.claims.sub != two.claims.sub
+
+
+#: JSON values of every type but a string.
+NOT_A_STRING = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), st.lists(st.integers(), max_size=2)
+)
+
+
+@st.composite
+def header_segments(draw) -> str:
+    """A header segment that parses, or one refused for its base64url, its
+    JSON, a JSON value that is no object, or an ``alg``, ``kid`` or ``typ``
+    of the wrong JSON type."""
+    header = {"alg": draw(st.sampled_from(["HS256", "EdDSA", "none"])), "kid": draw(ANY_TEXT), "typ": "JWT"}
+    fault = draw(st.sampled_from(["none", "typed", "not-an-object", "not-json", "not-base64url"]))
+    if fault == "typed":
+        header[draw(st.sampled_from(sorted(header)))] = draw(NOT_A_STRING)
+    raw = jose.canonical_json(header).encode()
+    if fault == "not-an-object":
+        raw = jose.canonical_json(draw(NOT_A_STRING | ANY_TEXT)).encode()
+    elif fault == "not-json":
+        raw = raw[: draw(st.integers(0, len(raw) - 1))]
+    segment = jose.b64url_encode(raw)
+    if fault == "not-base64url":
+        at = draw(st.integers(0, len(segment)))
+        segment = segment[:at] + draw(st.sampled_from("+/= \u00e9")) + segment[at:]
+    return segment
+
+
+@st.composite
+def tokens_and_twins(draw) -> tuple[str, str]:
+    """A compact token refused at any segment or none, and its twin: the
+    same header segment and limit or scope names, well-formed claims and a
+    well-formed signature."""
+    header = draw(header_segments())
+    names = draw(WORDS.filter(bool))
+    claims = {"sub": draw(ANY_TEXT), "iat": 1, "exp": 2, "jti": "j"}
+    if draw(st.booleans()):
+        claims["authz_limits"] = names
+    else:
+        claims |= {"aud": "ce", "scope": " ".join(names)}
+    twin = f"{header}.{jose.b64url_encode(jose.canonical_json(claims).encode())}.{jose.b64url_encode(bytes(32))}"
+    if draw(st.booleans()):
+        claims[draw(st.sampled_from(sorted(claims)))] = draw(NOT_A_STRING)
+    signature = draw(st.sampled_from([jose.b64url_encode(bytes(32)), "QR", "a+b", ""]))
+    token = f"{header}.{jose.b64url_encode(jose.canonical_json(claims).encode())}.{signature}"
+    return token, twin
+
+
+@given(pair=tokens_and_twins())
+def test_a_warm_table_never_changes_a_parse(pair):
+    token, twin = pair
+
+    def parse(compact):
+        try:
+            parsed = jose.decode_token(compact)
+        except MalformedToken as exc:
+            return str(exc)
+        return parsed.header, parsed.claims
+
+    tables = (jose._HEADERS, jose._NAMES)
+    saved = [dict(table) for table in tables]
+    try:
+        for table in tables:
+            table.clear()
+        cold = parse(token)
+        if isinstance(cold, str):
+            # Refused at some segment: nothing of it is kept.
+            assert not any(tables), tables
+        parse(twin)
+        warm = parse(token)
+        assert warm == cold
+        if not isinstance(warm, str):
+            segment = token.partition(".")[0]
+            assert warm[0] is jose._HEADERS[segment]
+            names = warm[1].scope or warm[1].authz_limits
+            assert names is jose._NAMES[names]
+    finally:
+        for table, entries in zip(tables, saved):
+            table.clear()
+            table.update(entries)
 
 
 def test_hs256_matches_true_and_false():

@@ -407,6 +407,50 @@ def test_fault_target_must_name_what_its_kind_acts_on(kind, wrong, noun, right):
     assert parse_scenario(variant(faults=[{"kind": kind, "target": right}])).faults[0].target == right
 
 
+def _drop(target, start=0, end=None, rate=1.0):
+    return {"kind": "MESSAGE_DROP", "target": target, "start": start, "end": end, "rate": rate}
+
+
+@pytest.mark.parametrize(
+    "first, second, channel",
+    [
+        (_drop("*", rate=0.0), _drop("STARTD->COLLECTOR"), "STARTD->COLLECTOR"),
+        (_drop("STARTD->COLLECTOR"), _drop("*", rate=0.0), "STARTD->COLLECTOR"),
+        (_drop("*", 0, 100), _drop("*", 99, 200), "*"),
+        (_drop("SCHEDD->COLLECTOR", 50), _drop("SCHEDD->COLLECTOR", 0, 51), "SCHEDD->COLLECTOR"),
+        (_drop("SCHEDD->COLLECTOR", 500), _drop("SCHEDD->COLLECTOR", 10), "SCHEDD->COLLECTOR"),
+    ],
+    ids=["wildcard-first", "wildcard-second", "both-wildcards", "one-second-shared", "both-open"],
+)
+def test_overlapping_drop_faults_are_refused(first, second, channel):
+    # A message meets only the first drop fault that covers it, so the
+    # second of two overlapping ones would silently never act: a rate-0.0
+    # wildcard ahead of a rate-1.0 channel fault left the drill with no
+    # drop at all.  Both indices are named.
+    doc = yaml.safe_load((SCENARIO_DIR / "drill-keysplit.yaml").read_text())
+    doc["faults"] += [first, second]
+    with pytest.raises(
+        ScenarioError,
+        match=rf"^faults\[1\] and faults\[2\]: MESSAGE_DROP windows overlap on channel {re.escape(repr(channel))}$",
+    ):
+        parse_scenario(doc)
+
+
+@pytest.mark.parametrize(
+    "faults",
+    [
+        [_drop("STARTD->COLLECTOR"), _drop("SCHEDD->COLLECTOR")],
+        [_drop("*", 0, 100), _drop("*", 100)],
+        [_drop("*", 0, 100), _drop("STARTD->COLLECTOR", 100, 200), _drop("SCHEDD->COLLECTOR", 100)],
+        [_drop("STARTD->COLLECTOR"), {"kind": "CE_STUCK_SUBMISSION", "target": "*"}],
+    ],
+    ids=["two-channels", "back-to-back", "after-a-wildcard", "other-kind"],
+)
+def test_drop_faults_apart_in_channel_or_time_parse(faults):
+    sc = parse_scenario(variant(faults=faults))
+    assert [f.target for f in sc.faults] == [f["target"] for f in faults]
+
+
 def test_load_scenario_round_trip(tmp_path):
     import yaml
 
