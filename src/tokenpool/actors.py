@@ -140,8 +140,9 @@ class Pilot:
         self.world.collector.job_done(self)
 
 
-def _join_detail(*parts: str) -> str:
-    return " ".join(p for p in parts if p)
+def _join_detail(first: str, second: str) -> str:
+    """The two parts of a detail joined by a space, or the one that is not empty."""
+    return f"{first} {second}" if first and second else first or second
 
 
 def _method_name(credential: Credential) -> str:
@@ -192,8 +193,7 @@ class World:
         self.policy: CompiledPolicy  # compiled by set_phase, which start() calls first
 
         #: The 64-bit draws behind every jti handed out, by authority, less
-        #: the pilot draws ``Factory.submit_one`` gives back because no token
-        #: took them.
+        #: the draws given back (``give_back_draw``) because no token took them.
         self._used_jtis: dict[str, set[int]] = {}
         self._pilot_seq = 0
         self._job_seq = 0
@@ -218,13 +218,19 @@ class World:
     def next_draw(self, authority: str) -> int:
         """A 64-bit draw no earlier jti of ``authority`` holds, now in its
         ledger; the jti is the draw as 16 hex digits."""
-        used = self._used_jtis.setdefault(authority, set())
+        used = self._used_jtis.get(authority)
+        if used is None:
+            used = self._used_jtis[authority] = set()
         rng = self.streams.stream(f"jti/{authority}")
         while True:
             draw = rng.getrandbits(64)
             if draw not in used:
                 used.add(draw)
                 return draw
+
+    def give_back_draw(self, authority: str, draw: int) -> None:
+        """Take ``draw`` out of ``authority``'s ledger: no token carries it."""
+        self._used_jtis[authority].discard(draw)
 
     def next_jti(self, authority: str) -> str:
         return f"{self.next_draw(authority):016x}"
@@ -265,7 +271,7 @@ class World:
         """Drop ``token``'s session: its holder ended (``end_pilot``) or
         replaced it (``Frontend.refresh_capabilities``, ``WMClient.renew_token``).
         A key rotation needs no call: a new keyring starts the sessions over."""
-        self.policy.sessions.pop(token, None)
+        self.policy.sessions.pop(token.compact, None)
 
     # -- authenticated requests --------------------------------------------
 
@@ -323,7 +329,8 @@ class World:
     def dropped(self, channel: str, method: AuthMethod, detail: str) -> bool:
         """Draw whether a message on ``channel`` is lost, recording the loss."""
         now = self.engine.now
-        if not message_dropped(self.board, self.streams, channel, now):
+        fault = self.board.active(FaultKind.MESSAGE_DROP, channel, now)
+        if fault is None or not message_dropped(fault, self.streams):
             return False
         self.trace.record(
             now, channel, OUTCOME_DROP, method=method._value_, detail=detail
@@ -853,8 +860,7 @@ class Factory:
             # Same event as the draw above, so the same bytes as minting then.
             pilot.token = w.mint_startd_token(pilot, kid, draw)
         else:
-            # No token carries this jti, so the ledger gives the draw back.
-            w._used_jtis["pool"].discard(draw)
+            w.give_back_draw("pool", draw)
             w.fail_pilot(pilot, refused)
         return pilot
 

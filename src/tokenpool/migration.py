@@ -169,19 +169,21 @@ class _Pass:
     def step_for(self, head: Head) -> Callable[[int, str], None] | None:
         channel, _, method, outcome = head
         if channel in _AUTH_CHANNELS:
-            step = partial(self._attempt, head) if method in _METHOD_VALUES else None
-        else:
-            name = _STEPPED.get((channel, outcome))
-            step = None if name is None else getattr(self, name)
-        return None if step is None else partial(self._feed, step)
+            return partial(self._attempt, head) if method in _METHOD_VALUES else None
+        name = _STEPPED.get((channel, outcome))
+        return None if name is None else partial(self._feed, getattr(self, name))
+
+    def _advance(self, t: int) -> None:
+        """Close the current instant, as a record at ``t`` ends it."""
+        if self.instant is not None and t < self.instant:
+            raise SimulationError(f"trace record at t={t} written after one at t={self.instant}")
+        self._close()
+        self.instant = t
 
     def _feed(self, step: Callable[[int, str], None], t: int, detail: str) -> None:
         """Hand a record to its step, closing the current instant if it ends."""
         if t != self.instant:
-            if self.instant is not None and t < self.instant:
-                raise SimulationError(f"trace record at t={t} written after one at t={self.instant}")
-            self._close()
-            self.instant = t
+            self._advance(t)
         step(t, detail)
 
     def _close(self) -> None:
@@ -202,6 +204,10 @@ class _Pass:
             del self.joins[:]
 
     def _attempt(self, head: Head, t: int, detail: str) -> None:
+        """Keep an auth attempt for judging when its instant ends; fed
+        directly, not through ``_feed``, so it closes the instant itself."""
+        if t != self.instant:
+            self._advance(t)
         self.attempts.append((t, head))
 
     def _phase(self, t: int, detail: str) -> None:

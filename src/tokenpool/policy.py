@@ -185,7 +185,7 @@ class CompiledPolicy:
     """A policy table compiled for presentation.
 
     ``channels`` is the table's own map from channel name to
-    ``ChannelPolicy``.  ``sessions`` maps each parsed token that
+    ``ChannelPolicy``.  ``sessions`` maps the wire form of each token that
     :func:`authenticate` has fully verified to the peer it returned, until
     the token's holder drops it; it is filled under one keyring and one
     trust directory and starts over when handed others.  A session skips
@@ -329,7 +329,7 @@ def authenticate(
     sessions = compiled.sessions
     if sessions.keyring is not keyring or sessions.trust is not trust:
         sessions = compiled.sessions = Sessions(keyring, trust)
-    peer = sessions.get(credential)
+    peer = sessions.get(credential.compact)
     if peer is not None:
         _require(peer.method, pol, channel)
         _check_window(credential.claims, now)

@@ -147,11 +147,13 @@ class Record(NamedTuple):
     t: int
 
 
-def _line_template(channel: str, identity: str, method: str, outcome: str) -> str:
-    """The canonical line of a record with this head, less its escaped detail and t."""
+def _line_pieces(channel: str, identity: str, method: str, outcome: str) -> tuple[str, str]:
+    """The canonical line of a record with this head, less its escaped detail
+    and t: the text before the detail, and the text between the two."""
     esc = encode_basestring_ascii
-    return '{"channel":%s,"detail":%%s,"identity":%s,"method":%s,"outcome":%s,"t":%%d}\n' % tuple(
-        esc(field).replace("%", "%%") for field in (channel, identity, method, outcome)
+    return (
+        f'{{"channel":{esc(channel)},"detail":',
+        f',"identity":{esc(identity)},"method":{esc(method)},"outcome":{esc(outcome)},"t":',
     )
 
 
@@ -199,8 +201,9 @@ class Trace:
         self._out = out
         self._fold = fold
         self._sha = hashlib.sha256()
-        #: Per head, in the order first written: [its line template, the
-        #: fold's step for it, its number of records].
+        #: Per head, in the order first written: [the two pieces of its
+        #: line around the detail, the fold's step for it, its number of
+        #: records].
         self._heads: dict[Head, list] = {}
 
     @property
@@ -210,7 +213,7 @@ class Trace:
 
     def head_counts(self) -> dict[Head, int]:
         """Each head's number of records, in the order first written."""
-        return {head: entry[2] for head, entry in self._heads.items()}
+        return {head: entry[3] for head, entry in self._heads.items()}
 
     def record(
         self,
@@ -230,13 +233,13 @@ class Trace:
         entry = self._heads.get(head)
         if entry is None:
             step = None if self._fold is None else self._fold.step_for(head)
-            entry = self._heads[head] = [_line_template(*head), step, 0]
-        template, step, _ = entry
-        line = (template % (encode_basestring_ascii(detail), t)).encode()
+            entry = self._heads[head] = [*_line_pieces(*head), step, 0]
+        pre, mid, step, _ = entry
+        line = f"{pre}{encode_basestring_ascii(detail)}{mid}{t}}}\n".encode()
         self._sha.update(line)
         if self._out is not None:
             self._out.write(line)
-        entry[2] += 1
+        entry[3] += 1
         if step is not None:
             step(t, detail)
 
@@ -341,16 +344,11 @@ def _fault_detail(fault: Fault) -> str:
     return " ".join(parts)
 
 
-def message_dropped(
-    board: FaultBoard, streams: RngStreams, channel_label: str, t: int
-) -> bool:
-    """Draw a drop decision for one message on one channel.
+def message_dropped(fault: Fault, streams: RngStreams) -> bool:
+    """Draw a drop decision for one message under the active drop ``fault``.
 
     Draws come from a dedicated substream so a zero-rate fault (which
     never draws) leaves every other stream, and hence the digest,
     untouched.
     """
-    fault = board.active(FaultKind.MESSAGE_DROP, channel_label, t)
-    if fault is None or fault.rate <= 0.0:
-        return False
-    return streams.stream("faults/drop").random() < fault.rate
+    return fault.rate > 0.0 and streams.stream("faults/drop").random() < fault.rate

@@ -38,9 +38,10 @@ DEFAULT_SKEW = 60
 
 
 class Sessions(dict):
-    """``sessions[token]`` is what the first fully successful verification
-    of the parsed ``token`` under ``keyring`` and ``trust`` returned, much
-    as HTCondor reuses an authenticated security session.
+    """``sessions[token.compact]`` is what the first fully successful
+    verification of the parsed ``token`` under ``keyring`` and ``trust``
+    returned, much as HTCondor reuses an authenticated security session:
+    a session is keyed by its token's wire form, a ``str``.
 
     A session stands for the checks that are pure functions of the token
     and the trust state; the holder still re-checks, at every presentation,
@@ -67,7 +68,7 @@ class Sessions(dict):
     def open(self, token: Token, result: Any) -> Any:
         """Remember ``result`` as ``token``'s session and return it, or the
         equal verdict a session of this table already holds."""
-        result = self[token] = self._results.setdefault(result, result)
+        result = self[token.compact] = self._results.setdefault(result, result)
         return result
 
 

@@ -194,7 +194,7 @@ def test_criterion_2_tampering_never_verifies_against_a_warm_signature_memo():
             key, issuer, f"s{i}", ("compute.create",), "ce-1", 600, 1000 + i, jti=f"{i:04x}"
         )
         present(token, 1000 + i)
-        assert decode_token(token) in compiled.sessions
+        assert decode_token(token).compact in compiled.sessions
         head, payload, sig = token.split(".")
         for pos in range(len(payload)):
             replacement = rng.choice(B64URL_ALPHABET)
@@ -236,7 +236,7 @@ def test_criterion_2_tampering_never_authenticates_against_a_warm_world_session(
     rejected: Counter[str] = Counter()
     for channel, token, audience in presented:
         world.authenticate_on(channel, token, audience=audience)
-        assert token in world.policy.sessions
+        assert token.compact in world.policy.sessions
         head, payload, sig = token.compact.split(".")
         for pos in range(len(payload)):
             replacement = rng.choice(B64URL_ALPHABET)

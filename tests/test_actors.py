@@ -451,7 +451,7 @@ def test_memoised_join_token_fails_once_its_key_is_revoked():
     w = idle_world()
     _, token = startd_token(w)
     w.authenticate_on(CH_JOIN, token)
-    assert token in w.policy.sessions
+    assert token.compact in w.policy.sessions
     w.keyring = revoke_key(w.keyring, token.header.kid)
     with pytest.raises(KeyRevoked):
         w.authenticate_on(CH_JOIN, token)
@@ -469,7 +469,7 @@ def test_memoised_join_token_expires():
     with pytest.raises(Expired):
         w.authenticate_on(CH_JOIN, token)
     # The session stays; the window is checked at every presentation.
-    assert token in w.policy.sessions
+    assert token.compact in w.policy.sessions
     assert len(failures(w, CH_JOIN, "Expired")) == 1
 
 
@@ -482,7 +482,7 @@ def test_memoised_capability_token_is_refused_at_another_gateway():
     w.authenticate_on(CH_CE_SUBMIT, for_b, audience="ce-b")
     with pytest.raises(AudienceMismatch):
         w.authenticate_on(CH_CE_SUBMIT, for_a, audience="ce-b")
-    assert {for_a, for_b} <= w.policy.sessions.keys()
+    assert {for_a.compact, for_b.compact} <= w.policy.sessions.keys()
     (failed,) = failures(w, CH_CE_SUBMIT, "AudienceMismatch")
     assert failed.method == AuthMethod.SCITOKEN.value
 
@@ -548,10 +548,10 @@ def test_each_memo_remembers_only_results(make_memo, monkeypatch):
         with pytest.raises(error):
             look_up(bad)
     assert computed == [keys[0], bad, bad]
-    assert memo.keys() == {keys[0]}
+    assert memo.keys() == {keys[0].compact}
     for key in keys:
         look_up(key)
-    assert memo.keys() == set(keys)
+    assert memo.keys() == {key.compact for key in keys}
     assert computed == [keys[0], bad, bad, *keys[1:]]
 
 
@@ -643,6 +643,18 @@ def test_next_jti_skips_a_repeated_draw(monkeypatch):
     assert w._used_jtis["test"] == {0xABC, 2**64 - 1}
 
 
+def test_a_draw_given_back_may_be_drawn_again(monkeypatch):
+    w = idle_world()
+    draws = iter([0xABC, 0xABC])
+    stream = types.SimpleNamespace(getrandbits=lambda k: next(draws))
+    monkeypatch.setattr(w.streams, "stream", lambda label: stream)
+    assert w.next_draw("test") == 0xABC
+    w.give_back_draw("test", 0xABC)
+    assert w._used_jtis["test"] == set()
+    assert w.next_draw("test") == 0xABC
+    assert w._used_jtis["test"] == {0xABC}
+
+
 @pytest.mark.parametrize("name", ["arc-ldap-deprecation", "split-2022", "rollout-2022-tokenonly"])
 def test_jti_ledger_holds_only_the_pool_jtis_a_token_carries(name, monkeypatch):
     # Each of these refuses pilots after they drew a jti; a refused draw is
@@ -697,9 +709,9 @@ def test_parse_memo_and_sessions_follow_the_pool(path, monkeypatch):
     held = set(world.frontend.scitokens.values())
     ended = {p.token for p in made if p.token is not None and p.id not in live}
     dead = ended | (set(fetched) - held)
-    assert not dead & world.policy.sessions.keys()
+    assert not {token.compact for token in dead} & world.policy.sessions.keys()
     # Every member presented its token at its join, and still holds its session.
-    assert {p.token for p in world.collector.members.values()} <= world.policy.sessions.keys()
+    assert {p.token.compact for p in world.collector.members.values()} <= world.policy.sessions.keys()
     # In these two no pilot with a token ends and no capability is replaced.
     assert dead or path.stem in ("arc-ldap-deprecation", "split-2022")
 
@@ -1152,6 +1164,27 @@ def test_sessions_at_the_peak_hold_each_distinct_verdict_once():
     assert len({id(peer) for peer in peers}) == len(set(peers)) < 10
 
 
+def test_sessions_at_the_peak_are_keyed_by_the_wire_form_of_a_held_token():
+    # Each session's key is a str, the compact form of a token some live
+    # holder still presents; a pilot's end takes its key out.
+    world = rollout_at_peak(load_scenario(SCENARIO_DIR / "rollout-2022.yaml"))
+    sessions = world.policy.sessions
+    members = list(world.collector.members.values())
+    held = {p.token.compact for p in members}
+    held |= {token.compact for token in world.frontend.scitokens.values()}
+    held |= {world.schedd.token.compact, world.frontend.token.compact}
+    held |= {c.token.compact for c in world.clients.values() if c.token is not None}
+    assert len(sessions) > 1900
+    assert all(type(key) is str for key in sessions)
+    assert sessions.keys() <= held
+    pilot = members[0]
+    assert pilot.token.compact in sessions
+    before = len(sessions)
+    world.end_pilot(pilot, PilotState.RETIRED)
+    assert pilot.token.compact not in sessions
+    assert len(sessions) == before - 1
+
+
 def test_member_tokens_at_the_peak_hold_each_distinct_header_and_limits_once():
     # About 2,000 members' tokens differ only in sub, jti, iat and exp: the
     # parsed header is one object per distinct header segment, and their
@@ -1210,6 +1243,26 @@ def test_issuer_requires_read_level():
     denied = pick(records(w), CH_TOKEN_FETCH, outcome="DENIED")
     assert len(denied) == 1
     assert "missing=READ" in denied[0].detail
+    # The caller's detail comes first; with none, the missing rights stand
+    # alone, with no space before them.
+    with pytest.raises(AuthorizationDenied):
+        w.authenticate_on(CH_TOKEN_FETCH, w.schedd.token)
+    denied = pick(records(w), CH_TOKEN_FETCH, outcome="DENIED")
+    assert [r.detail for r in denied] == ["aud=ce-a missing=READ", "missing=READ"]
+
+
+def test_pilot_records_join_their_extra_only_when_there_is_one():
+    w = run_doc()
+    submits, starts = (
+        [r.detail for r in pick(records(w), TRACE_PILOT, outcome=outcome)]
+        for outcome in ("SUBMITTED", "STARTED")
+    )
+    assert len(submits) == len(starts) == 5
+    for submitted, started in zip(submits, starts):
+        # No extra: the pilot and its gateway, with no trailing space.
+        assert re.fullmatch(r"pilot=pilot-\d{5} ce=ce-a", started)
+        # An extra whose own second part is empty (not stuck).
+        assert submitted == f"{started} method=SCITOKEN"
 
 
 def test_capability_tokens_are_refreshed_before_expiry():

@@ -310,6 +310,40 @@ def test_fold_judges_an_attempt_under_a_phase_record_written_later_at_its_instan
     assert check_phase_soundness(refolded(small_result, forged)) == []
 
 
+def test_fold_refuses_an_auth_record_that_goes_back_in_time(small_result):
+    # An auth record is fed to the fold without ``_feed``: it checks the
+    # instant order itself.
+    trace = Trace(fold=_Pass(small_result.scenario))
+    trace.record(5, "FACTORY->CE", "SUCCESS", method="SCITOKEN", identity="cms-pilot")
+    with pytest.raises(SimulationError, match="t=3 written after one at t=5"):
+        trace.record(3, "STARTD->COLLECTOR", "SUCCESS", method="IDTOKEN", identity="pool-daemon")
+
+
+def test_fold_judges_an_instant_an_auth_record_closes_under_the_phase_it_ended_in(small_result):
+    walk = _Pass(small_result.scenario)
+    trace = Trace(fold=walk)
+
+    def attempt(t, method, outcome="SUCCESS"):
+        trace.record(t, "SCHEDD->COLLECTOR", outcome, method=method, identity="pool-daemon")
+
+    trace.record(0, "PLAN", "PHASE", detail="phase=TOKEN_WITH_GSI_FALLBACK")
+    attempt(300, "LOCAL_FS")
+    trace.record(300, "PLAN", "PHASE", detail="phase=TOKEN_ONLY")
+    attempt(300, "LOCAL_FS", outcome="DENIED")
+    attempt(310, "LOCAL_FS")  # opens t=310, so t=300 is judged now
+    assert walk.violations == [
+        "t=300 SCHEDD->COLLECTOR used LOCAL_FS under TOKEN_ONLY (outcome=SUCCESS)",
+        "t=300 SCHEDD->COLLECTOR used LOCAL_FS under TOKEN_ONLY (outcome=DENIED)",
+    ]
+    # The attempt at t=310 waits for its own instant's phase.
+    trace.record(310, "PLAN", "PHASE", detail="phase=GSI_ONLY")
+    attempt(320, "IDTOKEN")
+    assert walk.violations[2:] == []
+    assert walk.finish(trace)[3][2:] == [
+        "t=320 SCHEDD->COLLECTOR used IDTOKEN under GSI_ONLY (outcome=SUCCESS)"
+    ]
+
+
 def test_fold_drill_counts_an_eviction_and_a_join_written_before_the_compromise_at_its_instant(
     drill_result,
 ):

@@ -346,7 +346,7 @@ def test_sessions_remember_only_mapped_subjects(table, keyring):
     assert not compiled.sessions
     known = decode_token(mint_idtoken(keyring, "pool-1", "condor@a", (), 600, NOW))
     peer = auth(table, join, known, compiled, keyring=keyring)
-    assert compiled.sessions == {known: peer}
+    assert compiled.sessions == {known.compact: peer}
 
 
 def test_unknown_limit_names_are_never_remembered(table, keyring):
@@ -384,7 +384,7 @@ def test_memoised_subject_still_fails_every_check(table, keyring, trust, issuer_
     join = CH_ADVERTISE
     token = decode_token(mint_idtoken(keyring, "pool-1", "condor@a", (), 600, NOW))
     auth(table, join, token, compiled, keyring=keyring)
-    assert token in compiled.sessions
+    assert token.compact in compiled.sessions
     with pytest.raises(Expired):
         auth(table, join, token, compiled, keyring=keyring, now=NOW + 10_000)
     with pytest.raises(NotYetValid):
@@ -399,7 +399,7 @@ def test_memoised_subject_still_fails_every_check(table, keyring, trust, issuer_
         mint_scitoken(issuer_key, ISSUER, "pilot-ops", (JOB_SUBMIT_SCOPE,), "ce-1", 600, NOW)
     )
     auth(table, ce, cap, compiled, trust=trust, expected_audience="ce-1")
-    assert cap in compiled.sessions
+    assert cap.compact in compiled.sessions
     with pytest.raises(AudienceMismatch):
         auth(table, ce, cap, compiled, trust=trust, expected_audience="ce-2")
     wider = ChannelPolicy(
@@ -566,7 +566,7 @@ def test_compiled_path_matches_the_path_it_replaced(phase, issuer_key, trust):
                 warmed = outcome(lambda: new_path(credential, base))
                 assert warmed == first, (channel, credential)
                 if isinstance(credential, Token) and isinstance(first[1], Decision):
-                    assert credential in compiled.sessions
+                    assert credential.compact in compiled.sessions
                 expected = outcome(lambda: old_path(credential, at))
                 got = outcome(lambda: new_path(credential, at))
                 assert got == expected, (channel, at, credential)

@@ -357,8 +357,8 @@ def test_trace_digest_hashes_the_jsonl_text(details):
     assert out.getvalue() == text.encode()
 
 
-#: Text that leans on what JSON must escape, and on the ``%`` a line template
-#: must double: quotes, backslashes, control characters, DEL, line
+#: Text that leans on what JSON must escape, and on ``%``, which a line built
+#: by ``%`` formatting would have to double: quotes, backslashes, control characters, DEL, line
 #: separators, non-BMP characters and lone surrogates.
 _FIELD_CHARS = st.one_of(
     st.sampled_from('%"\\/\x00\x1f\x7f\u2028'),
@@ -589,14 +589,19 @@ def test_fault_lookup_by_kind_matches_a_scan_of_every_fault(steps):
                 assert board.active(kind, target, t) is want, (kind, target, t)
 
 
+def active_drop(board, channel):
+    """The drop fault ``board`` holds active on ``channel`` at t=0, if any."""
+    return board.active(FaultKind.MESSAGE_DROP, channel, 0)
+
+
 def test_message_drop_rates():
     streams = RngStreams(1)
     _, _, board = make_board(Fault(FaultKind.MESSAGE_DROP, "A->B", rate=1.0))
-    assert message_dropped(board, streams, "A->B", 0)
-    assert not message_dropped(board, streams, "C->D", 0)  # different channel
+    assert message_dropped(active_drop(board, "A->B"), streams)
+    assert active_drop(board, "C->D") is None  # different channel: nothing to draw
 
     _, _, certain_keep = make_board(Fault(FaultKind.MESSAGE_DROP, "A->B", rate=0.0))
-    assert not message_dropped(certain_keep, streams, "A->B", 0)
+    assert not message_dropped(active_drop(certain_keep, "A->B"), streams)
 
 
 def test_zero_rate_drop_consumes_no_randomness():
@@ -604,7 +609,7 @@ def test_zero_rate_drop_consumes_no_randomness():
     _, _, board = make_board(Fault(FaultKind.MESSAGE_DROP, "A->B", rate=0.0))
     streams = RngStreams(99)
     for _ in range(10):
-        assert not message_dropped(board, streams, "A->B", 0)
+        assert not message_dropped(active_drop(board, "A->B"), streams)
     untouched = RngStreams(99)
     assert streams.stream("faults/drop").random() == untouched.stream("faults/drop").random()
 
@@ -614,6 +619,6 @@ def test_drop_draws_are_scoped_to_their_own_stream():
     _, _, board = make_board(Fault(FaultKind.MESSAGE_DROP, "A->B", rate=0.5))
     streams = RngStreams(5)
     for _ in range(20):
-        message_dropped(board, streams, "A->B", 0)
+        message_dropped(active_drop(board, "A->B"), streams)
     untouched = RngStreams(5)
     assert streams.stream("other").random() == untouched.stream("other").random()

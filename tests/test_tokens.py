@@ -368,7 +368,7 @@ def warm(issuer_key, trust, compiled):
     """A capability token with a session in ``compiled``."""
     token = mint_scitoken(issuer_key, ISSUER, "s", ("compute.create",), "ce-1", 600, NOW)
     present(compiled, decode_token(token), trust=trust, scopes=("compute.create",))
-    assert decode_token(token) in compiled.sessions
+    assert decode_token(token).compact in compiled.sessions
     return token
 
 
@@ -426,7 +426,7 @@ def test_only_verified_signatures_are_remembered(warm, compiled, trust, ed25519_
         with pytest.raises(SignatureInvalid):
             present(compiled, forged, trust=trust)
     assert [sig for _, _, sig in ed25519_checks] == [forged.signature, forged.signature]
-    assert compiled.sessions.keys() == {token}
+    assert compiled.sessions.keys() == {token.compact}
 
 
 def test_run_checks_each_capability_signature_once(ed25519_checks, monkeypatch):
@@ -466,7 +466,7 @@ def warm_id(keyring, compiled):
     """An identity token under k1 with a session in ``compiled``."""
     token = mint_idtoken(keyring, "k1", "s", ("ADVERTISE",), 600, NOW, jti="w1")
     present(compiled, decode_token(token), keyring=keyring)
-    assert decode_token(token) in compiled.sessions
+    assert decode_token(token).compact in compiled.sessions
     return token
 
 
@@ -541,7 +541,7 @@ def test_sessions_and_verification_agree_after_the_callers_mappings_change(
     cap = decode_token(mint_scitoken(issuer_key, ISSUER, "s", scopes, "ce-1", 600, NOW))
     present(compiled, id_token, keyring=keyring, trust=trust)
     present(compiled, cap, keyring=keyring, trust=trust, scopes=scopes)
-    assert compiled.sessions.keys() == {id_token, cap}
+    assert compiled.sessions.keys() == {id_token.compact, cap.compact}
     entries["k1"] = SymmetricKey(b"a" * 32, KeyStatus.REVOKED)
     keys[issuer_key.kid] = IssuerKey.generate("op-1", seed=b"\x22" * 32).public_bytes
     audiences[ISSUER] = ("elsewhere",)
@@ -570,7 +570,7 @@ def test_only_matching_macs_are_remembered(warm_id, compiled, keyring, hs256_mac
         with pytest.raises(SignatureInvalid):
             present(compiled, forged, keyring=keyring)
     assert hs256_macs == [forged.signing_input, forged.signing_input]
-    assert compiled.sessions.keys() == {token}
+    assert compiled.sessions.keys() == {token.compact}
 
 
 def test_rotated_or_revoked_keyring_checks_each_mac_again(compiled, keyring, hs256_macs):
@@ -584,7 +584,7 @@ def test_rotated_or_revoked_keyring_checks_each_mac_again(compiled, keyring, hs2
         for _ in range(2):
             present(compiled, token, keyring=changed)
         assert compiled.sessions.keyring is changed
-        assert compiled.sessions.keys() == {token}
+        assert compiled.sessions.keys() == {token.compact}
     assert len(hs256_macs) == 4
 
 
@@ -598,7 +598,7 @@ def test_sessions_with_equal_verdicts_share_one_peer(compiled, keyring, issuer_k
     ]
     peers = [present(compiled, token, keyring=keyring, trust=trust) for token in startd]
     assert peers[0] is peers[1]
-    assert compiled.sessions[startd[0]] is compiled.sessions[startd[1]] is peers[0]
+    assert compiled.sessions[startd[0].compact] is compiled.sessions[startd[1].compact] is peers[0]
     caps = [
         decode_token(mint_scitoken(issuer_key, ISSUER, "s", scopes, "ce-1", 600, NOW))
         for scopes in (("compute.create",), ("compute.create", "compute.read"))
@@ -609,8 +609,8 @@ def test_sessions_with_equal_verdicts_share_one_peer(compiled, keyring, issuer_k
     ]
     assert cap_peers[0] != cap_peers[1]
     assert len({id(peer) for peer in (*peers, *cap_peers)}) == 3
-    compiled.sessions.pop(startd[0])
-    assert compiled.sessions[startd[1]] is peers[1]
+    compiled.sessions.pop(startd[0].compact)
+    assert compiled.sessions[startd[1].compact] is peers[1]
     assert present(compiled, startd[1], keyring=keyring, trust=trust) is peers[1]
     rotated = rotate_key(keyring, "k3", b"c" * 32)
     again = present(compiled, startd[1], keyring=rotated, trust=trust)
@@ -629,7 +629,7 @@ def test_tampering_never_authenticates_against_a_warm_session():
     rejected: Counter[str] = Counter()
     for token in presented:
         world.authenticate_on(CH_JOIN, token)
-        assert token in world.policy.sessions
+        assert token.compact in world.policy.sessions
         head, payload, mac = token.compact.split(".")
         for pos in range(len(payload)):
             replacement = rng.choice(alphabet.replace(payload[pos], ""))
