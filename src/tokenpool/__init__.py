@@ -13,8 +13,6 @@ from .errors import (
 )
 from .jose import Token, TokenClaims, TokenHeader, decode_token, encode_token
 from .migration import (
-    DrillReport,
-    PoolMetrics,
     RunResult,
     check_phase_soundness,
     compute_metrics,
@@ -56,11 +54,9 @@ __all__ = [
     "AuthorizationDenied",
     "AuthzLevel",
     "CompiledPolicy",
-    "DrillReport",
     "IssuerKey",
     "MigrationPhase",
     "PolicyTable",
-    "PoolMetrics",
     "RunResult",
     "Scenario",
     "ScenarioError",

@@ -17,7 +17,7 @@ from typing import BinaryIO
 
 from . import jose
 from .errors import ScenarioError, SimulationError, TokenError, TokenPoolError
-from .migration import drill_report, render_report, run_scenario
+from .migration import drill_line, drill_report, render_report, run_scenario
 from .policy import AuthzLevel
 from .scenario import load_scenario
 from .tokens import DEFAULT_SKEW, SymmetricKeyring, mint_idtoken, verify_idtoken
@@ -169,12 +169,12 @@ def cmd_sim_run(args: argparse.Namespace) -> int:
 
 
 def cmd_sim_drill(args: argparse.Namespace) -> int:
-    report = drill_report(_load(args))
-    if report is None:
+    drill = drill_report(_load(args))
+    if drill is None:
         print("no key-compromise exercise in this run", file=sys.stderr)
         return 1
-    print(report.line())
-    return 0 if report.within_bound else 1
+    print(drill_line(drill))
+    return 0 if drill["within_bound"] else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,11 +1,13 @@
 """Run scenarios end to end and distill their traces into reports.
 
-A RunResult bundles the scenario, the finished World, the audit trace,
-its digest and the facts a report states.  Every fact — pool fill, auth
-mix, legacy dependency, drill recovery, phase soundness — comes from the
-trace records, never from live actor state: the trace feeds each record
-to one fold (``_Pass``) as it is written, so the facts are ready when the
-run ends and the report only formats them.
+A RunResult holds the scenario, the audit trace and the report model: one
+plain dict of every fact a report states, the digest among them.  Every
+fact — pool fill, auth mix, legacy dependency, drill recovery, phase
+soundness — comes from the trace records, never from live actor state:
+the trace feeds each record to one fold (``_Pass``) as it is written, and
+the fold builds the model when the run ends.  The World is dropped then;
+``report_dict`` (JSON) and ``render_report`` (JSON or text) only format
+the model.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from functools import partial
 from pathlib import Path
 from typing import BinaryIO, Callable, Mapping
 
-from .actors import World, build_world
+from .actors import build_world
 from .errors import SimulationError
 from .policy import LEGACY_METHODS, PHASE_PERMITS, AuthMethod, MigrationPhase, default_channels
 from .scenario import Scenario, load_scenario
@@ -38,13 +40,13 @@ from .simnet import (
 
 LEGACY_METHOD_VALUES = frozenset(m.value for m in LEGACY_METHODS)
 
-#: ``capacity_fraction`` averages the pool size over this final share of the horizon.
+#: ``pool.tail_fraction`` averages the pool size over this final share of the horizon.
 TAIL_FRACTION = 0.2
 
 _AUTH_CHANNELS = frozenset(default_channels())
 _METHOD_VALUES = frozenset(m.value for m in AuthMethod)
 _PERMITTED = {
-    phase: frozenset(m.value for m in methods) for phase, methods in PHASE_PERMITS.items()
+    phase.value: frozenset(m.value for m in methods) for phase, methods in PHASE_PERMITS.items()
 }
 #: (channel, outcome) of the non-auth heads whose facts are read record by
 #: record, and the ``_Pass`` method each such record is fed to.
@@ -65,60 +67,17 @@ def parse_detail(detail: str) -> dict[str, str]:
 
 
 @dataclass(frozen=True)
-class PoolMetrics:
-    """Pool and auth totals of a run; every count mapping is sorted by key."""
-
-    total_capacity: int
-    peak_pool: int
-    final_pool: int
-    capacity_fraction: float
-    auth_success: Mapping[str, int]
-    auth_failures: Mapping[str, int]
-    denied: int
-    dropped: int
-    legacy_dependency: Mapping[str, int]
-    pilot_counts: Mapping[str, int]
-    job_counts: Mapping[str, int]
-
-
-@dataclass(frozen=True)
-class DrillReport:
-    kid: str
-    compromised_at: int
-    pool_before: int
-    evicted: int
-    recovered_at: int | None
-    recovery_time: int | None
-    bound: int
-    within_bound: bool
-
-    def line(self) -> str:
-        """The verdict line shared by the text report and ``tokenpool sim drill``."""
-        recovery = (
-            f"recovered_at={self.recovered_at} recovery_time={self.recovery_time}s"
-            if self.recovered_at is not None
-            else "not recovered"
-        )
-        return (
-            f"drill: kid={self.kid} at={self.compromised_at}"
-            f" evicted={self.evicted}/{self.pool_before} {recovery}"
-            f" bound={self.bound}s within_bound={self.within_bound}"
-        )
-
-
-@dataclass(frozen=True)
 class RunResult:
-    """A finished run: its digest and facts were streamed while it ran; its
-    records are the lines written to ``trace_out``."""
+    """A finished run: its scenario, its trace (whose lines went to
+    ``trace_out``) and its report model, built by the fold as it ran."""
 
     scenario: Scenario
-    world: World
     trace: Trace
-    digest: str
-    metrics: PoolMetrics
-    drill: DrillReport | None
-    timeline: list[tuple[int, MigrationPhase]]
-    violations: list[str]
+    report: dict
+
+    @property
+    def digest(self) -> str:
+        return self.report["digest"]
 
 
 def run_scenario(
@@ -134,9 +93,10 @@ def run_scenario(
         scenario = dataclasses.replace(scenario, seed=seed)
     walk = _Pass(scenario)
     trace = Trace(out=trace_out, fold=walk)
+    # Actors reach the World through weak proxies: hold it while it runs.
     world = build_world(scenario, trace)
     world.engine.run(scenario.horizon)
-    return RunResult(scenario, world, trace, trace.digest(), *walk.finish(trace))
+    return RunResult(scenario, trace, walk.finish(trace))
 
 
 class _Pass:
@@ -156,7 +116,7 @@ class _Pass:
         self.scenario = scenario
         self.tail_start = scenario.horizon * (1.0 - TAIL_FRACTION)
         self.instant: int | None = None
-        self.timeline: list[tuple[int, MigrationPhase]] = []
+        self.timeline: list[dict] = []  # {"t", "phase"}, as the report states them
         self.violations: list[str] = []
         self.attempts: list[tuple[int, Head]] = []  # auth attempts not yet judged
         self.peak = self.final = self.tail_sum = self.tail_n = 0
@@ -190,12 +150,12 @@ class _Pass:
         """Judge the instant's attempts (or keep them until the first PHASE
         record) and, until a compromise, empty the drill's buffers."""
         if self.timeline:
-            phase = self.timeline[-1][1]
+            phase = self.timeline[-1]["phase"]
             permitted = _PERMITTED[phase]
             for at, (channel, _, method, outcome) in self.attempts:
                 if method not in permitted:
                     self.violations.append(
-                        f"t={at} {channel} used {method} under {phase.value} (outcome={outcome})"
+                        f"t={at} {channel} used {method} under {phase} (outcome={outcome})"
                     )
             self.attempts.clear()
         if self.compromise is None:
@@ -211,7 +171,7 @@ class _Pass:
         self.attempts.append((t, head))
 
     def _phase(self, t: int, detail: str) -> None:
-        self.timeline.append((t, MigrationPhase(parse_detail(detail)["phase"])))
+        self.timeline.append({"t": t, "phase": MigrationPhase(parse_detail(detail)["phase"]).value})
 
     def _sample(self, t: int, detail: str) -> None:
         size = self.final = int(parse_detail(detail)["size"])
@@ -234,16 +194,10 @@ class _Pass:
     def _queued(self, t: int, detail: str) -> None:
         self.job_counts["QUEUED"] += int(parse_detail(detail).get("count", "0"))
 
-    def finish(
-        self, trace: Trace
-    ) -> tuple[PoolMetrics, DrillReport | None, list[tuple[int, MigrationPhase]], list[str]]:
-        """The metrics, drill, phase timeline and phase-soundness violations
-        of the whole trace; ``trace`` gives each head's record count."""
+    def finish(self, trace: Trace) -> dict:
+        """The report model of the whole trace, ``pool.tail_fraction``
+        unrounded; ``trace`` gives the digest and each head's record count."""
         self._close()
-        violations = self.violations if self.timeline else ["no phase records in trace"]
-        return self._metrics(trace), self._drill(), self.timeline, violations
-
-    def _metrics(self, trace: Trace) -> PoolMetrics:
         auth_success: Counter[str] = Counter()
         auth_failures: Counter[str] = Counter()
         legacy: Counter[str] = Counter()
@@ -266,126 +220,133 @@ class _Pass:
                 pilot_counts[outcome] += n
             elif channel == TRACE_JOB and outcome != "QUEUED":
                 job_counts[outcome] += n
-        capacity = self.scenario.total_capacity
-        return PoolMetrics(
-            total_capacity=capacity,
-            peak_pool=self.peak,
-            final_pool=self.final,
-            capacity_fraction=self.tail_sum / self.tail_n / capacity if self.tail_n and capacity else 0.0,
-            auth_success=_sorted(auth_success),
-            auth_failures=_sorted(auth_failures),
-            denied=denied,
-            dropped=dropped,
-            legacy_dependency=_sorted(legacy),
-            pilot_counts=_sorted(pilot_counts),
-            job_counts=_sorted(job_counts),
-        )
+        scenario = self.scenario
+        capacity = scenario.total_capacity
+        violations = self.violations if self.timeline else ["no phase records in trace"]
+        report = {
+            "scenario": scenario.name,
+            "seed": scenario.seed,
+            "horizon": scenario.horizon,
+            "digest": trace.digest(),
+            "phase_timeline": self.timeline,
+            "pool": {
+                "capacity": capacity,
+                "peak": self.peak,
+                "final": self.final,
+                "tail_fraction": self.tail_sum / self.tail_n / capacity if self.tail_n and capacity else 0.0,
+            },
+            "auth": {
+                "success_by_method": _sorted(auth_success),
+                "failures_by_reason": _sorted(auth_failures),
+                "denied": denied,
+                "dropped": dropped,
+                "legacy_dependency": _sorted(legacy),
+            },
+            "pilots": _sorted(pilot_counts),
+            "jobs": _sorted(job_counts),
+            "phase_soundness": {"ok": not violations, "violations": violations},
+        }
+        if self.compromise is not None:
+            report["drill"] = self._drill(*self.compromise)
+        return report
 
-    def _drill(self) -> DrillReport | None:
-        if self.compromise is None:
-            return None
-        compromised_at, kid = self.compromise
+    def _drill(self, compromised_at: int, kid: str) -> dict:
+        """The key-compromise exercise.  Recovery is the instant the pool
+        regains as many members as it lost: the t of the n-th join after
+        the compromise, n = pilots evicted."""
         evicted = self.evicted.count(kid)
         recovered_at: int | None = None
         if evicted and len(self.joins) >= evicted:
             recovered_at = self.joins[evicted - 1]
         recovery_time = None if recovered_at is None else recovered_at - compromised_at
         bound = self.scenario.drill.reprovision_delay + self.scenario.pilots.startup
-        return DrillReport(
-            kid=kid,
-            compromised_at=compromised_at,
-            pool_before=self.pool_before,
-            evicted=evicted,
-            recovered_at=recovered_at,
-            recovery_time=recovery_time,
-            bound=bound,
-            within_bound=recovery_time is not None and recovery_time <= bound,
-        )
+        return {
+            "kid": kid,
+            "compromised_at": compromised_at,
+            "pool_before": self.pool_before,
+            "evicted": evicted,
+            "recovered_at": recovered_at,
+            "recovery_time": recovery_time,
+            "bound": bound,
+            "within_bound": recovery_time is not None and recovery_time <= bound,
+        }
 
 
 def _sorted(counts: Mapping[str, int]) -> dict[str, int]:
     return dict(sorted(counts.items()))
 
 
-def compute_metrics(result: RunResult) -> PoolMetrics:
-    """Summarize a run.  ``capacity_fraction`` is the mean pool size over
-    the final ``TAIL_FRACTION`` of the horizon divided by total slots."""
-    return result.metrics
+def compute_metrics(result: RunResult) -> dict:
+    """The run's report model; its ``pool`` and ``auth`` hold the totals."""
+    return result.report
 
 
-def drill_report(result: RunResult) -> DrillReport | None:
-    """The key-compromise exercise of the run, if one ran.
-
-    Recovery is the instant the pool regains as many members as it lost:
-    the t of the n-th join after the compromise, n = pilots evicted.
-    """
-    return result.drill
+def drill_report(result: RunResult) -> dict | None:
+    """The key-compromise exercise of the run, if one ran."""
+    return result.report.get("drill")
 
 
 def check_phase_soundness(result: RunResult) -> list[str]:
     """Every auth attempt carrying a concrete method must use a method
     the phase in force at that instant permits.  Returns violations."""
-    return result.violations
+    return result.report["phase_soundness"]["violations"]
 
 
 def report_dict(result: RunResult) -> dict:
-    metrics, drill, timeline, violations = result.metrics, result.drill, result.timeline, result.violations
-    out = {
-        "scenario": result.scenario.name,
-        "seed": result.scenario.seed,
-        "horizon": result.scenario.horizon,
-        "digest": result.digest,
-        "phase_timeline": [{"t": t, "phase": phase.value} for t, phase in timeline],
-        "pool": {
-            "capacity": metrics.total_capacity,
-            "peak": metrics.peak_pool,
-            "final": metrics.final_pool,
-            "tail_fraction": round(metrics.capacity_fraction, 4),
-        },
-        "auth": {
-            "success_by_method": metrics.auth_success,
-            "failures_by_reason": metrics.auth_failures,
-            "denied": metrics.denied,
-            "dropped": metrics.dropped,
-            "legacy_dependency": metrics.legacy_dependency,
-        },
-        "pilots": metrics.pilot_counts,
-        "jobs": metrics.job_counts,
-        "phase_soundness": {"ok": not violations, "violations": violations},
-    }
-    if drill is not None:
-        out["drill"] = dataclasses.asdict(drill)
-    return out
+    """The report model as ``tokenpool report`` prints it: the same dict
+    with ``pool.tail_fraction`` rounded to 4 places."""
+    report = result.report
+    pool = report["pool"]
+    return {**report, "pool": {**pool, "tail_fraction": round(pool["tail_fraction"], 4)}}
 
 
 def render_report(result: RunResult, fmt: str = "text") -> str:
+    """The report as JSON (``report_dict``) or as text, which formats
+    ``result.report`` alone."""
     if fmt == "json":
         return json.dumps(report_dict(result), indent=2, sort_keys=True)
-    metrics, drill, timeline, violations = result.metrics, result.drill, result.timeline, result.violations
-    scenario = result.scenario
+    if fmt != "text":
+        raise ValueError(f"unknown report format {fmt!r}: expected 'text' or 'json'")
+    report = result.report
+    pool, auth = report["pool"], report["auth"]
+    violations = report["phase_soundness"]["violations"]
     lines = [
-        f"run: {scenario.name}  seed={scenario.seed}  horizon={scenario.horizon}",
-        f"digest: {result.digest}",
-        "phase timeline: " + "  ->  ".join(f"{t}s {phase.value}" for t, phase in timeline),
+        f"run: {report['scenario']}  seed={report['seed']}  horizon={report['horizon']}",
+        f"digest: {report['digest']}",
+        "phase timeline: " + "  ->  ".join(f"{p['t']}s {p['phase']}" for p in report["phase_timeline"]),
         (
-            f"pool: capacity={metrics.total_capacity} peak={metrics.peak_pool}"
-            f" final={metrics.final_pool} tail_fill={metrics.capacity_fraction:.3f}"
+            f"pool: capacity={pool['capacity']} peak={pool['peak']}"
+            f" final={pool['final']} tail_fill={pool['tail_fraction']:.3f}"
         ),
-        "auth success by method: " + _fmt_counts(metrics.auth_success),
-        "auth failures by reason: " + _fmt_counts(metrics.auth_failures),
-        f"denied={metrics.denied} dropped={metrics.dropped}",
-        "legacy dependency by channel: " + _fmt_counts(metrics.legacy_dependency),
-        "pilot events: " + _fmt_counts(metrics.pilot_counts),
-        "job events: " + _fmt_counts(metrics.job_counts),
+        "auth success by method: " + _fmt_counts(auth["success_by_method"]),
+        "auth failures by reason: " + _fmt_counts(auth["failures_by_reason"]),
+        f"denied={auth['denied']} dropped={auth['dropped']}",
+        "legacy dependency by channel: " + _fmt_counts(auth["legacy_dependency"]),
+        "pilot events: " + _fmt_counts(report["pilots"]),
+        "job events: " + _fmt_counts(report["jobs"]),
     ]
     if violations:
         lines.append(f"phase soundness: {len(violations)} violation(s)")
         lines.extend(f"  {v}" for v in violations[:5])
     else:
         lines.append("phase soundness: ok")
-    if drill is not None:
-        lines.append(drill.line())
+    if "drill" in report:
+        lines.append(drill_line(report["drill"]))
     return "\n".join(lines) + "\n"
+
+
+def drill_line(drill: Mapping) -> str:
+    """The verdict line shared by the text report and ``tokenpool sim drill``."""
+    recovery = (
+        f"recovered_at={drill['recovered_at']} recovery_time={drill['recovery_time']}s"
+        if drill["recovered_at"] is not None
+        else "not recovered"
+    )
+    return (
+        f"drill: kid={drill['kid']} at={drill['compromised_at']}"
+        f" evicted={drill['evicted']}/{drill['pool_before']} {recovery}"
+        f" bound={drill['bound']}s within_bound={drill['within_bound']}"
+    )
 
 
 def _fmt_counts(counts: Mapping[str, int]) -> str:

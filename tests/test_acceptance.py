@@ -12,6 +12,7 @@ there is exactly one copy to drift.
 """
 
 import ast
+import dataclasses
 import hashlib
 import io
 import os
@@ -35,9 +36,6 @@ from tokenpool.actors import CH_CE_SUBMIT, CH_JOIN
 from tokenpool.errors import MalformedToken, SignatureInvalid
 from tokenpool.jose import TokenClaims, TokenHeader, decode_token, encode_token
 from tokenpool.migration import (
-    check_phase_soundness,
-    compute_metrics,
-    drill_report,
     parse_detail,
     render_report,
     report_dict,
@@ -220,12 +218,12 @@ def test_criterion_2_tampering_never_verifies_against_a_warm_signature_memo():
     assert elapsed < 10.0
 
 
-def test_criterion_2_tampering_never_authenticates_against_a_warm_world_session():
+def test_criterion_2_tampering_never_authenticates_against_a_warm_world_session(run_world):
     # A World keeps a session for each token it has accepted; every mutant of
     # such a token is another token, and must still be refused, at parse or
     # at authentication.
     rng = random.Random(0x3E11)
-    world = run_scenario(SCENARIO_DIR / "migration-2022.yaml").world
+    world = run_world(SCENARIO_DIR / "migration-2022.yaml")
     presented = [(CH_JOIN, p.token, "") for p in list(world.collector.members.values())[:20]]
     presented += [
         (CH_CE_SUBMIT, token, ce_id)
@@ -284,8 +282,8 @@ def test_criterion_3_rollout_2022_capacity_fractions(shipped):
     requested = sum(
         1 for r in pick(fallback.records, "PILOT", outcome="REQUESTED")
     )
-    fallback_fill = compute_metrics(fallback.result).capacity_fraction
-    token_only_fill = compute_metrics(token_only.result).capacity_fraction
+    fallback_fill = fallback.result.report["pool"]["tail_fraction"]
+    token_only_fill = token_only.result.report["pool"]["tail_fraction"]
     runtime = fallback.elapsed + token_only.elapsed
     print(
         f"[criterion 3] fallback fill={fallback_fill:.4f} (want 1.00±0.02),"
@@ -304,15 +302,15 @@ def test_criterion_3_rollout_2022_capacity_fractions(shipped):
 def test_criterion_4_no_legacy_auth_under_token_only(shipped):
     legacy = {AuthMethod.GSI_PROXY.value, AuthMethod.LOCAL_FS.value}
     for name, run in shipped.items():
-        violations = check_phase_soundness(run.result)
+        violations = run.result.report["phase_soundness"]["violations"]
         assert violations == [], f"{name}: {violations[:3]}"
-        timeline = run.result.timeline
+        timeline = run.result.report["phase_timeline"]
         legacy_success_in_token_only = [
             rec
             for rec in run.records
             if rec.outcome == "SUCCESS"
             and rec.method in legacy
-            and [phase for t, phase in timeline if t <= rec.t][-1] is MigrationPhase.TOKEN_ONLY
+            and [p["phase"] for p in timeline if p["t"] <= rec.t][-1] == MigrationPhase.TOKEN_ONLY.value
         ]
         assert legacy_success_in_token_only == [], name
     print(f"[criterion 4] phase soundness clean on all {len(shipped)} shipped scenarios")
@@ -321,17 +319,17 @@ def test_criterion_4_no_legacy_auth_under_token_only(shipped):
 # --- criterion 5: key-compromise drill -------------------------------------
 
 
-def test_criterion_5_key_compromise_drill(shipped):
+def test_criterion_5_key_compromise_drill(shipped, run_world):
     run = shipped["drill-keysplit"]
     result = run.result
-    assert len(result.world.startd_kids) == 4
+    assert len(run_world(run.scenario).startd_kids) == 4
 
-    report = drill_report(result)
+    report = result.report.get("drill")
     assert report is not None
-    quarter = report.pool_before / 4
+    quarter = report["pool_before"] / 4
     evictions = pick(run.records, "PILOT", outcome="EVICT")
     foreign = [
-        r for r in evictions if parse_detail(r.detail).get("kid") != report.kid
+        r for r in evictions if parse_detail(r.detail).get("kid") != report["kid"]
     ]
     final_size = int(
         parse_detail(pick(run.records, "POOL", outcome="SAMPLE")[-1].detail)[
@@ -339,16 +337,16 @@ def test_criterion_5_key_compromise_drill(shipped):
         ]
     )
     print(
-        f"[criterion 5] kid={report.kid} evicted={report.evicted}"
-        f" (quarter of {report.pool_before} ± 1), foreign evictions={len(foreign)},"
-        f" recovery={report.recovery_time}s (bound {report.bound}s),"
+        f"[criterion 5] kid={report['kid']} evicted={report['evicted']}"
+        f" (quarter of {report['pool_before']} ± 1), foreign evictions={len(foreign)},"
+        f" recovery={report['recovery_time']}s (bound {report['bound']}s),"
         f" final pool={final_size}"
     )
-    assert abs(report.evicted - quarter) <= 1
+    assert abs(report["evicted"] - quarter) <= 1
     assert foreign == []  # no pilot outside the compromised key was touched
-    assert report.within_bound
-    assert report.recovery_time is not None and report.recovery_time <= report.bound
-    assert final_size >= report.pool_before
+    assert report["within_bound"]
+    assert report["recovery_time"] is not None and report["recovery_time"] <= report["bound"]
+    assert final_size >= report["pool_before"]
 
 
 # --- criterion 6: least-privilege matrix -----------------------------------
@@ -503,6 +501,14 @@ def test_golden_reports_byte_identical(shipped, monkeypatch, capsys):
             pinned += 1
     print(f"[golden] {pinned} CLI outputs byte-identical to tests/golden/")
     assert pinned == 2 * len(shipped) + 1
+
+
+def test_text_report_formats_the_report_model_alone(shipped):
+    """With its scenario and trace taken away, a result still renders every
+    golden text report: the text reads ``result.report`` and nothing else."""
+    for name, run in shipped.items():
+        bare = dataclasses.replace(run.result, scenario=None, trace=None)
+        assert render_report(bare) == (GOLDEN_DIR / f"{name}.txt").read_text(), name
 
 
 @pytest.mark.parametrize("hash_seed", ["0", "12345"])

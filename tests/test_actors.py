@@ -18,7 +18,7 @@ from test_scenario import MUTATIONS, SHIPPED_DOCS, _replaced
 from test_simnet import pick, written
 
 import tokenpool
-from tokenpool import actors, jose, policy, tokens
+from tokenpool import actors, jose, migration, policy, tokens
 from tokenpool.actors import (
     CH_ADVERTISE,
     CH_CE_SUBMIT,
@@ -656,7 +656,7 @@ def test_a_draw_given_back_may_be_drawn_again(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["arc-ldap-deprecation", "split-2022", "rollout-2022-tokenonly"])
-def test_jti_ledger_holds_only_the_pool_jtis_a_token_carries(name, monkeypatch):
+def test_jti_ledger_holds_only_the_pool_jtis_a_token_carries(name, monkeypatch, run_world):
     # Each of these refuses pilots after they drew a jti; a refused draw is
     # given back, so the ledger grows with the tokens, not the requests.
     # ``next_draw`` is the one method that draws, for pilots and daemons.
@@ -672,7 +672,7 @@ def test_jti_ledger_holds_only_the_pool_jtis_a_token_carries(name, monkeypatch):
     monkeypatch.setattr(actors.World, "next_draw", drawn)
     startd_tokens = returned(monkeypatch, actors.World, "mint_startd_token")
     daemon_tokens = returned(monkeypatch, actors.World, "mint_daemon_idtoken")
-    world = run_scenario(SCENARIO_DIR / f"{name}.yaml").world
+    world = run_world(SCENARIO_DIR / f"{name}.yaml")
     assert startd_tokens
     minted = {int(t.claims.jti, 16) for t in startd_tokens + daemon_tokens}
     assert world._used_jtis["pool"] == minted
@@ -689,23 +689,23 @@ def golden_digest(path):
 
 
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
-def test_policy_memo_caps_do_not_change_the_digest(path, monkeypatch):
+def test_policy_memo_caps_do_not_change_the_digest(path, monkeypatch, run_world):
     # The tightest cap of all: the session table stores nothing, so every
     # presentation verifies its token in full; the run must not notice.
     monkeypatch.setattr(tokens.Sessions, "open", lambda sessions, token, result: result)
-    result = run_scenario(path)
-    assert result.digest == golden_digest(path)
-    assert not result.world.policy.sessions
+    world = run_world(path)
+    assert world.trace.digest() == golden_digest(path)
+    assert not world.policy.sessions
 
 
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
-def test_parse_memo_and_sessions_follow_the_pool(path, monkeypatch):
+def test_parse_memo_and_sessions_follow_the_pool(path, monkeypatch, run_world):
     # A token whose pilot has ended, or a capability token the frontend
     # has replaced, is never presented again, so the session table drops it.
     live = live_pilots(monkeypatch)
     made = returned(monkeypatch, actors.World, "new_pilot")
     fetched = returned(monkeypatch, actors.TokenIssuer, "fetch_capability")
-    world = run_scenario(path).world
+    world = run_world(path)
     held = set(world.frontend.scitokens.values())
     ended = {p.token for p in made if p.token is not None and p.id not in live}
     dead = ended | (set(fetched) - held)
@@ -726,7 +726,7 @@ def supply_scan(live):
 
 
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
-def test_live_supply_count_matches_a_scan_at_every_cycle(path, monkeypatch):
+def test_live_supply_count_matches_a_scan_at_every_cycle(path, monkeypatch, run_world):
     live = live_pilots(monkeypatch)
     cycle = actors.Frontend.cycle
     seen = []
@@ -737,7 +737,7 @@ def test_live_supply_count_matches_a_scan_at_every_cycle(path, monkeypatch):
         cycle(frontend)
 
     monkeypatch.setattr(actors.Frontend, "cycle", checked_cycle)
-    world = run_scenario(path).world
+    world = run_world(path)
     assert world.supply == supply_scan(live)
     assert len(seen) > 1 and live
 
@@ -749,7 +749,7 @@ def joined_scan(world):
 
 
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
-def test_joined_map_matches_a_scan_of_the_members_at_every_tick(path, monkeypatch):
+def test_joined_map_matches_a_scan_of_the_members_at_every_tick(path, monkeypatch, run_world):
     tick = actors.Collector.match_tick
     seen = []
 
@@ -760,7 +760,7 @@ def test_joined_map_matches_a_scan_of_the_members_at_every_tick(path, monkeypatc
         tick(collector)
 
     monkeypatch.setattr(actors.Collector, "match_tick", checked_tick)
-    world = run_scenario(path).world
+    world = run_world(path)
     assert world.joined == joined_scan(world)
     assert len(seen) > 1 and any(seen)
 
@@ -779,16 +779,25 @@ def test_evicting_a_joined_pilot_lowers_the_supply_count(monkeypatch):
 
 
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
-def test_finished_world_is_freed_without_the_cyclic_collector(path):
-    # A dropped result must free its World by reference counting alone, so
-    # that a run's peak memory never includes the run before it.
+def test_finished_world_is_freed_without_the_cyclic_collector(path, monkeypatch):
+    # A finished run keeps only its report: reference counting alone frees
+    # its World when ``run_scenario`` returns, while the result is still
+    # held, so a run's peak memory never includes the run before it.
+    worlds = []
+
+    def built(*args, **kwargs):
+        world = build_world(*args, **kwargs)
+        worlds.append(weakref.ref(world))
+        return world
+
+    monkeypatch.setattr(migration, "build_world", built)
     was_enabled = gc.isenabled()
     gc.disable()
     try:
         result = run_scenario(path)
-        world = weakref.ref(result.world)
-        del result
-        assert world() is None
+        assert len(worlds) == 1
+        assert worlds[0]() is None
+        assert result.digest == golden_digest(path)
     finally:
         if was_enabled:
             gc.enable()
@@ -969,7 +978,7 @@ def check_live_ledger(world, live):
 
 
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
-def test_world_keeps_only_live_pilots(path, monkeypatch):
+def test_world_keeps_only_live_pilots(path, monkeypatch, run_world):
     live = live_pilots(monkeypatch)  # made and not yet ended, as the wrappers saw them
     end_pilot, cycle = actors.World.end_pilot, actors.Frontend.cycle
     refused = []  # weak references to pilots refused at submission
@@ -994,7 +1003,7 @@ def test_world_keeps_only_live_pilots(path, monkeypatch):
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        world = run_scenario(path).world
+        world = run_world(path)
         check_live_ledger(world, live)
         assert [r for r in refused if r() is not None] == []
     finally:

@@ -1,4 +1,5 @@
-"""Trace-derived reporting: metrics, drill reconstruction, soundness."""
+"""Trace-derived reporting: the report model (pool and auth totals, drill
+reconstruction, phase soundness) and its JSON and text formats."""
 
 import dataclasses
 import io
@@ -14,6 +15,7 @@ from tokenpool.migration import (
     _Pass,
     check_phase_soundness,
     compute_metrics,
+    drill_line,
     drill_report,
     parse_detail,
     render_report,
@@ -91,22 +93,13 @@ def drill_result():
 
 
 def refolded(result, records):
-    """``result`` with the facts of ``records``, fed one by one through a
+    """``result`` with the report of ``records``, fed one by one through a
     fresh fold as a run feeds its own."""
     walk = _Pass(result.scenario)
     trace = Trace(fold=walk)
     for r in records:
         trace.record(r.t, r.channel, r.outcome, method=r.method, identity=r.identity, detail=r.detail)
-    metrics, drill, timeline, violations = walk.finish(trace)
-    return dataclasses.replace(
-        result,
-        trace=trace,
-        digest=trace.digest(),
-        metrics=metrics,
-        drill=drill,
-        timeline=timeline,
-        violations=violations,
-    )
+    return dataclasses.replace(result, trace=trace, report=walk.finish(trace))
 
 
 def test_run_scenario_seed_override(small_result):
@@ -140,9 +133,9 @@ def test_parse_detail():
 
 
 def test_compute_metrics_cross_checks_against_raw_trace(small_result, small_out):
-    metrics = compute_metrics(small_result)
+    pool, auth = small_result.report["pool"], small_result.report["auth"]
     records = written(small_out.getvalue())
-    assert metrics.total_capacity == 10
+    assert pool["capacity"] == 10
 
     # Totals must equal independent recounts of the same records.
     auth_channels = {
@@ -158,8 +151,8 @@ def test_compute_metrics_cross_checks_against_raw_trace(small_result, small_out)
         for r in records
         if r.channel in auth_channels and r.outcome == "SUCCESS"
     )
-    assert sum(metrics.auth_success.values()) == recounted
-    assert sum(metrics.auth_failures.values()) == sum(
+    assert sum(auth["success_by_method"].values()) == recounted
+    assert sum(auth["failures_by_reason"].values()) == sum(
         1
         for r in records
         if r.channel in auth_channels and r.outcome.startswith("FAIL:")
@@ -169,41 +162,54 @@ def test_compute_metrics_cross_checks_against_raw_trace(small_result, small_out)
         (r.t, int(parse_detail(r.detail)["size"]))
         for r in pick(records, "POOL", outcome="SAMPLE")
     ]
-    assert metrics.peak_pool == max(s for _, s in sizes)
-    assert metrics.final_pool == sizes[-1][1]
+    assert pool["peak"] == max(s for _, s in sizes)
+    assert pool["final"] == sizes[-1][1]
     tail = [s for t, s in sizes if t >= 480]  # final fifth of a 600 s horizon
-    assert metrics.capacity_fraction == pytest.approx(sum(tail) / len(tail) / 10)
+    assert pool["tail_fraction"] == pytest.approx(sum(tail) / len(tail) / 10)
 
-    assert metrics.job_counts["QUEUED"] == 5
-    assert metrics.pilot_counts["REQUESTED"] == 5
-    assert metrics.dropped == 0 and metrics.denied == 0
-    assert metrics.legacy_dependency == {}
+    assert small_result.report["jobs"]["QUEUED"] == 5
+    assert small_result.report["pilots"]["REQUESTED"] == 5
+    assert auth["dropped"] == 0 and auth["denied"] == 0
+    assert auth["legacy_dependency"] == {}
 
 
 def test_metrics_track_legacy_dependency():
     over = doc(name="legacy-unit")
     over["sites"][0]["ces"][0]["accepts_tokens"] = False
-    result = run_scenario(parse_scenario(over))
-    metrics = compute_metrics(result)
-    assert metrics.auth_success.get("GSI_PROXY", 0) == 5
-    assert metrics.legacy_dependency == {"FACTORY->CE": 5}
+    auth = run_scenario(parse_scenario(over)).report["auth"]
+    assert auth["success_by_method"].get("GSI_PROXY", 0) == 5
+    assert auth["legacy_dependency"] == {"FACTORY->CE": 5}
 
 
 def test_drill_report_absent_without_a_compromise(small_result):
-    assert drill_report(small_result) is None
+    assert "drill" not in small_result.report
 
 
 def test_drill_report_reconstruction(drill_result):
-    report = drill_report(drill_result)
+    report = drill_result.report.get("drill")
     assert report is not None
-    assert report.kid == "startd-1"
-    assert report.compromised_at == 300
-    assert report.pool_before == 4
-    assert report.evicted == 2
-    assert report.recovered_at == 390
-    assert report.recovery_time == 90
-    assert report.bound == 60 + 30  # re-provision delay + pilot startup
-    assert report.within_bound
+    assert report["kid"] == "startd-1"
+    assert report["compromised_at"] == 300
+    assert report["pool_before"] == 4
+    assert report["evicted"] == 2
+    assert report["recovered_at"] == 390
+    assert report["recovery_time"] == 90
+    assert report["bound"] == 60 + 30  # re-provision delay + pilot startup
+    assert report["within_bound"]
+    assert drill_line(report) == (
+        "drill: kid=startd-1 at=300 evicted=2/4 recovered_at=390 recovery_time=90s"
+        " bound=90s within_bound=True"
+    )
+
+
+def test_readers_of_the_report_model(small_result, drill_result):
+    # compute_metrics, drill_report and check_phase_soundness each hand
+    # back a part of the one model; none computes a fact of its own.
+    for result in (small_result, drill_result):
+        assert compute_metrics(result) is result.report
+        assert drill_report(result) is result.report.get("drill")
+        assert check_phase_soundness(result) is result.report["phase_soundness"]["violations"]
+    assert drill_report(small_result) is None
 
 
 def test_phase_timeline():
@@ -215,10 +221,10 @@ def test_phase_timeline():
             )
         )
     )
-    timeline = result.timeline
+    timeline = result.report["phase_timeline"]
     assert timeline == [
-        (0, MigrationPhase.TOKEN_WITH_GSI_FALLBACK),
-        (300, MigrationPhase.TOKEN_ONLY),
+        {"t": 0, "phase": MigrationPhase.TOKEN_WITH_GSI_FALLBACK.value},
+        {"t": 300, "phase": MigrationPhase.TOKEN_ONLY.value},
     ]
 
 
@@ -339,7 +345,7 @@ def test_fold_judges_an_instant_an_auth_record_closes_under_the_phase_it_ended_i
     trace.record(310, "PLAN", "PHASE", detail="phase=GSI_ONLY")
     attempt(320, "IDTOKEN")
     assert walk.violations[2:] == []
-    assert walk.finish(trace)[3][2:] == [
+    assert walk.finish(trace)["phase_soundness"]["violations"][2:] == [
         "t=320 SCHEDD->COLLECTOR used IDTOKEN under GSI_ONLY (outcome=SUCCESS)"
     ]
 
@@ -366,9 +372,9 @@ def test_fold_drill_counts_an_eviction_and_a_join_written_before_the_compromise_
         pilot("JOINED", 330, "pilot=p10 kid=startd-2"),
         pilot("JOINED", 390, "pilot=p11 kid=startd-2"),
     ]
-    report = drill_report(refolded(drill_result, forged))
-    assert (report.kid, report.compromised_at, report.pool_before) == ("startd-1", 300, 4)
-    assert (report.evicted, report.recovered_at, report.recovery_time) == (2, 330, 30)
+    report = refolded(drill_result, forged).report["drill"]
+    assert (report["kid"], report["compromised_at"], report["pool_before"]) == ("startd-1", 300, 4)
+    assert (report["evicted"], report["recovered_at"], report["recovery_time"]) == (2, 330, 30)
 
 
 STARTD_KIDS = ("startd-1", "startd-2", "startd-3")
@@ -426,18 +432,18 @@ def brute_force_drill(records):
 def test_fold_drill_matches_a_brute_force_over_generated_records(drill_result, records):
     # A live run writes no join or eviction before the compromise's ACTIVATE
     # at its instant, so only records fed to the fold reach that case.
-    report = drill_report(refolded(drill_result, records))
+    report = refolded(drill_result, records).report.get("drill")
     expected = brute_force_drill(records)
     if expected is None:
         assert report is None
         return
-    got = (report.kid, report.compromised_at, report.pool_before, report.evicted, report.recovered_at)
+    got = tuple(report[k] for k in ("kid", "compromised_at", "pool_before", "evicted", "recovered_at"))
     assert got == expected
-    if report.recovered_at is None:
-        assert report.recovery_time is None and not report.within_bound
+    if report["recovered_at"] is None:
+        assert report["recovery_time"] is None and not report["within_bound"]
     else:
-        assert report.recovery_time == report.recovered_at - report.compromised_at
-        assert report.within_bound is (report.recovery_time <= report.bound)
+        assert report["recovery_time"] == report["recovered_at"] - report["compromised_at"]
+        assert report["within_bound"] is (report["recovery_time"] <= report["bound"])
 
 
 def test_report_dict_shape(drill_result):
@@ -457,3 +463,20 @@ def test_render_report_text_and_json(drill_result):
     assert "within_bound=True" in text
     parsed = json.loads(render_report(drill_result, "json"))
     assert parsed["digest"] == drill_result.digest
+
+
+def test_tail_fill_is_rounded_once_from_the_unrounded_model(small_result):
+    # Rounding twice can differ from rounding once: 0.73346 -> 0.7335 -> 0.734.
+    report = small_result.report
+    model = {**report, "pool": {**report["pool"], "tail_fraction": 0.73346}}
+    result = dataclasses.replace(small_result, report=model)
+    assert "tail_fill=0.733\n" in render_report(result)
+    assert report_dict(result)["pool"]["tail_fraction"] == 0.7335
+    assert json.loads(render_report(result, "json"))["pool"]["tail_fraction"] == 0.7335
+    assert model["pool"]["tail_fraction"] == 0.73346  # the JSON edge rounds a copy
+
+
+@pytest.mark.parametrize("fmt", ["JSON", "yaml", ""])
+def test_render_report_refuses_an_unknown_format(small_result, fmt):
+    with pytest.raises(ValueError, match="unknown report format"):
+        render_report(small_result, fmt)

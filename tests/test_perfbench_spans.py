@@ -72,7 +72,7 @@ def test_traced_run_parses_each_distinct_token_once_per_world(spans):
     assert stats["jose.decode_token"].calls == stats["jose.encode_token"].calls < token_auths
 
 
-def test_traced_run_dispatches_every_scheduled_event_under_a_span(spans):
+def test_traced_run_dispatches_every_scheduled_event_under_a_span(spans, run_world):
     # The tracer counts each action handed to Engine.schedule_at and wraps it
     # in a dispatch span.  An engine that scheduled or ran an event around
     # that wrapper would leave the two counts apart, and tracing must not
@@ -81,9 +81,9 @@ def test_traced_run_dispatches_every_scheduled_event_under_a_span(spans):
     path = SCENARIO_DIR / "arc-ldap-deprecation.yaml"
     tracer = spans.SpanTracer()
     with tracer.installed():
-        traced = run_scenario(path)
-    pending = sum(len(actions) // 2 for actions in traced.world.engine._calendar.values())
+        world = run_world(path)
+    pending = sum(len(actions) // 2 for actions in world.engine._calendar.values())
     dispatched = tracer.summary()[spans.DISPATCH].calls
     assert dispatched > 0 and pending > 0
     assert tracer.counts[spans.EVENTS] == dispatched + pending
-    assert traced.digest == run_scenario(path).digest
+    assert world.trace.digest() == run_scenario(path).digest

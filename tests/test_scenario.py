@@ -700,7 +700,8 @@ def test_a_mutated_shipped_scenario_is_refused_at_parse_or_runs(data):
     except ScenarioError:
         return
     result = run_scenario(dataclasses.replace(sc, horizon=min(sc.horizon, 1200)))
-    assert not result.violations, result.violations[:3]
+    violations = result.report["phase_soundness"]["violations"]
+    assert not violations, violations[:3]
 
 
 #: The draws of the test above as one strategy: a scenario, one of its

@@ -617,13 +617,13 @@ def test_sessions_with_equal_verdicts_share_one_peer(compiled, keyring, issuer_k
     assert again == peers[1] and again is not peers[1]
 
 
-def test_tampering_never_authenticates_against_a_warm_session():
+def test_tampering_never_authenticates_against_a_warm_session(run_world):
     # Every member's identity token has a session in the World's policy from
     # its join and keepalives; every single-character payload mutant of one,
     # presented to that World, keeps the MAC and must still be refused.
     rng = random.Random(0x4D1C)
     alphabet = string.ascii_letters + string.digits + "-_"
-    world = run_scenario(SCENARIO_DIR / "rollout-2022.yaml").world
+    world = run_world(SCENARIO_DIR / "rollout-2022.yaml")
     presented = [p.token for p in list(world.collector.members.values())[:20]]
     mutants = accepted = 0
     rejected: Counter[str] = Counter()
