@@ -46,9 +46,9 @@ from .policy import (
     apply_phase,
     authenticate,
     authorize,
+    credential_method,
     default_table,
     negotiate_method,
-    token_method,
 )
 from .scenario import CEFlavor, CEInterface, CESpec, ClientSpec, FactorySpec, Scenario
 from .simnet import (
@@ -145,16 +145,6 @@ def _join_detail(first: str, second: str) -> str:
     return f"{first} {second}" if first and second else first or second
 
 
-def _method_name(credential: Credential) -> str:
-    """Method label for failure records (never verifies): a parsed token's
-    algorithm decides, or the legacy credential's type."""
-    if isinstance(credential, ProxyCredential):
-        return AuthMethod.GSI_PROXY._value_
-    if isinstance(credential, LocalFsCredential):
-        return AuthMethod.LOCAL_FS._value_
-    return token_method(credential)._value_
-
-
 class World:
     """Everything one run owns: clock, randomness, trust, actors, ledger.
 
@@ -172,7 +162,6 @@ class World:
         self.streams = RngStreams(scenario.seed)
         self.trace = Trace() if trace is None else trace
         self.board = FaultBoard()
-        self.phase = scenario.phase
 
         secrets_by_kid = {
             k.kid: self.streams.stream(f"key/{k.kid}").randbytes(32)
@@ -300,7 +289,8 @@ class World:
                 now=now,
             )
         except TokenPoolError as exc:
-            self.refuse(channel, exc.reason, method=_method_name(credential), detail=detail)
+            method = credential_method(credential)._value_
+            self.refuse(channel, exc.reason, method=method, detail=detail)
             raise
         decision = authorize(peer, pol)
         if not decision.allowed:
@@ -315,7 +305,7 @@ class World:
             raise AuthorizationDenied(f"missing {', '.join(decision.missing)}")
         if isinstance(credential, jose.Token):
             held = f"kid={credential.header.kid} jti={credential.claims.jti}"
-            detail = f"{detail} {held}" if detail else held
+            detail = _join_detail(detail, held)
         self.trace.record(
             now,
             channel,
@@ -326,14 +316,14 @@ class World:
         )
         return peer
 
-    def dropped(self, channel: str, method: AuthMethod, detail: str) -> bool:
+    def dropped(self, channel: str, credential: Credential, detail: str) -> bool:
         """Draw whether a message on ``channel`` is lost, recording the loss."""
         now = self.engine.now
         fault = self.board.active(FaultKind.MESSAGE_DROP, channel, now)
         if fault is None or not message_dropped(fault, self.streams):
             return False
         self.trace.record(
-            now, channel, OUTCOME_DROP, method=method._value_, detail=detail
+            now, channel, OUTCOME_DROP, method=credential_method(credential)._value_, detail=detail
         )
         return True
 
@@ -360,23 +350,24 @@ class World:
     def negotiate(
         self,
         channel: str,
-        offered: tuple[AuthMethod, ...] | list[AuthMethod],
+        offered: tuple[Credential, ...] | list[Credential],
         *,
         identity: str = "-",
         detail: str = "",
-    ) -> AuthMethod | None:
-        """The method ``channel`` will use with a party offering ``offered``,
+    ) -> Credential | None:
+        """The credential of ``offered`` whose method ``channel`` will use,
         or None after refusing the request when the two share none."""
+        by_method = {credential_method(credential): credential for credential in offered}
         try:
-            return negotiate_method(offered, self.policy.channels[channel].methods)
+            method = negotiate_method(tuple(by_method), self.policy.channels[channel].methods)
         except NoCommonMethod as exc:
             self.refuse(channel, exc.reason, identity=identity, detail=detail)
             return None
+        return by_method[method]
 
     # -- phase control ------------------------------------------------------
 
     def set_phase(self, phase: MigrationPhase) -> None:
-        self.phase = phase
         self.policy = CompiledPolicy(apply_phase(self.base_table, phase))
         self.trace.record(
             self.engine.now, TRACE_PLAN, "PHASE", detail=f"phase={phase._value_}"
@@ -470,7 +461,7 @@ class World:
 
     def start(self) -> None:
         """Record the starting phase, arm faults and plan, seed the loops."""
-        self.set_phase(self.phase)
+        self.set_phase(self.scenario.phase)
         self.controller.wire_faults()
         self.controller.schedule_plan()
         for client in self.clients.values():
@@ -527,6 +518,8 @@ class WMClient:
         self.token: jose.Token | None = None
         if AuthMethod.IDTOKEN in spec.methods:
             self.renew_token()
+        local = AuthMethod.LOCAL_FS in spec.methods
+        self.local_fs = LocalFsCredential(spec.id, World.SCHEDD_HOST) if local else None
 
     def renew_token(self) -> None:
         """Mint the client's identity token, dropping the session of the one
@@ -535,30 +528,16 @@ class WMClient:
             self.world.forget_token(self.token)
         self.token = self.world.mint_daemon_idtoken(self.spec.id, ("WRITE",))
 
-    def offered_methods(self) -> list[AuthMethod]:
-        out: list[AuthMethod] = []
-        if self.token is not None:
-            out.append(AuthMethod.IDTOKEN)
-        if AuthMethod.LOCAL_FS in self.spec.methods:
-            out.append(AuthMethod.LOCAL_FS)
-        return out
-
     def try_submit(self) -> None:
         if self.submitted:
             return
         w = self.world
         batch = f"client={self.spec.id} jobs={self.spec.jobs}"
-        method = w.negotiate(
-            CH_SUBMIT, self.offered_methods(), identity=self.spec.id, detail=batch
-        )
-        if method is None:
+        offered = [c for c in (self.token, self.local_fs) if c is not None]
+        credential = w.negotiate(CH_SUBMIT, offered, identity=self.spec.id, detail=batch)
+        if credential is None:
             w.engine.schedule(self.spec.retry_interval, self.try_submit)
             return
-        credential: Credential
-        if method is AuthMethod.IDTOKEN:
-            credential = self.token
-        else:
-            credential = LocalFsCredential(self.spec.id, World.SCHEDD_HOST)
         try:
             peer = w.authenticate_on(CH_SUBMIT, credential, detail=batch)
         except TokenPoolError:
@@ -596,11 +575,8 @@ class Schedd:
 
     def advertise(self) -> None:
         w = self.world
-        method = w.negotiate(
-            CH_ADVERTISE, (AuthMethod.IDTOKEN, AuthMethod.GSI_PROXY), detail="daemon=schedd"
-        )
-        if method is not None and not w.dropped(CH_ADVERTISE, method, "daemon=schedd"):
-            credential = self.token if method is AuthMethod.IDTOKEN else self.proxy
+        credential = w.negotiate(CH_ADVERTISE, (self.token, self.proxy), detail="daemon=schedd")
+        if credential is not None and not w.dropped(CH_ADVERTISE, credential, "daemon=schedd"):
             try:
                 w.authenticate_on(CH_ADVERTISE, credential, detail="daemon=schedd")
             except TokenPoolError:
@@ -620,7 +596,7 @@ class Collector:
         if pilot.state is not PilotState.STARTED:
             return
         detail = f"pilot={pilot.id} join=1"
-        if w.dropped(CH_JOIN, AuthMethod.IDTOKEN, detail):
+        if w.dropped(CH_JOIN, pilot.token, detail):
             w.engine.schedule(w.scenario.pilots.keepalive, pilot.join)
             return
         try:
@@ -639,7 +615,7 @@ class Collector:
         if pilot.state not in (PilotState.JOINED, PilotState.MATCHED):
             return
         detail = f"pilot={pilot.id} keepalive=1"
-        if not w.dropped(CH_JOIN, AuthMethod.IDTOKEN, detail):
+        if not w.dropped(CH_JOIN, pilot.token, detail):
             try:
                 w.authenticate_on(CH_JOIN, pilot.token, detail=detail)
             except TokenPoolError as exc:
@@ -718,8 +694,8 @@ class Frontend:
 
     def refresh_capabilities(self) -> None:
         w = self.world
-        if w.phase is MigrationPhase.GSI_ONLY:
-            return
+        if AuthMethod.SCITOKEN not in w.policy.channels[CH_CE_SUBMIT].methods:
+            return  # no gateway takes a capability token in this phase
         now = w.engine.now
         lifetime = w.scenario.issuer.scitoken_lifetime
         for ce in w.ces.values():
@@ -753,14 +729,13 @@ class Frontend:
         self.refresh_capabilities()
         deficit = max(0, len(w.idle_jobs) - w.supply)
         if deficit > 0:
-            method = w.negotiate(
+            credential = w.negotiate(
                 CH_PROVISION,
-                (AuthMethod.IDTOKEN, AuthMethod.GSI_PROXY),
+                (self.token, self.proxy),
                 identity=self.subject,
                 detail=f"deficit={deficit}",
             )
-            if method is not None:
-                credential = self.token if method is AuthMethod.IDTOKEN else self.proxy
+            if credential is not None:
                 pairs = self.provision_pairs()
                 cap = w.scenario.frontend.per_entry_cap
                 for (factory, ce), count in _allocate(deficit, pairs, cap):
@@ -891,7 +866,7 @@ class CEGateway:
             w.refuse(
                 CH_CE_SUBMIT,
                 UntrustedIssuer.__name__,
-                method=AuthMethod.SCITOKEN._value_,
+                method=credential_method(credential)._value_,
                 detail=f"ce={self.id} pilot={pilot.id} fault=CE_TOKEN_MISCONFIG",
             )
             return AUTH_REJECTED

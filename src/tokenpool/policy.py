@@ -282,9 +282,8 @@ def authenticate(
     """Authenticate one credential on one channel, whose policy ``pol`` is
     looked up once by the caller from ``compiled``.
 
-    The method is inferred from the credential's shape (parsed tokens by
-    algorithm; proxy and filesystem credentials by type) and
-    must appear in the channel's accepted list.  The authenticated name is
+    The method is the credential's (:func:`credential_method`) and must
+    appear in the channel's accepted list.  The authenticated name is
     rewritten through ``compiled``'s identity map.
 
     A token with a session in ``compiled.sessions`` is checked again only
@@ -338,7 +337,7 @@ def authenticate(
             _check_scopes(peer.granted_scopes, pol.required_scopes)
         return peer
 
-    if token_method(credential) is AuthMethod.SCITOKEN:
+    if credential_method(credential) is AuthMethod.SCITOKEN:
         _require(AuthMethod.SCITOKEN, pol, channel)
         if trust is None:
             raise InvalidPolicy("capability verification needs a trust directory")
@@ -375,9 +374,14 @@ def authenticate(
     )
 
 
-def token_method(token: Token) -> AuthMethod:
-    """The method a token authenticates with: its algorithm decides."""
-    return AuthMethod.SCITOKEN if token.header.alg == SCITOKEN_ALG else AuthMethod.IDTOKEN
+def credential_method(credential: Credential) -> AuthMethod:
+    """The method a credential authenticates with: a legacy credential's
+    type decides, a token's algorithm.  The one place that maps the two."""
+    if isinstance(credential, ProxyCredential):
+        return AuthMethod.GSI_PROXY
+    if isinstance(credential, LocalFsCredential):
+        return AuthMethod.LOCAL_FS
+    return AuthMethod.SCITOKEN if credential.header.alg == SCITOKEN_ALG else AuthMethod.IDTOKEN
 
 
 def _require(method: AuthMethod, pol: ChannelPolicy, channel: str) -> None:

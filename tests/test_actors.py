@@ -1284,6 +1284,21 @@ def test_capability_tokens_are_refreshed_before_expiry():
     assert [r.t for r in fetches] == [0, 120, 240, 360, 480, 600]
 
 
+def test_capability_fetches_wait_for_a_phase_whose_gateways_take_tokens():
+    # Under GSI_ONLY no gateway takes a capability token, so the frontend
+    # fetches none while it still provisions over its proxy; the first cycle
+    # after a step to the fallback phase fetches one.
+    gsi_only = run_doc(phase="GSI_ONLY")
+    assert successes(gsi_only, CH_PROVISION, AuthMethod.GSI_PROXY)
+    assert pick(records(gsi_only), CH_TOKEN_FETCH) == []
+    w = run_doc(
+        phase="GSI_ONLY",
+        plan=[{"at": 90, "action": "set_phase", "phase": "TOKEN_WITH_GSI_FALLBACK"}],
+    )
+    fetches = pick(records(w), CH_TOKEN_FETCH)
+    assert [(r.t, r.outcome) for r in fetches] == [(120, OUTCOME_SUCCESS)]
+
+
 # -- factory gates ----------------------------------------------------------
 
 
@@ -1331,8 +1346,9 @@ def test_world_negotiates_the_token_first_under_a_legacy_first_table():
     w.set_phase(MigrationPhase.TOKEN_WITH_GSI_FALLBACK)
     both = (AuthMethod.GSI_PROXY, AuthMethod.IDTOKEN)
     assert w.policy.channels[CH_ADVERTISE].methods == both
-    assert w.negotiate(CH_ADVERTISE, both) is AuthMethod.IDTOKEN
-    assert w.negotiate(CH_ADVERTISE, both[:1]) is AuthMethod.GSI_PROXY
+    offered = (w.schedd.proxy, w.schedd.token)
+    assert w.negotiate(CH_ADVERTISE, offered) is w.schedd.token
+    assert w.negotiate(CH_ADVERTISE, offered[:1]) is w.schedd.proxy
 
 
 def test_factory_credential_gate():
@@ -1553,9 +1569,9 @@ def test_first_refusal_of_each_kind_field_by_field(make_world, expected):
     assert (first.channel, first.method, first.identity, first.outcome, first.detail, first.t) == expected
 
 
-def _callers(tree, callee):
-    """Qualified names of the functions in ``tree`` that call ``callee`` by
-    its bare or its dotted name."""
+def _calls_in(tree, matches):
+    """Qualified names of the functions in ``tree`` that make a call for
+    which ``matches`` holds."""
     found = set()
 
     def visit(node, scope):
@@ -1563,20 +1579,46 @@ def _callers(tree, callee):
             inner = scope
             if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 inner = scope + (getattr(child, "name", "<lambda>"),)
-            elif isinstance(child, ast.Call):
-                func = child.func
-                if getattr(func, "id", None) == callee or getattr(func, "attr", None) == callee:
-                    found.add(".".join(scope) or "<module>")
+            elif isinstance(child, ast.Call) and matches(child):
+                found.add(".".join(scope) or "<module>")
             visit(child, inner)
 
     visit(tree, ())
     return found
 
 
+def _callers(tree, callee):
+    """Qualified names of the functions in ``tree`` that call ``callee`` by
+    its bare or its dotted name."""
+    return _calls_in(
+        tree, lambda call: callee in (getattr(call.func, "id", None), getattr(call.func, "attr", None))
+    )
+
+
+def _kind_tests(tree):
+    """Qualified names of the functions in ``tree`` that test a value with
+    ``isinstance`` against a legacy credential type."""
+
+    def tests_kind(call):
+        if getattr(call.func, "id", None) != "isinstance":
+            return False
+        names = {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(call.args[1])}
+        return not names.isdisjoint({"ProxyCredential", "LocalFsCredential"})
+
+    return _calls_in(tree, tests_kind)
+
+
 def test_refusals_are_written_and_methods_negotiated_in_one_place():
     tree = ast.parse(Path(actors.__file__).read_text())
     assert _callers(tree, "fail_outcome") == {"World.refuse"}
     assert _callers(tree, "negotiate_method") == {"World.negotiate"}
+    # A credential's method has one rule, ``policy.credential_method``; only
+    # ``authenticate`` repeats its type tests, on the path every legacy
+    # presentation takes.  No other module tells the credential kinds apart.
+    kind_tests = set()
+    for path in sorted(Path(policy.__file__).parent.glob("*.py")):
+        kind_tests |= {f"{path.stem}.{f}" for f in _kind_tests(ast.parse(path.read_text()))}
+    assert kind_tests == {"policy.credential_method", "policy.authenticate"}
 
 
 def test_tokens_are_parsed_only_where_they_are_minted():

@@ -42,6 +42,7 @@ from tokenpool.policy import (
     apply_phase,
     authenticate,
     authorize,
+    credential_method,
     default_table,
     dominates,
     negotiate_method,
@@ -331,6 +332,20 @@ def test_authenticate_token_method_must_be_accepted(table, keyring, trust, issue
     )
     with pytest.raises(NoCommonMethod):
         auth(cap_only, CH_CE_SUBMIT, idt, keyring=keyring, trust=trust)
+
+
+def test_credential_method_maps_each_kind_of_credential(keyring, issuer_key):
+    idt = mint_idtoken(keyring, "pool-1", "condor@x", (), 600, NOW)
+    cap = mint_scitoken(issuer_key, ISSUER, "pilot-ops", (JOB_SUBMIT_SCOPE,), "ce-1", 600, NOW)
+    kinds = [
+        (ProxyCredential("/DC=x/CN=Service one", NOW + 100, CA), AuthMethod.GSI_PROXY),
+        (LocalFsCredential("prod-user", HOST), AuthMethod.LOCAL_FS),
+        (decode_token(idt), AuthMethod.IDTOKEN),
+        (decode_token(cap), AuthMethod.SCITOKEN),
+    ]
+    # One token of each algorithm: an HS256 identity, an EdDSA capability.
+    assert [c.header.alg for c, _ in kinds[2:]] == ["HS256", "EdDSA"]
+    assert [credential_method(c) for c, _ in kinds] == [m for _, m in kinds]
 
 
 # -- the compiled policy's limits table and sessions ------------------------

@@ -323,7 +323,7 @@ def compiled():
 def present(compiled, token, *, keyring=None, trust=None, audience="ce-1", scopes=(), now=NOW):
     """Authenticate ``token`` through ``compiled`` on a channel that accepts
     its method and asks for ``scopes``, or for READ when there are none."""
-    method = policy.token_method(token)
+    method = policy.credential_method(token)
     if scopes:
         pol = policy.ChannelPolicy((method,), required_scopes=frozenset(scopes))
     else:
