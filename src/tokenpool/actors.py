@@ -225,7 +225,7 @@ class World:
         return f"{self.next_draw(authority):016x}"
 
     def mint_daemon_idtoken(self, subject: str, limits: tuple[str, ...]) -> jose.Token:
-        return jose.decode_token(mint_idtoken(
+        return mint_idtoken(
             self.keyring,
             self.daemon_kid,
             subject,
@@ -234,7 +234,7 @@ class World:
             self.engine.now,
             issuer=self.POOL_ISSUER,
             jti=self.next_jti("pool"),
-        ))
+        )
 
     def startd_identity(self) -> tuple[str, int]:
         """The next ACTIVE worker key, round-robin, and the draw behind the
@@ -245,7 +245,7 @@ class World:
 
     def mint_startd_token(self, pilot: Pilot, kid: str, draw: int) -> jose.Token:
         """Mint the pilot's identity token under ``kid``, its jti ``draw``."""
-        return jose.decode_token(mint_idtoken(
+        return mint_idtoken(
             self.keyring,
             kid,
             f"startd@{pilot.id}",
@@ -254,7 +254,7 @@ class World:
             self.engine.now,
             issuer=self.POOL_ISSUER,
             jti=f"{draw:016x}",
-        ))
+        )
 
     def forget_token(self, token: jose.Token) -> None:
         """Drop ``token``'s session: its holder ended (``end_pilot``) or
@@ -318,6 +318,8 @@ class World:
 
     def dropped(self, channel: str, credential: Credential, detail: str) -> bool:
         """Draw whether a message on ``channel`` is lost, recording the loss."""
+        if FaultKind.MESSAGE_DROP._value_ not in self.board.by_kind:
+            return False  # no drop fault at all, so none to look up
         now = self.engine.now
         fault = self.board.active(FaultKind.MESSAGE_DROP, channel, now)
         if fault is None or not message_dropped(fault, self.streams):
@@ -496,7 +498,7 @@ class TokenIssuer:
                 detail=f"aud={ce_id}",
             )
             raise exc
-        return jose.decode_token(mint_scitoken(
+        return mint_scitoken(
             w.issuer_key,
             w.scenario.issuer.url,
             "cms-pilot-ops",
@@ -505,7 +507,7 @@ class TokenIssuer:
             w.scenario.issuer.scitoken_lifetime,
             w.engine.now,
             jti=w.next_jti("issuer"),
-        ))
+        )
 
 
 class WMClient:

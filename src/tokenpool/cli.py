@@ -111,7 +111,7 @@ def cmd_token_mint(args: argparse.Namespace) -> int:
         issuer=args.issuer,
         audience=args.audience,
     )
-    print(token)
+    print(token.compact)
     return 0
 
 

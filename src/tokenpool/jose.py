@@ -9,12 +9,11 @@ compared or hashed directly.
 Parsing (:func:`decode_token`) is strictly separated from verification:
 it rejects malformed structure and wrongly typed values but accepts unknown
 algorithms and absent claims, deferring judgement to the verify layer.  It
-returns a :class:`Token`, which keeps the compact string it was parsed from
-and derives its signature, and the bytes that signature covers, from it, so
-a token is parsed once and every verifier reads that one value.  The parse
-shares, through :func:`sys.intern`, the strings that every token of a key
-or issuer repeats, and shares the parsed header and the limit and scope
-tuples that tokens of one key repeat.
+returns a :class:`Token`, which keeps its compact string and reads its
+signature, and the bytes that signature covers, off it.  Signing
+(:func:`encode_token`) returns the same :class:`Token`, built from what it
+signed, so a token made here is never parsed.  Tokens of one key share the
+strings, the parsed header and the limit and scope tuples they repeat.
 """
 
 from __future__ import annotations
@@ -189,41 +188,49 @@ def _sign(alg: str, key: SigningKey, signing_input: bytes) -> bytes:
     raise AlgKeyMismatch(f"unsupported algorithm {alg!r}")
 
 
-def encode_token(header: TokenHeader, claims: TokenClaims, key: SigningKey) -> str:
-    """Serialize and sign a token.
+def encode_token(header: TokenHeader, claims: TokenClaims, key: SigningKey) -> Token:
+    """Serialize and sign a token, and return it parsed.
 
-    Output is ``b64url(header) . b64url(claims) . b64url(signature)`` with
-    canonical JSON in the first two segments; identical inputs always
-    produce identical bytes.
+    The wire form is ``b64url(header) . b64url(claims) . b64url(signature)``
+    with canonical JSON in the first two segments; identical inputs always
+    produce identical bytes.  The returned token's header and claims are
+    read from the JSON objects just serialised, under the checks and
+    sharing a parse applies, so it equals ``decode_token(token.compact)``.
 
     Raises:
         InvalidClaims: claim invariants violated.
         AlgKeyMismatch: key kind does not fit ``header.alg``.
+        MalformedToken: a value a parse would refuse, such as ``iat=True``.
     """
     if not header.kid:
         raise InvalidClaims("header kid must be non-empty")
     claims.validate()
-    signing_input = (
-        b64url_encode(canonical_json(header.to_json_dict()).encode())
-        + "."
-        + b64url_encode(canonical_json(claims.to_json_dict()).encode())
-    )
+    header_obj, claims_obj = header.to_json_dict(), claims.to_json_dict()
+    header_b64 = b64url_encode(canonical_json(header_obj).encode())
+    signing_input = header_b64 + "." + b64url_encode(canonical_json(claims_obj).encode())
     signature = _sign(header.alg, key, signing_input.encode("ascii"))
-    return signing_input + "." + b64url_encode(signature)
+    signed = _HEADERS.get(header_b64)
+    if signed is None:
+        signed = TokenHeader.from_json_dict(header_obj)
+    token = object.__new__(Token)
+    object.__setattr__(token, "compact", signing_input + "." + b64url_encode(signature))
+    _settle(token, header_b64, signed, TokenClaims.from_json_dict(claims_obj))
+    return token
 
 
 @dataclass(frozen=True, slots=True)
 class Token:
-    """A compact token, parsed once, kept with its wire form.
+    """A compact token, kept with its wire form.
 
-    ``header`` and ``claims`` are parsed from ``compact``; ``signing_input``
-    is its first two segments exactly as received, never re-serialised, and
-    ``signature`` is its third segment decoded.  All three segments are
-    checked at parse.  The compact string is the only constructor argument:
-    neither ``Token(...)`` nor ``dataclasses.replace`` can pair claims with
-    bytes they were not parsed from, so the claims a verifier reads are the
-    claims under the signature it checks.  Tokens compare and hash by their
-    wire form.
+    ``header`` and ``claims`` are parsed from ``compact``, or, for a token
+    :func:`encode_token` returns, built from what it signed; either way they
+    equal a parse of ``compact``.  ``signing_input`` is its first two
+    segments exactly as received, and ``signature`` its third segment
+    decoded.  The compact string is the only constructor argument: neither
+    ``Token(...)`` nor ``dataclasses.replace`` can pair claims with bytes
+    they were not parsed from, so the claims a verifier reads are the claims
+    under the signature it checks.  Tokens compare and hash by their wire
+    form.
 
     Raises:
         MalformedToken
@@ -243,14 +250,7 @@ class Token:
             header = TokenHeader.from_json_dict(_parse_json_object(header_b64, "header"))
         claims = TokenClaims.from_json_dict(_parse_json_object(claims_b64, "claims"))
         b64url_decode(sig_b64)  # refused here; decoded again when a verifier asks
-        # The whole token parsed, so its parts may be shared from now on.
-        _HEADERS.setdefault(header_b64, header)
-        for names in (claims.scope, claims.authz_limits):
-            if names is not None:
-                _NAMES.setdefault(names, names)
-        set_field = object.__setattr__
-        set_field(self, "header", header)
-        set_field(self, "claims", claims)
+        _settle(self, header_b64, header, claims)
 
     def __hash__(self) -> int:
         return hash(self.compact)
@@ -268,7 +268,7 @@ class Token:
 
 
 def decode_token(token: str) -> Token:
-    """Parse a compact token without verifying anything.
+    """Parse a compact token, text from outside, without verifying anything.
 
     Rejects structural problems: wrong segment count, bad base64url, bad
     JSON, non-object JSON, and header or claim values of the wrong JSON
@@ -299,15 +299,27 @@ def ed25519_matches(public_key_bytes: bytes, signing_input: bytes, signature: by
 
 #: What tokens of one key repeat, held once: the parsed header by its exact
 #: segment (a header is a function of those characters alone), and each
-#: distinct scope or limit tuple.  Only a token that parsed whole adds an
-#: entry, so both grow with the distinct headers and name sets of accepted
-#: parses, never with refused input.
+#: distinct scope or limit tuple.  Only a token that parsed or was minted
+#: whole adds an entry, so both grow with the distinct headers and name sets
+#: of accepted tokens, never with refused input.
 _HEADERS: dict[str, TokenHeader] = {}
 _NAMES: dict[tuple[str, ...], tuple[str, ...]] = {}
 
 
 def _shared(names: tuple[str, ...]) -> tuple[str, ...]:
     return _NAMES.get(names, names)
+
+
+def _settle(token: Token, header_b64: str, header: TokenHeader, claims: TokenClaims) -> None:
+    """Give ``token`` its header and claims.  The whole token has parsed or
+    been signed, so its parts may be shared from now on."""
+    _HEADERS.setdefault(header_b64, header)
+    for names in (claims.scope, claims.authz_limits):
+        if names is not None:
+            _NAMES.setdefault(names, names)
+    set_field = object.__setattr__
+    set_field(token, "header", header)
+    set_field(token, "claims", claims)
 
 
 _ABSENT = object()

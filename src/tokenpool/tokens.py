@@ -246,7 +246,7 @@ def mint_idtoken(
     issuer: str = "condor-pool",
     audience: str | None = None,
     jti: str | None = None,
-) -> str:
+) -> Token:
     """Mint an HS256 identity token under an ACTIVE key.
 
     ``authz_limits`` lists the authorization levels the holder may
@@ -276,7 +276,7 @@ def mint_scitoken(
     now: int,
     *,
     jti: str | None = None,
-) -> str:
+) -> Token:
     """Mint an Ed25519 capability token for ``audience`` with ``scope``."""
     claims = TokenClaims(
         sub=subject,

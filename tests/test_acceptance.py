@@ -105,7 +105,7 @@ def test_criterion_1_golden_vectors_byte_identical():
             TokenClaims.from_json_dict(claims),
             secret,
         )
-        assert produced == expected
+        assert produced.compact == expected
     elapsed = time.perf_counter() - started
     print(
         f"[criterion 1] {len(GOLDEN_VECTORS)} golden vectors reproduced"
@@ -132,7 +132,7 @@ def test_criterion_2_payload_tampering_never_verifies():
         token = mint_idtoken(
             keyring, "t", f"s{i}", limits, 600, 1000 + i, issuer="p", jti=f"{i:04x}"
         )
-        head, payload, sig = token.split(".")
+        head, payload, sig = token.compact.split(".")
         for pos in range(len(payload)):
             replacement = rng.choice(B64URL_ALPHABET)
             while replacement == payload[pos]:
@@ -180,7 +180,7 @@ def test_criterion_2_tampering_never_verifies_against_a_warm_signature_memo():
 
     def present(token, now):
         return authenticate(
-            CH_CE_SUBMIT, pol, decode_token(token), compiled=compiled, trust=trust,
+            CH_CE_SUBMIT, pol, token, compiled=compiled, trust=trust,
             expected_audience="ce-1", now=now,
         )
 
@@ -192,8 +192,8 @@ def test_criterion_2_tampering_never_verifies_against_a_warm_signature_memo():
             key, issuer, f"s{i}", ("compute.create",), "ce-1", 600, 1000 + i, jti=f"{i:04x}"
         )
         present(token, 1000 + i)
-        assert decode_token(token).compact in compiled.sessions
-        head, payload, sig = token.split(".")
+        assert token.compact in compiled.sessions
+        head, payload, sig = token.compact.split(".")
         for pos in range(len(payload)):
             replacement = rng.choice(B64URL_ALPHABET)
             while replacement == payload[pos]:
@@ -201,7 +201,7 @@ def test_criterion_2_tampering_never_verifies_against_a_warm_signature_memo():
             mutant = f"{head}.{payload[:pos]}{replacement}{payload[pos + 1:]}.{sig}"
             mutants += 1
             try:
-                present(mutant, 1000 + i)
+                present(decode_token(mutant), 1000 + i)
             except errors.TokenPoolError as exc:
                 rejected[exc.reason] += 1
             else:

@@ -52,6 +52,8 @@ from tokenpool.simnet import (
     TRACE_PILOT,
     TRACE_PLAN,
     TRACE_POOL,
+    FaultBoard,
+    FaultKind,
     Trace,
 )
 from tokenpool.tokens import DEFAULT_SKEW, KeyStatus, revoke_key
@@ -347,6 +349,25 @@ def test_dropped_advertisements_do_not_stop_the_schedule():
     assert successes(w, CH_ADVERTISE) == []
 
 
+def test_a_world_with_no_drop_fault_never_looks_one_up(monkeypatch):
+    # Every message asks whether it is lost, but the board is asked for a
+    # drop fault only when one was injected.
+    asked = []
+    active = FaultBoard.active
+
+    def recording(board, kind, target, t):
+        asked.append((kind, target))
+        return active(board, kind, target, t)
+
+    monkeypatch.setattr(FaultBoard, "active", recording)
+    run_doc()
+    assert asked and all(kind is not FaultKind.MESSAGE_DROP for kind, _ in asked)
+    asked.clear()
+    w = run_doc(faults=[{"kind": "MESSAGE_DROP", "target": "SCHEDD->COLLECTOR", "rate": 0.0}])
+    assert (FaultKind.MESSAGE_DROP, CH_ADVERTISE) in asked and (FaultKind.MESSAGE_DROP, CH_JOIN) in asked
+    assert pick(records(w), CH_ADVERTISE, outcome="DROP") == []
+
+
 def test_unknown_fault_target_rejected_at_world_start():
     # Rejected as the scenario is parsed, before any World is built.
     with pytest.raises(ScenarioError, match="CE_TOKEN_MISCONFIG target 'ce-ghost' names no gateway"):
@@ -498,9 +519,7 @@ def test_malformed_token_is_recorded_each_time_and_never_remembered():
         jti="0", scope=("compute.create",),
     )
     secret = w.keyring.active_secret(kid)
-    scoped = jose.decode_token(
-        jose.encode_token(jose.TokenHeader(jose.IDTOKEN_ALG, kid), claims, secret)
-    )
+    scoped = jose.encode_token(jose.TokenHeader(jose.IDTOKEN_ALG, kid), claims, secret)
     remembered = dict(w.policy.sessions)
     for _ in range(2):
         with pytest.raises(MalformedToken):
@@ -516,10 +535,10 @@ def test_malformed_token_is_recorded_each_time_and_never_remembered():
 def _session_memo(monkeypatch):
     keyring = tokens.SymmetricKeyring.from_secrets({"k": b"k" * 32})
     keys = [
-        jose.decode_token(tokens.mint_idtoken(keyring, "k", f"condor@{i}", (), 600, 0))
+        tokens.mint_idtoken(keyring, "k", f"condor@{i}", (), 600, 0)
         for i in range(7)
     ]
-    bad = jose.decode_token(tokens.mint_idtoken(keyring, "k", "stranger", (), 600, 0))
+    bad = tokens.mint_idtoken(keyring, "k", "stranger", (), 600, 0)
     compiled = policy.CompiledPolicy(policy.default_table())
     compiled.sessions = tokens.Sessions(keyring)
     pol = compiled.channels[CH_JOIN]
@@ -1621,20 +1640,14 @@ def test_refusals_are_written_and_methods_negotiated_in_one_place():
     assert kind_tests == {"policy.credential_method", "policy.authenticate"}
 
 
-def test_tokens_are_parsed_only_where_they_are_minted():
-    # Each holder keeps the parsed token it was minted, so the session table
-    # is the one cache between a credential and its verdict; besides the
-    # three mints, only the CLI parses, the tokens it is handed as text.
+def test_only_the_cli_parses_tokens():
+    # A mint returns the token it signed, already parsed, and each holder
+    # keeps it, so the session table is the one cache between a credential
+    # and its verdict; only the CLI parses, the tokens it is handed as text.
     parsers = set()
     for path in sorted(Path(tokens.__file__).parent.glob("*.py")):
         parsers |= {f"{path.stem}.{c}" for c in _callers(ast.parse(path.read_text()), "decode_token")}
-    assert parsers == {
-        "actors.World.mint_daemon_idtoken",
-        "actors.World.mint_startd_token",
-        "actors.TokenIssuer.fetch_capability",
-        "cli.cmd_token_inspect",
-        "cli.cmd_token_verify",
-    }
+    assert parsers == {"cli.cmd_token_inspect", "cli.cmd_token_verify"}
     tree = ast.parse(Path(tokens.__file__).read_text())
     classes = {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
     assert "Memo" not in classes and "Sessions" in classes

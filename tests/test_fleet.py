@@ -74,11 +74,11 @@ FLEET_DIGESTS = {
 
 @pytest.fixture(scope="module")
 def fleet_runs():
-    """Each cell run once: its digest, whether the tokens it parsed are the
-    tokens it minted, in mint order, and how many it minted."""
+    """Each cell run once: its digest, whether it parsed no token at all,
+    and how many tokens it minted."""
     runs = {}
     parses: list[str] = []
-    mints: list[str] = []
+    mints: list[jose.Token] = []
     decode, encode = jose.decode_token, jose.encode_token
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(jose, "decode_token", lambda compact: parses.append(compact) or decode(compact))
@@ -88,7 +88,7 @@ def fleet_runs():
             mints.clear()
             scenario = fleet(load_scenario(SCENARIO_DIR / f"{name}.yaml"), k)
             _check(scenario)
-            runs[name, k] = (run_scenario(scenario).digest, parses == mints, len(mints))
+            runs[name, k] = (run_scenario(scenario).digest, parses == [], len(mints))
     return runs
 
 
@@ -126,7 +126,8 @@ def test_fleet_digest_is_pinned(fleet_runs, cell):
 
 @pytest.mark.parametrize("name", ["rollout-2022", "rollout-2022-tokenonly"])
 def test_each_token_presented_at_fleet_x4_is_parsed_once(fleet_runs, name):
-    # More than 4,096 live pilots, and each token is parsed once, where it
-    # is minted: its holder keeps the parse, so no keepalive parses again.
-    _, parsed_as_minted, minted = fleet_runs[name, 4]
-    assert parsed_as_minted and minted > 4096
+    # More than 4,096 live pilots, and no token is parsed at all: each mint
+    # returns its token parsed, and its holder keeps it, so no keepalive
+    # parses again.
+    _, parsed_none, minted = fleet_runs[name, 4]
+    assert parsed_none and minted > 4096

@@ -19,7 +19,7 @@ from tokenpool.errors import (
     UnmappedIdentity,
     UntrustedCA,
 )
-from tokenpool.jose import Token, decode_token
+from tokenpool.jose import Token
 from tokenpool.policy import (
     _ALL_LEVELS,
     _LEVELS_NAMED,
@@ -235,8 +235,6 @@ def table():
 
 
 def auth(table, channel, credential, compiled=None, **kw):
-    if isinstance(credential, str):
-        credential = decode_token(credential)
     kw.setdefault("trusted_cas", frozenset({CA}))
     kw.setdefault("local_host", HOST)
     kw.setdefault("now", NOW)
@@ -340,8 +338,8 @@ def test_credential_method_maps_each_kind_of_credential(keyring, issuer_key):
     kinds = [
         (ProxyCredential("/DC=x/CN=Service one", NOW + 100, CA), AuthMethod.GSI_PROXY),
         (LocalFsCredential("prod-user", HOST), AuthMethod.LOCAL_FS),
-        (decode_token(idt), AuthMethod.IDTOKEN),
-        (decode_token(cap), AuthMethod.SCITOKEN),
+        (idt, AuthMethod.IDTOKEN),
+        (cap, AuthMethod.SCITOKEN),
     ]
     # One token of each algorithm: an HS256 identity, an EdDSA capability.
     assert [c.header.alg for c, _ in kinds[2:]] == ["HS256", "EdDSA"]
@@ -354,19 +352,19 @@ def test_credential_method_maps_each_kind_of_credential(keyring, issuer_key):
 def test_sessions_remember_only_mapped_subjects(table, keyring):
     compiled = CompiledPolicy(table)
     join = CH_ADVERTISE
-    stranger = decode_token(mint_idtoken(keyring, "pool-1", "stranger", (), 600, NOW))
+    stranger = mint_idtoken(keyring, "pool-1", "stranger", (), 600, NOW)
     for _ in range(2):
         with pytest.raises(UnmappedIdentity):
             auth(table, join, stranger, compiled, keyring=keyring)
     assert not compiled.sessions
-    known = decode_token(mint_idtoken(keyring, "pool-1", "condor@a", (), 600, NOW))
+    known = mint_idtoken(keyring, "pool-1", "condor@a", (), 600, NOW)
     peer = auth(table, join, known, compiled, keyring=keyring)
     assert compiled.sessions == {known.compact: peer}
 
 
 def test_unknown_limit_names_are_never_remembered(table, keyring):
     compiled = CompiledPolicy(table)
-    bad = decode_token(mint_idtoken(keyring, "pool-1", "condor@a", ("READ", "SUPERUSER"), 600, NOW))
+    bad = mint_idtoken(keyring, "pool-1", "condor@a", ("READ", "SUPERUSER"), 600, NOW)
     for _ in range(2):
         with pytest.raises(InvalidClaims, match="unknown authz limits: SUPERUSER$"):
             auth(table, CH_ADVERTISE, bad, compiled, keyring=keyring)
@@ -397,7 +395,7 @@ def test_memoised_subject_still_fails_every_check(table, keyring, trust, issuer_
     # every presentation.
     compiled = CompiledPolicy(table)
     join = CH_ADVERTISE
-    token = decode_token(mint_idtoken(keyring, "pool-1", "condor@a", (), 600, NOW))
+    token = mint_idtoken(keyring, "pool-1", "condor@a", (), 600, NOW)
     auth(table, join, token, compiled, keyring=keyring)
     assert token.compact in compiled.sessions
     with pytest.raises(Expired):
@@ -410,9 +408,7 @@ def test_memoised_subject_still_fails_every_check(table, keyring, trust, issuer_
         auth(table, join, token, compiled, keyring=revoke_key(keyring, "pool-1"))
 
     ce = CH_CE_SUBMIT
-    cap = decode_token(
-        mint_scitoken(issuer_key, ISSUER, "pilot-ops", (JOB_SUBMIT_SCOPE,), "ce-1", 600, NOW)
-    )
+    cap = mint_scitoken(issuer_key, ISSUER, "pilot-ops", (JOB_SUBMIT_SCOPE,), "ce-1", 600, NOW)
     auth(table, ce, cap, compiled, trust=trust, expected_audience="ce-1")
     assert cap.compact in compiled.sessions
     with pytest.raises(AudienceMismatch):
@@ -526,7 +522,7 @@ def presented_credentials(keyring, issuer_key):
         ("ghost", JOB_SUBMIT_SCOPE, "ce-1", NOW),
     ):
         out.append(mint_scitoken(issuer_key, ISSUER, subject, (scope,), aud, 600, iat))
-    return [decode_token(c) if isinstance(c, str) else c for c in out]
+    return out
 
 
 def outcome(present):

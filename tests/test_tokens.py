@@ -111,7 +111,7 @@ def test_idtoken_round_trip(keyring):
     token = mint_idtoken(
         keyring, "k1", "schedd@host", ("ADVERTISE", "READ"), 600, NOW, jti="j1"
     )
-    parsed = decode_token(token)
+    parsed = decode_token(token.compact)
     got = verify_idtoken(parsed, keyring, NOW + 10)
     assert got.subject == "schedd@host"
     assert got.authz_limits == frozenset({"ADVERTISE", "READ"})
@@ -121,14 +121,14 @@ def test_idtoken_round_trip(keyring):
 
 def test_idtoken_empty_limits_means_unlimited(keyring):
     token = mint_idtoken(keyring, "k1", "admin@x", (), 600, NOW)
-    got = verify_idtoken(decode_token(token), keyring, NOW)
+    got = verify_idtoken(token, keyring, NOW)
     assert got.authz_limits == frozenset()
 
 
 def test_idtoken_default_jti_is_random(keyring):
     a = mint_idtoken(keyring, "k1", "s", (), 600, NOW)
     b = mint_idtoken(keyring, "k1", "s", (), 600, NOW)
-    claims_a, claims_b = decode_token(a).claims, decode_token(b).claims
+    claims_a, claims_b = a.claims, b.claims
     assert claims_a.jti and claims_b.jti and claims_a.jti != claims_b.jti
 
 
@@ -136,26 +136,26 @@ def test_idtoken_wrong_secret_fails(keyring):
     token = mint_idtoken(keyring, "k1", "s", (), 600, NOW)
     other = SymmetricKeyring.from_secrets({"k1": b"z" * 32})
     with pytest.raises(SignatureInvalid):
-        verify_idtoken(decode_token(token), other, NOW)
+        verify_idtoken(token, other, NOW)
 
 
 def test_idtoken_unknown_kid_fails(keyring):
     token = mint_idtoken(keyring, "k1", "s", (), 600, NOW)
     small = SymmetricKeyring.from_secrets({"k2": b"b" * 32})
     with pytest.raises(UnknownKey):
-        verify_idtoken(decode_token(token), small, NOW)
+        verify_idtoken(token, small, NOW)
 
 
 def test_idtoken_revoked_key_beats_valid_signature(keyring):
     token = mint_idtoken(keyring, "k1", "s", (), 600, NOW)
     revoked = revoke_key(keyring, "k1")
     with pytest.raises(KeyRevoked):
-        verify_idtoken(decode_token(token), revoked, NOW)
+        verify_idtoken(token, revoked, NOW)
 
 
 def test_idtoken_payload_tamper_fails(keyring):
     token = mint_idtoken(keyring, "k1", "s", (), 600, NOW)
-    head, claims_seg, sig = token.split(".")
+    head, claims_seg, sig = token.compact.split(".")
     pos = 5
     flipped = "A" if claims_seg[pos] != "A" else "B"
     tampered = f"{head}.{claims_seg[:pos]}{flipped}{claims_seg[pos + 1:]}.{sig}"
@@ -165,18 +165,18 @@ def test_idtoken_payload_tamper_fails(keyring):
 
 def test_idtoken_expiry_window_with_skew(keyring):
     token = mint_idtoken(keyring, "k1", "s", (), 600, NOW)
-    verify_idtoken(decode_token(token), keyring, NOW + 600 + tokens.DEFAULT_SKEW)  # boundary ok
+    verify_idtoken(token, keyring, NOW + 600 + tokens.DEFAULT_SKEW)  # boundary ok
     with pytest.raises(Expired):
-        verify_idtoken(decode_token(token), keyring, NOW + 600 + tokens.DEFAULT_SKEW + 1)
-    verify_idtoken(decode_token(token), keyring, NOW - tokens.DEFAULT_SKEW)  # boundary ok
+        verify_idtoken(token, keyring, NOW + 600 + tokens.DEFAULT_SKEW + 1)
+    verify_idtoken(token, keyring, NOW - tokens.DEFAULT_SKEW)  # boundary ok
     with pytest.raises(NotYetValid):
-        verify_idtoken(decode_token(token), keyring, NOW - tokens.DEFAULT_SKEW - 1)
+        verify_idtoken(token, keyring, NOW - tokens.DEFAULT_SKEW - 1)
 
 
 def test_idtoken_rejects_foreign_algorithms(keyring, issuer_key):
     cap = mint_scitoken(issuer_key, ISSUER, "s", ("x",), "aud", 600, NOW)
     with pytest.raises(SignatureInvalid):
-        verify_idtoken(decode_token(cap), keyring, NOW)
+        verify_idtoken(cap, keyring, NOW)
 
 
 def test_idtoken_rejects_capability_claims_under_hs256(keyring):
@@ -184,21 +184,21 @@ def test_idtoken_rejects_capability_claims_under_hs256(keyring):
     claims = TokenClaims(sub="s", aud="a", iat=NOW, exp=NOW + 60, jti="j", scope=("x",))
     forged = jose.encode_token(TokenHeader("HS256", "k1"), claims, b"a" * 32)
     with pytest.raises(MalformedToken):
-        verify_idtoken(decode_token(forged), keyring, NOW)
+        verify_idtoken(forged, keyring, NOW)
 
 
 def test_idtoken_rejects_unexpected_typ(keyring):
     claims = TokenClaims(sub="s", iat=NOW, exp=NOW + 60, jti="j")
     odd = jose.encode_token(TokenHeader("HS256", "k1", typ="JOSE"), claims, b"a" * 32)
     with pytest.raises(MalformedToken):
-        verify_idtoken(decode_token(odd), keyring, NOW)
+        verify_idtoken(odd, keyring, NOW)
 
 
 def test_idtoken_check_order_signature_before_window(keyring):
     # An expired token with a broken signature reports the signature first:
     # time claims are attacker-controlled until the signature holds.
     token = mint_idtoken(keyring, "k1", "s", (), 600, NOW)
-    head, claims_seg, _ = token.split(".")
+    head, claims_seg, _ = token.compact.split(".")
     bad_sig = jose.b64url_encode(b"\x01" * 32)
     with pytest.raises(SignatureInvalid):
         verify_idtoken(decode_token(f"{head}.{claims_seg}.{bad_sig}"), keyring, NOW + 10_000)
@@ -233,7 +233,7 @@ def test_scitoken_round_trip(issuer_key, trust):
         issuer_key, ISSUER, "pilot-ops", ("compute.create", "compute.read"),
         "ce-1", 1200, NOW, jti="c1",
     )
-    parsed = decode_token(token)
+    parsed = decode_token(token.compact)
     got = verify_scitoken(parsed, trust, "ce-1", ("compute.create",), NOW + 5)
     assert got.subject == "pilot-ops"
     assert got.granted_scopes == frozenset({"compute.create", "compute.read"})
@@ -245,14 +245,14 @@ def test_scitoken_round_trip(issuer_key, trust):
 def test_scitoken_untrusted_issuer(issuer_key, trust):
     token = mint_scitoken(issuer_key, "https://evil.test", "s", ("x",), "ce-1", 600, NOW)
     with pytest.raises(UntrustedIssuer):
-        verify_scitoken(decode_token(token), trust, "ce-1", (), NOW)
+        verify_scitoken(token, trust, "ce-1", (), NOW)
 
 
 def test_scitoken_unknown_issuer_kid(issuer_key, trust):
     rogue = IssuerKey.generate("op-9", seed=b"\x44" * 32)
     token = mint_scitoken(rogue, ISSUER, "s", ("x",), "ce-1", 600, NOW)
     with pytest.raises(UnknownKey):
-        verify_scitoken(decode_token(token), trust, "ce-1", (), NOW)
+        verify_scitoken(token, trust, "ce-1", (), NOW)
 
 
 def test_scitoken_signature_mismatch(trust):
@@ -260,45 +260,45 @@ def test_scitoken_signature_mismatch(trust):
     imposter = IssuerKey.generate("op-1", seed=b"\x55" * 32)
     token = mint_scitoken(imposter, ISSUER, "s", ("x",), "ce-1", 600, NOW)
     with pytest.raises(SignatureInvalid):
-        verify_scitoken(decode_token(token), trust, "ce-1", (), NOW)
+        verify_scitoken(token, trust, "ce-1", (), NOW)
 
 
 def test_scitoken_audience_must_match(issuer_key, trust):
     token = mint_scitoken(issuer_key, ISSUER, "s", ("x",), "ce-1", 600, NOW)
     with pytest.raises(AudienceMismatch):
-        verify_scitoken(decode_token(token), trust, "ce-2", (), NOW)
+        verify_scitoken(token, trust, "ce-2", (), NOW)
 
 
 def test_scitoken_issuer_audience_allowlist(issuer_key):
     restricted = TrustDirectory.single_issuer(ISSUER, issuer_key, audiences=("ce-a",))
     ok = mint_scitoken(issuer_key, ISSUER, "s", ("x",), "ce-a", 600, NOW)
-    verify_scitoken(decode_token(ok), restricted, "ce-a", (), NOW)
+    verify_scitoken(ok, restricted, "ce-a", (), NOW)
     off_list = mint_scitoken(issuer_key, ISSUER, "s", ("x",), "ce-b", 600, NOW)
     with pytest.raises(AudienceMismatch):
-        verify_scitoken(decode_token(off_list), restricted, "ce-b", (), NOW)
+        verify_scitoken(off_list, restricted, "ce-b", (), NOW)
 
 
 def test_scitoken_scope_coverage(issuer_key, trust):
     token = mint_scitoken(issuer_key, ISSUER, "s", ("compute.create",), "ce-1", 600, NOW)
-    verify_scitoken(decode_token(token), trust, "ce-1", ("compute.create",), NOW)
+    verify_scitoken(token, trust, "ce-1", ("compute.create",), NOW)
     with pytest.raises(InsufficientScope):
         verify_scitoken(
-            decode_token(token), trust, "ce-1", ("compute.create", "compute.cancel"), NOW
+            token, trust, "ce-1", ("compute.create", "compute.cancel"), NOW
         )
 
 
 def test_scitoken_expiry(issuer_key, trust):
     token = mint_scitoken(issuer_key, ISSUER, "s", ("x",), "ce-1", 600, NOW)
     with pytest.raises(Expired):
-        verify_scitoken(decode_token(token), trust, "ce-1", (), NOW + 600 + tokens.DEFAULT_SKEW + 1)
+        verify_scitoken(token, trust, "ce-1", (), NOW + 600 + tokens.DEFAULT_SKEW + 1)
     with pytest.raises(NotYetValid):
-        verify_scitoken(decode_token(token), trust, "ce-1", (), NOW - tokens.DEFAULT_SKEW - 1)
+        verify_scitoken(token, trust, "ce-1", (), NOW - tokens.DEFAULT_SKEW - 1)
 
 
 def test_scitoken_rejects_hs256_identity_token(keyring, trust):
     idt = mint_idtoken(keyring, "k1", "s", (), 600, NOW)
     with pytest.raises(SignatureInvalid):
-        verify_scitoken(decode_token(idt), trust, "ce-1", (), NOW)
+        verify_scitoken(idt, trust, "ce-1", (), NOW)
 
 
 def test_scitoken_requires_issuer_claim(issuer_key, trust):
@@ -307,7 +307,7 @@ def test_scitoken_requires_issuer_claim(issuer_key, trust):
         TokenHeader("EdDSA", issuer_key.kid), claims, issuer_key.private_key
     )
     with pytest.raises(MalformedToken):
-        verify_scitoken(decode_token(token), trust, "ce-1", (), NOW)
+        verify_scitoken(token, trust, "ce-1", (), NOW)
 
 
 # -- sessions -------------------------------------------------------------
@@ -365,11 +365,11 @@ def _with_flipped_signature_byte(token: str) -> str:
 
 @pytest.fixture
 def warm(issuer_key, trust, compiled):
-    """A capability token with a session in ``compiled``."""
+    """The wire form of a capability token with a session in ``compiled``."""
     token = mint_scitoken(issuer_key, ISSUER, "s", ("compute.create",), "ce-1", 600, NOW)
-    present(compiled, decode_token(token), trust=trust, scopes=("compute.create",))
-    assert decode_token(token).compact in compiled.sessions
-    return token
+    present(compiled, token, trust=trust, scopes=("compute.create",))
+    assert token.compact in compiled.sessions
+    return token.compact
 
 
 @pytest.mark.parametrize(
@@ -463,11 +463,11 @@ def hs256_macs(monkeypatch):
 
 @pytest.fixture
 def warm_id(keyring, compiled):
-    """An identity token under k1 with a session in ``compiled``."""
+    """The wire form of an identity token under k1 with a session in ``compiled``."""
     token = mint_idtoken(keyring, "k1", "s", ("ADVERTISE",), 600, NOW, jti="w1")
-    present(compiled, decode_token(token), keyring=keyring)
-    assert decode_token(token).compact in compiled.sessions
-    return token
+    present(compiled, token, keyring=keyring)
+    assert token.compact in compiled.sessions
+    return token.compact
 
 
 def _with_payload_of_another_token(token: str) -> str:
@@ -476,7 +476,7 @@ def _with_payload_of_another_token(token: str) -> str:
     keyring = SymmetricKeyring.from_secrets({"k1": b"a" * 32})
     other = mint_idtoken(keyring, "k1", "mallory", ("ADVERTISE",), 600, NOW, jti="w2")
     head, _, mac = token.split(".")
-    return f"{head}.{other.split('.')[1]}.{mac}"
+    return f"{head}.{other.compact.split('.')[1]}.{mac}"
 
 
 @pytest.mark.parametrize(
@@ -509,7 +509,7 @@ def test_remembered_mac_is_tied_to_the_key_not_its_name(now_bound_to, error):
     # before it had verified is refused.
     entries = {"k1": SymmetricKey(b"a" * 32)}
     keyring = SymmetricKeyring(entries)
-    token = decode_token(mint_idtoken(keyring, "k1", "s", (), 600, NOW))
+    token = mint_idtoken(keyring, "k1", "s", (), 600, NOW)
     verify_idtoken(token, keyring, NOW)
     rebound = SymmetricKeyring({**entries, "k1": now_bound_to})
     with pytest.raises(error):
@@ -537,8 +537,8 @@ def test_sessions_and_verification_agree_after_the_callers_mappings_change(
     issuers, audiences = {ISSUER: keys}, {ISSUER: ("ce-1",)}
     keyring, trust = SymmetricKeyring(entries), TrustDirectory(issuers, audiences)
     scopes = ("compute.create",)
-    id_token = decode_token(mint_idtoken(keyring, "k1", "s", (), 600, NOW))
-    cap = decode_token(mint_scitoken(issuer_key, ISSUER, "s", scopes, "ce-1", 600, NOW))
+    id_token = mint_idtoken(keyring, "k1", "s", (), 600, NOW)
+    cap = mint_scitoken(issuer_key, ISSUER, "s", scopes, "ce-1", 600, NOW)
     present(compiled, id_token, keyring=keyring, trust=trust)
     present(compiled, cap, keyring=keyring, trust=trust, scopes=scopes)
     assert compiled.sessions.keys() == {id_token.compact, cap.compact}
@@ -576,7 +576,7 @@ def test_only_matching_macs_are_remembered(warm_id, compiled, keyring, hs256_mac
 def test_rotated_or_revoked_keyring_checks_each_mac_again(compiled, keyring, hs256_macs):
     # A keyring made by revoke_key or rotate_key has no sessions: the table
     # starts over, and the token's MAC is computed once under each.
-    token = decode_token(mint_idtoken(keyring, "k2", "s", (), 600, NOW))
+    token = mint_idtoken(keyring, "k2", "s", (), 600, NOW)
     for _ in range(2):
         present(compiled, token, keyring=keyring)
     assert len(hs256_macs) == 2  # the mint, then one verification
@@ -593,14 +593,14 @@ def test_sessions_with_equal_verdicts_share_one_peer(compiled, keyring, issuer_k
     # tokens with other scopes get their own; dropping one token's session
     # leaves the other's; a new keyring starts a table that shares nothing.
     startd = [
-        decode_token(mint_idtoken(keyring, "k1", "startd@wn-1", ("ADVERTISE",), 600, NOW, jti=jti))
+        mint_idtoken(keyring, "k1", "startd@wn-1", ("ADVERTISE",), 600, NOW, jti=jti)
         for jti in ("s1", "s2")
     ]
     peers = [present(compiled, token, keyring=keyring, trust=trust) for token in startd]
     assert peers[0] is peers[1]
     assert compiled.sessions[startd[0].compact] is compiled.sessions[startd[1].compact] is peers[0]
     caps = [
-        decode_token(mint_scitoken(issuer_key, ISSUER, "s", scopes, "ce-1", 600, NOW))
+        mint_scitoken(issuer_key, ISSUER, "s", scopes, "ce-1", 600, NOW)
         for scopes in (("compute.create",), ("compute.create", "compute.read"))
     ]
     cap_peers = [
