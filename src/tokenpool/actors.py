@@ -177,9 +177,17 @@ class World:
         )
         self.trust = TrustDirectory.single_issuer(scenario.issuer.url, self.issuer_key)
         self.trusted_cas = frozenset({self.CA})
+        #: The proxy every factory submits pilots with, and the one pilots
+        #: present to the collector when it takes no token from them.
+        self.pilot_proxy = ProxyCredential(
+            "/DC=org/DC=cilogon/C=US/O=CMS/CN=Pilot/cms", 10**9, self.CA
+        )
 
         self.base_table = default_table()
         self.policy: CompiledPolicy  # compiled by set_phase, which start() calls first
+        #: What pilots present to the collector in place of their token, set
+        #: by set_phase: None while ``CH_JOIN`` takes IDTOKEN, else ``pilot_proxy``.
+        self.join_proxy: ProxyCredential | None
 
         #: The 64-bit draws behind every jti handed out, by authority, less
         #: the draws given back (``give_back_draw``) because no token took them.
@@ -371,6 +379,8 @@ class World:
 
     def set_phase(self, phase: MigrationPhase) -> None:
         self.policy = CompiledPolicy(apply_phase(self.base_table, phase))
+        join_methods = self.policy.channels[CH_JOIN].methods
+        self.join_proxy = None if AuthMethod.IDTOKEN in join_methods else self.pilot_proxy
         self.trace.record(
             self.engine.now, TRACE_PLAN, "PHASE", detail=f"phase={phase._value_}"
         )
@@ -389,12 +399,7 @@ class World:
         pid = f"pilot-{self._pilot_seq:05d}"
         self._pilot_seq += 1
         pilot = Pilot(id=pid, ce_id=ce.id, state=PilotState.REQUESTED, world=ce.world)
-        self.trace.record(
-            self.engine.now,
-            TRACE_PILOT,
-            PilotState.REQUESTED._value_,
-            detail=f"pilot={pid} ce={ce.id}",
-        )
+        self.pilot_record(pilot, PilotState.REQUESTED._value_)
         return pilot
 
     def set_pilot_state(self, pilot: Pilot, state: PilotState) -> None:
@@ -411,12 +416,17 @@ class World:
         """Set the state and write its PILOT record, headed ``outcome`` if
         given, else the state's name."""
         self.set_pilot_state(pilot, state)
-        self.trace.record(
-            self.engine.now,
-            TRACE_PILOT,
-            outcome or state._value_,
-            detail=_join_detail(f"pilot={pilot.id} ce={pilot.ce_id}", extra),
-        )
+        self.pilot_record(pilot, outcome or state._value_, extra)
+
+    def pilot_record(self, pilot: Pilot, outcome: str, extra: str = "") -> None:
+        """The one writer of PILOT records; it leaves the pilot's state as it is."""
+        detail = _join_detail(f"pilot={pilot.id} ce={pilot.ce_id}", extra)
+        self.trace.record(self.engine.now, TRACE_PILOT, outcome, detail=detail)
+
+    def job_record(self, outcome: str, job: Job, pilot: Pilot) -> None:
+        """The one writer of the JOB records that name a job and its pilot."""
+        detail = f"job={job.id} pilot={pilot.id}"
+        self.trace.record(self.engine.now, TRACE_JOB, outcome, detail=detail)
 
     def end_pilot(
         self, pilot: Pilot, state: PilotState, extra: str = "", outcome: str = ""
@@ -435,12 +445,7 @@ class World:
         if job is not None:
             pilot.job = None
             heapq.heappush(self.idle_jobs, job)
-            self.trace.record(
-                self.engine.now,
-                TRACE_JOB,
-                "REQUEUE",
-                detail=f"job={job.id} pilot={pilot.id}",
-            )
+            self.job_record("REQUEUE", job, pilot)
         self.pilot_event(pilot, state, extra, outcome)
 
     def fail_pilot(self, pilot: Pilot, reason: str) -> None:
@@ -598,11 +603,12 @@ class Collector:
         if pilot.state is not PilotState.STARTED:
             return
         detail = f"pilot={pilot.id} join=1"
-        if w.dropped(CH_JOIN, pilot.token, detail):
+        credential = w.join_proxy or pilot.token
+        if w.dropped(CH_JOIN, credential, detail):
             w.engine.schedule(w.scenario.pilots.keepalive, pilot.join)
             return
         try:
-            w.authenticate_on(CH_JOIN, pilot.token, detail=detail)
+            w.authenticate_on(CH_JOIN, credential, detail=detail)
         except TokenPoolError as exc:
             w.fail_pilot(pilot, exc.reason)
             return
@@ -617,9 +623,10 @@ class Collector:
         if pilot.state not in (PilotState.JOINED, PilotState.MATCHED):
             return
         detail = f"pilot={pilot.id} keepalive=1"
-        if not w.dropped(CH_JOIN, pilot.token, detail):
+        credential = w.join_proxy or pilot.token
+        if not w.dropped(CH_JOIN, credential, detail):
             try:
-                w.authenticate_on(CH_JOIN, pilot.token, detail=detail)
+                w.authenticate_on(CH_JOIN, credential, detail=detail)
             except TokenPoolError as exc:
                 self.evict(pilot, exc.reason)
                 return
@@ -650,9 +657,7 @@ class Collector:
             job = heapq.heappop(w.idle_jobs)
             w.set_pilot_state(pilot, PilotState.MATCHED)
             pilot.job = job
-            w.trace.record(
-                now, TRACE_JOB, "MATCH", detail=f"job={job.id} pilot={pilot.id}"
-            )
+            w.job_record("MATCH", job, pilot)
             w.engine.schedule(job.duration, pilot.job_done)
         joined = len(idle_pilots) - matched
         w.trace.record(
@@ -671,9 +676,7 @@ class Collector:
             return
         w = self.world
         pilot.job = None
-        w.trace.record(
-            w.engine.now, TRACE_JOB, "DONE", detail=f"job={job.id} pilot={pilot.id}"
-        )
+        w.job_record("DONE", job, pilot)
         w.end_pilot(pilot, PilotState.RETIRED, f"job={job.id}")
 
 
@@ -771,9 +774,6 @@ class Factory:
         self.token_capable = spec.token_capable
         #: The gateways it submits to: its spec's, or every one if that names none.
         self.entries = spec.entries or tuple(world.ces)
-        self.pilot_proxy = ProxyCredential(
-            "/DC=org/DC=cilogon/C=US/O=CMS/CN=Pilot/cms", 10**9, World.CA
-        )
 
     def handle_request(self, frontend_credential: Credential, ce: "CEGateway", count: int) -> None:
         w = self.world
@@ -812,7 +812,7 @@ class Factory:
             if token is not None:
                 out.append(token)
         if AuthMethod.GSI_PROXY in methods:
-            out.append(self.pilot_proxy)
+            out.append(w.pilot_proxy)
         return out
 
     def submit_one(self, ce: "CEGateway") -> Pilot:

@@ -22,7 +22,6 @@ from pathlib import Path
 from typing import BinaryIO, Callable, Mapping
 
 from .actors import build_world
-from .errors import SimulationError
 from .policy import LEGACY_METHODS, PHASE_PERMITS, AuthMethod, MigrationPhase, default_channels
 from .scenario import Scenario, load_scenario
 from .simnet import (
@@ -47,13 +46,6 @@ _AUTH_CHANNELS = frozenset(default_channels())
 _METHOD_VALUES = frozenset(m.value for m in AuthMethod)
 _PERMITTED = {
     phase.value: frozenset(m.value for m in methods) for phase, methods in PHASE_PERMITS.items()
-}
-#: (channel, outcome) of the non-auth heads whose facts are read record by
-#: record, and the ``_Pass`` method each such record is fed to.
-_STEPPED = {
-    (TRACE_PILOT, "JOINED"): "_joined", (TRACE_PILOT, "EVICT"): "_evict",
-    (TRACE_POOL, "SAMPLE"): "_sample", (TRACE_JOB, "QUEUED"): "_queued",
-    (TRACE_PLAN, "PHASE"): "_phase", (TRACE_FAULT, "ACTIVATE"): "_activate",
 }
 
 
@@ -103,8 +95,8 @@ class _Pass:
     """The fold of a run's trace: fed each record as it is written, it keeps
     what every report fact needs, in buffers that follow the pool, not the run.
 
-    Record times must never decrease (a record that goes back is refused),
-    so an instant is settled when a later one starts.  A PHASE record at t
+    The trace refuses a record that goes back in time and calls
+    ``close_instant`` when a later instant starts.  A PHASE record at t
     governs every auth attempt at t, and the drill counts every eviction and
     join at the compromise instant, whichever was written first; so both
     wait for the current instant to end.  The drill keeps two buffers, the
@@ -115,7 +107,6 @@ class _Pass:
     def __init__(self, scenario: Scenario) -> None:
         self.scenario = scenario
         self.tail_start = scenario.horizon * (1.0 - TAIL_FRACTION)
-        self.instant: int | None = None
         self.timeline: list[dict] = []  # {"t", "phase"}, as the report states them
         self.violations: list[str] = []
         self.attempts: list[tuple[int, Head]] = []  # auth attempts not yet judged
@@ -130,23 +121,10 @@ class _Pass:
         channel, _, method, outcome = head
         if channel in _AUTH_CHANNELS:
             return partial(self._attempt, head) if method in _METHOD_VALUES else None
-        name = _STEPPED.get((channel, outcome))
-        return None if name is None else partial(self._feed, getattr(self, name))
+        step = _STEPPED.get((channel, outcome))
+        return None if step is None else partial(step, self)
 
-    def _advance(self, t: int) -> None:
-        """Close the current instant, as a record at ``t`` ends it."""
-        if self.instant is not None and t < self.instant:
-            raise SimulationError(f"trace record at t={t} written after one at t={self.instant}")
-        self._close()
-        self.instant = t
-
-    def _feed(self, step: Callable[[int, str], None], t: int, detail: str) -> None:
-        """Hand a record to its step, closing the current instant if it ends."""
-        if t != self.instant:
-            self._advance(t)
-        step(t, detail)
-
-    def _close(self) -> None:
+    def close_instant(self) -> None:
         """Judge the instant's attempts (or keep them until the first PHASE
         record) and, until a compromise, empty the drill's buffers."""
         if self.timeline:
@@ -164,10 +142,7 @@ class _Pass:
             del self.joins[:]
 
     def _attempt(self, head: Head, t: int, detail: str) -> None:
-        """Keep an auth attempt for judging when its instant ends; fed
-        directly, not through ``_feed``, so it closes the instant itself."""
-        if t != self.instant:
-            self._advance(t)
+        """Keep an auth attempt for judging when its instant ends."""
         self.attempts.append((t, head))
 
     def _phase(self, t: int, detail: str) -> None:
@@ -197,7 +172,7 @@ class _Pass:
     def finish(self, trace: Trace) -> dict:
         """The report model of the whole trace, ``pool.tail_fraction``
         unrounded; ``trace`` gives the digest and each head's record count."""
-        self._close()
+        self.close_instant()
         auth_success: Counter[str] = Counter()
         auth_failures: Counter[str] = Counter()
         legacy: Counter[str] = Counter()
@@ -270,6 +245,15 @@ class _Pass:
             "bound": bound,
             "within_bound": recovery_time is not None and recovery_time <= bound,
         }
+
+
+#: (channel, outcome) of the non-auth heads whose facts are read record by
+#: record, and the ``_Pass`` method each such record is fed to.
+_STEPPED = {
+    (TRACE_PILOT, "JOINED"): _Pass._joined, (TRACE_PILOT, "EVICT"): _Pass._evict,
+    (TRACE_POOL, "SAMPLE"): _Pass._sample, (TRACE_JOB, "QUEUED"): _Pass._queued,
+    (TRACE_PLAN, "PHASE"): _Pass._phase, (TRACE_FAULT, "ACTIVATE"): _Pass._activate,
+}
 
 
 def _sorted(counts: Mapping[str, int]) -> dict[str, int]:

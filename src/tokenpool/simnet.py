@@ -190,17 +190,24 @@ class Fold(Protocol):
     def step_for(self, head: Head) -> Callable[[int, str], None] | None:
         """What each record with ``head`` is fed to as ``(t, detail)``, if anything."""
 
+    def close_instant(self) -> None:
+        """Every record of the latest instant has been fed: a later one comes next."""
+
 
 class Trace:
     """Append-only audit log whose JSONL text defines the run digest.
 
-    Each record's line is built once, hashed into the digest, written to
-    ``out`` when given, and the record fed to ``fold``; no record is kept."""
+    A record earlier than the last is refused before it is hashed, counted
+    or written.  Each other record's line is built once, hashed into the
+    digest, written to ``out`` when given, and the record fed to ``fold``,
+    told first when a later instant starts; no record is kept."""
 
     def __init__(self, *, out: BinaryIO | None = None, fold: Fold | None = None) -> None:
         self._out = out
         self._fold = fold
         self._sha = hashlib.sha256()
+        #: The t of the last record written, None before the first.
+        self._t: int | None = None
         #: Per head, in the order first written: [the two pieces of its
         #: line around the detail, the fold's step for it, its number of
         #: records].
@@ -229,6 +236,12 @@ class Trace:
             type(channel) is type(detail) is type(identity) is type(method) is type(outcome) is str
         ):
             raise SimulationError(_mistyped(Record(channel, detail, identity, method, outcome, t)))
+        if t != self._t:
+            if self._t is not None and t < self._t:
+                raise SimulationError(f"trace record at t={t} written after one at t={self._t}")
+            self._t = t
+            if self._fold is not None:
+                self._fold.close_instant()
         head = (channel, identity, method, outcome)
         entry = self._heads.get(head)
         if entry is None:

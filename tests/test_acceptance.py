@@ -395,9 +395,15 @@ def test_criterion_7_trace_digests_are_seed_deterministic(shipped):
         assert replay.digest == run.result.digest, f"{name}: replay digest drifted"
         reseeded = run_scenario(run.scenario, seed=run.scenario.seed + 1)
         assert reseeded.digest != run.result.digest, f"{name}: digest ignores seed"
+        # No shipped scenario drops messages, so the seed moves only jtis
+        # and key bytes, which no report fact reads.
+        facts, reseeded_facts = report_dict(run.result), report_dict(reseeded)
+        for report in (facts, reseeded_facts):
+            del report["digest"], report["seed"]
+        assert reseeded_facts == facts, f"{name}: the seed leaks into the report"
     print(
         f"[criterion 7] {len(shipped)} scenarios: replay digest identical,"
-        " reseeded digest distinct"
+        " reseeded digest distinct, reseeded report the same"
     )
 
 

@@ -1318,6 +1318,41 @@ def test_capability_fetches_wait_for_a_phase_whose_gateways_take_tokens():
     assert [(r.t, r.outcome) for r in fetches] == [(120, OUTCOME_SUCCESS)]
 
 
+def test_pilots_join_with_the_pilot_proxy_while_the_collector_takes_no_token():
+    # Under GSI_ONLY the collector takes only a proxy from a pilot, so every
+    # join and keepalive presents the factories' one pilot proxy; after a
+    # step to the fallback phase the next join and keepalive present the
+    # pilot's token.
+    clients = doc()["clients"]
+    clients = clients + [{**clients[0], "id": "cmsprod-late", "jobs": 2, "submit_at": 200}]
+    times = [30] * 5 + [270] * 2 + [330] * 5 + [570] * 2  # joins, then keepalives 300 s on
+    gsi_only = run_doc(phase="GSI_ONLY", clients=clients)
+    joins = pick(records(gsi_only), CH_JOIN)
+    assert [r.t for r in joins] == times
+    assert [r.detail.split()[1] for r in joins] == ["join=1"] * 7 + ["keepalive=1"] * 7
+    assert {(r.method, r.identity, r.outcome) for r in joins} == {("GSI_PROXY", "cms-pilot", OUTCOME_SUCCESS)}
+    assert len(gsi_only.collector.members) == 7
+    w = run_doc(
+        phase="GSI_ONLY",
+        clients=clients,
+        plan=[{"at": 100, "action": "set_phase", "phase": "TOKEN_WITH_GSI_FALLBACK"}],
+    )
+    joins = pick(records(w), CH_JOIN)
+    assert [(r.t, r.method) for r in joins] == list(zip(times, ["GSI_PROXY"] * 5 + ["IDTOKEN"] * 9))
+    assert {r.outcome for r in joins} == {OUTCOME_SUCCESS}
+
+
+def test_a_pool_that_starts_in_gsi_only_fills():
+    # rollout-2022 with no token phase at all: its pilots hold an identity
+    # token the collector does not take, and join with the pilot proxy.
+    shipped = load_scenario(SCENARIO_DIR / "rollout-2022.yaml")
+    plan = tuple(step for step in shipped.plan if step.action != "set_phase")
+    report = run_scenario(dataclasses.replace(shipped, phase=MigrationPhase.GSI_ONLY, plan=plan)).report
+    assert (report["pool"]["peak"], report["pool"]["tail_fraction"]) == (1980, 1.0)
+    assert report["auth"]["failures_by_reason"] == {}
+    assert set(report["auth"]["success_by_method"]) == {"GSI_PROXY", "LOCAL_FS"}
+
+
 # -- factory gates ----------------------------------------------------------
 
 
@@ -1377,14 +1412,14 @@ def test_factory_credential_gate():
     ce = w.ces["ce-a"]
     token = w.frontend.capability_for(ce.id)
     assert token is not None
-    assert fac.credentials_for(ce) == [token, fac.pilot_proxy]
+    assert fac.credentials_for(ce) == [token, w.pilot_proxy]
 
     fac.token_capable = False
-    assert fac.credentials_for(ce) == [fac.pilot_proxy]
+    assert fac.credentials_for(ce) == [w.pilot_proxy]
     fac.token_capable = True
 
     w.frontend.scitokens.clear()
-    assert fac.credentials_for(ce) == [fac.pilot_proxy]  # no cached token yet
+    assert fac.credentials_for(ce) == [w.pilot_proxy]  # no cached token yet
 
     w.set_phase(MigrationPhase.TOKEN_ONLY)
     w.frontend.refresh_capabilities()
@@ -1640,6 +1675,24 @@ def test_refusals_are_written_and_methods_negotiated_in_one_place():
     assert kind_tests == {"policy.credential_method", "policy.authenticate"}
 
 
+def test_pilot_and_job_records_are_written_in_one_place():
+    # Each record of a pilot has one writer, which sets no state, and each
+    # JOB record naming a job and its pilot has one; only the schedd's
+    # QUEUED record, which names a client, is written elsewhere.
+    tree = ast.parse(Path(actors.__file__).read_text())
+
+    def writers(head):
+        return _calls_in(
+            tree,
+            lambda call: getattr(call.func, "attr", None) == "record"
+            and any(getattr(arg, "id", None) == head for arg in call.args),
+        )
+
+    assert writers("TRACE_PILOT") == {"World.pilot_record"}
+    assert writers("TRACE_JOB") == {"World.job_record", "Schedd.accept_jobs"}
+    assert _callers(tree, "set_pilot_state") == {"World.pilot_event", "Collector.match_tick"}
+
+
 def test_only_the_cli_parses_tokens():
     # A mint returns the token it signed, already parsed, and each holder
     # keeps it, so the session table is the one cache between a credential
@@ -1691,15 +1744,14 @@ def test_no_memo_has_a_size_cap_and_only_the_fold_clears():
         clearers |= {f"{path.stem}.{caller}" for caller in _callers(tree, "clear")}
     assert sized == set()
     # The trace fold's per-instant buffers are the only things cleared.
-    assert clearers == {"migration._Pass._close"}
+    assert clearers == {"migration._Pass.close_instant"}
 
 
 def _unused(sources):
     """``module.name`` of each module-level function, class and assignment,
     and each method, in ``sources`` (syntax trees by module name) whose name
-    no node of any of them uses: a name read, an attribute read, an import,
-    or a string that is an identifier (``migration._STEPPED`` names the
-    fold's steps as strings).  Dunder names, which Python calls, are left out."""
+    no node of any of them uses: a name read, an attribute read or an import.
+    Dunder names, which Python calls, are left out."""
     defined, used = {}, set()
     for stem, tree in sources.items():
         for node in tree.body:
@@ -1718,8 +1770,6 @@ def _unused(sources):
                 used.add(node.attr)
             elif isinstance(node, ast.alias):
                 used.add(node.name)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
-                used.add(node.value)
     return {
         qualified
         for qualified, name in defined.items()

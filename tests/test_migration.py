@@ -316,13 +316,24 @@ def test_fold_judges_an_attempt_under_a_phase_record_written_later_at_its_instan
     assert check_phase_soundness(refolded(small_result, forged)) == []
 
 
-def test_fold_refuses_an_auth_record_that_goes_back_in_time(small_result):
-    # An auth record is fed to the fold without ``_feed``: it checks the
-    # instant order itself.
-    trace = Trace(fold=_Pass(small_result.scenario))
-    trace.record(5, "FACTORY->CE", "SUCCESS", method="SCITOKEN", identity="cms-pilot")
-    with pytest.raises(SimulationError, match="t=3 written after one at t=5"):
-        trace.record(3, "STARTD->COLLECTOR", "SUCCESS", method="IDTOKEN", identity="pool-daemon")
+def test_trace_refuses_a_record_that_goes_back_in_time(small_result):
+    # Whatever the head, and with a fold or without: the refused record is
+    # not hashed, counted, written or fed, and the trace goes on at its t.
+    late_pilot = (3, "PILOT", "REQUESTED"), {"detail": "pilot=pilot-00001 ce=ce-a"}
+    late_auth = (3, "STARTD->COLLECTOR", "SUCCESS"), {"method": "IDTOKEN", "identity": "pool-daemon"}
+    for fold in (None, _Pass(small_result.scenario)):
+        out = io.BytesIO()
+        trace = Trace(out=out, fold=fold)
+        trace.record(5, "FACTORY->CE", "SUCCESS", method="SCITOKEN", identity="cms-pilot")
+        trace.record(5, "PILOT", "REQUESTED", detail="pilot=pilot-00000 ce=ce-a")
+        before = (trace.digest(), trace.head_counts(), out.getvalue())
+        for args, kwargs in (late_pilot, late_auth):
+            with pytest.raises(SimulationError, match="t=3 written after one at t=5"):
+                trace.record(*args, **kwargs)
+            assert (trace.digest(), trace.head_counts(), out.getvalue()) == before
+        assert fold is None or fold.attempts == [(5, ("FACTORY->CE", "cms-pilot", "SCITOKEN", "SUCCESS"))]
+        trace.record(5, "PILOT", "REQUESTED", detail="pilot=pilot-00001 ce=ce-a")
+        assert sum(trace.head_counts().values()) == 3
 
 
 def test_fold_judges_an_instant_an_auth_record_closes_under_the_phase_it_ended_in(small_result):

@@ -403,15 +403,18 @@ _HEAD = st.tuples(_SHORT_TEXT, _SHORT_TEXT, _SHORT_TEXT, _SHORT_TEXT)
 )
 def test_trace_gives_back_the_records_it_was_given(heads, rows):
     # 300 more heads around the given rows, which reuse heads among them.
+    # Each row is a step in time from the record before it, as a trace
+    # refuses a record earlier than the last.
     wide = []
     for k in range(300):
         channel, identity, method, outcome = heads[k % len(heads)]
         wide.append(Record(f"{channel}%{k}", "", identity, method, outcome, k))
-    given_rows = []
-    for pick, t, detail in rows:
+    given_rows, t = [], 149
+    for pick, step, detail in rows:
         channel, identity, method, outcome = heads[pick % len(heads)]
+        t += step
         given_rows.append(Record(channel, detail, identity, method, outcome, t))
-    expected = wide[:150] + given_rows + wide[150:]
+    expected = wide[:150] + given_rows + [r._replace(t=t + r.t) for r in wide[150:]]
     out = io.BytesIO()
     trace = Trace(out=out)
     for r in expected:
