@@ -431,15 +431,15 @@ class World:
     def end_pilot(
         self, pilot: Pilot, state: PilotState, extra: str = "", outcome: str = ""
     ) -> None:
-        """Every way a pilot leaves the pool: out of the collector, its slot
-        freed if it was submitted, a job it still holds requeued, then its
-        one PILOT record as ``pilot_event`` writes it.  The World forgets its
-        token and keeps no other reference to it."""
+        """Every way a pilot leaves the pool: once it left ``REQUESTED``, out
+        of the collector and its gateway slot freed; a job it still holds
+        requeued; then its one PILOT record as ``pilot_event`` writes it.
+        The World forgets its token and keeps no other reference to it."""
         if pilot.token is not None:
             self.forget_token(pilot.token)
-        self.collector.members.pop(pilot.id, None)
         # A pilot holds its gateway's slot from the moment it leaves REQUESTED.
         if pilot.state is not PilotState.REQUESTED:
+            self.collector.members.pop(pilot.id, None)
             self.ces[pilot.ce_id].reserved -= 1
         job = pilot.job
         if job is not None:
@@ -776,6 +776,8 @@ class Factory:
         self.entries = spec.entries or tuple(world.ces)
 
     def handle_request(self, frontend_credential: Credential, ce: "CEGateway", count: int) -> None:
+        """Authenticate the frontend's request, then submit ``count`` pilots to
+        ``ce``, its interface and credentials resolved once for them all."""
         w = self.world
         try:
             w.authenticate_on(
@@ -785,8 +787,10 @@ class Factory:
             )
         except TokenPoolError:
             return
+        interface = self.select_interface(ce)
+        credentials = self.credentials_for(ce)
         for _ in range(count):
-            self.submit_one(ce)
+            self.submit_one(ce, interface, credentials)
 
     def select_interface(self, ce: "CEGateway") -> CEInterface | None:
         """Pick the submission interface, or None when only the retired
@@ -815,17 +819,17 @@ class Factory:
             out.append(w.pilot_proxy)
         return out
 
-    def submit_one(self, ce: "CEGateway") -> Pilot:
-        """Submit one pilot to ``ce``, presenting each credential in turn
-        until the gateway gives an answer other than ``AUTH_REJECTED``."""
+    def submit_one(
+        self, ce: "CEGateway", interface: CEInterface | None, credentials: list[Credential]
+    ) -> Pilot:
+        """Submit one pilot to ``ce`` by ``interface``, as ``select_interface``
+        and ``credentials_for`` resolved them, presenting each credential in
+        turn until the gateway gives an answer other than ``AUTH_REJECTED``."""
         w = self.world
         pilot = w.new_pilot(ce)
-        detail = f"factory={self.id} ce={ce.id} pilot={pilot.id}"
-        interface = self.select_interface(ce)
-        credentials = self.credentials_for(ce)
         if interface is None or not credentials:
             reason = DEPRECATED_INTERFACE if interface is None else MISMATCHED_CREDENTIAL
-            w.refuse(CH_CE_SUBMIT, reason, detail=detail)
+            w.refuse(CH_CE_SUBMIT, reason, detail=f"factory={self.id} ce={ce.id} pilot={pilot.id}")
             w.fail_pilot(pilot, reason)
             return pilot
         kid, draw = w.startd_identity()
@@ -989,7 +993,8 @@ class MigrationController:
         for old in evicted:
             factory = w.factory_serving(old.ce_id)
             if factory is not None:
-                factory.submit_one(w.ces[old.ce_id])
+                ce = w.ces[old.ce_id]
+                factory.submit_one(ce, factory.select_interface(ce), factory.credentials_for(ce))
 
 
 def build_world(scenario: Scenario, trace: Trace | None = None) -> World:

@@ -13,7 +13,7 @@ import os
 import secrets
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Any, Iterable, Mapping
+from typing import Any, Collection, Iterable, Mapping
 
 from cryptography.hazmat.primitives import serialization
 from cryptography.hazmat.primitives.asymmetric import ed25519
@@ -304,9 +304,9 @@ def _check_audience(claims: TokenClaims, expected_audience: str) -> None:
         raise AudienceMismatch(f"token aud {claims.aud!r} != {expected_audience!r}")
 
 
-def _check_scopes(granted: frozenset[str], required_scopes: Iterable[str]) -> None:
-    missing = sorted(set(required_scopes) - granted)
-    if missing:
+def _check_scopes(granted: frozenset[str], required_scopes: Collection[str]) -> None:
+    if not granted.issuperset(required_scopes):
+        missing = sorted(set(required_scopes) - granted)
         raise InsufficientScope(f"missing scopes: {' '.join(missing)}")
 
 
@@ -347,7 +347,7 @@ def verify_scitoken(
     token: Token,
     trust: TrustDirectory,
     expected_audience: str,
-    required_scopes: Iterable[str],
+    required_scopes: Collection[str],
     now: int,
     skew: int = DEFAULT_SKEW,
 ) -> VerifiedCapability:

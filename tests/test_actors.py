@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_perfbench_spans import load_spans
-from test_scenario import MUTATIONS, SHIPPED_DOCS, _replaced
+from test_scenario import MUTATIONS, mutated_scenario
 from test_simnet import pick, written
 
 import tokenpool
@@ -833,7 +833,8 @@ def test_pilot_with_no_work_retires_idle():
         Trace(out=io.BytesIO()),
     )
     w.engine.run(10)  # first frontend cycle caches the gateway capability
-    w.factories["fac-1"].submit_one(w.ces["ce-a"])
+    fac, ce = w.factories["fac-1"], w.ces["ce-a"]
+    fac.submit_one(ce, fac.select_interface(ce), fac.credentials_for(ce))
     w.engine.run(700)
     retired = [
         r
@@ -1029,17 +1030,6 @@ def test_world_keeps_only_live_pilots(path, monkeypatch, run_world):
         if was_enabled:
             gc.enable()
     assert len(cycles) > 1 and any(cycles)
-
-
-def mutated_scenario(mutation):
-    """The mutated shipped scenario, capped at t=1200, or None if it does
-    not parse."""
-    stem, path, value = mutation
-    try:
-        sc = parse_scenario(_replaced(SHIPPED_DOCS[stem], path, value))
-    except ScenarioError:
-        return None
-    return dataclasses.replace(sc, horizon=min(sc.horizon, 1200))
 
 
 @settings(max_examples=200)
@@ -1429,11 +1419,83 @@ def test_factory_credential_gate():
     assert fac.credentials_for(ce) == []
     # Nothing to present: the pilot is refused before it draws a jti.
     draws = set(w._used_jtis["pool"])
-    pilot = fac.submit_one(ce)
+    pilot = fac.submit_one(ce, fac.select_interface(ce), fac.credentials_for(ce))
     assert pilot.state is PilotState.FAILED
     assert w._used_jtis["pool"] == draws
     (refused,) = failures(w, CH_CE_SUBMIT, MISMATCHED_CREDENTIAL)
     assert refused.detail == f"factory=fac-1 ce=ce-a pilot={pilot.id}"
+
+
+def test_a_factory_resolves_each_request_once(monkeypatch, run_world):
+    # Every pilot of one request gets the same interface and credentials,
+    # so the factory works them out once per request that passed
+    # FRONTEND->FACTORY, not once per pilot.
+    passed = []
+    authenticate_on = actors.World.authenticate_on
+
+    def counted(world, channel, *args, **kwargs):
+        peer = authenticate_on(world, channel, *args, **kwargs)
+        if channel == CH_PROVISION:
+            passed.append(peer)
+        return peer
+
+    monkeypatch.setattr(actors.World, "authenticate_on", counted)
+    interfaces = returned(monkeypatch, actors.Factory, "select_interface")
+    credentials = returned(monkeypatch, actors.Factory, "credentials_for")
+    pilots = returned(monkeypatch, actors.Factory, "submit_one")
+    run_world(SCENARIO_DIR / "rollout-2022-tokenonly.yaml")
+    assert len(interfaces) == len(credentials) == len(passed) == 1170
+    assert len(pilots) == 11700
+
+
+@pytest.mark.parametrize(
+    "ce, step, before, after",
+    [
+        (
+            {"id": "ce-x", "flavor": "HTCONDOR_CE", "capacity": 10},
+            {"action": "enable_scitoken", "ce": "ce-x"},
+            "method=GSI_PROXY",
+            "method=SCITOKEN",
+        ),
+        (
+            {"id": "ce-x", "flavor": "ARC_CE", "interface": "LDAP", "capacity": 10},
+            {"action": "upgrade_factory", "factory": "fac-1", "major": 10},
+            "method=GSI_PROXY",
+            "reason=DeprecatedInterface",
+        ),
+    ],
+)
+def test_a_plan_step_between_two_requests_changes_the_next_ones_resolution(
+    ce, step, before, after
+):
+    # Nothing is cached across requests: the step at t=50 and the frontend
+    # cycle at t=60 that follows it decide how the second request submits.
+    jobless = [{"id": "cmsprod", "methods": ["IDTOKEN"], "jobs": 0, "duration": 10}]
+    scenario = parse_scenario(
+        doc(
+            sites=[{"name": "site-x", "ces": [ce]}],
+            factories=[{"id": "fac-1", "condor_major": 9, "rest_adopted": False}],
+            clients=jobless,
+            plan=[{"at": 50, **step}],
+        )
+    )
+    w = build_world(scenario, Trace(out=io.BytesIO()))
+    fac, gateway = w.factories["fac-1"], w.ces["ce-x"]
+
+    def outcomes():
+        """How each pilot of one two-pilot request left ``REQUESTED``."""
+        seen = len(records(w))
+        fac.handle_request(w.frontend.token, gateway, 2)
+        return [
+            r.detail.split()[-1]
+            for r in pick(records(w)[seen:], TRACE_PILOT)
+            if r.outcome != PilotState.REQUESTED.value
+        ]
+
+    w.engine.run(10)
+    assert outcomes() == [before, before]
+    w.engine.run(60)
+    assert outcomes() == [after, after]
 
 
 def test_capacity_refusal_is_not_retried_with_the_proxy():
@@ -1442,7 +1504,8 @@ def test_capacity_refusal_is_not_retried_with_the_proxy():
     w = idle_world()
     ce = w.ces["ce-a"]
     ce.reserved = ce.capacity
-    pilot = w.factories["fac-1"].submit_one(ce)
+    fac = w.factories["fac-1"]
+    pilot = fac.submit_one(ce, fac.select_interface(ce), fac.credentials_for(ce))
     attempts = [
         (r.outcome, r.method) for r in pick(records(w), CH_CE_SUBMIT) if f"pilot={pilot.id}" in r.detail
     ]

@@ -7,8 +7,10 @@ import json
 
 import pytest
 import yaml
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_report import reference_report
+from test_scenario import MUTATIONS, SCENARIO_DIR, mutated_scenario
 from test_simnet import pick, written
 
 from tokenpool.migration import (
@@ -28,6 +30,7 @@ from tokenpool.scenario import parse_scenario
 from tokenpool.simnet import Record, Trace
 
 ISSUER = "https://issuer.test"
+SHIPPED = sorted(SCENARIO_DIR.glob("*.yaml"))
 
 
 def doc(**over):
@@ -94,12 +97,16 @@ def drill_result():
 
 def refolded(result, records):
     """``result`` with the report of ``records``, fed one by one through a
-    fresh fold as a run feeds its own."""
+    fresh fold as a run feeds its own; that report is checked against the
+    reference report of the lines written."""
     walk = _Pass(result.scenario)
-    trace = Trace(fold=walk)
+    out = io.BytesIO()
+    trace = Trace(out=out, fold=walk)
     for r in records:
         trace.record(r.t, r.channel, r.outcome, method=r.method, identity=r.identity, detail=r.detail)
-    return dataclasses.replace(result, trace=trace, report=walk.finish(trace))
+    report = walk.finish(trace)
+    assert report == reference_report(out.getvalue(), result.scenario)
+    return dataclasses.replace(result, trace=trace, report=report)
 
 
 def test_run_scenario_seed_override(small_result):
@@ -422,39 +429,73 @@ def drill_records(draw):
     return records
 
 
-def brute_force_drill(records):
-    """(kid, compromised_at, pool_before, evicted, recovered_at) of the first
-    compromise, read off the whole list, or None without one."""
-    def of(channel, outcome):
-        return [(r.t, parse_detail(r.detail)) for r in records if (r.channel, r.outcome) == (channel, outcome)]
-
-    compromises = [(t, kv["target"]) for t, kv in of("FAULT", "ACTIVATE") if kv["kind"] == "KEY_COMPROMISE"]
-    if not compromises:
-        return None
-    at, kid = compromises[0]
-    sizes = [int(kv["size"]) for t, kv in of("POOL", "SAMPLE") if t < at]
-    evicted = sum(1 for t, kv in of("PILOT", "EVICT") if t >= at and kv["kid"] == kid)
-    joins = [t for t, _ in of("PILOT", "JOINED") if t >= at]
-    recovered_at = joins[evicted - 1] if 0 < evicted <= len(joins) else None
-    return kid, at, sizes[-1] if sizes else 0, evicted, recovered_at
-
-
 @given(records=drill_records())
 def test_fold_drill_matches_a_brute_force_over_generated_records(drill_result, records):
     # A live run writes no join or eviction before the compromise's ACTIVATE
     # at its instant, so only records fed to the fold reach that case.
-    report = refolded(drill_result, records).report.get("drill")
-    expected = brute_force_drill(records)
-    if expected is None:
-        assert report is None
+    # ``refolded`` checks the whole report against the reference report.
+    refolded(drill_result, records)
+
+
+def test_fold_agrees_with_the_reference_report_on_every_fact():
+    """One forged trace meets each rule of the fold that waits for an
+    instant to end: attempts before the first PHASE record and before a
+    PHASE record at their instant, a tail whose samples differ, and a
+    compromise whose instant holds evictions and joins on either side of
+    its ACTIVATE.  ``refolded`` compares the two reports."""
+    scenario = parse_scenario(doc(horizon=600, drill={"reprovision_delay": 60}))
+
+    def attempt(t, method, outcome="SUCCESS"):
+        return Record("FACTORY->CE", "", "cms-pilot", method, outcome, t)
+
+    def pilot(outcome, t, detail):
+        return Record("PILOT", detail, "-", "-", outcome, t)
+
+    def sample(t, size):
+        return Record("POOL", f"joined=0 matched=0 size={size}", "-", "-", "SAMPLE", t)
+
+    forged = [
+        attempt(0, "GSI_PROXY"),
+        Record("PLAN", "phase=TOKEN_WITH_GSI_FALLBACK", "-", "-", "PHASE", 0),
+        Record("PLAN", "phase=TOKEN_ONLY", "-", "-", "PHASE", 0),
+        Record("JOB", "client=cmsprod count=3", "-", "-", "QUEUED", 0),
+        attempt(100, "SCITOKEN"),
+        attempt(100, "GSI_PROXY", "FAIL:AuthRejected"),
+        Record("PLAN", "phase=TOKEN_WITH_GSI_FALLBACK", "-", "-", "PHASE", 100),
+        sample(300, 4),
+        pilot("EVICT", 400, "pilot=p1 kid=startd-1 reason=KeyRevoked"),
+        pilot("JOINED", 400, "pilot=p9 kid=startd-2"),
+        Record("FAULT", "kind=KEY_COMPROMISE target=startd-1 start=400", "-", "-", "ACTIVATE", 400),
+        pilot("EVICT", 400, "pilot=p2 kid=startd-1 reason=KeyCompromise"),
+        sample(480, 2),
+        sample(540, 3),
+        pilot("JOINED", 540, "pilot=p10 kid=startd-2"),
+        sample(600, 5),
+    ]
+    report = refolded(run_scenario(scenario), forged).report
+    assert report["phase_soundness"]["violations"] == [
+        "t=0 FACTORY->CE used GSI_PROXY under TOKEN_ONLY (outcome=SUCCESS)",
+    ]
+    assert report["pool"]["tail_fraction"] == (2 + 3 + 5) / 3 / 10
+    assert (report["drill"]["evicted"], report["drill"]["recovered_at"]) == (2, 540)
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda path: path.stem)
+def test_fold_agrees_with_the_reference_report_on_each_shipped_scenario(path):
+    out = io.BytesIO()
+    result = run_scenario(path, trace_out=out)
+    assert result.report == reference_report(out.getvalue(), result.scenario)
+
+
+@settings(max_examples=100)
+@given(MUTATIONS)
+def test_fold_agrees_with_the_reference_report_on_a_mutated_scenario(mutation):
+    sc = mutated_scenario(mutation)
+    if sc is None:
         return
-    got = tuple(report[k] for k in ("kid", "compromised_at", "pool_before", "evicted", "recovered_at"))
-    assert got == expected
-    if report["recovered_at"] is None:
-        assert report["recovery_time"] is None and not report["within_bound"]
-    else:
-        assert report["recovery_time"] == report["recovered_at"] - report["compromised_at"]
-        assert report["within_bound"] is (report["recovery_time"] <= report["bound"])
+    out = io.BytesIO()
+    result = run_scenario(sc, trace_out=out)
+    assert result.report == reference_report(out.getvalue(), sc)
 
 
 def test_report_dict_shape(drill_result):

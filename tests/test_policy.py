@@ -422,6 +422,28 @@ def test_memoised_subject_still_fails_every_check(table, keyring, trust, issuer_
         )
 
 
+@pytest.mark.parametrize("session", [False, True], ids=["verified", "session"])
+def test_scope_refusal_names_every_missing_scope_in_order(
+    session, table, trust, issuer_key
+):
+    # The same message whether the token is verified in full or found in
+    # its session: every missing scope, sorted.
+    compiled = CompiledPolicy(table)
+    cap = mint_scitoken(issuer_key, ISSUER, "pilot-ops", (JOB_SUBMIT_SCOPE,), "ce-1", 600, NOW)
+    if session:
+        auth(table, CH_CE_SUBMIT, cap, compiled, trust=trust, expected_audience="ce-1")
+    assert (cap.compact in compiled.sessions) is session
+    wider = ChannelPolicy(
+        (AuthMethod.SCITOKEN,),
+        required_scopes=frozenset({"compute.read", JOB_SUBMIT_SCOPE, "compute.cancel"}),
+    )
+    missing = r"^missing scopes: compute\.cancel compute\.read$"
+    with pytest.raises(InsufficientScope, match=missing):
+        authenticate(
+            CH_CE_SUBMIT, wider, cap, compiled=compiled, trust=trust, expected_audience="ce-1", now=NOW
+        )
+
+
 # -- the compiled path against the path it replaced --------------------------
 
 

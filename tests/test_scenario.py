@@ -713,6 +713,17 @@ MUTATIONS = st.sampled_from(sorted(SHIPPED_DOCS)).flatmap(
 )
 
 
+def mutated_scenario(mutation):
+    """The mutated shipped scenario, capped at t=1200, or None if it does
+    not parse."""
+    stem, path, value = mutation
+    try:
+        sc = parse_scenario(_replaced(SHIPPED_DOCS[stem], path, value))
+    except ScenarioError:
+        return None
+    return dataclasses.replace(sc, horizon=min(sc.horizon, 1200))
+
+
 @settings(max_examples=80)
 @example(("migration-2022", ("pilots", "token_lifetime"), 300))
 @given(MUTATIONS)
