@@ -92,6 +92,17 @@ class PilotState(enum.Enum):
     FAILED = "FAILED"
 
 
+#: The members the per-pilot and per-message paths read, bound once (a
+#: class's in definition order): on Python 3.10 and 3.11 a read through the
+#: class goes through ``EnumMeta.__getattr__``.
+_REQUESTED, _SUBMITTED, _STARTED, _JOINED, _MATCHED, _RETIRED, _FAILED = PilotState
+_MESSAGE_DROP, _CE_TOKEN_MISCONFIG, _CE_STUCK_SUBMISSION = (
+    FaultKind.MESSAGE_DROP, FaultKind.CE_TOKEN_MISCONFIG, FaultKind.CE_STUCK_SUBMISSION
+)
+#: The states of a pilot that is a member of the pool.
+_IN_POOL = (_JOINED, _MATCHED)
+
+
 @dataclass(order=True, slots=True)
 class Job:
     #: Creation sequence, the only key jobs are ordered by.
@@ -277,41 +288,50 @@ class World:
     ) -> AuthenticatedPeer:
         """Authenticate + authorize one request, recording the outcome.
 
-        Raises the underlying failure after recording it, so callers
-        decide retry/fallback while the trace stays complete.
+        A token on an open session that ``admit`` takes skips verification;
+        anything else is authenticated in full, then authorized.  Raises
+        the underlying failure after recording it, so callers decide
+        retry/fallback while the trace stays complete.
         """
         compiled = self.policy
         pol = compiled.channels[channel]
         now = self.engine.now
-        try:
-            peer = authenticate(
-                channel,
-                pol,
-                credential,
-                compiled=compiled,
-                keyring=self.keyring,
-                trust=self.trust,
-                trusted_cas=self.trusted_cas,
-                local_host=self.SCHEDD_HOST,
-                expected_audience=audience,
-                now=now,
-            )
-        except TokenPoolError as exc:
-            method = credential_method(credential)._value_
-            self.refuse(channel, exc.reason, method=method, detail=detail)
-            raise
-        decision = authorize(peer, pol)
-        if not decision.allowed:
-            self.trace.record(
-                now,
-                channel,
-                OUTCOME_DENIED,
-                method=peer.method._value_,
-                identity=peer.canonical_identity,
-                detail=_join_detail(detail, f"missing={','.join(decision.missing)}"),
-            )
-            raise AuthorizationDenied(f"missing {', '.join(decision.missing)}")
-        if isinstance(credential, jose.Token):
+        is_token = isinstance(credential, jose.Token)
+        peer = (
+            compiled.admit(pol, credential, audience, now, self.keyring, self.trust)
+            if is_token
+            else None
+        )
+        if peer is None:
+            try:
+                peer = authenticate(
+                    channel,
+                    pol,
+                    credential,
+                    compiled=compiled,
+                    keyring=self.keyring,
+                    trust=self.trust,
+                    trusted_cas=self.trusted_cas,
+                    local_host=self.SCHEDD_HOST,
+                    expected_audience=audience,
+                    now=now,
+                )
+            except TokenPoolError as exc:
+                method = credential_method(credential)._value_
+                self.refuse(channel, exc.reason, method=method, detail=detail)
+                raise
+            decision = authorize(peer, pol)
+            if not decision.allowed:
+                self.trace.record(
+                    now,
+                    channel,
+                    OUTCOME_DENIED,
+                    method=peer.method._value_,
+                    identity=peer.canonical_identity,
+                    detail=_join_detail(detail, f"missing={','.join(decision.missing)}"),
+                )
+                raise AuthorizationDenied(f"missing {', '.join(decision.missing)}")
+        if is_token:
             held = f"kid={credential.header.kid} jti={credential.claims.jti}"
             detail = _join_detail(detail, held)
         self.trace.record(
@@ -326,10 +346,10 @@ class World:
 
     def dropped(self, channel: str, credential: Credential, detail: str) -> bool:
         """Draw whether a message on ``channel`` is lost, recording the loss."""
-        if FaultKind.MESSAGE_DROP._value_ not in self.board.by_kind:
+        if _MESSAGE_DROP._value_ not in self.board.by_kind:
             return False  # no drop fault at all, so none to look up
         now = self.engine.now
-        fault = self.board.active(FaultKind.MESSAGE_DROP, channel, now)
+        fault = self.board.active(_MESSAGE_DROP, channel, now)
         if fault is None or not message_dropped(fault, self.streams):
             return False
         self.trace.record(
@@ -398,15 +418,15 @@ class World:
     def new_pilot(self, ce: "CEGateway") -> Pilot:
         pid = f"pilot-{self._pilot_seq:05d}"
         self._pilot_seq += 1
-        pilot = Pilot(id=pid, ce_id=ce.id, state=PilotState.REQUESTED, world=ce.world)
-        self.pilot_record(pilot, PilotState.REQUESTED._value_)
+        pilot = Pilot(id=pid, ce_id=ce.id, state=_REQUESTED, world=ce.world)
+        self.pilot_record(pilot, _REQUESTED._value_)
         return pilot
 
     def set_pilot_state(self, pilot: Pilot, state: PilotState) -> None:
         """Every change of a pilot's state comes here, to keep ``joined``."""
-        if pilot.state is PilotState.JOINED:
+        if pilot.state is _JOINED:
             del self.joined[pilot.id]
-        if state is PilotState.JOINED:
+        if state is _JOINED:
             self.joined[pilot.id] = pilot
         pilot.state = state
 
@@ -438,7 +458,7 @@ class World:
         if pilot.token is not None:
             self.forget_token(pilot.token)
         # A pilot holds its gateway's slot from the moment it leaves REQUESTED.
-        if pilot.state is not PilotState.REQUESTED:
+        if pilot.state is not _REQUESTED:
             self.collector.members.pop(pilot.id, None)
             self.ces[pilot.ce_id].reserved -= 1
         job = pilot.job
@@ -449,7 +469,7 @@ class World:
         self.pilot_event(pilot, state, extra, outcome)
 
     def fail_pilot(self, pilot: Pilot, reason: str) -> None:
-        self.end_pilot(pilot, PilotState.FAILED, f"reason={reason}")
+        self.end_pilot(pilot, _FAILED, f"reason={reason}")
 
     def new_job(self, spec: ClientSpec) -> Job:
         seq = self._job_seq
@@ -600,7 +620,7 @@ class Collector:
 
     def receive_join(self, pilot: Pilot) -> None:
         w = self.world
-        if pilot.state is not PilotState.STARTED:
+        if pilot.state is not _STARTED:
             return
         detail = f"pilot={pilot.id} join=1"
         credential = w.join_proxy or pilot.token
@@ -613,14 +633,14 @@ class Collector:
             w.fail_pilot(pilot, exc.reason)
             return
         pilot.joined_at = w.engine.now
-        w.pilot_event(pilot, PilotState.JOINED, f"kid={pilot.token.header.kid}")
+        w.pilot_event(pilot, _JOINED, f"kid={pilot.token.header.kid}")
         self.members[pilot.id] = pilot
         w.engine.schedule(w.scenario.pilots.keepalive, pilot.keepalive)
         w.engine.schedule(w.scenario.frontend.pilot_max_idle, pilot.idle_check)
 
     def keepalive(self, pilot: Pilot) -> None:
         w = self.world
-        if pilot.state not in (PilotState.JOINED, PilotState.MATCHED):
+        if pilot.state not in _IN_POOL:
             return
         detail = f"pilot={pilot.id} keepalive=1"
         credential = w.join_proxy or pilot.token
@@ -634,7 +654,7 @@ class Collector:
 
     def evict(self, pilot: Pilot, reason: str) -> None:
         self.world.end_pilot(
-            pilot, PilotState.FAILED, f"kid={pilot.token.header.kid} reason={reason}", "EVICT"
+            pilot, _FAILED, f"kid={pilot.token.header.kid} reason={reason}", "EVICT"
         )
 
     def evict_by_kid(self, kid: str) -> list[Pilot]:
@@ -644,8 +664,8 @@ class Collector:
         return hit
 
     def idle_check(self, pilot: Pilot) -> None:
-        if pilot.state is PilotState.JOINED:
-            self.world.end_pilot(pilot, PilotState.RETIRED, f"reason={IDLE}")
+        if pilot.state is _JOINED:
+            self.world.end_pilot(pilot, _RETIRED, f"reason={IDLE}")
 
     def match_tick(self) -> None:
         w = self.world
@@ -655,7 +675,7 @@ class Collector:
         matched = min(len(idle_pilots), len(w.idle_jobs))
         for pilot in idle_pilots[:matched]:
             job = heapq.heappop(w.idle_jobs)
-            w.set_pilot_state(pilot, PilotState.MATCHED)
+            w.set_pilot_state(pilot, _MATCHED)
             pilot.job = job
             w.job_record("MATCH", job, pilot)
             w.engine.schedule(job.duration, pilot.job_done)
@@ -677,7 +697,7 @@ class Collector:
         w = self.world
         pilot.job = None
         w.job_record("DONE", job, pilot)
-        w.end_pilot(pilot, PilotState.RETIRED, f"job={job.id}")
+        w.end_pilot(pilot, _RETIRED, f"job={job.id}")
 
 
 class Frontend:
@@ -867,7 +887,7 @@ class CEGateway:
         w = self.world
         now = w.engine.now
         if isinstance(credential, jose.Token) and w.board.active(
-            FaultKind.CE_TOKEN_MISCONFIG, self.id, now
+            _CE_TOKEN_MISCONFIG, self.id, now
         ):
             w.refuse(
                 CH_CE_SUBMIT,
@@ -895,10 +915,10 @@ class CEGateway:
             )
             return CAPACITY_EXCEEDED
         self.reserved += 1
-        stuck = w.board.active(FaultKind.CE_STUCK_SUBMISSION, self.id, now) is not None
+        stuck = w.board.active(_CE_STUCK_SUBMISSION, self.id, now) is not None
         w.pilot_event(
             pilot,
-            PilotState.SUBMITTED,
+            _SUBMITTED,
             _join_detail(f"method={peer.method._value_}", "stuck=1" if stuck else ""),
         )
         if not stuck:
@@ -908,8 +928,8 @@ class CEGateway:
         return None
 
     def pilot_started(self, pilot: Pilot) -> None:
-        if pilot.state is PilotState.SUBMITTED:
-            self.world.pilot_event(pilot, PilotState.STARTED)
+        if pilot.state is _SUBMITTED:
+            self.world.pilot_event(pilot, _STARTED)
 
 
 class MigrationController:

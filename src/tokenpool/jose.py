@@ -205,16 +205,22 @@ def encode_token(header: TokenHeader, claims: TokenClaims, key: SigningKey) -> T
     if not header.kid:
         raise InvalidClaims("header kid must be non-empty")
     claims.validate()
-    header_obj, claims_obj = header.to_json_dict(), claims.to_json_dict()
-    header_b64 = b64url_encode(canonical_json(header_obj).encode())
+    claims_obj = claims.to_json_dict()
+    try:
+        header_b64 = _HEADERS.get(header)
+    except TypeError:  # an unhashable field, which the parse below refuses
+        header_b64 = None
+    if header_b64 is None:
+        header_b64 = b64url_encode(canonical_json(header.to_json_dict()).encode())
     signing_input = header_b64 + "." + b64url_encode(canonical_json(claims_obj).encode())
     signature = _sign(header.alg, key, signing_input.encode("ascii"))
     signed = _HEADERS.get(header_b64)
     if signed is None:
-        signed = TokenHeader.from_json_dict(header_obj)
+        signed = TokenHeader.from_json_dict(header.to_json_dict())
     token = object.__new__(Token)
     object.__setattr__(token, "compact", signing_input + "." + b64url_encode(signature))
     _settle(token, header_b64, signed, TokenClaims.from_json_dict(claims_obj))
+    _HEADERS.setdefault(signed, header_b64)
     return token
 
 
@@ -298,11 +304,12 @@ def ed25519_matches(public_key_bytes: bytes, signing_input: bytes, signature: by
 
 
 #: What tokens of one key repeat, held once: the parsed header by its exact
-#: segment (a header is a function of those characters alone), and each
+#: segment (a header is a function of those characters alone), the
+#: canonical segment of each header a mint signed by that header, and each
 #: distinct scope or limit tuple.  Only a token that parsed or was minted
 #: whole adds an entry, so both grow with the distinct headers and name sets
 #: of accepted tokens, never with refused input.
-_HEADERS: dict[str, TokenHeader] = {}
+_HEADERS: dict[str | TokenHeader, TokenHeader | str] = {}
 _NAMES: dict[tuple[str, ...], tuple[str, ...]] = {}
 
 

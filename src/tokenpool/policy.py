@@ -26,14 +26,12 @@ from .errors import (
 )
 from .jose import SCITOKEN_ALG, Token
 from .tokens import (
+    DEFAULT_SKEW,
     Sessions,
     SymmetricKeyring,
     TrustDirectory,
     VerifiedCapability,
     VerifiedIdentity,
-    _check_audience,
-    _check_scopes,
-    _check_window,
     verify_idtoken,
     verify_scitoken,
 )
@@ -45,6 +43,11 @@ class AuthMethod(enum.Enum):
     GSI_PROXY = "GSI_PROXY"
     LOCAL_FS = "LOCAL_FS"
 
+
+#: The members presentation reads, bound once in definition order: on
+#: Python 3.10 and 3.11 a read through the class goes through
+#: ``EnumMeta.__getattr__``.
+_IDTOKEN, _SCITOKEN, _GSI_PROXY, _LOCAL_FS = AuthMethod
 
 TOKEN_METHODS = frozenset({AuthMethod.IDTOKEN, AuthMethod.SCITOKEN})
 LEGACY_METHODS = frozenset({AuthMethod.GSI_PROXY, AuthMethod.LOCAL_FS})
@@ -188,11 +191,8 @@ class CompiledPolicy:
     ``ChannelPolicy``.  ``sessions`` maps the wire form of each token that
     :func:`authenticate` has fully verified to the peer it returned, until
     the token's holder drops it; it is filled under one keyring and one
-    trust directory and starts over when handed others.  A session skips
-    only the checks that are pure functions of the token, the keyring, the
-    trust directory and this table; the channel's method, the time window
-    and, for capability tokens, the audience and the scope coverage are
-    checked at every presentation.
+    trust directory and starts over when handed others.  :meth:`admit`
+    answers a token presented again from its session.
     """
 
     __slots__ = ("table", "channels", "sessions")
@@ -201,6 +201,41 @@ class CompiledPolicy:
         self.table = table
         self.channels = table.channels
         self.sessions = Sessions()
+
+    def admit(
+        self,
+        pol: ChannelPolicy,
+        token: Token,
+        audience: str,
+        now: int,
+        keyring: SymmetricKeyring | None,
+        trust: TrustDirectory | None,
+    ) -> AuthenticatedPeer | None:
+        """The peer of ``token``'s session if this presentation of it passes,
+        else None, for :func:`authenticate` and :func:`authorize` to decide.
+
+        A session stands for the checks that are pure functions of the
+        token, the keyring, the trust directory and this table, so only
+        what can differ between presentations is checked here: that the
+        sessions were filled under ``keyring`` and ``trust``, the channel's
+        method, the time window at ``now`` and, for a capability token, the
+        audience; then the authorization, which for a capability's peer is
+        the scope coverage.  The full path refuses whatever this refuses, at
+        the check that failed here, since verification runs the same checks
+        in the same order.  Raises nothing.
+        """
+        sessions = self.sessions
+        if sessions.keyring is not keyring or sessions.trust is not trust:
+            return None
+        peer = sessions.get(token.compact)
+        if peer is None or peer.method not in pol.methods:
+            return None
+        claims = token.claims
+        if not claims.iat - DEFAULT_SKEW <= now <= claims.exp + DEFAULT_SKEW:
+            return None
+        if peer.method is _SCITOKEN and claims.aud != audience:
+            return None
+        return peer if authorize(peer, pol) is ALLOWED else None
 
 
 def validate_table(table: PolicyTable) -> None:
@@ -286,12 +321,10 @@ def authenticate(
     appear in the channel's accepted list.  The authenticated name is
     rewritten through ``compiled``'s identity map.
 
-    A token with a session in ``compiled.sessions`` is checked again only
-    for what can differ between its presentations: the method on this
-    channel, the time window at ``now`` and, for a capability token, the
-    audience and the scope coverage, in the order a full verification
-    checks them.  Any other token is verified in full, and opens a session
-    if it passes.
+    A token is always verified in full, and opens a session in
+    ``compiled.sessions`` if it passes; a presentation on an open session
+    is :meth:`CompiledPolicy.admit`'s to answer, and comes here only when
+    that refuses it.
 
     Raises:
         NoCommonMethod: the inferred method is not accepted here.
@@ -300,7 +333,7 @@ def authenticate(
         TokenError subclasses: token verification failures.
     """
     if isinstance(credential, ProxyCredential):
-        _require(AuthMethod.GSI_PROXY, pol, channel)
+        _require(_GSI_PROXY, pol, channel)
         if credential.attested_by not in trusted_cas:
             raise UntrustedCA(f"CA {credential.attested_by!r} not trusted")
         if now >= credential.expiry:
@@ -308,12 +341,12 @@ def authenticate(
         identity = compiled.table.map_identity(credential.distinguished_name)
         return AuthenticatedPeer(
             canonical_identity=identity,
-            method=AuthMethod.GSI_PROXY,
+            method=_GSI_PROXY,
             granted_levels=_LEGACY_LEVELS,
         )
 
     if isinstance(credential, LocalFsCredential):
-        _require(AuthMethod.LOCAL_FS, pol, channel)
+        _require(_LOCAL_FS, pol, channel)
         if credential.host != local_host:
             raise UntrustedCA(
                 f"filesystem credential from {credential.host!r} presented on {local_host!r}"
@@ -321,24 +354,15 @@ def authenticate(
         identity = compiled.table.map_identity(credential.account)
         return AuthenticatedPeer(
             canonical_identity=identity,
-            method=AuthMethod.LOCAL_FS,
+            method=_LOCAL_FS,
             granted_levels=_LEGACY_LEVELS,
         )
 
     sessions = compiled.sessions
     if sessions.keyring is not keyring or sessions.trust is not trust:
         sessions = compiled.sessions = Sessions(keyring, trust)
-    peer = sessions.get(credential.compact)
-    if peer is not None:
-        _require(peer.method, pol, channel)
-        _check_window(credential.claims, now)
-        if peer.method is AuthMethod.SCITOKEN:
-            _check_audience(credential.claims, expected_audience)
-            _check_scopes(peer.granted_scopes, pol.required_scopes)
-        return peer
-
-    if credential_method(credential) is AuthMethod.SCITOKEN:
-        _require(AuthMethod.SCITOKEN, pol, channel)
+    if credential_method(credential) is _SCITOKEN:
+        _require(_SCITOKEN, pol, channel)
         if trust is None:
             raise InvalidPolicy("capability verification needs a trust directory")
         cap: VerifiedCapability = verify_scitoken(
@@ -349,13 +373,13 @@ def authenticate(
             credential,
             AuthenticatedPeer(
                 canonical_identity=identity,
-                method=AuthMethod.SCITOKEN,
+                method=_SCITOKEN,
                 granted_levels=frozenset(),
                 granted_scopes=cap.granted_scopes,
             ),
         )
 
-    _require(AuthMethod.IDTOKEN, pol, channel)
+    _require(_IDTOKEN, pol, channel)
     if keyring is None:
         raise InvalidPolicy("identity verification needs a keyring")
     ident: VerifiedIdentity = verify_idtoken(credential, keyring, now)
@@ -368,7 +392,7 @@ def authenticate(
         credential,
         AuthenticatedPeer(
             canonical_identity=identity,
-            method=AuthMethod.IDTOKEN,
+            method=_IDTOKEN,
             granted_levels=levels,
         ),
     )
@@ -378,10 +402,10 @@ def credential_method(credential: Credential) -> AuthMethod:
     """The method a credential authenticates with: a legacy credential's
     type decides, a token's algorithm.  The one place that maps the two."""
     if isinstance(credential, ProxyCredential):
-        return AuthMethod.GSI_PROXY
+        return _GSI_PROXY
     if isinstance(credential, LocalFsCredential):
-        return AuthMethod.LOCAL_FS
-    return AuthMethod.SCITOKEN if credential.header.alg == SCITOKEN_ALG else AuthMethod.IDTOKEN
+        return _LOCAL_FS
+    return _SCITOKEN if credential.header.alg == SCITOKEN_ALG else _IDTOKEN
 
 
 def _require(method: AuthMethod, pol: ChannelPolicy, channel: str) -> None:

@@ -44,15 +44,16 @@ class Sessions(dict):
     a session is keyed by its token's wire form, a ``str``.
 
     A session stands for the checks that are pure functions of the token
-    and the trust state; the holder still re-checks, at every presentation,
-    whatever depends on the channel, the audience or the time.  Only
-    successes are opened; a session lives as long as its token's holder,
-    and this table is the one cache between a credential and its verdict.
-    Sessions with equal verdicts share one verdict object, held once in
-    ``_results`` for as long as the table lives, so a verdict must be
-    immutable and hashable.  Keyrings and trust directories are never
-    changed in place (:func:`revoke_key` and :func:`rotate_key` return new
-    ones), so a table is good only under the two it was filled under.
+    and the trust state; :meth:`tokenpool.policy.CompiledPolicy.admit`
+    answers a presentation on an open session, re-checking whatever depends
+    on the channel, the audience or the time.  Only successes are opened;
+    a session lives as long as its token's holder, and this table is the
+    one cache between a credential and its verdict.  Sessions with equal
+    verdicts share one verdict object, held once in ``_results`` for as
+    long as the table lives, so a verdict must be immutable and hashable.
+    Keyrings and trust directories are never changed in place
+    (:func:`revoke_key` and :func:`rotate_key` return new ones), so a table
+    is good only under the two it was filled under.
     """
 
     __slots__ = ("keyring", "trust", "_results")
@@ -75,6 +76,11 @@ class Sessions(dict):
 class KeyStatus(enum.Enum):
     ACTIVE = "ACTIVE"
     REVOKED = "REVOKED"
+
+
+#: Bound once: on Python 3.10 and 3.11 a read through the class goes
+#: through ``EnumMeta.__getattr__``.
+_REVOKED = KeyStatus.REVOKED
 
 
 @dataclass(frozen=True)
@@ -112,7 +118,7 @@ class SymmetricKeyring:
 
     def active_secret(self, kid: str) -> bytes:
         key = self.lookup(kid)
-        if key.status is KeyStatus.REVOKED:
+        if key.status is _REVOKED:
             raise KeyRevoked(f"key {kid!r} is revoked")
         return key.secret
 
@@ -299,17 +305,6 @@ def _check_window(claims: TokenClaims, now: int, skew: int = DEFAULT_SKEW) -> No
         raise NotYetValid(f"issued at {claims.iat} (now {now}, skew {skew})")
 
 
-def _check_audience(claims: TokenClaims, expected_audience: str) -> None:
-    if claims.aud != expected_audience:
-        raise AudienceMismatch(f"token aud {claims.aud!r} != {expected_audience!r}")
-
-
-def _check_scopes(granted: frozenset[str], required_scopes: Collection[str]) -> None:
-    if not granted.issuperset(required_scopes):
-        missing = sorted(set(required_scopes) - granted)
-        raise InsufficientScope(f"missing scopes: {' '.join(missing)}")
-
-
 def verify_idtoken(
     token: Token,
     keyring: SymmetricKeyring,
@@ -321,8 +316,8 @@ def verify_idtoken(
     Check order: algorithm, typ, flavor, key status, signature, time
     window.  A revoked key fails with KeyRevoked no matter what the
     signature says.  Every check, the HMAC included, runs on every call;
-    :func:`tokenpool.policy.authenticate` calls this only for a token
-    with no session, and re-checks just the window for one with a session.
+    :meth:`tokenpool.policy.CompiledPolicy.admit` answers a presentation
+    on an open session, which comes here only when that refuses it.
 
     Raises:
         MalformedToken, UnknownKey, KeyRevoked, SignatureInvalid,
@@ -355,9 +350,8 @@ def verify_scitoken(
     signature, window, audience, and scope coverage, in that order.
 
     Every check, the signature included, runs on every call;
-    :func:`tokenpool.policy.authenticate` calls this only for a token with
-    no session, and re-checks just the window, the audience and the scope
-    coverage for one with a session.
+    :meth:`tokenpool.policy.CompiledPolicy.admit` answers a presentation
+    on an open session, which comes here only when that refuses it.
 
     Raises:
         MalformedToken, UntrustedIssuer, UnknownKey, SignatureInvalid,
@@ -372,10 +366,13 @@ def verify_scitoken(
         raise MalformedToken("capability token lacks an issuer claim")
     trust.check_signature(token)
     _check_window(claims, now, skew)
-    _check_audience(claims, expected_audience)
+    if claims.aud != expected_audience:
+        raise AudienceMismatch(f"token aud {claims.aud!r} != {expected_audience!r}")
     allowed = trust.audiences.get(claims.iss, ())
     if allowed and claims.aud not in allowed:
         raise AudienceMismatch(f"audience {claims.aud!r} not allowed for issuer")
     granted = frozenset(claims.scope or ())
-    _check_scopes(granted, required_scopes)
+    if not granted.issuperset(required_scopes):
+        missing = sorted(set(required_scopes) - granted)
+        raise InsufficientScope(f"missing scopes: {' '.join(missing)}")
     return VerifiedCapability(subject=claims.sub, granted_scopes=granted)

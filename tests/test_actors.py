@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from test_perfbench_spans import load_spans
 from test_scenario import MUTATIONS, mutated_scenario
 from test_simnet import pick, written
+from test_tokens import present_on
 
 import tokenpool
 from tokenpool import actors, jose, migration, policy, tokens
@@ -549,7 +550,7 @@ def _session_memo(monkeypatch):
     )
 
     def look_up(token):
-        return policy.authenticate(CH_JOIN, pol, token, compiled=compiled, keyring=keyring)
+        return present_on(compiled, CH_JOIN, pol, token, keyring=keyring, now=0)
 
     return compiled.sessions, look_up, computed, keys, bad, UnmappedIdentity
 
@@ -1241,6 +1242,32 @@ def test_live_pilot_fits_its_byte_budget():
             gc.enable()
     assert live == 1980
     assert held <= BYTES_PER_LIVE_PILOT * live, f"{held / live:.0f} B per live pilot"
+
+
+#: Members of tokenpool's enums read through their class in one shipped
+#: rollout-2022 run, parse and report included; the per-pilot and
+#: per-message paths read names bound once instead.  Reading them through
+#: the class made 88,121 such reads.
+ENUM_MEMBER_READS = 1379
+
+
+def test_hot_paths_read_no_enum_member_through_its_class(monkeypatch):
+    # On Python 3.10 and 3.11 ``EnumMeta`` defines ``__getattr__``, so each
+    # ``PilotState.JOINED`` costs the slow lookup hook.  A ``__getattribute__``
+    # on the metaclass sees every such read, whether or not the member sits
+    # in the class's own dict.
+    get = type.__getattribute__
+    reads = []
+
+    def counting(cls, name):
+        if name in get(cls, "_member_map_") and get(cls, "__module__").startswith("tokenpool."):
+            reads.append(name)
+        return get(cls, name)
+
+    monkeypatch.setattr(type(AuthMethod), "__getattribute__", counting)
+    run_scenario(SCENARIO_DIR / "rollout-2022.yaml")
+    monkeypatch.undo()
+    assert reads and len(reads) <= ENUM_MEMBER_READS
 
 
 # -- issuer authorization ---------------------------------------------------

@@ -697,8 +697,9 @@ def test_a_minted_token_is_what_its_wire_form_parses_to(minted):
         (TokenHeader("HS256", "k"), TokenClaims(sub="s", iss=7, iat=0, exp=2, jti="j")),
         (TokenHeader("HS256", "k"), TokenClaims(sub="s", iat=0, exp=2, jti="j", authz_limits=(1,))),
         (TokenHeader("HS256", "k", typ=None), TokenClaims(sub="s", iat=0, exp=2, jti="j")),
+        (TokenHeader("HS256", ["k"]), TokenClaims(sub="s", iat=0, exp=2, jti="j")),
     ],
-    ids=["bool-iat", "int-iss", "int-limit", "null-typ"],
+    ids=["bool-iat", "int-iss", "int-limit", "null-typ", "list-kid"],
 )
 def test_mint_refuses_what_a_parse_of_its_wire_form_would_refuse(header, claims):
     wire = oracle_jwt(header.to_json_dict(), claims.to_json_dict(), b"sec")

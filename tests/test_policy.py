@@ -4,6 +4,8 @@ import itertools
 from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tokenpool.errors import (
     AudienceMismatch,
@@ -392,7 +394,8 @@ def test_memoised_subject_still_fails_every_check(table, keyring, trust, issuer_
     # A session spares a token only the checks that cannot change between
     # its presentations: the channel's method, the time window, the key's
     # status and, for a capability, the audience and scopes are checked on
-    # every presentation.
+    # every presentation, and ``authenticate`` checks all of them even for
+    # a token with a session.
     compiled = CompiledPolicy(table)
     join = CH_ADVERTISE
     token = mint_idtoken(keyring, "pool-1", "condor@a", (), 600, NOW)
@@ -426,8 +429,8 @@ def test_memoised_subject_still_fails_every_check(table, keyring, trust, issuer_
 def test_scope_refusal_names_every_missing_scope_in_order(
     session, table, trust, issuer_key
 ):
-    # The same message whether the token is verified in full or found in
-    # its session: every missing scope, sorted.
+    # The same message whether or not the token has a session: every
+    # missing scope, sorted.
     compiled = CompiledPolicy(table)
     cap = mint_scitoken(issuer_key, ISSUER, "pilot-ops", (JOB_SUBMIT_SCOPE,), "ce-1", 600, NOW)
     if session:
@@ -619,6 +622,121 @@ def test_compiled_path_matches_the_path_it_replaced(phase, issuer_key, trust):
         } <= seen
     if phase is not MigrationPhase.TOKEN_ONLY:
         assert {"UntrustedCA", "ProxyExpired"} <= seen
+
+
+# -- admit: a presentation on an open session --------------------------------
+
+#: Tokens are minted under both keys; the pool's keyring has revoked
+#: pool-2, so a token of pool-2 never opens a session.
+_MINT_KEYRING = SymmetricKeyring.from_secrets({"pool-1": b"p" * 32, "pool-2": b"q" * 32})
+_LIVE = revoke_key(_MINT_KEYRING, "pool-2")
+_ISSUER_KEY = IssuerKey.generate("op-1", seed=b"\x09" * 32)
+_TRUST = TrustDirectory.single_issuer(ISSUER, _ISSUER_KEY)
+_WIDE, _LEVELLED = "FACTORY->CE/wide", "FRONTEND->CE/level"
+#: The pool's channels, and two more that ask a capability token for one
+#: scope more than the pool's and for a level.
+_ADMIT_TABLE = PolicyTable(
+    {
+        **default_table().channels,
+        _WIDE: ChannelPolicy(
+            (AuthMethod.SCITOKEN, AuthMethod.GSI_PROXY),
+            required_scopes=frozenset({JOB_SUBMIT_SCOPE, "compute.cancel"}),
+        ),
+        _LEVELLED: ChannelPolicy((AuthMethod.IDTOKEN, AuthMethod.SCITOKEN), AuthzLevel.READ),
+    },
+    default_table().identity_map,
+)
+_SCOPES = (JOB_SUBMIT_SCOPE, "compute.read", "compute.cancel")
+_LIMITS = ("READ", "WRITE", "ADVERTISE", "DAEMON", "ADMIN", "SUPERUSER")
+
+
+@st.composite
+def admit_tokens(draw):
+    """An identity token under either key, or a capability token for
+    either gateway, with a mapped or an unmapped subject; most of them
+    pass on some channel."""
+    lifetime = draw(st.sampled_from([1, 600]))
+    if draw(st.booleans()):
+        return mint_scitoken(
+            _ISSUER_KEY,
+            ISSUER,
+            draw(st.sampled_from(["cms-pilot-ops", "cms-pilot-ops", "ghost"])),
+            [JOB_SUBMIT_SCOPE] * draw(st.booleans())
+            + draw(st.lists(st.sampled_from(_SCOPES), min_size=1, max_size=3, unique=True)),
+            draw(st.sampled_from(["ce-1", "ce-2"])),
+            lifetime,
+            NOW,
+            jti="admit",
+        )
+    return mint_idtoken(
+        _MINT_KEYRING,
+        draw(st.sampled_from(["pool-1", "pool-1", "pool-2"])),
+        draw(st.sampled_from(["condor@x", "frontend@cmspool", "cmsprod", "stranger"])),
+        draw(st.just(()) | st.lists(st.sampled_from(_LIMITS), max_size=3, unique=True)),
+        lifetime,
+        NOW,
+        jti="admit",
+    )
+
+
+def full_path(compiled, channel, token, audience, now, keyring, trust):
+    """The peer ``authenticate`` and ``authorize`` pass ``token`` with, or
+    None when either refuses it."""
+    pol = compiled.channels[channel]
+    try:
+        peer = authenticate(
+            channel, pol, token, compiled=compiled, keyring=keyring, trust=trust,
+            expected_audience=audience, now=now,
+        )
+    except TokenPoolError:
+        return None
+    return peer if authorize(peer, pol).allowed else None
+
+
+_CHANNELS = sorted(_ADMIT_TABLE.channels)
+
+
+@settings(max_examples=400)
+@given(
+    phase=st.sampled_from(MigrationPhase),
+    token=admit_tokens(),
+    data=st.data(),
+    audience=st.sampled_from(["ce-1", "ce-2"]),
+    at=st.sampled_from(["iat", "iat-60", "exp+60", "iat-61", "exp+61"]),
+    keyring=st.sampled_from(
+        [_LIVE, _LIVE, revoke_key(_LIVE, "pool-1"), rotate_key(_LIVE, "pool-3", b"r" * 32)]
+    ),
+    trust=st.sampled_from([_TRUST, _TRUST, TrustDirectory.single_issuer(ISSUER, _ISSUER_KEY)]),
+)
+def test_admit_agrees_with_the_full_path(phase, token, data, audience, at, keyring, trust):
+    # The token is first presented on every channel at its issue time and
+    # audience under the pool's keyring and trust directory, which opens a
+    # session if one of them authenticates it.  Then it is presented on a
+    # channel, more often one it passed on: ``admit`` answers with the very
+    # peer the full path passes it with, or None when that raises or denies,
+    # if its session was filled under the keyring and trust directory
+    # presented with; with None otherwise.  The examples are the profile's:
+    # derandomized, so each run checks the same ones.
+    compiled = CompiledPolicy(apply_phase(_ADMIT_TABLE, phase))
+    audience_then = token.claims.aud or "ce-1"
+    passed_on = [
+        name for name in _CHANNELS
+        if full_path(compiled, name, token, audience_then, NOW, _LIVE, _TRUST) is not None
+    ]
+    channel = data.draw(st.sampled_from(passed_on or _CHANNELS) | st.sampled_from(_CHANNELS))
+    claims = token.claims
+    now = {
+        "iat-61": claims.iat - DEFAULT_SKEW - 1,
+        "iat-60": claims.iat - DEFAULT_SKEW,
+        "iat": claims.iat,
+        "exp+60": claims.exp + DEFAULT_SKEW,
+        "exp+61": claims.exp + DEFAULT_SKEW + 1,
+    }[at]
+    sessions = compiled.sessions
+    warm = token.compact in sessions and sessions.keyring is keyring and sessions.trust is trust
+    admitted = compiled.admit(compiled.channels[channel], token, audience, now, keyring, trust)
+    passed = full_path(compiled, channel, token, audience, now, keyring, trust)
+    assert admitted is (passed if warm else None)
 
 
 # -- authorize --------------------------------------------------------------

@@ -320,25 +320,49 @@ def compiled():
     return policy.CompiledPolicy(policy.PolicyTable({}, (("*", "anyone"),)))
 
 
-def present(compiled, token, *, keyring=None, trust=None, audience="ce-1", scopes=(), now=NOW):
-    """Authenticate ``token`` through ``compiled`` on a channel that accepts
-    its method and asks for ``scopes``, or for READ when there are none."""
+def present_on(compiled, channel, pol, token, *, keyring=None, trust=None, audience="", now=NOW):
+    """Present ``token`` on ``channel`` as ``World.authenticate_on`` does:
+    its session's peer if ``compiled.admit`` takes it, else what a full
+    verification returns, which opens a session."""
+    peer = compiled.admit(pol, token, audience, now, keyring, trust)
+    if peer is None:
+        peer = policy.authenticate(
+            channel, pol, token, compiled=compiled, keyring=keyring, trust=trust,
+            expected_audience=audience, now=now,
+        )
+    return peer
+
+
+def present(compiled, token, *, keyring=None, trust=None, audience="ce-1", scopes=None, now=NOW):
+    """Present ``token`` through ``compiled`` on a channel that accepts its
+    method and asks for ``scopes``, or for ADVERTISE when there are none;
+    ``scopes`` defaults to the job-submit scope for a capability token."""
     method = policy.credential_method(token)
+    if scopes is None and method is policy.AuthMethod.SCITOKEN:
+        scopes = (policy.JOB_SUBMIT_SCOPE,)
     if scopes:
         pol = policy.ChannelPolicy((method,), required_scopes=frozenset(scopes))
     else:
-        pol = policy.ChannelPolicy((method,), policy.AuthzLevel.READ)
-    return policy.authenticate(
-        policy.CH_CE_SUBMIT, pol, token, compiled=compiled, keyring=keyring, trust=trust,
-        expected_audience=audience, now=now,
+        pol = policy.ChannelPolicy((method,), policy.AuthzLevel.ADVERTISE)
+    return present_on(
+        compiled, policy.CH_CE_SUBMIT, pol, token, keyring=keyring, trust=trust,
+        audience=audience, now=now,
     )
 
 
 def served_tokens(monkeypatch):
-    """Every token a World authenticates, as (method, token, the session
-    table that served it), in order."""
+    """Every token a World presents, as (method, token, the session table
+    that served it), in order: those ``admit`` took on their session and
+    those ``authenticate`` verified in full."""
     served = []
+    real_admit = policy.CompiledPolicy.admit
     real = actors.authenticate
+
+    def admitting(compiled, pol, token, *args):
+        peer = real_admit(compiled, pol, token, *args)
+        if peer is not None:
+            served.append((peer.method, token, compiled.sessions))
+        return peer
 
     def recording(channel, pol, credential, *, compiled, **kw):
         peer = real(channel, pol, credential, compiled=compiled, **kw)
@@ -346,6 +370,7 @@ def served_tokens(monkeypatch):
             served.append((peer.method, credential, compiled.sessions))
         return peer
 
+    monkeypatch.setattr(policy.CompiledPolicy, "admit", admitting)
     monkeypatch.setattr(actors, "authenticate", recording)
     return served
 
