@@ -23,9 +23,9 @@ from .migration import (
 from .policy import (
     AuthMethod,
     AuthzLevel,
-    CompiledPolicy,
     MigrationPhase,
     PolicyTable,
+    Sessions,
     apply_phase,
     authenticate,
     authorize,
@@ -53,13 +53,13 @@ __all__ = [
     "AuthPolicyError",
     "AuthorizationDenied",
     "AuthzLevel",
-    "CompiledPolicy",
     "IssuerKey",
     "MigrationPhase",
     "PolicyTable",
     "RunResult",
     "Scenario",
     "ScenarioError",
+    "Sessions",
     "SimulationError",
     "SymmetricKeyring",
     "Token",

@@ -13,6 +13,7 @@ import enum
 import heapq
 import weakref
 from dataclasses import dataclass, field
+from typing import Mapping
 
 from . import jose
 from .errors import (
@@ -38,11 +39,12 @@ from .policy import (
     JOB_SUBMIT_SCOPE,
     AuthenticatedPeer,
     AuthMethod,
-    CompiledPolicy,
+    ChannelPolicy,
     Credential,
     LocalFsCredential,
     MigrationPhase,
     ProxyCredential,
+    Sessions,
     apply_phase,
     authenticate,
     authorize,
@@ -195,7 +197,8 @@ class World:
         )
 
         self.base_table = default_table()
-        self.policy: CompiledPolicy  # compiled by set_phase, which start() calls first
+        self.sessions = Sessions(self.base_table)  # every token session, whatever the phase
+        self.channels: Mapping[str, ChannelPolicy]  # set by set_phase, which start() calls first
         #: What pilots present to the collector in place of their token, set
         #: by set_phase: None while ``CH_JOIN`` takes IDTOKEN, else ``pilot_proxy``.
         self.join_proxy: ProxyCredential | None
@@ -278,8 +281,8 @@ class World:
     def forget_token(self, token: jose.Token) -> None:
         """Drop ``token``'s session: its holder ended (``end_pilot``) or
         replaced it (``Frontend.refresh_capabilities``, ``WMClient.renew_token``).
-        A key rotation needs no call: a new keyring starts the sessions over."""
-        self.policy.sessions.pop(token.compact, None)
+        A key rotation needs no call: a new keyring empties the sessions."""
+        self.sessions.pop(token.compact, None)
 
     # -- authenticated requests --------------------------------------------
 
@@ -293,12 +296,11 @@ class World:
         the underlying failure after recording it, so callers decide
         retry/fallback while the trace stays complete.
         """
-        compiled = self.policy
-        pol = compiled.channels[channel]
+        pol = self.channels[channel]
         now = self.engine.now
         is_token = isinstance(credential, jose.Token)
         peer = (
-            compiled.admit(pol, credential, audience, now, self.keyring, self.trust)
+            self.sessions.admit(pol, credential, audience, now, self.keyring, self.trust)
             if is_token
             else None
         )
@@ -308,7 +310,7 @@ class World:
                     channel,
                     pol,
                     credential,
-                    compiled=compiled,
+                    sessions=self.sessions,
                     keyring=self.keyring,
                     trust=self.trust,
                     trusted_cas=self.trusted_cas,
@@ -389,7 +391,7 @@ class World:
         or None after refusing the request when the two share none."""
         by_method = {credential_method(credential): credential for credential in offered}
         try:
-            method = negotiate_method(tuple(by_method), self.policy.channels[channel].methods)
+            method = negotiate_method(tuple(by_method), self.channels[channel].methods)
         except NoCommonMethod as exc:
             self.refuse(channel, exc.reason, identity=identity, detail=detail)
             return None
@@ -398,8 +400,8 @@ class World:
     # -- phase control ------------------------------------------------------
 
     def set_phase(self, phase: MigrationPhase) -> None:
-        self.policy = CompiledPolicy(apply_phase(self.base_table, phase))
-        join_methods = self.policy.channels[CH_JOIN].methods
+        self.channels = apply_phase(self.base_table, phase).channels
+        join_methods = self.channels[CH_JOIN].methods
         self.join_proxy = None if AuthMethod.IDTOKEN in join_methods else self.pilot_proxy
         self.trace.record(
             self.engine.now, TRACE_PLAN, "PHASE", detail=f"phase={phase._value_}"
@@ -719,7 +721,7 @@ class Frontend:
 
     def refresh_capabilities(self) -> None:
         w = self.world
-        if AuthMethod.SCITOKEN not in w.policy.channels[CH_CE_SUBMIT].methods:
+        if AuthMethod.SCITOKEN not in w.channels[CH_CE_SUBMIT].methods:
             return  # no gateway takes a capability token in this phase
         now = w.engine.now
         lifetime = w.scenario.issuer.scitoken_lifetime
@@ -829,7 +831,7 @@ class Factory:
         all take tokens and one is held, then the pilot proxy, when the phase
         still takes it."""
         w = self.world
-        methods = w.policy.channels[CH_CE_SUBMIT].methods
+        methods = w.channels[CH_CE_SUBMIT].methods
         out: list[Credential] = []
         if AuthMethod.SCITOKEN in methods and self.token_capable and ce.accepts_tokens:
             token = w.frontend.capability_for(ce.id)

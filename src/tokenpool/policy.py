@@ -27,7 +27,6 @@ from .errors import (
 from .jose import SCITOKEN_ALG, Token
 from .tokens import (
     DEFAULT_SKEW,
-    Sessions,
     SymmetricKeyring,
     TrustDirectory,
     VerifiedCapability,
@@ -118,6 +117,10 @@ CH_PROVISION = "FRONTEND->FACTORY"
 CH_CE_SUBMIT = "FACTORY->CE"
 CH_JOIN = "STARTD->COLLECTOR"
 
+#: The channels that can lose a message, the collector's two inbound ones:
+#: ``World.dropped`` draws a ``MESSAGE_DROP`` fault's losses on no other.
+DROP_CHANNELS = (CH_ADVERTISE, CH_JOIN)
+
 
 @dataclass(frozen=True)
 class ProxyCredential:
@@ -184,23 +187,47 @@ class PolicyTable:
         raise UnmappedIdentity(f"no mapping for {raw!r}")
 
 
-class CompiledPolicy:
-    """A policy table compiled for presentation.
+class Sessions(dict):
+    """A World's security sessions: ``sessions[token.compact]`` is the peer
+    :func:`authenticate` returned when it fully verified ``token``, much as
+    HTCondor reuses an authenticated security session.
 
-    ``channels`` is the table's own map from channel name to
-    ``ChannelPolicy``.  ``sessions`` maps the wire form of each token that
-    :func:`authenticate` has fully verified to the peer it returned, until
-    the token's holder drops it; it is filled under one keyring and one
-    trust directory and starts over when handed others.  :meth:`admit`
-    answers a token presented again from its session.
+    ``table`` gives the identity map.  A session stands for the checks
+    that are pure functions of the token, the keyring, the trust directory
+    and that map, so it is good only under the keyring and trust directory
+    the table was filled under (:meth:`bind`); which methods a channel
+    accepts is checked at every presentation, so a session outlives a
+    phase switch.  Only successes are opened, and a session lives until
+    its token's holder drops it.  Sessions with equal peers share one
+    peer object, held once in ``_peers``.
     """
 
-    __slots__ = ("table", "channels", "sessions")
+    __slots__ = ("table", "keyring", "trust", "_peers")
 
     def __init__(self, table: PolicyTable) -> None:
+        super().__init__()
         self.table = table
-        self.channels = table.channels
-        self.sessions = Sessions()
+        self.keyring: SymmetricKeyring | None = None
+        self.trust: TrustDirectory | None = None
+        self._peers: dict[AuthenticatedPeer, AuthenticatedPeer] = {}
+
+    def bind(self, keyring: SymmetricKeyring | None, trust: TrustDirectory | None) -> None:
+        """Tie the table to ``keyring`` and ``trust``, emptying it in place
+        if it was filled under others.  Keyrings and trust directories are
+        never changed in place (:func:`~tokenpool.tokens.revoke_key` and
+        :func:`~tokenpool.tokens.rotate_key` return new ones), so identity
+        is the test."""
+        if self.keyring is not keyring or self.trust is not trust:
+            self.clear()
+            self._peers.clear()
+            self.keyring = keyring
+            self.trust = trust
+
+    def open(self, token: Token, peer: AuthenticatedPeer) -> AuthenticatedPeer:
+        """Remember ``peer`` as ``token``'s session and return it, or the
+        equal peer a session of this table already holds."""
+        peer = self[token.compact] = self._peers.setdefault(peer, peer)
+        return peer
 
     def admit(
         self,
@@ -214,20 +241,17 @@ class CompiledPolicy:
         """The peer of ``token``'s session if this presentation of it passes,
         else None, for :func:`authenticate` and :func:`authorize` to decide.
 
-        A session stands for the checks that are pure functions of the
-        token, the keyring, the trust directory and this table, so only
-        what can differ between presentations is checked here: that the
-        sessions were filled under ``keyring`` and ``trust``, the channel's
-        method, the time window at ``now`` and, for a capability token, the
-        audience; then the authorization, which for a capability's peer is
-        the scope coverage.  The full path refuses whatever this refuses, at
-        the check that failed here, since verification runs the same checks
-        in the same order.  Raises nothing.
+        The table is bound to ``keyring`` and ``trust`` first (:meth:`bind`);
+        then only what can differ between presentations is checked: the
+        channel's method, the time window at ``now`` and, for a capability
+        token, the audience; then the authorization, which for a
+        capability's peer is the scope coverage.  The full path refuses
+        whatever this refuses, at the check that failed here, since
+        verification runs the same checks in the same order.  Raises
+        nothing.
         """
-        sessions = self.sessions
-        if sessions.keyring is not keyring or sessions.trust is not trust:
-            return None
-        peer = sessions.get(token.compact)
+        self.bind(keyring, trust)
+        peer = self.get(token.compact)
         if peer is None or peer.method not in pol.methods:
             return None
         claims = token.claims
@@ -306,7 +330,7 @@ def authenticate(
     pol: ChannelPolicy,
     credential: Credential,
     *,
-    compiled: CompiledPolicy,
+    sessions: Sessions,
     keyring: SymmetricKeyring | None = None,
     trust: TrustDirectory | None = None,
     trusted_cas: frozenset[str] = frozenset(),
@@ -314,17 +338,16 @@ def authenticate(
     expected_audience: str = "",
     now: int = 0,
 ) -> AuthenticatedPeer:
-    """Authenticate one credential on one channel, whose policy ``pol`` is
-    looked up once by the caller from ``compiled``.
+    """Authenticate one credential on ``channel``, whose policy is ``pol``.
 
     The method is the credential's (:func:`credential_method`) and must
     appear in the channel's accepted list.  The authenticated name is
-    rewritten through ``compiled``'s identity map.
+    rewritten through the identity map of ``sessions.table``.
 
     A token is always verified in full, and opens a session in
-    ``compiled.sessions`` if it passes; a presentation on an open session
-    is :meth:`CompiledPolicy.admit`'s to answer, and comes here only when
-    that refuses it.
+    ``sessions`` if it passes; a presentation on an open session is
+    :meth:`Sessions.admit`'s to answer, and comes here only when that
+    refuses it.
 
     Raises:
         NoCommonMethod: the inferred method is not accepted here.
@@ -338,7 +361,7 @@ def authenticate(
             raise UntrustedCA(f"CA {credential.attested_by!r} not trusted")
         if now >= credential.expiry:
             raise ProxyExpired(f"proxy expired at {credential.expiry} (now {now})")
-        identity = compiled.table.map_identity(credential.distinguished_name)
+        identity = sessions.table.map_identity(credential.distinguished_name)
         return AuthenticatedPeer(
             canonical_identity=identity,
             method=_GSI_PROXY,
@@ -351,16 +374,14 @@ def authenticate(
             raise UntrustedCA(
                 f"filesystem credential from {credential.host!r} presented on {local_host!r}"
             )
-        identity = compiled.table.map_identity(credential.account)
+        identity = sessions.table.map_identity(credential.account)
         return AuthenticatedPeer(
             canonical_identity=identity,
             method=_LOCAL_FS,
             granted_levels=_LEGACY_LEVELS,
         )
 
-    sessions = compiled.sessions
-    if sessions.keyring is not keyring or sessions.trust is not trust:
-        sessions = compiled.sessions = Sessions(keyring, trust)
+    sessions.bind(keyring, trust)
     if credential_method(credential) is _SCITOKEN:
         _require(_SCITOKEN, pol, channel)
         if trust is None:
@@ -368,7 +389,7 @@ def authenticate(
         cap: VerifiedCapability = verify_scitoken(
             credential, trust, expected_audience, pol.required_scopes, now
         )
-        identity = compiled.table.map_identity(cap.subject)
+        identity = sessions.table.map_identity(cap.subject)
         return sessions.open(
             credential,
             AuthenticatedPeer(
@@ -383,7 +404,7 @@ def authenticate(
     if keyring is None:
         raise InvalidPolicy("identity verification needs a keyring")
     ident: VerifiedIdentity = verify_idtoken(credential, keyring, now)
-    identity = compiled.table.map_identity(ident.subject)
+    identity = sessions.table.map_identity(ident.subject)
     levels = _LEVELS_NAMED.get(ident.authz_limits)
     if levels is None:
         bad = ", ".join(sorted(ident.authz_limits - _LEVEL_NAMES))

@@ -22,7 +22,7 @@ from typing import Any, Callable, Mapping
 import yaml
 
 from .errors import ScenarioError
-from .policy import AuthMethod, MigrationPhase, default_channels
+from .policy import DROP_CHANNELS, AuthMethod, MigrationPhase
 from .simnet import Fault, FaultKind
 
 
@@ -376,7 +376,7 @@ def _check(sc: Scenario) -> None:
         FaultKind.KEY_COMPROMISE: ("key", [k.kid for k in sc.keys]),
         FaultKind.CE_TOKEN_MISCONFIG: ("gateway", ["*", *ce_ids]),
         FaultKind.CE_STUCK_SUBMISSION: ("gateway", ["*", *ce_ids]),
-        FaultKind.MESSAGE_DROP: ("channel", ["*", *default_channels()]),
+        FaultKind.MESSAGE_DROP: ("channel that can lose a message", ["*", *DROP_CHANNELS]),
     }
     for i, fault in enumerate(sc.faults):
         noun, known = fault_targets[fault.kind]

@@ -282,9 +282,9 @@ class Fault:
     """One injected fault: what, where, and over which time window.
 
     ``target`` names a gateway id (CE_TOKEN_MISCONFIG and
-    CE_STUCK_SUBMISSION), a key id (KEY_COMPROMISE) or a channel label
-    (MESSAGE_DROP); ``"*"`` matches everything, and a scenario may use it
-    for every kind but KEY_COMPROMISE.  ``end=None``
+    CE_STUCK_SUBMISSION), a key id (KEY_COMPROMISE) or a channel that can
+    lose a message (MESSAGE_DROP); ``"*"`` matches everything, and a
+    scenario may use it for every kind but KEY_COMPROMISE.  ``end=None``
     leaves the fault active for the rest of the run.  ``rate`` only
     matters for MESSAGE_DROP.
     """

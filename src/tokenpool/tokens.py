@@ -13,7 +13,7 @@ import os
 import secrets
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Any, Collection, Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 from cryptography.hazmat.primitives import serialization
 from cryptography.hazmat.primitives.asymmetric import ed25519
@@ -35,42 +35,6 @@ from .errors import (
 from .jose import IDTOKEN_ALG, SCITOKEN_ALG, Token, TokenClaims, TokenHeader
 
 DEFAULT_SKEW = 60
-
-
-class Sessions(dict):
-    """``sessions[token.compact]`` is what the first fully successful
-    verification of the parsed ``token`` under ``keyring`` and ``trust``
-    returned, much as HTCondor reuses an authenticated security session:
-    a session is keyed by its token's wire form, a ``str``.
-
-    A session stands for the checks that are pure functions of the token
-    and the trust state; :meth:`tokenpool.policy.CompiledPolicy.admit`
-    answers a presentation on an open session, re-checking whatever depends
-    on the channel, the audience or the time.  Only successes are opened;
-    a session lives as long as its token's holder, and this table is the
-    one cache between a credential and its verdict.  Sessions with equal
-    verdicts share one verdict object, held once in ``_results`` for as
-    long as the table lives, so a verdict must be immutable and hashable.
-    Keyrings and trust directories are never changed in place
-    (:func:`revoke_key` and :func:`rotate_key` return new ones), so a table
-    is good only under the two it was filled under.
-    """
-
-    __slots__ = ("keyring", "trust", "_results")
-
-    def __init__(
-        self, keyring: SymmetricKeyring | None = None, trust: TrustDirectory | None = None
-    ) -> None:
-        super().__init__()
-        self.keyring = keyring
-        self.trust = trust
-        self._results: dict[Any, Any] = {}
-
-    def open(self, token: Token, result: Any) -> Any:
-        """Remember ``result`` as ``token``'s session and return it, or the
-        equal verdict a session of this table already holds."""
-        result = self[token.compact] = self._results.setdefault(result, result)
-        return result
 
 
 class KeyStatus(enum.Enum):
@@ -95,10 +59,8 @@ class SymmetricKeyring:
 
     Revoked keys are retained (audit), they just refuse to mint or verify.
     The keyring remembers nothing: every MAC it is asked about is computed.
-    A verified token's session (:class:`Sessions`) is what spares a token
-    presented again its MAC, and a keyring made by :func:`rotate_key` or
-    :func:`revoke_key` is one no session was opened under.  ``entries`` is
-    copied into a read-only mapping, so the caller's cannot change it.
+    ``entries`` is copied into a read-only mapping, so the caller's cannot
+    change it.
     """
 
     entries: Mapping[str, SymmetricKey]
@@ -182,9 +144,8 @@ class TrustDirectory:
 
     An empty audience tuple means the issuer is unrestricted.  The
     directory remembers nothing: every signature it is asked about is
-    checked.  A verified token's session (:class:`Sessions`) is what spares
-    a token presented again its signature check.  Both mappings are copied
-    into read-only ones, so the caller's cannot change them.
+    checked.  Both mappings are copied into read-only ones, so the caller's
+    cannot change them.
     """
 
     issuers: Mapping[str, Mapping[str, bytes]]
@@ -315,9 +276,7 @@ def verify_idtoken(
 
     Check order: algorithm, typ, flavor, key status, signature, time
     window.  A revoked key fails with KeyRevoked no matter what the
-    signature says.  Every check, the HMAC included, runs on every call;
-    :meth:`tokenpool.policy.CompiledPolicy.admit` answers a presentation
-    on an open session, which comes here only when that refuses it.
+    signature says.  Every check, the HMAC included, runs on every call.
 
     Raises:
         MalformedToken, UnknownKey, KeyRevoked, SignatureInvalid,
@@ -349,9 +308,7 @@ def verify_scitoken(
     """Verify a parsed capability token: algorithm, flavor, issuer trust,
     signature, window, audience, and scope coverage, in that order.
 
-    Every check, the signature included, runs on every call;
-    :meth:`tokenpool.policy.CompiledPolicy.admit` answers a presentation
-    on an open session, which comes here only when that refuses it.
+    Every check, the signature included, runs on every call.
 
     Raises:
         MalformedToken, UntrustedIssuer, UnknownKey, SignatureInvalid,

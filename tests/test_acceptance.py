@@ -46,9 +46,9 @@ from tokenpool.policy import (
     AuthMethod,
     AuthzLevel,
     ChannelPolicy,
-    CompiledPolicy,
     MigrationPhase,
     PolicyTable,
+    Sessions,
     authenticate,
     authorize,
 )
@@ -175,12 +175,12 @@ def test_criterion_2_tampering_never_verifies_against_a_warm_signature_memo():
     issuer = "https://tamper.test"
     key = IssuerKey.generate("t", seed=b"\x07" * 32)
     trust = TrustDirectory.single_issuer(issuer, key)
-    compiled = CompiledPolicy(PolicyTable({}, (("*", "anyone"),)))
+    sessions = Sessions(PolicyTable({}, (("*", "anyone"),)))
     pol = ChannelPolicy((AuthMethod.SCITOKEN,), required_scopes=frozenset({"compute.create"}))
 
     def present(token, now):
         return authenticate(
-            CH_CE_SUBMIT, pol, token, compiled=compiled, trust=trust,
+            CH_CE_SUBMIT, pol, token, sessions=sessions, trust=trust,
             expected_audience="ce-1", now=now,
         )
 
@@ -192,7 +192,7 @@ def test_criterion_2_tampering_never_verifies_against_a_warm_signature_memo():
             key, issuer, f"s{i}", ("compute.create",), "ce-1", 600, 1000 + i, jti=f"{i:04x}"
         )
         present(token, 1000 + i)
-        assert token.compact in compiled.sessions
+        assert token.compact in sessions
         head, payload, sig = token.compact.split(".")
         for pos in range(len(payload)):
             replacement = rng.choice(B64URL_ALPHABET)
@@ -234,7 +234,7 @@ def test_criterion_2_tampering_never_authenticates_against_a_warm_world_session(
     rejected: Counter[str] = Counter()
     for channel, token, audience in presented:
         world.authenticate_on(channel, token, audience=audience)
-        assert token.compact in world.policy.sessions
+        assert token.compact in world.sessions
         head, payload, sig = token.compact.split(".")
         for pos in range(len(payload)):
             replacement = rng.choice(B64URL_ALPHABET)

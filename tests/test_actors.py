@@ -473,12 +473,12 @@ def test_memoised_join_token_fails_once_its_key_is_revoked():
     w = idle_world()
     _, token = startd_token(w)
     w.authenticate_on(CH_JOIN, token)
-    assert token.compact in w.policy.sessions
+    assert token.compact in w.sessions
     w.keyring = revoke_key(w.keyring, token.header.kid)
     with pytest.raises(KeyRevoked):
         w.authenticate_on(CH_JOIN, token)
     # The table started over under the new keyring, and a failure opens none.
-    assert not w.policy.sessions
+    assert not w.sessions
     (failed,) = failures(w, CH_JOIN, "KeyRevoked")
     assert failed.method == AuthMethod.IDTOKEN.value
 
@@ -491,7 +491,7 @@ def test_memoised_join_token_expires():
     with pytest.raises(Expired):
         w.authenticate_on(CH_JOIN, token)
     # The session stays; the window is checked at every presentation.
-    assert token.compact in w.policy.sessions
+    assert token.compact in w.sessions
     assert len(failures(w, CH_JOIN, "Expired")) == 1
 
 
@@ -504,7 +504,7 @@ def test_memoised_capability_token_is_refused_at_another_gateway():
     w.authenticate_on(CH_CE_SUBMIT, for_b, audience="ce-b")
     with pytest.raises(AudienceMismatch):
         w.authenticate_on(CH_CE_SUBMIT, for_a, audience="ce-b")
-    assert {for_a.compact, for_b.compact} <= w.policy.sessions.keys()
+    assert {for_a.compact, for_b.compact} <= w.sessions.keys()
     (failed,) = failures(w, CH_CE_SUBMIT, "AudienceMismatch")
     assert failed.method == AuthMethod.SCITOKEN.value
 
@@ -521,11 +521,11 @@ def test_malformed_token_is_recorded_each_time_and_never_remembered():
     )
     secret = w.keyring.active_secret(kid)
     scoped = jose.encode_token(jose.TokenHeader(jose.IDTOKEN_ALG, kid), claims, secret)
-    remembered = dict(w.policy.sessions)
+    remembered = dict(w.sessions)
     for _ in range(2):
         with pytest.raises(MalformedToken):
             w.authenticate_on(CH_JOIN, scoped)
-    assert w.policy.sessions == remembered
+    assert w.sessions == remembered
     methods = [r.method for r in failures(w, CH_JOIN, "MalformedToken")]
     assert methods == [AuthMethod.IDTOKEN.value] * 2
 
@@ -540,9 +540,8 @@ def _session_memo(monkeypatch):
         for i in range(7)
     ]
     bad = tokens.mint_idtoken(keyring, "k", "stranger", (), 600, 0)
-    compiled = policy.CompiledPolicy(policy.default_table())
-    compiled.sessions = tokens.Sessions(keyring)
-    pol = compiled.channels[CH_JOIN]
+    sessions = policy.Sessions(policy.default_table())
+    pol = policy.default_channels()[CH_JOIN]
     computed = []
     verify = policy.verify_idtoken
     monkeypatch.setattr(
@@ -550,9 +549,9 @@ def _session_memo(monkeypatch):
     )
 
     def look_up(token):
-        return present_on(compiled, CH_JOIN, pol, token, keyring=keyring, now=0)
+        return present_on(sessions, CH_JOIN, pol, token, keyring=keyring, now=0)
 
-    return compiled.sessions, look_up, computed, keys, bad, UnmappedIdentity
+    return sessions, look_up, computed, keys, bad, UnmappedIdentity
 
 
 @pytest.mark.parametrize(
@@ -712,10 +711,10 @@ def golden_digest(path):
 def test_policy_memo_caps_do_not_change_the_digest(path, monkeypatch, run_world):
     # The tightest cap of all: the session table stores nothing, so every
     # presentation verifies its token in full; the run must not notice.
-    monkeypatch.setattr(tokens.Sessions, "open", lambda sessions, token, result: result)
+    monkeypatch.setattr(policy.Sessions, "open", lambda sessions, token, result: result)
     world = run_world(path)
     assert world.trace.digest() == golden_digest(path)
-    assert not world.policy.sessions
+    assert not world.sessions
 
 
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
@@ -729,9 +728,9 @@ def test_parse_memo_and_sessions_follow_the_pool(path, monkeypatch, run_world):
     held = set(world.frontend.scitokens.values())
     ended = {p.token for p in made if p.token is not None and p.id not in live}
     dead = ended | (set(fetched) - held)
-    assert not {token.compact for token in dead} & world.policy.sessions.keys()
+    assert not {token.compact for token in dead} & world.sessions.keys()
     # Every member presented its token at its join, and still holds its session.
-    assert {p.token.compact for p in world.collector.members.values()} <= world.policy.sessions.keys()
+    assert {p.token.compact for p in world.collector.members.values()} <= world.sessions.keys()
     # In these two no pilot with a token ends and no capability is replaced.
     assert dead or path.stem in ("arc-ldap-deprecation", "split-2022")
 
@@ -1178,7 +1177,7 @@ def test_sessions_at_the_peak_hold_each_distinct_verdict_once():
     # About 2,000 members' identity tokens have a session each, and only a
     # handful of verdicts differ: equal ones are one object.
     world = rollout_at_peak(load_scenario(SCENARIO_DIR / "rollout-2022.yaml"))
-    peers = list(world.policy.sessions.values())
+    peers = list(world.sessions.values())
     assert len(peers) > 1900
     assert len({id(peer) for peer in peers}) == len(set(peers)) < 10
 
@@ -1187,7 +1186,7 @@ def test_sessions_at_the_peak_are_keyed_by_the_wire_form_of_a_held_token():
     # Each session's key is a str, the compact form of a token some live
     # holder still presents; a pilot's end takes its key out.
     world = rollout_at_peak(load_scenario(SCENARIO_DIR / "rollout-2022.yaml"))
-    sessions = world.policy.sessions
+    sessions = world.sessions
     members = list(world.collector.members.values())
     held = {p.token.compact for p in members}
     held |= {token.compact for token in world.frontend.scitokens.values()}
@@ -1416,7 +1415,7 @@ def test_world_negotiates_the_token_first_under_a_legacy_first_table():
     )
     w.set_phase(MigrationPhase.TOKEN_WITH_GSI_FALLBACK)
     both = (AuthMethod.GSI_PROXY, AuthMethod.IDTOKEN)
-    assert w.policy.channels[CH_ADVERTISE].methods == both
+    assert w.channels[CH_ADVERTISE].methods == both
     offered = (w.schedd.proxy, w.schedd.token)
     assert w.negotiate(CH_ADVERTISE, offered) is w.schedd.token
     assert w.negotiate(CH_ADVERTISE, offered[:1]) is w.schedd.proxy
@@ -1606,10 +1605,9 @@ def _accepting_only_local_fs(channel):
     """A world at t=0 whose ``channel`` accepts only LOCAL_FS, which no
     daemon offers there, so negotiation on it fails."""
     w = build_world(parse_scenario(doc()), Trace(out=io.BytesIO()))
-    table = w.policy.table
-    channels = dict(table.channels)
+    channels = dict(w.channels)
     channels[channel] = dataclasses.replace(channels[channel], methods=(AuthMethod.LOCAL_FS,))
-    w.policy = policy.CompiledPolicy(policy.PolicyTable(channels, table.identity_map))
+    w.channels = channels
     w.engine.run(0)
     return w
 
@@ -1791,9 +1789,13 @@ def test_only_the_cli_parses_tokens():
     for path in sorted(Path(tokens.__file__).parent.glob("*.py")):
         parsers |= {f"{path.stem}.{c}" for c in _callers(ast.parse(path.read_text()), "decode_token")}
     assert parsers == {"cli.cmd_token_inspect", "cli.cmd_token_verify"}
-    tree = ast.parse(Path(tokens.__file__).read_text())
-    classes = {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
-    assert "Memo" not in classes and "Sessions" in classes
+
+    def classes(module):
+        tree = ast.parse(Path(module.__file__).read_text())
+        return {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+
+    assert "Memo" not in classes(tokens) | classes(policy)
+    assert "Sessions" in classes(policy)
 
 
 def test_only_policy_constructs_a_channel():
@@ -1833,8 +1835,9 @@ def test_no_memo_has_a_size_cap_and_only_the_fold_clears():
                 sized.add(f"{path.stem}.{name}")
         clearers |= {f"{path.stem}.{caller}" for caller in _callers(tree, "clear")}
     assert sized == set()
-    # The trace fold's per-instant buffers are the only things cleared.
-    assert clearers == {"migration._Pass.close_instant"}
+    # The trace fold's per-instant buffers, and a session table when its
+    # keyring or trust directory changes, are the only things cleared.
+    assert clearers == {"migration._Pass.close_instant", "policy.Sessions.bind"}
 
 
 def _unused(sources):

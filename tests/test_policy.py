@@ -35,12 +35,12 @@ from tokenpool.policy import (
     AuthMethod,
     AuthzLevel,
     ChannelPolicy,
-    CompiledPolicy,
     Decision,
     LocalFsCredential,
     MigrationPhase,
     PolicyTable,
     ProxyCredential,
+    Sessions,
     apply_phase,
     authenticate,
     authorize,
@@ -236,14 +236,14 @@ def table():
     )
 
 
-def auth(table, channel, credential, compiled=None, **kw):
+def auth(table, channel, credential, sessions=None, **kw):
     kw.setdefault("trusted_cas", frozenset({CA}))
     kw.setdefault("local_host", HOST)
     kw.setdefault("now", NOW)
-    if compiled is None:
-        compiled = CompiledPolicy(table)
-    pol = compiled.channels[channel]
-    return authenticate(channel, pol, credential, compiled=compiled, **kw)
+    if sessions is None:
+        sessions = Sessions(table)
+    pol = table.channels[channel]
+    return authenticate(channel, pol, credential, sessions=sessions, **kw)
 
 
 def test_authenticate_proxy_grants_legacy_admin(table):
@@ -348,29 +348,29 @@ def test_credential_method_maps_each_kind_of_credential(keyring, issuer_key):
     assert [credential_method(c) for c, _ in kinds] == [m for _, m in kinds]
 
 
-# -- the compiled policy's limits table and sessions ------------------------
+# -- the limits table and sessions -------------------------------------------
 
 
 def test_sessions_remember_only_mapped_subjects(table, keyring):
-    compiled = CompiledPolicy(table)
+    sessions = Sessions(table)
     join = CH_ADVERTISE
     stranger = mint_idtoken(keyring, "pool-1", "stranger", (), 600, NOW)
     for _ in range(2):
         with pytest.raises(UnmappedIdentity):
-            auth(table, join, stranger, compiled, keyring=keyring)
-    assert not compiled.sessions
+            auth(table, join, stranger, sessions, keyring=keyring)
+    assert not sessions
     known = mint_idtoken(keyring, "pool-1", "condor@a", (), 600, NOW)
-    peer = auth(table, join, known, compiled, keyring=keyring)
-    assert compiled.sessions == {known.compact: peer}
+    peer = auth(table, join, known, sessions, keyring=keyring)
+    assert sessions == {known.compact: peer}
 
 
 def test_unknown_limit_names_are_never_remembered(table, keyring):
-    compiled = CompiledPolicy(table)
+    sessions = Sessions(table)
     bad = mint_idtoken(keyring, "pool-1", "condor@a", ("READ", "SUPERUSER"), 600, NOW)
     for _ in range(2):
         with pytest.raises(InvalidClaims, match="unknown authz limits: SUPERUSER$"):
-            auth(table, CH_ADVERTISE, bad, compiled, keyring=keyring)
-        assert not compiled.sessions
+            auth(table, CH_ADVERTISE, bad, sessions, keyring=keyring)
+        assert not sessions
 
 
 def test_limits_table_names_what_the_old_rule_named():
@@ -396,32 +396,32 @@ def test_memoised_subject_still_fails_every_check(table, keyring, trust, issuer_
     # status and, for a capability, the audience and scopes are checked on
     # every presentation, and ``authenticate`` checks all of them even for
     # a token with a session.
-    compiled = CompiledPolicy(table)
+    sessions = Sessions(table)
     join = CH_ADVERTISE
     token = mint_idtoken(keyring, "pool-1", "condor@a", (), 600, NOW)
-    auth(table, join, token, compiled, keyring=keyring)
-    assert token.compact in compiled.sessions
+    auth(table, join, token, sessions, keyring=keyring)
+    assert token.compact in sessions
     with pytest.raises(Expired):
-        auth(table, join, token, compiled, keyring=keyring, now=NOW + 10_000)
+        auth(table, join, token, sessions, keyring=keyring, now=NOW + 10_000)
     with pytest.raises(NotYetValid):
-        auth(table, join, token, compiled, keyring=keyring, now=NOW - 10_000)
+        auth(table, join, token, sessions, keyring=keyring, now=NOW - 10_000)
     with pytest.raises(NoCommonMethod):
-        auth(table, CH_CE_SUBMIT, token, compiled, keyring=keyring)
+        auth(table, CH_CE_SUBMIT, token, sessions, keyring=keyring)
     with pytest.raises(KeyRevoked):
-        auth(table, join, token, compiled, keyring=revoke_key(keyring, "pool-1"))
+        auth(table, join, token, sessions, keyring=revoke_key(keyring, "pool-1"))
 
     ce = CH_CE_SUBMIT
     cap = mint_scitoken(issuer_key, ISSUER, "pilot-ops", (JOB_SUBMIT_SCOPE,), "ce-1", 600, NOW)
-    auth(table, ce, cap, compiled, trust=trust, expected_audience="ce-1")
-    assert cap.compact in compiled.sessions
+    auth(table, ce, cap, sessions, trust=trust, expected_audience="ce-1")
+    assert cap.compact in sessions
     with pytest.raises(AudienceMismatch):
-        auth(table, ce, cap, compiled, trust=trust, expected_audience="ce-2")
+        auth(table, ce, cap, sessions, trust=trust, expected_audience="ce-2")
     wider = ChannelPolicy(
         (AuthMethod.SCITOKEN,), required_scopes=frozenset({JOB_SUBMIT_SCOPE, "compute.cancel"})
     )
     with pytest.raises(InsufficientScope, match="compute.cancel"):
         authenticate(
-            ce, wider, cap, compiled=compiled, trust=trust, expected_audience="ce-1", now=NOW
+            ce, wider, cap, sessions=sessions, trust=trust, expected_audience="ce-1", now=NOW
         )
 
 
@@ -431,11 +431,11 @@ def test_scope_refusal_names_every_missing_scope_in_order(
 ):
     # The same message whether or not the token has a session: every
     # missing scope, sorted.
-    compiled = CompiledPolicy(table)
+    sessions = Sessions(table)
     cap = mint_scitoken(issuer_key, ISSUER, "pilot-ops", (JOB_SUBMIT_SCOPE,), "ce-1", 600, NOW)
     if session:
-        auth(table, CH_CE_SUBMIT, cap, compiled, trust=trust, expected_audience="ce-1")
-    assert (cap.compact in compiled.sessions) is session
+        auth(table, CH_CE_SUBMIT, cap, sessions, trust=trust, expected_audience="ce-1")
+    assert (cap.compact in sessions) is session
     wider = ChannelPolicy(
         (AuthMethod.SCITOKEN,),
         required_scopes=frozenset({"compute.read", JOB_SUBMIT_SCOPE, "compute.cancel"}),
@@ -443,7 +443,7 @@ def test_scope_refusal_names_every_missing_scope_in_order(
     missing = r"^missing scopes: compute\.cancel compute\.read$"
     with pytest.raises(InsufficientScope, match=missing):
         authenticate(
-            CH_CE_SUBMIT, wider, cap, compiled=compiled, trust=trust, expected_audience="ce-1", now=NOW
+            CH_CE_SUBMIT, wider, cap, sessions=sessions, trust=trust, expected_audience="ce-1", now=NOW
         )
 
 
@@ -563,7 +563,7 @@ def test_compiled_path_matches_the_path_it_replaced(phase, issuer_key, trust):
     keyring = SymmetricKeyring.from_secrets({"pool-1": b"p" * 32, "pool-2": b"q" * 32})
     credentials = presented_credentials(keyring, issuer_key)
     projected = apply_phase(default_table(), phase)
-    compiled = CompiledPolicy(projected)
+    sessions = Sessions(projected)
     live = revoke_key(keyring, "pool-2")
     base = dict(now=NOW, expected_audience="ce-1", keyring=live)
     # Right after a presentation at ``base``, which leaves a session for
@@ -582,11 +582,11 @@ def test_compiled_path_matches_the_path_it_replaced(phase, issuer_key, trust):
     ]
     seen = set()
     for channel in projected.channels:
-        pol = compiled.channels[channel]
+        pol = projected.channels[channel]
 
         def new_path(credential, at):
             peer = authenticate(
-                channel, pol, credential, compiled=compiled, trust=trust,
+                channel, pol, credential, sessions=sessions, trust=trust,
                 trusted_cas=frozenset({CA}), local_host=HOST, **at,
             )
             return peer, authorize(peer, pol)
@@ -602,7 +602,7 @@ def test_compiled_path_matches_the_path_it_replaced(phase, issuer_key, trust):
                 warmed = outcome(lambda: new_path(credential, base))
                 assert warmed == first, (channel, credential)
                 if isinstance(credential, Token) and isinstance(first[1], Decision):
-                    assert credential.compact in compiled.sessions
+                    assert credential.compact in sessions
                 expected = outcome(lambda: old_path(credential, at))
                 got = outcome(lambda: new_path(credential, at))
                 assert got == expected, (channel, at, credential)
@@ -679,13 +679,13 @@ def admit_tokens(draw):
     )
 
 
-def full_path(compiled, channel, token, audience, now, keyring, trust):
-    """The peer ``authenticate`` and ``authorize`` pass ``token`` with, or
-    None when either refuses it."""
-    pol = compiled.channels[channel]
+def full_path(sessions, channels, channel, token, audience, now, keyring, trust):
+    """The peer ``authenticate`` and ``authorize`` pass ``token`` with on
+    ``channels[channel]``, or None when either refuses it."""
+    pol = channels[channel]
     try:
         peer = authenticate(
-            channel, pol, token, compiled=compiled, keyring=keyring, trust=trust,
+            channel, pol, token, sessions=sessions, keyring=keyring, trust=trust,
             expected_audience=audience, now=now,
         )
     except TokenPoolError:
@@ -698,6 +698,7 @@ _CHANNELS = sorted(_ADMIT_TABLE.channels)
 
 @settings(max_examples=400)
 @given(
+    filled_in=st.sampled_from(MigrationPhase),
     phase=st.sampled_from(MigrationPhase),
     token=admit_tokens(),
     data=st.data(),
@@ -708,20 +709,25 @@ _CHANNELS = sorted(_ADMIT_TABLE.channels)
     ),
     trust=st.sampled_from([_TRUST, _TRUST, TrustDirectory.single_issuer(ISSUER, _ISSUER_KEY)]),
 )
-def test_admit_agrees_with_the_full_path(phase, token, data, audience, at, keyring, trust):
-    # The token is first presented on every channel at its issue time and
-    # audience under the pool's keyring and trust directory, which opens a
-    # session if one of them authenticates it.  Then it is presented on a
-    # channel, more often one it passed on: ``admit`` answers with the very
+def test_admit_agrees_with_the_full_path(
+    filled_in, phase, token, data, audience, at, keyring, trust
+):
+    # The token is first presented on every channel of the ``filled_in``
+    # phase at its issue time and audience under the pool's keyring and
+    # trust directory, which opens a session if one of them authenticates
+    # it.  Then it is presented on a channel of ``phase``, more often one it
+    # passed on, as after a phase switch: ``admit`` answers with the very
     # peer the full path passes it with, or None when that raises or denies,
     # if its session was filled under the keyring and trust directory
     # presented with; with None otherwise.  The examples are the profile's:
     # derandomized, so each run checks the same ones.
-    compiled = CompiledPolicy(apply_phase(_ADMIT_TABLE, phase))
+    sessions = Sessions(_ADMIT_TABLE)
+    then = apply_phase(_ADMIT_TABLE, filled_in).channels
+    channels = apply_phase(_ADMIT_TABLE, phase).channels
     audience_then = token.claims.aud or "ce-1"
     passed_on = [
         name for name in _CHANNELS
-        if full_path(compiled, name, token, audience_then, NOW, _LIVE, _TRUST) is not None
+        if full_path(sessions, then, name, token, audience_then, NOW, _LIVE, _TRUST) is not None
     ]
     channel = data.draw(st.sampled_from(passed_on or _CHANNELS) | st.sampled_from(_CHANNELS))
     claims = token.claims
@@ -732,10 +738,9 @@ def test_admit_agrees_with_the_full_path(phase, token, data, audience, at, keyri
         "exp+60": claims.exp + DEFAULT_SKEW,
         "exp+61": claims.exp + DEFAULT_SKEW + 1,
     }[at]
-    sessions = compiled.sessions
     warm = token.compact in sessions and sessions.keyring is keyring and sessions.trust is trust
-    admitted = compiled.admit(compiled.channels[channel], token, audience, now, keyring, trust)
-    passed = full_path(compiled, channel, token, audience, now, keyring, trust)
+    admitted = sessions.admit(channels[channel], token, audience, now, keyring, trust)
+    passed = full_path(sessions, channels, channel, token, audience, now, keyring, trust)
     assert admitted is (passed if warm else None)
 
 

@@ -16,7 +16,7 @@ from test_simnet import written
 from tokenpool import scenario
 from tokenpool.errors import ScenarioError
 from tokenpool.migration import run_scenario
-from tokenpool.policy import AuthMethod, MigrationPhase
+from tokenpool.policy import AuthMethod, MigrationPhase, Sessions
 from tokenpool.scenario import (
     CEFlavor,
     CEInterface,
@@ -28,7 +28,6 @@ from tokenpool.scenario import (
     parse_scenario,
 )
 from tokenpool.simnet import FaultKind
-from tokenpool.tokens import Sessions
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -390,6 +389,9 @@ def test_fault_validation():
         parse_scenario(variant(faults=[{"kind": "MESSAGE_DROP"}]))
 
 
+_LOSSY = "channel that can lose a message"
+
+
 @pytest.mark.parametrize(
     "kind, wrong, noun, right",
     [
@@ -397,9 +399,17 @@ def test_fault_validation():
         ("KEY_COMPROMISE", "*", "key", "pool-daemon"),
         ("CE_TOKEN_MISCONFIG", "WMCLIENT->SCHEDD", "gateway", "*"),
         ("CE_STUCK_SUBMISSION", "startd-1", "gateway", "ce-a1"),
-        ("MESSAGE_DROP", "startd-1", "channel", "STARTD->COLLECTOR"),
+        ("MESSAGE_DROP", "startd-1", _LOSSY, "STARTD->COLLECTOR"),
+        # Only the collector's two inbound channels lose messages.
+        ("MESSAGE_DROP", "WMCLIENT->SCHEDD", _LOSSY, "SCHEDD->COLLECTOR"),
+        ("MESSAGE_DROP", "FRONTEND->ISSUER", _LOSSY, "*"),
+        ("MESSAGE_DROP", "FRONTEND->FACTORY", _LOSSY, "STARTD->COLLECTOR"),
+        ("MESSAGE_DROP", "FACTORY->CE", _LOSSY, "SCHEDD->COLLECTOR"),
     ],
-    ids=["key-at-gateway", "key-at-wildcard", "misconfig-at-channel", "stuck-at-key", "drop-at-key"],
+    ids=[
+        "key-at-gateway", "key-at-wildcard", "misconfig-at-channel", "stuck-at-key", "drop-at-key",
+        "drop-at-submit", "drop-at-token-fetch", "drop-at-provision", "drop-at-ce-submit",
+    ],
 )
 def test_fault_target_must_name_what_its_kind_acts_on(kind, wrong, noun, right):
     with pytest.raises(ScenarioError, match=rf"^faults\[0\]: {kind} target {re.escape(repr(wrong))} names no {noun}$"):

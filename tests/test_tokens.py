@@ -314,27 +314,27 @@ def test_scitoken_requires_issuer_claim(issuer_key, trust):
 
 
 @pytest.fixture
-def compiled():
-    """A compiled policy whose identity map maps every subject, so that
+def sessions():
+    """A session table whose identity map maps every subject, so that
     only the token decides whether a session opens."""
-    return policy.CompiledPolicy(policy.PolicyTable({}, (("*", "anyone"),)))
+    return policy.Sessions(policy.PolicyTable({}, (("*", "anyone"),)))
 
 
-def present_on(compiled, channel, pol, token, *, keyring=None, trust=None, audience="", now=NOW):
+def present_on(sessions, channel, pol, token, *, keyring=None, trust=None, audience="", now=NOW):
     """Present ``token`` on ``channel`` as ``World.authenticate_on`` does:
-    its session's peer if ``compiled.admit`` takes it, else what a full
+    its session's peer if ``sessions.admit`` takes it, else what a full
     verification returns, which opens a session."""
-    peer = compiled.admit(pol, token, audience, now, keyring, trust)
+    peer = sessions.admit(pol, token, audience, now, keyring, trust)
     if peer is None:
         peer = policy.authenticate(
-            channel, pol, token, compiled=compiled, keyring=keyring, trust=trust,
+            channel, pol, token, sessions=sessions, keyring=keyring, trust=trust,
             expected_audience=audience, now=now,
         )
     return peer
 
 
-def present(compiled, token, *, keyring=None, trust=None, audience="ce-1", scopes=None, now=NOW):
-    """Present ``token`` through ``compiled`` on a channel that accepts its
+def present(sessions, token, *, keyring=None, trust=None, audience="ce-1", scopes=None, now=NOW):
+    """Present ``token`` through ``sessions`` on a channel that accepts its
     method and asks for ``scopes``, or for ADVERTISE when there are none;
     ``scopes`` defaults to the job-submit scope for a capability token."""
     method = policy.credential_method(token)
@@ -345,40 +345,46 @@ def present(compiled, token, *, keyring=None, trust=None, audience="ce-1", scope
     else:
         pol = policy.ChannelPolicy((method,), policy.AuthzLevel.ADVERTISE)
     return present_on(
-        compiled, policy.CH_CE_SUBMIT, pol, token, keyring=keyring, trust=trust,
+        sessions, policy.CH_CE_SUBMIT, pol, token, keyring=keyring, trust=trust,
         audience=audience, now=now,
     )
 
 
 def served_tokens(monkeypatch):
-    """Every token a World presents, as (method, token, the session table
-    that served it), in order: those ``admit`` took on their session and
-    those ``authenticate`` verified in full."""
+    """Every token a World presents, as (method, token, filling), in order:
+    those ``admit`` took on their session and those ``authenticate``
+    verified in full.  A filling is the session table that served the
+    token with the keyring and trust directory it was then filled under."""
     served = []
-    real_admit = policy.CompiledPolicy.admit
+    real_admit = policy.Sessions.admit
     real = actors.authenticate
 
-    def admitting(compiled, pol, token, *args):
-        peer = real_admit(compiled, pol, token, *args)
+    def admitting(sessions, pol, token, *args):
+        peer = real_admit(sessions, pol, token, *args)
         if peer is not None:
-            served.append((peer.method, token, compiled.sessions))
+            served.append((peer.method, token, (sessions, sessions.keyring, sessions.trust)))
         return peer
 
-    def recording(channel, pol, credential, *, compiled, **kw):
-        peer = real(channel, pol, credential, compiled=compiled, **kw)
+    def recording(channel, pol, credential, *, sessions, **kw):
+        peer = real(channel, pol, credential, sessions=sessions, **kw)
         if isinstance(credential, jose.Token):
-            served.append((peer.method, credential, compiled.sessions))
+            served.append((peer.method, credential, (sessions, sessions.keyring, sessions.trust)))
         return peer
 
-    monkeypatch.setattr(policy.CompiledPolicy, "admit", admitting)
+    monkeypatch.setattr(policy.Sessions, "admit", admitting)
     monkeypatch.setattr(actors, "authenticate", recording)
     return served
 
 
+def fillings(served, method):
+    """The distinct fillings, as id triples, that served ``method`` tokens;
+    ``served`` keeps every object alive, so ids are not reused."""
+    return {tuple(map(id, filling)) for m, _, filling in served if m is method}
+
+
 def sessions_opened(served, method):
-    """Distinct (token, session table) pairs among the ``method`` tokens
-    served; ``served`` keeps every table alive, so ids are not reused."""
-    return len({(token, id(table)) for m, token, table in served if m is method})
+    """Distinct (token, filling) pairs among the ``method`` tokens served."""
+    return len({(token, tuple(map(id, filling))) for m, token, filling in served if m is method})
 
 
 def _with_flipped_signature_byte(token: str) -> str:
@@ -389,11 +395,11 @@ def _with_flipped_signature_byte(token: str) -> str:
 
 
 @pytest.fixture
-def warm(issuer_key, trust, compiled):
-    """The wire form of a capability token with a session in ``compiled``."""
+def warm(issuer_key, trust, sessions):
+    """The wire form of a capability token with a session in ``sessions``."""
     token = mint_scitoken(issuer_key, ISSUER, "s", ("compute.create",), "ce-1", 600, NOW)
-    present(compiled, token, trust=trust, scopes=("compute.create",))
-    assert token.compact in compiled.sessions
+    present(sessions, token, trust=trust, scopes=("compute.create",))
+    assert token.compact in sessions
     return token.compact
 
 
@@ -408,23 +414,23 @@ def warm(issuer_key, trust, compiled):
     ids=["flipped-signature-byte", "expired", "other-audience", "missing-scope"],
 )
 def test_remembered_signature_still_runs_every_other_check(
-    warm, compiled, trust, shown, audience, scopes, now, error
+    warm, sessions, trust, shown, audience, scopes, now, error
 ):
     with pytest.raises(error):
         present(
-            compiled, decode_token(shown(warm)), trust=trust, audience=audience,
+            sessions, decode_token(shown(warm)), trust=trust, audience=audience,
             scopes=scopes, now=now,
         )
 
 
-def test_remembered_signature_does_not_vouch_for_another_key(warm, compiled, issuer_key):
+def test_remembered_signature_does_not_vouch_for_another_key(warm, sessions, issuer_key):
     # Same issuer and kid, different public key: under a new directory the
     # session table starts over, checks the signature itself and rejects it.
     other = TrustDirectory.single_issuer(
         ISSUER, IssuerKey.generate(issuer_key.kid, seed=b"\x66" * 32)
     )
     with pytest.raises(SignatureInvalid):
-        present(compiled, decode_token(warm), trust=other)
+        present(sessions, decode_token(warm), trust=other)
 
 
 @pytest.fixture
@@ -441,29 +447,31 @@ def ed25519_checks(monkeypatch):
     return checks
 
 
-def test_only_verified_signatures_are_remembered(warm, compiled, trust, ed25519_checks):
+def test_only_verified_signatures_are_remembered(warm, sessions, trust, ed25519_checks):
     # Only a token whose signature verified opens a session; a forged one
     # is checked, and refused, at every presentation.
     token = decode_token(warm)
     forged = decode_token(_with_flipped_signature_byte(warm))
     for _ in range(2):
-        present(compiled, token, trust=trust)
+        present(sessions, token, trust=trust)
         with pytest.raises(SignatureInvalid):
-            present(compiled, forged, trust=trust)
+            present(sessions, forged, trust=trust)
     assert [sig for _, _, sig in ed25519_checks] == [forged.signature, forged.signature]
-    assert compiled.sessions.keys() == {token.compact}
+    assert sessions.keys() == {token.compact}
 
 
 def test_run_checks_each_capability_signature_once(ed25519_checks, monkeypatch):
-    # One Ed25519 check per distinct capability token and session table
-    # (one table per policy phase, keyring and trust directory); these runs
-    # refuse no token after its signature check.
+    # One Ed25519 check per distinct capability token and filling: one
+    # session table per World, filled under one keyring and trust directory,
+    # since neither run changes either, across migration-2022's phase
+    # switches; these runs refuse no token after its signature check.
     served = served_tokens(monkeypatch)
     for name in ("split-2022", "migration-2022"):
         run_scenario(SCENARIO_DIR / f"{name}.yaml")
     capability = [s for s in served if s[0] is policy.AuthMethod.SCITOKEN]
     opened = sessions_opened(served, policy.AuthMethod.SCITOKEN)
-    assert len({id(table) for _, _, table in capability}) > 2
+    assert len({id(filling[0]) for _, _, filling in capability}) == 2
+    assert len(fillings(served, policy.AuthMethod.SCITOKEN)) == 2
     assert len(capability) > opened > 0
     assert len(ed25519_checks) == opened
 
@@ -487,11 +495,11 @@ def hs256_macs(monkeypatch):
 
 
 @pytest.fixture
-def warm_id(keyring, compiled):
-    """The wire form of an identity token under k1 with a session in ``compiled``."""
+def warm_id(keyring, sessions):
+    """The wire form of an identity token under k1 with a session in ``sessions``."""
     token = mint_idtoken(keyring, "k1", "s", ("ADVERTISE",), 600, NOW, jti="w1")
-    present(compiled, token, keyring=keyring)
-    assert token.compact in compiled.sessions
+    present(sessions, token, keyring=keyring)
+    assert token.compact in sessions
     return token.compact
 
 
@@ -514,10 +522,10 @@ def _with_payload_of_another_token(token: str) -> str:
     ids=["flipped-mac-byte", "other-payload", "expired"],
 )
 def test_remembered_mac_still_runs_every_other_check(
-    warm_id, compiled, keyring, shown, now, error
+    warm_id, sessions, keyring, shown, now, error
 ):
     with pytest.raises(error):
-        present(compiled, decode_token(shown(warm_id)), keyring=keyring, now=now)
+        present(sessions, decode_token(shown(warm_id)), keyring=keyring, now=now)
 
 
 @pytest.mark.parametrize(
@@ -552,7 +560,7 @@ def _outcome(check):
 
 
 def test_sessions_and_verification_agree_after_the_callers_mappings_change(
-    compiled, issuer_key
+    sessions, issuer_key
 ):
     # A keyring and a trust directory copy the mappings they are built from,
     # so a caller changing its dicts after a session opened changes neither:
@@ -564,56 +572,56 @@ def test_sessions_and_verification_agree_after_the_callers_mappings_change(
     scopes = ("compute.create",)
     id_token = mint_idtoken(keyring, "k1", "s", (), 600, NOW)
     cap = mint_scitoken(issuer_key, ISSUER, "s", scopes, "ce-1", 600, NOW)
-    present(compiled, id_token, keyring=keyring, trust=trust)
-    present(compiled, cap, keyring=keyring, trust=trust, scopes=scopes)
-    assert compiled.sessions.keys() == {id_token.compact, cap.compact}
+    present(sessions, id_token, keyring=keyring, trust=trust)
+    present(sessions, cap, keyring=keyring, trust=trust, scopes=scopes)
+    assert sessions.keys() == {id_token.compact, cap.compact}
     entries["k1"] = SymmetricKey(b"a" * 32, KeyStatus.REVOKED)
     keys[issuer_key.kid] = IssuerKey.generate("op-1", seed=b"\x22" * 32).public_bytes
     audiences[ISSUER] = ("elsewhere",)
     del issuers[ISSUER]
     for session, verification in (
         (
-            lambda: present(compiled, id_token, keyring=keyring, trust=trust),
+            lambda: present(sessions, id_token, keyring=keyring, trust=trust),
             lambda: verify_idtoken(id_token, keyring, NOW),
         ),
         (
-            lambda: present(compiled, cap, keyring=keyring, trust=trust, scopes=scopes),
+            lambda: present(sessions, cap, keyring=keyring, trust=trust, scopes=scopes),
             lambda: verify_scitoken(cap, trust, "ce-1", scopes, NOW),
         ),
     ):
         assert _outcome(session) == _outcome(verification) == "ok"
-    assert compiled.sessions.keyring is keyring and compiled.sessions.trust is trust
+    assert sessions.keyring is keyring and sessions.trust is trust
 
 
-def test_only_matching_macs_are_remembered(warm_id, compiled, keyring, hs256_macs):
+def test_only_matching_macs_are_remembered(warm_id, sessions, keyring, hs256_macs):
     # Only a token whose MAC matched opens a session; a forged one is
     # checked, and refused, at every presentation.
     token = decode_token(warm_id)
     forged = decode_token(_with_flipped_signature_byte(warm_id))
     for _ in range(2):
-        present(compiled, token, keyring=keyring)
+        present(sessions, token, keyring=keyring)
         with pytest.raises(SignatureInvalid):
-            present(compiled, forged, keyring=keyring)
+            present(sessions, forged, keyring=keyring)
     assert hs256_macs == [forged.signing_input, forged.signing_input]
-    assert compiled.sessions.keys() == {token.compact}
+    assert sessions.keys() == {token.compact}
 
 
-def test_rotated_or_revoked_keyring_checks_each_mac_again(compiled, keyring, hs256_macs):
+def test_rotated_or_revoked_keyring_checks_each_mac_again(sessions, keyring, hs256_macs):
     # A keyring made by revoke_key or rotate_key has no sessions: the table
     # starts over, and the token's MAC is computed once under each.
     token = mint_idtoken(keyring, "k2", "s", (), 600, NOW)
     for _ in range(2):
-        present(compiled, token, keyring=keyring)
+        present(sessions, token, keyring=keyring)
     assert len(hs256_macs) == 2  # the mint, then one verification
     for changed in (revoke_key(keyring, "k1"), rotate_key(keyring, "k3", b"c" * 32)):
         for _ in range(2):
-            present(compiled, token, keyring=changed)
-        assert compiled.sessions.keyring is changed
-        assert compiled.sessions.keys() == {token.compact}
+            present(sessions, token, keyring=changed)
+        assert sessions.keyring is changed
+        assert sessions.keys() == {token.compact}
     assert len(hs256_macs) == 4
 
 
-def test_sessions_with_equal_verdicts_share_one_peer(compiled, keyring, issuer_key, trust):
+def test_sessions_with_equal_verdicts_share_one_peer(sessions, keyring, issuer_key, trust):
     # Two startd tokens under one keyring get the identical peer; capability
     # tokens with other scopes get their own; dropping one token's session
     # leaves the other's; a new keyring starts a table that shares nothing.
@@ -621,24 +629,24 @@ def test_sessions_with_equal_verdicts_share_one_peer(compiled, keyring, issuer_k
         mint_idtoken(keyring, "k1", "startd@wn-1", ("ADVERTISE",), 600, NOW, jti=jti)
         for jti in ("s1", "s2")
     ]
-    peers = [present(compiled, token, keyring=keyring, trust=trust) for token in startd]
+    peers = [present(sessions, token, keyring=keyring, trust=trust) for token in startd]
     assert peers[0] is peers[1]
-    assert compiled.sessions[startd[0].compact] is compiled.sessions[startd[1].compact] is peers[0]
+    assert sessions[startd[0].compact] is sessions[startd[1].compact] is peers[0]
     caps = [
         mint_scitoken(issuer_key, ISSUER, "s", scopes, "ce-1", 600, NOW)
         for scopes in (("compute.create",), ("compute.create", "compute.read"))
     ]
     cap_peers = [
-        present(compiled, cap, keyring=keyring, trust=trust, scopes=("compute.create",))
+        present(sessions, cap, keyring=keyring, trust=trust, scopes=("compute.create",))
         for cap in caps
     ]
     assert cap_peers[0] != cap_peers[1]
     assert len({id(peer) for peer in (*peers, *cap_peers)}) == 3
-    compiled.sessions.pop(startd[0].compact)
-    assert compiled.sessions[startd[1].compact] is peers[1]
-    assert present(compiled, startd[1], keyring=keyring, trust=trust) is peers[1]
+    sessions.pop(startd[0].compact)
+    assert sessions[startd[1].compact] is peers[1]
+    assert present(sessions, startd[1], keyring=keyring, trust=trust) is peers[1]
     rotated = rotate_key(keyring, "k3", b"c" * 32)
-    again = present(compiled, startd[1], keyring=rotated, trust=trust)
+    again = present(sessions, startd[1], keyring=rotated, trust=trust)
     assert again == peers[1] and again is not peers[1]
 
 
@@ -654,7 +662,7 @@ def test_tampering_never_authenticates_against_a_warm_session(run_world):
     rejected: Counter[str] = Counter()
     for token in presented:
         world.authenticate_on(CH_JOIN, token)
-        assert token.compact in world.policy.sessions
+        assert token.compact in world.sessions
         head, payload, mac = token.compact.split(".")
         for pos in range(len(payload)):
             replacement = rng.choice(alphabet.replace(payload[pos], ""))
@@ -675,8 +683,9 @@ def test_tampering_never_authenticates_against_a_warm_session(run_world):
 def test_run_computes_one_mac_per_mint_and_per_distinct_identity_token(
     hs256_macs, monkeypatch
 ):
-    # One HMAC per mint, and one per distinct identity token and session
-    # table (one table per policy phase, keyring and trust directory); these
+    # One HMAC per mint, and one per distinct identity token and filling:
+    # one session table per World, filled once per keyring, and
+    # drill-keysplit's key compromise gives its World a second one; these
     # runs refuse no token after its MAC.
     minted = []
     real_encode = jose.encode_token
@@ -693,6 +702,23 @@ def test_run_computes_one_mac_per_mint_and_per_distinct_identity_token(
         run_scenario(SCENARIO_DIR / f"{name}.yaml")
     identity = [s for s in served if s[0] is policy.AuthMethod.IDTOKEN]
     opened = sessions_opened(served, policy.AuthMethod.IDTOKEN)
-    assert len({id(table) for _, _, table in identity}) > 2
+    assert len({id(filling[0]) for _, _, filling in identity}) == 2
+    assert len(fillings(served, policy.AuthMethod.IDTOKEN)) == 3
     assert len(identity) > opened > 0
     assert len(hs256_macs) == len(minted) + opened
+
+
+def test_a_phase_switch_verifies_no_identity_token_again(monkeypatch):
+    # A session outlives a phase switch, as HTCondor keeps an authenticated
+    # security session across one: each identity token of a migration-2022
+    # run is verified in full once, though the run switches phase at t=750.
+    verified = []
+    real = policy.verify_idtoken
+
+    def counting(token, *args):
+        verified.append(token.compact)
+        return real(token, *args)
+
+    monkeypatch.setattr(policy, "verify_idtoken", counting)
+    run_scenario(SCENARIO_DIR / "migration-2022.yaml")
+    assert len(verified) == len(set(verified)) == 84
