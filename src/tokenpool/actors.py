@@ -105,11 +105,15 @@ _MESSAGE_DROP, _CE_TOKEN_MISCONFIG, _CE_STUCK_SUBMISSION = (
 _IN_POOL = (_JOINED, _MATCHED)
 
 
-@dataclass(order=True, slots=True)
+@dataclass(slots=True)
 class Job:
     #: Creation sequence, the only key jobs are ordered by.
     seq: int
     duration: int = field(compare=False)
+
+    def __lt__(self, other: Job) -> bool:
+        """Created earlier: the one comparison the idle-job heap makes."""
+        return self.seq < other.seq
 
     @property
     def id(self) -> str:
@@ -175,6 +179,9 @@ class World:
         self.streams = RngStreams(scenario.seed)
         self.trace = Trace() if trace is None else trace
         self.board = FaultBoard()
+        #: Whether a ``MESSAGE_DROP`` fault was wired, set by
+        #: ``MigrationController.wire_faults``: ``dropped`` is called only then.
+        self.has_drop_fault = False
 
         secrets_by_kid = {
             k.kid: self.streams.stream(f"key/{k.kid}").randbytes(32)
@@ -334,8 +341,8 @@ class World:
                 )
                 raise AuthorizationDenied(f"missing {', '.join(decision.missing)}")
         if is_token:
-            held = f"kid={credential.header.kid} jti={credential.claims.jti}"
-            detail = _join_detail(detail, held)
+            sep = " " if detail else ""
+            detail = f"{detail}{sep}kid={credential.header.kid} jti={credential.claims.jti}"
         self.trace.record(
             now,
             channel,
@@ -347,9 +354,8 @@ class World:
         return peer
 
     def dropped(self, channel: str, credential: Credential, detail: str) -> bool:
-        """Draw whether a message on ``channel`` is lost, recording the loss."""
-        if _MESSAGE_DROP._value_ not in self.board.by_kind:
-            return False  # no drop fault at all, so none to look up
+        """Draw whether a message on ``channel`` is lost, recording the loss.
+        Callers test ``has_drop_fault`` first: with no drop fault, none is lost."""
         now = self.engine.now
         fault = self.board.active(_MESSAGE_DROP, channel, now)
         if fault is None or not message_dropped(fault, self.streams):
@@ -565,12 +571,12 @@ class WMClient:
         offered = [c for c in (self.token, self.local_fs) if c is not None]
         credential = w.negotiate(CH_SUBMIT, offered, identity=self.spec.id, detail=batch)
         if credential is None:
-            w.engine.schedule(self.spec.retry_interval, self.try_submit)
+            w.engine.schedule_at(w.engine.now + self.spec.retry_interval, self.try_submit)
             return
         try:
             peer = w.authenticate_on(CH_SUBMIT, credential, detail=batch)
         except TokenPoolError:
-            w.engine.schedule(self.spec.retry_interval, self.try_submit)
+            w.engine.schedule_at(w.engine.now + self.spec.retry_interval, self.try_submit)
             return
         self.submitted = True
         w.schedd.accept_jobs(self.spec, peer)
@@ -605,12 +611,14 @@ class Schedd:
     def advertise(self) -> None:
         w = self.world
         credential = w.negotiate(CH_ADVERTISE, (self.token, self.proxy), detail="daemon=schedd")
-        if credential is not None and not w.dropped(CH_ADVERTISE, credential, "daemon=schedd"):
+        if credential is not None and not (
+            w.has_drop_fault and w.dropped(CH_ADVERTISE, credential, "daemon=schedd")
+        ):
             try:
                 w.authenticate_on(CH_ADVERTISE, credential, detail="daemon=schedd")
             except TokenPoolError:
                 pass
-        w.engine.schedule(w.scenario.frontend.cycle, self.advertise)
+        w.engine.schedule_at(w.engine.now + w.scenario.frontend.cycle, self.advertise)
 
 
 class Collector:
@@ -624,21 +632,23 @@ class Collector:
         w = self.world
         if pilot.state is not _STARTED:
             return
+        engine = w.engine
+        now = engine.now
         detail = f"pilot={pilot.id} join=1"
         credential = w.join_proxy or pilot.token
-        if w.dropped(CH_JOIN, credential, detail):
-            w.engine.schedule(w.scenario.pilots.keepalive, pilot.join)
+        if w.has_drop_fault and w.dropped(CH_JOIN, credential, detail):
+            engine.schedule_at(now + w.scenario.pilots.keepalive, pilot.join)
             return
         try:
             w.authenticate_on(CH_JOIN, credential, detail=detail)
         except TokenPoolError as exc:
             w.fail_pilot(pilot, exc.reason)
             return
-        pilot.joined_at = w.engine.now
+        pilot.joined_at = now
         w.pilot_event(pilot, _JOINED, f"kid={pilot.token.header.kid}")
         self.members[pilot.id] = pilot
-        w.engine.schedule(w.scenario.pilots.keepalive, pilot.keepalive)
-        w.engine.schedule(w.scenario.frontend.pilot_max_idle, pilot.idle_check)
+        engine.schedule_at(now + w.scenario.pilots.keepalive, pilot.keepalive)
+        engine.schedule_at(now + w.scenario.frontend.pilot_max_idle, pilot.idle_check)
 
     def keepalive(self, pilot: Pilot) -> None:
         w = self.world
@@ -646,13 +656,14 @@ class Collector:
             return
         detail = f"pilot={pilot.id} keepalive=1"
         credential = w.join_proxy or pilot.token
-        if not w.dropped(CH_JOIN, credential, detail):
+        if not (w.has_drop_fault and w.dropped(CH_JOIN, credential, detail)):
             try:
                 w.authenticate_on(CH_JOIN, credential, detail=detail)
             except TokenPoolError as exc:
                 self.evict(pilot, exc.reason)
                 return
-        w.engine.schedule(w.scenario.pilots.keepalive, pilot.keepalive)
+        engine = w.engine
+        engine.schedule_at(engine.now + w.scenario.pilots.keepalive, pilot.keepalive)
 
     def evict(self, pilot: Pilot, reason: str) -> None:
         self.world.end_pilot(
@@ -680,7 +691,7 @@ class Collector:
             w.set_pilot_state(pilot, _MATCHED)
             pilot.job = job
             w.job_record("MATCH", job, pilot)
-            w.engine.schedule(job.duration, pilot.job_done)
+            w.engine.schedule_at(now + job.duration, pilot.job_done)
         joined = len(idle_pilots) - matched
         w.trace.record(
             now,
@@ -688,7 +699,7 @@ class Collector:
             "SAMPLE",
             detail=f"joined={joined} matched={len(self.members) - joined} size={len(self.members)}",
         )
-        w.engine.schedule(w.scenario.frontend.match_interval, self.match_tick)
+        w.engine.schedule_at(now + w.scenario.frontend.match_interval, self.match_tick)
 
     def job_done(self, pilot: Pilot) -> None:
         # A pilot is matched at most once and end_pilot clears its job, so a
@@ -767,7 +778,7 @@ class Frontend:
                 cap = w.scenario.frontend.per_entry_cap
                 for (factory, ce), count in _allocate(deficit, pairs, cap):
                     factory.handle_request(credential, ce, count)
-        w.engine.schedule(w.scenario.frontend.cycle, self.cycle)
+        w.engine.schedule_at(w.engine.now + w.scenario.frontend.cycle, self.cycle)
 
 
 def _allocate(
@@ -925,8 +936,8 @@ class CEGateway:
         )
         if not stuck:
             timings = w.scenario.pilots
-            w.engine.schedule(timings.startup - timings.join_latency, pilot.started)
-            w.engine.schedule(timings.startup, pilot.join)
+            w.engine.schedule_at(now + timings.startup - timings.join_latency, pilot.started)
+            w.engine.schedule_at(now + timings.startup, pilot.join)
         return None
 
     def pilot_started(self, pilot: Pilot) -> None:
@@ -945,6 +956,7 @@ class MigrationController:
         for fault in w.scenario.faults:
             on_activate = self.on_key_compromise if fault.kind is FaultKind.KEY_COMPROMISE else None
             w.board.inject(fault, trace=w.trace, engine=w.engine, on_activate=on_activate)
+        w.has_drop_fault = _MESSAGE_DROP._value_ in w.board.by_kind
 
     def schedule_plan(self) -> None:
         w = self.world
@@ -1002,8 +1014,8 @@ class MigrationController:
             detail=f"old={kid} new={replacement} evicted={len(evicted)}",
         )
         if evicted:
-            w.engine.schedule(
-                w.scenario.drill.reprovision_delay,
+            w.engine.schedule_at(
+                w.engine.now + w.scenario.drill.reprovision_delay,
                 lambda pilots=tuple(evicted): self.reprovision(pilots),
             )
 

@@ -241,16 +241,18 @@ class Sessions(dict):
         """The peer of ``token``'s session if this presentation of it passes,
         else None, for :func:`authenticate` and :func:`authorize` to decide.
 
-        The table is bound to ``keyring`` and ``trust`` first (:meth:`bind`);
-        then only what can differ between presentations is checked: the
-        channel's method, the time window at ``now`` and, for a capability
+        The table is bound to ``keyring`` and ``trust`` first, by
+        :meth:`bind` when either is not the one it is bound to; then only
+        what can differ between presentations is checked: the channel's
+        method, the time window at ``now`` and, for a capability
         token, the audience; then the authorization, which for a
         capability's peer is the scope coverage.  The full path refuses
         whatever this refuses, at the check that failed here, since
         verification runs the same checks in the same order.  Raises
         nothing.
         """
-        self.bind(keyring, trust)
+        if keyring is not self.keyring or trust is not self.trust:
+            self.bind(keyring, trust)
         peer = self.get(token.compact)
         if peer is None or peer.method not in pol.methods:
             return None

@@ -47,6 +47,8 @@ class Engine:
         self._instants: list[int] = []
 
     def schedule_at(self, t: int, action: Callable[[], None]) -> None:
+        """Run ``action`` at instant ``t``: the one way an action enters the
+        calendar, so a delay is scheduled as ``schedule_at(engine.now + delay, ...)``."""
         if t < self.now:
             raise SimulationError(f"cannot schedule at {t}, clock is at {self.now}")
         if type(action) is MethodType:
@@ -60,9 +62,6 @@ class Engine:
         else:
             actions.append(fn)
             actions.append(arg)
-
-    def schedule(self, delay: int, action: Callable[[], None]) -> None:
-        self.schedule_at(self.now + delay, action)
 
     def run(self, until: int) -> None:
         """Run the instants up to and including ``until``, then park the clock there.
@@ -206,8 +205,10 @@ class Trace:
         self._out = out
         self._fold = fold
         self._sha = hashlib.sha256()
-        #: The t of the last record written, None before the first.
+        #: The t of the last record written, None before the first, and the
+        #: end of its line, ``"<t>}\n"``, formatted once per instant.
         self._t: int | None = None
+        self._t_end = ""
         #: Per head, in the order first written: [the two pieces of its
         #: line around the detail, the fold's step for it, its number of
         #: records].
@@ -240,6 +241,7 @@ class Trace:
             if self._t is not None and t < self._t:
                 raise SimulationError(f"trace record at t={t} written after one at t={self._t}")
             self._t = t
+            self._t_end = f"{t}}}\n"
             if self._fold is not None:
                 self._fold.close_instant()
         head = (channel, identity, method, outcome)
@@ -248,7 +250,7 @@ class Trace:
             step = None if self._fold is None else self._fold.step_for(head)
             entry = self._heads[head] = [*_line_pieces(*head), step, 0]
         pre, mid, step, _ = entry
-        line = f"{pre}{encode_basestring_ascii(detail)}{mid}{t}}}\n".encode()
+        line = f"{pre}{encode_basestring_ascii(detail)}{mid}{self._t_end}".encode()
         self._sha.update(line)
         if self._out is not None:
             self._out.write(line)

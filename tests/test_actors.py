@@ -53,6 +53,7 @@ from tokenpool.simnet import (
     TRACE_PILOT,
     TRACE_PLAN,
     TRACE_POOL,
+    Engine,
     FaultBoard,
     FaultKind,
     Trace,
@@ -351,20 +352,28 @@ def test_dropped_advertisements_do_not_stop_the_schedule():
 
 
 def test_a_world_with_no_drop_fault_never_looks_one_up(monkeypatch):
-    # Every message asks whether it is lost, but the board is asked for a
-    # drop fault only when one was injected.
-    asked = []
-    active = FaultBoard.active
+    # A message asks whether it is lost, and the board is asked for a drop
+    # fault, only when a MESSAGE_DROP fault was wired; a fault of another
+    # kind fills the board but asks nothing.
+    asked, losses = [], []
+    active, dropped = FaultBoard.active, actors.World.dropped
 
     def recording(board, kind, target, t):
         asked.append((kind, target))
         return active(board, kind, target, t)
 
+    def counted(world, channel, credential, detail):
+        losses.append(channel)
+        return dropped(world, channel, credential, detail)
+
     monkeypatch.setattr(FaultBoard, "active", recording)
-    run_doc()
+    monkeypatch.setattr(actors.World, "dropped", counted)
+    w = run_doc(faults=[{"kind": "CE_TOKEN_MISCONFIG", "target": "ce-a", "start": 500}])
+    assert not w.has_drop_fault and w.board.by_kind and losses == []
     assert asked and all(kind is not FaultKind.MESSAGE_DROP for kind, _ in asked)
     asked.clear()
     w = run_doc(faults=[{"kind": "MESSAGE_DROP", "target": "SCHEDD->COLLECTOR", "rate": 0.0}])
+    assert w.has_drop_fault and {CH_ADVERTISE, CH_JOIN} <= set(losses)
     assert (FaultKind.MESSAGE_DROP, CH_ADVERTISE) in asked and (FaultKind.MESSAGE_DROP, CH_JOIN) in asked
     assert pick(records(w), CH_ADVERTISE, outcome="DROP") == []
 
@@ -1796,6 +1805,16 @@ def test_only_the_cli_parses_tokens():
 
     assert "Memo" not in classes(tokens) | classes(policy)
     assert "Sessions" in classes(policy)
+
+
+def test_every_action_is_scheduled_by_schedule_at():
+    # ``Engine.schedule_at`` is the one way an action enters the calendar,
+    # so a delay is written ``schedule_at(engine.now + delay, ...)`` and a
+    # wrapper installed on it (perfbench's dispatch span) sees every event.
+    assert not hasattr(Engine, "schedule")
+    for path in sorted(Path(actors.__file__).parent.glob("*.py")):
+        assert _callers(ast.parse(path.read_text()), "schedule") == set(), path.stem
+    assert "Collector.keepalive" in _callers(ast.parse(Path(actors.__file__).read_text()), "schedule_at")
 
 
 def test_only_policy_constructs_a_channel():

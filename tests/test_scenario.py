@@ -6,6 +6,7 @@ import io
 import math
 import re
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 import yaml
@@ -16,7 +17,7 @@ from test_simnet import written
 from tokenpool import scenario
 from tokenpool.errors import ScenarioError
 from tokenpool.migration import run_scenario
-from tokenpool.policy import AuthMethod, MigrationPhase, Sessions
+from tokenpool.policy import DROP_CHANNELS, AuthMethod, MigrationPhase, Sessions
 from tokenpool.scenario import (
     CEFlavor,
     CEInterface,
@@ -646,6 +647,13 @@ def _scalar_leaves(node, path=()):
 DELETE = object()
 
 
+class Appended(NamedTuple):
+    """Passed as the value to ``_replaced``, adds ``item`` at the end of the
+    list at the path, made empty first if the mapping holds none there."""
+
+    item: dict
+
+
 def _replaced(doc, path, value):
     doc = copy.deepcopy(doc)
     node = doc
@@ -653,6 +661,8 @@ def _replaced(doc, path, value):
         node = node[key]
     if value is DELETE:
         del node[path[-1]]
+    elif isinstance(value, Appended):
+        node.setdefault(path[-1], []).append(value.item)
     else:
         node[path[-1]] = value
     return doc
@@ -714,13 +724,49 @@ def test_a_mutated_shipped_scenario_is_refused_at_parse_or_runs(data):
     assert not violations, violations[:3]
 
 
-#: The draws of the test above as one strategy: a scenario, one of its
-#: paths, and what to put there.
-MUTATIONS = st.sampled_from(sorted(SHIPPED_DOCS)).flatmap(
-    lambda stem: st.tuples(
-        st.just(stem), st.sampled_from(VALUE_PATHS[stem]), st.sampled_from((DELETE, *MUTATION_POOL))
+def _added_faults(doc):
+    """The faults a mutation may append to ``doc``'s: a ``MESSAGE_DROP`` on
+    a channel that can lose a message, and a ``CE_STUCK_SUBMISSION`` on one
+    of its gateways.  A drop goes only on a channel no drop of ``doc``
+    covers, so no two drop windows on one channel overlap."""
+    dropping = {f["target"] for f in doc.get("faults", ()) if f["kind"] == "MESSAGE_DROP"}
+    channels = [c for c in DROP_CHANNELS if not dropping & {c, "*"}]
+    gateways = [ce["id"] for site in doc["sites"] for ce in site["ces"]]
+
+    def fault(kind, target, window, **rate):
+        start, length = window
+        end = {} if length is None else {"end": start + length}
+        return {"kind": kind, "target": target, "start": start, **end, **rate}
+
+    window = st.tuples(st.sampled_from((0, 30, 300, 600)), st.sampled_from((None, 400)))
+    drop = st.builds(
+        fault, st.just("MESSAGE_DROP"), st.sampled_from(channels), window,
+        rate=st.sampled_from((0.5, 1.0)),
     )
-)
+    stuck = st.builds(fault, st.just("CE_STUCK_SUBMISSION"), st.sampled_from(gateways), window)
+    return drop.map(Appended), stuck.map(Appended)
+
+
+#: How many times as often a mutation edits one value as it appends each
+#: kind of fault.  An appended fault always parses, so its scenario runs,
+#: where most edits are refused at parse: the share bounds the time of the
+#: properties that draw ``MUTATIONS``.
+EDITS_PER_FAULT = 50
+
+
+def _mutations(stem):
+    """A mutation of ``stem`` as ``(stem, path, value)``: one of its paths
+    and what to put there, as the test above draws them, or one of
+    ``_added_faults`` appended to its faults."""
+    edit = st.tuples(st.sampled_from(VALUE_PATHS[stem]), st.sampled_from((DELETE, *MUTATION_POOL)))
+    appends = [st.tuples(st.just(("faults",)), f) for f in _added_faults(SHIPPED_DOCS[stem])]
+    return st.sampled_from((edit,) * EDITS_PER_FAULT + tuple(appends)).flatmap(
+        lambda chosen: chosen.map(lambda mutation: (stem, *mutation))
+    )
+
+
+#: A shipped scenario and a mutation of it, ``(stem, path, value)``.
+MUTATIONS = st.sampled_from(sorted(SHIPPED_DOCS)).flatmap(_mutations)
 
 
 def mutated_scenario(mutation):

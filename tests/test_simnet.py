@@ -57,7 +57,7 @@ def test_engine_events_may_schedule_more_events():
 
     def first():
         seen.append(("first", engine.now))
-        engine.schedule(7, lambda: seen.append(("second", engine.now)))
+        engine.schedule_at(engine.now + 7, lambda: seen.append(("second", engine.now)))
 
     engine.schedule_at(3, first)
     engine.run(100)
@@ -86,9 +86,6 @@ class HeapEngine:
             raise SimulationError(f"cannot schedule at {t}, clock is at {self.now}")
         heapq.heappush(self._heap, (t, self._seq, action))
         self._seq += 1
-
-    def schedule(self, delay, action):
-        self.schedule_at(self.now + delay, action)
 
     def run(self, until):
         if until < self.now:
@@ -158,7 +155,7 @@ def run_engine_program(engine, nodes, ops):
             for delay, child in children:
                 if spawned[0] < SPAWN_BUDGET:
                     spawned[0] += 1
-                    engine.schedule(delay, action(child))
+                    engine.schedule_at(engine.now + delay, action(child))
             if raises:
                 raise Boom(i)
 
@@ -335,6 +332,48 @@ def test_trace_write():
     trace.record(2, "A->B", "DROP", detail="x=2")
     second = _json_line(Record("A->B", "x=2", "-", "-", "DROP", 2))
     assert out.getvalue() == (first + second).encode()
+
+
+#: Records a trace refuses after one at t=5, each as ``record``'s arguments.
+REFUSED_AFTER_T5 = {
+    "back-in-time": {"t": 4, "channel": "A->B", "outcome": "SUCCESS"},
+    "float-t": {"t": 7.0, "channel": "A->B", "outcome": "SUCCESS"},
+    "bool-t": {"t": True, "channel": "A->B", "outcome": "SUCCESS"},
+    "mistyped-channel": {"t": 7, "channel": None, "outcome": "SUCCESS"},
+}
+
+
+@pytest.mark.parametrize("refused", REFUSED_AFTER_T5.values(), ids=REFUSED_AFTER_T5.keys())
+def test_a_refused_record_leaves_the_next_records_time_as_it_was(refused):
+    # The trace formats each instant's t once; a refused record, whatever
+    # its t, must not change the text the next record at t=5 ends with.
+    out = io.BytesIO()
+    trace = Trace(out=out)
+    trace.record(5, "A->B", "SUCCESS")
+    with pytest.raises(SimulationError):
+        trace.record(**refused)
+    trace.record(5, "A->B", "DROP")
+    trace.record(6, "A->B", "SUCCESS")
+    assert [r.t for r in written(out.getvalue())] == [5, 5, 6]
+
+
+@pytest.mark.parametrize("lo, hi", [(9, 10), (99, 100), (999, 1000), (-10, -9), (-1, 0)])
+def test_trace_writes_each_time_as_json_dumps_does_where_it_changes_width(lo, hi):
+    # Around a refused record earlier than the last, so the line after it
+    # still ends with the t of its own instant.
+    out = io.BytesIO()
+    trace = Trace(out=out)
+    trace.record(lo, "A->B", "SUCCESS")
+    trace.record(hi, "A->B", "SUCCESS")
+    with pytest.raises(SimulationError, match="written after"):
+        trace.record(lo, "A->B", "SUCCESS")
+    trace.record(hi, "A->B", "DROP")
+    expected = [
+        Record("A->B", "", "-", "-", "SUCCESS", lo),
+        Record("A->B", "", "-", "-", "SUCCESS", hi),
+        Record("A->B", "", "-", "-", "DROP", hi),
+    ]
+    assert out.getvalue() == "".join(map(_json_line, expected)).encode()
 
 
 @pytest.mark.parametrize(
