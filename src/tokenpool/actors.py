@@ -1,10 +1,10 @@
 """The pool's daemons as deterministic state machines over the engine.
 
-One World object owns the clock, RNG streams, trace, fault board,
-keyring, trust directory, and every actor.  Requests (submit, advertise,
-token fetch, provisioning, gateway submission, join, keepalive) are
-authenticated; responses ride the requester's already-authenticated
-session and are not separately checked.
+One World object owns the clock, RNG streams, trace, fault board, the
+session table (which holds the keyring and trust directory), and every
+actor.  Requests (submit, advertise, token fetch, provisioning, gateway
+submission, join, keepalive) are authenticated; responses ride the
+requester's already-authenticated session and are not separately checked.
 """
 
 from __future__ import annotations
@@ -187,7 +187,6 @@ class World:
             k.kid: self.streams.stream(f"key/{k.kid}").randbytes(32)
             for k in scenario.keys
         }
-        self.keyring = SymmetricKeyring.from_secrets(secrets_by_kid)
         self.daemon_kid = next(k.kid for k in scenario.keys if k.purpose == "daemon")
         self.startd_kids = [k.kid for k in scenario.keys if k.purpose == "startd"]
         self.startd_rr = 0
@@ -195,7 +194,6 @@ class World:
         self.issuer_key = IssuerKey.generate(
             scenario.issuer.kid, seed=self.streams.stream("issuer-key").randbytes(32)
         )
-        self.trust = TrustDirectory.single_issuer(scenario.issuer.url, self.issuer_key)
         self.trusted_cas = frozenset({self.CA})
         #: The proxy every factory submits pilots with, and the one pilots
         #: present to the collector when it takes no token from them.
@@ -204,7 +202,12 @@ class World:
         )
 
         self.base_table = default_table()
-        self.sessions = Sessions(self.base_table)  # every token session, whatever the phase
+        #: Every token session, whatever the phase, and what tokens are verified against.
+        self.sessions = Sessions(
+            self.base_table,
+            SymmetricKeyring.from_secrets(secrets_by_kid),
+            TrustDirectory.single_issuer(scenario.issuer.url, self.issuer_key),
+        )
         self.channels: Mapping[str, ChannelPolicy]  # set by set_phase, which start() calls first
         #: What pilots present to the collector in place of their token, set
         #: by set_phase: None while ``CH_JOIN`` takes IDTOKEN, else ``pilot_proxy``.
@@ -255,7 +258,7 @@ class World:
 
     def mint_daemon_idtoken(self, subject: str, limits: tuple[str, ...]) -> jose.Token:
         return mint_idtoken(
-            self.keyring,
+            self.sessions.keyring,
             self.daemon_kid,
             subject,
             limits,
@@ -275,7 +278,7 @@ class World:
     def mint_startd_token(self, pilot: Pilot, kid: str, draw: int) -> jose.Token:
         """Mint the pilot's identity token under ``kid``, its jti ``draw``."""
         return mint_idtoken(
-            self.keyring,
+            self.sessions.keyring,
             kid,
             f"startd@{pilot.id}",
             ("ADVERTISE",),
@@ -288,7 +291,7 @@ class World:
     def forget_token(self, token: jose.Token) -> None:
         """Drop ``token``'s session: its holder ended (``end_pilot``) or
         replaced it (``Frontend.refresh_capabilities``, ``WMClient.renew_token``).
-        A key rotation needs no call: a new keyring empties the sessions."""
+        A key rotation needs no call: ``Sessions.rekey`` empties the table."""
         self.sessions.pop(token.compact, None)
 
     # -- authenticated requests --------------------------------------------
@@ -306,11 +309,7 @@ class World:
         pol = self.channels[channel]
         now = self.engine.now
         is_token = isinstance(credential, jose.Token)
-        peer = (
-            self.sessions.admit(pol, credential, audience, now, self.keyring, self.trust)
-            if is_token
-            else None
-        )
+        peer = self.sessions.admit(pol, credential, audience, now) if is_token else None
         if peer is None:
             try:
                 peer = authenticate(
@@ -318,8 +317,6 @@ class World:
                     pol,
                     credential,
                     sessions=self.sessions,
-                    keyring=self.keyring,
-                    trust=self.trust,
                     trusted_cas=self.trusted_cas,
                     local_host=self.SCHEDD_HOST,
                     expected_audience=audience,
@@ -984,19 +981,16 @@ class MigrationController:
     def on_key_compromise(self, fault: Fault) -> None:
         w = self.world
         kid = fault.target
-        entry = w.keyring.entries.get(kid)
+        entry = w.sessions.keyring.entries.get(kid)
         if entry is None or entry.status is KeyStatus.REVOKED:
             return
-        w.keyring = revoke_key(w.keyring, kid)
+        keyring = revoke_key(w.sessions.keyring, kid)
         suffix = 1
-        while f"{kid}-r{suffix}" in w.keyring.entries:
+        while f"{kid}-r{suffix}" in keyring.entries:
             suffix += 1
         replacement = f"{kid}-r{suffix}"
-        w.keyring = rotate_key(
-            w.keyring,
-            replacement,
-            secret=w.streams.stream(f"key/{replacement}").randbytes(32),
-        )
+        secret = w.streams.stream(f"key/{replacement}").randbytes(32)
+        w.sessions.rekey(rotate_key(keyring, replacement, secret=secret))
         if kid in w.startd_kids:
             w.startd_kids[w.startd_kids.index(kid)] = replacement
         if kid == w.daemon_kid:

@@ -192,36 +192,33 @@ class Sessions(dict):
     :func:`authenticate` returned when it fully verified ``token``, much as
     HTCondor reuses an authenticated security session.
 
-    ``table`` gives the identity map.  A session stands for the checks
-    that are pure functions of the token, the keyring, the trust directory
-    and that map, so it is good only under the keyring and trust directory
-    the table was filled under (:meth:`bind`); which methods a channel
-    accepts is checked at every presentation, so a session outlives a
-    phase switch.  Only successes are opened, and a session lives until
-    its token's holder drops it.  Sessions with equal peers share one
-    peer object, held once in ``_peers``.
+    The table holds what a session stands for: the identity map of
+    ``table``, the ``keyring`` and the ``trust`` directory every token it
+    sees is verified against.  A new keyring (:meth:`rekey`) empties it, so
+    a session is good only under the keyring it was filled under; the trust
+    directory never changes.  Which methods a channel accepts is checked at
+    every presentation, so a session outlives a phase switch.  Only
+    successes are opened, and a session lives until its token's holder
+    drops it.  Sessions with equal peers share one peer object, held once
+    in ``_peers``.
     """
 
     __slots__ = ("table", "keyring", "trust", "_peers")
 
-    def __init__(self, table: PolicyTable) -> None:
+    def __init__(
+        self, table: PolicyTable, keyring: SymmetricKeyring, trust: TrustDirectory
+    ) -> None:
         super().__init__()
         self.table = table
-        self.keyring: SymmetricKeyring | None = None
-        self.trust: TrustDirectory | None = None
+        self.keyring = keyring
+        self.trust = trust
         self._peers: dict[AuthenticatedPeer, AuthenticatedPeer] = {}
 
-    def bind(self, keyring: SymmetricKeyring | None, trust: TrustDirectory | None) -> None:
-        """Tie the table to ``keyring`` and ``trust``, emptying it in place
-        if it was filled under others.  Keyrings and trust directories are
-        never changed in place (:func:`~tokenpool.tokens.revoke_key` and
-        :func:`~tokenpool.tokens.rotate_key` return new ones), so identity
-        is the test."""
-        if self.keyring is not keyring or self.trust is not trust:
-            self.clear()
-            self._peers.clear()
-            self.keyring = keyring
-            self.trust = trust
+    def rekey(self, keyring: SymmetricKeyring) -> None:
+        """Verify against ``keyring`` from now on, dropping every session."""
+        self.clear()
+        self._peers.clear()
+        self.keyring = keyring
 
     def open(self, token: Token, peer: AuthenticatedPeer) -> AuthenticatedPeer:
         """Remember ``peer`` as ``token``'s session and return it, or the
@@ -230,29 +227,19 @@ class Sessions(dict):
         return peer
 
     def admit(
-        self,
-        pol: ChannelPolicy,
-        token: Token,
-        audience: str,
-        now: int,
-        keyring: SymmetricKeyring | None,
-        trust: TrustDirectory | None,
+        self, pol: ChannelPolicy, token: Token, audience: str, now: int
     ) -> AuthenticatedPeer | None:
         """The peer of ``token``'s session if this presentation of it passes,
         else None, for :func:`authenticate` and :func:`authorize` to decide.
 
-        The table is bound to ``keyring`` and ``trust`` first, by
-        :meth:`bind` when either is not the one it is bound to; then only
-        what can differ between presentations is checked: the channel's
-        method, the time window at ``now`` and, for a capability
+        Only what can differ between presentations is checked: the
+        channel's method, the time window at ``now`` and, for a capability
         token, the audience; then the authorization, which for a
         capability's peer is the scope coverage.  The full path refuses
         whatever this refuses, at the check that failed here, since
         verification runs the same checks in the same order.  Raises
         nothing.
         """
-        if keyring is not self.keyring or trust is not self.trust:
-            self.bind(keyring, trust)
         peer = self.get(token.compact)
         if peer is None or peer.method not in pol.methods:
             return None
@@ -333,8 +320,6 @@ def authenticate(
     credential: Credential,
     *,
     sessions: Sessions,
-    keyring: SymmetricKeyring | None = None,
-    trust: TrustDirectory | None = None,
     trusted_cas: frozenset[str] = frozenset(),
     local_host: str = "",
     expected_audience: str = "",
@@ -343,8 +328,9 @@ def authenticate(
     """Authenticate one credential on ``channel``, whose policy is ``pol``.
 
     The method is the credential's (:func:`credential_method`) and must
-    appear in the channel's accepted list.  The authenticated name is
-    rewritten through the identity map of ``sessions.table``.
+    appear in the channel's accepted list.  A token is verified against
+    ``sessions.keyring`` or ``sessions.trust``, and the authenticated name
+    is rewritten through the identity map of ``sessions.table``.
 
     A token is always verified in full, and opens a session in
     ``sessions`` if it passes; a presentation on an open session is
@@ -383,13 +369,10 @@ def authenticate(
             granted_levels=_LEGACY_LEVELS,
         )
 
-    sessions.bind(keyring, trust)
     if credential_method(credential) is _SCITOKEN:
         _require(_SCITOKEN, pol, channel)
-        if trust is None:
-            raise InvalidPolicy("capability verification needs a trust directory")
         cap: VerifiedCapability = verify_scitoken(
-            credential, trust, expected_audience, pol.required_scopes, now
+            credential, sessions.trust, expected_audience, pol.required_scopes, now
         )
         identity = sessions.table.map_identity(cap.subject)
         return sessions.open(
@@ -403,9 +386,7 @@ def authenticate(
         )
 
     _require(_IDTOKEN, pol, channel)
-    if keyring is None:
-        raise InvalidPolicy("identity verification needs a keyring")
-    ident: VerifiedIdentity = verify_idtoken(credential, keyring, now)
+    ident: VerifiedIdentity = verify_idtoken(credential, sessions.keyring, now)
     identity = sessions.table.map_identity(ident.subject)
     levels = _LEVELS_NAMED.get(ident.authz_limits)
     if levels is None:

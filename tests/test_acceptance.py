@@ -175,13 +175,12 @@ def test_criterion_2_tampering_never_verifies_against_a_warm_signature_memo():
     issuer = "https://tamper.test"
     key = IssuerKey.generate("t", seed=b"\x07" * 32)
     trust = TrustDirectory.single_issuer(issuer, key)
-    sessions = Sessions(PolicyTable({}, (("*", "anyone"),)))
+    sessions = Sessions(PolicyTable({}, (("*", "anyone"),)), SymmetricKeyring({}), trust)
     pol = ChannelPolicy((AuthMethod.SCITOKEN,), required_scopes=frozenset({"compute.create"}))
 
     def present(token, now):
         return authenticate(
-            CH_CE_SUBMIT, pol, token, sessions=sessions, trust=trust,
-            expected_audience="ce-1", now=now,
+            CH_CE_SUBMIT, pol, token, sessions=sessions, expected_audience="ce-1", now=now
         )
 
     started = time.perf_counter()

@@ -405,8 +405,8 @@ def test_startd_key_compromise_evicts_rotates_reprovisions(monkeypatch):
         detail = rec.detail
         assert "kid=startd-1 " in detail and "reason=KeyCompromise" in detail
 
-    assert w.keyring.lookup("startd-1").status is KeyStatus.REVOKED
-    assert w.keyring.lookup("startd-1-r1").status is KeyStatus.ACTIVE
+    assert w.sessions.keyring.lookup("startd-1").status is KeyStatus.REVOKED
+    assert w.sessions.keyring.lookup("startd-1-r1").status is KeyStatus.ACTIVE
     assert w.startd_kids == ["startd-1-r1", "startd-2"]
 
     rotated = pick(records(w), "PLAN", outcome="KEY_ROTATED")
@@ -432,7 +432,7 @@ def test_startd_key_compromise_evicts_rotates_reprovisions(monkeypatch):
 def test_daemon_key_compromise_reminted_for_all_daemons():
     w = run_doc(faults=[{"kind": "KEY_COMPROMISE", "target": "pool-daemon", "start": 300}])
     assert w.daemon_kid == "pool-daemon-r1"
-    assert w.keyring.lookup("pool-daemon").status is KeyStatus.REVOKED
+    assert w.sessions.keyring.lookup("pool-daemon").status is KeyStatus.REVOKED
     for token in (w.schedd.token, w.frontend.token, w.clients["cmsprod"].token):
         assert token.header.kid == "pool-daemon-r1"
     # No pool member carried the daemon key, so nothing was evicted...
@@ -456,7 +456,7 @@ def test_join_with_revoked_key_is_rejected():
     pilot = w.new_pilot(w.ces["ce-a"])
     pilot.token = w.mint_startd_token(pilot, *w.startd_identity())
     pilot.state = PilotState.STARTED
-    w.keyring = revoke_key(w.keyring, pilot.token.header.kid)
+    w.sessions.rekey(revoke_key(w.sessions.keyring, pilot.token.header.kid))
     w.collector.receive_join(pilot)
     assert pilot.state is PilotState.FAILED
     assert len(failures(w, CH_JOIN, "KeyRevoked")) == 1
@@ -483,13 +483,37 @@ def test_memoised_join_token_fails_once_its_key_is_revoked():
     _, token = startd_token(w)
     w.authenticate_on(CH_JOIN, token)
     assert token.compact in w.sessions
-    w.keyring = revoke_key(w.keyring, token.header.kid)
+    w.sessions.rekey(revoke_key(w.sessions.keyring, token.header.kid))
     with pytest.raises(KeyRevoked):
         w.authenticate_on(CH_JOIN, token)
     # The table started over under the new keyring, and a failure opens none.
     assert not w.sessions
     (failed,) = failures(w, CH_JOIN, "KeyRevoked")
     assert failed.method == AuthMethod.IDTOKEN.value
+
+
+def test_a_key_compromise_empties_the_session_table_at_once(monkeypatch):
+    # The rotated keyring is the table's from the compromise on: right after
+    # it, before any later presentation, no session is left, not even one of
+    # a member's token under a key that survived.
+    real = actors.MigrationController.on_key_compromise
+    seen = []
+
+    def compromise(controller, fault):
+        w = controller.world
+        survivors = [
+            p.token.compact for p in w.collector.members.values()
+            if p.token.header.kid != fault.target and p.token.compact in w.sessions
+        ]
+        real(controller, fault)
+        seen.append((survivors, dict(w.sessions)))
+
+    monkeypatch.setattr(actors.MigrationController, "on_key_compromise", compromise)
+    w = build_world(load_scenario(SCENARIO_DIR / "drill-keysplit.yaml"))
+    w.engine.run(451)
+    ((survivors, left),) = seen
+    assert survivors and left == {}
+    assert w.sessions.keyring.lookup("startd-2").status is KeyStatus.REVOKED
 
 
 def test_memoised_join_token_expires():
@@ -528,7 +552,7 @@ def test_malformed_token_is_recorded_each_time_and_never_remembered():
         sub=f"startd@{pilot.id}", iss=w.POOL_ISSUER, aud="ce-a", iat=10, exp=610,
         jti="0", scope=("compute.create",),
     )
-    secret = w.keyring.active_secret(kid)
+    secret = w.sessions.keyring.active_secret(kid)
     scoped = jose.encode_token(jose.TokenHeader(jose.IDTOKEN_ALG, kid), claims, secret)
     remembered = dict(w.sessions)
     for _ in range(2):
@@ -549,7 +573,7 @@ def _session_memo(monkeypatch):
         for i in range(7)
     ]
     bad = tokens.mint_idtoken(keyring, "k", "stranger", (), 600, 0)
-    sessions = policy.Sessions(policy.default_table())
+    sessions = policy.Sessions(policy.default_table(), keyring, tokens.TrustDirectory({}, {}))
     pol = policy.default_channels()[CH_JOIN]
     computed = []
     verify = policy.verify_idtoken
@@ -558,7 +582,7 @@ def _session_memo(monkeypatch):
     )
 
     def look_up(token):
-        return present_on(sessions, CH_JOIN, pol, token, keyring=keyring, now=0)
+        return present_on(sessions, CH_JOIN, pol, token, now=0)
 
     return sessions, look_up, computed, keys, bad, UnmappedIdentity
 
@@ -1625,7 +1649,7 @@ def _revoked_join():
     w = idle_world()
     pilot, pilot.token = startd_token(w)
     pilot.state = PilotState.STARTED
-    w.keyring = revoke_key(w.keyring, pilot.token.header.kid)
+    w.sessions.rekey(revoke_key(w.sessions.keyring, pilot.token.header.kid))
     w.collector.receive_join(pilot)
     return w
 
@@ -1854,9 +1878,9 @@ def test_no_memo_has_a_size_cap_and_only_the_fold_clears():
                 sized.add(f"{path.stem}.{name}")
         clearers |= {f"{path.stem}.{caller}" for caller in _callers(tree, "clear")}
     assert sized == set()
-    # The trace fold's per-instant buffers, and a session table when its
-    # keyring or trust directory changes, are the only things cleared.
-    assert clearers == {"migration._Pass.close_instant", "policy.Sessions.bind"}
+    # The trace fold's per-instant buffers, and a session table when it is
+    # given a new keyring, are the only things cleared.
+    assert clearers == {"migration._Pass.close_instant", "policy.Sessions.rekey"}
 
 
 def _unused(sources):

@@ -7,10 +7,10 @@ import json
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference_report import reference_report
-from test_scenario import MUTATIONS, SCENARIO_DIR, mutated_scenario
+from test_scenario import MUTATIONS, SCENARIO_DIR, SPLIT_KEY_COMPROMISE, mutated_scenario
 from test_simnet import pick, written
 
 from tokenpool.migration import (
@@ -488,6 +488,7 @@ def test_fold_agrees_with_the_reference_report_on_each_shipped_scenario(path):
 
 
 @settings(max_examples=100)
+@example(SPLIT_KEY_COMPROMISE)
 @given(MUTATIONS)
 def test_fold_agrees_with_the_reference_report_on_a_mutated_scenario(mutation):
     sc = mutated_scenario(mutation)
@@ -496,6 +497,7 @@ def test_fold_agrees_with_the_reference_report_on_a_mutated_scenario(mutation):
     out = io.BytesIO()
     result = run_scenario(sc, trace_out=out)
     assert result.report == reference_report(out.getvalue(), sc)
+    assert result.report["phase_soundness"]["ok"], result.report["phase_soundness"]
 
 
 def test_report_dict_shape(drill_result):

@@ -236,12 +236,12 @@ def table():
     )
 
 
-def auth(table, channel, credential, sessions=None, **kw):
+def auth(table, channel, credential, sessions=None, *, keyring=None, trust=None, **kw):
     kw.setdefault("trusted_cas", frozenset({CA}))
     kw.setdefault("local_host", HOST)
     kw.setdefault("now", NOW)
     if sessions is None:
-        sessions = Sessions(table)
+        sessions = Sessions(table, keyring, trust)
     pol = table.channels[channel]
     return authenticate(channel, pol, credential, sessions=sessions, **kw)
 
@@ -351,25 +351,25 @@ def test_credential_method_maps_each_kind_of_credential(keyring, issuer_key):
 # -- the limits table and sessions -------------------------------------------
 
 
-def test_sessions_remember_only_mapped_subjects(table, keyring):
-    sessions = Sessions(table)
+def test_sessions_remember_only_mapped_subjects(table, keyring, trust):
+    sessions = Sessions(table, keyring, trust)
     join = CH_ADVERTISE
     stranger = mint_idtoken(keyring, "pool-1", "stranger", (), 600, NOW)
     for _ in range(2):
         with pytest.raises(UnmappedIdentity):
-            auth(table, join, stranger, sessions, keyring=keyring)
+            auth(table, join, stranger, sessions)
     assert not sessions
     known = mint_idtoken(keyring, "pool-1", "condor@a", (), 600, NOW)
-    peer = auth(table, join, known, sessions, keyring=keyring)
+    peer = auth(table, join, known, sessions)
     assert sessions == {known.compact: peer}
 
 
-def test_unknown_limit_names_are_never_remembered(table, keyring):
-    sessions = Sessions(table)
+def test_unknown_limit_names_are_never_remembered(table, keyring, trust):
+    sessions = Sessions(table, keyring, trust)
     bad = mint_idtoken(keyring, "pool-1", "condor@a", ("READ", "SUPERUSER"), 600, NOW)
     for _ in range(2):
         with pytest.raises(InvalidClaims, match="unknown authz limits: SUPERUSER$"):
-            auth(table, CH_ADVERTISE, bad, sessions, keyring=keyring)
+            auth(table, CH_ADVERTISE, bad, sessions)
         assert not sessions
 
 
@@ -396,45 +396,44 @@ def test_memoised_subject_still_fails_every_check(table, keyring, trust, issuer_
     # status and, for a capability, the audience and scopes are checked on
     # every presentation, and ``authenticate`` checks all of them even for
     # a token with a session.
-    sessions = Sessions(table)
+    sessions = Sessions(table, keyring, trust)
     join = CH_ADVERTISE
     token = mint_idtoken(keyring, "pool-1", "condor@a", (), 600, NOW)
-    auth(table, join, token, sessions, keyring=keyring)
+    auth(table, join, token, sessions)
     assert token.compact in sessions
     with pytest.raises(Expired):
-        auth(table, join, token, sessions, keyring=keyring, now=NOW + 10_000)
+        auth(table, join, token, sessions, now=NOW + 10_000)
     with pytest.raises(NotYetValid):
-        auth(table, join, token, sessions, keyring=keyring, now=NOW - 10_000)
+        auth(table, join, token, sessions, now=NOW - 10_000)
     with pytest.raises(NoCommonMethod):
-        auth(table, CH_CE_SUBMIT, token, sessions, keyring=keyring)
+        auth(table, CH_CE_SUBMIT, token, sessions)
+    sessions.rekey(revoke_key(keyring, "pool-1"))
     with pytest.raises(KeyRevoked):
-        auth(table, join, token, sessions, keyring=revoke_key(keyring, "pool-1"))
+        auth(table, join, token, sessions)
 
     ce = CH_CE_SUBMIT
     cap = mint_scitoken(issuer_key, ISSUER, "pilot-ops", (JOB_SUBMIT_SCOPE,), "ce-1", 600, NOW)
-    auth(table, ce, cap, sessions, trust=trust, expected_audience="ce-1")
+    auth(table, ce, cap, sessions, expected_audience="ce-1")
     assert cap.compact in sessions
     with pytest.raises(AudienceMismatch):
-        auth(table, ce, cap, sessions, trust=trust, expected_audience="ce-2")
+        auth(table, ce, cap, sessions, expected_audience="ce-2")
     wider = ChannelPolicy(
         (AuthMethod.SCITOKEN,), required_scopes=frozenset({JOB_SUBMIT_SCOPE, "compute.cancel"})
     )
     with pytest.raises(InsufficientScope, match="compute.cancel"):
-        authenticate(
-            ce, wider, cap, sessions=sessions, trust=trust, expected_audience="ce-1", now=NOW
-        )
+        authenticate(ce, wider, cap, sessions=sessions, expected_audience="ce-1", now=NOW)
 
 
 @pytest.mark.parametrize("session", [False, True], ids=["verified", "session"])
 def test_scope_refusal_names_every_missing_scope_in_order(
-    session, table, trust, issuer_key
+    session, table, keyring, trust, issuer_key
 ):
     # The same message whether or not the token has a session: every
     # missing scope, sorted.
-    sessions = Sessions(table)
+    sessions = Sessions(table, keyring, trust)
     cap = mint_scitoken(issuer_key, ISSUER, "pilot-ops", (JOB_SUBMIT_SCOPE,), "ce-1", 600, NOW)
     if session:
-        auth(table, CH_CE_SUBMIT, cap, sessions, trust=trust, expected_audience="ce-1")
+        auth(table, CH_CE_SUBMIT, cap, sessions, expected_audience="ce-1")
     assert (cap.compact in sessions) is session
     wider = ChannelPolicy(
         (AuthMethod.SCITOKEN,),
@@ -443,7 +442,7 @@ def test_scope_refusal_names_every_missing_scope_in_order(
     missing = r"^missing scopes: compute\.cancel compute\.read$"
     with pytest.raises(InsufficientScope, match=missing):
         authenticate(
-            CH_CE_SUBMIT, wider, cap, sessions=sessions, trust=trust, expected_audience="ce-1", now=NOW
+            CH_CE_SUBMIT, wider, cap, sessions=sessions, expected_audience="ce-1", now=NOW
         )
 
 
@@ -563,13 +562,14 @@ def test_compiled_path_matches_the_path_it_replaced(phase, issuer_key, trust):
     keyring = SymmetricKeyring.from_secrets({"pool-1": b"p" * 32, "pool-2": b"q" * 32})
     credentials = presented_credentials(keyring, issuer_key)
     projected = apply_phase(default_table(), phase)
-    sessions = Sessions(projected)
     live = revoke_key(keyring, "pool-2")
+    sessions = Sessions(projected, live, trust)
     base = dict(now=NOW, expected_audience="ce-1", keyring=live)
     # Right after a presentation at ``base``, which leaves a session for
     # every token it accepts, each credential is shown again: outside, at
     # the edges of and inside its window, at another audience, and under a
-    # keyring that revoked a key or gained one.
+    # keyring that revoked a key or gained one, which the table is rekeyed
+    # to between the two presentations.
     again = [
         dict(base, now=NOW - DEFAULT_SKEW - 1),
         dict(base, now=NOW - DEFAULT_SKEW),
@@ -585,8 +585,12 @@ def test_compiled_path_matches_the_path_it_replaced(phase, issuer_key, trust):
         pol = projected.channels[channel]
 
         def new_path(credential, at):
+            at = dict(at)
+            keyring = at.pop("keyring")
+            if keyring is not sessions.keyring:
+                sessions.rekey(keyring)
             peer = authenticate(
-                channel, pol, credential, sessions=sessions, trust=trust,
+                channel, pol, credential, sessions=sessions,
                 trusted_cas=frozenset({CA}), local_host=HOST, **at,
             )
             return peer, authorize(peer, pol)
@@ -679,14 +683,13 @@ def admit_tokens(draw):
     )
 
 
-def full_path(sessions, channels, channel, token, audience, now, keyring, trust):
+def full_path(sessions, channels, channel, token, audience, now):
     """The peer ``authenticate`` and ``authorize`` pass ``token`` with on
     ``channels[channel]``, or None when either refuses it."""
     pol = channels[channel]
     try:
         peer = authenticate(
-            channel, pol, token, sessions=sessions, keyring=keyring, trust=trust,
-            expected_audience=audience, now=now,
+            channel, pol, token, sessions=sessions, expected_audience=audience, now=now
         )
     except TokenPoolError:
         return None
@@ -713,21 +716,22 @@ def test_admit_agrees_with_the_full_path(
     filled_in, phase, token, data, audience, at, keyring, trust
 ):
     # The token is first presented on every channel of the ``filled_in``
-    # phase at its issue time and audience under the pool's keyring and
-    # trust directory, which opens a session if one of them authenticates
-    # it.  Then it is presented on a channel of ``phase``, more often one it
-    # passed on, as after a phase switch: ``admit`` answers with the very
-    # peer the full path passes it with, or None when that raises or denies,
-    # if its session was filled under the keyring and trust directory
-    # presented with; with None otherwise.  The examples are the profile's:
-    # derandomized, so each run checks the same ones.
-    sessions = Sessions(_ADMIT_TABLE)
+    # phase at its issue time and audience to a table holding the pool's
+    # keyring and the drawn trust directory, which opens a session if one of
+    # them authenticates it.  A drawn keyring other than the pool's is then
+    # applied with ``rekey``.  Then the token is presented on a channel of
+    # ``phase``, more often one it passed on, as after a phase switch:
+    # ``admit`` answers with the very peer the full path passes it with, or
+    # None when that raises or denies, if its session outlived the rekey;
+    # with None otherwise.  The examples are the profile's: derandomized, so
+    # each run checks the same ones.
+    sessions = Sessions(_ADMIT_TABLE, _LIVE, trust)
     then = apply_phase(_ADMIT_TABLE, filled_in).channels
     channels = apply_phase(_ADMIT_TABLE, phase).channels
     audience_then = token.claims.aud or "ce-1"
     passed_on = [
         name for name in _CHANNELS
-        if full_path(sessions, then, name, token, audience_then, NOW, _LIVE, _TRUST) is not None
+        if full_path(sessions, then, name, token, audience_then, NOW) is not None
     ]
     channel = data.draw(st.sampled_from(passed_on or _CHANNELS) | st.sampled_from(_CHANNELS))
     claims = token.claims
@@ -738,9 +742,11 @@ def test_admit_agrees_with_the_full_path(
         "exp+60": claims.exp + DEFAULT_SKEW,
         "exp+61": claims.exp + DEFAULT_SKEW + 1,
     }[at]
-    warm = token.compact in sessions and sessions.keyring is keyring and sessions.trust is trust
-    admitted = sessions.admit(channels[channel], token, audience, now, keyring, trust)
-    passed = full_path(sessions, channels, channel, token, audience, now, keyring, trust)
+    if keyring is not _LIVE:
+        sessions.rekey(keyring)
+    warm = token.compact in sessions
+    admitted = sessions.admit(channels[channel], token, audience, now)
+    passed = full_path(sessions, channels, channel, token, audience, now)
     assert admitted is (passed if warm else None)
 
 

@@ -726,41 +726,49 @@ def test_a_mutated_shipped_scenario_is_refused_at_parse_or_runs(data):
 
 def _added_faults(doc):
     """The faults a mutation may append to ``doc``'s: a ``MESSAGE_DROP`` on
-    a channel that can lose a message, and a ``CE_STUCK_SUBMISSION`` on one
-    of its gateways.  A drop goes only on a channel no drop of ``doc``
-    covers, so no two drop windows on one channel overlap."""
+    a channel that can lose a message, a ``CE_STUCK_SUBMISSION`` on one of
+    its gateways, and a ``KEY_COMPROMISE`` of one of its keys.  A drop goes
+    only on a channel no drop of ``doc`` covers, so no two drop windows on
+    one channel overlap."""
     dropping = {f["target"] for f in doc.get("faults", ()) if f["kind"] == "MESSAGE_DROP"}
     channels = [c for c in DROP_CHANNELS if not dropping & {c, "*"}]
     gateways = [ce["id"] for site in doc["sites"] for ce in site["ces"]]
+    kids = [key["kid"] for key in doc["keys"]]
 
     def fault(kind, target, window, **rate):
         start, length = window
         end = {} if length is None else {"end": start + length}
         return {"kind": kind, "target": target, "start": start, **end, **rate}
 
-    window = st.tuples(st.sampled_from((0, 30, 300, 600)), st.sampled_from((None, 400)))
+    starts = st.sampled_from((0, 30, 300, 600))
+    window = st.tuples(starts, st.sampled_from((None, 400)))
     drop = st.builds(
         fault, st.just("MESSAGE_DROP"), st.sampled_from(channels), window,
         rate=st.sampled_from((0.5, 1.0)),
     )
     stuck = st.builds(fault, st.just("CE_STUCK_SUBMISSION"), st.sampled_from(gateways), window)
-    return drop.map(Appended), stuck.map(Appended)
+    compromise = st.builds(
+        fault, st.just("KEY_COMPROMISE"), st.sampled_from(kids), st.tuples(starts, st.none())
+    )
+    return drop.map(Appended), stuck.map(Appended), compromise.map(Appended)
 
 
 #: How many times as often a mutation edits one value as it appends each
-#: kind of fault.  An appended fault always parses, so its scenario runs,
-#: where most edits are refused at parse: the share bounds the time of the
+#: kind of fault, or as it starts the scenario in GSI_ONLY.  An appended
+#: fault or a starting phase always parses, so its scenario runs, where
+#: most edits are refused at parse: the share bounds the time of the
 #: properties that draw ``MUTATIONS``.
-EDITS_PER_FAULT = 50
+EDITS_PER_FAULT = 100
 
 
 def _mutations(stem):
     """A mutation of ``stem`` as ``(stem, path, value)``: one of its paths
-    and what to put there, as the test above draws them, or one of
-    ``_added_faults`` appended to its faults."""
+    and what to put there, as the test above draws them, one of
+    ``_added_faults`` appended to its faults, or GSI_ONLY as its phase."""
     edit = st.tuples(st.sampled_from(VALUE_PATHS[stem]), st.sampled_from((DELETE, *MUTATION_POOL)))
     appends = [st.tuples(st.just(("faults",)), f) for f in _added_faults(SHIPPED_DOCS[stem])]
-    return st.sampled_from((edit,) * EDITS_PER_FAULT + tuple(appends)).flatmap(
+    gsi_only = st.just((("phase",), MigrationPhase.GSI_ONLY.value))
+    return st.sampled_from((edit,) * EDITS_PER_FAULT + (*appends, gsi_only)).flatmap(
         lambda chosen: chosen.map(lambda mutation: (stem, *mutation))
     )
 
@@ -780,13 +788,24 @@ def mutated_scenario(mutation):
     return dataclasses.replace(sc, horizon=min(sc.horizon, 1200))
 
 
+#: A mutation that compromises a worker key of split-2022 while 80 pilots
+#: hold sessions, so the session table is rekeyed mid-run.
+SPLIT_KEY_COMPROMISE = (
+    "split-2022",
+    ("faults",),
+    Appended({"kind": "KEY_COMPROMISE", "target": "startd-1", "start": 300}),
+)
+
+
 @settings(max_examples=80)
 @example(("migration-2022", ("pilots", "token_lifetime"), 300))
+@example(SPLIT_KEY_COMPROMISE)
 @given(MUTATIONS)
 def test_sessions_leave_a_mutated_scenario_digest_alone(mutation):
     """A mutated shipped scenario that parses, run to t=1200, has the same
-    digest whether or not a verified token opens a session.  The example
-    makes pilot tokens expire between keepalives, after their session opened."""
+    digest whether or not a verified token opens a session.  The first
+    example makes pilot tokens expire between keepalives, after their
+    session opened; the second rekeys the table."""
     stem, path, value = mutation
     try:
         sc = parse_scenario(_replaced(SHIPPED_DOCS[stem], path, value))

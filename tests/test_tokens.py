@@ -313,27 +313,30 @@ def test_scitoken_requires_issuer_claim(issuer_key, trust):
 # -- sessions -------------------------------------------------------------
 
 
+#: An identity map that maps every subject, so that only the token decides
+#: whether a session opens.
+ANYONE = policy.PolicyTable({}, (("*", "anyone"),))
+
+
 @pytest.fixture
-def sessions():
-    """A session table whose identity map maps every subject, so that
-    only the token decides whether a session opens."""
-    return policy.Sessions(policy.PolicyTable({}, (("*", "anyone"),)))
+def sessions(keyring, trust):
+    """A session table of ``ANYONE`` under the ``keyring`` and ``trust`` fixtures."""
+    return policy.Sessions(ANYONE, keyring, trust)
 
 
-def present_on(sessions, channel, pol, token, *, keyring=None, trust=None, audience="", now=NOW):
+def present_on(sessions, channel, pol, token, *, audience="", now=NOW):
     """Present ``token`` on ``channel`` as ``World.authenticate_on`` does:
     its session's peer if ``sessions.admit`` takes it, else what a full
     verification returns, which opens a session."""
-    peer = sessions.admit(pol, token, audience, now, keyring, trust)
+    peer = sessions.admit(pol, token, audience, now)
     if peer is None:
         peer = policy.authenticate(
-            channel, pol, token, sessions=sessions, keyring=keyring, trust=trust,
-            expected_audience=audience, now=now,
+            channel, pol, token, sessions=sessions, expected_audience=audience, now=now
         )
     return peer
 
 
-def present(sessions, token, *, keyring=None, trust=None, audience="ce-1", scopes=None, now=NOW):
+def present(sessions, token, *, audience="ce-1", scopes=None, now=NOW):
     """Present ``token`` through ``sessions`` on a channel that accepts its
     method and asks for ``scopes``, or for ADVERTISE when there are none;
     ``scopes`` defaults to the job-submit scope for a capability token."""
@@ -344,10 +347,7 @@ def present(sessions, token, *, keyring=None, trust=None, audience="ce-1", scope
         pol = policy.ChannelPolicy((method,), required_scopes=frozenset(scopes))
     else:
         pol = policy.ChannelPolicy((method,), policy.AuthzLevel.ADVERTISE)
-    return present_on(
-        sessions, policy.CH_CE_SUBMIT, pol, token, keyring=keyring, trust=trust,
-        audience=audience, now=now,
-    )
+    return present_on(sessions, policy.CH_CE_SUBMIT, pol, token, audience=audience, now=now)
 
 
 def served_tokens(monkeypatch):
@@ -398,7 +398,7 @@ def _with_flipped_signature_byte(token: str) -> str:
 def warm(issuer_key, trust, sessions):
     """The wire form of a capability token with a session in ``sessions``."""
     token = mint_scitoken(issuer_key, ISSUER, "s", ("compute.create",), "ce-1", 600, NOW)
-    present(sessions, token, trust=trust, scopes=("compute.create",))
+    present(sessions, token, scopes=("compute.create",))
     assert token.compact in sessions
     return token.compact
 
@@ -414,23 +414,21 @@ def warm(issuer_key, trust, sessions):
     ids=["flipped-signature-byte", "expired", "other-audience", "missing-scope"],
 )
 def test_remembered_signature_still_runs_every_other_check(
-    warm, sessions, trust, shown, audience, scopes, now, error
+    warm, sessions, shown, audience, scopes, now, error
 ):
     with pytest.raises(error):
-        present(
-            sessions, decode_token(shown(warm)), trust=trust, audience=audience,
-            scopes=scopes, now=now,
-        )
+        present(sessions, decode_token(shown(warm)), audience=audience, scopes=scopes, now=now)
 
 
 def test_remembered_signature_does_not_vouch_for_another_key(warm, sessions, issuer_key):
-    # Same issuer and kid, different public key: under a new directory the
-    # session table starts over, checks the signature itself and rejects it.
+    # Same issuer and kid, different public key: a table holding that
+    # directory has no session for the token, checks the signature itself
+    # and rejects it.
     other = TrustDirectory.single_issuer(
         ISSUER, IssuerKey.generate(issuer_key.kid, seed=b"\x66" * 32)
     )
     with pytest.raises(SignatureInvalid):
-        present(sessions, decode_token(warm), trust=other)
+        present(policy.Sessions(ANYONE, sessions.keyring, other), decode_token(warm))
 
 
 @pytest.fixture
@@ -447,15 +445,15 @@ def ed25519_checks(monkeypatch):
     return checks
 
 
-def test_only_verified_signatures_are_remembered(warm, sessions, trust, ed25519_checks):
+def test_only_verified_signatures_are_remembered(warm, sessions, ed25519_checks):
     # Only a token whose signature verified opens a session; a forged one
     # is checked, and refused, at every presentation.
     token = decode_token(warm)
     forged = decode_token(_with_flipped_signature_byte(warm))
     for _ in range(2):
-        present(sessions, token, trust=trust)
+        present(sessions, token)
         with pytest.raises(SignatureInvalid):
-            present(sessions, forged, trust=trust)
+            present(sessions, forged)
     assert [sig for _, _, sig in ed25519_checks] == [forged.signature, forged.signature]
     assert sessions.keys() == {token.compact}
 
@@ -498,7 +496,7 @@ def hs256_macs(monkeypatch):
 def warm_id(keyring, sessions):
     """The wire form of an identity token under k1 with a session in ``sessions``."""
     token = mint_idtoken(keyring, "k1", "s", ("ADVERTISE",), 600, NOW, jti="w1")
-    present(sessions, token, keyring=keyring)
+    present(sessions, token)
     assert token.compact in sessions
     return token.compact
 
@@ -521,11 +519,9 @@ def _with_payload_of_another_token(token: str) -> str:
     ],
     ids=["flipped-mac-byte", "other-payload", "expired"],
 )
-def test_remembered_mac_still_runs_every_other_check(
-    warm_id, sessions, keyring, shown, now, error
-):
+def test_remembered_mac_still_runs_every_other_check(warm_id, sessions, shown, now, error):
     with pytest.raises(error):
-        present(sessions, decode_token(shown(warm_id)), keyring=keyring, now=now)
+        present(sessions, decode_token(shown(warm_id)), now=now)
 
 
 @pytest.mark.parametrize(
@@ -559,9 +555,7 @@ def _outcome(check):
     return "ok"
 
 
-def test_sessions_and_verification_agree_after_the_callers_mappings_change(
-    sessions, issuer_key
-):
+def test_sessions_and_verification_agree_after_the_callers_mappings_change(issuer_key):
     # A keyring and a trust directory copy the mappings they are built from,
     # so a caller changing its dicts after a session opened changes neither:
     # a session hit and a full verification still reach the same outcome.
@@ -569,11 +563,12 @@ def test_sessions_and_verification_agree_after_the_callers_mappings_change(
     keys = {issuer_key.kid: issuer_key.public_bytes}
     issuers, audiences = {ISSUER: keys}, {ISSUER: ("ce-1",)}
     keyring, trust = SymmetricKeyring(entries), TrustDirectory(issuers, audiences)
+    sessions = policy.Sessions(ANYONE, keyring, trust)
     scopes = ("compute.create",)
     id_token = mint_idtoken(keyring, "k1", "s", (), 600, NOW)
     cap = mint_scitoken(issuer_key, ISSUER, "s", scopes, "ce-1", 600, NOW)
-    present(sessions, id_token, keyring=keyring, trust=trust)
-    present(sessions, cap, keyring=keyring, trust=trust, scopes=scopes)
+    present(sessions, id_token)
+    present(sessions, cap, scopes=scopes)
     assert sessions.keys() == {id_token.compact, cap.compact}
     entries["k1"] = SymmetricKey(b"a" * 32, KeyStatus.REVOKED)
     keys[issuer_key.kid] = IssuerKey.generate("op-1", seed=b"\x22" * 32).public_bytes
@@ -581,11 +576,11 @@ def test_sessions_and_verification_agree_after_the_callers_mappings_change(
     del issuers[ISSUER]
     for session, verification in (
         (
-            lambda: present(sessions, id_token, keyring=keyring, trust=trust),
+            lambda: present(sessions, id_token),
             lambda: verify_idtoken(id_token, keyring, NOW),
         ),
         (
-            lambda: present(sessions, cap, keyring=keyring, trust=trust, scopes=scopes),
+            lambda: present(sessions, cap, scopes=scopes),
             lambda: verify_scitoken(cap, trust, "ce-1", scopes, NOW),
         ),
     ):
@@ -593,35 +588,36 @@ def test_sessions_and_verification_agree_after_the_callers_mappings_change(
     assert sessions.keyring is keyring and sessions.trust is trust
 
 
-def test_only_matching_macs_are_remembered(warm_id, sessions, keyring, hs256_macs):
+def test_only_matching_macs_are_remembered(warm_id, sessions, hs256_macs):
     # Only a token whose MAC matched opens a session; a forged one is
     # checked, and refused, at every presentation.
     token = decode_token(warm_id)
     forged = decode_token(_with_flipped_signature_byte(warm_id))
     for _ in range(2):
-        present(sessions, token, keyring=keyring)
+        present(sessions, token)
         with pytest.raises(SignatureInvalid):
-            present(sessions, forged, keyring=keyring)
+            present(sessions, forged)
     assert hs256_macs == [forged.signing_input, forged.signing_input]
     assert sessions.keys() == {token.compact}
 
 
 def test_rotated_or_revoked_keyring_checks_each_mac_again(sessions, keyring, hs256_macs):
-    # A keyring made by revoke_key or rotate_key has no sessions: the table
-    # starts over, and the token's MAC is computed once under each.
+    # A keyring made by revoke_key or rotate_key has no sessions: rekeying
+    # starts the table over, and the token's MAC is computed once under each.
     token = mint_idtoken(keyring, "k2", "s", (), 600, NOW)
     for _ in range(2):
-        present(sessions, token, keyring=keyring)
+        present(sessions, token)
     assert len(hs256_macs) == 2  # the mint, then one verification
     for changed in (revoke_key(keyring, "k1"), rotate_key(keyring, "k3", b"c" * 32)):
+        sessions.rekey(changed)
         for _ in range(2):
-            present(sessions, token, keyring=changed)
+            present(sessions, token)
         assert sessions.keyring is changed
         assert sessions.keys() == {token.compact}
     assert len(hs256_macs) == 4
 
 
-def test_sessions_with_equal_verdicts_share_one_peer(sessions, keyring, issuer_key, trust):
+def test_sessions_with_equal_verdicts_share_one_peer(sessions, keyring, issuer_key):
     # Two startd tokens under one keyring get the identical peer; capability
     # tokens with other scopes get their own; dropping one token's session
     # leaves the other's; a new keyring starts a table that shares nothing.
@@ -629,24 +625,21 @@ def test_sessions_with_equal_verdicts_share_one_peer(sessions, keyring, issuer_k
         mint_idtoken(keyring, "k1", "startd@wn-1", ("ADVERTISE",), 600, NOW, jti=jti)
         for jti in ("s1", "s2")
     ]
-    peers = [present(sessions, token, keyring=keyring, trust=trust) for token in startd]
+    peers = [present(sessions, token) for token in startd]
     assert peers[0] is peers[1]
     assert sessions[startd[0].compact] is sessions[startd[1].compact] is peers[0]
     caps = [
         mint_scitoken(issuer_key, ISSUER, "s", scopes, "ce-1", 600, NOW)
         for scopes in (("compute.create",), ("compute.create", "compute.read"))
     ]
-    cap_peers = [
-        present(sessions, cap, keyring=keyring, trust=trust, scopes=("compute.create",))
-        for cap in caps
-    ]
+    cap_peers = [present(sessions, cap, scopes=("compute.create",)) for cap in caps]
     assert cap_peers[0] != cap_peers[1]
     assert len({id(peer) for peer in (*peers, *cap_peers)}) == 3
     sessions.pop(startd[0].compact)
     assert sessions[startd[1].compact] is peers[1]
-    assert present(sessions, startd[1], keyring=keyring, trust=trust) is peers[1]
-    rotated = rotate_key(keyring, "k3", b"c" * 32)
-    again = present(sessions, startd[1], keyring=rotated, trust=trust)
+    assert present(sessions, startd[1]) is peers[1]
+    sessions.rekey(rotate_key(keyring, "k3", b"c" * 32))
+    again = present(sessions, startd[1])
     assert again == peers[1] and again is not peers[1]
 
 
